@@ -72,17 +72,20 @@ class ClassificationRecord:
         }
 
 
-def classify(spec, points, tol):
+def classify(spec, points, tol, geometries=None):
     """Classify over a point batch with relative residual scale
-    m (1 + |lambda|)(1 + |A|^2)."""
+    m (1 + |lambda|)(1 + |A|^2).
+
+    `geometries`, if given, holds the PointGeometry of each point."""
     points = [tuple(p) for p in points]
     if not points:
         raise UsageError("classify needs at least one point")
+    if geometries is None:
+        geometries = (PointGeometry(spec, p) for p in points)
     m = spec.m
     max_n = max_t = max_h = 0.0
     scale = 0.0
-    for p in points:
-        pg = PointGeometry(spec, p)
+    for p, pg in zip(points, geometries, strict=True):
         pg.require_hypersurface()
         scale = max(scale, m * (1.0 + abs(pg.lam)) * (1.0 + pg.normA2))
         max_n = max(max_n, abs(normal_residual(spec, p, geometry=pg)))

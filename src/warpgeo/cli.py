@@ -25,7 +25,10 @@ def _parse_points(text, m):
         chunk = chunk.strip()
         if not chunk:
             continue
-        coords = [float(x) for x in chunk.split(",")]
+        try:
+            coords = [float(x) for x in chunk.split(",")]
+        except ValueError:
+            raise UsageError(f"point {chunk!r} is not a list of numbers") from None
         if len(coords) != m:
             raise UsageError(f"point {chunk!r} needs {m} coordinates")
         points.append(tuple(coords))
@@ -34,11 +37,26 @@ def _parse_points(text, m):
     return points
 
 
+def _count(text):
+    num = int(text)
+    if num < 1:
+        raise ValueError(text)
+    return num
+
+
+def _fields(text, kinds, form):
+    """Split a colon-separated spec such as lo:hi:N into values of `kinds`."""
+    parts = text.split(":")
+    try:
+        if len(parts) != len(kinds):
+            raise ValueError(text)
+        return [kind(part) for kind, part in zip(kinds, parts)]
+    except ValueError:
+        raise UsageError(f"{text!r} is not of the form {form}") from None
+
+
 def _parse_grid(text, m):
-    axes = []
-    for part in text.split(","):
-        lo, hi, num = part.split(":")
-        axes.append(np.linspace(float(lo), float(hi), int(num)))
+    axes = [_parse_tgrid(part) for part in text.split(",")]
     if len(axes) != m:
         raise UsageError(f"grid needs {m} axes")
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -46,13 +64,11 @@ def _parse_grid(text, m):
 
 
 def _parse_range(text):
-    lo, hi = text.split(":")
-    return float(lo), float(hi)
+    return tuple(_fields(text, (float, float), "lo:hi"))
 
 
 def _parse_tgrid(text):
-    lo, hi, num = text.split(":")
-    return np.linspace(float(lo), float(hi), int(num))
+    return np.linspace(*_fields(text, (float, float, _count), "lo:hi:N"))
 
 
 def _resolve_points(args, scene):
@@ -66,8 +82,16 @@ def _resolve_points(args, scene):
     raise UsageError("no points: pass --points/--grid or an analysis block")
 
 
+def _open_report(path):
+    """Open a --json or --csv output path for writing."""
+    try:
+        return open(path, "w", newline="", encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def _emit_json(path, payload):
-    with open(path, "w", encoding="utf-8") as fh:
+    with _open_report(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -168,7 +192,7 @@ def cmd_scan(args):
     for v, msg in result.failures:
         print(f"failed sample {args.param}={_fmt(v)}: {msg}", file=sys.stderr)
     if args.csv:
-        with open(args.csv, "w", newline="", encoding="utf-8") as fh:
+        with _open_report(args.csv) as fh:
             writer = csv.writer(fh)
             writer.writerow([args.param, "normal_residual"])
             for v, r in result.samples:
@@ -201,7 +225,7 @@ def cmd_warp(args):
         rows,
     )
     if args.csv:
-        with open(args.csv, "w", newline="", encoding="utf-8") as fh:
+        with _open_report(args.csv) as fh:
             writer = csv.writer(fh)
             writer.writerow(
                 [

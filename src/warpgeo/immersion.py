@@ -97,6 +97,27 @@ def induced_metric_jets(spec, var_jets, slots):
     return X, dX, e2, g
 
 
+def christoffels_from_metric(g, ginv=None):
+    """Gamma^k_ij = (1/2) g^{kl} (d_i g_jl + d_j g_il - d_l g_ij); the
+    result is one order below the metric jets."""
+    d = len(g)
+    if ginv is None:
+        ginv = J.jet_mat_inverse(g)
+    order = g[0][0].order - 1
+    dg = [[[g[i][j].d(k) for j in range(d)] for i in range(d)] for k in range(d)]
+    ginv_t = [[ginv[i][j].trunc(order) for j in range(d)] for i in range(d)]
+    gamma = [[[None] * d for _ in range(d)] for _ in range(d)]
+    for k in range(d):
+        for i in range(d):
+            for j in range(i, d):
+                acc = None
+                for l in range(d):
+                    term = ginv_t[k][l] * (dg[i][j][l] + dg[j][i][l] - dg[l][i][j])
+                    acc = term if acc is None else acc + term
+                gamma[k][i][j] = gamma[k][j][i] = 0.5 * acc
+    return gamma
+
+
 def _check_nondegenerate(g_val, det_val):
     diag = np.diag(g_val)
     scale = float(np.exp(np.mean(np.log(np.maximum(diag, 1e-300)))))
@@ -149,19 +170,8 @@ class PointGeometry:
         self.dX_val = np.array([[dX[i][a].value for a in range(n)] for i in range(m)])
         self.e2_val = self.e2.value
 
-        # Christoffels of (M, g): order 2
-        dg = [[[g[i][j].d(k) for j in range(m)] for i in range(m)] for k in range(m)]
+        self.gamma_m = christoffels_from_metric(g, self.ginv)  # order 2
         ginv2 = [[self.ginv[i][j].trunc(2) for j in range(m)] for i in range(m)]
-        self.gamma_m = [[[None] * m for _ in range(m)] for _ in range(m)]
-        for k in range(m):
-            for i in range(m):
-                for j in range(i, m):
-                    acc = None
-                    for l in range(m):
-                        term = ginv2[k][l] * (dg[i][j][l] + dg[j][i][l] - dg[l][i][j])
-                        acc = term if acc is None else acc + term
-                    val = 0.5 * acc
-                    self.gamma_m[k][i][j] = self.gamma_m[k][j][i] = val
 
         # Second fundamental form and mean curvature: order 2
         dX2 = [[dX[i][a].trunc(2) for a in range(n)] for i in range(m)]
@@ -299,38 +309,3 @@ class GeometryReport:
             "gradLambda": self.grad_lambda.tolist(),
             "ricEtaEta": self.ric_eta_eta,
         }
-
-
-# -- spec-facing helpers --------------------------------------------------
-
-
-def first_fundamental_form(spec, point):
-    return PointGeometry(spec, point).g
-
-
-def second_fundamental_form(spec, point):
-    return PointGeometry(spec, point).B
-
-
-def mean_curvature(spec, point):
-    pg = PointGeometry(spec, point)
-    pg.require_hypersurface()
-    return pg.H_val, pg.lam, pg.eta_val
-
-
-def shape_operator(spec, point):
-    pg = PointGeometry(spec, point)
-    pg.require_hypersurface()
-    return pg.A_frame, pg.normA2
-
-
-def laplace_beltrami(spec, point):
-    pg = PointGeometry(spec, point)
-    pg.require_hypersurface()
-    return pg.lap_lam
-
-
-def gradient(spec, point):
-    pg = PointGeometry(spec, point)
-    pg.require_hypersurface()
-    return pg.grad_lam_amb

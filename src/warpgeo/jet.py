@@ -3,7 +3,7 @@
 A :class:`Jet` carries the Taylor coefficients of a scalar quantity at a
 point: ``coeffs[alpha] = d^alpha f / alpha!``.  Storing normalised Taylor
 coefficients (rather than raw derivatives) makes the truncated Cauchy
-product index-free; :func:`jet_partial` multiplies the factorial back in.
+product index-free; :meth:`Jet.partial` multiplies the factorial back in.
 
 Storage is dense over graded-lexicographic multi-indices.  Because the
 grading sorts by total degree first, truncating a jet to a lower order is
@@ -263,10 +263,6 @@ def jet_variable(index, value, n_vars, order):
         unit = tuple(1 if k == index else 0 for k in range(n_vars))
         coeffs[space.index[unit]] = 1.0
     return Jet(n_vars, order, coeffs)
-
-
-def jet_partial(jet, alpha):
-    return jet.partial(alpha)
 
 
 # -- univariate composition ----------------------------------------------

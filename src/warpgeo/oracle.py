@@ -15,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jet as J
-from .ambient import WarpEval, spaceform_curvature, warped_curvature_full
+from .ambient import spaceform_curvature, warped_curvature_full
 from .errors import UsageError
 from .expr import eval_jet
-from .immersion import PointGeometry, induced_metric_jets
+from .immersion import PointGeometry, christoffels_from_metric, induced_metric_jets
 
 JET_ORDER = 4
 
@@ -46,32 +46,68 @@ class MapSpec:
 # -- shared helpers -------------------------------------------------------
 
 
-def christoffels_from_metric(g, ginv=None):
-    """Gamma^k_ij = (1/2) g^{kl} (d_i g_jl + d_j g_il - d_l g_ij); the
-    result is one order below the metric jets."""
-    d = len(g)
-    if ginv is None:
-        ginv = J.jet_mat_inverse(g)
-    order = g[0][0].order - 1
-    dg = [[[g[i][j].d(k) for j in range(d)] for i in range(d)] for k in range(d)]
-    ginv_t = [[ginv[i][j].trunc(order) for j in range(d)] for i in range(d)]
-    gamma = [[[None] * d for _ in range(d)] for _ in range(d)]
-    for k in range(d):
-        for i in range(d):
-            for j in range(i, d):
-                acc = None
-                for l in range(d):
-                    term = ginv_t[k][l] * (dg[i][j][l] + dg[j][i][l] - dg[l][i][j])
-                    acc = term if acc is None else acc + term
-                gamma[k][i][j] = gamma[k][j][i] = 0.5 * acc
-    return gamma
-
-
 def _orthonormal_frame(g_val):
     """Gram-Schmidt on the coordinate fields, as the coefficient matrix E
     with e_i = sum_k E[k, i] d_k."""
     L = np.linalg.cholesky(g_val)
     return np.linalg.inv(L).T
+
+
+def _seed(point, dim, order):
+    """Jets of the coordinate functions at `point`."""
+    return [J.jet_variable(i, float(point[i]), dim, order) for i in range(dim)]
+
+
+def _pullback_hessian(V, gbar1, dphi, gamma_dom):
+    """(nabla^2 V)_{kl}^a of a vector field V along a map phi, as a value
+    array of shape (d, d, D).
+
+    V: field components as jets of order >= 2.  gbar1: codomain
+    Christoffels along phi as order-1 jets.  dphi: coordinate derivatives
+    dphi[k][a] as jets.  gamma_dom: domain Christoffels as jets.
+    """
+    d, D = len(dphi), len(V)
+    dphi1 = [[dphi[k][a].trunc(1) for a in range(D)] for k in range(d)]
+    V1 = [v.trunc(1) for v in V]
+
+    # first pull-back covariant derivative of V, retained as order-1 jets
+    nV = [[None] * D for _ in range(d)]
+    for l in range(d):
+        for a in range(D):
+            acc = V[a].d(l)
+            for b in range(D):
+                for c in range(D):
+                    acc = acc + gbar1[a][b][c] * dphi1[l][b] * V1[c]
+            nV[l][a] = acc
+    nV_val = np.array([[nV[l][a].value for a in range(D)] for l in range(d)])
+
+    dphi_val = np.array([[dphi[k][a].value for a in range(D)] for k in range(d)])
+    gbar_val = np.array(
+        [
+            [[gbar1[a][b][c].value for c in range(D)] for b in range(D)]
+            for a in range(D)
+        ]
+    )
+    gdom_val = np.array(
+        [
+            [[gamma_dom[j][k][l].value for l in range(d)] for k in range(d)]
+            for j in range(d)
+        ]
+    )
+
+    # tensorial second covariant derivative
+    sec = np.zeros((d, d, D))
+    for k in range(d):
+        for l in range(d):
+            for a in range(D):
+                v = nV[l][a].d(k).value
+                for b in range(D):
+                    for c in range(D):
+                        v += gbar_val[a][b][c] * dphi_val[k][b] * nV_val[l][c]
+                for j in range(d):
+                    v -= gdom_val[j][k][l] * nV_val[j][a]
+                sec[k][l][a] = v
+    return sec
 
 
 class _MapContext:
@@ -84,7 +120,7 @@ class _MapContext:
         self.mapspec = mapspec
         self.point = tuple(float(p) for p in point)
         self.order = order
-        vj = [J.jet_variable(i, self.point[i], d, order) for i in range(d)]
+        vj = _seed(self.point, d, order)
         self.phi = mapspec.components(vj)  # order
         self.G = mapspec.domain_metric(vj)  # order - 1
         self.Ginv = J.jet_mat_inverse(self.G)
@@ -139,45 +175,7 @@ def bitension_first_principles(mapspec, point, order=JET_ORDER):
     tau_val = np.array([t.value for t in tau])
 
     gbar1 = mapspec.codomain_christoffel(ctx.phi, 1)
-    dphi1 = [[ctx.dphi[k][a].trunc(1) for a in range(D)] for k in range(d)]
-    tau1 = [t.trunc(1) for t in tau]
-
-    # first pull-back covariant derivative of tau, retained as order-1 jets
-    ntau = [[None] * D for _ in range(d)]
-    for l in range(d):
-        for a in range(D):
-            acc = tau[a].d(l)
-            for b in range(D):
-                for c in range(D):
-                    acc = acc + gbar1[a][b][c] * dphi1[l][b] * tau1[c]
-            ntau[l][a] = acc
-    ntau_val = np.array([[ntau[l][a].value for a in range(D)] for l in range(d)])
-
-    gbar_val = np.array(
-        [
-            [[gbar1[a][b][c].value for c in range(D)] for b in range(D)]
-            for a in range(D)
-        ]
-    )
-    gdom_val = np.array(
-        [
-            [[ctx.gamma_dom[j][k][l].value for l in range(d)] for k in range(d)]
-            for j in range(d)
-        ]
-    )
-
-    # tensorial second covariant derivative (nabla^2 tau)_{kl}
-    sec = np.zeros((d, d, D))
-    for k in range(d):
-        for l in range(d):
-            for a in range(D):
-                v = ntau[l][a].d(k).value
-                for b in range(D):
-                    for c in range(D):
-                        v += gbar_val[a][b][c] * ctx.dphi_val[k][b] * ntau_val[l][c]
-                for j in range(d):
-                    v -= gdom_val[j][k][l] * ntau_val[j][a]
-                sec[k][l][a] = v
+    sec = _pullback_hessian(tau, gbar1, ctx.dphi, ctx.gamma_dom)
 
     frame = _orthonormal_frame(ctx.g_val)
     rough = np.zeros(D)
@@ -285,52 +283,15 @@ def warped_inclusion_map(scene):
     )
 
 
-def submanifold_bitension(spec, point):
+def submanifold_bitension(spec, point, geometry=None):
     """tau_2 of the canonical inclusion assembled from the submanifold
     closed form: -m sum_i { R(H, e_i) e_i + (nabla^2 H)(e_i, e_i) }."""
-    pg = PointGeometry(spec, point)
+    pg = geometry or PointGeometry(spec, point)
     m, n = spec.m, spec.n
     chart = spec.ambient
 
     gamma_n1 = chart.christoffel([x.trunc(1) for x in pg.X])
-    dX1 = [[pg.dX[k][a].trunc(1) for a in range(n)] for k in range(m)]
-    H1 = [h.trunc(1) for h in pg.H]
-
-    nH = [[None] * n for _ in range(m)]
-    for l in range(m):
-        for a in range(n):
-            acc = pg.H[a].d(l)
-            for b in range(n):
-                for c in range(n):
-                    acc = acc + gamma_n1[a][b][c] * dX1[l][b] * H1[c]
-            nH[l][a] = acc
-    nH_val = np.array([[nH[l][a].value for a in range(n)] for l in range(m)])
-
-    gamma_n_val = np.array(
-        [
-            [[gamma_n1[a][b][c].value for c in range(n)] for b in range(n)]
-            for a in range(n)
-        ]
-    )
-    gamma_m_val = np.array(
-        [
-            [[pg.gamma_m[j][k][l].value for l in range(m)] for k in range(m)]
-            for j in range(m)
-        ]
-    )
-
-    sec = np.zeros((m, m, n))
-    for k in range(m):
-        for l in range(m):
-            for a in range(n):
-                v = nH[l][a].d(k).value
-                for b in range(n):
-                    for c in range(n):
-                        v += gamma_n_val[a][b][c] * pg.dX_val[k][b] * nH_val[l][c]
-                for j in range(m):
-                    v -= gamma_m_val[j][k][l] * nH_val[j][a]
-                sec[k][l][a] = v
-
+    sec = _pullback_hessian(pg.H, gamma_n1, pg.dX, pg.gamma_m)
     trace_sec = np.einsum("kl,kla->a", pg.ginv_val, sec)
     curv = np.zeros(n)
     for k in range(m):
@@ -393,41 +354,15 @@ def ricci_from_christoffels(metric_rule, point, x_vec, order=JET_ORDER):
 
 
 def chart_metric_rule(chart, order=3):
-    def rule(point):
-        x = [J.jet_variable(i, float(point[i]), chart.n, order) for i in range(chart.n)]
-        return chart.metric(x)
-
-    return rule
+    return lambda point: chart.metric(_seed(point, chart.n, order))
 
 
 def induced_metric_rule(spec, order=JET_ORDER):
-    def rule(point):
-        m = spec.m
-        vj = [J.jet_variable(i, float(point[i]), m, order) for i in range(m)]
-        _, _, _, g = induced_metric_jets(spec, vj, list(range(m)))
-        return g
-
-    return rule
+    domain_metric = inclusion_map(spec).domain_metric
+    return lambda point: domain_metric(_seed(point, spec.m, order))
 
 
 def warped_domain_metric_rule(scene, order=JET_ORDER):
     """Metric rule of (I x M, dt^2 + f^2 g) in coordinates (t, u^1..u^m)."""
-    spec = scene.immersion
-
-    def rule(point):
-        m = spec.m
-        d = m + 1
-        vj = [J.jet_variable(i, float(point[i]), d, order) for i in range(d)]
-        _, _, _, g = induced_metric_jets(spec, vj[1:], list(range(1, d)))
-        sub = g[0][0].order
-        f = eval_jet(scene.warp, {"t": vj[0]}, scene.warp_params).trunc(sub)
-        f2 = f * f
-        zero = J.jet_constant(0.0, d, sub)
-        G = [[zero] * d for _ in range(d)]
-        G[0][0] = J.jet_constant(1.0, d, sub)
-        for i in range(m):
-            for j in range(m):
-                G[i + 1][j + 1] = f2 * g[i][j]
-        return G
-
-    return rule
+    domain_metric = warped_inclusion_map(scene).domain_metric
+    return lambda point: domain_metric(_seed(point, scene.immersion.m + 1, order))

@@ -38,17 +38,28 @@ class Scene:
         return self.warped
 
 
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _expect(mapping, key, kind, where):
     if key not in mapping:
         raise SceneError(f"{where}: missing key {key!r}")
     value = mapping[key]
     if kind is float:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
+        if not _is_number(value):
             raise SceneError(f"{where}: {key!r} must be a number")
         return float(value)
     if not isinstance(value, kind):
         raise SceneError(f"{where}: {key!r} must be {kind.__name__}")
     return value
+
+
+def _params(block, where):
+    params = block.get("params", {})
+    if not isinstance(params, dict):
+        raise SceneError(f"{where}: 'params' must be an object")
+    return {key: _expect(params, key, float, f"{where}.params") for key in params}
 
 
 def scene_from_dict(data, where="scene"):
@@ -65,9 +76,7 @@ def scene_from_dict(data, where="scene"):
     imm = _expect(data, "immersion", dict, where)
     variables = _expect(imm, "variables", list, f"{where}.immersion")
     components = _expect(imm, "components", list, f"{where}.immersion")
-    params = imm.get("params", {})
-    if not isinstance(params, dict):
-        raise SceneError(f"{where}.immersion: 'params' must be an object")
+    params = _params(imm, f"{where}.immersion")
     try:
         spec = immersion(variables, components, params, chart)
     except WarpgeoError as exc:
@@ -78,9 +87,9 @@ def scene_from_dict(data, where="scene"):
         wblock = _expect(data, "warp", dict, where)
         expr = _expect(wblock, "expr", str, f"{where}.warp")
         interval = _expect(wblock, "interval", list, f"{where}.warp")
-        if len(interval) != 2:
+        if len(interval) != 2 or not all(map(_is_number, interval)):
             raise SceneError(f"{where}.warp: interval must be [lo, hi]")
-        wparams = wblock.get("params", {})
+        wparams = _params(wblock, f"{where}.warp")
         try:
             warp = warped_scene(spec, expr, wparams, tuple(interval))
         except WarpgeoError as exc:
@@ -98,6 +107,8 @@ def scene_from_dict(data, where="scene"):
                     raise SceneError(
                         f"{where}.analysis: each point needs {spec.m} coordinates"
                     )
+                if not all(map(_is_number, p)):
+                    raise SceneError(f"{where}.analysis: point {p} is not numeric")
                 pts.append(tuple(float(x) for x in p))
             points = tuple(pts)
         if "tolerance" in ablock:

@@ -52,7 +52,7 @@ class Check:
 
     @property
     def passed(self):
-        return abs(self.got - self.expected) <= self.tol
+        return bool(abs(self.got - self.expected) <= self.tol)
 
     def row(self):
         return {
@@ -131,12 +131,12 @@ def _checks_tension_equivalence():
     out = []
     for label, spec in (("sphere-slice", sphere_slice(1.0)), ("cone", cone(1.0))):
         point = (0.3, -0.2) if label == "sphere-slice" else (1.0, 0.7)
+        pg = PointGeometry(spec, point)
         for src, scene in _warp_scenes(spec):
             ms = oracle.warped_inclusion_map(scene)
             for t in T_SAMPLES:
                 fp = oracle.tension_first_principles(ms, (t,) + point)
-                closed = warped.inclusion_tension(scene, t, point)
-                pg = PointGeometry(spec, point)
+                closed = warped.inclusion_tension(scene, t, point, geometry=pg)
                 diff = warped.hbar_norm(
                     scene, t, pg.X_val, warped.WVec(fp[0] - closed.t, fp[1:] - closed.n)
                 )
@@ -191,10 +191,11 @@ def _checks_bitension_equivalence():
 def _checks_pairing():
     spec = sphere_slice(1.0)
     point = (0.3, -0.2)
+    pg = PointGeometry(spec, point)
     scene = warped.warped_scene(spec, "exp(t)", {}, WARP_INTERVAL)
     out = []
     for t, ref in ((0.0, 16.0), (0.5, 16.0 * math.exp(-1.0))):
-        pr = warped.pairing(scene, t, point)
+        pr = warped.pairing(scene, t, point, geometry=pg)
         out.append(Check(f"pairing direct f=exp(t) t={t:g}", ref, pr.direct, 1e-6))
         out.append(
             Check(f"pairing closed form f=exp(t) t={t:g}", ref, pr.closed_form, 1e-6)
@@ -212,6 +213,7 @@ def _checks_power_family():
     for (a, b, m), interval in cases:
         spec = sphere_slice(1.0, m=m)
         point = (0.3, -0.2, 0.1)[:m]
+        pg = PointGeometry(spec, point)
         scene = warped.warped_scene(
             spec, "(a*t+b)^(1/m)", {"a": a, "b": b, "m": m}, interval
         )
@@ -227,7 +229,7 @@ def _checks_power_family():
                     1e-12,
                 )
             )
-            pr = warped.pairing(scene, float(t), point)
+            pr = warped.pairing(scene, float(t), point, geometry=pg)
             out.append(Check(f"power pairing {tag}", 0.0, pr.direct, 1e-9))
     return out
 
@@ -235,13 +237,14 @@ def _checks_power_family():
 def _checks_tangential_corollaries():
     spec = sphere_slice(1.0)
     point = (0.3, -0.2)
+    pg = PointGeometry(spec, point)
     out = []
     cosw = warped.warped_scene(spec, "2+cos(t)", {}, WARP_INTERVAL)
-    b0 = warped.inclusion_bitension(cosw, 0.0, point)
+    b0 = warped.inclusion_bitension(cosw, 0.0, point, geometry=pg)
     out.append(
         Check("tangential part at f'(0)=0 (f=2+cos t)", 0.0, b0.tangential_norm, 1e-8)
     )
-    b5 = warped.inclusion_bitension(cosw, 0.5, point)
+    b5 = warped.inclusion_bitension(cosw, 0.5, point, geometry=pg)
     out.append(
         Check(
             "tangential part nonzero at t=0.5 (f=2+cos t), floor 0.05",
@@ -251,8 +254,7 @@ def _checks_tangential_corollaries():
         )
     )
     sq = warped.warped_scene(spec, "2+t^2", {}, WARP_INTERVAL)
-    bs = warped.inclusion_bitension(sq, 0.0, point)
-    pg = PointGeometry(spec, point)
+    bs = warped.inclusion_bitension(sq, 0.0, point, geometry=pg)
     out.append(
         Check(
             "bitension nonzero at t=0 (f=2+t^2), floor 0.5",
@@ -262,7 +264,7 @@ def _checks_tangential_corollaries():
         )
     )
     cb = warped.warped_scene(spec, "2+t^3", {}, WARP_INTERVAL)
-    bc = warped.inclusion_bitension(cb, 0.0, point)
+    bc = warped.inclusion_bitension(cb, 0.0, point, geometry=pg)
     out.append(
         Check(
             "bitension vanishes at f'=f''=0 (f=2+t^3)",

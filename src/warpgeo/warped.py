@@ -120,8 +120,8 @@ def inclusion_bitension(scene, t, point, geometry=None):
     """tau_2(phi) = (2m [f f'' + (m-1) f'^2] / f^4) H
                     + (m / f^4) tau_2(i)  -  (m^2 f' / f^3) |H|^2 dt.
 
-    tau_2(i) comes from the first-principles submanifold assembly, so
-    non-biharmonic bases are handled without assumption."""
+    tau_2(i) comes from the submanifold closed form evaluated on the same
+    geometry, so non-biharmonic bases are handled without assumption."""
     spec = scene.immersion
     pg = geometry or PointGeometry(spec, point)
     w = scene.warp_at(t)
@@ -130,7 +130,7 @@ def inclusion_bitension(scene, t, point, geometry=None):
     h2 = e2 * float(np.dot(pg.H_val, pg.H_val))
 
     coeff = 2.0 * m * (w.f * w.f2 + (m - 1) * w.f1**2) / w.f**4
-    tau2_i = oracle.submanifold_bitension(spec, point)
+    tau2_i = oracle.submanifold_bitension(spec, point, geometry=pg)
     n_part = coeff * pg.H_val + (m / w.f**4) * tau2_i
     t_part = -(m**2) * w.f1 / w.f**3 * h2
     vec = WVec(t_part, n_part)
@@ -157,12 +157,15 @@ class PairingResult:
     direct: float
     closed_form: float
     closed_form_applicable: bool
+    tension: WVec
+    bitension: BitensionParts
 
 
 def pairing(scene, t, point, geometry=None):
     """h(tau_2(phi), tau(phi)) both by direct assembly and by the
     closed form 2 m^2 [f f'' + (m-1) f'^2] / f^4 |H|^2 (the latter is
-    valid only over a biharmonic base, gated by classification)."""
+    valid only over a biharmonic base, gated by classification of the
+    same geometry).  The tau and tau_2 it pairs are returned with it."""
     spec = scene.immersion
     pg = geometry or PointGeometry(spec, point)
     w = scene.warp_at(t)
@@ -172,8 +175,8 @@ def pairing(scene, t, point, geometry=None):
     direct = hbar_inner(scene, t, pg.X_val, tau2.vec, tau)
     h2 = pg.e2_val * float(np.dot(pg.H_val, pg.H_val))
     closed = 2.0 * m**2 * (w.f * w.f2 + (m - 1) * w.f1**2) / w.f**4 * h2
-    record = classify(spec, [point], BIHARMONIC_GATE_TOL)
-    return PairingResult(direct, closed, record.biharmonic)
+    record = classify(spec, [point], BIHARMONIC_GATE_TOL, geometries=[pg])
+    return PairingResult(direct, closed, record.biharmonic, tau, tau2)
 
 
 @dataclass(frozen=True)
@@ -253,24 +256,20 @@ class WarpedReport:
 
 
 def warped_report(scene, t, point):
-    spec = scene.immersion
-    pg = PointGeometry(spec, point)
     w = scene.warp_at(t)
-    tau = inclusion_tension(scene, t, point, geometry=pg)
-    tau2 = inclusion_bitension(scene, t, point, geometry=pg)
-    pr = pairing(scene, t, point, geometry=pg)
+    pr = pairing(scene, t, point)
     return WarpedReport(
         t=float(t),
         point=tuple(float(p) for p in point),
         f=w.f,
         f1=w.f1,
         f2=w.f2,
-        tension=tau,
-        bitension=tau2.vec,
+        tension=pr.tension,
+        bitension=pr.bitension.vec,
         pairing=pr.direct,
         pairing_closed_form=pr.closed_form,
         pairing_closed_form_applicable=pr.closed_form_applicable,
-        power_residual=power_family_residual(w, t, spec.m),
-        tangential_part_norm=tau2.tangential_norm,
-        normal_part_norm=tau2.normal_norm,
+        power_residual=power_family_residual(w, t, scene.immersion.m),
+        tangential_part_norm=pr.bitension.tangential_norm,
+        normal_part_norm=pr.bitension.normal_norm,
     )

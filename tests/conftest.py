@@ -1,32 +1,19 @@
 import numpy as np
 import pytest
 
+from warpgeo import verify
 from warpgeo.ambient import AmbientChart
 from warpgeo.immersion import immersion
 
 
 @pytest.fixture
 def sphere_slice():
-    def make(r=1.0, m=2):
-        variables = ["u", "v", "w", "s"][:m]
-        return immersion(
-            variables, variables + ["r"], {"r": r}, AmbientChart("sphere", m + 1)
-        )
-
-    return make
+    return verify.sphere_slice
 
 
 @pytest.fixture
 def cone():
-    def make(r=1.0):
-        return immersion(
-            ("u", "v"),
-            ("r*u*cos(v)", "r*u*sin(v)", "u"),
-            {"r": r},
-            AmbientChart("euclidean", 3),
-        )
-
-    return make
+    return verify.cone
 
 
 @pytest.fixture

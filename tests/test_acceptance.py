@@ -15,27 +15,9 @@ from warpgeo.ambient import AmbientChart
 from warpgeo.errors import WarpgeoError
 from warpgeo.expr import BinOp, Call, Name, Neg, Num, eval_jet, eval_value
 from warpgeo.immersion import PointGeometry, immersion
+from warpgeo.verify import SLICE_POINTS, T_SAMPLES, WARP_INTERVAL, cone, sphere_slice
 
-SLICE_POINTS = [(0.0, 0.0), (0.3, -0.2), (-0.5, 0.1), (0.2, 0.4), (-0.1, -0.3)]
 WARPS = ("exp(t)", "sqrt(t+2)", "2+cos(t)")
-INTERVAL = (-0.5, 1.0)
-T_SAMPLES = (0.0, 0.3)
-
-
-def sphere_slice(r=1.0, m=2):
-    variables = ["u", "v", "w", "s"][:m]
-    return immersion(
-        variables, variables + ["r"], {"r": r}, AmbientChart("sphere", m + 1)
-    )
-
-
-def cone(r=1.0):
-    return immersion(
-        ("u", "v"),
-        ("r*u*cos(v)", "r*u*sin(v)", "u"),
-        {"r": r},
-        AmbientChart("euclidean", 3),
-    )
 
 
 def record(num, label, failures):
@@ -95,7 +77,8 @@ def _scenes():
         ("cone", cone(1.0), (1.0, 0.7)),
     ):
         for src in WARPS:
-            cases.append((label, src, warped.warped_scene(spec, src, {}, INTERVAL), point))
+            scene = warped.warped_scene(spec, src, {}, WARP_INTERVAL)
+            cases.append((label, src, scene, point))
     return cases
 
 
@@ -143,7 +126,7 @@ def test_04_bitension_oracle_equivalence():
 
 def test_05_pairing_values():
     bad = []
-    scene = warped.warped_scene(sphere_slice(1.0), "exp(t)", {}, INTERVAL)
+    scene = warped.warped_scene(sphere_slice(1.0), "exp(t)", {}, WARP_INTERVAL)
     for t, ref in ((0.0, 16.0), (0.5, 16.0 * math.exp(-1.0))):
         pr = warped.pairing(scene, t, (0.3, -0.2))
         if abs(pr.direct - ref) > 1e-6:
@@ -177,16 +160,16 @@ def test_07_tangential_vanishing():
     spec = sphere_slice(1.0)
     point = (0.3, -0.2)
     pg = PointGeometry(spec, point)
-    cosw = warped.warped_scene(spec, "2+cos(t)", {}, INTERVAL)
+    cosw = warped.warped_scene(spec, "2+cos(t)", {}, WARP_INTERVAL)
     if warped.inclusion_bitension(cosw, 0.0, point, geometry=pg).tangential_norm > 1e-8:
         bad.append("tangential nonzero at critical t")
     if warped.inclusion_bitension(cosw, 0.5, point, geometry=pg).tangential_norm < 0.05:
         bad.append("tangential too small at t=0.5")
-    sq = warped.warped_scene(spec, "2+t^2", {}, INTERVAL)
+    sq = warped.warped_scene(spec, "2+t^2", {}, WARP_INTERVAL)
     v = warped.inclusion_bitension(sq, 0.0, point, geometry=pg).vec
     if warped.hbar_norm(sq, 0.0, pg.X_val, v) < 0.5:
         bad.append("bitension vanished despite f'' != 0")
-    cb = warped.warped_scene(spec, "2+t^3", {}, INTERVAL)
+    cb = warped.warped_scene(spec, "2+t^3", {}, WARP_INTERVAL)
     v = warped.inclusion_bitension(cb, 0.0, point, geometry=pg).vec
     if warped.hbar_norm(cb, 0.0, pg.X_val, v) > 1e-7:
         bad.append("bitension nonzero despite f' = f'' = 0")
@@ -200,7 +183,7 @@ def test_08_warped_ricci_identity():
     pg = PointGeometry(spec, point)
     x = np.array([1.0, 0.0]) / math.sqrt(pg.g_val[0, 0])
     for src in WARPS:
-        scene = warped.warped_scene(spec, src, {}, INTERVAL)
+        scene = warped.warped_scene(spec, src, {}, WARP_INTERVAL)
         for t in T_SAMPLES:
             rc = warped.ricci_warped_check(scene, t, point, x, geometry=pg)
             if abs(rc.identity_residual) > 1e-6:
@@ -208,7 +191,7 @@ def test_08_warped_ricci_identity():
             tol = 1e-7 * (1.0 + abs(rc.pairing_closed_form))
             if abs(rc.pairing_via_ricci - rc.pairing_closed_form) > tol:
                 bad.append(("pairing", src, t))
-    scene = warped.warped_scene(spec, "exp(t)", {}, INTERVAL)
+    scene = warped.warped_scene(spec, "exp(t)", {}, WARP_INTERVAL)
     rc = warped.ricci_warped_check(scene, 0.0, point, x, geometry=pg)
     if abs(rc.ric_warped) > 1e-6:
         bad.append(("flat warped Ricci", rc.ric_warped))
@@ -298,7 +281,7 @@ def test_09_jet_correctness():
                 bad.append(("product rule", e))
 
     # first Bianchi on the assembled warped-domain curvature, to 1e-9
-    scene = warped.warped_scene(sphere_slice(1.0), "exp(t)", {}, INTERVAL)
+    scene = warped.warped_scene(sphere_slice(1.0), "exp(t)", {}, WARP_INTERVAL)
     rule = oracle.warped_domain_metric_rule(scene)
     for _ in range(3):
         p = (float(nrng.uniform(-0.3, 0.6)), *nrng.uniform(-0.4, 0.4, size=2))

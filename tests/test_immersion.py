@@ -5,13 +5,7 @@ import pytest
 
 from warpgeo.ambient import AmbientChart
 from warpgeo.errors import ConfigError, DegenerateImmersionError, UsageError
-from warpgeo.immersion import (
-    PointGeometry,
-    immersion,
-    laplace_beltrami,
-    mean_curvature,
-    shape_operator,
-)
+from warpgeo.immersion import PointGeometry, immersion
 
 CONE_POINTS = [(0.5, 1.0), (1.0, 0.7), (2.0, 2.5)]
 SLICE_POINTS = [(0.0, 0.0), (0.3, -0.2), (-0.5, 0.1)]
@@ -136,7 +130,7 @@ class TestCone:
                 assert pg.lap_lam == pytest.approx(lap, rel=1e-8)
 
     def test_lap_lambda_r2(self, cone):
-        assert laplace_beltrami(cone(2.0), (1.0, 0.3)) == pytest.approx(
+        assert PointGeometry(cone(2.0), (1.0, 0.3)).lap_lam == pytest.approx(
             1.0 / (4.0 * 5.0**1.5), rel=1e-9
         )
 
@@ -150,16 +144,6 @@ class TestCone:
     def test_axis_is_degenerate(self, cone):
         with pytest.raises(DegenerateImmersionError):
             PointGeometry(cone(1.0), (0.0, 1.0))
-
-    def test_helpers_agree(self, cone):
-        spec = cone(1.0)
-        H, lam, eta = mean_curvature(spec, (1.0, 0.7))
-        A, normA2 = shape_operator(spec, (1.0, 0.7))
-        pg = PointGeometry(spec, (1.0, 0.7))
-        assert lam == pytest.approx(pg.lam)
-        assert normA2 == pytest.approx(pg.normA2)
-        assert np.allclose(H, pg.H_val)
-        assert np.allclose(eta, pg.eta_val)
 
     def test_wrong_point_arity(self, cone):
         with pytest.raises(UsageError):

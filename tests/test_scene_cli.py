@@ -195,3 +195,55 @@ class TestCli:
         code = run_cli(["classify", path, "--grid", "0.5:2:3,0:1:2"])
         capsys.readouterr()
         assert code == 0
+
+    def test_verify_json(self, tmp_path, capsys):
+        path = tmp_path / "verify.json"
+        code = run_cli(["verify", "--json", str(path)])
+        capsys.readouterr()
+        assert code == 0
+        rows = json.loads(path.read_text())["checks"]
+        assert len(rows) == 126
+        assert all(row["pass"] is True for row in rows)
+
+
+def _with(scene, block, **changes):
+    out = json.loads(json.dumps(scene))
+    out[block].update(changes)
+    return out
+
+
+# (scene, argv); {scene} is the scene file and {tmp} a scratch directory.
+BAD_INPUT = {
+    "point not numeric": (CONE_SCENE, ["analyze", "{scene}", "--points", "a,b"]),
+    "grid axis lo:hi": (CONE_SCENE, ["classify", "{scene}", "--grid", "0.5:2"]),
+    "grid count": (CONE_SCENE, ["classify", "{scene}", "--grid", "0.5:2:-1,0:1:2"]),
+    "scan range": (CONE_SCENE, ["scan", "{scene}", "--param", "r", "--range", "0.5"]),
+    "warp t lo:hi": (SLICE_SCENE, ["warp", "{scene}", "--t", "0:1", "--point", "0.3,-0.2"]),
+    "param not numeric": (
+        _with(CONE_SCENE, "immersion", params={"r": "abc"}),
+        ["analyze", "{scene}"],
+    ),
+    "warp interval not numeric": (
+        _with(SLICE_SCENE, "warp", interval=["a", 1.0]),
+        ["warp", "{scene}", "--t", "0:1:2", "--point", "0.3,-0.2"],
+    ),
+    "scene point not numeric": (
+        _with(CONE_SCENE, "analysis", points=[["a", 1.0]]),
+        ["analyze", "{scene}"],
+    ),
+    "unwritable json": (CONE_SCENE, ["analyze", "{scene}", "--json", "{tmp}/no/r.json"]),
+    "unwritable csv": (
+        SLICE_SCENE,
+        ["warp", "{scene}", "--t", "0:1:2", "--point", "0.3,-0.2", "--csv", "{tmp}/no/w.csv"],
+    ),
+}
+
+
+@pytest.mark.parametrize("data, argv", BAD_INPUT.values(), ids=list(BAD_INPUT))
+def test_bad_input_exits_2_with_message(tmp_path, capsys, data, argv):
+    scene = write_scene(tmp_path, data)
+    code = run_cli([arg.format(scene=scene, tmp=tmp_path) for arg in argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
