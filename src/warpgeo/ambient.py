@@ -1,5 +1,5 @@
-"""Space-form ambients as conformally flat charts, plus the warped-product
-connection and curvature rules for (I x N, dt^2 + f^2 h).
+"""Space-form ambients as conformally flat charts, plus the curvature of
+the warped product (I x N, dt^2 + f^2 h).
 
 Charts: Euclidean space (identity chart), the unit sphere via stereographic
 projection (conformal factor 2/(1+|x|^2), missing one point) and unit
@@ -37,7 +37,7 @@ class AmbientChart:
         """Sectional curvature constant."""
         return _CURVATURE[self.model]
 
-    # -- conformal factor rho with h = e^{2 rho} * delta ------------------
+    # -- conformal factor: h = q^2 delta with q = e^rho ------------------
 
     def _radial(self, x):
         s = x[0] * x[0]
@@ -45,50 +45,35 @@ class AmbientChart:
             s = s + xa * xa
         return s
 
-    def conformal_exponent(self, x):
-        """rho at the point carried by the jets `x` (length n)."""
-        if self.model == "euclidean":
-            return J.jet_constant(0.0, x[0].n_vars, x[0].order)
-        s = self._radial(x)
-        if self.model == "sphere":
-            return J.log(2.0 / (1.0 + s))
-        if s.value >= 1.0:
+    def _conformal_factor(self, s):
+        """q = 2 / (1 + c s) at squared chart radius s, a jet or a float.
+        Not defined for the Euclidean chart, where q = 1."""
+        s_val = s.value if isinstance(s, J.Jet) else s
+        if self.c < 0.0 and s_val >= 1.0:
             raise EvalDomainError(
-                f"point outside Poincare ball, |x|^2 = {s.value:g}", value=s.value
+                f"point outside Poincare ball, |x|^2 = {s_val:g}", value=s_val
             )
-        return J.log(2.0 / (1.0 - s))
+        return 2.0 / (1.0 + self.c * s)
 
     def conformal_gradient(self, x):
-        """Ambient partials d rho / d x_a, as jets."""
+        """Ambient partials d rho / d x_a = -c q x_a, as jets."""
         if self.model == "euclidean":
             zero = J.jet_constant(0.0, x[0].n_vars, x[0].order)
             return [zero] * self.n
-        s = self._radial(x)
-        if self.model == "sphere":
-            denom = 1.0 + s
-            return [(-2.0) * xa / denom for xa in x]
-        if s.value >= 1.0:
-            raise EvalDomainError(
-                f"point outside Poincare ball, |x|^2 = {s.value:g}", value=s.value
-            )
-        denom = 1.0 - s
-        return [2.0 * xa / denom for xa in x]
+        minus_cq = (-self.c) * self._conformal_factor(self._radial(x))
+        return [minus_cq * xa for xa in x]
 
     def metric_factor(self, x):
-        """e^{2 rho} as a jet."""
-        return J.exp(2.0 * self.conformal_exponent(x))
+        """q^2 = e^{2 rho} as a jet."""
+        if self.model == "euclidean":
+            return J.jet_constant(1.0, x[0].n_vars, x[0].order)
+        q = self._conformal_factor(self._radial(x))
+        return q * q
 
     def metric_factor_value(self, xvals):
         if self.model == "euclidean":
             return 1.0
-        s = float(np.dot(xvals, xvals))
-        if self.model == "sphere":
-            return (2.0 / (1.0 + s)) ** 2
-        if s >= 1.0:
-            raise EvalDomainError(
-                f"point outside Poincare ball, |x|^2 = {s:g}", value=s
-            )
-        return (2.0 / (1.0 - s)) ** 2
+        return self._conformal_factor(float(np.dot(xvals, xvals))) ** 2
 
     def metric(self, x):
         """h_ab = e^{2 rho} delta_ab as an n x n jet matrix."""
@@ -116,9 +101,6 @@ class AmbientChart:
                         term = term - grad[k]
                     gamma[k][a][b] = term
         return gamma
-
-    def inner(self, u, v, xvals):
-        return self.metric_factor_value(xvals) * float(np.dot(u, v))
 
 
 def spaceform_curvature(chart, x_vec, y_vec, z_vec, point):
@@ -149,53 +131,12 @@ class WarpEval:
             raise EvalDomainError(f"warping function must be positive, got {self.f:g}", value=self.f)
 
 
-def warped_connection(kind, warp, *, u=None, v=None, h_uv=None, nabla_n=None, dim=None):
-    """Levi-Civita connection of the warped ambient, split as
-    (dt-component, N-component).
-
-    kind 'dt_dt':      nabla_{dt} dt = 0
-    kind 'mixed':      nabla_{dt} U  = (f'/f) U
-    kind 'tangential': nabla_U V     = nabla^N_U V - h(U,V) f f' dt
-    """
-    if kind == "dt_dt":
-        size = dim if dim is not None else (len(u) if u is not None else 0)
-        return 0.0, np.zeros(size)
-    if kind == "mixed":
-        return 0.0, (warp.f1 / warp.f) * np.asarray(u, dtype=float)
-    if kind == "tangential":
-        n_part = (
-            np.asarray(nabla_n, dtype=float)
-            if nabla_n is not None
-            else np.zeros(len(u))
-        )
-        return -float(h_uv) * warp.f * warp.f1, n_part
-    raise ConfigError(f"unknown connection term {kind!r}")
-
-
-def warped_curvature(kind, warp, chart=None, point=None, *, u=None, v=None, w=None):
-    """Curvature of the warped ambient, special cases:
-
-    kind 'radial':     R(U, dt) dt = -(f''/f) U
-    kind 'horizontal': R(V, W) U = R^N(V,W)U - (f')^2 [h(U,W)V - h(U,V)W]
-    """
-    if kind == "radial":
-        return -(warp.f2 / warp.f) * np.asarray(u, dtype=float)
-    if kind == "horizontal":
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        w = np.asarray(w, dtype=float)
-        rn = spaceform_curvature(chart, v, w, u, point)
-        e2 = chart.metric_factor_value(point)
-        return rn - warp.f1**2 * (
-            e2 * np.dot(u, w) * v - e2 * np.dot(u, v) * w
-        )
-    raise ConfigError(f"unknown curvature case {kind!r}")
-
-
 def warped_curvature_full(warp, chart, x, y, z, point):
-    """R of (I x N, dt^2 + f^2 h) on arbitrary vectors, assembled from the
-    special cases by multilinearity.  Vectors are (t-component, N-components)
-    pairs; the result is returned the same way."""
+    """R of (I x N, dt^2 + f^2 h) on arbitrary vectors, assembled by
+    multilinearity from the radial case R(U, dt) dt = -(f''/f) U and the
+    horizontal case R(V, W) U = R^N(V, W) U - f'^2 [h(U, W) V - h(U, V) W].
+    Vectors are (t-component, N-components) pairs; the result is returned
+    the same way."""
     x0, xn = float(x[0]), np.asarray(x[1], dtype=float)
     y0, yn = float(y[0]), np.asarray(y[1], dtype=float)
     z0, zn = float(z[0]), np.asarray(z[1], dtype=float)

@@ -11,6 +11,10 @@ from scipy.optimize import bisect
 from .errors import UsageError, WarpgeoError
 from .immersion import PointGeometry
 
+# parameter_scan's root test: simple roots of the fixture scans measure
+# 0.4-2.7 against it, the pole of the graph u^2/(r-1) + v^2 measures 4e-10.
+_ROOT_RATE_BAND = 1e3
+
 
 def normal_residual(spec, point, geometry=None):
     """m [ -Delta(lambda) + lambda |A|^2 - lambda Ric(eta, eta) ]."""
@@ -130,7 +134,11 @@ def parameter_scan(spec, param, lo, hi, samples, probe_point, xtol=1e-10):
 
     Samples the residual on a uniform grid at a fixed probe point, brackets
     sign changes, and refines each bracket by bisection.  Evaluation
-    failures are reported and the sample skipped.
+    failures are reported and the sample skipped.  A bisection that raises
+    or closes on a pole is a failure, not a root: at a simple root the
+    residual at bisection's last two points is the bracket's secant slope
+    times the last bracket width, within a factor _ROOT_RATE_BAND; at a pole
+    of the scene it grows past that or vanishes far faster.
     """
     if not lo < hi:
         raise UsageError(f"empty scan range [{lo}, {hi}]")
@@ -161,7 +169,28 @@ def parameter_scan(spec, param, lo, hi, samples, probe_point, xtol=1e-10):
             roots.append(x0)
             continue
         if r0 * r1 < 0.0:
-            roots.append(float(bisect(residual, x0, x1, xtol=xtol)))
+            trail = []  # bisection's evaluations, (value, residual)
+
+            def traced(value):
+                trail.append((value, None))
+                trail[-1] = (value, residual(value))
+                return trail[-1][1]
+
+            try:
+                x = float(bisect(traced, x0, x1, xtol=xtol))
+            except WarpgeoError as exc:
+                failures.append((float(trail[-1][0]), str(exc)))
+                continue
+            (xa, ra), (xb, rb) = trail[-2:]
+            near, width = max(abs(ra), abs(rb)), abs(xb - xa)
+            ratio = near / (abs(r1 - r0) / (x1 - x0) * width)
+            if rb == 0.0 or 1.0 / _ROOT_RATE_BAND <= ratio <= _ROOT_RATE_BAND:
+                roots.append(x)
+            else:
+                failures.append(
+                    (x, f"pole: residual {near:g} over a last bracket of width "
+                        f"{width:g} is not in proportion to it")
+                )
     if values and values[-1][1] == 0.0:
         roots.append(values[-1][0])
 

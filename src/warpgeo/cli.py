@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 import numpy as np
@@ -19,6 +20,13 @@ from .immersion import PointGeometry
 from .scene import load_scene
 
 
+def _finite(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise UsageError(f"{text.strip()!r} is not a finite number")
+    return value
+
+
 def _parse_points(text, m):
     points = []
     for chunk in text.split(";"):
@@ -26,7 +34,7 @@ def _parse_points(text, m):
         if not chunk:
             continue
         try:
-            coords = [float(x) for x in chunk.split(",")]
+            coords = [_finite(x) for x in chunk.split(",")]
         except ValueError:
             raise UsageError(f"point {chunk!r} is not a list of numbers") from None
         if len(coords) != m:
@@ -64,11 +72,11 @@ def _parse_grid(text, m):
 
 
 def _parse_range(text):
-    return tuple(_fields(text, (float, float), "lo:hi"))
+    return tuple(_fields(text, (_finite, _finite), "lo:hi"))
 
 
 def _parse_tgrid(text):
-    return np.linspace(*_fields(text, (float, float, _count), "lo:hi:N"))
+    return np.linspace(*_fields(text, (_finite, _finite, _count), "lo:hi:N"))
 
 
 def _resolve_points(args, scene):

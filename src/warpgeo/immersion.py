@@ -118,6 +118,12 @@ def christoffels_from_metric(g, ginv=None):
     return gamma
 
 
+def orthonormal_frame(g_val):
+    """Gram-Schmidt on the coordinate fields, as the coefficient matrix E
+    with e_i = sum_k E[k, i] d_k."""
+    return np.linalg.inv(np.linalg.cholesky(g_val)).T
+
+
 def _check_nondegenerate(g_val, det_val):
     diag = np.diag(g_val)
     scale = float(np.exp(np.mean(np.log(np.maximum(diag, 1e-300)))))
@@ -147,14 +153,14 @@ class PointGeometry:
     (H, eta, lambda); plain floats/arrays hold everything else.
     """
 
-    def __init__(self, spec, point, order=JET_ORDER):
+    def __init__(self, spec, point):
         if len(point) != spec.m:
             raise UsageError(f"point has {len(point)} coords, expected {spec.m}")
         self.spec = spec
         self.point = tuple(float(p) for p in point)
         m, n = spec.m, spec.n
         var_jets = [
-            J.jet_variable(i, self.point[i], m, order) for i in range(m)
+            J.jet_variable(i, self.point[i], m, JET_ORDER) for i in range(m)
         ]
         X, dX, e2, g = induced_metric_jets(spec, var_jets, list(range(m)))
         self.X, self.dX, self.e2, self.g = X, dX, e2, g
@@ -233,8 +239,7 @@ class PointGeometry:
         )
         self.S_val = self.ginv_val @ self.b_val  # mixed shape operator
         self.normA2 = float(np.trace(self.S_val @ self.S_val))
-        L = np.linalg.cholesky(self.g_val)
-        self.frame = np.linalg.inv(L).T  # e_i = frame[:, i] on coordinate basis
+        self.frame = orthonormal_frame(self.g_val)
         self.A_frame = self.frame.T @ self.b_val @ self.frame
 
         # gradient and Laplacian of the mean curvature function

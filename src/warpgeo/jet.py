@@ -384,8 +384,9 @@ def jet_mat_inverse(mat, det=None):
     n = len(mat)
     if det is None:
         det = jet_det(mat)
+    inv_det = reciprocal(det)
     if n == 1:
-        return [[1.0 / det]]
+        return [[inv_det]]
     inv = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
@@ -397,5 +398,5 @@ def jet_mat_inverse(mat, det=None):
             cof = jet_det(minor)
             if (i + j) % 2 == 1:
                 cof = -cof
-            inv[i][j] = cof / det
+            inv[i][j] = cof * inv_det
     return inv

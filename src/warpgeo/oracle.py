@@ -3,9 +3,12 @@
 Everything here is assembled directly from the Euler-Lagrange traces and
 Christoffel symbols, with all derivatives supplied by jets: covariant
 derivatives of the tension field are obtained by differentiating the
-tension pipeline itself on jet-seeded coordinates.  Ambient curvature uses
-the exact space-form / warped closed forms, which isolates the connection
-assembly as the quantity under test.
+tension pipeline itself on jet-seeded coordinates.  A `MapSpec` is
+evaluated once per point for its components and its domain metric.
+Ambient curvature uses the exact space-form / warped closed forms, which
+isolates the connection assembly as the quantity under test; the tests
+check the warped closed form against `curvature_components` of the warped
+metric.
 """
 
 from __future__ import annotations
@@ -18,7 +21,12 @@ from . import jet as J
 from .ambient import spaceform_curvature, warped_curvature_full
 from .errors import UsageError
 from .expr import eval_jet
-from .immersion import PointGeometry, christoffels_from_metric, induced_metric_jets
+from .immersion import (
+    PointGeometry,
+    christoffels_from_metric,
+    induced_metric_jets,
+    orthonormal_frame,
+)
 
 JET_ORDER = 4
 
@@ -27,8 +35,9 @@ JET_ORDER = 4
 class MapSpec:
     """A map between chart patches, described by callables.
 
-    components(var_jets)            -> codomain coordinate jets
-    domain_metric(var_jets)         -> metric jets, one order below seeds
+    evaluate(var_jets)              -> (phi, G): codomain coordinate jets at
+                                       the seeds' order, and domain metric
+                                       jets one order below
     codomain_christoffel(phi, k)    -> Christoffel jets truncated to order k
                                        (phi passed at full order)
     codomain_curvature(t, a, b, x)  -> value-level R(t, a) b at codomain
@@ -37,20 +46,12 @@ class MapSpec:
 
     dim: int
     codim: int
-    components: object
-    domain_metric: object
+    evaluate: object
     codomain_christoffel: object
     codomain_curvature: object
 
 
 # -- shared helpers -------------------------------------------------------
-
-
-def _orthonormal_frame(g_val):
-    """Gram-Schmidt on the coordinate fields, as the coefficient matrix E
-    with e_i = sum_k E[k, i] d_k."""
-    L = np.linalg.cholesky(g_val)
-    return np.linalg.inv(L).T
 
 
 def _seed(point, dim, order):
@@ -110,82 +111,64 @@ def _pullback_hessian(V, gbar1, dphi, gamma_dom):
     return sec
 
 
-class _MapContext:
-    """Jet pipeline for one map evaluation point."""
-
-    def __init__(self, mapspec, point, order=JET_ORDER):
-        d, D = mapspec.dim, mapspec.codim
-        if len(point) != d:
-            raise UsageError(f"point has {len(point)} coords, expected {d}")
-        self.mapspec = mapspec
-        self.point = tuple(float(p) for p in point)
-        self.order = order
-        vj = _seed(self.point, d, order)
-        self.phi = mapspec.components(vj)  # order
-        self.G = mapspec.domain_metric(vj)  # order - 1
-        self.Ginv = J.jet_mat_inverse(self.G)
-        self.gamma_dom = christoffels_from_metric(self.G, self.Ginv)  # order - 2
-        self.dphi = [[self.phi[a].d(k) for a in range(D)] for k in range(d)]
-        self.g_val = np.array(
-            [[self.G[i][j].value for j in range(d)] for i in range(d)]
-        )
-        self.phi_val = np.array([p.value for p in self.phi])
-        self.dphi_val = np.array(
-            [[self.dphi[k][a].value for a in range(D)] for k in range(d)]
-        )
-        self._tau = None
-
-    def tau_jets(self):
-        """Tension field components as jets two orders below the seeds."""
-        if self._tau is not None:
-            return self._tau
-        ms, d, D = self.mapspec, self.mapspec.dim, self.mapspec.codim
-        t_ord = self.order - 2
-        gbar = ms.codomain_christoffel(self.phi, t_ord)
-        ginv_t = [[self.Ginv[i][j].trunc(t_ord) for j in range(d)] for i in range(d)]
-        dphi_t = [[self.dphi[k][a].trunc(t_ord) for a in range(D)] for k in range(d)]
-        tau = []
-        for a in range(D):
-            acc = None
-            for k in range(d):
-                for l in range(d):
-                    term = self.dphi[k][a].d(l)  # order - 2
-                    for b in range(D):
-                        for c in range(D):
-                            gkbc = gbar[a][b][c]
-                            term = term + gkbc * dphi_t[k][b] * dphi_t[l][c]
-                    for j in range(d):
-                        term = term - self.gamma_dom[j][k][l] * dphi_t[j][a]
-                    term = ginv_t[k][l] * term
-                    acc = term if acc is None else acc + term
-            tau.append(acc)
-        self._tau = tau
-        return tau
-
-
-def tension_first_principles(mapspec, point, order=JET_ORDER):
-    ctx = _MapContext(mapspec, point, order)
-    return np.array([t.value for t in ctx.tau_jets()])
-
-
-def bitension_first_principles(mapspec, point, order=JET_ORDER):
-    ctx = _MapContext(mapspec, point, order)
+def _tension_pipeline(mapspec, point):
+    """(phi, dphi, G, gamma_dom, tau) at `point`: the components and their
+    coordinate derivatives, the domain metric and its Christoffels, and the
+    tension field as jets two orders below the seeds."""
     d, D = mapspec.dim, mapspec.codim
-    tau = ctx.tau_jets()  # order - 2
+    if len(point) != d:
+        raise UsageError(f"point has {len(point)} coords, expected {d}")
+    phi, G = mapspec.evaluate(_seed(point, d, JET_ORDER))
+    Ginv = J.jet_mat_inverse(G)
+    gamma_dom = christoffels_from_metric(G, Ginv)  # order - 2
+    dphi = [[phi[a].d(k) for a in range(D)] for k in range(d)]
+
+    t_ord = JET_ORDER - 2
+    gbar = mapspec.codomain_christoffel(phi, t_ord)
+    ginv_t = [[Ginv[i][j].trunc(t_ord) for j in range(d)] for i in range(d)]
+    dphi_t = [[dphi[k][a].trunc(t_ord) for a in range(D)] for k in range(d)]
+    tau = []
+    for a in range(D):
+        acc = None
+        for k in range(d):
+            for l in range(d):
+                term = dphi[k][a].d(l)  # order - 2
+                for b in range(D):
+                    for c in range(D):
+                        term = term + gbar[a][b][c] * dphi_t[k][b] * dphi_t[l][c]
+                for j in range(d):
+                    term = term - gamma_dom[j][k][l] * dphi_t[j][a]
+                term = ginv_t[k][l] * term
+                acc = term if acc is None else acc + term
+        tau.append(acc)
+    return phi, dphi, G, gamma_dom, tau
+
+
+def tension_first_principles(mapspec, point):
+    *_, tau = _tension_pipeline(mapspec, point)
+    return np.array([t.value for t in tau])
+
+
+def bitension_first_principles(mapspec, point):
+    phi, dphi, G, gamma_dom, tau = _tension_pipeline(mapspec, point)
+    d, D = mapspec.dim, mapspec.codim
     tau_val = np.array([t.value for t in tau])
+    phi_val = np.array([p.value for p in phi])
+    dphi_val = np.array([[dphi[k][a].value for a in range(D)] for k in range(d)])
+    g_val = np.array([[G[i][j].value for j in range(d)] for i in range(d)])
 
-    gbar1 = mapspec.codomain_christoffel(ctx.phi, 1)
-    sec = _pullback_hessian(tau, gbar1, ctx.dphi, ctx.gamma_dom)
+    gbar1 = mapspec.codomain_christoffel(phi, 1)
+    sec = _pullback_hessian(tau, gbar1, dphi, gamma_dom)
 
-    frame = _orthonormal_frame(ctx.g_val)
+    frame = orthonormal_frame(g_val)
     rough = np.zeros(D)
     curv = np.zeros(D)
     for i in range(d):
         e = frame[:, i]
         rough += np.einsum("k,l,kla->a", e, e, sec)
-        amb = e @ ctx.dphi_val
+        amb = e @ dphi_val
         curv += np.asarray(
-            mapspec.codomain_curvature(tau_val, amb, amb, ctx.phi_val), dtype=float
+            mapspec.codomain_curvature(tau_val, amb, amb, phi_val), dtype=float
         )
     return -curv - rough
 
@@ -198,13 +181,9 @@ def inclusion_map(spec):
     m, n = spec.m, spec.n
     chart = spec.ambient
 
-    def components(var_jets):
-        X, _, _, _ = induced_metric_jets(spec, var_jets, list(range(m)))
-        return X
-
-    def domain_metric(var_jets):
-        _, _, _, g = induced_metric_jets(spec, var_jets, list(range(m)))
-        return g
+    def evaluate(var_jets):
+        X, _, _, g = induced_metric_jets(spec, var_jets, list(range(m)))
+        return X, g
 
     def codomain_christoffel(phi, order):
         return chart.christoffel([p.trunc(order) for p in phi])
@@ -212,7 +191,7 @@ def inclusion_map(spec):
     def codomain_curvature(t_vec, a_vec, b_vec, x):
         return spaceform_curvature(chart, t_vec, a_vec, b_vec, x)
 
-    return MapSpec(m, n, components, domain_metric, codomain_christoffel, codomain_curvature)
+    return MapSpec(m, n, evaluate, codomain_christoffel, codomain_curvature)
 
 
 def warped_inclusion_map(scene):
@@ -226,12 +205,8 @@ def warped_inclusion_map(scene):
     def warp_jet(t_jet):
         return eval_jet(scene.warp, {"t": t_jet}, scene.warp_params)
 
-    def components(var_jets):
-        X, _, _, _ = induced_metric_jets(spec, var_jets[1:], slots)
-        return [var_jets[0]] + X
-
-    def domain_metric(var_jets):
-        _, _, _, g = induced_metric_jets(spec, var_jets[1:], slots)
+    def evaluate(var_jets):
+        X, _, _, g = induced_metric_jets(spec, var_jets[1:], slots)
         sub = g[0][0].order
         f = warp_jet(var_jets[0]).trunc(sub)
         f2 = f * f
@@ -241,7 +216,7 @@ def warped_inclusion_map(scene):
         for i in range(m):
             for j in range(m):
                 G[i + 1][j + 1] = f2 * g[i][j]
-        return G
+        return [var_jets[0]] + X, G
 
     def codomain_christoffel(phi, order):
         t_jet = phi[0]
@@ -278,9 +253,7 @@ def warped_inclusion_map(scene):
         )
         return np.concatenate(([xt], xn))
 
-    return MapSpec(
-        m + 1, n + 1, components, domain_metric, codomain_christoffel, codomain_curvature
-    )
+    return MapSpec(m + 1, n + 1, evaluate, codomain_christoffel, codomain_curvature)
 
 
 def submanifold_bitension(spec, point, geometry=None):
@@ -305,7 +278,7 @@ def submanifold_bitension(spec, point, geometry=None):
 # -- Ricci curvature from Christoffel symbols -----------------------------
 
 
-def curvature_components(metric_rule, point, order=JET_ORDER):
+def curvature_components(metric_rule, point):
     """(R^l_{ijk}, g values) with R(d_i, d_j) d_k = R^l_{ijk} d_l, assembled
     as dGamma + Gamma Gamma from metric jets."""
     g = metric_rule(point)
@@ -342,9 +315,9 @@ def curvature_components(metric_rule, point, order=JET_ORDER):
     return riem, g_val
 
 
-def ricci_from_christoffels(metric_rule, point, x_vec, order=JET_ORDER):
+def ricci_from_christoffels(metric_rule, point, x_vec):
     """Ric(X, X) by tracing the curvature tensor: Ric_{jk} = R^i_{ijk}."""
-    riem, _ = curvature_components(metric_rule, point, order)
+    riem, _ = curvature_components(metric_rule, point)
     ric = np.einsum("iijk->jk", riem)
     x = np.asarray(x_vec, dtype=float)
     return float(x @ ric @ x)
@@ -353,16 +326,16 @@ def ricci_from_christoffels(metric_rule, point, x_vec, order=JET_ORDER):
 # -- metric rules ---------------------------------------------------------
 
 
-def chart_metric_rule(chart, order=3):
-    return lambda point: chart.metric(_seed(point, chart.n, order))
+def chart_metric_rule(chart):
+    return lambda point: chart.metric(_seed(point, chart.n, JET_ORDER - 1))
 
 
-def induced_metric_rule(spec, order=JET_ORDER):
-    domain_metric = inclusion_map(spec).domain_metric
-    return lambda point: domain_metric(_seed(point, spec.m, order))
+def induced_metric_rule(spec):
+    evaluate = inclusion_map(spec).evaluate
+    return lambda point: evaluate(_seed(point, spec.m, JET_ORDER))[1]
 
 
-def warped_domain_metric_rule(scene, order=JET_ORDER):
+def warped_domain_metric_rule(scene):
     """Metric rule of (I x M, dt^2 + f^2 g) in coordinates (t, u^1..u^m)."""
-    domain_metric = warped_inclusion_map(scene).domain_metric
-    return lambda point: domain_metric(_seed(point, scene.immersion.m + 1, order))
+    evaluate = warped_inclusion_map(scene).evaluate
+    return lambda point: evaluate(_seed(point, scene.immersion.m + 1, JET_ORDER))[1]

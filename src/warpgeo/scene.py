@@ -15,6 +15,7 @@ Top-level keys: ambient, immersion, warp (optional), analysis (optional).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .ambient import AmbientChart
@@ -39,7 +40,13 @@ class Scene:
 
 
 def _is_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A finite JSON number; Python's json also reads NaN and Infinity."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
 
 
 def _expect(mapping, key, kind, where):
@@ -48,7 +55,7 @@ def _expect(mapping, key, kind, where):
     value = mapping[key]
     if kind is float:
         if not _is_number(value):
-            raise SceneError(f"{where}: {key!r} must be a number")
+            raise SceneError(f"{where}: {key!r} must be a finite number")
         return float(value)
     if not isinstance(value, kind):
         raise SceneError(f"{where}: {key!r} must be {kind.__name__}")
@@ -88,7 +95,7 @@ def scene_from_dict(data, where="scene"):
         expr = _expect(wblock, "expr", str, f"{where}.warp")
         interval = _expect(wblock, "interval", list, f"{where}.warp")
         if len(interval) != 2 or not all(map(_is_number, interval)):
-            raise SceneError(f"{where}.warp: interval must be [lo, hi]")
+            raise SceneError(f"{where}.warp: interval must be [lo, hi] of finite numbers")
         wparams = _params(wblock, f"{where}.warp")
         try:
             warp = warped_scene(spec, expr, wparams, tuple(interval))
@@ -108,7 +115,7 @@ def scene_from_dict(data, where="scene"):
                         f"{where}.analysis: each point needs {spec.m} coordinates"
                     )
                 if not all(map(_is_number, p)):
-                    raise SceneError(f"{where}.analysis: point {p} is not numeric")
+                    raise SceneError(f"{where}.analysis: point {p} must hold finite numbers")
                 pts.append(tuple(float(x) for x in p))
             points = tuple(pts)
         if "tolerance" in ablock:

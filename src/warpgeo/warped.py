@@ -66,10 +66,6 @@ class WVec:
     t: float
     n: np.ndarray
 
-    @property
-    def as_array(self):
-        return np.concatenate(([self.t], self.n))
-
 
 def hbar_inner(scene, t, point_amb, a, b):
     """Inner product of the warped ambient:

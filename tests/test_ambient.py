@@ -7,11 +7,10 @@ from warpgeo.ambient import (
     AmbientChart,
     WarpEval,
     spaceform_curvature,
-    warped_connection,
-    warped_curvature,
     warped_curvature_full,
 )
 from warpgeo.errors import ConfigError, EvalDomainError
+from warpgeo.expr import eval_jet, parse
 
 
 def seed_chart(chart, point, order=2):
@@ -44,7 +43,7 @@ class TestCharts:
         with pytest.raises(EvalDomainError):
             chart.metric_factor_value(np.array([1.0, 0.0, 0.0]))
         with pytest.raises(EvalDomainError):
-            chart.conformal_exponent(seed_chart(chart, (0.8, 0.6, 0.0)))
+            chart.metric_factor(seed_chart(chart, (0.8, 0.6, 0.0)))
 
     def test_factor_value_matches_jet(self):
         for model in ("sphere", "hyperbolic"):
@@ -108,85 +107,40 @@ class TestWarped:
         with pytest.raises(EvalDomainError):
             WarpEval(0.0, 1.0, 0.0)
 
-    def test_connection_dt_dt(self):
-        t, n = warped_connection("dt_dt", WarpEval(1.0, 2.0, 3.0), dim=3)
-        assert t == 0.0 and np.allclose(n, 0.0)
+    @pytest.mark.parametrize("model", ["euclidean", "sphere", "hyperbolic"])
+    def test_full_assembly_matches_christoffel_curvature(self, model, rng):
+        # R of dt^2 + f^2 h in (t, y) coordinates, assembled by the oracle
+        # from Christoffel symbols of the metric jets
+        chart = AmbientChart(model, 3)
+        n = chart.n
+        for src in ("exp(t)", "sqrt(t+2)", "2+cos(t)"):
+            warp = parse(src)
 
-    def test_connection_mixed(self):
-        w = WarpEval(2.0, 6.0, 0.0)
-        u = np.array([1.0, -2.0, 0.5])
-        t, n = warped_connection("mixed", w, u=u)
-        assert t == 0.0
-        assert np.allclose(n, 3.0 * u)
+            def metric_rule(point):
+                x = [J.jet_variable(i, point[i], n + 1, 3) for i in range(n + 1)]
+                f = eval_jet(warp, {"t": x[0]}, {})
+                f2 = f * f
+                h = chart.metric(x[1:])
+                zero = J.jet_constant(0.0, n + 1, 3)
+                G = [[zero] * (n + 1) for _ in range(n + 1)]
+                G[0][0] = J.jet_constant(1.0, n + 1, 3)
+                for a in range(n):
+                    G[a + 1][a + 1] = f2 * h[a][a]
+                return G
 
-    def test_connection_tangential(self):
-        w = WarpEval(2.0, 3.0, 0.0)
-        t, n = warped_connection(
-            "tangential", w, u=np.zeros(3), h_uv=1.5, nabla_n=np.array([1.0, 0, 0])
-        )
-        assert t == pytest.approx(-1.5 * 2.0 * 3.0)
-        assert np.allclose(n, [1.0, 0, 0])
-
-    def test_connection_unknown(self):
-        with pytest.raises(ConfigError):
-            warped_connection("diagonal", WarpEval(1, 0, 0), dim=2)
-
-    def test_radial_curvature(self):
-        # f = 1, f'' = 1, U unit -> -U
-        u = np.array([1.0, 0.0, 0.0])
-        out = warped_curvature("radial", WarpEval(1.0, 0.0, 1.0), u=u)
-        assert np.allclose(out, -u)
-
-    def test_radial_linearity(self, rng):
-        w = WarpEval(1.3, 0.4, -0.7)
-        for _ in range(5):
-            a, b = rng.normal(size=(2, 3))
-            s = float(rng.normal())
-            lhs = warped_curvature("radial", w, u=a + s * b)
-            rhs = warped_curvature("radial", w, u=a) + s * warped_curvature(
-                "radial", w, u=b
-            )
-            assert np.allclose(lhs, rhs, atol=1e-12)
-
-    def test_horizontal_flat(self):
-        # c = 0, f' = 2, V, W, U mutually orthogonal with h(U, W) = 1 -> -4 V
-        chart = AmbientChart("euclidean", 3)
-        v = np.array([1.0, 0.0, 0.0])
-        w_vec = np.array([0.0, 1.0, 0.0])
-        u = np.array([0.0, 1.0, 0.0])  # h(U, W) = 1, h(U, V) = 0
-        out = warped_curvature(
-            "horizontal",
-            WarpEval(1.0, 2.0, 0.0),
-            chart,
-            np.zeros(3),
-            u=u,
-            v=v,
-            w=w_vec,
-        )
-        assert np.allclose(out, -4.0 * v)
-
-    def test_full_assembly_matches_special_cases(self, rng):
-        chart = AmbientChart("sphere", 3)
-        w = WarpEval(1.7, 0.6, -0.4)
-        p = np.array([0.2, -0.1, 0.3])
-        u, v, z = rng.normal(size=(3, 3))
-        # pure radial: R(U, dt) dt
-        t_part, n_part = warped_curvature_full(
-            w, chart, (0.0, u), (1.0, np.zeros(3)), (1.0, np.zeros(3)), p
-        )
-        assert t_part == pytest.approx(0.0, abs=1e-12)
-        assert np.allclose(n_part, warped_curvature("radial", w, u=u))
-        # pure horizontal: R(V, Z) U
-        t_part, n_part = warped_curvature_full(
-            w, chart, (0.0, v), (0.0, z), (0.0, u), p
-        )
-        assert t_part == pytest.approx(
-            w.f * w.f2 * 0.0, abs=1e-12
-        )  # no dt legs, no dt output from the h-blocks
-        assert np.allclose(
-            n_part,
-            warped_curvature("horizontal", w, chart, p, u=u, v=v, w=z),
-        )
+            point = np.concatenate(([0.3], rng.uniform(-0.4, 0.4, size=n)))
+            riem, _ = oracle.curvature_components(metric_rule, point)
+            tj = J.jet_variable(0, point[0], 1, 2)
+            f = eval_jet(warp, {"t": tj}, {})
+            w = WarpEval(f.value, f.partial((1,)), f.partial((2,)))
+            for _ in range(3):
+                x, y, z = rng.normal(size=(3, n + 1))
+                t_part, n_part = warped_curvature_full(
+                    w, chart, (x[0], x[1:]), (y[0], y[1:]), (z[0], z[1:]), point[1:]
+                )
+                got = np.concatenate(([t_part], n_part))
+                ref = np.einsum("lijk,i,j,k->l", riem, x, y, z)
+                assert np.allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
     def test_full_assembly_antisymmetric(self, rng):
         chart = AmbientChart("hyperbolic", 3)

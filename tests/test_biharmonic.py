@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from warpgeo import biharmonic as bh
+from warpgeo.ambient import AmbientChart
 from warpgeo.errors import UsageError
-from warpgeo.immersion import PointGeometry
+from warpgeo.immersion import PointGeometry, immersion
 
 
 class TestResiduals:
@@ -111,6 +112,23 @@ class TestScan:
         assert len(res.failures) == 1
         assert res.failures[0][0] == 0.0
         assert any(r is None for _, r in res.samples)
+
+    @pytest.mark.parametrize(
+        "lo, hi, samples, message",
+        [(0.5, 1.5, 30, "division by jet"), (0.45, 1.6, 20, "pole")],
+        ids=["bisection raises", "bisection closes on the pole"],
+    )
+    def test_pole_is_a_failure_not_a_root(self, lo, hi, samples, message):
+        # the residual changes sign across the pole r = 1 of the graph
+        spec = immersion(
+            ("u", "v"), ("u", "v", "u*u/(r-1)+v*v"), {"r": 0.5}, AmbientChart("euclidean", 3)
+        )
+        res = bh.parameter_scan(spec, "r", lo, hi, samples, (0.3, 0.2))
+        assert res.roots == ()
+        assert len(res.failures) == 1
+        value, text = res.failures[0]
+        assert value == pytest.approx(1.0, abs=1e-9)
+        assert message in text
 
     def test_bad_arguments(self, cone):
         with pytest.raises(UsageError):

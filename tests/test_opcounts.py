@@ -1,13 +1,14 @@
 """Deterministic operation counts.
 
-Each point's PointGeometry is built once by its caller and passed down, so
-the number of builds per workload is fixed; a change that evaluates a point
-again raises these counts.
+Each point's PointGeometry is built once by its caller and passed down, and
+the oracle evaluates a map once per point, so the number of builds, metric
+evaluations and jet products per workload is fixed; a change that evaluates
+a point again raises these counts.
 """
 
 import pytest
 
-from warpgeo import oracle, verify, warped
+from warpgeo import jet, oracle, verify, warped
 from warpgeo.immersion import PointGeometry
 
 POINT = (0.3, -0.2)
@@ -15,7 +16,13 @@ POINT = (0.3, -0.2)
 
 @pytest.fixture
 def counts(monkeypatch):
-    seen = {"builds": 0, "inclusion_bitension": 0, "submanifold_bitension": 0}
+    seen = {
+        "builds": 0,
+        "inclusion_bitension": 0,
+        "submanifold_bitension": 0,
+        "induced_metric_jets": 0,
+        "mul": 0,
+    }
     init = PointGeometry.__init__
 
     def counted_init(self, *args, **kwargs):
@@ -31,9 +38,18 @@ def counts(monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
+    mul = jet.Jet.__mul__
+
+    def counted_mul(self, other):
+        seen["mul"] += 1
+        return mul(self, other)
+
     monkeypatch.setattr(PointGeometry, "__init__", counted_init)
+    monkeypatch.setattr(jet.Jet, "__mul__", counted_mul)
+    monkeypatch.setattr(jet.Jet, "__rmul__", counted_mul)
     counted(warped, "inclusion_bitension")
     counted(oracle, "submanifold_bitension")
+    counted(oracle, "induced_metric_jets")
     return seen
 
 
@@ -44,7 +60,8 @@ def _scene():
 
 def test_warped_report_builds_geometry_once(counts):
     warped.warped_report(_scene(), 0.3, POINT)
-    assert counts == {"builds": 1, "inclusion_bitension": 1, "submanifold_bitension": 1}
+    assert counts["builds"] == 1
+    assert counts["inclusion_bitension"] == counts["submanifold_bitension"] == 1
 
 
 def test_pairing_uses_the_given_geometry(counts):
@@ -57,3 +74,20 @@ def test_pairing_uses_the_given_geometry(counts):
 def test_verify_pass_build_count(counts):
     verify.run_checks()
     assert counts["builds"] == 87
+
+
+@pytest.mark.parametrize("name", ["tension_first_principles", "bitension_first_principles"])
+def test_oracle_evaluates_each_map_once(counts, name):
+    scene = _scene()
+    for mapspec, point in (
+        (oracle.inclusion_map(scene.immersion), POINT),
+        (oracle.warped_inclusion_map(scene), (0.3,) + POINT),
+    ):
+        counts["induced_metric_jets"] = 0
+        getattr(oracle, name)(mapspec, point)
+        assert counts["induced_metric_jets"] == 1
+
+
+def test_verify_pass_mul_count(counts):
+    verify.run_checks()
+    assert counts["mul"] == 60_874

@@ -3,6 +3,7 @@ import pytest
 
 from warpgeo import oracle, warped
 from warpgeo.ambient import AmbientChart
+from warpgeo.biharmonic import normal_residual, tangential_residual
 from warpgeo.errors import UsageError
 from warpgeo.immersion import PointGeometry, immersion
 
@@ -41,6 +42,26 @@ class TestBitension:
         fp = oracle.bitension_first_principles(oracle.inclusion_map(spec), point)
         closed = oracle.submanifold_bitension(spec, point)
         assert np.allclose(fp, closed, atol=1e-7 * (1 + np.abs(closed).max()))
+
+    @pytest.mark.parametrize(
+        "model, components, point",
+        [
+            ("euclidean", ("1.3*u*cos(v)", "1.3*u*sin(v)", "u"), (1.0, 0.7)),
+            ("hyperbolic", ("u", "v", "0.3+0.2*u*u-0.1*u*v"), (0.1, -0.2)),
+            ("sphere", ("u", "v", "0.5+u*v+0.3*u*u"), (0.2, 0.3)),
+        ],
+        ids=["cone r=1.3", "graph in H3", "graph in S3"],
+    )
+    def test_equals_residual_split(self, model, components, point):
+        # tau_2 = (normal residual) eta + (tangential residual) on
+        # hypersurfaces that are not biharmonic
+        spec = immersion(("u", "v"), components, {}, AmbientChart(model, 3))
+        pg = PointGeometry(spec, point)
+        tau2 = oracle.submanifold_bitension(spec, point, geometry=pg)
+        tangential, _ = tangential_residual(spec, point, geometry=pg)
+        ref = normal_residual(spec, point, geometry=pg) * pg.eta_val + tangential
+        assert np.abs(ref).max() > 1e-2
+        assert np.allclose(tau2, ref, rtol=0.0, atol=1e-12 * np.abs(ref).max())
 
     def test_slice_r1_bitension_vanishes(self, sphere_slice):
         spec = sphere_slice(1.0)

@@ -231,6 +231,21 @@ BAD_INPUT = {
         _with(CONE_SCENE, "analysis", points=[["a", 1.0]]),
         ["analyze", "{scene}"],
     ),
+    "param NaN": (_with(CONE_SCENE, "immersion", params={"r": math.nan}), ["classify", "{scene}"]),
+    "param Infinity": (_with(CONE_SCENE, "immersion", params={"r": math.inf}), ["analyze", "{scene}"]),
+    "param beyond float range": (
+        _with(CONE_SCENE, "immersion", params={"r": 10**400}),
+        ["analyze", "{scene}"],
+    ),
+    "scene point NaN": (_with(CONE_SCENE, "analysis", points=[[math.nan, 1.0]]), ["analyze", "{scene}"]),
+    "tolerance NaN": (_with(CONE_SCENE, "analysis", tolerance=math.nan), ["classify", "{scene}"]),
+    "point NaN": (CONE_SCENE, ["analyze", "{scene}", "--points", "nan,1"]),
+    "grid inf": (CONE_SCENE, ["classify", "{scene}", "--grid", "0.5:inf:3,0:1:2"]),
+    "scan probe inf": (
+        CONE_SCENE,
+        ["scan", "{scene}", "--param", "r", "--range", "0.5:2", "--probe", "1,-inf"],
+    ),
+    "warp t NaN": (SLICE_SCENE, ["warp", "{scene}", "--t", "0:nan:2", "--point", "0.3,-0.2"]),
     "unwritable json": (CONE_SCENE, ["analyze", "{scene}", "--json", "{tmp}/no/r.json"]),
     "unwritable csv": (
         SLICE_SCENE,
