@@ -16,6 +16,7 @@ import numpy as np
 
 from . import jet as J
 from .errors import ConfigError, EvalDomainError
+from .expr import eval_jet
 
 MODELS = ("euclidean", "sphere", "hyperbolic")
 _CURVATURE = {"euclidean": 0.0, "sphere": 1.0, "hyperbolic": -1.0}
@@ -129,6 +130,16 @@ class WarpEval:
     def __post_init__(self):
         if not self.f > 0.0:
             raise EvalDomainError(f"warping function must be positive, got {self.f:g}", value=self.f)
+
+    @classmethod
+    def at(cls, warp, t, params):
+        """Evaluate the warp expression `warp` and its derivatives at t."""
+        f = eval_jet(warp, {"t": J.jet_variable(0, float(t), 1, 2)}, params)
+        return cls(f.value, f.partial((1,)), f.partial((2,)))
+
+    def power_residual(self, m):
+        """f f'' + (m-1) f'^2, the power-family residual."""
+        return self.f * self.f2 + (m - 1) * self.f1**2
 
 
 def warped_curvature_full(warp, chart, x, y, z, point):

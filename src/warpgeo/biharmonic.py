@@ -3,10 +3,10 @@ bitension split, classification flags, and parameter root scans."""
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import bisect
 
 from .errors import UsageError, WarpgeoError
 from .immersion import PointGeometry
@@ -14,6 +14,8 @@ from .immersion import PointGeometry
 # parameter_scan's root test: simple roots of the fixture scans measure
 # 0.4-2.7 against it, the pole of the graph u^2/(r-1) + v^2 measures 4e-10.
 _ROOT_RATE_BAND = 1e3
+_XTOL = 1e-10
+_RTOL = 4 * sys.float_info.epsilon
 
 
 def normal_residual(spec, point, geometry=None):
@@ -129,19 +131,22 @@ class ScanResult:
         }
 
 
-def parameter_scan(spec, param, lo, hi, samples, probe_point, xtol=1e-10):
+def parameter_scan(spec, param, lo, hi, samples, probe_point):
     """Roots of the normal residual as a function of one parameter.
 
-    Samples the residual on a uniform grid at a fixed probe point, brackets
-    sign changes, and refines each bracket by bisection.  Evaluation
-    failures are reported and the sample skipped.  A bisection that raises
-    or closes on a pole is a failure, not a root: at a simple root the
-    residual at bisection's last two points is the bracket's secant slope
-    times the last bracket width, within a factor _ROOT_RATE_BAND; at a pole
-    of the scene it grows past that or vanishes far faster.
+    Samples the residual r on a uniform grid at a fixed probe point,
+    brackets sign changes, and bisects each bracket from its sampled ends
+    (x0, r0), (x1, r1): the step halves, x = left + step becomes the left
+    end when r(x) r0 >= 0, and x is the root once r(x) == 0 or
+    |step| < _XTOL + _RTOL |x|.  Evaluation failures are reported and the
+    sample skipped.  A bisection that raises or closes on a pole is a
+    failure, not a root: at a simple root the residual at bisection's last
+    two points is the bracket's secant slope times the last bracket width,
+    within a factor _ROOT_RATE_BAND; at a pole of the scene it grows past
+    that or vanishes far faster.
     """
-    if not lo < hi:
-        raise UsageError(f"empty scan range [{lo}, {hi}]")
+    if not (lo < hi and np.isfinite(hi - lo)):  # a finite width ends bisection
+        raise UsageError(f"scan range [{lo}, {hi}] is empty or too wide")
     if samples < 2:
         raise UsageError("scan needs at least 2 samples")
     if param not in spec.params:
@@ -169,19 +174,20 @@ def parameter_scan(spec, param, lo, hi, samples, probe_point, xtol=1e-10):
             roots.append(x0)
             continue
         if r0 * r1 < 0.0:
-            trail = []  # bisection's evaluations, (value, residual)
-
-            def traced(value):
-                trail.append((value, None))
-                trail[-1] = (value, residual(value))
-                return trail[-1][1]
-
+            (xa, ra), (xb, rb) = (x0, r0), (x1, r1)  # the last two evaluations
+            left, step = x0, x1 - x0
             try:
-                x = float(bisect(traced, x0, x1, xtol=xtol))
+                while True:
+                    step *= 0.5
+                    x = left + step
+                    (xa, ra), (xb, rb) = (xb, rb), (x, residual(x))
+                    if rb * r0 >= 0.0:
+                        left = x
+                    if rb == 0.0 or abs(step) < _XTOL + _RTOL * abs(x):
+                        break
             except WarpgeoError as exc:
-                failures.append((float(trail[-1][0]), str(exc)))
+                failures.append((x, str(exc)))
                 continue
-            (xa, ra), (xb, rb) = trail[-2:]
             near, width = max(abs(ra), abs(rb)), abs(xb - xa)
             ratio = near / (abs(r1 - r0) / (x1 - x0) * width)
             if rb == 0.0 or 1.0 / _ROOT_RATE_BAND <= ratio <= _ROOT_RATE_BAND:
@@ -197,6 +203,6 @@ def parameter_scan(spec, param, lo, hi, samples, probe_point, xtol=1e-10):
     # collapse duplicates from touching brackets
     dedup = []
     for r in sorted(roots):
-        if not dedup or abs(r - dedup[-1]) > 10 * xtol:
+        if not dedup or abs(r - dedup[-1]) > 10 * _XTOL:
             dedup.append(r)
     return ScanResult(param, tuple(dedup), tuple(values), tuple(failures))

@@ -342,7 +342,12 @@ def eval_value(ast, env):
                 raise EvalDomainError(
                     f"{node.fn} of non-positive value {x:g}", value=x, span=node.span
                 )
-            return _VAL_FN[node.fn](x)
+            try:
+                return _VAL_FN[node.fn](x)
+            except OverflowError:
+                raise EvalDomainError(
+                    f"{node.fn}({x:g}) leaves the float range", value=x, span=node.span
+                ) from None
         if isinstance(node, BinOp):
             a = ev(node.left)
             b = ev(node.right)
@@ -359,19 +364,24 @@ def eval_value(ast, env):
                     )
                 return a / b
             # '^'
-            if abs(b - round(b)) < 1e-12:
-                if a == 0.0 and b < 0:
+            try:
+                if abs(b - round(b)) < 1e-12:
+                    if a == 0.0 and b < 0:
+                        raise EvalDomainError(
+                            "zero base with negative exponent", value=a, span=node.span
+                        )
+                    return a ** int(round(b))
+                if a <= 0.0:
                     raise EvalDomainError(
-                        "zero base with negative exponent", value=a, span=node.span
+                        f"non-integer power of non-positive value {a:g}",
+                        value=a,
+                        span=node.span,
                     )
-                return a ** int(round(b))
-            if a <= 0.0:
+                return a**b
+            except OverflowError:
                 raise EvalDomainError(
-                    f"non-integer power of non-positive value {a:g}",
-                    value=a,
-                    span=node.span,
-                )
-            return a**b
+                    f"{a:g}^{b:g} leaves the float range", value=a, span=node.span
+                ) from None
         raise UsageError(f"not an AST node: {node!r}")
 
     return ev(ast)

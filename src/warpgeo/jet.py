@@ -281,18 +281,31 @@ def _compose(a, series):
     return out
 
 
+def _out_of_range(operation, value):
+    """The error for a series coefficient beyond the float range."""
+    return EvalDomainError(
+        f"{operation} series at {value:g} leaves the float range", value=value
+    )
+
+
 def reciprocal(b):
     b0 = b.value
     if abs(b0) < SINGULAR_EPS:
         raise SingularJetError(
             f"division by jet with value {b0:g}", value=b0
         )
-    series = [(-1.0) ** k / b0 ** (k + 1) for k in range(b.order + 1)]
+    try:
+        series = [(-1.0) ** k / b0 ** (k + 1) for k in range(b.order + 1)]
+    except OverflowError:
+        raise _out_of_range("reciprocal", b0) from None
     return _compose(b, series)
 
 
 def exp(a):
-    v = math.exp(a.value)
+    try:
+        v = math.exp(a.value)
+    except OverflowError:
+        raise _out_of_range("exp", a.value) from None
     series = [v / math.factorial(k) for k in range(a.order + 1)]
     return _compose(a, series)
 
@@ -301,9 +314,12 @@ def log(a):
     a0 = a.value
     if a0 <= 0.0:
         raise EvalDomainError(f"log of non-positive value {a0:g}", value=a0)
-    series = [math.log(a0)] + [
-        (-1.0) ** (k + 1) / (k * a0**k) for k in range(1, a.order + 1)
-    ]
+    try:
+        series = [math.log(a0)] + [
+            (-1.0) ** (k + 1) / (k * a0**k) for k in range(1, a.order + 1)
+        ]
+    except (OverflowError, ZeroDivisionError):  # a0**k beyond or below range
+        raise _out_of_range("log", a0) from None
     return _compose(a, series)
 
 
@@ -349,9 +365,12 @@ def jpow(a, exponent):
         )
     series = []
     binom = 1.0
-    for k in range(a.order + 1):
-        series.append(binom * a0 ** (p - k))
-        binom *= (p - k) / (k + 1)
+    try:
+        for k in range(a.order + 1):
+            series.append(binom * a0 ** (p - k))
+            binom *= (p - k) / (k + 1)
+    except OverflowError:
+        raise _out_of_range(f"power {p:g}", a0) from None
     return _compose(a, series)
 
 

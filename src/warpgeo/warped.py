@@ -9,12 +9,11 @@ from types import MappingProxyType
 
 import numpy as np
 
-from . import jet as J
 from . import oracle
 from .ambient import WarpEval
 from .biharmonic import classify
 from .errors import ConfigError, EvalDomainError, UsageError
-from .expr import eval_jet, eval_value, free_symbols, parse
+from .expr import eval_value, free_symbols, parse
 from .immersion import PointGeometry
 
 BIHARMONIC_GATE_TOL = 1e-7
@@ -45,9 +44,7 @@ class WarpedScene:
                 )
 
     def warp_at(self, t):
-        tj = J.jet_variable(0, float(t), 1, 2)
-        f = eval_jet(self.warp, {"t": tj}, self.warp_params)
-        return WarpEval(f.value, f.partial((1,)), f.partial((2,)))
+        return WarpEval.at(self.warp, t, self.warp_params)
 
 
 def warped_scene(immersion_spec, warp_source, warp_params, interval):
@@ -84,13 +81,8 @@ def power_family_residual(warp, t, m, params=None):
     power family f(t) = (a t + b)^{1/m}."""
     if isinstance(warp, str):
         warp = parse(warp)
-    if isinstance(warp, WarpEval):
-        w = warp
-    else:
-        tj = J.jet_variable(0, float(t), 1, 2)
-        f = eval_jet(warp, {"t": tj}, params or {})
-        w = WarpEval(f.value, f.partial((1,)), f.partial((2,)))
-    return w.f * w.f2 + (m - 1) * w.f1**2
+    w = warp if isinstance(warp, WarpEval) else WarpEval.at(warp, t, params or {})
+    return w.power_residual(m)
 
 
 def inclusion_tension(scene, t, point, geometry=None):
@@ -125,7 +117,7 @@ def inclusion_bitension(scene, t, point, geometry=None):
     e2 = pg.e2_val
     h2 = e2 * float(np.dot(pg.H_val, pg.H_val))
 
-    coeff = 2.0 * m * (w.f * w.f2 + (m - 1) * w.f1**2) / w.f**4
+    coeff = 2.0 * m * w.power_residual(m) / w.f**4
     tau2_i = oracle.submanifold_bitension(spec, point, geometry=pg)
     n_part = coeff * pg.H_val + (m / w.f**4) * tau2_i
     t_part = -(m**2) * w.f1 / w.f**3 * h2
@@ -170,7 +162,7 @@ def pairing(scene, t, point, geometry=None):
     tau2 = inclusion_bitension(scene, t, point, geometry=pg)
     direct = hbar_inner(scene, t, pg.X_val, tau2.vec, tau)
     h2 = pg.e2_val * float(np.dot(pg.H_val, pg.H_val))
-    closed = 2.0 * m**2 * (w.f * w.f2 + (m - 1) * w.f1**2) / w.f**4 * h2
+    closed = 2.0 * m**2 * w.power_residual(m) / w.f**4 * h2
     record = classify(spec, [point], BIHARMONIC_GATE_TOL, geometries=[pg])
     return PairingResult(direct, closed, record.biharmonic, tau, tau2)
 
@@ -204,7 +196,7 @@ def ricci_warped_check(scene, t, point, x_intrinsic, geometry=None):
         (float(t),) + tuple(point),
         np.concatenate(([0.0], x)),
     )
-    resid = w.f * w.f2 + (m - 1) * w.f1**2
+    resid = w.power_residual(m)
     h2 = pg.e2_val * float(np.dot(pg.H_val, pg.H_val))
     via_ricci = 2.0 * m**2 / w.f**4 * (ric_base - ric_warped) * h2
     closed = 2.0 * m**2 * resid / w.f**4 * h2

@@ -1,9 +1,16 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import bisect
 
 from warpgeo import biharmonic as bh
+from warpgeo import verify
 from warpgeo.ambient import AmbientChart
 from warpgeo.errors import UsageError
 from warpgeo.immersion import PointGeometry, immersion
@@ -133,7 +140,49 @@ class TestScan:
     def test_bad_arguments(self, cone):
         with pytest.raises(UsageError):
             bh.parameter_scan(cone(1.0), "r", 2.0, 0.5, 11, (1.0, 1.0))
+        with pytest.raises(UsageError):  # hi - lo beyond the float range
+            bh.parameter_scan(cone(1.0), "r", -1e308, 1e308, 11, (1.0, 1.0))
         with pytest.raises(UsageError):
             bh.parameter_scan(cone(1.0), "r", 0.5, 2.0, 1, (1.0, 1.0))
         with pytest.raises(UsageError):
             bh.parameter_scan(cone(1.0), "q", 0.5, 2.0, 11, (1.0, 1.0))
+
+
+# monotone functions with one simple root c, as (name, f(x, c, a))
+MONOTONE = {
+    "linear": lambda x, c, a: a * (x - c),
+    "atan": lambda x, c, a: a * math.atan(x - c),
+    "sinh": lambda x, c, a: a * math.sinh((x - c) / 4.0),
+    "cubic": lambda x, c, a: a * ((x - c) ** 3 + (x - c)),
+}
+
+
+class TestBisection:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sampled_from(sorted(MONOTONE)),
+        st.floats(-10.0, 10.0),
+        st.floats(1e-6, 10.0),
+        st.floats(1e-6, 10.0),
+        st.sampled_from([-3.0, -0.5, 0.25, 1.0, 40.0]),
+    )
+    def test_root_matches_scipy_bisect(self, name, c, below, above, a):
+        lo, hi = c - below, c + above
+
+        def f(x):
+            return MONOTONE[name](x, c, a)
+
+        assume(f(lo) * f(hi) < 0.0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bh, "normal_residual", lambda spec, point: f(spec.params["r"]))
+            res = bh.parameter_scan(verify.cone(1.0), "r", lo, hi, 2, (1.0, 1.0))
+        assert res.failures == ()
+        assert res.roots == (bisect(f, lo, hi, xtol=1e-10),)
+
+    def test_import_leaves_scipy_out(self):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        code = "import sys, warpgeo; print('scipy' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"

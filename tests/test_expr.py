@@ -1,10 +1,27 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from warpgeo import expr as E
 from warpgeo import jet as J
 from warpgeo.errors import EvalDomainError, ExprSyntaxError, UsageError
+
+
+SPAN = (0, 0)  # key() ignores spans
+ASTS = st.recursive(
+    st.one_of(
+        st.builds(E.Num, st.floats(min_value=0.0, allow_infinity=False), st.just(SPAN)),
+        st.builds(E.Name, st.from_regex(r"[A-Za-z][A-Za-z0-9]*", fullmatch=True), st.just(SPAN)),
+    ),
+    lambda sub: st.one_of(
+        st.builds(E.Neg, sub, st.just(SPAN)),
+        st.builds(E.BinOp, st.sampled_from("+-*/^"), sub, sub, st.just(SPAN)),
+        st.builds(E.Call, st.sampled_from(E.FUNCTIONS), sub, st.just(SPAN)),
+    ),
+    max_leaves=12,
+)
 
 
 class TestParse:
@@ -67,6 +84,11 @@ class TestParse:
     )
     def test_pretty_roundtrip(self, src):
         ast = E.parse(src)
+        assert E.parse(E.pretty(ast)).key() == ast.key()
+
+    @settings(max_examples=200, deadline=None)
+    @given(ASTS)
+    def test_pretty_roundtrip_drawn(self, ast):
         assert E.parse(E.pretty(ast)).key() == ast.key()
 
 

@@ -8,7 +8,7 @@ a point again raises these counts.
 
 import pytest
 
-from warpgeo import jet, oracle, verify, warped
+from warpgeo import biharmonic, jet, oracle, verify, warped
 from warpgeo.immersion import PointGeometry
 
 POINT = (0.3, -0.2)
@@ -73,7 +73,13 @@ def test_pairing_uses_the_given_geometry(counts):
 
 def test_verify_pass_build_count(counts):
     verify.run_checks()
-    assert counts["builds"] == 87
+    assert counts["builds"] == 85
+
+
+def test_scan_bisects_from_the_sampled_ends(counts):
+    # 31 samples, then 29 midpoints for the one bracket around r = 1
+    biharmonic.parameter_scan(verify.cone(1.0), "r", 0.5, 2.0, 31, (1.0, 1.0))
+    assert counts["builds"] == 60
 
 
 @pytest.mark.parametrize("name", ["tension_first_principles", "bitension_first_principles"])
@@ -90,4 +96,4 @@ def test_oracle_evaluates_each_map_once(counts, name):
 
 def test_verify_pass_mul_count(counts):
     verify.run_checks()
-    assert counts["mul"] == 60_874
+    assert counts["mul"] == 60_314

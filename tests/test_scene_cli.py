@@ -239,6 +239,11 @@ BAD_INPUT = {
     ),
     "scene point NaN": (_with(CONE_SCENE, "analysis", points=[[math.nan, 1.0]]), ["analyze", "{scene}"]),
     "tolerance NaN": (_with(CONE_SCENE, "analysis", tolerance=math.nan), ["classify", "{scene}"]),
+    "tol NaN": (CONE_SCENE, ["classify", "{scene}", "--points", "1,0.7", "--tol", "nan"]),
+    "warp beyond float range": (
+        _with(SLICE_SCENE, "warp", interval=[0.0, 1000.0]),
+        ["warp", "{scene}", "--t", "0:1:2", "--point", "0.3,-0.2"],
+    ),
     "point NaN": (CONE_SCENE, ["analyze", "{scene}", "--points", "nan,1"]),
     "grid inf": (CONE_SCENE, ["classify", "{scene}", "--grid", "0.5:inf:3,0:1:2"]),
     "scan probe inf": (
@@ -261,4 +266,24 @@ def test_bad_input_exits_2_with_message(tmp_path, capsys, data, argv):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_classify_beyond_float_range_exits_3(tmp_path, capsys):
+    code = run_cli(["classify", write_scene(tmp_path, CONE_SCENE), "--points", "1e80,0.7"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error: ") and "float range" in err
+    assert "Traceback" not in err
+
+
+def test_scan_lists_overflow_as_failure(tmp_path, capsys):
+    out_json = tmp_path / "scan.json"
+    argv = ["scan", write_scene(tmp_path, CONE_SCENE), "--param", "r"]
+    argv += ["--range", "0.5:1e22", "--samples", "2", "--json", str(out_json)]
+    code = run_cli(argv)
+    err = capsys.readouterr().err
+    assert code == 0
+    [(value, message)] = json.loads(out_json.read_text())["failures"]
+    assert value == 1e22 and "float range" in message
     assert "Traceback" not in err
