@@ -10,6 +10,7 @@ immersion instead.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,9 +51,10 @@ class AmbientChart:
         """q = 2 / (1 + c s) at squared chart radius s, a jet or a float.
         Not defined for the Euclidean chart, where q = 1."""
         s_val = s.value if isinstance(s, J.Jet) else s
-        if self.c < 0.0 and s_val >= 1.0:
+        outside = J.first_where(s_val, s_val >= 1.0) if self.c < 0.0 else None
+        if outside is not None:
             raise EvalDomainError(
-                f"point outside Poincare ball, |x|^2 = {s_val:g}", value=s_val
+                f"point outside Poincare ball, |x|^2 = {outside:g}", value=outside
             )
         return 2.0 / (1.0 + self.c * s)
 
@@ -130,6 +132,12 @@ class WarpEval:
     def __post_init__(self):
         if not self.f > 0.0:
             raise EvalDomainError(f"warping function must be positive, got {self.f:g}", value=self.f)
+        if not all(map(math.isfinite, (self.f, self.f1, self.f2))):
+            raise EvalDomainError(
+                f"warping function and its derivatives must be finite, got "
+                f"f={self.f:g}, f'={self.f1:g}, f''={self.f2:g}",
+                value=self.f,
+            )
 
     @classmethod
     def at(cls, warp, t, params):

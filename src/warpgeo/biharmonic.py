@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError, WarpgeoError
-from .immersion import PointGeometry
+from .immersion import PointGeometry, matvec, mT, per_point, vdot
 
 # parameter_scan's root test: simple roots of the fixture scans measure
 # 0.4-2.7 against it, the pole of the graph u^2/(r-1) + v^2 measures 4e-10.
@@ -38,15 +38,16 @@ def tangential_residual(spec, point, geometry=None):
     pg.require_hypersurface()
     m = spec.m
 
-    a_grad = pg.S_val @ pg.grad_lam  # intrinsic components of A(grad lambda)
+    a_grad = matvec(pg.S_val, pg.grad_lam)  # intrinsic components of A(grad lambda)
     ric_eta = (spec.n - 1) * spec.ambient.c * pg.eta_val
     # tangential projection of ric_eta onto span{dX_i} (zero for space forms)
-    rhs = pg.e2_val * (pg.dX_val @ ric_eta)
-    ric_eta_tan = pg.ginv_val @ rhs
+    rhs = per_point(pg.e2_val, 1) * matvec(pg.dX_val, ric_eta)
+    ric_eta_tan = matvec(pg.ginv_val, rhs)
 
-    t_intr = m * (2.0 * a_grad + m * pg.lam * pg.grad_lam - 2.0 * pg.lam * ric_eta_tan)
-    t_amb = pg.dX_val.T @ t_intr
-    norm = float(np.sqrt(max(t_intr @ pg.g_val @ t_intr, 0.0)))
+    lam = per_point(pg.lam, 1)
+    t_intr = m * (2.0 * a_grad + m * lam * pg.grad_lam - 2.0 * lam * ric_eta_tan)
+    t_amb = matvec(mT(pg.dX_val), t_intr)
+    norm = np.sqrt(np.maximum(vdot(t_intr, matvec(pg.g_val, t_intr)), 0.0))
     return t_amb, norm
 
 
@@ -82,22 +83,25 @@ def classify(spec, points, tol, geometries=None):
     """Classify over a point batch with relative residual scale
     m (1 + |lambda|)(1 + |A|^2).
 
-    `geometries`, if given, holds the PointGeometry of each point."""
+    `geometries`, if given, holds PointGeometry objects covering the
+    points (one per point, or batched); otherwise the points are evaluated
+    as one batch.  A maximum over residuals one of which is NaN is NaN,
+    so a NaN residual never passes a tolerance."""
     points = [tuple(p) for p in points]
     if not points:
         raise UsageError("classify needs at least one point")
     if geometries is None:
-        geometries = (PointGeometry(spec, p) for p in points)
+        geometries = _geometries(spec, points)
     m = spec.m
     max_n = max_t = max_h = 0.0
     scale = 0.0
-    for p, pg in zip(points, geometries, strict=True):
+    for pg in geometries:
         pg.require_hypersurface()
-        scale = max(scale, m * (1.0 + abs(pg.lam)) * (1.0 + pg.normA2))
-        max_n = max(max_n, abs(normal_residual(spec, p, geometry=pg)))
-        _, tnorm = tangential_residual(spec, p, geometry=pg)
-        max_t = max(max_t, tnorm)
-        max_h = max(max_h, pg.normH)
+        scale = _max(scale, m * (1.0 + np.abs(pg.lam)) * (1.0 + pg.normA2))
+        max_n = _max(max_n, np.abs(normal_residual(spec, pg.point, geometry=pg)))
+        _, tnorm = tangential_residual(spec, pg.point, geometry=pg)
+        max_t = _max(max_t, tnorm)
+        max_h = _max(max_h, pg.normH)
     normally = max_n <= tol * scale
     tangentially = max_t <= tol * scale
     harmonic = max_h <= tol * (1.0 + scale)
@@ -113,6 +117,24 @@ def classify(spec, points, tol, geometries=None):
         biharmonic=(normally and tangentially) or harmonic,
         points=tuple(points),
     )
+
+
+def _max(acc, values):
+    """The largest of `acc` and `values` (a float or a batch array); NaN
+    if any of them is NaN."""
+    return float(np.asarray(values).max(initial=acc))
+
+
+def _geometries(spec, points):
+    """The PointGeometry of `points` as one batch.  If the batch raises,
+    the points are evaluated one by one, so the error raised is the one of
+    the first failing point."""
+    if all(len(p) == spec.m for p in points):
+        try:
+            return [PointGeometry(spec, np.array(points, dtype=float).T)]
+        except WarpgeoError:
+            pass
+    return (PointGeometry(spec, p) for p in points)
 
 
 @dataclass(frozen=True)

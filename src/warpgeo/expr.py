@@ -267,15 +267,30 @@ def free_symbols(node):
 # -- evaluation -----------------------------------------------------------
 
 
-def _is_constant_jet(j):
-    return not np.any(j.coeffs[1:]) if j.coeffs.size > 1 else True
+def _constant_exponent(j):
+    """The value of the exponent jet `j` if it is one constant over its
+    whole batch, or None if it varies at every point.  An exponent that is
+    constant at some points of a batch only, or constant with different
+    values, would need a different power rule per point: that raises, and
+    the batch's points can be evaluated one by one instead."""
+    c = j.coeffs
+    varying = c[1:].any(axis=0)
+    count = np.count_nonzero(varying)
+    if count == varying.size:
+        return None
+    if count == 0:
+        p = c[0]
+        if p.ndim == 0 or (p == p.flat[0]).all():
+            return float(p.flat[0])
+    raise UsageError("exponent is constant at only some points of the batch")
 
 
 def eval_jet(ast, variables, params=None):
     """Evaluate `ast` over jet arithmetic.
 
-    `variables` maps identifiers to jets (all sharing one (n_vars, order));
-    `params` maps identifiers to plain reals, entering as constant jets.
+    `variables` maps identifiers to jets (all sharing one (n_vars, order),
+    batched or not); `params` maps identifiers to plain reals, entering as
+    constant jets that broadcast against the variables' batch.
     """
     params = params or {}
     if variables:
@@ -302,8 +317,9 @@ def eval_jet(ast, variables, params=None):
                 lhs = ev(node.left)
                 if node.op == "^":
                     rhs = ev(node.right)
-                    if _is_constant_jet(rhs):
-                        return J.jpow(lhs, rhs.value)
+                    p = _constant_exponent(rhs)
+                    if p is not None:
+                        return J.jpow(lhs, p)
                     return J.exp(rhs * J.log(lhs))
                 rhs = ev(node.right)
                 if node.op == "+":
@@ -364,6 +380,10 @@ def eval_value(ast, env):
                     )
                 return a / b
             # '^'
+            if not (math.isfinite(a) and math.isfinite(b)):
+                raise EvalDomainError(
+                    f"{a:g}^{b:g} has a non-finite operand", value=a, span=node.span
+                )
             try:
                 if abs(b - round(b)) < 1e-12:
                     if a == 0.0 and b < 0:

@@ -120,16 +120,68 @@ def christoffels_from_metric(g, ginv=None):
 
 def orthonormal_frame(g_val):
     """Gram-Schmidt on the coordinate fields, as the coefficient matrix E
-    with e_i = sum_k E[k, i] d_k."""
-    return np.linalg.inv(np.linalg.cholesky(g_val)).T
+    with e_i = sum_k E[k, i] d_k (stacked over any leading batch axes)."""
+    return mT(np.linalg.inv(np.linalg.cholesky(g_val)))
+
+
+# -- the float stage: value arrays with the batch axes first --------------
+# Sums over an index run in index order, and matrix products act matrix by
+# matrix, so a batch gives the same values as its points one by one.
+
+
+def _values(jets, depth):
+    """Values of a `depth`-deep nested list of jets as one array of shape
+    (*batch, *index shape)."""
+    shape = []
+    level = jets
+    for _ in range(depth):
+        shape.append(len(level))
+        level = level[0]
+    for _ in range(depth - 1):
+        jets = [j for row in jets for j in row]
+    rows = [j.coeffs[0] for j in jets]
+    if any(r.ndim for r in rows):
+        stacked = np.stack(np.broadcast_arrays(*rows), axis=-1)
+    else:
+        stacked = np.array(rows)
+    return stacked.reshape(stacked.shape[:-1] + tuple(shape))
+
+
+def per_point(x, k):
+    """A per-point scalar (a float or a batch array) shaped to broadcast
+    against arrays with `k` index axes after the batch axes."""
+    return np.asarray(x)[(...,) + (None,) * k]
+
+
+def mT(a):
+    """The transpose of each matrix in a stack."""
+    return np.swapaxes(a, -1, -2)
+
+
+def matvec(mat, vec):
+    """mat @ vec for each point of a batch of matrices and vectors."""
+    return (mat @ vec[..., None])[..., 0]
+
+
+def _sum_last(v):
+    acc = v[..., 0]
+    for k in range(1, v.shape[-1]):
+        acc = acc + v[..., k]
+    return acc
+
+
+def vdot(x, y):
+    """sum_a x[..., a] y[..., a]."""
+    return _sum_last(x * y)
 
 
 def _check_nondegenerate(g_val, det_val):
-    diag = np.diag(g_val)
-    scale = float(np.exp(np.mean(np.log(np.maximum(diag, 1e-300)))))
-    if not det_val > 1e-12 * scale:
+    diag = np.diagonal(g_val, axis1=-2, axis2=-1)
+    scale = np.exp(np.mean(np.log(np.maximum(diag, 1e-300)), axis=-1))
+    det = J.first_where(det_val, ~(det_val > 1e-12 * scale))
+    if det is not None:
         raise DegenerateImmersionError(
-            f"degenerate induced metric, det g = {det_val:g}", det=det_val
+            f"degenerate induced metric, det g = {det:g}", det=det
         )
 
 
@@ -147,17 +199,23 @@ def _cofactor_normal(dX_t, m, n):
 
 
 class PointGeometry:
-    """All pointwise quantities of an immersion at one chart point.
+    """All pointwise quantities of an immersion at one chart point, or at
+    a batch of points in one pass.
 
-    Jets are retained where downstream consumers need further derivatives
-    (H, eta, lambda); plain floats/arrays hold everything else.
+    `point` holds the m chart coordinates, each a float or an array over
+    the batch (all of one shape).  Jets are retained where downstream
+    consumers need further derivatives (H, eta, lambda); plain
+    floats/arrays hold everything else, with the batch axes first (g_val
+    has shape (*batch, m, m)).  A batch gives the same values as its points
+    one by one; an error names the first point that fails a check.
     """
 
     def __init__(self, spec, point):
         if len(point) != spec.m:
             raise UsageError(f"point has {len(point)} coords, expected {spec.m}")
         self.spec = spec
-        self.point = tuple(float(p) for p in point)
+        coords = [np.asarray(p, dtype=float) for p in point]
+        self.point = tuple(c if c.ndim else float(c) for c in coords)
         m, n = spec.m, spec.n
         var_jets = [
             J.jet_variable(i, self.point[i], m, JET_ORDER) for i in range(m)
@@ -166,14 +224,12 @@ class PointGeometry:
         self.X, self.dX, self.e2, self.g = X, dX, e2, g
 
         self.detg = J.jet_det(g)
-        self.g_val = np.array([[g[i][j].value for j in range(m)] for i in range(m)])
+        self.g_val = _values(g, 2)
         _check_nondegenerate(self.g_val, self.detg.value)
         self.ginv = J.jet_mat_inverse(g, det=self.detg)
-        self.ginv_val = np.array(
-            [[self.ginv[i][j].value for j in range(m)] for i in range(m)]
-        )
-        self.X_val = np.array([x.value for x in X])
-        self.dX_val = np.array([[dX[i][a].value for a in range(n)] for i in range(m)])
+        self.ginv_val = _values(self.ginv, 2)
+        self.X_val = _values(X, 1)
+        self.dX_val = _values(dX, 2)
         self.e2_val = self.e2.value
 
         self.gamma_m = christoffels_from_metric(g, self.ginv)  # order 2
@@ -204,11 +260,9 @@ class PointGeometry:
                     term = ginv2[i][j] * self.B[i][j][a]
                     acc = term if acc is None else acc + term
             self.H.append(acc * (1.0 / m))
-        self.H_val = np.array([h.value for h in self.H])
-        self.B_val = np.array(
-            [[[self.B[i][j][a].value for a in range(n)] for j in range(m)] for i in range(m)]
-        )
-        self.normH = float(np.sqrt(self.e2_val * np.dot(self.H_val, self.H_val)))
+        self.H_val = _values(self.H, 1)
+        self.B_val = _values(self.B, 3)
+        self.normH = np.sqrt(self.e2_val * vdot(self.H_val, self.H_val))
 
         if spec.is_hypersurface:
             self._hypersurface_fields(dX2, ginv2)
@@ -222,7 +276,7 @@ class PointGeometry:
             norm2 = norm2 + w[a] * w[a]
         wnorm = J.sqrt(self.e2.trunc(2) * norm2)
         self.eta = [wa / wnorm for wa in w]
-        self.eta_val = np.array([e.value for e in self.eta])
+        self.eta_val = _values(self.eta, 1)
 
         lam = self.H[0] * self.eta[0]
         for a in range(1, n):
@@ -231,22 +285,21 @@ class PointGeometry:
         self.lam = self.lam_jet.value
 
         # scalar second fundamental form and shape operator
-        self.b_val = np.array(
-            [
-                [self.e2_val * float(np.dot(self.B_val[i][j], self.eta_val)) for j in range(m)]
-                for i in range(m)
-            ]
+        self.b_val = per_point(self.e2_val, 2) * vdot(
+            self.B_val, self.eta_val[..., None, None, :]
         )
         self.S_val = self.ginv_val @ self.b_val  # mixed shape operator
-        self.normA2 = float(np.trace(self.S_val @ self.S_val))
+        self.normA2 = _sum_last(
+            np.diagonal(self.S_val @ self.S_val, axis1=-2, axis2=-1)
+        )
         self.frame = orthonormal_frame(self.g_val)
-        self.A_frame = self.frame.T @ self.b_val @ self.frame
+        self.A_frame = mT(self.frame) @ self.b_val @ self.frame
 
         # gradient and Laplacian of the mean curvature function
         dlam = [self.lam_jet.d(j) for j in range(m)]
-        self.dlam_val = np.array([d.value for d in dlam])
-        self.grad_lam = self.ginv_val @ self.dlam_val  # intrinsic components
-        self.grad_lam_amb = self.dX_val.T @ self.grad_lam
+        self.dlam_val = _values(dlam, 1)
+        self.grad_lam = matvec(self.ginv_val, self.dlam_val)  # intrinsic components
+        self.grad_lam_amb = matvec(mT(self.dX_val), self.grad_lam)
 
         sqrt_detg = J.sqrt(self.detg.trunc(1))
         ginv1 = [[self.ginv[i][j].trunc(1) for j in range(m)] for i in range(m)]

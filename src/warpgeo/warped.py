@@ -4,6 +4,7 @@ power-warping residual, and the warped Ricci identity."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -38,9 +39,10 @@ class WarpedScene:
         # positivity decision procedure
         for t in np.linspace(lo, hi, _POSITIVITY_SAMPLES + 2):
             v = eval_value(self.warp, {"t": float(t), **self.warp_params})
-            if not v > 0.0:
+            if not (v > 0.0 and math.isfinite(v)):
                 raise EvalDomainError(
-                    f"warping function not positive at t={t:g} (f={v:g})", value=v
+                    f"warping function not positive and finite at t={t:g} (f={v:g})",
+                    value=v,
                 )
 
     def warp_at(self, t):

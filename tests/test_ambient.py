@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,13 @@ class TestWarped:
             WarpEval(-1.0, 0.0, 0.0)
         with pytest.raises(EvalDomainError):
             WarpEval(0.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "f, f1, f2", [(math.inf, 0.0, 0.0), (1.0, math.nan, 0.0), (1.0, 0.0, -math.inf)]
+    )
+    def test_warp_eval_finite(self, f, f1, f2):
+        with pytest.raises(EvalDomainError, match="must be finite"):
+            WarpEval(f, f1, f2)
 
     @pytest.mark.parametrize("model", ["euclidean", "sphere", "hyperbolic"])
     def test_full_assembly_matches_christoffel_curvature(self, model, rng):

@@ -97,3 +97,16 @@ def test_oracle_evaluates_each_map_once(counts, name):
 def test_verify_pass_mul_count(counts):
     verify.run_checks()
     assert counts["mul"] == 60_314
+
+
+@pytest.mark.parametrize(
+    "spec", [verify.cone(1.0), verify.sphere_slice(1.0)], ids=["cone", "slice"]
+)
+def test_grid_classify_is_one_batched_pass(counts, spec):
+    # a 16-point grid costs the jet products of one point: one batched build
+    biharmonic.classify(spec, [POINT], 1e-7)
+    one = dict(counts)
+    grid = [(0.2 + 0.1 * i, -0.3 + 0.2 * j) for i in range(4) for j in range(4)]
+    biharmonic.classify(spec, grid, 1e-7)
+    assert counts["mul"] - one["mul"] == one["mul"]
+    assert counts["builds"] - one["builds"] == one["builds"] == 1

@@ -244,6 +244,14 @@ BAD_INPUT = {
         _with(SLICE_SCENE, "warp", interval=[0.0, 1000.0]),
         ["warp", "{scene}", "--t", "0:1:2", "--point", "0.3,-0.2"],
     ),
+    "warp exponent NaN": (
+        _with(SLICE_SCENE, "warp", expr="1+2^(t*1e308*10-t*1e308*10)", interval=[0.5, 1.0]),
+        ["classify", "{scene}", "--points", "0.3,-0.2"],
+    ),
+    "warp infinite inside interval": (
+        _with(SLICE_SCENE, "warp", expr="t*1e200*t*1e200", interval=[1.0, 2.0]),
+        ["warp", "{scene}", "--t", "1:2:2", "--point", "0.3,-0.2"],
+    ),
     "point NaN": (CONE_SCENE, ["analyze", "{scene}", "--points", "nan,1"]),
     "grid inf": (CONE_SCENE, ["classify", "{scene}", "--grid", "0.5:inf:3,0:1:2"]),
     "scan probe inf": (
@@ -274,6 +282,21 @@ def test_classify_beyond_float_range_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("error: ") and "float range" in err
+    assert "Traceback" not in err
+
+
+def test_classify_nan_exponent_exits_3(tmp_path, capsys):
+    # 1e308*10 overflows in a jet product, which numpy reports as it happens;
+    # the NaN exponent it leads to is then a domain error.
+    scene = _with(CONE_SCENE, "immersion", components=[
+        "r*u*cos(v)", "r*u*sin(v)", "u^(1e308*10-1e308*10)"
+    ])
+    with pytest.warns(RuntimeWarning) as seen:
+        code = run_cli(["classify", write_scene(tmp_path, scene), "--points", "0.5,0.2"])
+    err = capsys.readouterr().err
+    assert "overflow encountered in multiply" in str(seen[0].message)
+    assert code == 3
+    assert err.startswith("error: ") and "non-finite exponent" in err
     assert "Traceback" not in err
 
 
