@@ -41,11 +41,8 @@ class AmbientChart:
 
     # -- conformal factor: h = q^2 delta with q = e^rho ------------------
 
-    def _radial(self, x):
-        s = x[0] * x[0]
-        for xa in x[1:]:
-            s = s + xa * xa
-        return s
+    def _radial(self, x, n_vars):
+        return J.unstack(J.contract("a,a->", x, x, n_vars), n_vars)
 
     def _conformal_factor(self, s):
         """q = 2 / (1 + c s) at squared chart radius s, a jet or a float.
@@ -58,19 +55,13 @@ class AmbientChart:
             )
         return 2.0 / (1.0 + self.c * s)
 
-    def conformal_gradient(self, x):
-        """Ambient partials d rho / d x_a = -c q x_a, as jets."""
-        if self.model == "euclidean":
-            zero = J.jet_constant(0.0, x[0].n_vars, x[0].order)
-            return [zero] * self.n
-        minus_cq = (-self.c) * self._conformal_factor(self._radial(x))
-        return [minus_cq * xa for xa in x]
+    # Chart points x are jet tensors (size, n, *batch) over n_vars variables.
 
-    def metric_factor(self, x):
+    def metric_factor(self, x, n_vars):
         """q^2 = e^{2 rho} as a jet."""
         if self.model == "euclidean":
-            return J.jet_constant(1.0, x[0].n_vars, x[0].order)
-        q = self._conformal_factor(self._radial(x))
+            return J.jet_constant(1.0, n_vars, J.order_of(x, n_vars))
+        q = self._conformal_factor(self._radial(x, n_vars))
         return q * q
 
     def metric_factor_value(self, xvals):
@@ -78,32 +69,21 @@ class AmbientChart:
             return 1.0
         return self._conformal_factor(float(np.dot(xvals, xvals))) ** 2
 
-    def metric(self, x):
-        """h_ab = e^{2 rho} delta_ab as an n x n jet matrix."""
-        e2 = self.metric_factor(x)
-        zero = J.jet_constant(0.0, x[0].n_vars, x[0].order)
-        return [
-            [e2 if a == b else zero for b in range(self.n)] for a in range(self.n)
-        ]
-
-    def christoffel(self, x):
-        """Gamma^k_ab = delta_ak d_b rho + delta_bk d_a rho - delta_ab d_k rho."""
-        grad = self.conformal_gradient(x)
-        zero = J.jet_constant(0.0, x[0].n_vars, x[0].order)
-        n = self.n
-        gamma = [[[zero for _ in range(n)] for _ in range(n)] for _ in range(n)]
-        for k in range(n):
-            for a in range(n):
-                for b in range(n):
-                    term = zero
-                    if a == k:
-                        term = term + grad[b]
-                    if b == k:
-                        term = term + grad[a]
-                    if a == b:
-                        term = term - grad[k]
-                    gamma[k][a][b] = term
-        return gamma
+    def christoffel(self, x, n_vars):
+        """Gamma^k_ab = delta_ak d_b rho + delta_bk d_a rho - delta_ab d_k rho
+        from the conformal gradient d_a rho = -c q x_a, as a jet tensor
+        (size, n, n, n, *batch); None for the Euclidean chart, whose symbols
+        vanish."""
+        if self.model == "euclidean":
+            return None
+        minus_cq = (-self.c) * self._conformal_factor(self._radial(x, n_vars))
+        grad = J.contract(",a->a", minus_cq.coeffs, x, n_vars)
+        eye = np.eye(self.n)
+        return (
+            np.einsum("ka,zb...->zkab...", eye, grad)
+            + np.einsum("kb,za...->zkab...", eye, grad)
+            - np.einsum("ab,zk...->zkab...", eye, grad)
+        )
 
 
 def spaceform_curvature(chart, x_vec, y_vec, z_vec, point):

@@ -159,8 +159,9 @@ def parameter_scan(spec, param, lo, hi, samples, probe_point):
     Samples the residual r on a uniform grid at a fixed probe point,
     brackets sign changes, and bisects each bracket from its sampled ends
     (x0, r0), (x1, r1): the step halves, x = left + step becomes the left
-    end when r(x) r0 >= 0, and x is the root once r(x) == 0 or
-    |step| < _XTOL + _RTOL |x|.  Evaluation failures are reported and the
+    end when r(x) has the sign of r0 or is 0, and x is the root once
+    r(x) == 0 or |step| < _XTOL + _RTOL |x|.  Signs are compared, not
+    products, which can underflow.  Evaluation failures are reported and the
     sample skipped.  A bisection that raises or closes on a pole is a
     failure, not a root: at a simple root the residual at bisection's last
     two points is the bracket's secant slope times the last bracket width,
@@ -195,7 +196,7 @@ def parameter_scan(spec, param, lo, hi, samples, probe_point):
         if r0 == 0.0:
             roots.append(x0)
             continue
-        if r0 * r1 < 0.0:
+        if np.sign(r0) * np.sign(r1) < 0.0:  # a product of residuals can underflow
             (xa, ra), (xb, rb) = (x0, r0), (x1, r1)  # the last two evaluations
             left, step = x0, x1 - x0
             try:
@@ -203,7 +204,7 @@ def parameter_scan(spec, param, lo, hi, samples, probe_point):
                     step *= 0.5
                     x = left + step
                     (xa, ra), (xb, rb) = (xb, rb), (x, residual(x))
-                    if rb * r0 >= 0.0:
+                    if np.sign(rb) * np.sign(r0) >= 0.0:
                         left = x
                     if rb == 0.0 or abs(step) < _XTOL + _RTOL * abs(x):
                         break

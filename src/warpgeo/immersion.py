@@ -15,8 +15,8 @@ import numpy as np
 
 from . import jet as J
 from .ambient import AmbientChart
-from .errors import ConfigError, DegenerateImmersionError, UsageError
-from .expr import eval_jet, free_symbols, parse
+from .errors import ConfigError, DegenerateImmersionError, EvalDomainError, UsageError
+from .expr import eval_jet, free_symbols, parse, pretty
 
 JET_ORDER = 4
 
@@ -74,48 +74,55 @@ def immersion(variables, components, params, ambient):
 
 
 def induced_metric_jets(spec, var_jets, slots):
-    """Immersion components, coordinate tangents and induced metric as jets.
+    """Immersion components, coordinate tangents and induced metric as jet
+    tensors (coefficient arrays, see `jet`).
 
     `var_jets` are pre-seeded jets for the chart variables (possibly living
     in a larger jet space, e.g. with a leading t slot); `slots` gives the
-    jet-space coordinate index of each chart variable.  Returns
-    (X, dX, e2rho, g) where the metric jets are one order below X.
+    jet-space coordinate index of each chart variable.  Returns (X, dX, e2,
+    g): X of shape (size, n, *batch), and one order below it the tangents
+    dX (size', m, n, *batch), the conformal factor e2 as a jet and the
+    metric g (size', m, m, *batch).  A component whose jets, or whose
+    tangent's share of the metric, leave the float range is an
+    EvalDomainError naming it.
     """
-    m, n = spec.m, spec.n
+    n_vars, order = var_jets[0].n_vars, var_jets[0].order
     env = dict(zip(spec.variables, var_jets))
-    X = [eval_jet(comp, env, spec.params) for comp in spec.components]
-    dX = [[X[a].d(slots[i]) for a in range(n)] for i in range(m)]
-    sub_order = X[0].order - 1
-    e2 = spec.ambient.metric_factor([x.trunc(sub_order) for x in X])
-    g = [[None] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(i, m):
-            acc = dX[i][0] * dX[j][0]
-            for a in range(1, n):
-                acc = acc + dX[i][a] * dX[j][a]
-            g[i][j] = g[j][i] = e2 * acc
+    with np.errstate(over="ignore", invalid="ignore"):
+        X = J.stack([eval_jet(comp, env, spec.params) for comp in spec.components])
+        bad = ~np.isfinite(X).swapaxes(0, 1).reshape(spec.n, -1).all(axis=1)
+        if bad.any():
+            raise _overflow(spec, int(np.argmax(bad)))
+        dX = J.gradient(X, n_vars, slots)
+        e2 = spec.ambient.metric_factor(J.trunc(X, n_vars, order - 1), n_vars)
+        g = J.contract("ia,ja->ij", dX, dX, n_vars)
+        g = J.contract("ij,->ij", g, e2.coeffs, n_vars)
+        if not np.isfinite(g).all():
+            # the metric overflows: name the component with the largest tangent
+            tangent = np.abs(dX).swapaxes(0, 2).reshape(spec.n, -1).max(axis=1)
+            raise _overflow(spec, int(np.argmax(tangent)))
     return X, dX, e2, g
 
 
-def christoffels_from_metric(g, ginv=None):
-    """Gamma^k_ij = (1/2) g^{kl} (d_i g_jl + d_j g_il - d_l g_ij); the
-    result is one order below the metric jets."""
-    d = len(g)
-    if ginv is None:
-        ginv = J.jet_mat_inverse(g)
-    order = g[0][0].order - 1
-    dg = [[[g[i][j].d(k) for j in range(d)] for i in range(d)] for k in range(d)]
-    ginv_t = [[ginv[i][j].trunc(order) for j in range(d)] for i in range(d)]
-    gamma = [[[None] * d for _ in range(d)] for _ in range(d)]
-    for k in range(d):
-        for i in range(d):
-            for j in range(i, d):
-                acc = None
-                for l in range(d):
-                    term = ginv_t[k][l] * (dg[i][j][l] + dg[j][i][l] - dg[l][i][j])
-                    acc = term if acc is None else acc + term
-                gamma[k][i][j] = gamma[k][j][i] = 0.5 * acc
-    return gamma
+def _overflow(spec, a):
+    return EvalDomainError(
+        f"immersion component {a}, {pretty(spec.components[a])}, leaves the float range"
+    )
+
+
+def christoffels_from_metric(g, ginv, n_vars):
+    """Gamma^k_ij = (1/2) g^{kl} (d_i g_jl + d_j g_il - d_l g_ij) of a metric
+    g (size, d, d, *batch) over its d = n_vars chart variables, given its
+    inverse; the result (size', d, d, d, *batch) is one order below g."""
+    dg = J.gradient(g, n_vars, range(n_vars))  # dg[l, i, j] = d_l g_ij
+    first = dg + np.swapaxes(dg, 1, 2) - np.moveaxis(dg, 1, 3)
+    ginv_t = J.trunc(ginv, n_vars, J.order_of(dg, n_vars))
+    return 0.5 * J.contract("kl,ijl->kij", ginv_t, first, n_vars)
+
+
+def metric_inverse(g, n_vars, det=None):
+    """The inverse of a metric tensor g (size, d, d, *batch), by jet_mat_inverse."""
+    return J.stack(J.jet_mat_inverse(J.unstack(g, n_vars, 2), det=det))
 
 
 def orthonormal_frame(g_val):
@@ -129,22 +136,11 @@ def orthonormal_frame(g_val):
 # matrix, so a batch gives the same values as its points one by one.
 
 
-def _values(jets, depth):
-    """Values of a `depth`-deep nested list of jets as one array of shape
-    (*batch, *index shape)."""
-    shape = []
-    level = jets
-    for _ in range(depth):
-        shape.append(len(level))
-        level = level[0]
-    for _ in range(depth - 1):
-        jets = [j for row in jets for j in row]
-    rows = [j.coeffs[0] for j in jets]
-    if any(r.ndim for r in rows):
-        stacked = np.stack(np.broadcast_arrays(*rows), axis=-1)
-    else:
-        stacked = np.array(rows)
-    return stacked.reshape(stacked.shape[:-1] + tuple(shape))
+def values(c, depth):
+    """The values of a jet tensor with `depth` tensor axes, as a contiguous
+    array of shape (*batch, *tensor): matmul takes the same path for a
+    batch as for one point only on contiguous operands."""
+    return np.ascontiguousarray(np.moveaxis(c[0], range(depth), range(-depth, 0)))
 
 
 def per_point(x, k):
@@ -198,17 +194,29 @@ def _cofactor_normal(dX_t, m, n):
     return w
 
 
+def _jets(name, depth):
+    """The jet tensor attribute `name` as nested lists of scalar jets."""
+    return property(lambda self: J.unstack(getattr(self, name), self.spec.m, depth))
+
+
 class PointGeometry:
     """All pointwise quantities of an immersion at one chart point, or at
     a batch of points in one pass.
 
     `point` holds the m chart coordinates, each a float or an array over
-    the batch (all of one shape).  Jets are retained where downstream
-    consumers need further derivatives (H, eta, lambda); plain
-    floats/arrays hold everything else, with the batch axes first (g_val
-    has shape (*batch, m, m)).  A batch gives the same values as its points
-    one by one; an error names the first point that fails a check.
+    the batch (all of one shape).  Jet tensors (coefficient arrays, suffix
+    _c) are retained where downstream consumers need further derivatives
+    (H, eta, lambda, the Christoffels); B, H, eta and gamma_m give them as
+    scalar jets.  Plain floats/arrays hold everything else, with the batch
+    axes first (g_val has shape (*batch, m, m)).  A batch gives the same
+    values as its points one by one; an error names the first point that
+    fails a check.
     """
+
+    B = _jets("B_c", 3)
+    H = _jets("H_c", 1)
+    eta = _jets("eta_c", 1)
+    gamma_m = _jets("gamma_c", 3)
 
     def __init__(self, spec, point):
         if len(point) != spec.m:
@@ -216,72 +224,53 @@ class PointGeometry:
         self.spec = spec
         coords = [np.asarray(p, dtype=float) for p in point]
         self.point = tuple(c if c.ndim else float(c) for c in coords)
-        m, n = spec.m, spec.n
+        m = spec.m
         var_jets = [
             J.jet_variable(i, self.point[i], m, JET_ORDER) for i in range(m)
         ]
-        X, dX, e2, g = induced_metric_jets(spec, var_jets, list(range(m)))
-        self.X, self.dX, self.e2, self.g = X, dX, e2, g
+        X, dX, self.e2, g = induced_metric_jets(spec, var_jets, range(m))
+        self.X_c, self.dX_c, self.g_c = X, dX, g
 
-        self.detg = J.jet_det(g)
-        self.g_val = _values(g, 2)
+        self.detg = J.jet_det(J.unstack(g, m, 2))
+        self.g_val = values(g, 2)
         _check_nondegenerate(self.g_val, self.detg.value)
-        self.ginv = J.jet_mat_inverse(g, det=self.detg)
-        self.ginv_val = _values(self.ginv, 2)
-        self.X_val = _values(X, 1)
-        self.dX_val = _values(dX, 2)
+        self.ginv_c = metric_inverse(g, m, det=self.detg)
+        self.ginv_val = values(self.ginv_c, 2)
+        self.X_val = values(X, 1)
+        self.dX_val = values(dX, 2)
         self.e2_val = self.e2.value
 
-        self.gamma_m = christoffels_from_metric(g, self.ginv)  # order 2
-        ginv2 = [[self.ginv[i][j].trunc(2) for j in range(m)] for i in range(m)]
+        self.gamma_c = christoffels_from_metric(g, self.ginv_c, m)  # order 2
+        ginv2 = J.trunc(self.ginv_c, m, 2)
 
         # Second fundamental form and mean curvature: order 2
-        dX2 = [[dX[i][a].trunc(2) for a in range(n)] for i in range(m)]
-        ddX = [
-            [[dX[i][a].d(j) for a in range(n)] for j in range(m)] for i in range(m)
-        ]
-        gamma_n = spec.ambient.christoffel([x.trunc(2) for x in X])
-        self.B = [[[None] * n for _ in range(m)] for _ in range(m)]
-        for i in range(m):
-            for j in range(i, m):
-                for a in range(n):
-                    acc = ddX[i][j][a]
-                    for b in range(n):
-                        for c in range(n):
-                            acc = acc + gamma_n[a][b][c] * dX2[i][b] * dX2[j][c]
-                    for k in range(m):
-                        acc = acc - self.gamma_m[k][i][j] * dX2[k][a]
-                    self.B[i][j][a] = self.B[j][i][a] = acc
-        self.H = []
-        for a in range(n):
-            acc = None
-            for i in range(m):
-                for j in range(m):
-                    term = ginv2[i][j] * self.B[i][j][a]
-                    acc = term if acc is None else acc + term
-            self.H.append(acc * (1.0 / m))
-        self.H_val = _values(self.H, 1)
-        self.B_val = _values(self.B, 3)
+        # B_ij^a = d_j d_i X^a + Gamma^a_bc dX_i^b dX_j^c - Gamma^k_ij dX_k^a
+        dX2 = J.trunc(dX, m, 2)
+        B = J.gradient(dX, m, range(m), axis=2)
+        B = B - J.contract("kij,ka->ija", self.gamma_c, dX2, m)
+        gamma_n = spec.ambient.christoffel(J.trunc(X, m, 2), m)
+        if gamma_n is not None:
+            gamma_dX = J.contract("abc,ib->aci", gamma_n, dX2, m)
+            B = B + J.contract("aci,jc->ija", gamma_dX, dX2, m)
+        self.B_c = B
+        self.H_c = J.contract("ij,ija->a", ginv2, B, m) * (1.0 / m)
+        self.H_val = values(self.H_c, 1)
+        self.B_val = values(B, 3)
         self.normH = np.sqrt(self.e2_val * vdot(self.H_val, self.H_val))
 
         if spec.is_hypersurface:
-            self._hypersurface_fields(dX2, ginv2)
+            self._hypersurface_fields(dX2)
 
-    def _hypersurface_fields(self, dX2, ginv2):
+    def _hypersurface_fields(self, dX2):
         spec = self.spec
         m, n = spec.m, spec.n
-        w = _cofactor_normal(dX2, m, n)
-        norm2 = w[0] * w[0]
-        for a in range(1, n):
-            norm2 = norm2 + w[a] * w[a]
-        wnorm = J.sqrt(self.e2.trunc(2) * norm2)
-        self.eta = [wa / wnorm for wa in w]
-        self.eta_val = _values(self.eta, 1)
+        w = J.stack(_cofactor_normal(J.unstack(dX2, m, 2), m, n))
+        e2 = self.e2.trunc(2)
+        wnorm = J.sqrt(e2 * J.Jet(m, 2, J.contract("a,a->", w, w, m)))
+        self.eta_c = J.contract("a,->a", w, J.reciprocal(wnorm).coeffs, m)
+        self.eta_val = values(self.eta_c, 1)
 
-        lam = self.H[0] * self.eta[0]
-        for a in range(1, n):
-            lam = lam + self.H[a] * self.eta[a]
-        self.lam_jet = self.e2.trunc(2) * lam
+        self.lam_jet = e2 * J.Jet(m, 2, J.contract("a,a->", self.H_c, self.eta_c, m))
         self.lam = self.lam_jet.value
 
         # scalar second fundamental form and shape operator
@@ -296,20 +285,16 @@ class PointGeometry:
         self.A_frame = mT(self.frame) @ self.b_val @ self.frame
 
         # gradient and Laplacian of the mean curvature function
-        dlam = [self.lam_jet.d(j) for j in range(m)]
-        self.dlam_val = _values(dlam, 1)
+        dlam = J.gradient(self.lam_jet.coeffs, m, range(m))
+        self.dlam_val = values(dlam, 1)
         self.grad_lam = matvec(self.ginv_val, self.dlam_val)  # intrinsic components
         self.grad_lam_amb = matvec(mT(self.dX_val), self.grad_lam)
 
+        # Delta lambda = (1/sqrt det g) d_i (sqrt det g g^ij d_j lambda)
         sqrt_detg = J.sqrt(self.detg.trunc(1))
-        ginv1 = [[self.ginv[i][j].trunc(1) for j in range(m)] for i in range(m)]
-        div = 0.0
-        for i in range(m):
-            flux = None
-            for j in range(m):
-                term = sqrt_detg * ginv1[i][j] * dlam[j]
-                flux = term if flux is None else flux + term
-            div += flux.d(i).value
+        flux = J.contract("ij,j->i", J.trunc(self.ginv_c, m, 1), dlam, m)
+        flux = J.contract("i,->i", flux, sqrt_detg.coeffs, m)
+        div = sum(J.deriv(flux[:, i], m, i)[0] for i in range(m))
         self.lap_lam = div / sqrt_detg.value
 
         self.ric_eta_eta = (spec.n - 1) * spec.ambient.c

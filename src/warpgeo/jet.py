@@ -20,6 +20,15 @@ for bit: products add each point's terms in one fixed order (``np.bincount``)
 and the univariate series use numpy ufuncs for every batch shape.  Domain
 checks hold at every point, and each error names the first point that
 fails them.
+
+A tensor of jets (a Christoffel symbol, a second fundamental form) is one
+coefficient array of shape ``(size, *tensor, *batch)``.  :func:`contract`
+multiplies two of them and sums over repeated indices in one call: it
+gathers the coefficient pairs of the truncated product, forms all their
+products with one ``einsum`` (``...`` spans the batch) and adds them into
+their coefficients in one fixed order with one ``np.bincount``, so a batch
+still equals its points one by one.  :func:`deriv`, :func:`gradient` and
+:func:`trunc` are the array forms of :meth:`Jet.d` and :meth:`Jet.trunc`.
 """
 
 from __future__ import annotations
@@ -208,7 +217,7 @@ class Jet:
             return self
         if order > self.order:
             raise UsageError(f"cannot raise jet order {self.order} -> {order}")
-        return Jet(self.n_vars, order, self.coeffs[: _space(self.n_vars, order).size])
+        return Jet(self.n_vars, order, trunc(self.coeffs, self.n_vars, order))
 
     def d(self, var):
         """Partial derivative with respect to chart variable `var`;
@@ -217,9 +226,7 @@ class Jet:
             raise UsageError("cannot differentiate an order-0 jet")
         if not (0 <= var < self.n_vars):
             raise UsageError(f"variable index {var} out of range")
-        src, mult = self.space.deriv[var]
-        coeffs, mult = _aligned(self.coeffs[src], mult)
-        return Jet(self.n_vars, self.order - 1, coeffs * mult)
+        return Jet(self.n_vars, self.order - 1, deriv(self.coeffs, self.n_vars, var))
 
     def __repr__(self):
         if self.coeffs.ndim > 1:
@@ -332,6 +339,99 @@ def jet_variable(index, value, n_vars, order):
         unit = tuple(1 if k == index else 0 for k in range(n_vars))
         out.coeffs[out.space.index[unit]] = 1.0
     return out
+
+
+# -- tensors of jets ------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _space_of(n_vars, size):
+    for order in range(MAX_ORDER + 1):
+        if _space(n_vars, order).size == size:
+            return _space(n_vars, order)
+    raise ConfigError(f"no jet space of {n_vars} variables has {size} coefficients")
+
+
+def order_of(c, n_vars):
+    """The jet order of the coefficient array `c` over `n_vars` variables."""
+    return _space_of(n_vars, len(c)).order
+
+
+def trunc(c, n_vars, order):
+    """Array form of Jet.trunc: the coefficients of order <= `order`."""
+    return c[: _space(n_vars, order).size]
+
+
+def deriv(c, n_vars, var):
+    """Array form of Jet.d: the derivative along variable `var` of every jet
+    in `c`, one order lower."""
+    src, mult = _space_of(n_vars, len(c)).deriv[var]
+    return c[src] * mult.reshape(mult.shape + (1,) * (c.ndim - 1))
+
+
+def gradient(c, n_vars, slots, axis=1):
+    """The derivatives of `c` along each variable in `slots`, stacked as a
+    new tensor axis at position `axis`."""
+    return np.stack([deriv(c, n_vars, v) for v in slots], axis=axis)
+
+
+def stack(jets):
+    """The coefficient array (size, *tensor, *batch) of a nested list of
+    scalar jets of one space, their batch shapes broadcast together."""
+    rows = [stack(j) if isinstance(j, list) else j.coeffs for j in jets]
+    ndim = max(r.ndim for r in rows)
+    rows = [r.reshape(r.shape + (1,) * (ndim - r.ndim)) for r in rows]
+    return np.stack(np.broadcast_arrays(*rows), axis=1)
+
+
+def unstack(c, n_vars, depth=0):
+    """The scalar jets of the first `depth` tensor axes of `c`, as nested
+    lists (a single jet for depth 0)."""
+    if depth == 0:
+        return Jet(n_vars, order_of(c, n_vars), c)
+    return [unstack(c[:, i], n_vars, depth - 1) for i in range(c.shape[1])]
+
+
+@lru_cache(maxsize=256)
+def _plan(subscripts, n_vars, order, shape_a, shape_b):
+    """For contract(subscripts) on operands of shapes shape_a and shape_b:
+    the einsum that forms every product, the bin of each product term in an
+    unbatched result, and the result's tensor and batch shapes."""
+    inputs, out = subscripts.split("->")
+    left, right = inputs.split(",")
+    every = left + "".join(k for k in right if k not in left)
+    dims = dict(zip(left, shape_a[1:]))
+    dims.update(zip(right, shape_b[1:]))
+    out_shape = tuple(dims[k] for k in out)
+    grid = np.indices(tuple(dims[k] for k in every))
+    entry = np.zeros(grid.shape[1:], dtype=np.intp)
+    for k, stride in zip(out, np.cumprod((1,) + out_shape[:0:-1])[::-1]):
+        entry += grid[every.index(k)] * stride
+    ic = _space(n_vars, order).mul_ic
+    bins = (ic[:, None] * math.prod(out_shape) + entry.ravel()).ravel()
+    batch = np.broadcast_shapes(shape_a[1 + len(left) :], shape_b[1 + len(right) :])
+    return f"Z{left}...,Z{right}...->Z{every}...", bins, out_shape, batch
+
+
+def contract(subscripts, a, b, n_vars):
+    """The truncated jet product of the tensors `a` and `b`, summed over
+    the indices that `subscripts` (einsum notation over lowercase letters,
+    e.g. "abc,kb->ack") leaves out of the result.
+
+    Operands are coefficient arrays (size, *tensor, *batch) of one jet space
+    over `n_vars` variables; their batch shapes broadcast.  Each result
+    entry adds its terms in one fixed order, by coefficient pair and then by
+    contracted index, so a batch equals its points one by one."""
+    s = _space_of(n_vars, len(a))
+    if len(b) != s.size:
+        raise UsageError(f"jet tensor sizes differ: {len(a)} vs {len(b)}")
+    path, bins, out_shape, batch = _plan(subscripts, n_vars, s.order, a.shape, b.shape)
+    terms = np.einsum(path, a[s.mul_ia], b[s.mul_ib])
+    width = math.prod(batch)
+    if width > 1:
+        bins = (bins[:, None] * width + np.arange(width)).ravel()
+    out = np.bincount(bins, terms.reshape(-1), s.size * math.prod(out_shape) * width)
+    return out.reshape((s.size,) + out_shape + batch)
 
 
 # -- univariate composition ----------------------------------------------

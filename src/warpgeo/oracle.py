@@ -25,6 +25,7 @@ from .immersion import (
     PointGeometry,
     christoffels_from_metric,
     induced_metric_jets,
+    metric_inverse,
     orthonormal_frame,
 )
 
@@ -35,11 +36,14 @@ JET_ORDER = 4
 class MapSpec:
     """A map between chart patches, described by callables.
 
-    evaluate(var_jets)              -> (phi, G): codomain coordinate jets at
-                                       the seeds' order, and domain metric
-                                       jets one order below
-    codomain_christoffel(phi, k)    -> Christoffel jets truncated to order k
-                                       (phi passed at full order)
+    evaluate(var_jets)              -> (phi, G): jet tensors of the codomain
+                                       coordinates (size, codim) at the
+                                       seeds' order, and of the domain metric
+                                       (size', dim, dim) one order below
+    codomain_christoffel(phi, k)    -> Christoffel jet tensor (size, codim,
+                                       codim, codim) truncated to order k
+                                       (phi passed at full order), or None
+                                       where the symbols vanish
     codomain_curvature(t, a, b, x)  -> value-level R(t, a) b at codomain
                                        point x
     """
@@ -59,117 +63,72 @@ def _seed(point, dim, order):
     return [J.jet_variable(i, float(point[i]), dim, order) for i in range(dim)]
 
 
-def _pullback_hessian(V, gbar1, dphi, gamma_dom):
+def _pullback_hessian(V, gbar1, dphi, gamma_dom, n_vars):
     """(nabla^2 V)_{kl}^a of a vector field V along a map phi, as a value
-    array of shape (d, d, D).
+    array of shape (d, d, D), over the d = n_vars domain variables.
 
-    V: field components as jets of order >= 2.  gbar1: codomain
-    Christoffels along phi as order-1 jets.  dphi: coordinate derivatives
-    dphi[k][a] as jets.  gamma_dom: domain Christoffels as jets.
+    Jet tensors: V (size, D) the field at order 2; gbar1 (size1, D, D, D)
+    the codomain Christoffels along phi at order 1, or None where they
+    vanish; dphi (size, d, D) the coordinate derivatives dphi_k^a;
+    gamma_dom (size, d, d, d) the domain Christoffels.
     """
-    d, D = len(dphi), len(V)
-    dphi1 = [[dphi[k][a].trunc(1) for a in range(D)] for k in range(d)]
-    V1 = [v.trunc(1) for v in V]
-
+    d = n_vars
     # first pull-back covariant derivative of V, retained as order-1 jets
-    nV = [[None] * D for _ in range(d)]
-    for l in range(d):
-        for a in range(D):
-            acc = V[a].d(l)
-            for b in range(D):
-                for c in range(D):
-                    acc = acc + gbar1[a][b][c] * dphi1[l][b] * V1[c]
-            nV[l][a] = acc
-    nV_val = np.array([[nV[l][a].value for a in range(D)] for l in range(d)])
+    nV = J.gradient(V, d, range(d))  # nV[l, a] = d_l V^a
+    if gbar1 is not None:
+        gV = J.contract("abc,c->ab", gbar1, J.trunc(V, d, 1), d)
+        nV = nV + J.contract("ab,lb->la", gV, J.trunc(dphi, d, 1), d)
 
-    dphi_val = np.array([[dphi[k][a].value for a in range(D)] for k in range(d)])
-    gbar_val = np.array(
-        [
-            [[gbar1[a][b][c].value for c in range(D)] for b in range(D)]
-            for a in range(D)
-        ]
-    )
-    gdom_val = np.array(
-        [
-            [[gamma_dom[j][k][l].value for l in range(d)] for k in range(d)]
-            for j in range(d)
-        ]
-    )
-
-    # tensorial second covariant derivative
-    sec = np.zeros((d, d, D))
-    for k in range(d):
-        for l in range(d):
-            for a in range(D):
-                v = nV[l][a].d(k).value
-                for b in range(D):
-                    for c in range(D):
-                        v += gbar_val[a][b][c] * dphi_val[k][b] * nV_val[l][c]
-                for j in range(d):
-                    v -= gdom_val[j][k][l] * nV_val[j][a]
-                sec[k][l][a] = v
+    # tensorial second covariant derivative, on values
+    sec = J.gradient(nV, d, range(d))[0]  # sec[k, l, a] = d_k nV[l, a]
+    sec = sec - np.einsum("jkl,ja->kla", gamma_dom[0], nV[0])
+    if gbar1 is not None:
+        sec = sec + np.einsum("abc,kb,lc->kla", gbar1[0], dphi[0], nV[0])
     return sec
 
 
 def _tension_pipeline(mapspec, point):
-    """(phi, dphi, G, gamma_dom, tau) at `point`: the components and their
-    coordinate derivatives, the domain metric and its Christoffels, and the
-    tension field as jets two orders below the seeds."""
-    d, D = mapspec.dim, mapspec.codim
+    """(phi, dphi, G, gamma_dom, tau) at `point` as jet tensors: the
+    components and their coordinate derivatives, the domain metric and its
+    Christoffels, and the tension field two orders below the seeds."""
+    d = mapspec.dim
     if len(point) != d:
         raise UsageError(f"point has {len(point)} coords, expected {d}")
     phi, G = mapspec.evaluate(_seed(point, d, JET_ORDER))
-    Ginv = J.jet_mat_inverse(G)
-    gamma_dom = christoffels_from_metric(G, Ginv)  # order - 2
-    dphi = [[phi[a].d(k) for a in range(D)] for k in range(d)]
+    Ginv = metric_inverse(G, d)
+    gamma_dom = christoffels_from_metric(G, Ginv, d)  # order - 2
+    dphi = J.gradient(phi, d, range(d))  # dphi[k, a] = d_k phi^a
 
+    # tau^a = G^kl (d_l d_k phi^a + Gbar^a_bc dphi_k^b dphi_l^c
+    #               - Gamma^j_kl dphi_j^a)
     t_ord = JET_ORDER - 2
+    dphi_t = J.trunc(dphi, d, t_ord)
+    hess = J.gradient(dphi, d, range(d), axis=2)
+    hess = hess - J.contract("jkl,ja->kla", gamma_dom, dphi_t, d)
     gbar = mapspec.codomain_christoffel(phi, t_ord)
-    ginv_t = [[Ginv[i][j].trunc(t_ord) for j in range(d)] for i in range(d)]
-    dphi_t = [[dphi[k][a].trunc(t_ord) for a in range(D)] for k in range(d)]
-    tau = []
-    for a in range(D):
-        acc = None
-        for k in range(d):
-            for l in range(d):
-                term = dphi[k][a].d(l)  # order - 2
-                for b in range(D):
-                    for c in range(D):
-                        term = term + gbar[a][b][c] * dphi_t[k][b] * dphi_t[l][c]
-                for j in range(d):
-                    term = term - gamma_dom[j][k][l] * dphi_t[j][a]
-                term = ginv_t[k][l] * term
-                acc = term if acc is None else acc + term
-        tau.append(acc)
+    if gbar is not None:
+        gbar_dphi = J.contract("abc,kb->ack", gbar, dphi_t, d)
+        hess = hess + J.contract("ack,lc->kla", gbar_dphi, dphi_t, d)
+    tau = J.contract("kl,kla->a", J.trunc(Ginv, d, t_ord), hess, d)
     return phi, dphi, G, gamma_dom, tau
 
 
 def tension_first_principles(mapspec, point):
     *_, tau = _tension_pipeline(mapspec, point)
-    return np.array([t.value for t in tau])
+    return tau[0]
 
 
 def bitension_first_principles(mapspec, point):
     phi, dphi, G, gamma_dom, tau = _tension_pipeline(mapspec, point)
-    d, D = mapspec.dim, mapspec.codim
-    tau_val = np.array([t.value for t in tau])
-    phi_val = np.array([p.value for p in phi])
-    dphi_val = np.array([[dphi[k][a].value for a in range(D)] for k in range(d)])
-    g_val = np.array([[G[i][j].value for j in range(d)] for i in range(d)])
-
     gbar1 = mapspec.codomain_christoffel(phi, 1)
-    sec = _pullback_hessian(tau, gbar1, dphi, gamma_dom)
+    sec = _pullback_hessian(tau, gbar1, dphi, gamma_dom, mapspec.dim)
 
-    frame = orthonormal_frame(g_val)
-    rough = np.zeros(D)
-    curv = np.zeros(D)
-    for i in range(d):
-        e = frame[:, i]
-        rough += np.einsum("k,l,kla->a", e, e, sec)
-        amb = e @ dphi_val
-        curv += np.asarray(
-            mapspec.codomain_curvature(tau_val, amb, amb, phi_val), dtype=float
-        )
+    frame = orthonormal_frame(G[0])
+    rough = np.einsum("ki,li,kla->a", frame, frame, sec)
+    curv = np.zeros(mapspec.codim)
+    for e in frame.T:
+        amb = e @ dphi[0]
+        curv += mapspec.codomain_curvature(tau[0], amb, amb, phi[0])
     return -curv - rough
 
 
@@ -182,11 +141,11 @@ def inclusion_map(spec):
     chart = spec.ambient
 
     def evaluate(var_jets):
-        X, _, _, g = induced_metric_jets(spec, var_jets, list(range(m)))
+        X, _, _, g = induced_metric_jets(spec, var_jets, range(m))
         return X, g
 
     def codomain_christoffel(phi, order):
-        return chart.christoffel([p.trunc(order) for p in phi])
+        return chart.christoffel(J.trunc(phi, m, order), m)
 
     def codomain_curvature(t_vec, a_vec, b_vec, x):
         return spaceform_curvature(chart, t_vec, a_vec, b_vec, x)
@@ -199,46 +158,40 @@ def warped_inclusion_map(scene):
     (t, x) -> (t, x), in warped-chart coordinates (slot 0 is t)."""
     spec = scene.immersion
     m, n = spec.m, spec.n
+    d = m + 1
     chart = spec.ambient
-    slots = list(range(1, m + 1))
+    slots = range(1, d)
 
     def warp_jet(t_jet):
         return eval_jet(scene.warp, {"t": t_jet}, scene.warp_params)
 
     def evaluate(var_jets):
         X, _, _, g = induced_metric_jets(spec, var_jets[1:], slots)
-        sub = g[0][0].order
-        f = warp_jet(var_jets[0]).trunc(sub)
-        f2 = f * f
-        zero = J.jet_constant(0.0, var_jets[0].n_vars, sub)
-        G = [[zero] * (m + 1) for _ in range(m + 1)]
-        G[0][0] = J.jet_constant(1.0, var_jets[0].n_vars, sub)
-        for i in range(m):
-            for j in range(m):
-                G[i + 1][j + 1] = f2 * g[i][j]
-        return [var_jets[0]] + X, G
+        t = var_jets[0]
+        f = warp_jet(t).trunc(t.order - 1)
+        G = np.zeros((len(g), m + 1, m + 1) + g.shape[3:])
+        G[0, 0, 0] = 1.0
+        G[:, 1:, 1:] = J.contract("ij,->ij", g, (f * f).coeffs, d)
+        return np.concatenate((t.coeffs[:, None], X), axis=1), G
 
     def codomain_christoffel(phi, order):
-        t_jet = phi[0]
-        f_full = warp_jet(t_jet)
+        f_full = warp_jet(J.unstack(phi[:, 0], d))
         f = f_full.trunc(order)
         # slot 0 of the domain is t itself, so d/d slot0 is d/dt
         f1 = f_full.d(0).trunc(order)
-        x = [p.trunc(order) for p in phi[1:]]
-        e2 = chart.metric_factor(x)
-        gamma_n = chart.christoffel(x)
-        zero = J.jet_constant(0.0, t_jet.n_vars, order)
-        D = n + 1
-        gbar = [[[zero for _ in range(D)] for _ in range(D)] for _ in range(D)]
-        ff1 = f * f1
-        f1_over_f = f1 / f
-        for a in range(n):
-            gbar[0][a + 1][a + 1] = -ff1 * e2
-            gbar[a + 1][0][a + 1] = f1_over_f
-            gbar[a + 1][a + 1][0] = f1_over_f
-            for b in range(n):
-                for c in range(n):
-                    gbar[a + 1][b + 1][c + 1] = gamma_n[a][b][c]
+        x = J.trunc(phi[:, 1:], d, order)
+        e2 = chart.metric_factor(x, d)
+        eye = np.eye(n)
+        gbar = np.zeros((len(x), n + 1, n + 1, n + 1) + x.shape[2:])
+        gbar[:, 0, 1:, 1:] = np.einsum(
+            "z...,ab->zab...", (-(f * f1) * e2).coeffs, eye
+        )
+        f1_over_f = np.einsum("z...,ab->zab...", (f1 / f).coeffs, eye)
+        gbar[:, 1:, 0, 1:] = f1_over_f
+        gbar[:, 1:, 1:, 0] = f1_over_f
+        gamma_n = chart.christoffel(x, d)
+        if gamma_n is not None:
+            gbar[:, 1:, 1:, 1:] = gamma_n
         return gbar
 
     def codomain_curvature(t_vec, a_vec, b_vec, x):
@@ -253,7 +206,7 @@ def warped_inclusion_map(scene):
         )
         return np.concatenate(([xt], xn))
 
-    return MapSpec(m + 1, n + 1, evaluate, codomain_christoffel, codomain_curvature)
+    return MapSpec(d, n + 1, evaluate, codomain_christoffel, codomain_curvature)
 
 
 def submanifold_bitension(spec, point, geometry=None):
@@ -263,8 +216,8 @@ def submanifold_bitension(spec, point, geometry=None):
     m, n = spec.m, spec.n
     chart = spec.ambient
 
-    gamma_n1 = chart.christoffel([x.trunc(1) for x in pg.X])
-    sec = _pullback_hessian(pg.H, gamma_n1, pg.dX, pg.gamma_m)
+    gamma_n1 = chart.christoffel(J.trunc(pg.X_c, m, 1), m)
+    sec = _pullback_hessian(pg.H_c, gamma_n1, pg.dX_c, pg.gamma_c, m)
     trace_sec = np.einsum("kl,kla->a", pg.ginv_val, sec)
     curv = np.zeros(n)
     for k in range(m):
@@ -280,39 +233,20 @@ def submanifold_bitension(spec, point, geometry=None):
 
 def curvature_components(metric_rule, point):
     """(R^l_{ijk}, g values) with R(d_i, d_j) d_k = R^l_{ijk} d_l, assembled
-    as dGamma + Gamma Gamma from metric jets."""
+    as dGamma + Gamma Gamma from the metric jet tensor (size, d, d) that
+    `metric_rule` gives over the d coordinates of `point`."""
     g = metric_rule(point)
-    d = len(g)
-    gamma = christoffels_from_metric(g)  # jets, order >= 1
-    gamma_val = np.array(
-        [
-            [[gamma[l][i][j].value for j in range(d)] for i in range(d)]
-            for l in range(d)
-        ]
+    d = g.shape[1]
+    gamma = christoffels_from_metric(g, metric_inverse(g, d), d)  # order >= 1
+    gv = gamma[0]  # gv[l, i, j] = Gamma^l_ij
+    dgamma = J.gradient(gamma, d, range(d))[0]  # dgamma[i, l, j, k] = d_i Gamma^l_jk
+    riem = (
+        np.einsum("iljk->lijk", dgamma)
+        - np.einsum("jlik->lijk", dgamma)
+        + np.einsum("lip,pjk->lijk", gv, gv)
+        - np.einsum("ljp,pik->lijk", gv, gv)
     )
-    dgamma = np.array(
-        [
-            [
-                [[gamma[l][j][k].d(i).value for k in range(d)] for j in range(d)]
-                for i in range(d)
-            ]
-            for l in range(d)
-        ]
-    )  # dgamma[l][i][j][k] = d_i Gamma^l_{jk}
-    riem = np.zeros((d, d, d, d))
-    for l in range(d):
-        for i in range(d):
-            for j in range(d):
-                for k in range(d):
-                    v = dgamma[l][i][j][k] - dgamma[l][j][i][k]
-                    for p in range(d):
-                        v += (
-                            gamma_val[l][i][p] * gamma_val[p][j][k]
-                            - gamma_val[l][j][p] * gamma_val[p][i][k]
-                        )
-                    riem[l][i][j][k] = v
-    g_val = np.array([[g[i][j].value for j in range(d)] for i in range(d)])
-    return riem, g_val
+    return riem, g[0]
 
 
 def ricci_from_christoffels(metric_rule, point, x_vec):
@@ -324,10 +258,6 @@ def ricci_from_christoffels(metric_rule, point, x_vec):
 
 
 # -- metric rules ---------------------------------------------------------
-
-
-def chart_metric_rule(chart):
-    return lambda point: chart.metric(_seed(point, chart.n, JET_ORDER - 1))
 
 
 def induced_metric_rule(spec):

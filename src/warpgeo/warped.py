@@ -66,16 +66,17 @@ class WVec:
     n: np.ndarray
 
 
-def hbar_inner(scene, t, point_amb, a, b):
+def hbar_inner(scene, t, point_amb, a, b, warp=None):
     """Inner product of the warped ambient:
-    h(u, v) = u_t v_t + f^2 h(u_N, v_N)."""
-    w = scene.warp_at(t)
+    h(u, v) = u_t v_t + f^2 h(u_N, v_N).  `warp`, if given, is the
+    WarpEval of the scene at t, which is otherwise evaluated here."""
+    w = warp or scene.warp_at(t)
     e2 = scene.immersion.ambient.metric_factor_value(point_amb)
     return a.t * b.t + w.f**2 * e2 * float(np.dot(a.n, b.n))
 
 
-def hbar_norm(scene, t, point_amb, a):
-    return float(np.sqrt(max(hbar_inner(scene, t, point_amb, a, a), 0.0)))
+def hbar_norm(scene, t, point_amb, a, warp=None):
+    return float(np.sqrt(max(hbar_inner(scene, t, point_amb, a, a, warp), 0.0)))
 
 
 def power_family_residual(warp, t, m, params=None):
@@ -87,10 +88,10 @@ def power_family_residual(warp, t, m, params=None):
     return w.power_residual(m)
 
 
-def inclusion_tension(scene, t, point, geometry=None):
+def inclusion_tension(scene, t, point, geometry=None, warp=None):
     """tau(phi) = (m / f^2) H, with no dt-component."""
     pg = geometry or PointGeometry(scene.immersion, point)
-    w = scene.warp_at(t)
+    w = warp or scene.warp_at(t)
     m = scene.immersion.m
     return WVec(0.0, (m / w.f**2) * pg.H_val)
 
@@ -106,7 +107,7 @@ class BitensionParts:
     normal_norm: float
 
 
-def inclusion_bitension(scene, t, point, geometry=None):
+def inclusion_bitension(scene, t, point, geometry=None, warp=None):
     """tau_2(phi) = (2m [f f'' + (m-1) f'^2] / f^4) H
                     + (m / f^4) tau_2(i)  -  (m^2 f' / f^3) |H|^2 dt.
 
@@ -114,7 +115,7 @@ def inclusion_bitension(scene, t, point, geometry=None):
     geometry, so non-biharmonic bases are handled without assumption."""
     spec = scene.immersion
     pg = geometry or PointGeometry(spec, point)
-    w = scene.warp_at(t)
+    w = warp or scene.warp_at(t)
     m = spec.m
     e2 = pg.e2_val
     h2 = e2 * float(np.dot(pg.H_val, pg.H_val))
@@ -137,8 +138,8 @@ def inclusion_bitension(scene, t, point, geometry=None):
         submanifold_bitension=tau2_i,
         tangential=tangential,
         normal=normal,
-        tangential_norm=hbar_norm(scene, t, pg.X_val, tangential),
-        normal_norm=hbar_norm(scene, t, pg.X_val, normal),
+        tangential_norm=hbar_norm(scene, t, pg.X_val, tangential, w),
+        normal_norm=hbar_norm(scene, t, pg.X_val, normal, w),
     )
 
 
@@ -151,18 +152,19 @@ class PairingResult:
     bitension: BitensionParts
 
 
-def pairing(scene, t, point, geometry=None):
+def pairing(scene, t, point, geometry=None, warp=None):
     """h(tau_2(phi), tau(phi)) both by direct assembly and by the
     closed form 2 m^2 [f f'' + (m-1) f'^2] / f^4 |H|^2 (the latter is
     valid only over a biharmonic base, gated by classification of the
-    same geometry).  The tau and tau_2 it pairs are returned with it."""
+    same geometry).  The tau and tau_2 it pairs are returned with it.
+    The warp is evaluated once at t (or taken from `warp`) and passed on."""
     spec = scene.immersion
     pg = geometry or PointGeometry(spec, point)
-    w = scene.warp_at(t)
+    w = warp or scene.warp_at(t)
     m = spec.m
-    tau = inclusion_tension(scene, t, point, geometry=pg)
-    tau2 = inclusion_bitension(scene, t, point, geometry=pg)
-    direct = hbar_inner(scene, t, pg.X_val, tau2.vec, tau)
+    tau = inclusion_tension(scene, t, point, geometry=pg, warp=w)
+    tau2 = inclusion_bitension(scene, t, point, geometry=pg, warp=w)
+    direct = hbar_inner(scene, t, pg.X_val, tau2.vec, tau, w)
     h2 = pg.e2_val * float(np.dot(pg.H_val, pg.H_val))
     closed = 2.0 * m**2 * w.power_residual(m) / w.f**4 * h2
     record = classify(spec, [point], BIHARMONIC_GATE_TOL, geometries=[pg])
@@ -247,7 +249,7 @@ class WarpedReport:
 
 def warped_report(scene, t, point):
     w = scene.warp_at(t)
-    pr = pairing(scene, t, point)
+    pr = pairing(scene, t, point, warp=w)
     return WarpedReport(
         t=float(t),
         point=tuple(float(p) for p in point),

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from warpgeo import jet as J
 from warpgeo import verify
 from warpgeo.ambient import AmbientChart
 from warpgeo.immersion import immersion
@@ -24,3 +25,19 @@ def plane():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def chart_metric_rule():
+    """The metric rule of a chart's metric e^{2 rho} delta: point -> jet
+    tensor (size, n, n)."""
+
+    def rule_of(chart):
+        def rule(point):
+            x = [J.jet_variable(a, float(point[a]), chart.n, 3) for a in range(chart.n)]
+            e2 = chart.metric_factor(J.stack(x), chart.n)
+            return np.einsum("z,ab->zab", e2.coeffs, np.eye(chart.n))
+
+        return rule
+
+    return rule_of

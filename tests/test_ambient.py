@@ -16,9 +16,10 @@ from warpgeo.expr import eval_jet, parse
 
 
 def seed_chart(chart, point, order=2):
-    return [
-        J.jet_variable(a, float(point[a]), chart.n, order) for a in range(chart.n)
-    ]
+    """The chart coordinates at `point` as a jet tensor (size, n)."""
+    return J.stack(
+        [J.jet_variable(a, float(point[a]), chart.n, order) for a in range(chart.n)]
+    )
 
 
 class TestCharts:
@@ -45,13 +46,13 @@ class TestCharts:
         with pytest.raises(EvalDomainError):
             chart.metric_factor_value(np.array([1.0, 0.0, 0.0]))
         with pytest.raises(EvalDomainError):
-            chart.metric_factor(seed_chart(chart, (0.8, 0.6, 0.0)))
+            chart.metric_factor(seed_chart(chart, (0.8, 0.6, 0.0)), chart.n)
 
     def test_factor_value_matches_jet(self):
         for model in ("sphere", "hyperbolic"):
             chart = AmbientChart(model, 3)
             p = (0.3, -0.2, 0.1)
-            jet = chart.metric_factor(seed_chart(chart, p))
+            jet = chart.metric_factor(seed_chart(chart, p), chart.n)
             assert jet.value == pytest.approx(chart.metric_factor_value(np.array(p)))
 
     @pytest.mark.parametrize("model", ["sphere", "hyperbolic"])
@@ -61,24 +62,25 @@ class TestCharts:
         for _ in range(4):
             p = rng.uniform(-0.4, 0.4, size=3)
             x = seed_chart(chart, p, order=2)
-            h = chart.metric(x)
-            gamma = chart.christoffel(x)
             n = chart.n
+            e2 = chart.metric_factor(x, n)
+            h = [[e2 if a == b else 0.0 * e2 for b in range(n)] for a in range(n)]
+            gamma = chart.christoffel(x, n)[0]
             for c in range(n):
                 for a in range(n):
                     for b in range(n):
                         lhs = h[a][b].d(c).value
                         rhs = sum(
-                            gamma[d][c][a].value * h[d][b].value
-                            + gamma[d][c][b].value * h[a][d].value
+                            gamma[d][c][a] * h[d][b].value
+                            + gamma[d][c][b] * h[a][d].value
                             for d in range(n)
                         )
                         assert lhs == pytest.approx(rhs, abs=1e-10)
 
-    def test_sphere_ricci_is_spaceform(self, rng):
+    def test_sphere_ricci_is_spaceform(self, rng, chart_metric_rule):
         # Ricci of the chart metric equals (n-1) h
         chart = AmbientChart("sphere", 3)
-        rule = oracle.chart_metric_rule(chart)
+        rule = chart_metric_rule(chart)
         for _ in range(5):
             p = rng.uniform(-0.5, 0.5, size=3)
             riem, g_val = oracle.curvature_components(rule, p)
@@ -128,14 +130,13 @@ class TestWarped:
             def metric_rule(point):
                 x = [J.jet_variable(i, point[i], n + 1, 3) for i in range(n + 1)]
                 f = eval_jet(warp, {"t": x[0]}, {})
-                f2 = f * f
-                h = chart.metric(x[1:])
+                f2e2 = f * f * chart.metric_factor(J.stack(x[1:]), n + 1)
                 zero = J.jet_constant(0.0, n + 1, 3)
                 G = [[zero] * (n + 1) for _ in range(n + 1)]
                 G[0][0] = J.jet_constant(1.0, n + 1, 3)
                 for a in range(n):
-                    G[a + 1][a + 1] = f2 * h[a][a]
-                return G
+                    G[a + 1][a + 1] = f2e2
+                return J.stack(G)
 
             point = np.concatenate(([0.3], rng.uniform(-0.4, 0.4, size=n)))
             riem, _ = oracle.curvature_components(metric_rule, point)

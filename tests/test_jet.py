@@ -204,3 +204,97 @@ class TestLinearAlgebra:
         inv = J.jet_mat_inverse(mat)
         inv_val = np.array([[inv[i][j].value for j in range(3)] for i in range(3)])
         assert np.allclose(inv_val, np.linalg.inv(spd), atol=1e-10)
+
+
+# -- jet tensors: contract, deriv, trunc ---------------------------------------
+
+# every contraction pattern the package uses
+PATTERNS = [
+    "ia,ja->ij", "ij,->ij", "kl,ijl->kij", "kij,ka->ija", "abc,ib->aci",
+    "aci,jc->ija", "ij,ija->a", "a,a->", "a,->a", "ij,j->i", "i,->i", ",a->a",
+    "abc,c->ab", "ab,lb->la", "jkl,ja->kla", "abc,kb->ack", "ack,lc->kla",
+    "kl,kla->a",
+]
+
+tensor_cases = st.tuples(
+    st.sampled_from(PATTERNS),
+    st.integers(1, 4),  # n_vars
+    st.integers(0, 4),  # order
+    st.lists(st.integers(1, 5), min_size=6, max_size=6),  # index sizes
+    st.integers(0, 2**32 - 1),
+)
+
+
+def _operands(case, batch=()):
+    pattern, n_vars, order, sizes, seed = case
+    left, right = pattern.split("->")[0].split(",")
+    dims = dict(zip(sorted(set(left + right)), sizes))
+    size = J._space(n_vars, order).size
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-1.0, 1.0, (size,) + tuple(dims[k] for k in left) + batch)
+    b = rng.uniform(-1.0, 1.0, (size,) + tuple(dims[k] for k in right) + batch)
+    return pattern, n_vars, dims, a, b
+
+
+def _loop_contract(pattern, a, b, n_vars, dims):
+    """The contraction as a loop of scalar jet products and sums."""
+    (left, right), out = pattern.split("->")[0].split(","), pattern.split("->")[1]
+    every = left + "".join(k for k in right if k not in left)
+    sums = {}
+    for idx in np.ndindex(*[dims[k] for k in every]):
+        at = dict(zip(every, idx))
+        x = J.unstack(a[(slice(None),) + tuple(at[k] for k in left)], n_vars)
+        y = J.unstack(b[(slice(None),) + tuple(at[k] for k in right)], n_vars)
+        key = tuple(at[k] for k in out)
+        sums[key] = x * y if key not in sums else sums[key] + x * y
+    ref = np.zeros((len(a),) + tuple(dims[k] for k in out))
+    for key, jet in sums.items():
+        ref[(slice(None),) + key] = jet.coeffs
+    return ref
+
+
+@settings(max_examples=60, deadline=None)
+@given(tensor_cases)
+def test_contract_equals_scalar_jet_loop(case):
+    pattern, n_vars, dims, a, b = _operands(case)
+    got = J.contract(pattern, a, b, n_vars)
+    ref = _loop_contract(pattern, a, b, n_vars, dims)
+    bound = J.contract(pattern, np.abs(a), np.abs(b), n_vars)
+    assert got.shape == ref.shape
+    assert np.all(np.abs(got - ref) <= 1e-13 * bound)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tensor_cases, st.integers(1, 8))
+def test_contract_batch_equals_its_columns(case, width):
+    pattern, n_vars, _, a, b = _operands(case, (width,))
+    got = J.contract(pattern, a, b, n_vars)
+    for j in range(width):
+        assert np.array_equal(got[..., j], J.contract(pattern, a[..., j], b[..., j], n_vars))
+    # an unbatched operand broadcasts against a batched one
+    got = J.contract(pattern, a[..., 0], b, n_vars)
+    for j in range(width):
+        assert np.array_equal(got[..., j], J.contract(pattern, a[..., 0], b[..., j], n_vars))
+
+
+@settings(max_examples=30, deadline=None)
+@given(tensor_cases)
+def test_array_forms_match_jet_methods(case):
+    _, n_vars, order, _, _ = case
+    _, _, _, a, _ = _operands(case)
+    if a.ndim > 1:
+        assert np.array_equal(J.stack(J.unstack(a, n_vars, a.ndim - 1)), a)
+    flat = a.reshape(len(a), -1)
+    for k in range(flat.shape[1]):
+        jet = J.Jet(n_vars, order, flat[:, k])
+        if order:
+            grad = J.gradient(a, n_vars, range(n_vars)).reshape(-1, n_vars, flat.shape[1])
+            for v in range(n_vars):
+                assert np.array_equal(grad[:, v, k], jet.d(v).coeffs)
+        assert np.array_equal(J.trunc(a, n_vars, order // 2).reshape(-1, flat.shape[1])[:, k],
+                              jet.trunc(order // 2).coeffs)
+
+
+def test_contract_rejects_mixed_orders():
+    with pytest.raises(UsageError):
+        J.contract("a,a->", np.zeros((6, 2)), np.zeros((3, 2)), 2)

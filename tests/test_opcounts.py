@@ -22,6 +22,8 @@ def counts(monkeypatch):
         "submanifold_bitension": 0,
         "induced_metric_jets": 0,
         "mul": 0,
+        "contract": 0,
+        "warp_at": 0,
     }
     init = PointGeometry.__init__
 
@@ -47,6 +49,14 @@ def counts(monkeypatch):
     monkeypatch.setattr(PointGeometry, "__init__", counted_init)
     monkeypatch.setattr(jet.Jet, "__mul__", counted_mul)
     monkeypatch.setattr(jet.Jet, "__rmul__", counted_mul)
+    warp_at = warped.WarpedScene.warp_at
+
+    def counted_warp_at(self, t):
+        seen["warp_at"] += 1
+        return warp_at(self, t)
+
+    monkeypatch.setattr(warped.WarpedScene, "warp_at", counted_warp_at)
+    counted(jet, "contract")
     counted(warped, "inclusion_bitension")
     counted(oracle, "submanifold_bitension")
     counted(oracle, "induced_metric_jets")
@@ -62,6 +72,11 @@ def test_warped_report_builds_geometry_once(counts):
     warped.warped_report(_scene(), 0.3, POINT)
     assert counts["builds"] == 1
     assert counts["inclusion_bitension"] == counts["submanifold_bitension"] == 1
+
+
+def test_warped_report_evaluates_the_warp_once(counts):
+    warped.warped_report(_scene(), 0.3, POINT)
+    assert counts["warp_at"] == 1
 
 
 def test_pairing_uses_the_given_geometry(counts):
@@ -95,18 +110,24 @@ def test_oracle_evaluates_each_map_once(counts, name):
 
 
 def test_verify_pass_mul_count(counts):
+    # scalar jet products and jet tensor contractions
     verify.run_checks()
-    assert counts["mul"] == 60_314
+    assert counts["mul"] == 5_161
+    assert counts["contract"] == 1_333
 
 
 @pytest.mark.parametrize(
-    "spec", [verify.cone(1.0), verify.sphere_slice(1.0)], ids=["cone", "slice"]
+    "spec, mul, contract",
+    [(verify.cone(1.0), 34, 10), (verify.sphere_slice(1.0), 33, 15)],
+    ids=["cone", "slice"],
 )
-def test_grid_classify_is_one_batched_pass(counts, spec):
+def test_grid_classify_is_one_batched_pass(counts, spec, mul, contract):
     # a 16-point grid costs the jet products of one point: one batched build
     biharmonic.classify(spec, [POINT], 1e-7)
     one = dict(counts)
+    assert (one["mul"], one["contract"]) == (mul, contract)
     grid = [(0.2 + 0.1 * i, -0.3 + 0.2 * j) for i in range(4) for j in range(4)]
     biharmonic.classify(spec, grid, 1e-7)
     assert counts["mul"] - one["mul"] == one["mul"]
+    assert counts["contract"] - one["contract"] == one["contract"]
     assert counts["builds"] - one["builds"] == one["builds"] == 1

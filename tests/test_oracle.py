@@ -84,9 +84,9 @@ class TestBitension:
 
 
 class TestRicci:
-    def test_euclidean_flat(self):
+    def test_euclidean_flat(self, chart_metric_rule):
         chart = AmbientChart("euclidean", 3)
-        rule = oracle.chart_metric_rule(chart)
+        rule = chart_metric_rule(chart)
         assert oracle.ricci_from_christoffels(
             rule, (0.3, 1.0, -2.0), np.array([1.0, 2.0, -1.0])
         ) == pytest.approx(0.0, abs=1e-12)

@@ -1,10 +1,12 @@
 import json
 import math
+import warnings
 
 import pytest
 
 from warpgeo import cli
 from warpgeo.errors import SceneError
+from warpgeo.expr import parse, pretty
 from warpgeo.scene import load_scene, scene_from_dict
 
 CONE_SCENE = {
@@ -286,18 +288,40 @@ def test_classify_beyond_float_range_exits_3(tmp_path, capsys):
 
 
 def test_classify_nan_exponent_exits_3(tmp_path, capsys):
-    # 1e308*10 overflows in a jet product, which numpy reports as it happens;
-    # the NaN exponent it leads to is then a domain error.
+    # 1e308*10 overflows in a jet product of the immersion's jet stage, which
+    # evaluates its components with numpy's float warnings off; the NaN
+    # exponent it leads to is then a domain error.
     scene = _with(CONE_SCENE, "immersion", components=[
         "r*u*cos(v)", "r*u*sin(v)", "u^(1e308*10-1e308*10)"
     ])
-    with pytest.warns(RuntimeWarning) as seen:
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
         code = run_cli(["classify", write_scene(tmp_path, scene), "--points", "0.5,0.2"])
     err = capsys.readouterr().err
-    assert "overflow encountered in multiply" in str(seen[0].message)
+    assert seen == []
     assert code == 3
     assert err.startswith("error: ") and "non-finite exponent" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "components, points",
+    [
+        (["u*1e200*1e200", "v", "u"], "0.5,0.2"),  # the component overflows
+        (["u*1e160", "v", "u"], "0.5,0.2;0.1,0.3"),  # its metric overflows
+    ],
+    ids=["component", "metric"],
+)
+def test_classify_overflowing_component_exits_3(tmp_path, capsys, components, points):
+    scene = _with(CONE_SCENE, "immersion", components=components)
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        code = run_cli(["classify", write_scene(tmp_path, scene), "--points", points])
+    err = capsys.readouterr().err
+    assert seen == []
+    assert code == 3
+    assert err == f"error: immersion component 0, {pretty(parse(components[0]))}, " \
+        "leaves the float range\n"
 
 
 def test_scan_lists_overflow_as_failure(tmp_path, capsys):
