@@ -8,7 +8,9 @@ nested finite differencing).  Laplacian sign convention: div o grad.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from types import MappingProxyType
 
 import numpy as np
@@ -113,16 +115,28 @@ def _overflow(spec, a):
 def christoffels_from_metric(g, ginv, n_vars):
     """Gamma^k_ij = (1/2) g^{kl} (d_i g_jl + d_j g_il - d_l g_ij) of a metric
     g (size, d, d, *batch) over its d = n_vars chart variables, given its
-    inverse; the result (size', d, d, d, *batch) is one order below g."""
+    inverse from metric_inverse; the result (size', d, d, d, *batch) is at
+    the inverse's order, one below g."""
     dg = J.gradient(g, n_vars, range(n_vars))  # dg[l, i, j] = d_l g_ij
     first = dg + np.swapaxes(dg, 1, 2) - np.moveaxis(dg, 1, 3)
-    ginv_t = J.trunc(ginv, n_vars, J.order_of(dg, n_vars))
-    return 0.5 * J.contract("kl,ijl->kij", ginv_t, first, n_vars)
+    return 0.5 * J.contract("kl,ijl->kij", ginv, first, n_vars)
 
 
-def metric_inverse(g, n_vars, det=None):
-    """The inverse of a metric tensor g (size, d, d, *batch), by jet_mat_inverse."""
-    return J.stack(J.jet_mat_inverse(J.unstack(g, n_vars, 2), det=det))
+def metric_inverse(g, n_vars):
+    """The inverse of a metric tensor g (size, d, d, *batch), one order
+    below g: the order of its Christoffel symbols.
+
+    A degenerate metric is a DegenerateImmersionError.  The float inverse is
+    taken of g scaled to a unit diagonal, inv(g) = D inv(D g D) D with
+    D = diag(g)^(-1/2): pivoting on a metric whose diagonal spans many
+    decades (a cone far from its apex) loses the small entries otherwise."""
+    g_val = values(g, 2)
+    _check_nondegenerate(g_val)
+    s = 1.0 / np.sqrt(np.diagonal(g_val, axis1=-2, axis2=-1))
+    inv0 = s[..., :, None] * np.linalg.inv(s[..., :, None] * g_val * s[..., None, :])
+    inv0 = inv0 * s[..., None, :]
+    g = J.trunc(g, n_vars, J.order_of(g, n_vars) - 1)
+    return J.jet_mat_inverse(g, n_vars, np.moveaxis(inv0, (-2, -1), (0, 1)))
 
 
 def orthonormal_frame(g_val):
@@ -171,32 +185,42 @@ def vdot(x, y):
     return _sum_last(x * y)
 
 
-def _check_nondegenerate(g_val, det_val):
+def _trace(mat):
+    return _sum_last(np.diagonal(mat, axis1=-2, axis2=-1))
+
+
+def _check_nondegenerate(g_val):
+    det = np.linalg.det(g_val)
     diag = np.diagonal(g_val, axis1=-2, axis2=-1)
     scale = np.exp(np.mean(np.log(np.maximum(diag, 1e-300)), axis=-1))
-    det = J.first_where(det_val, ~(det_val > 1e-12 * scale))
-    if det is not None:
+    bad = J.first_where(det, ~(det > 1e-12 * scale))
+    if bad is not None:
         raise DegenerateImmersionError(
-            f"degenerate induced metric, det g = {det:g}", det=det
+            f"degenerate induced metric, det g = {bad:g}", det=bad
         )
 
 
-def _cofactor_normal(dX_t, m, n):
-    """h-orthogonal normal of a hypersurface via cofactor expansion; the
-    frame (dX_1, ..., dX_m, w) is positively oriented in the chart."""
-    w = []
-    for a in range(n):
-        minor = [[dX_t[i][b] for b in range(n) if b != a] for i in range(m)]
-        det = J.jet_det(minor)
-        if (m + a) % 2 == 1:
-            det = -det
-        w.append(det)
+@lru_cache(maxsize=None)
+def _levi_civita(n):
+    """The permutation symbol epsilon_{b_1 ... b_n} as an array (n,) * n."""
+    eps = np.zeros((n,) * n)
+    for perm in itertools.permutations(range(n)):
+        eps[perm] = np.linalg.det(np.eye(n)[list(perm)])  # exactly +-1
+    return eps
+
+
+def hypersurface_normal(dX, n_vars):
+    """The normal w_a = epsilon_{b_1 ... b_m a} dX_1^{b_1} ... dX_m^{b_m} of
+    the tangents dX (size, m, m + 1, *batch), a jet tensor (size, m + 1,
+    *batch) h-orthogonal to every dX_i, with (dX_1, ..., dX_m, w) positively
+    oriented.  Each entry of epsilon dX_1 is one signed term, so one einsum
+    forms it exactly; each further factor is one contraction."""
+    m, n = dX.shape[1], dX.shape[2]
+    idx = "abcdefg"[1:n] + "a"  # b_1 ... b_m a
+    w = np.einsum(f"{idx},z{idx[0]}...->z{idx[1:]}...", _levi_civita(n), dX[:, 0])
+    for i in range(1, m):
+        w = J.contract(f"{idx[i:]},{idx[i]}->{idx[i + 1:]}", w, dX[:, i], n_vars)
     return w
-
-
-def _jets(name, depth):
-    """The jet tensor attribute `name` as nested lists of scalar jets."""
-    return property(lambda self: J.unstack(getattr(self, name), self.spec.m, depth))
 
 
 class PointGeometry:
@@ -206,17 +230,11 @@ class PointGeometry:
     `point` holds the m chart coordinates, each a float or an array over
     the batch (all of one shape).  Jet tensors (coefficient arrays, suffix
     _c) are retained where downstream consumers need further derivatives
-    (H, eta, lambda, the Christoffels); B, H, eta and gamma_m give them as
-    scalar jets.  Plain floats/arrays hold everything else, with the batch
-    axes first (g_val has shape (*batch, m, m)).  A batch gives the same
-    values as its points one by one; an error names the first point that
-    fails a check.
+    (the tangents, H, eta, and the Christoffels of the chart and of g).
+    Plain floats/arrays hold everything else, with the batch axes first
+    (g_val has shape (*batch, m, m)).  A batch gives the same values as its
+    points one by one; an error names the first point that fails a check.
     """
-
-    B = _jets("B_c", 3)
-    H = _jets("H_c", 1)
-    eta = _jets("eta_c", 1)
-    gamma_m = _jets("gamma_c", 3)
 
     def __init__(self, spec, point):
         if len(point) != spec.m:
@@ -228,32 +246,27 @@ class PointGeometry:
         var_jets = [
             J.jet_variable(i, self.point[i], m, JET_ORDER) for i in range(m)
         ]
-        X, dX, self.e2, g = induced_metric_jets(spec, var_jets, range(m))
-        self.X_c, self.dX_c, self.g_c = X, dX, g
+        X, self.dX_c, self.e2, g = induced_metric_jets(spec, var_jets, range(m))
 
-        self.detg = J.jet_det(J.unstack(g, m, 2))
         self.g_val = values(g, 2)
-        _check_nondegenerate(self.g_val, self.detg.value)
-        self.ginv_c = metric_inverse(g, m, det=self.detg)
+        self.ginv_c = metric_inverse(g, m)  # order 2
         self.ginv_val = values(self.ginv_c, 2)
         self.X_val = values(X, 1)
-        self.dX_val = values(dX, 2)
+        self.dX_val = values(self.dX_c, 2)
         self.e2_val = self.e2.value
 
         self.gamma_c = christoffels_from_metric(g, self.ginv_c, m)  # order 2
-        ginv2 = J.trunc(self.ginv_c, m, 2)
+        self.gamma_n_c = spec.ambient.christoffel(J.trunc(X, m, 2), m)
 
         # Second fundamental form and mean curvature: order 2
         # B_ij^a = d_j d_i X^a + Gamma^a_bc dX_i^b dX_j^c - Gamma^k_ij dX_k^a
-        dX2 = J.trunc(dX, m, 2)
-        B = J.gradient(dX, m, range(m), axis=2)
+        dX2 = J.trunc(self.dX_c, m, 2)
+        B = J.gradient(self.dX_c, m, range(m), axis=2)
         B = B - J.contract("kij,ka->ija", self.gamma_c, dX2, m)
-        gamma_n = spec.ambient.christoffel(J.trunc(X, m, 2), m)
-        if gamma_n is not None:
-            gamma_dX = J.contract("abc,ib->aci", gamma_n, dX2, m)
+        if self.gamma_n_c is not None:
+            gamma_dX = J.contract("abc,ib->aci", self.gamma_n_c, dX2, m)
             B = B + J.contract("aci,jc->ija", gamma_dX, dX2, m)
-        self.B_c = B
-        self.H_c = J.contract("ij,ija->a", ginv2, B, m) * (1.0 / m)
+        self.H_c = J.contract("ij,ija->a", self.ginv_c, B, m) * (1.0 / m)
         self.H_val = values(self.H_c, 1)
         self.B_val = values(B, 3)
         self.normH = np.sqrt(self.e2_val * vdot(self.H_val, self.H_val))
@@ -262,42 +275,38 @@ class PointGeometry:
             self._hypersurface_fields(dX2)
 
     def _hypersurface_fields(self, dX2):
-        spec = self.spec
-        m, n = spec.m, spec.n
-        w = J.stack(_cofactor_normal(J.unstack(dX2, m, 2), m, n))
+        m = self.spec.m
+        w = hypersurface_normal(dX2, m)
         e2 = self.e2.trunc(2)
         wnorm = J.sqrt(e2 * J.Jet(m, 2, J.contract("a,a->", w, w, m)))
         self.eta_c = J.contract("a,->a", w, J.reciprocal(wnorm).coeffs, m)
         self.eta_val = values(self.eta_c, 1)
 
-        self.lam_jet = e2 * J.Jet(m, 2, J.contract("a,a->", self.H_c, self.eta_c, m))
-        self.lam = self.lam_jet.value
+        lam = e2 * J.Jet(m, 2, J.contract("a,a->", self.H_c, self.eta_c, m))
+        self.lam = lam.value
 
         # scalar second fundamental form and shape operator
         self.b_val = per_point(self.e2_val, 2) * vdot(
             self.B_val, self.eta_val[..., None, None, :]
         )
         self.S_val = self.ginv_val @ self.b_val  # mixed shape operator
-        self.normA2 = _sum_last(
-            np.diagonal(self.S_val @ self.S_val, axis1=-2, axis2=-1)
-        )
-        self.frame = orthonormal_frame(self.g_val)
-        self.A_frame = mT(self.frame) @ self.b_val @ self.frame
+        self.normA2 = _trace(self.S_val @ self.S_val)
+        frame = orthonormal_frame(self.g_val)
+        self.A_frame = mT(frame) @ self.b_val @ frame
 
         # gradient and Laplacian of the mean curvature function
-        dlam = J.gradient(self.lam_jet.coeffs, m, range(m))
+        dlam = J.gradient(lam.coeffs, m, range(m))
         self.dlam_val = values(dlam, 1)
         self.grad_lam = matvec(self.ginv_val, self.dlam_val)  # intrinsic components
         self.grad_lam_amb = matvec(mT(self.dX_val), self.grad_lam)
 
-        # Delta lambda = (1/sqrt det g) d_i (sqrt det g g^ij d_j lambda)
-        sqrt_detg = J.sqrt(self.detg.trunc(1))
-        flux = J.contract("ij,j->i", J.trunc(self.ginv_c, m, 1), dlam, m)
-        flux = J.contract("i,->i", flux, sqrt_detg.coeffs, m)
-        div = sum(J.deriv(flux[:, i], m, i)[0] for i in range(m))
-        self.lap_lam = div / sqrt_detg.value
+        # Delta lambda = g^ij (d_i d_j lambda - Gamma^k_ij d_k lambda)
+        hess = values(J.gradient(dlam, m, range(m)), 2)
+        gamma_ijk = np.moveaxis(values(self.gamma_c, 3), -3, -1)
+        hess = hess - vdot(gamma_ijk, self.dlam_val[..., None, None, :])
+        self.lap_lam = _trace(self.ginv_val @ hess)
 
-        self.ric_eta_eta = (spec.n - 1) * spec.ambient.c
+        self.ric_eta_eta = (self.spec.n - 1) * self.spec.ambient.c
 
     # -- conveniences -----------------------------------------------------
 

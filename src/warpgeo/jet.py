@@ -27,8 +27,9 @@ multiplies two of them and sums over repeated indices in one call: it
 gathers the coefficient pairs of the truncated product, forms all their
 products with one ``einsum`` (``...`` spans the batch) and adds them into
 their coefficients in one fixed order with one ``np.bincount``, so a batch
-still equals its points one by one.  :func:`deriv`, :func:`gradient` and
-:func:`trunc` are the array forms of :meth:`Jet.d` and :meth:`Jet.trunc`.
+still equals its points one by one (:func:`jet_mat_inverse` is a series of
+contractions).  :func:`deriv`, :func:`gradient` and :func:`trunc` are the
+array forms of :meth:`Jet.d` and :meth:`Jet.trunc`.
 """
 
 from __future__ import annotations
@@ -376,20 +377,18 @@ def gradient(c, n_vars, slots, axis=1):
 
 
 def stack(jets):
-    """The coefficient array (size, *tensor, *batch) of a nested list of
-    scalar jets of one space, their batch shapes broadcast together."""
-    rows = [stack(j) if isinstance(j, list) else j.coeffs for j in jets]
+    """The coefficient array (size, k, *batch) of a list of k scalar jets of
+    one space, their batch shapes broadcast together."""
+    rows = [j.coeffs for j in jets]
     ndim = max(r.ndim for r in rows)
     rows = [r.reshape(r.shape + (1,) * (ndim - r.ndim)) for r in rows]
     return np.stack(np.broadcast_arrays(*rows), axis=1)
 
 
-def unstack(c, n_vars, depth=0):
-    """The scalar jets of the first `depth` tensor axes of `c`, as nested
-    lists (a single jet for depth 0)."""
-    if depth == 0:
-        return Jet(n_vars, order_of(c, n_vars), c)
-    return [unstack(c[:, i], n_vars, depth - 1) for i in range(c.shape[1])]
+def unstack(c, n_vars):
+    """The scalar jet with the coefficients c (size, *batch): one entry of
+    a jet tensor."""
+    return Jet(n_vars, order_of(c, n_vars), c)
 
 
 @lru_cache(maxsize=256)
@@ -571,48 +570,21 @@ def jpow(a, exponent):
     return _compose(a, series)
 
 
-# -- small dense linear algebra over jets ---------------------------------
+# -- small dense linear algebra over jets: contractions of jet tensors ----
 
 
-def jet_det(mat):
-    """Determinant by Laplace expansion (division-free; matrices here are
-    at most 4x4)."""
-    n = len(mat)
-    if n == 1:
-        return mat[0][0]
-    if n == 2:
-        return mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
-    total = None
-    for j in range(n):
-        minor = [
-            [mat[r][c] for c in range(n) if c != j] for r in range(1, n)
-        ]
-        term = mat[0][j] * jet_det(minor)
-        if j % 2 == 1:
-            term = -term
-        total = term if total is None else total + term
-    return total
-
-
-def jet_mat_inverse(mat, det=None):
-    """Inverse via the adjugate; raises SingularJetError through jet
-    division when the determinant value vanishes."""
-    n = len(mat)
-    if det is None:
-        det = jet_det(mat)
-    inv_det = reciprocal(det)
-    if n == 1:
-        return [[inv_det]]
-    inv = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [
-                [mat[r][c] for c in range(n) if c != i]
-                for r in range(n)
-                if r != j
-            ]
-            cof = jet_det(minor)
-            if (i + j) % 2 == 1:
-                cof = -cof
-            inv[i][j] = cof * inv_det
-    return inv
+def jet_mat_inverse(c, n_vars, inv0):
+    """The inverse of the jet matrices `c` (size, d, d, *batch), given the
+    float inverse `inv0` (d, d, *batch) of their values.  With c = c0 + N,
+    N nilpotent, and A = inv0 as a constant jet, the inverse solves
+    X = A - (A N) X; each pass from X = A fixes one more order (Griewank &
+    Walther, Evaluating Derivatives, ch. 13)."""
+    A = np.zeros(c.shape[:1] + inv0.shape)
+    A[0] = inv0
+    N = c.copy()
+    N[0] = 0.0
+    step = contract("ij,jk->ik", A, N, n_vars)
+    X = A
+    for _ in range(order_of(c, n_vars)):
+        X = A - contract("ij,jk->ik", step, X, n_vars)
+    return X

@@ -40,10 +40,10 @@ class MapSpec:
                                        coordinates (size, codim) at the
                                        seeds' order, and of the domain metric
                                        (size', dim, dim) one order below
-    codomain_christoffel(phi, k)    -> Christoffel jet tensor (size, codim,
-                                       codim, codim) truncated to order k
-                                       (phi passed at full order), or None
-                                       where the symbols vanish
+    codomain_christoffel(phi)       -> Christoffel jet tensor (size, codim,
+                                       codim, codim) along phi, two orders
+                                       below phi, or None where the symbols
+                                       vanish
     codomain_curvature(t, a, b, x)  -> value-level R(t, a) b at codomain
                                        point x
     """
@@ -63,54 +63,55 @@ def _seed(point, dim, order):
     return [J.jet_variable(i, float(point[i]), dim, order) for i in range(dim)]
 
 
-def _pullback_hessian(V, gbar1, dphi, gamma_dom, n_vars):
+def _pullback_hessian(V, gbar, dphi, gamma_dom, n_vars):
     """(nabla^2 V)_{kl}^a of a vector field V along a map phi, as a value
     array of shape (d, d, D), over the d = n_vars domain variables.
 
-    Jet tensors: V (size, D) the field at order 2; gbar1 (size1, D, D, D)
-    the codomain Christoffels along phi at order 1, or None where they
+    Jet tensors: V (size, D) the field at order 2; gbar (size, D, D, D)
+    the codomain Christoffels along phi at order 2, or None where they
     vanish; dphi (size, d, D) the coordinate derivatives dphi_k^a;
     gamma_dom (size, d, d, d) the domain Christoffels.
     """
     d = n_vars
     # first pull-back covariant derivative of V, retained as order-1 jets
     nV = J.gradient(V, d, range(d))  # nV[l, a] = d_l V^a
-    if gbar1 is not None:
-        gV = J.contract("abc,c->ab", gbar1, J.trunc(V, d, 1), d)
+    if gbar is not None:
+        gV = J.contract("abc,c->ab", J.trunc(gbar, d, 1), J.trunc(V, d, 1), d)
         nV = nV + J.contract("ab,lb->la", gV, J.trunc(dphi, d, 1), d)
 
     # tensorial second covariant derivative, on values
     sec = J.gradient(nV, d, range(d))[0]  # sec[k, l, a] = d_k nV[l, a]
     sec = sec - np.einsum("jkl,ja->kla", gamma_dom[0], nV[0])
-    if gbar1 is not None:
-        sec = sec + np.einsum("abc,kb,lc->kla", gbar1[0], dphi[0], nV[0])
+    if gbar is not None:
+        sec = sec + np.einsum("abc,kb,lc->kla", gbar[0], dphi[0], nV[0])
     return sec
 
 
 def _tension_pipeline(mapspec, point):
-    """(phi, dphi, G, gamma_dom, tau) at `point` as jet tensors: the
+    """(phi, dphi, G, gamma_dom, gbar, tau) at `point` as jet tensors: the
     components and their coordinate derivatives, the domain metric and its
-    Christoffels, and the tension field two orders below the seeds."""
+    Christoffels, the codomain Christoffels along phi (None where they
+    vanish), and the tension field; gamma_dom, gbar and tau are two orders
+    below the seeds."""
     d = mapspec.dim
     if len(point) != d:
         raise UsageError(f"point has {len(point)} coords, expected {d}")
     phi, G = mapspec.evaluate(_seed(point, d, JET_ORDER))
     Ginv = metric_inverse(G, d)
-    gamma_dom = christoffels_from_metric(G, Ginv, d)  # order - 2
+    gamma_dom = christoffels_from_metric(G, Ginv, d)
     dphi = J.gradient(phi, d, range(d))  # dphi[k, a] = d_k phi^a
 
     # tau^a = G^kl (d_l d_k phi^a + Gbar^a_bc dphi_k^b dphi_l^c
     #               - Gamma^j_kl dphi_j^a)
-    t_ord = JET_ORDER - 2
-    dphi_t = J.trunc(dphi, d, t_ord)
+    dphi_t = J.trunc(dphi, d, JET_ORDER - 2)
     hess = J.gradient(dphi, d, range(d), axis=2)
     hess = hess - J.contract("jkl,ja->kla", gamma_dom, dphi_t, d)
-    gbar = mapspec.codomain_christoffel(phi, t_ord)
+    gbar = mapspec.codomain_christoffel(phi)
     if gbar is not None:
         gbar_dphi = J.contract("abc,kb->ack", gbar, dphi_t, d)
         hess = hess + J.contract("ack,lc->kla", gbar_dphi, dphi_t, d)
-    tau = J.contract("kl,kla->a", J.trunc(Ginv, d, t_ord), hess, d)
-    return phi, dphi, G, gamma_dom, tau
+    tau = J.contract("kl,kla->a", Ginv, hess, d)
+    return phi, dphi, G, gamma_dom, gbar, tau
 
 
 def tension_first_principles(mapspec, point):
@@ -119,9 +120,8 @@ def tension_first_principles(mapspec, point):
 
 
 def bitension_first_principles(mapspec, point):
-    phi, dphi, G, gamma_dom, tau = _tension_pipeline(mapspec, point)
-    gbar1 = mapspec.codomain_christoffel(phi, 1)
-    sec = _pullback_hessian(tau, gbar1, dphi, gamma_dom, mapspec.dim)
+    phi, dphi, G, gamma_dom, gbar, tau = _tension_pipeline(mapspec, point)
+    sec = _pullback_hessian(tau, gbar, dphi, gamma_dom, mapspec.dim)
 
     frame = orthonormal_frame(G[0])
     rough = np.einsum("ki,li,kla->a", frame, frame, sec)
@@ -144,8 +144,8 @@ def inclusion_map(spec):
         X, _, _, g = induced_metric_jets(spec, var_jets, range(m))
         return X, g
 
-    def codomain_christoffel(phi, order):
-        return chart.christoffel(J.trunc(phi, m, order), m)
+    def codomain_christoffel(phi):
+        return chart.christoffel(J.trunc(phi, m, J.order_of(phi, m) - 2), m)
 
     def codomain_curvature(t_vec, a_vec, b_vec, x):
         return spaceform_curvature(chart, t_vec, a_vec, b_vec, x)
@@ -174,11 +174,11 @@ def warped_inclusion_map(scene):
         G[:, 1:, 1:] = J.contract("ij,->ij", g, (f * f).coeffs, d)
         return np.concatenate((t.coeffs[:, None], X), axis=1), G
 
-    def codomain_christoffel(phi, order):
-        f_full = warp_jet(J.unstack(phi[:, 0], d))
-        f = f_full.trunc(order)
+    def codomain_christoffel(phi):
+        order = J.order_of(phi, d) - 2
         # slot 0 of the domain is t itself, so d/d slot0 is d/dt
-        f1 = f_full.d(0).trunc(order)
+        f_up = warp_jet(J.unstack(J.trunc(phi[:, 0], d, order + 1), d))
+        f, f1 = f_up.trunc(order), f_up.d(0)
         x = J.trunc(phi[:, 1:], d, order)
         e2 = chart.metric_factor(x, d)
         eye = np.eye(n)
@@ -216,8 +216,7 @@ def submanifold_bitension(spec, point, geometry=None):
     m, n = spec.m, spec.n
     chart = spec.ambient
 
-    gamma_n1 = chart.christoffel(J.trunc(pg.X_c, m, 1), m)
-    sec = _pullback_hessian(pg.H_c, gamma_n1, pg.dX_c, pg.gamma_c, m)
+    sec = _pullback_hessian(pg.H_c, pg.gamma_n_c, pg.dX_c, pg.gamma_c, m)
     trace_sec = np.einsum("kl,kla->a", pg.ginv_val, sec)
     curv = np.zeros(n)
     for k in range(m):

@@ -131,12 +131,11 @@ class TestWarped:
                 x = [J.jet_variable(i, point[i], n + 1, 3) for i in range(n + 1)]
                 f = eval_jet(warp, {"t": x[0]}, {})
                 f2e2 = f * f * chart.metric_factor(J.stack(x[1:]), n + 1)
-                zero = J.jet_constant(0.0, n + 1, 3)
-                G = [[zero] * (n + 1) for _ in range(n + 1)]
-                G[0][0] = J.jet_constant(1.0, n + 1, 3)
+                G = np.zeros((len(f2e2.coeffs), n + 1, n + 1))
+                G[0, 0, 0] = 1.0
                 for a in range(n):
-                    G[a + 1][a + 1] = f2e2
-                return J.stack(G)
+                    G[:, a + 1, a + 1] = f2e2.coeffs
+                return G
 
             point = np.concatenate(([0.3], rng.uniform(-0.4, 0.4, size=n)))
             riem, _ = oracle.curvature_components(metric_rule, point)

@@ -129,6 +129,19 @@ class TestCone:
                 assert pg.normA2 == pytest.approx(a2, rel=1e-9)
                 assert pg.lap_lam == pytest.approx(lap, rel=1e-8)
 
+    @pytest.mark.parametrize("u", [1e-3, 1.0, 1e10, 1e20, 1e40, 1e60])
+    @pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
+    def test_badly_scaled_metric(self, cone, r, u):
+        # g = diag(1 + r^2, r^2 u^2) up to rounding: its diagonal spans up to
+        # 120 decades, where a pivoted inverse of g itself loses g^{uv}
+        pg = PointGeometry(cone(r), (u, 0.7))
+        lam = 1.0 / (2.0 * r * math.sqrt(1 + r * r) * u)
+        a2 = 1.0 / (r * r * (1 + r * r) * u * u)
+        lap = 1.0 / (2.0 * r * (1 + r * r) ** 1.5 * u**3)
+        assert pg.lam == pytest.approx(lam, rel=1e-13, abs=0.0)
+        assert pg.normA2 == pytest.approx(a2, rel=1e-13, abs=0.0)
+        assert pg.lap_lam == pytest.approx(lap, rel=1e-13, abs=0.0)
+
     def test_lap_lambda_r2(self, cone):
         assert PointGeometry(cone(2.0), (1.0, 0.3)).lap_lam == pytest.approx(
             1.0 / (4.0 * 5.0**1.5), rel=1e-9

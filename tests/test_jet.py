@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from warpgeo import jet as J
 from warpgeo.errors import ConfigError, EvalDomainError, SingularJetError, UsageError
+from warpgeo.immersion import hypersurface_normal
 
 
 def finite(lo=-3.0, hi=3.0):
@@ -192,18 +193,43 @@ class TestPartialExtraction:
         assert np.array_equal(g.coeffs, f.coeffs[: J._space(2, 2).size])
 
 
+matrix_cases = st.tuples(
+    st.integers(1, 4),  # matrix or tangent dimension
+    st.integers(1, 4),  # n_vars
+    st.integers(0, 4),  # order
+    st.integers(0, 2**32 - 1),
+)
+
+
 class TestLinearAlgebra:
-    def test_det_and_inverse(self, rng):
-        vals = rng.normal(size=(3, 3))
-        spd = vals @ vals.T + 3 * np.eye(3)
-        mat = [
-            [J.jet_constant(spd[i, j], 2, 2) for j in range(3)] for i in range(3)
-        ]
-        det = J.jet_det(mat)
-        assert det.value == pytest.approx(np.linalg.det(spd), rel=1e-10)
-        inv = J.jet_mat_inverse(mat)
-        inv_val = np.array([[inv[i][j].value for j in range(3)] for i in range(3)])
-        assert np.allclose(inv_val, np.linalg.inv(spd), atol=1e-10)
+    @settings(max_examples=60, deadline=None)
+    @given(matrix_cases)
+    def test_series_inverse_is_the_inverse(self, case):
+        d, n_vars, order, seed = case
+        size = J._space(n_vars, order).size
+        c = np.random.default_rng(seed).uniform(-1.0, 1.0, (size, d, d))
+        c[0] += 3.0 * d * np.eye(d)  # diagonally dominant
+        inv = J.jet_mat_inverse(c, n_vars, np.linalg.inv(c[0]))
+        identity = np.zeros_like(c)
+        identity[0] = np.eye(d)
+        scale = J.contract("ij,jk->ik", np.abs(c), np.abs(inv), n_vars)
+        residual = J.contract("ij,jk->ik", c, inv, n_vars) - identity
+        assert np.all(np.abs(residual) <= 1e-13 * scale)
+
+    @settings(max_examples=60, deadline=None)
+    @given(matrix_cases)
+    def test_normal_is_orthogonal_and_positively_oriented(self, case):
+        m, n_vars, order, seed = case
+        size = J._space(n_vars, order).size
+        dX = np.random.default_rng(seed).uniform(-1.0, 1.0, (size, m, m + 1))
+        w = hypersurface_normal(dX, n_vars)
+        assert w.shape == (size, m + 1)
+        dots = J.contract("ia,a->i", dX, w, n_vars)
+        bound = J.contract("ia,a->i", np.abs(dX), np.abs(w), n_vars)
+        assert np.all(np.abs(dots) <= 1e-13 * bound)
+        assert np.linalg.det(np.vstack([dX[0], w[0]])) > 0.0
+        if m == 2:
+            assert np.array_equal(w[0], np.cross(dX[0, 0], dX[0, 1]))
 
 
 # -- jet tensors: contract, deriv, trunc ---------------------------------------
@@ -211,9 +237,9 @@ class TestLinearAlgebra:
 # every contraction pattern the package uses
 PATTERNS = [
     "ia,ja->ij", "ij,->ij", "kl,ijl->kij", "kij,ka->ija", "abc,ib->aci",
-    "aci,jc->ija", "ij,ija->a", "a,a->", "a,->a", "ij,j->i", "i,->i", ",a->a",
-    "abc,c->ab", "ab,lb->la", "jkl,ja->kla", "abc,kb->ack", "ack,lc->kla",
-    "kl,kla->a",
+    "aci,jc->ija", "ij,ija->a", "a,a->", "a,->a", ",a->a", "abc,c->ab",
+    "ab,lb->la", "jkl,ja->kla", "abc,kb->ack", "ack,lc->kla", "kl,kla->a",
+    "ij,jk->ik", "ca,c->a", "cda,c->da", "da,d->a",
 ]
 
 tensor_cases = st.tuples(
@@ -282,8 +308,9 @@ def test_contract_batch_equals_its_columns(case, width):
 def test_array_forms_match_jet_methods(case):
     _, n_vars, order, _, _ = case
     _, _, _, a, _ = _operands(case)
-    if a.ndim > 1:
-        assert np.array_equal(J.stack(J.unstack(a, n_vars, a.ndim - 1)), a)
+    if a.ndim == 2:
+        entries = [J.unstack(a[:, i], n_vars) for i in range(a.shape[1])]
+        assert np.array_equal(J.stack(entries), a)
     flat = a.reshape(len(a), -1)
     for k in range(flat.shape[1]):
         jet = J.Jet(n_vars, order, flat[:, k])

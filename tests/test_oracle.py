@@ -4,7 +4,7 @@ import pytest
 from warpgeo import oracle, warped
 from warpgeo.ambient import AmbientChart
 from warpgeo.biharmonic import normal_residual, tangential_residual
-from warpgeo.errors import UsageError
+from warpgeo.errors import DegenerateImmersionError, UsageError
 from warpgeo.immersion import PointGeometry, immersion
 
 
@@ -26,6 +26,11 @@ class TestTension:
     def test_plane_is_harmonic(self, plane):
         tau = oracle.tension_first_principles(oracle.inclusion_map(plane), (0.4, -1.2))
         assert np.allclose(tau, 0.0, atol=1e-10)
+
+    def test_degenerate_domain_metric(self, cone):
+        # on the cone's axis u = 0 the domain metric has rank 1
+        with pytest.raises(DegenerateImmersionError, match="det g = 0"):
+            oracle.tension_first_principles(oracle.inclusion_map(cone(1.0)), (0.0, 1.0))
 
 
 class TestBitension:

@@ -280,7 +280,7 @@ def test_bad_input_exits_2_with_message(tmp_path, capsys, data, argv):
 
 
 def test_classify_beyond_float_range_exits_3(tmp_path, capsys):
-    code = run_cli(["classify", write_scene(tmp_path, CONE_SCENE), "--points", "1e80,0.7"])
+    code = run_cli(["classify", write_scene(tmp_path, CONE_SCENE), "--points", "1e160,0.7"])
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("error: ") and "float range" in err
@@ -327,10 +327,10 @@ def test_classify_overflowing_component_exits_3(tmp_path, capsys, components, po
 def test_scan_lists_overflow_as_failure(tmp_path, capsys):
     out_json = tmp_path / "scan.json"
     argv = ["scan", write_scene(tmp_path, CONE_SCENE), "--param", "r"]
-    argv += ["--range", "0.5:1e22", "--samples", "2", "--json", str(out_json)]
+    argv += ["--range", "0.5:1e160", "--samples", "2", "--json", str(out_json)]
     code = run_cli(argv)
     err = capsys.readouterr().err
     assert code == 0
     [(value, message)] = json.loads(out_json.read_text())["failures"]
-    assert value == 1e22 and "float range" in message
+    assert value == 1e160 and "float range" in message
     assert "Traceback" not in err
