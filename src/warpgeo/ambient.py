@@ -86,15 +86,15 @@ class AmbientChart:
         )
 
 
-def spaceform_curvature(chart, x_vec, y_vec, z_vec, point):
-    """R^N(X,Y)Z = c (h(Y,Z) X - h(X,Z) Y) at constant curvature c."""
+def spaceform_curvature(chart, x_vec, y_vec, z_vec, e2):
+    """R^N(X,Y)Z = c (h(Y,Z) X - h(X,Z) Y) at constant curvature c, at a
+    point where h = e2 delta (e2 from `metric_factor_value`)."""
     c = chart.c
     if c == 0.0:
         return np.zeros_like(np.asarray(x_vec, dtype=float))
     x_vec = np.asarray(x_vec, dtype=float)
     y_vec = np.asarray(y_vec, dtype=float)
     z_vec = np.asarray(z_vec, dtype=float)
-    e2 = chart.metric_factor_value(point)
     return c * (e2 * np.dot(y_vec, z_vec) * x_vec - e2 * np.dot(x_vec, z_vec) * y_vec)
 
 
@@ -142,7 +142,7 @@ def warped_curvature_full(warp, chart, x, y, z, point):
     e2 = chart.metric_factor_value(point)
     f, f1, f2 = warp.f, warp.f1, warp.f2
 
-    n_part = spaceform_curvature(chart, xn, yn, zn, point)
+    n_part = spaceform_curvature(chart, xn, yn, zn, e2)
     n_part = n_part - f1**2 * (
         e2 * np.dot(zn, yn) * xn - e2 * np.dot(zn, xn) * yn
     )

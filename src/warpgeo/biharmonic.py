@@ -16,6 +16,8 @@ from .immersion import PointGeometry, matvec, mT, per_point, vdot
 _ROOT_RATE_BAND = 1e3
 _XTOL = 1e-10
 _RTOL = 4 * sys.float_info.epsilon
+# points per batched PointGeometry in classify
+_CHUNK = 512
 
 
 def normal_residual(spec, point, geometry=None):
@@ -85,7 +87,7 @@ def classify(spec, points, tol, geometries=None):
 
     `geometries`, if given, holds PointGeometry objects covering the
     points (one per point, or batched); otherwise the points are evaluated
-    as one batch.  A maximum over residuals one of which is NaN is NaN,
+    in batches of _CHUNK.  A maximum over residuals one of which is NaN is NaN,
     so a NaN residual never passes a tolerance."""
     points = [tuple(p) for p in points]
     if not points:
@@ -126,6 +128,13 @@ def _max(acc, values):
 
 
 def _geometries(spec, points):
+    """The PointGeometry of `points`, one batch per _CHUNK points, so the
+    memory a grid takes is bounded by one chunk."""
+    for start in range(0, len(points), _CHUNK):
+        yield from _batch(spec, points[start : start + _CHUNK])
+
+
+def _batch(spec, points):
     """The PointGeometry of `points` as one batch.  If the batch raises,
     the points are evaluated one by one, so the error raised is the one of
     the first failing point."""

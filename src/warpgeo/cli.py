@@ -218,48 +218,23 @@ def cmd_warp(args):
     point = _parse_points(args.point, scene.immersion.m)[0]
     tgrid = _parse_tgrid(args.t)
     reports = [warped.warped_report(ws, float(t), point) for t in tgrid]
-    rows = [
-        [
-            _fmt(r.t),
-            _fmt(r.f),
-            _fmt(r.pairing),
-            _fmt(r.pairing_closed_form),
-            _fmt(r.power_residual),
-            _fmt(r.tangential_part_norm),
-            _fmt(r.normal_part_norm),
-        ]
+    values = [
+        (r.t, r.f, r.pairing, r.pairing_closed_form, r.power_residual,
+         r.tangential_part_norm, r.normal_part_norm)
         for r in reports
     ]
     _print_table(
         ["t", "f", "pairing", "pairingClosed", "powerResidual", "|tangential|", "|normal|"],
-        rows,
+        [[_fmt(v) for v in row] for row in values],
     )
     if args.csv:
         with _open_report(args.csv) as fh:
             writer = csv.writer(fh)
             writer.writerow(
-                [
-                    "t",
-                    "f",
-                    "pairing",
-                    "pairing_closed_form",
-                    "power_residual",
-                    "tangential_norm",
-                    "normal_norm",
-                ]
+                ["t", "f", "pairing", "pairing_closed_form", "power_residual",
+                 "tangential_norm", "normal_norm"]
             )
-            for r in reports:
-                writer.writerow(
-                    [
-                        r.t,
-                        r.f,
-                        r.pairing,
-                        r.pairing_closed_form,
-                        r.power_residual,
-                        r.tangential_part_norm,
-                        r.normal_part_norm,
-                    ]
-                )
+            writer.writerows(values)
     if args.json:
         _emit_json(args.json, {"reports": [r.to_dict() for r in reports]})
     return 0

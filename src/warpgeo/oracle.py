@@ -148,7 +148,8 @@ def inclusion_map(spec):
         return chart.christoffel(J.trunc(phi, m, J.order_of(phi, m) - 2), m)
 
     def codomain_curvature(t_vec, a_vec, b_vec, x):
-        return spaceform_curvature(chart, t_vec, a_vec, b_vec, x)
+        e2 = chart.metric_factor_value(x)
+        return spaceform_curvature(chart, t_vec, a_vec, b_vec, e2)
 
     return MapSpec(m, n, evaluate, codomain_christoffel, codomain_curvature)
 
@@ -218,11 +219,12 @@ def submanifold_bitension(spec, point, geometry=None):
 
     sec = _pullback_hessian(pg.H_c, pg.gamma_n_c, pg.dX_c, pg.gamma_c, m)
     trace_sec = np.einsum("kl,kla->a", pg.ginv_val, sec)
+    e2 = chart.metric_factor_value(pg.X_val)
     curv = np.zeros(n)
     for k in range(m):
         for l in range(m):
             curv += pg.ginv_val[k][l] * spaceform_curvature(
-                chart, pg.H_val, pg.dX_val[k], pg.dX_val[l], pg.X_val
+                chart, pg.H_val, pg.dX_val[k], pg.dX_val[l], e2
             )
     return -m * (curv + trace_sec)
 

@@ -127,20 +127,21 @@ def _warp_scenes(spec):
     ]
 
 
-def _checks_tension_equivalence():
+def _checks_tension_equivalence(slice1):
     out = []
-    for label, spec in (("sphere-slice", sphere_slice(1.0)), ("cone", cone(1.0))):
+    for label, spec in (("sphere-slice", slice1), ("cone", cone(1.0))):
         point = (0.3, -0.2) if label == "sphere-slice" else (1.0, 0.7)
-        pg = PointGeometry(spec, point)
+        base = warped.base_point(spec, point)
         for src, scene in _warp_scenes(spec):
             ms = oracle.warped_inclusion_map(scene)
             for t in T_SAMPLES:
                 fp = oracle.tension_first_principles(ms, (t,) + point)
-                closed = warped.inclusion_tension(scene, t, point, geometry=pg)
+                w = scene.warp_at(t)
+                closed = warped.inclusion_tension(scene, t, point, w)
                 diff = warped.hbar_norm(
-                    scene, t, pg.X_val, warped.WVec(fp[0] - closed.t, fp[1:] - closed.n)
+                    base, w, warped.WVec(fp[0] - closed.t, fp[1:] - closed.n)
                 )
-                scale = 1.0 + warped.hbar_norm(scene, t, pg.X_val, closed)
+                scale = 1.0 + warped.hbar_norm(base, w, closed)
                 out.append(
                     Check(
                         f"tension oracle {label} f={src} t={t:g}",
@@ -160,23 +161,20 @@ def _checks_tension_equivalence():
     return out
 
 
-def _checks_bitension_equivalence():
+def _checks_bitension_equivalence(spec):
     out = []
-    spec = sphere_slice(1.0)
     point = (0.3, -0.2)
-    pg = PointGeometry(spec, point)
+    base = warped.base_point(spec, point)
     for src, scene in _warp_scenes(spec):
         ms = oracle.warped_inclusion_map(scene)
         for t in T_SAMPLES:
             fp = oracle.bitension_first_principles(ms, (t,) + point)
-            closed = warped.inclusion_bitension(scene, t, point, geometry=pg)
+            w = scene.warp_at(t)
+            closed = warped.inclusion_bitension(scene, t, point, w)
             diff = warped.hbar_norm(
-                scene,
-                t,
-                pg.X_val,
-                warped.WVec(fp[0] - closed.vec.t, fp[1:] - closed.vec.n),
+                base, w, warped.WVec(fp[0] - closed.vec.t, fp[1:] - closed.vec.n)
             )
-            scale = 1.0 + warped.hbar_norm(scene, t, pg.X_val, closed.vec)
+            scale = 1.0 + warped.hbar_norm(base, w, closed.vec)
             out.append(
                 Check(
                     f"bitension oracle sphere-slice f={src} t={t:g}",
@@ -188,14 +186,12 @@ def _checks_bitension_equivalence():
     return out
 
 
-def _checks_pairing():
-    spec = sphere_slice(1.0)
+def _checks_pairing(spec):
     point = (0.3, -0.2)
-    pg = PointGeometry(spec, point)
     scene = warped.warped_scene(spec, "exp(t)", {}, WARP_INTERVAL)
     out = []
     for t, ref in ((0.0, 16.0), (0.5, 16.0 * math.exp(-1.0))):
-        pr = warped.pairing(scene, t, point, geometry=pg)
+        pr = warped.pairing(scene, t, point)
         out.append(Check(f"pairing direct f=exp(t) t={t:g}", ref, pr.direct, 1e-6))
         out.append(
             Check(f"pairing closed form f=exp(t) t={t:g}", ref, pr.closed_form, 1e-6)
@@ -203,7 +199,7 @@ def _checks_pairing():
     return out
 
 
-def _checks_power_family():
+def _checks_power_family(slice1):
     out = []
     cases = (
         ((1.0, 2.0, 2), (0.0, 1.5)),
@@ -211,9 +207,8 @@ def _checks_power_family():
         ((-0.5, 4.0, 2), (0.0, 1.5)),
     )
     for (a, b, m), interval in cases:
-        spec = sphere_slice(1.0, m=m)
+        spec = slice1 if m == 2 else sphere_slice(1.0, m=m)
         point = (0.3, -0.2, 0.1)[:m]
-        pg = PointGeometry(spec, point)
         scene = warped.warped_scene(
             spec, "(a*t+b)^(1/m)", {"a": a, "b": b, "m": m}, interval
         )
@@ -229,22 +224,21 @@ def _checks_power_family():
                     1e-12,
                 )
             )
-            pr = warped.pairing(scene, float(t), point, geometry=pg)
+            pr = warped.pairing(scene, float(t), point)
             out.append(Check(f"power pairing {tag}", 0.0, pr.direct, 1e-9))
     return out
 
 
-def _checks_tangential_corollaries():
-    spec = sphere_slice(1.0)
+def _checks_tangential_corollaries(spec):
     point = (0.3, -0.2)
-    pg = PointGeometry(spec, point)
+    base = warped.base_point(spec, point)
     out = []
     cosw = warped.warped_scene(spec, "2+cos(t)", {}, WARP_INTERVAL)
-    b0 = warped.inclusion_bitension(cosw, 0.0, point, geometry=pg)
+    b0 = warped.inclusion_bitension(cosw, 0.0, point)
     out.append(
         Check("tangential part at f'(0)=0 (f=2+cos t)", 0.0, b0.tangential_norm, 1e-8)
     )
-    b5 = warped.inclusion_bitension(cosw, 0.5, point, geometry=pg)
+    b5 = warped.inclusion_bitension(cosw, 0.5, point)
     out.append(
         Check(
             "tangential part nonzero at t=0.5 (f=2+cos t), floor 0.05",
@@ -254,37 +248,36 @@ def _checks_tangential_corollaries():
         )
     )
     sq = warped.warped_scene(spec, "2+t^2", {}, WARP_INTERVAL)
-    bs = warped.inclusion_bitension(sq, 0.0, point, geometry=pg)
+    bs = warped.inclusion_bitension(sq, 0.0, point)
     out.append(
         Check(
             "bitension nonzero at t=0 (f=2+t^2), floor 0.5",
             1.0,
-            float(warped.hbar_norm(sq, 0.0, pg.X_val, bs.vec) >= 0.5),
+            float(warped.hbar_norm(base, sq.warp_at(0.0), bs.vec) >= 0.5),
             0.0,
         )
     )
     cb = warped.warped_scene(spec, "2+t^3", {}, WARP_INTERVAL)
-    bc = warped.inclusion_bitension(cb, 0.0, point, geometry=pg)
+    bc = warped.inclusion_bitension(cb, 0.0, point)
     out.append(
         Check(
             "bitension vanishes at f'=f''=0 (f=2+t^3)",
             0.0,
-            warped.hbar_norm(cb, 0.0, pg.X_val, bc.vec),
+            warped.hbar_norm(base, cb.warp_at(0.0), bc.vec),
             1e-7,
         )
     )
     return out
 
 
-def _checks_ricci():
-    spec = sphere_slice(1.0)
+def _checks_ricci(spec):
     point = (0.3, -0.2)
-    pg = PointGeometry(spec, point)
-    x = np.array([1.0, 0.0]) / math.sqrt(pg.g_val[0, 0])
+    g_val = warped.base_point(spec, point).geometry.g_val
+    x = np.array([1.0, 0.0]) / math.sqrt(g_val[0, 0])
     out = []
     for src, scene in _warp_scenes(spec):
         for t in T_SAMPLES:
-            rc = warped.ricci_warped_check(scene, t, point, x, geometry=pg)
+            rc = warped.ricci_warped_check(scene, t, point, x)
             out.append(
                 Check(
                     f"warped Ricci identity f={src} t={t:g}",
@@ -302,7 +295,7 @@ def _checks_ricci():
                 )
             )
     scene = warped.warped_scene(spec, "exp(t)", {}, WARP_INTERVAL)
-    rc = warped.ricci_warped_check(scene, 0.0, point, x, geometry=pg)
+    rc = warped.ricci_warped_check(scene, 0.0, point, x)
     out.append(Check("warped Ricci vanishes (f=exp t, t=0)", 0.0, rc.ric_warped, 1e-6))
     return out
 
@@ -311,12 +304,13 @@ def run_checks(name_filter=None):
     checks = []
     checks.extend(_checks_example_sphere_slice())
     checks.extend(_checks_example_cone())
-    checks.extend(_checks_tension_equivalence())
-    checks.extend(_checks_bitension_equivalence())
-    checks.extend(_checks_pairing())
-    checks.extend(_checks_power_family())
-    checks.extend(_checks_tangential_corollaries())
-    checks.extend(_checks_ricci())
+    slice1 = sphere_slice(1.0)  # one spec: the warped checks share its BasePoint
+    checks.extend(_checks_tension_equivalence(slice1))
+    checks.extend(_checks_bitension_equivalence(slice1))
+    checks.extend(_checks_pairing(slice1))
+    checks.extend(_checks_power_family(slice1))
+    checks.extend(_checks_tangential_corollaries(slice1))
+    checks.extend(_checks_ricci(slice1))
     if name_filter:
         checks = [c for c in checks if name_filter in c.name]
     return checks

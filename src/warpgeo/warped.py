@@ -66,17 +66,63 @@ class WVec:
     n: np.ndarray
 
 
-def hbar_inner(scene, t, point_amb, a, b, warp=None):
-    """Inner product of the warped ambient:
-    h(u, v) = u_t v_t + f^2 h(u_N, v_N).  `warp`, if given, is the
-    WarpEval of the scene at t, which is otherwise evaluated here."""
-    w = warp or scene.warp_at(t)
-    e2 = scene.immersion.ambient.metric_factor_value(point_amb)
-    return a.t * b.t + w.f**2 * e2 * float(np.dot(a.n, b.n))
+@dataclass(frozen=True)
+class BasePoint:
+    """What a warped report at a point of M reads that does not depend on
+    t: the point's geometry, tau_2 of the unwarped inclusion, the biharmonic
+    gate of the closed-form pairing, h's conformal factor e2 at X (by the
+    chart's float formula, as h-inner products take it) and |H|^2_h.  Its
+    arrays and those of its geometry are read-only: reports share it."""
+
+    geometry: PointGeometry
+    submanifold_bitension: np.ndarray
+    biharmonic: bool  # the classify gate; False off hypersurfaces
+    e2: float
+    h2: float
+
+    def tangential(self, v):
+        """The h-orthogonal projection of ambient components v on span{dX_i}."""
+        pg = self.geometry
+        return pg.dX_val.T @ (pg.ginv_val @ (pg.e2_val * (pg.dX_val @ v)))
 
 
-def hbar_norm(scene, t, point_amb, a, warp=None):
-    return float(np.sqrt(max(hbar_inner(scene, t, point_amb, a, a, warp), 0.0)))
+# (spec, point bit patterns, BasePoint) of the last build, read and replaced
+# whole: concurrent callers can at worst build twice, never mix two entries
+_memo = (None, b"", None)
+
+
+def base_point(spec, point):
+    """The BasePoint of `spec` at `point`.  The last one built is returned
+    again for the same spec object at a point of the same float bit
+    patterns, so +0.0 and -0.0 differ; a point holding a NaN never hits."""
+    global _memo
+    coords = np.asarray(point, dtype=float)
+    key = coords.tobytes()
+    last_spec, last_key, last = _memo
+    if last_spec is spec and last_key == key and not np.isnan(coords).any():
+        return last
+    pg = PointGeometry(spec, point)
+    tau2_i = oracle.submanifold_bitension(spec, point, geometry=pg)
+    for a in [*vars(pg).values(), pg.e2.coeffs, tau2_i]:
+        if isinstance(a, np.ndarray):
+            a.setflags(write=False)
+    gate = spec.is_hypersurface and classify(
+        spec, [point], BIHARMONIC_GATE_TOL, geometries=[pg]
+    ).biharmonic
+    h2 = pg.e2_val * float(np.dot(pg.H_val, pg.H_val))
+    base = BasePoint(pg, tau2_i, gate, spec.ambient.metric_factor_value(pg.X_val), h2)
+    _memo = (spec, key, base)
+    return base
+
+
+def hbar_inner(base, warp, a, b):
+    """Inner product of the warped ambient at a BasePoint and a WarpEval:
+    h(u, v) = u_t v_t + f^2 h(u_N, v_N)."""
+    return a.t * b.t + warp.f**2 * base.e2 * float(np.dot(a.n, b.n))
+
+
+def hbar_norm(base, warp, a):
+    return float(np.sqrt(max(hbar_inner(base, warp, a, a), 0.0)))
 
 
 def power_family_residual(warp, t, m, params=None):
@@ -88,12 +134,11 @@ def power_family_residual(warp, t, m, params=None):
     return w.power_residual(m)
 
 
-def inclusion_tension(scene, t, point, geometry=None, warp=None):
+def inclusion_tension(scene, t, point, warp=None):
     """tau(phi) = (m / f^2) H, with no dt-component."""
-    pg = geometry or PointGeometry(scene.immersion, point)
+    base = base_point(scene.immersion, point)
     w = warp or scene.warp_at(t)
-    m = scene.immersion.m
-    return WVec(0.0, (m / w.f**2) * pg.H_val)
+    return WVec(0.0, (scene.immersion.m / w.f**2) * base.geometry.H_val)
 
 
 @dataclass(frozen=True)
@@ -107,39 +152,32 @@ class BitensionParts:
     normal_norm: float
 
 
-def inclusion_bitension(scene, t, point, geometry=None, warp=None):
+def inclusion_bitension(scene, t, point, warp=None):
     """tau_2(phi) = (2m [f f'' + (m-1) f'^2] / f^4) H
                     + (m / f^4) tau_2(i)  -  (m^2 f' / f^3) |H|^2 dt.
 
     tau_2(i) comes from the submanifold closed form evaluated on the same
     geometry, so non-biharmonic bases are handled without assumption."""
-    spec = scene.immersion
-    pg = geometry or PointGeometry(spec, point)
+    base = base_point(scene.immersion, point)
     w = warp or scene.warp_at(t)
-    m = spec.m
-    e2 = pg.e2_val
-    h2 = e2 * float(np.dot(pg.H_val, pg.H_val))
+    m = scene.immersion.m
 
     coeff = 2.0 * m * w.power_residual(m) / w.f**4
-    tau2_i = oracle.submanifold_bitension(spec, point, geometry=pg)
-    n_part = coeff * pg.H_val + (m / w.f**4) * tau2_i
-    t_part = -(m**2) * w.f1 / w.f**3 * h2
-    vec = WVec(t_part, n_part)
+    n_part = coeff * base.geometry.H_val + (m / w.f**4) * base.submanifold_bitension
+    t_part = -(m**2) * w.f1 / w.f**3 * base.h2
 
     # split relative to T(I x M): dt plus span{dX_i} is tangential
-    rhs = e2 * (pg.dX_val @ n_part)
-    coeffs = pg.ginv_val @ rhs
-    n_tan = pg.dX_val.T @ coeffs
+    n_tan = base.tangential(n_part)
     tangential = WVec(t_part, n_tan)
     normal = WVec(0.0, n_part - n_tan)
     return BitensionParts(
-        vec=vec,
+        vec=WVec(t_part, n_part),
         mean_curvature_coeff=coeff,
-        submanifold_bitension=tau2_i,
+        submanifold_bitension=base.submanifold_bitension,
         tangential=tangential,
         normal=normal,
-        tangential_norm=hbar_norm(scene, t, pg.X_val, tangential, w),
-        normal_norm=hbar_norm(scene, t, pg.X_val, normal, w),
+        tangential_norm=hbar_norm(base, w, tangential),
+        normal_norm=hbar_norm(base, w, normal),
     )
 
 
@@ -152,23 +190,21 @@ class PairingResult:
     bitension: BitensionParts
 
 
-def pairing(scene, t, point, geometry=None, warp=None):
+def pairing(scene, t, point, warp=None):
     """h(tau_2(phi), tau(phi)) both by direct assembly and by the
     closed form 2 m^2 [f f'' + (m-1) f'^2] / f^4 |H|^2 (the latter is
     valid only over a biharmonic base, gated by classification of the
     same geometry).  The tau and tau_2 it pairs are returned with it.
     The warp is evaluated once at t (or taken from `warp`) and passed on."""
-    spec = scene.immersion
-    pg = geometry or PointGeometry(spec, point)
+    base = base_point(scene.immersion, point)
+    base.geometry.require_hypersurface()
     w = warp or scene.warp_at(t)
-    m = spec.m
-    tau = inclusion_tension(scene, t, point, geometry=pg, warp=w)
-    tau2 = inclusion_bitension(scene, t, point, geometry=pg, warp=w)
-    direct = hbar_inner(scene, t, pg.X_val, tau2.vec, tau, w)
-    h2 = pg.e2_val * float(np.dot(pg.H_val, pg.H_val))
-    closed = 2.0 * m**2 * w.power_residual(m) / w.f**4 * h2
-    record = classify(spec, [point], BIHARMONIC_GATE_TOL, geometries=[pg])
-    return PairingResult(direct, closed, record.biharmonic, tau, tau2)
+    m = scene.immersion.m
+    tau = inclusion_tension(scene, t, point, w)
+    tau2 = inclusion_bitension(scene, t, point, w)
+    direct = hbar_inner(base, w, tau2.vec, tau)
+    closed = 2.0 * m**2 * w.power_residual(m) / w.f**4 * base.h2
+    return PairingResult(direct, closed, base.biharmonic, tau, tau2)
 
 
 @dataclass(frozen=True)
@@ -180,13 +216,13 @@ class RicciCheck:
     pairing_closed_form: float
 
 
-def ricci_warped_check(scene, t, point, x_intrinsic, geometry=None):
+def ricci_warped_check(scene, t, point, x_intrinsic):
     """Verify Ric~(X,X) = Ric(X,X) - [f f'' + (m-1) f'^2] for X unit with
     respect to g, and recompute the pairing through the Ricci difference."""
     spec = scene.immersion
-    pg = geometry or PointGeometry(spec, point)
+    base = base_point(spec, point)
     x = np.asarray(x_intrinsic, dtype=float)
-    norm = float(np.sqrt(x @ pg.g_val @ x))
+    norm = float(np.sqrt(x @ base.geometry.g_val @ x))
     if abs(norm - 1.0) > 1e-10:
         raise UsageError(f"X must be unit with respect to g, |X| = {norm:.12g}")
     m = spec.m
@@ -201,9 +237,8 @@ def ricci_warped_check(scene, t, point, x_intrinsic, geometry=None):
         np.concatenate(([0.0], x)),
     )
     resid = w.power_residual(m)
-    h2 = pg.e2_val * float(np.dot(pg.H_val, pg.H_val))
-    via_ricci = 2.0 * m**2 / w.f**4 * (ric_base - ric_warped) * h2
-    closed = 2.0 * m**2 * resid / w.f**4 * h2
+    via_ricci = 2.0 * m**2 / w.f**4 * (ric_base - ric_warped) * base.h2
+    closed = 2.0 * m**2 * resid / w.f**4 * base.h2
     return RicciCheck(
         ric_base=ric_base,
         ric_warped=ric_warped,

@@ -86,14 +86,15 @@ def test_03_tension_oracle_equivalence():
     bad = []
     for label, src, scene, point in _scenes():
         ms = oracle.warped_inclusion_map(scene)
-        pg = PointGeometry(scene.immersion, point)
+        base = warped.base_point(scene.immersion, point)
         for t in T_SAMPLES:
             fp = oracle.tension_first_principles(ms, (t,) + point)
-            closed = warped.inclusion_tension(scene, t, point, geometry=pg)
+            w = scene.warp_at(t)
+            closed = warped.inclusion_tension(scene, t, point, w)
             diff = warped.hbar_norm(
-                scene, t, pg.X_val, warped.WVec(fp[0] - closed.t, fp[1:] - closed.n)
+                base, w, warped.WVec(fp[0] - closed.t, fp[1:] - closed.n)
             )
-            scale = 1.0 + warped.hbar_norm(scene, t, pg.X_val, closed)
+            scale = 1.0 + warped.hbar_norm(base, w, closed)
             if diff > 1e-9 * scale:
                 bad.append((label, src, t, diff))
             if abs(fp[0]) > 1e-12:
@@ -104,21 +105,19 @@ def test_03_tension_oracle_equivalence():
 def test_04_bitension_oracle_equivalence():
     bad = []
     point = (0.3, -0.2)
-    pg = PointGeometry(sphere_slice(1.0), point)
     for label, src, scene, _ in _scenes():
         if label != "slice":
             continue
         ms = oracle.warped_inclusion_map(scene)
+        base = warped.base_point(scene.immersion, point)
         for t in T_SAMPLES:
             fp = oracle.bitension_first_principles(ms, (t,) + point)
-            closed = warped.inclusion_bitension(scene, t, point, geometry=pg)
+            w = scene.warp_at(t)
+            closed = warped.inclusion_bitension(scene, t, point, w)
             diff = warped.hbar_norm(
-                scene,
-                t,
-                pg.X_val,
-                warped.WVec(fp[0] - closed.vec.t, fp[1:] - closed.vec.n),
+                base, w, warped.WVec(fp[0] - closed.vec.t, fp[1:] - closed.vec.n)
             )
-            scale = 1.0 + warped.hbar_norm(scene, t, pg.X_val, closed.vec)
+            scale = 1.0 + warped.hbar_norm(base, w, closed.vec)
             if diff > 1e-6 * scale:
                 bad.append((src, t, diff))
     record(4, "bitension vs first principles", bad)
@@ -159,19 +158,19 @@ def test_07_tangential_vanishing():
     bad = []
     spec = sphere_slice(1.0)
     point = (0.3, -0.2)
-    pg = PointGeometry(spec, point)
+    base = warped.base_point(spec, point)
     cosw = warped.warped_scene(spec, "2+cos(t)", {}, WARP_INTERVAL)
-    if warped.inclusion_bitension(cosw, 0.0, point, geometry=pg).tangential_norm > 1e-8:
+    if warped.inclusion_bitension(cosw, 0.0, point).tangential_norm > 1e-8:
         bad.append("tangential nonzero at critical t")
-    if warped.inclusion_bitension(cosw, 0.5, point, geometry=pg).tangential_norm < 0.05:
+    if warped.inclusion_bitension(cosw, 0.5, point).tangential_norm < 0.05:
         bad.append("tangential too small at t=0.5")
     sq = warped.warped_scene(spec, "2+t^2", {}, WARP_INTERVAL)
-    v = warped.inclusion_bitension(sq, 0.0, point, geometry=pg).vec
-    if warped.hbar_norm(sq, 0.0, pg.X_val, v) < 0.5:
+    v = warped.inclusion_bitension(sq, 0.0, point).vec
+    if warped.hbar_norm(base, sq.warp_at(0.0), v) < 0.5:
         bad.append("bitension vanished despite f'' != 0")
     cb = warped.warped_scene(spec, "2+t^3", {}, WARP_INTERVAL)
-    v = warped.inclusion_bitension(cb, 0.0, point, geometry=pg).vec
-    if warped.hbar_norm(cb, 0.0, pg.X_val, v) > 1e-7:
+    v = warped.inclusion_bitension(cb, 0.0, point).vec
+    if warped.hbar_norm(base, cb.warp_at(0.0), v) > 1e-7:
         bad.append("bitension nonzero despite f' = f'' = 0")
     record(7, "tangential-part vanishing criteria", bad)
 
@@ -185,14 +184,14 @@ def test_08_warped_ricci_identity():
     for src in WARPS:
         scene = warped.warped_scene(spec, src, {}, WARP_INTERVAL)
         for t in T_SAMPLES:
-            rc = warped.ricci_warped_check(scene, t, point, x, geometry=pg)
+            rc = warped.ricci_warped_check(scene, t, point, x)
             if abs(rc.identity_residual) > 1e-6:
                 bad.append(("identity", src, t, rc.identity_residual))
             tol = 1e-7 * (1.0 + abs(rc.pairing_closed_form))
             if abs(rc.pairing_via_ricci - rc.pairing_closed_form) > tol:
                 bad.append(("pairing", src, t))
     scene = warped.warped_scene(spec, "exp(t)", {}, WARP_INTERVAL)
-    rc = warped.ricci_warped_check(scene, 0.0, point, x, geometry=pg)
+    rc = warped.ricci_warped_check(scene, 0.0, point, x)
     if abs(rc.ric_warped) > 1e-6:
         bad.append(("flat warped Ricci", rc.ric_warped))
     record(8, "warped Ricci identity", bad)

@@ -93,13 +93,13 @@ class TestCharts:
         x = np.array([1.0, 0.0, 0.0])
         y = np.array([0.0, 1.0, 0.0])
         e2 = chart.metric_factor_value(p)
-        out = spaceform_curvature(chart, x, y, y, p)
+        out = spaceform_curvature(chart, x, y, y, e2)
         assert np.allclose(out, e2 * x)
 
     def test_flat_curvature_vanishes(self):
         chart = AmbientChart("euclidean", 3)
         out = spaceform_curvature(
-            chart, np.ones(3), np.arange(3.0), np.array([1.0, -1.0, 2.0]), np.zeros(3)
+            chart, np.ones(3), np.arange(3.0), np.array([1.0, -1.0, 2.0]), 1.0
         )
         assert np.allclose(out, 0.0)
 

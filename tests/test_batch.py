@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from warpgeo import AmbientChart, classify, immersion
+from warpgeo import AmbientChart, biharmonic, classify, immersion
 from warpgeo import jet as J
 from warpgeo.errors import DegenerateImmersionError, EvalDomainError
 from warpgeo.immersion import PointGeometry
@@ -184,3 +184,34 @@ def test_classify_raises_the_first_failing_points_error(points, error, message):
         classify(BALL_CONE, points, 1e-7)
     assert type(exc.value) is error
     assert str(exc.value) == message
+
+
+# -- classify over several chunks -------------------------------------------
+
+
+def test_classify_in_chunks_equals_one_batch():
+    spec, box = SCENES["cone"]
+    rng = np.random.default_rng(11)
+    points = [tuple(float(rng.uniform(lo, hi)) for lo, hi in box) for _ in range(1100)]
+    assert len(points) > 2 * biharmonic._CHUNK
+    one_batch = PointGeometry(spec, np.array(points).T)
+    assert classify(spec, points, 1e-7) == classify(
+        spec, points, 1e-7, geometries=[one_batch]
+    )
+
+
+@pytest.mark.parametrize(
+    "bad, error, message",
+    [
+        ([AXIS, GOOD[0], OUTSIDE], DegenerateImmersionError, "det g = 0"),
+        ([OUTSIDE, GOOD[0], AXIS], EvalDomainError, "|x|^2 = 1.625"),
+    ],
+    ids=["degenerate first", "outside first"],
+)
+def test_classify_names_the_first_failing_point_of_a_later_chunk(bad, error, message):
+    points = GOOD * 150 + bad + GOOD * 10  # the failures sit in the second chunk
+    assert biharmonic._CHUNK < 600 < 2 * biharmonic._CHUNK
+    with pytest.raises(error) as exc:
+        classify(BALL_CONE, points, 1e-7)
+    assert type(exc.value) is error
+    assert str(exc.value).endswith(message)

@@ -1,9 +1,10 @@
 """Deterministic operation counts.
 
-Each point's PointGeometry is built once by its caller and passed down, and
-the oracle evaluates a map once per point, so the number of builds, metric
-evaluations and jet products per workload is fixed; a change that evaluates
-a point again raises these counts.
+Each point's PointGeometry is built once by its caller and passed down (the
+warped layer shares one `warped.BasePoint` across a t-sweep), and the oracle
+evaluates a map once per point, so the number of builds, metric evaluations
+and jet products per workload is fixed; a change that evaluates a point
+again raises these counts.
 """
 
 import pytest
@@ -24,6 +25,7 @@ def counts(monkeypatch):
         "mul": 0,
         "contract": 0,
         "warp_at": 0,
+        "classify": 0,
     }
     init = PointGeometry.__init__
 
@@ -60,6 +62,8 @@ def counts(monkeypatch):
     counted(warped, "inclusion_bitension")
     counted(oracle, "submanifold_bitension")
     counted(oracle, "induced_metric_jets")
+    counted(warped, "classify")
+    monkeypatch.setattr(warped, "_memo", (None, b"", None))
     return seen
 
 
@@ -79,16 +83,37 @@ def test_warped_report_evaluates_the_warp_once(counts):
     assert counts["warp_at"] == 1
 
 
-def test_pairing_uses_the_given_geometry(counts):
+def test_warped_sweep_shares_one_base_point(counts):
     scene = _scene()
-    pg = PointGeometry(scene.immersion, POINT)
-    warped.pairing(scene, 0.3, POINT, geometry=pg)
-    assert counts["builds"] == 1  # the caller's own build
+    for t in (0.1, 0.15, 0.2, 0.25, 0.3):
+        warped.warped_report(scene, t, POINT)
+    assert counts["builds"] == counts["submanifold_bitension"] == 1
+    assert counts["classify"] == 1  # the biharmonic gate
+    assert counts["warp_at"] == counts["inclusion_bitension"] == 5
+
+
+def test_pairing_reuses_the_base_point(counts):
+    # every warped function at one point, for two warps of one base, reads
+    # the same record; another point, or another spec object, builds anew
+    scene = _scene()
+    other = warped.warped_scene(scene.immersion, "2+cos(t)", {}, verify.WARP_INTERVAL)
+    warped.pairing(scene, 0.3, POINT)
+    warped.inclusion_tension(other, 0.5, POINT)
+    warped.inclusion_bitension(other, 0.5, POINT)
+    g_val = warped.base_point(scene.immersion, POINT).geometry.g_val
+    warped.ricci_warped_check(scene, 0.3, POINT, [g_val[0, 0] ** -0.5, 0.0])
+    assert counts["builds"] == counts["submanifold_bitension"] == 1
+    warped.pairing(scene, 0.3, (0.3, 0.2))
+    copy = warped.warped_scene(
+        scene.immersion.with_params(), "exp(t)", {}, verify.WARP_INTERVAL
+    )
+    warped.pairing(copy, 0.3, (0.3, 0.2))
+    assert counts["builds"] == counts["submanifold_bitension"] == 3
 
 
 def test_verify_pass_build_count(counts):
     verify.run_checks()
-    assert counts["builds"] == 85
+    assert counts["builds"] == 81
 
 
 def test_scan_bisects_from_the_sampled_ends(counts):
@@ -112,8 +137,8 @@ def test_oracle_evaluates_each_map_once(counts, name):
 def test_verify_pass_mul_count(counts):
     # scalar jet products and jet tensor contractions
     verify.run_checks()
-    assert counts["mul"] == 2_481
-    assert counts["contract"] == 1_528
+    assert counts["mul"] == 2_341
+    assert counts["contract"] == 1_414
 
 
 @pytest.mark.parametrize(

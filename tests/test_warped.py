@@ -69,7 +69,7 @@ class TestTension:
     def test_scaling(self, slice_scene):
         scene = slice_scene()
         pg = PointGeometry(scene.immersion, POINT)
-        tau = warped.inclusion_tension(scene, 0.5, POINT, geometry=pg)
+        tau = warped.inclusion_tension(scene, 0.5, POINT)
         f = math.exp(0.5)
         assert np.allclose(tau.n, (2.0 / f**2) * pg.H_val)
 
@@ -80,7 +80,7 @@ class TestBitension:
         scene = slice_scene()
         t = 0.4
         pg = PointGeometry(scene.immersion, POINT)
-        parts = warped.inclusion_bitension(scene, t, POINT, geometry=pg)
+        parts = warped.inclusion_bitension(scene, t, POINT)
         w = scene.warp_at(t)
         h2 = pg.e2_val * float(np.dot(pg.H_val, pg.H_val))
         assert parts.tangential.t == pytest.approx(-4.0 * w.f1 / w.f**3 * h2)
@@ -120,7 +120,7 @@ class TestRicciCheck:
         scene = slice_scene("sqrt(t+2)")
         pg = PointGeometry(scene.immersion, POINT)
         x = np.array([1.0, 0.0]) / math.sqrt(pg.g_val[0, 0])
-        rc = warped.ricci_warped_check(scene, 0.3, POINT, x, geometry=pg)
+        rc = warped.ricci_warped_check(scene, 0.3, POINT, x)
         assert rc.identity_residual == pytest.approx(0.0, abs=1e-6)
         assert rc.pairing_via_ricci == pytest.approx(
             rc.pairing_closed_form, abs=1e-7 * (1 + abs(rc.pairing_closed_form))
@@ -130,7 +130,7 @@ class TestRicciCheck:
         scene = slice_scene()
         pg = PointGeometry(scene.immersion, POINT)
         x = np.array([0.0, 1.0]) / math.sqrt(pg.g_val[1, 1])
-        rc = warped.ricci_warped_check(scene, 0.0, POINT, x, geometry=pg)
+        rc = warped.ricci_warped_check(scene, 0.0, POINT, x)
         assert rc.ric_base == pytest.approx(2.0, abs=1e-6)
         assert rc.ric_warped == pytest.approx(0.0, abs=1e-6)
 
@@ -151,3 +151,44 @@ class TestReport:
         d = rep.to_dict()
         assert d["tension"]["t"] == 0.0
         assert len(d["bitension"]["n"]) == 3
+
+
+class TestBasePoint:
+    """One warped.BasePoint serves every report at a point of M."""
+
+    def test_memo_gives_fresh_reports_bit_for_bit(self, slice_scene, monkeypatch):
+        scene = slice_scene()
+        requests = [(t, POINT) for t in (0.0, 0.05, 0.1, 0.15, 0.2)]
+        requests += [(0.3, (0.0, 0.2)), (0.3, (-0.0, 0.2))] * 2
+        shared = [warped.warped_report(scene, t, p).to_dict() for t, p in requests]
+        fresh = []
+        for t, p in requests:
+            monkeypatch.setattr(warped, "_memo", (None, b"", None))
+            fresh.append(warped.warped_report(scene, t, p).to_dict())
+        assert repr(shared) == repr(fresh)  # repr tells -0.0 from 0.0
+        # the two points differ in the sign bit of X_val alone
+        x_pos = warped.base_point(scene.immersion, (0.0, 0.2)).geometry.X_val
+        x_neg = warped.base_point(scene.immersion, (-0.0, 0.2)).geometry.X_val
+        assert np.array_equal(x_pos, x_neg)
+        assert np.signbit(x_neg[0]) and not np.signbit(x_pos[0])
+
+    def test_nan_point_never_hits(self, slice_scene, monkeypatch):
+        spec = slice_scene().immersion
+        point = (float("nan"), 0.2)
+        stale = warped.base_point(spec, POINT)
+        key = np.array(point).tobytes()
+        monkeypatch.setattr(warped, "_memo", (spec, key, stale))
+        with pytest.raises(EvalDomainError):
+            warped.base_point(spec, point)
+
+    def test_shared_arrays_are_read_only(self, slice_scene):
+        scene = slice_scene()
+        parts = warped.inclusion_bitension(scene, 0.3, POINT)
+        base = warped.base_point(scene.immersion, POINT)
+        pg = base.geometry
+        arrays = [a for a in vars(pg).values() if isinstance(a, np.ndarray)]
+        arrays += [pg.e2.coeffs, base.submanifold_bitension, parts.submanifold_bitension]
+        assert len(arrays) > 20
+        for a in arrays:
+            with pytest.raises(ValueError):
+                a[(0,) * a.ndim] = 1.0
