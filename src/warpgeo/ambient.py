@@ -1,5 +1,5 @@
-"""Space-form ambients as conformally flat charts, plus the curvature of
-the warped product (I x N, dt^2 + f^2 h).
+"""Space-form ambients as conformally flat charts, and the warp of the
+warped product (I x N, dt^2 + f^2 h) evaluated at one t.
 
 Charts: Euclidean space (identity chart), the unit sphere via stereographic
 projection (conformal factor 2/(1+|x|^2), missing one point) and unit
@@ -45,10 +45,9 @@ class AmbientChart:
         return J.unstack(J.contract("a,a->", x, x, n_vars), n_vars)
 
     def _conformal_factor(self, s):
-        """q = 2 / (1 + c s) at squared chart radius s, a jet or a float.
-        Not defined for the Euclidean chart, where q = 1."""
-        s_val = s.value if isinstance(s, J.Jet) else s
-        outside = J.first_where(s_val, s_val >= 1.0) if self.c < 0.0 else None
+        """q = 2 / (1 + c s) at the squared chart radius s, a jet.  Not
+        defined for the Euclidean chart, where q = 1."""
+        outside = J.first_where(s.value, s.value >= 1.0) if self.c < 0.0 else None
         if outside is not None:
             raise EvalDomainError(
                 f"point outside Poincare ball, |x|^2 = {outside:g}", value=outside
@@ -63,11 +62,6 @@ class AmbientChart:
             return J.jet_constant(1.0, n_vars, J.order_of(x, n_vars))
         q = self._conformal_factor(self._radial(x, n_vars))
         return q * q
-
-    def metric_factor_value(self, xvals):
-        if self.model == "euclidean":
-            return 1.0
-        return self._conformal_factor(float(np.dot(xvals, xvals))) ** 2
 
     def christoffel(self, x, n_vars):
         """Gamma^k_ab = delta_ak d_b rho + delta_bk d_a rho - delta_ab d_k rho
@@ -87,14 +81,12 @@ class AmbientChart:
 
 
 def spaceform_curvature(chart, x_vec, y_vec, z_vec, e2):
-    """R^N(X,Y)Z = c (h(Y,Z) X - h(X,Z) Y) at constant curvature c, at a
-    point where h = e2 delta (e2 from `metric_factor_value`)."""
+    """R^N(X,Y)Z = c (h(Y,Z) X - h(X,Z) Y) at constant curvature c, for
+    float arrays X, Y, Z at a point where h = e2 delta (e2 the value of
+    `metric_factor`)."""
     c = chart.c
     if c == 0.0:
-        return np.zeros_like(np.asarray(x_vec, dtype=float))
-    x_vec = np.asarray(x_vec, dtype=float)
-    y_vec = np.asarray(y_vec, dtype=float)
-    z_vec = np.asarray(z_vec, dtype=float)
+        return np.zeros_like(x_vec)
     return c * (e2 * np.dot(y_vec, z_vec) * x_vec - e2 * np.dot(x_vec, z_vec) * y_vec)
 
 
@@ -128,25 +120,3 @@ class WarpEval:
     def power_residual(self, m):
         """f f'' + (m-1) f'^2, the power-family residual."""
         return self.f * self.f2 + (m - 1) * self.f1**2
-
-
-def warped_curvature_full(warp, chart, x, y, z, point):
-    """R of (I x N, dt^2 + f^2 h) on arbitrary vectors, assembled by
-    multilinearity from the radial case R(U, dt) dt = -(f''/f) U and the
-    horizontal case R(V, W) U = R^N(V, W) U - f'^2 [h(U, W) V - h(U, V) W].
-    Vectors are (t-component, N-components) pairs; the result is returned
-    the same way."""
-    x0, xn = float(x[0]), np.asarray(x[1], dtype=float)
-    y0, yn = float(y[0]), np.asarray(y[1], dtype=float)
-    z0, zn = float(z[0]), np.asarray(z[1], dtype=float)
-    e2 = chart.metric_factor_value(point)
-    f, f1, f2 = warp.f, warp.f1, warp.f2
-
-    n_part = spaceform_curvature(chart, xn, yn, zn, e2)
-    n_part = n_part - f1**2 * (
-        e2 * np.dot(zn, yn) * xn - e2 * np.dot(zn, xn) * yn
-    )
-    n_part = n_part + (f2 / f) * (x0 * z0 * yn - y0 * z0 * xn)
-
-    t_part = f * f2 * (y0 * e2 * np.dot(xn, zn) - x0 * e2 * np.dot(yn, zn))
-    return t_part, n_part

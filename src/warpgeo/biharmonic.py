@@ -4,6 +4,7 @@ bitension split, classification flags, and parameter root scans."""
 from __future__ import annotations
 
 import sys
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,8 +13,10 @@ from .errors import UsageError, WarpgeoError
 from .immersion import PointGeometry, matvec, mT, per_point, vdot
 
 # parameter_scan's root test: simple roots of the fixture scans measure
-# 0.4-2.7 against it, the pole of the graph u^2/(r-1) + v^2 measures 4e-10.
+# 0.5-2.0 against it, the pole of the graph u^2/(r-1) + v^2 measures 6e-7.
+# The residual there vanishes like d|d|, so it reads about 2^-_SLOPE_LAG.
 _ROOT_RATE_BAND = 1e3
+_SLOPE_LAG = 20
 _XTOL = 1e-10
 _RTOL = 4 * sys.float_info.epsilon
 # points per batched PointGeometry in classify
@@ -173,9 +176,12 @@ def parameter_scan(spec, param, lo, hi, samples, probe_point):
     products, which can underflow.  Evaluation failures are reported and the
     sample skipped.  A bisection that raises or closes on a pole is a
     failure, not a root: at a simple root the residual at bisection's last
-    two points is the bracket's secant slope times the last bracket width,
+    two points is a reference secant slope times the last bracket width,
     within a factor _ROOT_RATE_BAND; at a pole of the scene it grows past
-    that or vanishes far faster.
+    that or vanishes far faster.  The reference is the bracket bisection
+    held _SLOPE_LAG halvings before it stopped (the sampled bracket after
+    fewer halvings): narrow enough that a simple root is linear across it
+    even when the sampled bracket spans decades.
     """
     if not (lo < hi and np.isfinite(hi - lo)):  # a finite width ends bisection
         raise UsageError(f"scan range [{lo}, {hi}] is empty or too wide")
@@ -208,6 +214,8 @@ def parameter_scan(spec, param, lo, hi, samples, probe_point):
         if np.sign(r0) * np.sign(r1) < 0.0:  # a product of residuals can underflow
             (xa, ra), (xb, rb) = (x0, r0), (x1, r1)  # the last two evaluations
             left, step = x0, x1 - x0
+            # the brackets [left, left + step] held, with their residuals
+            held = deque([(x0, r0, x1, r1)], maxlen=_SLOPE_LAG + 1)
             try:
                 while True:
                     step *= 0.5
@@ -215,13 +223,17 @@ def parameter_scan(spec, param, lo, hi, samples, probe_point):
                     (xa, ra), (xb, rb) = (xb, rb), (x, residual(x))
                     if np.sign(rb) * np.sign(r0) >= 0.0:
                         left = x
+                        held.append((x, rb) + held[-1][2:])
+                    else:
+                        held.append(held[-1][:2] + (x, rb))
                     if rb == 0.0 or abs(step) < _XTOL + _RTOL * abs(x):
                         break
             except WarpgeoError as exc:
                 failures.append((x, str(exc)))
                 continue
             near, width = max(abs(ra), abs(rb)), abs(xb - xa)
-            ratio = near / (abs(r1 - r0) / (x1 - x0) * width)
+            xl, rl, xr, rr = held[0]
+            ratio = near / (abs(rr - rl) / (xr - xl) * width)
             if rb == 0.0 or 1.0 / _ROOT_RATE_BAND <= ratio <= _ROOT_RATE_BAND:
                 roots.append(x)
             else:

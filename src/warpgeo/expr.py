@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,28 +44,19 @@ _VAL_FN = {
 @dataclass(frozen=True)
 class Num:
     value: float
-    span: tuple
-
-    def key(self):
-        return ("num", self.value)
+    span: tuple = field(compare=False)
 
 
 @dataclass(frozen=True)
 class Name:
     ident: str
-    span: tuple
-
-    def key(self):
-        return ("name", self.ident)
+    span: tuple = field(compare=False)
 
 
 @dataclass(frozen=True)
 class Neg:
     operand: object
-    span: tuple
-
-    def key(self):
-        return ("neg", self.operand.key())
+    span: tuple = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -73,20 +64,14 @@ class BinOp:
     op: str
     left: object
     right: object
-    span: tuple
-
-    def key(self):
-        return ("bin", self.op, self.left.key(), self.right.key())
+    span: tuple = field(compare=False)
 
 
 @dataclass(frozen=True)
 class Call:
     fn: str
     arg: object
-    span: tuple
-
-    def key(self):
-        return ("call", self.fn, self.arg.key())
+    span: tuple = field(compare=False)
 
 
 # -- lexer ----------------------------------------------------------------

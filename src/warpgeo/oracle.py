@@ -5,10 +5,9 @@ Christoffel symbols, with all derivatives supplied by jets: covariant
 derivatives of the tension field are obtained by differentiating the
 tension pipeline itself on jet-seeded coordinates.  A `MapSpec` is
 evaluated once per point for its components and its domain metric.
-Ambient curvature uses the exact space-form / warped closed forms, which
-isolates the connection assembly as the quantity under test; the tests
-check the warped closed form against `curvature_components` of the warped
-metric.
+Ambient curvature comes from the map's own codomain Christoffels, seeded at
+phi(p) and assembled as dGamma + Gamma Gamma by the same code that
+`curvature_components` runs, so the oracle borrows no closed form.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jet as J
-from .ambient import spaceform_curvature, warped_curvature_full
+from .ambient import spaceform_curvature
 from .errors import UsageError
 from .expr import eval_jet
 from .immersion import (
@@ -36,23 +35,23 @@ JET_ORDER = 4
 class MapSpec:
     """A map between chart patches, described by callables.
 
-    evaluate(var_jets)              -> (phi, G): jet tensors of the codomain
-                                       coordinates (size, codim) at the
-                                       seeds' order, and of the domain metric
-                                       (size', dim, dim) one order below
-    codomain_christoffel(phi)       -> Christoffel jet tensor (size, codim,
-                                       codim, codim) along phi, two orders
-                                       below phi, or None where the symbols
-                                       vanish
-    codomain_curvature(t, a, b, x)  -> value-level R(t, a) b at codomain
-                                       point x
+    evaluate(var_jets) -> (phi, G): jet tensors of the codomain coordinates
+        (size, codim) at the seeds' order, and of the domain metric (size',
+        dim, dim) one order below.
+    codomain_christoffel(x, n_vars) -> the codomain's Christoffel jet tensor
+        (size, codim, codim, codim) at the jet tensor x of codomain points
+        over n_vars variables, two orders below x, or None where they vanish.
+
+    The one Christoffel callable serves the pull-back along phi (n_vars =
+    dim) and the curvature at phi(p) on seeded codomain coordinates (n_vars
+    = codim), so codim is at most `jet.MAX_VARS`: a larger codomain is the
+    jet layer's ConfigError.
     """
 
     dim: int
     codim: int
     evaluate: object
     codomain_christoffel: object
-    codomain_curvature: object
 
 
 # -- shared helpers -------------------------------------------------------
@@ -106,7 +105,7 @@ def _tension_pipeline(mapspec, point):
     dphi_t = J.trunc(dphi, d, JET_ORDER - 2)
     hess = J.gradient(dphi, d, range(d), axis=2)
     hess = hess - J.contract("jkl,ja->kla", gamma_dom, dphi_t, d)
-    gbar = mapspec.codomain_christoffel(phi)
+    gbar = mapspec.codomain_christoffel(phi, d)
     if gbar is not None:
         gbar_dphi = J.contract("abc,kb->ack", gbar, dphi_t, d)
         hess = hess + J.contract("ack,lc->kla", gbar_dphi, dphi_t, d)
@@ -125,11 +124,22 @@ def bitension_first_principles(mapspec, point):
 
     frame = orthonormal_frame(G[0])
     rough = np.einsum("ki,li,kla->a", frame, frame, sec)
-    curv = np.zeros(mapspec.codim)
-    for e in frame.T:
-        amb = e @ dphi[0]
-        curv += mapspec.codomain_curvature(tau[0], amb, amb, phi[0])
+    riem = codomain_riemann(mapspec, phi[0])
+    if riem is None:
+        return -rough
+    # sum_e R(tau, dphi e) dphi e, with R(d_i, d_j) d_k = R^l_ijk d_l
+    amb = frame.T @ dphi[0]
+    curv = np.einsum("lijk,i,ej,ek->l", riem, tau[0], amb, amb)
     return -curv - rough
+
+
+def codomain_riemann(mapspec, x):
+    """R^l_{ijk} of the codomain at the point x, from the map's Christoffel
+    symbols on codomain coordinates seeded at order 3 (so the symbols are
+    at order 1); None where they vanish."""
+    n = mapspec.codim
+    gamma = mapspec.codomain_christoffel(J.stack(_seed(x, n, 3)), n)
+    return None if gamma is None else _riemann(gamma, n)
 
 
 # -- map constructors -----------------------------------------------------
@@ -144,14 +154,10 @@ def inclusion_map(spec):
         X, _, _, g = induced_metric_jets(spec, var_jets, range(m))
         return X, g
 
-    def codomain_christoffel(phi):
-        return chart.christoffel(J.trunc(phi, m, J.order_of(phi, m) - 2), m)
+    def codomain_christoffel(x, n_vars):
+        return chart.christoffel(J.trunc(x, n_vars, J.order_of(x, n_vars) - 2), n_vars)
 
-    def codomain_curvature(t_vec, a_vec, b_vec, x):
-        e2 = chart.metric_factor_value(x)
-        return spaceform_curvature(chart, t_vec, a_vec, b_vec, e2)
-
-    return MapSpec(m, n, evaluate, codomain_christoffel, codomain_curvature)
+    return MapSpec(m, n, evaluate, codomain_christoffel)
 
 
 def warped_inclusion_map(scene):
@@ -175,13 +181,14 @@ def warped_inclusion_map(scene):
         G[:, 1:, 1:] = J.contract("ij,->ij", g, (f * f).coeffs, d)
         return np.concatenate((t.coeffs[:, None], X), axis=1), G
 
-    def codomain_christoffel(phi):
-        order = J.order_of(phi, d) - 2
-        # slot 0 of the domain is t itself, so d/d slot0 is d/dt
-        f_up = warp_jet(J.unstack(J.trunc(phi[:, 0], d, order + 1), d))
+    def codomain_christoffel(tx, n_vars):
+        order = J.order_of(tx, n_vars) - 2
+        # slot 0 is t itself, both along phi and at a seeded phi(p), so
+        # d/d slot0 of f(t) is f'
+        f_up = warp_jet(J.unstack(J.trunc(tx[:, 0], n_vars, order + 1), n_vars))
         f, f1 = f_up.trunc(order), f_up.d(0)
-        x = J.trunc(phi[:, 1:], d, order)
-        e2 = chart.metric_factor(x, d)
+        x = J.trunc(tx[:, 1:], n_vars, order)
+        e2 = chart.metric_factor(x, n_vars)
         eye = np.eye(n)
         gbar = np.zeros((len(x), n + 1, n + 1, n + 1) + x.shape[2:])
         gbar[:, 0, 1:, 1:] = np.einsum(
@@ -190,24 +197,12 @@ def warped_inclusion_map(scene):
         f1_over_f = np.einsum("z...,ab->zab...", (f1 / f).coeffs, eye)
         gbar[:, 1:, 0, 1:] = f1_over_f
         gbar[:, 1:, 1:, 0] = f1_over_f
-        gamma_n = chart.christoffel(x, d)
+        gamma_n = chart.christoffel(x, n_vars)
         if gamma_n is not None:
             gbar[:, 1:, 1:, 1:] = gamma_n
         return gbar
 
-    def codomain_curvature(t_vec, a_vec, b_vec, x):
-        w = scene.warp_at(float(x[0]))
-        xt, xn = warped_curvature_full(
-            w,
-            chart,
-            (t_vec[0], t_vec[1:]),
-            (a_vec[0], a_vec[1:]),
-            (b_vec[0], b_vec[1:]),
-            x[1:],
-        )
-        return np.concatenate(([xt], xn))
-
-    return MapSpec(d, n + 1, evaluate, codomain_christoffel, codomain_curvature)
+    return MapSpec(d, n + 1, evaluate, codomain_christoffel)
 
 
 def submanifold_bitension(spec, point, geometry=None):
@@ -219,12 +214,11 @@ def submanifold_bitension(spec, point, geometry=None):
 
     sec = _pullback_hessian(pg.H_c, pg.gamma_n_c, pg.dX_c, pg.gamma_c, m)
     trace_sec = np.einsum("kl,kla->a", pg.ginv_val, sec)
-    e2 = chart.metric_factor_value(pg.X_val)
     curv = np.zeros(n)
     for k in range(m):
         for l in range(m):
             curv += pg.ginv_val[k][l] * spaceform_curvature(
-                chart, pg.H_val, pg.dX_val[k], pg.dX_val[l], e2
+                chart, pg.H_val, pg.dX_val[k], pg.dX_val[l], pg.e2_val
             )
     return -m * (curv + trace_sec)
 
@@ -239,15 +233,21 @@ def curvature_components(metric_rule, point):
     g = metric_rule(point)
     d = g.shape[1]
     gamma = christoffels_from_metric(g, metric_inverse(g, d), d)  # order >= 1
+    return _riemann(gamma, d), g[0]
+
+
+def _riemann(gamma, n_vars):
+    """R^l_{ijk} = d_i Gamma^l_jk - d_j Gamma^l_ik + Gamma^l_ip Gamma^p_jk
+    - Gamma^l_jp Gamma^p_ik as values, from a Christoffel jet tensor (size,
+    d, d, d) of order >= 1 over its d = n_vars coordinates."""
     gv = gamma[0]  # gv[l, i, j] = Gamma^l_ij
-    dgamma = J.gradient(gamma, d, range(d))[0]  # dgamma[i, l, j, k] = d_i Gamma^l_jk
-    riem = (
+    dgamma = J.gradient(gamma, n_vars, range(n_vars))[0]  # [i, l, j, k] = d_i Gamma^l_jk
+    return (
         np.einsum("iljk->lijk", dgamma)
         - np.einsum("jlik->lijk", dgamma)
         + np.einsum("lip,pjk->lijk", gv, gv)
         - np.einsum("ljp,pik->lijk", gv, gv)
     )
-    return riem, g[0]
 
 
 def ricci_from_christoffels(metric_rule, point, x_vec):

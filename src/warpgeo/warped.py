@@ -70,14 +70,12 @@ class WVec:
 class BasePoint:
     """What a warped report at a point of M reads that does not depend on
     t: the point's geometry, tau_2 of the unwarped inclusion, the biharmonic
-    gate of the closed-form pairing, h's conformal factor e2 at X (by the
-    chart's float formula, as h-inner products take it) and |H|^2_h.  Its
-    arrays and those of its geometry are read-only: reports share it."""
+    gate of the closed-form pairing and |H|^2_h.  Its arrays and those of
+    its geometry are read-only: reports share it."""
 
     geometry: PointGeometry
     submanifold_bitension: np.ndarray
     biharmonic: bool  # the classify gate; False off hypersurfaces
-    e2: float
     h2: float
 
     def tangential(self, v):
@@ -110,7 +108,7 @@ def base_point(spec, point):
         spec, [point], BIHARMONIC_GATE_TOL, geometries=[pg]
     ).biharmonic
     h2 = pg.e2_val * float(np.dot(pg.H_val, pg.H_val))
-    base = BasePoint(pg, tau2_i, gate, spec.ambient.metric_factor_value(pg.X_val), h2)
+    base = BasePoint(pg, tau2_i, gate, h2)
     _memo = (spec, key, base)
     return base
 
@@ -118,7 +116,7 @@ def base_point(spec, point):
 def hbar_inner(base, warp, a, b):
     """Inner product of the warped ambient at a BasePoint and a WarpEval:
     h(u, v) = u_t v_t + f^2 h(u_N, v_N)."""
-    return a.t * b.t + warp.f**2 * base.e2 * float(np.dot(a.n, b.n))
+    return a.t * b.t + warp.f**2 * base.geometry.e2_val * float(np.dot(a.n, b.n))
 
 
 def hbar_norm(base, warp, a):
@@ -154,16 +152,18 @@ class BitensionParts:
 
 def inclusion_bitension(scene, t, point, warp=None):
     """tau_2(phi) = (2m [f f'' + (m-1) f'^2] / f^4) H
-                    + (m / f^4) tau_2(i)  -  (m^2 f' / f^3) |H|^2 dt.
+                    + (1 / f^4) tau_2(i)  -  (m^2 f' / f^3) |H|^2 dt.
 
-    tau_2(i) comes from the submanifold closed form evaluated on the same
-    geometry, so non-biharmonic bases are handled without assumption."""
+    tau_2(i) is the bitension of the unwarped inclusion i: M -> N, whose
+    tension is m H; it comes from the submanifold closed form evaluated on
+    the same geometry, so non-biharmonic bases are handled without
+    assumption."""
     base = base_point(scene.immersion, point)
     w = warp or scene.warp_at(t)
     m = scene.immersion.m
 
     coeff = 2.0 * m * w.power_residual(m) / w.f**4
-    n_part = coeff * base.geometry.H_val + (m / w.f**4) * base.submanifold_bitension
+    n_part = coeff * base.geometry.H_val + (1 / w.f**4) * base.submanifold_bitension
     t_part = -(m**2) * w.f1 / w.f**3 * base.h2
 
     # split relative to T(I x M): dt plus span{dX_i} is tangential

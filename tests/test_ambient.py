@@ -4,15 +4,11 @@ import numpy as np
 import pytest
 
 from warpgeo import jet as J
-from warpgeo import oracle
-from warpgeo.ambient import (
-    AmbientChart,
-    WarpEval,
-    spaceform_curvature,
-    warped_curvature_full,
-)
+from warpgeo import oracle, warped
+from warpgeo.ambient import AmbientChart, WarpEval, spaceform_curvature
 from warpgeo.errors import ConfigError, EvalDomainError
 from warpgeo.expr import eval_jet, parse
+from warpgeo.immersion import immersion
 
 
 def seed_chart(chart, point, order=2):
@@ -36,24 +32,23 @@ class TestCharts:
             AmbientChart("sphere", 1)
 
     def test_factor_at_origin(self):
-        origin = np.zeros(3)
-        assert AmbientChart("euclidean", 3).metric_factor_value(origin) == 1.0
-        assert AmbientChart("sphere", 3).metric_factor_value(origin) == 4.0
-        assert AmbientChart("hyperbolic", 3).metric_factor_value(origin) == 4.0
+        for model, e2 in (("euclidean", 1.0), ("sphere", 4.0), ("hyperbolic", 4.0)):
+            chart = AmbientChart(model, 3)
+            assert chart.metric_factor(seed_chart(chart, np.zeros(3)), 3).value == e2
 
     def test_poincare_ball_boundary(self):
         chart = AmbientChart("hyperbolic", 3)
-        with pytest.raises(EvalDomainError):
-            chart.metric_factor_value(np.array([1.0, 0.0, 0.0]))
-        with pytest.raises(EvalDomainError):
-            chart.metric_factor(seed_chart(chart, (0.8, 0.6, 0.0)), chart.n)
+        for p in ((1.0, 0.0, 0.0), (0.8, 0.6, 0.0)):
+            with pytest.raises(EvalDomainError):
+                chart.metric_factor(seed_chart(chart, p), chart.n)
 
     def test_factor_value_matches_jet(self):
+        # the jet's value is (2 / (1 + c |x|^2))^2
         for model in ("sphere", "hyperbolic"):
             chart = AmbientChart(model, 3)
             p = (0.3, -0.2, 0.1)
             jet = chart.metric_factor(seed_chart(chart, p), chart.n)
-            assert jet.value == pytest.approx(chart.metric_factor_value(np.array(p)))
+            assert jet.value == pytest.approx((2.0 / (1.0 + chart.c * 0.14)) ** 2)
 
     @pytest.mark.parametrize("model", ["sphere", "hyperbolic"])
     def test_metric_compatibility(self, model, rng):
@@ -92,7 +87,7 @@ class TestCharts:
         p = np.array([0.1, 0.2, -0.3])
         x = np.array([1.0, 0.0, 0.0])
         y = np.array([0.0, 1.0, 0.0])
-        e2 = chart.metric_factor_value(p)
+        e2 = chart.metric_factor(seed_chart(chart, p), chart.n).value
         out = spaceform_curvature(chart, x, y, y, e2)
         assert np.allclose(out, e2 * x)
 
@@ -120,12 +115,17 @@ class TestWarped:
 
     @pytest.mark.parametrize("model", ["euclidean", "sphere", "hyperbolic"])
     def test_full_assembly_matches_christoffel_curvature(self, model, rng):
-        # R of dt^2 + f^2 h in (t, y) coordinates, assembled by the oracle
-        # from Christoffel symbols of the metric jets
+        # R of dt^2 + f^2 h in (t, y) coordinates: the oracle's, from the
+        # warped map's codomain Christoffels, against curvature_components
+        # of the metric built here
         chart = AmbientChart(model, 3)
         n = chart.n
+        spec = immersion(("u", "v"), ("u", "v", "0.1"), {}, chart)
         for src in ("exp(t)", "sqrt(t+2)", "2+cos(t)"):
             warp = parse(src)
+            mapspec = oracle.warped_inclusion_map(
+                warped.warped_scene(spec, warp, {}, (-1.0, 1.0))
+            )
 
             def metric_rule(point):
                 x = [J.jet_variable(i, point[i], n + 1, 3) for i in range(n + 1)]
@@ -138,28 +138,7 @@ class TestWarped:
                 return G
 
             point = np.concatenate(([0.3], rng.uniform(-0.4, 0.4, size=n)))
-            riem, _ = oracle.curvature_components(metric_rule, point)
-            tj = J.jet_variable(0, point[0], 1, 2)
-            f = eval_jet(warp, {"t": tj}, {})
-            w = WarpEval(f.value, f.partial((1,)), f.partial((2,)))
-            for _ in range(3):
-                x, y, z = rng.normal(size=(3, n + 1))
-                t_part, n_part = warped_curvature_full(
-                    w, chart, (x[0], x[1:]), (y[0], y[1:]), (z[0], z[1:]), point[1:]
-                )
-                got = np.concatenate(([t_part], n_part))
-                ref = np.einsum("lijk,i,j,k->l", riem, x, y, z)
-                assert np.allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
-
-    def test_full_assembly_antisymmetric(self, rng):
-        chart = AmbientChart("hyperbolic", 3)
-        w = WarpEval(1.2, -0.3, 0.5)
-        p = np.array([0.1, 0.2, -0.1])
-        for _ in range(3):
-            x = (float(rng.normal()), rng.normal(size=3))
-            y = (float(rng.normal()), rng.normal(size=3))
-            z = (float(rng.normal()), rng.normal(size=3))
-            t1, n1 = warped_curvature_full(w, chart, x, y, z, p)
-            t2, n2 = warped_curvature_full(w, chart, y, x, z, p)
-            assert t1 == pytest.approx(-t2, abs=1e-12)
-            assert np.allclose(n1, -n2, atol=1e-12)
+            ref, _ = oracle.curvature_components(metric_rule, point)
+            got = oracle.codomain_riemann(mapspec, point)
+            assert np.abs(ref).max() > 0.1
+            assert np.allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())

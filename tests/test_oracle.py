@@ -1,11 +1,22 @@
 import numpy as np
 import pytest
 
-from warpgeo import oracle, warped
+from warpgeo import ambient, oracle, warped
 from warpgeo.ambient import AmbientChart
 from warpgeo.biharmonic import normal_residual, tangential_residual
 from warpgeo.errors import DegenerateImmersionError, UsageError
 from warpgeo.immersion import PointGeometry, immersion
+
+
+# hypersurfaces that are not biharmonic: the three surfaces of
+# test_equals_residual_split and a graph over a 3-dimensional domain
+NON_BIHARMONIC = [
+    ("euclidean", ("1.3*u*cos(v)", "1.3*u*sin(v)", "u"), (1.0, 0.7)),
+    ("hyperbolic", ("u", "v", "0.3+0.2*u*u-0.1*u*v"), (0.1, -0.2)),
+    ("sphere", ("u", "v", "0.5+u*v+0.3*u*u"), (0.2, 0.3)),
+    ("sphere", ("u", "v", "w", "0.3+0.1*u*v+0.2*w*w"), (0.1, -0.2, 0.15)),
+]
+NON_BIHARMONIC_IDS = ["cone r=1.3", "graph in H3", "graph in S3", "graph in S4"]
 
 
 def unit_vector(g_val, i=0):
@@ -49,13 +60,7 @@ class TestBitension:
         assert np.allclose(fp, closed, atol=1e-7 * (1 + np.abs(closed).max()))
 
     @pytest.mark.parametrize(
-        "model, components, point",
-        [
-            ("euclidean", ("1.3*u*cos(v)", "1.3*u*sin(v)", "u"), (1.0, 0.7)),
-            ("hyperbolic", ("u", "v", "0.3+0.2*u*u-0.1*u*v"), (0.1, -0.2)),
-            ("sphere", ("u", "v", "0.5+u*v+0.3*u*u"), (0.2, 0.3)),
-        ],
-        ids=["cone r=1.3", "graph in H3", "graph in S3"],
+        "model, components, point", NON_BIHARMONIC[:3], ids=NON_BIHARMONIC_IDS[:3]
     )
     def test_equals_residual_split(self, model, components, point):
         # tau_2 = (normal residual) eta + (tangential residual) on
@@ -67,6 +72,43 @@ class TestBitension:
         ref = normal_residual(spec, point, geometry=pg) * pg.eta_val + tangential
         assert np.abs(ref).max() > 1e-2
         assert np.allclose(tau2, ref, rtol=0.0, atol=1e-12 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("warp", [None, "1", "exp(t)", "2+cos(t)"])
+    @pytest.mark.parametrize(
+        "model, components, point", NON_BIHARMONIC, ids=NON_BIHARMONIC_IDS
+    )
+    def test_matches_closed_forms_off_biharmonic(self, model, components, point, warp):
+        # the oracle against the submanifold closed form (warp None) and
+        # the warped closed form at t = 0.3, on bases that are not biharmonic
+        variables = ("u", "v", "w")[: len(point)]
+        spec = immersion(variables, components, {}, AmbientChart(model, len(components)))
+        if warp is None:
+            ref = oracle.submanifold_bitension(spec, point)
+            got = oracle.bitension_first_principles(oracle.inclusion_map(spec), point)
+        else:
+            scene = warped.warped_scene(spec, warp, {}, (-1.0, 1.0))
+            vec = warped.inclusion_bitension(scene, 0.3, point).vec
+            ref = np.concatenate(([vec.t], vec.n))
+            got = oracle.bitension_first_principles(
+                oracle.warped_inclusion_map(scene), (0.3,) + point
+            )
+        assert np.abs(ref).max() > 1e-3
+        assert np.allclose(got, ref, rtol=0.0, atol=1e-12 * np.abs(ref).max())
+
+    def test_oracle_borrows_no_curvature(self, monkeypatch, sphere_slice):
+        def closed_form(*args):
+            raise AssertionError("the oracle called a closed-form curvature")
+
+        monkeypatch.setattr(oracle, "spaceform_curvature", closed_form)
+        monkeypatch.setattr(ambient, "spaceform_curvature", closed_form)
+        for model, components, point in NON_BIHARMONIC[:3]:
+            spec = immersion(("u", "v"), components, {}, AmbientChart(model, 3))
+            oracle.bitension_first_principles(oracle.inclusion_map(spec), point)
+        scene = warped.warped_scene(sphere_slice(1.0), "exp(t)", {}, (-0.5, 1.0))
+        got = oracle.bitension_first_principles(
+            oracle.warped_inclusion_map(scene), (0.3, 0.3, -0.2)
+        )
+        assert np.isfinite(got).all()
 
     def test_slice_r1_bitension_vanishes(self, sphere_slice):
         spec = sphere_slice(1.0)

@@ -130,6 +130,18 @@ class TestCli:
         roots_line = next(l for l in out.splitlines() if l.startswith("roots:"))
         assert float(roots_line.split()[1]) == pytest.approx(1.0, abs=1e-6)
 
+    def test_scan_wide_range_finds_the_root(self, tmp_path, capsys):
+        # a bracket 22 decades wide still closes on the simple root r = 1
+        path = write_scene(tmp_path, CONE_SCENE)
+        code = run_cli(
+            ["scan", path, "--param", "r", "--range", "0.5:1e22", "--samples", "2"]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        roots_line = next(l for l in out.splitlines() if l.startswith("roots:"))
+        assert roots_line.split()[1:] == ["1"]
+        assert "pole" not in out
+
     def test_warp_pairing_column(self, tmp_path, capsys):
         path = write_scene(tmp_path, SLICE_SCENE)
         csv_path = tmp_path / "warp.csv"

@@ -192,3 +192,10 @@ class TestBasePoint:
         for a in arrays:
             with pytest.raises(ValueError):
                 a[(0,) * a.ndim] = 1.0
+
+    def test_one_conformal_factor_per_point(self, sphere_slice):
+        # the h-inner product and |H|^2_h read the geometry's one e2; at
+        # this point |x|^2 summed in another order rounds e2 differently
+        base = warped.base_point(sphere_slice(1.0, 3), (-0.1, -0.3, 0.1))
+        h = warped.WVec(0.0, base.geometry.H_val)
+        assert warped.hbar_inner(base, WarpEval(1.0, 0.0, 0.0), h, h) == base.h2
