@@ -19,8 +19,10 @@ _ROOT_RATE_BAND = 1e3
 _SLOPE_LAG = 20
 _XTOL = 1e-10
 _RTOL = 4 * sys.float_info.epsilon
-# points per batched PointGeometry in classify
+# points per batched PointGeometry in classify and parameter_scan
 _CHUNK = 512
+# halvings parameter_scan's bisection evaluates per batched PointGeometry
+_SCAN_DEPTH = 5
 
 
 def normal_residual(spec, point, geometry=None):
@@ -182,6 +184,17 @@ def parameter_scan(spec, param, lo, hi, samples, probe_point):
     held _SLOPE_LAG halvings before it stopped (the sampled bracket after
     fewer halvings): narrow enough that a simple root is linear across it
     even when the sampled bracket spans decades.
+
+    The parameter enters as an array, so one PointGeometry evaluates a
+    whole batch of values.  The samples are one batch per _CHUNK of them.
+    Bisection looks _SCAN_DEPTH halvings ahead: one batch holds, for every
+    open bracket, each midpoint those halvings can reach (a binary tree of
+    2^_SCAN_DEPTH - 1 nodes, each formed with the float operations the
+    halvings take on the way to it), and the halvings then walk the tree,
+    so the points they evaluate are the ones they would evaluate one at a
+    time.  A batch that raises is evaluated one point at a time instead,
+    and only at the points the halvings reach, so a midpoint they never
+    reach neither fails the scan nor costs a build of its own.
     """
     if not (lo < hi and np.isfinite(hi - lo)):  # a finite width ends bisection
         raise UsageError(f"scan range [{lo}, {hi}] is empty or too wide")
@@ -193,17 +206,25 @@ def parameter_scan(spec, param, lo, hi, samples, probe_point):
     def residual(value):
         return normal_residual(spec.with_params(**{param: value}), probe_point)
 
-    grid = np.linspace(lo, hi, samples)
+    def residuals(xs):
+        point = tuple(np.full(len(xs), c, dtype=float) for c in probe_point)
+        return normal_residual(spec.with_params(**{param: np.array(xs)}), point)
+
+    grid = [float(x) for x in np.linspace(lo, hi, samples)]
     values = []
     failures = []
-    for x in grid:
-        try:
-            values.append((float(x), residual(float(x))))
-        except WarpgeoError as exc:
-            values.append((float(x), None))
-            failures.append((float(x), str(exc)))
+    for start in range(0, len(grid), _CHUNK):
+        chunk = grid[start : start + _CHUNK]
+        row = _rows(residuals, residual, chunk)
+        for i, x in enumerate(chunk):
+            try:
+                values.append((x, row(i)))
+            except WarpgeoError as exc:
+                values.append((x, None))
+                failures.append((x, str(exc)))
 
     roots = []
+    brackets = []
     for (x0, r0), (x1, r1) in zip(values, values[1:]):
         # never bracket across a failed sample
         if r0 is None or r1 is None:
@@ -212,35 +233,23 @@ def parameter_scan(spec, param, lo, hi, samples, probe_point):
             roots.append(x0)
             continue
         if np.sign(r0) * np.sign(r1) < 0.0:  # a product of residuals can underflow
-            (xa, ra), (xb, rb) = (x0, r0), (x1, r1)  # the last two evaluations
-            left, step = x0, x1 - x0
-            # the brackets [left, left + step] held, with their residuals
-            held = deque([(x0, r0, x1, r1)], maxlen=_SLOPE_LAG + 1)
-            try:
-                while True:
-                    step *= 0.5
-                    x = left + step
-                    (xa, ra), (xb, rb) = (xb, rb), (x, residual(x))
-                    if np.sign(rb) * np.sign(r0) >= 0.0:
-                        left = x
-                        held.append((x, rb) + held[-1][2:])
-                    else:
-                        held.append(held[-1][:2] + (x, rb))
-                    if rb == 0.0 or abs(step) < _XTOL + _RTOL * abs(x):
-                        break
-            except WarpgeoError as exc:
-                failures.append((x, str(exc)))
-                continue
-            near, width = max(abs(ra), abs(rb)), abs(xb - xa)
-            xl, rl, xr, rr = held[0]
-            ratio = near / (abs(rr - rl) / (xr - xl) * width)
-            if rb == 0.0 or 1.0 / _ROOT_RATE_BAND <= ratio <= _ROOT_RATE_BAND:
-                roots.append(x)
-            else:
-                failures.append(
-                    (x, f"pole: residual {near:g} over a last bracket of width "
-                        f"{width:g} is not in proportion to it")
-                )
+            brackets.append(_Bisection(x0, r0, x1, r1))
+    tree = 2**_SCAN_DEPTH - 1
+    per_build = _CHUNK // tree
+    active = brackets
+    while active:
+        for start in range(0, len(active), per_build):
+            group = active[start : start + per_build]
+            row = _rows(residuals, residual, [x for b in group for x in b.midpoints()])
+            for k, b in enumerate(group):
+                b.walk(row, k * tree)
+        active = [b for b in active if b.end is None]
+    for b in brackets:
+        x, message = b.end
+        if message is None:
+            roots.append(x)
+        else:
+            failures.append((x, message))
     if values and values[-1][1] == 0.0:
         roots.append(values[-1][0])
 
@@ -250,3 +259,79 @@ def parameter_scan(spec, param, lo, hi, samples, probe_point):
         if not dedup or abs(r - dedup[-1]) > 10 * _XTOL:
             dedup.append(r)
     return ScanResult(param, tuple(dedup), tuple(values), tuple(failures))
+
+
+def _rows(batch, one, xs):
+    """A function i -> the residual at xs[i], read from one batched
+    evaluation of xs.  If the batch raises, xs[i] is evaluated alone when
+    asked for, and raises as it would alone."""
+    try:
+        rows = batch(xs)
+    except WarpgeoError:
+        return lambda i: one(xs[i])
+    return rows.__getitem__
+
+
+class _Bisection:
+    """The halving loop of one sign-change bracket from its sampled ends
+    (x0, r0), (x1, r1), run _SCAN_DEPTH halvings at a time.  `end` is None
+    while it runs, then (x, None) for a root x or (x, message) for a
+    failure at x."""
+
+    def __init__(self, x0, r0, x1, r1):
+        self.r0 = r0
+        self.left, self.step = x0, x1 - x0
+        self.last = ((x0, r0), (x1, r1))  # the last two evaluations
+        # the brackets [left, left + step] held, with their residuals
+        self.held = deque([(x0, r0, x1, r1)], maxlen=_SLOPE_LAG + 1)
+        self.end = None
+
+    def midpoints(self):
+        """The midpoints the next _SCAN_DEPTH halvings can reach, in heap
+        order: node i has children 2i + 1, where the left end stays, and
+        2i + 2, where node i becomes the left end."""
+        ends = [(self.left, self.step)]  # (left, step) before each node
+        xs = []
+        while len(xs) < 2**_SCAN_DEPTH - 1:
+            left, step = ends[len(xs)]
+            step *= 0.5
+            xs.append(left + step)
+            ends += [(left, step), (xs[-1], step)]
+        return xs
+
+    def walk(self, row, offset):
+        """Take up to _SCAN_DEPTH halvings, reading the residual at midpoint
+        node i from row(offset + i)."""
+        node = 0
+        for _ in range(_SCAN_DEPTH):
+            self.step *= 0.5
+            x = self.left + self.step
+            try:
+                r = row(offset + node)
+            except WarpgeoError as exc:
+                self.end = (x, str(exc))
+                return
+            self.last = (self.last[1], (x, r))
+            if np.sign(r) * np.sign(self.r0) >= 0.0:
+                self.left = x
+                self.held.append((x, r) + self.held[-1][2:])
+                node = 2 * node + 2
+            else:
+                self.held.append(self.held[-1][:2] + (x, r))
+                node = 2 * node + 1
+            if r == 0.0 or abs(self.step) < _XTOL + _RTOL * abs(x):
+                self.end = (x, self._pole_test())
+                return
+
+    def _pole_test(self):
+        """None at a simple root, else the failure message of a pole."""
+        (xa, ra), (xb, rb) = self.last
+        near, width = max(abs(ra), abs(rb)), abs(xb - xa)
+        xl, rl, xr, rr = self.held[0]
+        ratio = near / (abs(rr - rl) / (xr - xl) * width)
+        if rb == 0.0 or 1.0 / _ROOT_RATE_BAND <= ratio <= _ROOT_RATE_BAND:
+            return None
+        return (
+            f"pole: residual {near:g} over a last bracket of width "
+            f"{width:g} is not in proportion to it"
+        )

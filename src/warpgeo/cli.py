@@ -118,37 +118,44 @@ def _fmt(x):
     return f"{x:.9g}"
 
 
+def _analysis(spec, pg, points):
+    """(JSON entry, table row) of each of `points`, the points of the
+    PointGeometry `pg`, batched or not."""
+    n_res = biharmonic.normal_residual(spec, pg.point, geometry=pg)
+    _, t_res = biharmonic.tangential_residual(spec, pg.point, geometry=pg)
+    out = []
+    for p, rep, n, t in zip(
+        points, pg.report().rows(), np.atleast_1d(n_res), np.atleast_1d(t_res)
+    ):
+        entry = rep.to_dict()
+        entry["normalResidual"] = n
+        entry["tangentialResidual"] = t
+        cells = [rep.lam, rep.normA2, rep.lap_lambda, n, t]
+        out.append((entry, [",".join(_fmt(c) for c in p)] + [_fmt(c) for c in cells]))
+    return out
+
+
+def _analysis_of_point(spec, p):
+    try:
+        return _analysis(spec, PointGeometry(spec, p), [p])[0]
+    except WarpgeoError as exc:
+        return (
+            {"point": list(p), "error": str(exc)},
+            [",".join(_fmt(c) for c in p), "error", str(exc), "", "", ""],
+        )
+
+
 def cmd_analyze(args):
     scene = load_scene(args.scene)
+    spec = scene.immersion
     points = _resolve_points(args, scene)
-    rows = []
-    reports = []
-    failed = 0
-    for p in points:
-        try:
-            pg = PointGeometry(scene.immersion, p)
-            pg.require_hypersurface()
-            rep = pg.report()
-            n_res = biharmonic.normal_residual(scene.immersion, p, geometry=pg)
-            _, t_res = biharmonic.tangential_residual(scene.immersion, p, geometry=pg)
-            entry = rep.to_dict()
-            entry["normalResidual"] = n_res
-            entry["tangentialResidual"] = t_res
-            reports.append(entry)
-            rows.append(
-                [
-                    ",".join(_fmt(c) for c in p),
-                    _fmt(rep.lam),
-                    _fmt(rep.normA2),
-                    _fmt(rep.lap_lambda),
-                    _fmt(n_res),
-                    _fmt(t_res),
-                ]
-            )
-        except WarpgeoError as exc:
-            failed += 1
-            reports.append({"point": list(p), "error": str(exc)})
-            rows.append([",".join(_fmt(c) for c in p), "error", str(exc), "", "", ""])
+    try:  # one batched PointGeometry; if it raises, the points one by one
+        analysis = _analysis(spec, PointGeometry(spec, np.array(points).T), points)
+    except WarpgeoError:
+        analysis = [_analysis_of_point(spec, p) for p in points]
+    reports = [entry for entry, _ in analysis]
+    rows = [row for _, row in analysis]
+    failed = sum("error" in entry for entry in reports)
     _print_table(
         ["point", "lambda", "|A|^2", "lapLambda", "normalRes", "tangentialRes"], rows
     )

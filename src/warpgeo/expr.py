@@ -274,8 +274,9 @@ def eval_jet(ast, variables, params=None):
     """Evaluate `ast` over jet arithmetic.
 
     `variables` maps identifiers to jets (all sharing one (n_vars, order),
-    batched or not); `params` maps identifiers to plain reals, entering as
-    constant jets that broadcast against the variables' batch.
+    batched or not); `params` maps identifiers to reals, or to arrays of
+    one value per point of the variables' batch, entering as constant jets
+    that broadcast against that batch.
     """
     params = params or {}
     if variables:
@@ -292,7 +293,10 @@ def eval_jet(ast, variables, params=None):
                 if node.ident in variables:
                     return variables[node.ident]
                 if node.ident in params:
-                    return J.jet_constant(float(params[node.ident]), n_vars, order)
+                    value = np.asarray(params[node.ident], dtype=float)
+                    return J.jet_constant(
+                        value if value.ndim else float(value), n_vars, order
+                    )
                 raise UsageError(f"unbound identifier {node.ident!r}")
             if isinstance(node, Neg):
                 return -ev(node.operand)

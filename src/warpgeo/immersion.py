@@ -81,10 +81,11 @@ def induced_metric_jets(spec, var_jets, slots):
 
     `var_jets` are pre-seeded jets for the chart variables (possibly living
     in a larger jet space, e.g. with a leading t slot); `slots` gives the
-    jet-space coordinate index of each chart variable.  Returns (X, dX, e2,
-    g): X of shape (size, n, *batch), and one order below it the tangents
-    dX (size', m, n, *batch), the conformal factor e2 as a jet and the
-    metric g (size', m, m, *batch).  A component whose jets, or whose
+    jet-space coordinate index of each chart variable.  Returns (X, dX, q,
+    e2, g): X of shape (size, n, *batch), and one order below it the
+    tangents dX (size', m, n, *batch), the ambient's conformal factor q
+    (None for the Euclidean chart) and metric factor e2 = q^2 as jets, and
+    the metric g (size', m, m, *batch).  A component whose jets, or whose
     tangent's share of the metric, leave the float range is an
     EvalDomainError naming it.
     """
@@ -96,14 +97,16 @@ def induced_metric_jets(spec, var_jets, slots):
         if bad.any():
             raise _overflow(spec, int(np.argmax(bad)))
         dX = J.gradient(X, n_vars, slots)
-        e2 = spec.ambient.metric_factor(J.trunc(X, n_vars, order - 1), n_vars)
+        x = J.trunc(X, n_vars, order - 1)
+        q = spec.ambient.conformal_factor(x, n_vars)
+        e2 = spec.ambient.metric_factor(x, n_vars, q)
         g = J.contract("ia,ja->ij", dX, dX, n_vars)
         g = J.contract("ij,->ij", g, e2.coeffs, n_vars)
         if not np.isfinite(g).all():
             # the metric overflows: name the component with the largest tangent
             tangent = np.abs(dX).swapaxes(0, 2).reshape(spec.n, -1).max(axis=1)
             raise _overflow(spec, int(np.argmax(tangent)))
-    return X, dX, e2, g
+    return X, dX, q, e2, g
 
 
 def _overflow(spec, a):
@@ -246,7 +249,7 @@ class PointGeometry:
         var_jets = [
             J.jet_variable(i, self.point[i], m, JET_ORDER) for i in range(m)
         ]
-        X, self.dX_c, self.e2, g = induced_metric_jets(spec, var_jets, range(m))
+        X, self.dX_c, q, self.e2, g = induced_metric_jets(spec, var_jets, range(m))
 
         self.g_val = values(g, 2)
         self.ginv_c = metric_inverse(g, m)  # order 2
@@ -256,7 +259,7 @@ class PointGeometry:
         self.e2_val = self.e2.value
 
         self.gamma_c = christoffels_from_metric(g, self.ginv_c, m)  # order 2
-        self.gamma_n_c = spec.ambient.christoffel(J.trunc(X, m, 2), m)
+        self.gamma_n_c = spec.ambient.christoffel(J.trunc(X, m, 2), m, q)
 
         # Second fundamental form and mean curvature: order 2
         # B_ij^a = d_j d_i X^a + Gamma^a_bc dX_i^b dX_j^c - Gamma^k_ij dX_k^a
@@ -346,6 +349,21 @@ class GeometryReport:
     lap_lambda: float
     grad_lambda: np.ndarray
     ric_eta_eta: float
+
+    def rows(self):
+        """The report of each point of a batched report, or [self]."""
+        if np.ndim(self.lam) == 0:
+            return [self]
+        batched = ("g", "B", "H", "eta", "A", "normA2", "lap_lambda", "grad_lambda")
+        return [
+            GeometryReport(
+                point=tuple(float(c[i]) for c in self.point),
+                lam=float(self.lam[i]),
+                ric_eta_eta=self.ric_eta_eta,
+                **{name: getattr(self, name)[i] for name in batched},
+            )
+            for i in range(len(self.lam))
+        ]
 
     def to_dict(self):
         return {

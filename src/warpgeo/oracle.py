@@ -151,7 +151,7 @@ def inclusion_map(spec):
     chart = spec.ambient
 
     def evaluate(var_jets):
-        X, _, _, g = induced_metric_jets(spec, var_jets, range(m))
+        X, _, _, _, g = induced_metric_jets(spec, var_jets, range(m))
         return X, g
 
     def codomain_christoffel(x, n_vars):
@@ -173,7 +173,7 @@ def warped_inclusion_map(scene):
         return eval_jet(scene.warp, {"t": t_jet}, scene.warp_params)
 
     def evaluate(var_jets):
-        X, _, _, g = induced_metric_jets(spec, var_jets[1:], slots)
+        X, _, _, _, g = induced_metric_jets(spec, var_jets[1:], slots)
         t = var_jets[0]
         f = warp_jet(t).trunc(t.order - 1)
         G = np.zeros((len(g), m + 1, m + 1) + g.shape[3:])
@@ -188,7 +188,8 @@ def warped_inclusion_map(scene):
         f_up = warp_jet(J.unstack(J.trunc(tx[:, 0], n_vars, order + 1), n_vars))
         f, f1 = f_up.trunc(order), f_up.d(0)
         x = J.trunc(tx[:, 1:], n_vars, order)
-        e2 = chart.metric_factor(x, n_vars)
+        q = chart.conformal_factor(x, n_vars)
+        e2 = chart.metric_factor(x, n_vars, q)
         eye = np.eye(n)
         gbar = np.zeros((len(x), n + 1, n + 1, n + 1) + x.shape[2:])
         gbar[:, 0, 1:, 1:] = np.einsum(
@@ -197,7 +198,7 @@ def warped_inclusion_map(scene):
         f1_over_f = np.einsum("z...,ab->zab...", (f1 / f).coeffs, eye)
         gbar[:, 1:, 0, 1:] = f1_over_f
         gbar[:, 1:, 1:, 0] = f1_over_f
-        gamma_n = chart.christoffel(x, n_vars)
+        gamma_n = chart.christoffel(x, n_vars, q)
         if gamma_n is not None:
             gbar[:, 1:, 1:, 1:] = gamma_n
         return gbar

@@ -66,28 +66,25 @@ class Check:
 
 def _checks_example_sphere_slice():
     out = []
+    # one batched PointGeometry per spec: row i is SLICE_POINTS[i]
+    points = np.array(SLICE_POINTS).T
     spec = sphere_slice(1.0)
-    for p in SLICE_POINTS:
-        pg = PointGeometry(spec, p)
+    pg = PointGeometry(spec, points)
+    residual = biharmonic.normal_residual(spec, points, geometry=pg)
+    for i, p in enumerate(SLICE_POINTS):
         tag = f"({p[0]:g},{p[1]:g})"
-        out.append(Check(f"sphere-slice r=1 lambda {tag}", 1.0, pg.lam, 1e-9))
-        out.append(Check(f"sphere-slice r=1 |A|^2 {tag}", 2.0, pg.normA2, 1e-8))
-        out.append(Check(f"sphere-slice r=1 lapLambda {tag}", 0.0, pg.lap_lam, 1e-7))
-        out.append(
-            Check(
-                f"sphere-slice r=1 normal residual {tag}",
-                0.0,
-                biharmonic.normal_residual(spec, p, geometry=pg),
-                1e-7,
-            )
-        )
+        out.append(Check(f"sphere-slice r=1 lambda {tag}", 1.0, float(pg.lam[i]), 1e-9))
+        out.append(Check(f"sphere-slice r=1 |A|^2 {tag}", 2.0, pg.normA2[i], 1e-8))
+        out.append(Check(f"sphere-slice r=1 lapLambda {tag}", 0.0, pg.lap_lam[i], 1e-7))
+        out.append(Check(f"sphere-slice r=1 normal residual {tag}", 0.0, residual[i], 1e-7))
     spec2 = sphere_slice(2.0)
-    for p in SLICE_POINTS:
+    residual = biharmonic.normal_residual(spec2, points, geometry=PointGeometry(spec2, points))
+    for i, p in enumerate(SLICE_POINTS):
         out.append(
             Check(
                 f"sphere-slice r=2 normal residual ({p[0]:g},{p[1]:g})",
                 24.0,
-                biharmonic.normal_residual(spec2, p),
+                residual[i],
                 1e-6,
             )
         )
@@ -96,22 +93,22 @@ def _checks_example_sphere_slice():
 
 def _checks_example_cone():
     out = []
+    points = ((0.5, 1.0), (1.0, 1.0), (2.0, 1.0))
     for r in (1.0, 2.0):
-        spec = cone(r)
-        for u, v in ((0.5, 1.0), (1.0, 1.0), (2.0, 1.0)):
-            pg = PointGeometry(spec, (u, v))
+        pg = PointGeometry(cone(r), np.array(points).T)
+        for i, (u, _) in enumerate(points):
             lam_ref = 1.0 / (2.0 * r * math.sqrt(1 + r * r) * u)
             lap_ref = 1.0 / (2.0 * r * (1 + r * r) ** 1.5 * u**3)
             a2_ref = 1.0 / (r * r * (1 + r * r) * u * u)
             tag = f"r={r:g} u={u:g}"
             out.append(
-                Check(f"cone lambda {tag}", lam_ref, pg.lam, 1e-8 * abs(lam_ref))
+                Check(f"cone lambda {tag}", lam_ref, float(pg.lam[i]), 1e-8 * abs(lam_ref))
             )
             out.append(
-                Check(f"cone lapLambda {tag}", lap_ref, pg.lap_lam, 1e-8 * abs(lap_ref))
+                Check(f"cone lapLambda {tag}", lap_ref, pg.lap_lam[i], 1e-8 * abs(lap_ref))
             )
             out.append(
-                Check(f"cone |A|^2 {tag}", a2_ref, pg.normA2, 1e-8 * abs(a2_ref))
+                Check(f"cone |A|^2 {tag}", a2_ref, pg.normA2[i], 1e-8 * abs(a2_ref))
             )
     scan = biharmonic.parameter_scan(cone(1.0), "r", 0.5, 2.0, 31, (1.0, 1.0))
     out.append(Check("cone scan root count", 1.0, float(len(scan.roots)), 0.0))

@@ -51,6 +51,21 @@ class TestCharts:
             assert jet.value == pytest.approx((2.0 / (1.0 + chart.c * 0.14)) ** 2)
 
     @pytest.mark.parametrize("model", ["sphere", "hyperbolic"])
+    def test_shared_conformal_factor_is_the_one_computed_at_lower_order(self, model, rng):
+        # PointGeometry computes q at order 3 and hands it, truncated, to
+        # the order-2 Christoffels: bit for bit the q they would compute
+        chart = AmbientChart(model, 3)
+        p = rng.uniform(-0.4, 0.4, size=(3, 16))  # a batch of 16 chart points
+        x3 = J.stack([J.jet_variable(a, p[a], 3, 3) for a in range(3)])
+        x2 = J.trunc(x3, 3, 2)
+        q3 = chart.conformal_factor(x3, 3)
+        assert np.array_equal(q3.trunc(2).coeffs, chart.conformal_factor(x2, 3).coeffs)
+        assert np.array_equal(chart.christoffel(x2, 3, q3), chart.christoffel(x2, 3))
+        assert np.array_equal(
+            chart.metric_factor(x3, 3, q3).coeffs, chart.metric_factor(x3, 3).coeffs
+        )
+
+    @pytest.mark.parametrize("model", ["sphere", "hyperbolic"])
     def test_metric_compatibility(self, model, rng):
         # d_c h_ab = Gamma^d_ca h_db + Gamma^d_cb h_ad
         chart = AmbientChart(model, 3)

@@ -215,3 +215,16 @@ def test_classify_names_the_first_failing_point_of_a_later_chunk(bad, error, mes
         classify(BALL_CONE, points, 1e-7)
     assert type(exc.value) is error
     assert str(exc.value).endswith(message)
+
+
+# -- a parameter as a batch -------------------------------------------------
+
+
+def test_batched_param_equals_values_one_by_one():
+    # verify's scan: the r = 1 cone's 31 samples at (1, 1), as one batch
+    spec = SCENES["cone"][0]
+    rs = np.linspace(0.5, 2.0, 31)
+    point = (np.full(31, 1.0), np.full(31, 1.0))
+    batch = biharmonic.normal_residual(spec.with_params(r=rs), point)
+    singles = [biharmonic.normal_residual(spec.with_params(r=float(r)), (1.0, 1.0)) for r in rs]
+    assert np.array_equal(batch, singles)

@@ -1,7 +1,9 @@
+import json
 import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,8 +14,33 @@ from scipy.optimize import bisect
 from warpgeo import biharmonic as bh
 from warpgeo import verify
 from warpgeo.ambient import AmbientChart
-from warpgeo.errors import UsageError
+from warpgeo.errors import EvalDomainError, UsageError
 from warpgeo.immersion import PointGeometry, immersion
+
+
+def _graph(height, params):
+    """The graph (u, v, height) in Euclidean 3-space."""
+    return immersion(("u", "v"), ("u", "v", height), params, AmbientChart("euclidean", 3))
+
+
+POLE_GRAPH = _graph("u*u/(r-1)+v*v", {"r": 0.5})
+# (spec, param, lo, hi, samples, probe point) of the scans recorded in
+# tests/data/scan_golden.json, which holds repr(parameter_scan(...).to_dict())
+# for each, as the one-point-at-a-time scan gave it
+SCANS = {
+    "cone r 0.5:2/31": (verify.cone(1.0), "r", 0.5, 2.0, 31, (1.0, 1.0)),
+    "slice r 0.5:2/31": (verify.sphere_slice(1.0), "r", 0.5, 2.0, 31, (0.3, -0.2)),
+    "cone r 1.5:2/11": (verify.cone(1.0), "r", 1.5, 2.0, 11, (1.0, 1.0)),
+    "cone r -1:1/3": (verify.cone(1.0), "r", -1.0, 1.0, 3, (1.0, 1.0)),
+    "pole r 0.5:1.5/30": (POLE_GRAPH, "r", 0.5, 1.5, 30, (0.3, 0.2)),
+    "pole r 0.45:1.6/20": (POLE_GRAPH, "r", 0.45, 1.6, 20, (0.3, 0.2)),
+    "cone r 0.5:2/33": (verify.cone(1.0), "r", 0.5, 2.0, 33, (1.0, 0.7)),
+    "cone r 0.5:1e22/2": (verify.cone(1.0), "r", 0.5, 1e22, 2, (1.0, math.pi / 2)),
+    # a param in an exponent: a batch of several exponents cannot be one
+    # power rule, so every batch falls back to its points one by one
+    "exponent p 1.5:3/16": (_graph("u^p+v", {"p": 2.0}), "p", 1.5, 3.0, 16, (0.5, 0.3)),
+}
+SCAN_GOLDEN = Path(__file__).parent / "data" / "scan_golden.json"
 
 
 class TestResiduals:
@@ -137,6 +164,11 @@ class TestScan:
         assert value == pytest.approx(1.0, abs=1e-9)
         assert message in text
 
+    @pytest.mark.parametrize("name", sorted(SCANS))
+    def test_scan_matches_golden(self, name):
+        res = bh.parameter_scan(*SCANS[name])
+        assert repr(res.to_dict()) == json.loads(SCAN_GOLDEN.read_text())[name]
+
     def test_bad_arguments(self, cone):
         with pytest.raises(UsageError):
             bh.parameter_scan(cone(1.0), "r", 2.0, 0.5, 11, (1.0, 1.0))
@@ -148,11 +180,12 @@ class TestScan:
             bh.parameter_scan(cone(1.0), "q", 0.5, 2.0, 11, (1.0, 1.0))
 
 
-# monotone functions with one simple root c, as (name, f(x, c, a))
+# monotone functions with one simple root c, as (name, f(x, c, a)); x is a
+# float or, for a batched scan, an array of parameter values
 MONOTONE = {
     "linear": lambda x, c, a: a * (x - c),
-    "atan": lambda x, c, a: a * math.atan(x - c),
-    "sinh": lambda x, c, a: a * math.sinh((x - c) / 4.0),
+    "atan": lambda x, c, a: a * np.arctan(x - c),
+    "sinh": lambda x, c, a: a * np.sinh((x - c) / 4.0),
     "cubic": lambda x, c, a: a * ((x - c) ** 3 + (x - c)),
 }
 
@@ -178,6 +211,35 @@ class TestBisection:
             res = bh.parameter_scan(verify.cone(1.0), "r", lo, hi, 2, (1.0, 1.0))
         assert res.failures == ()
         assert res.roots == (bisect(f, lo, hi, xtol=1e-10),)
+
+    def test_failure_off_the_path_leaves_the_scan_as_it_was(self, monkeypatch):
+        # the root lies right of the first midpoint, so bisection never
+        # evaluates inside (lo, mid); a batch holding such a value raises,
+        # and only the midpoints on the path are evaluated one by one
+        lo, hi, c = 0.0, 1.0, 0.7
+        mid = 0.5 * (lo + hi)
+        single = []
+
+        def plain(spec, point):
+            return spec.params["r"] - c
+
+        def raising(spec, point):
+            r = spec.params["r"]
+            if np.ndim(r) == 0:
+                single.append(r)
+            if np.any((lo < r) & (r < mid)):
+                raise EvalDomainError("off the path")
+            return plain(spec, point)
+
+        monkeypatch.setattr(bh, "normal_residual", plain)
+        ref = bh.parameter_scan(verify.cone(1.0), "r", lo, hi, 2, (1.0, 1.0))
+        monkeypatch.setattr(bh, "normal_residual", raising)
+        res = bh.parameter_scan(verify.cone(1.0), "r", lo, hi, 2, (1.0, 1.0))
+        assert res == ref
+        assert res.failures == ()
+        assert res.roots == (bisect(lambda x: x - c, lo, hi, xtol=1e-10),)
+        assert single[0] == mid and len(single) == bh._SCAN_DEPTH
+        assert all(x >= mid for x in single)
 
     def test_import_leaves_scipy_out(self):
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))

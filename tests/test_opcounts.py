@@ -7,10 +7,13 @@ and jet products per workload is fixed; a change that evaluates a point
 again raises these counts.
 """
 
+import math
+
 import pytest
 
 from warpgeo import biharmonic, jet, oracle, verify, warped
-from warpgeo.immersion import PointGeometry
+from warpgeo.ambient import AmbientChart
+from warpgeo.immersion import PointGeometry, immersion
 
 POINT = (0.3, -0.2)
 
@@ -112,14 +115,16 @@ def test_pairing_reuses_the_base_point(counts):
 
 
 def test_verify_pass_build_count(counts):
+    # the closed-form fixtures: one batch per spec, 4; the scan: 7
     verify.run_checks()
-    assert counts["builds"] == 81
+    assert counts["builds"] == 16
 
 
 def test_scan_bisects_from_the_sampled_ends(counts):
-    # 31 samples, then 29 midpoints for the one bracket around r = 1
+    # 31 samples in one batch, then 29 midpoints for the one bracket around
+    # r = 1, _SCAN_DEPTH = 5 of them per batch: 1 + 6 builds
     biharmonic.parameter_scan(verify.cone(1.0), "r", 0.5, 2.0, 31, (1.0, 1.0))
-    assert counts["builds"] == 60
+    assert counts["builds"] == 1 + math.ceil(29 / biharmonic._SCAN_DEPTH) == 7
 
 
 @pytest.mark.parametrize("name", ["tension_first_principles", "bitension_first_principles"])
@@ -137,13 +142,13 @@ def test_oracle_evaluates_each_map_once(counts, name):
 def test_verify_pass_mul_count(counts):
     # scalar jet products and jet tensor contractions
     verify.run_checks()
-    assert counts["mul"] == 2_389
-    assert counts["contract"] == 1_432
+    assert counts["mul"] == 1_137
+    assert counts["contract"] == 588
 
 
 @pytest.mark.parametrize(
     "spec, mul, contract",
-    [(verify.cone(1.0), 18, 12), (verify.sphere_slice(1.0), 17, 17)],
+    [(verify.cone(1.0), 18, 12), (verify.sphere_slice(1.0), 13, 16)],
     ids=["cone", "slice"],
 )
 def test_grid_classify_is_one_batched_pass(counts, spec, mul, contract):
@@ -162,4 +167,36 @@ def test_three_dimensional_classify_count(counts):
     # an S4 slice: the metric inverse and the normal are contractions, so a
     # 3x3 metric costs no more scalar products than a 2x2 one
     biharmonic.classify(verify.sphere_slice(0.7, 3), [POINT + (0.1,)], 1e-7)
-    assert (counts["mul"], counts["contract"]) == (17, 18)
+    assert (counts["mul"], counts["contract"]) == (13, 17)
+
+
+@pytest.fixture
+def conformal_factors(monkeypatch):
+    calls = []
+    factor = AmbientChart._conformal_factor
+
+    def counted(self, s):
+        calls.append(s)
+        return factor(self, s)
+
+    monkeypatch.setattr(AmbientChart, "_conformal_factor", counted)
+    return calls
+
+
+@pytest.mark.parametrize("model", ["sphere", "hyperbolic"])
+def test_one_conformal_factor_per_build(conformal_factors, model):
+    # the metric factor q^2 and the ambient Christoffels share one q
+    spec = immersion(("u", "v"), ("u", "v", "0.3+u*v/4"), {}, AmbientChart(model, 3))
+    PointGeometry(spec, (0.2, -0.1))
+    assert len(conformal_factors) == 1
+
+
+@pytest.mark.parametrize(
+    "name, calls", [("tension_first_principles", 2), ("bitension_first_principles", 3)]
+)
+def test_oracle_conformal_factor_count(conformal_factors, name, calls):
+    # one q for the induced metric, and one per warped codomain Christoffel
+    # call (along phi, and for the bitension at phi(p)), shared there by
+    # the metric factor and the ambient Christoffels
+    getattr(oracle, name)(oracle.warped_inclusion_map(_scene()), (0.3,) + POINT)
+    assert len(conformal_factors) == calls

@@ -112,6 +112,34 @@ class TestCli:
         assert rep["normA2"] == pytest.approx(0.5)
         assert rep["normalResidual"] == pytest.approx(0.0, abs=1e-10)
 
+    @pytest.mark.parametrize(
+        "points, codes",
+        [(["0.5,1", "1,0.7", "2,2.5"], [0, 0, 0]), (["0.5,1", "0,1", "2,2.5"], [0, 3, 0])],
+        ids=["all good", "axis point fails"],
+    )
+    def test_analyze_batch_equals_points_one_by_one(self, tmp_path, capsys, points, codes):
+        # one batched build; the axis point u = 0 makes it raise, and then
+        # every point is evaluated on its own, the failing one as an error row
+        path = write_scene(tmp_path, CONE_SCENE)
+
+        def analyze(pts, name):
+            out = tmp_path / name
+            code = run_cli(["analyze", path, "--points", ";".join(pts), "--json", str(out)])
+            lines = capsys.readouterr().out.splitlines()
+            return code, [line.split() for line in lines[1:]], json.loads(out.read_text())
+
+        code, rows, payload = analyze(points, "all.json")
+        singles = [analyze([p], f"{i}.json") for i, p in enumerate(points)]
+        assert [c for c, _, _ in singles] == codes
+        assert code == max(codes)
+        assert rows == [row for _, (row,), _ in singles]
+        assert payload["reports"] == [rep for _, _, s in singles for rep in s["reports"]]
+        if code:
+            assert payload["reports"][1] == {
+                "point": [0.0, 1.0],
+                "error": "degenerate induced metric, det g = 0",
+            }
+
     def test_classify_slice(self, tmp_path, capsys):
         path = write_scene(tmp_path, SLICE_SCENE)
         code = run_cli(["classify", path, "--points", "0,0;0.3,-0.2"])
