@@ -19,7 +19,7 @@ _ROOT_RATE_BAND = 1e3
 _SLOPE_LAG = 20
 _XTOL = 1e-10
 _RTOL = 4 * sys.float_info.epsilon
-# points per batched PointGeometry in classify and parameter_scan
+# items per batch of `each`
 _CHUNK = 512
 # halvings parameter_scan's bisection evaluates per batched PointGeometry
 _SCAN_DEPTH = 5
@@ -91,24 +91,22 @@ def classify(spec, points, tol, geometries=None):
     m (1 + |lambda|)(1 + |A|^2).
 
     `geometries`, if given, holds PointGeometry objects covering the
-    points (one per point, or batched); otherwise the points are evaluated
-    in batches of _CHUNK.  A maximum over residuals one of which is NaN is NaN,
+    points (one per point, or batched); otherwise `each` evaluates the
+    points in batches, and the error raised is the one of the first
+    failing point.  A maximum over residuals one of which is NaN is NaN,
     so a NaN residual never passes a tolerance."""
     points = [tuple(p) for p in points]
     if not points:
         raise UsageError("classify needs at least one point")
+    for p in points:
+        if len(p) != spec.m:
+            raise UsageError(f"point has {len(p)} coords, expected {spec.m}")
     if geometries is None:
-        geometries = _geometries(spec, points)
-    m = spec.m
-    max_n = max_t = max_h = 0.0
-    scale = 0.0
-    for pg in geometries:
-        pg.require_hypersurface()
-        scale = _max(scale, m * (1.0 + np.abs(pg.lam)) * (1.0 + pg.normA2))
-        max_n = _max(max_n, np.abs(normal_residual(spec, pg.point, geometry=pg)))
-        _, tnorm = tangential_residual(spec, pg.point, geometry=pg)
-        max_t = _max(max_t, tnorm)
-        max_h = _max(max_h, pg.normH)
+        read = each(lambda ps: _measures(spec, PointGeometry(spec, np.array(ps).T)), points)
+        rows = [read(i) for i in range(len(points))]
+    else:
+        rows = [r for pg in geometries for r in _measures(spec, pg)]
+    scale, max_n, max_t, max_h = map(float, np.max(rows, axis=0, initial=0.0))
     normally = max_n <= tol * scale
     tangentially = max_t <= tol * scale
     harmonic = max_h <= tol * (1.0 + scale)
@@ -126,29 +124,49 @@ def classify(spec, points, tol, geometries=None):
     )
 
 
-def _max(acc, values):
-    """The largest of `acc` and `values` (a float or a batch array); NaN
-    if any of them is NaN."""
-    return float(np.asarray(values).max(initial=acc))
+def _measures(spec, pg):
+    """The row (scale, |normal residual|, tangential residual, |H|) of each
+    point of the PointGeometry `pg`, batched or not."""
+    normal = np.abs(normal_residual(spec, pg.point, geometry=pg))
+    _, tangential = tangential_residual(spec, pg.point, geometry=pg)
+    scale = spec.m * (1.0 + np.abs(pg.lam)) * (1.0 + pg.normA2)
+    return np.atleast_2d(np.array([scale, normal, tangential, pg.normH]).T)
 
 
-def _geometries(spec, points):
-    """The PointGeometry of `points`, one batch per _CHUNK points, so the
-    memory a grid takes is bounded by one chunk."""
-    for start in range(0, len(points), _CHUNK):
-        yield from _batch(spec, points[start : start + _CHUNK])
+def each(evaluate, xs):
+    """A reader i -> row i of a batched evaluation of the list `xs`, where
+    `evaluate` maps a list of items to a sequence of one row per item.
 
+    xs is cut into parts of _CHUNK items, and a part whose evaluation
+    raises a WarpgeoError into halves, down to single items.  A part is
+    evaluated when one of its rows is first read, and only the part read
+    last is held, so rows read in order cost one evaluation per part and
+    the memory of one batch, and an isolated failure about 2 log2(_CHUNK)
+    evaluations.  Reading the row of a single item that raises raises that
+    item's error."""
+    failed = set()  # (start, stop) of each part that raised
+    held = (0, 0, ())  # the part read last: start, stop, rows
 
-def _batch(spec, points):
-    """The PointGeometry of `points` as one batch.  If the batch raises,
-    the points are evaluated one by one, so the error raised is the one of
-    the first failing point."""
-    if all(len(p) == spec.m for p in points):
-        try:
-            return [PointGeometry(spec, np.array(points, dtype=float).T)]
-        except WarpgeoError:
-            pass
-    return (PointGeometry(spec, p) for p in points)
+    def row(i):
+        nonlocal held
+        start, stop, rows = held
+        if not start <= i < stop:
+            start = i - i % _CHUNK
+            stop = min(start + _CHUNK, len(xs))
+            while (start, stop) in failed:
+                mid = (start + stop) // 2
+                start, stop = (start, mid) if i < mid else (mid, stop)
+            try:
+                rows = evaluate(xs[start:stop])
+            except WarpgeoError:
+                if stop - start == 1:
+                    raise
+                failed.add((start, stop))
+                return row(i)
+            held = start, stop, rows
+        return rows[i - start]
+
+    return row
 
 
 @dataclass(frozen=True)
@@ -186,15 +204,14 @@ def parameter_scan(spec, param, lo, hi, samples, probe_point):
     even when the sampled bracket spans decades.
 
     The parameter enters as an array, so one PointGeometry evaluates a
-    whole batch of values.  The samples are one batch per _CHUNK of them.
-    Bisection looks _SCAN_DEPTH halvings ahead: one batch holds, for every
-    open bracket, each midpoint those halvings can reach (a binary tree of
-    2^_SCAN_DEPTH - 1 nodes, each formed with the float operations the
-    halvings take on the way to it), and the halvings then walk the tree,
-    so the points they evaluate are the ones they would evaluate one at a
-    time.  A batch that raises is evaluated one point at a time instead,
-    and only at the points the halvings reach, so a midpoint they never
-    reach neither fails the scan nor costs a build of its own.
+    whole batch of values, and `each` batches the samples and every round
+    of bisection.  Bisection looks _SCAN_DEPTH halvings ahead: a round's
+    batch holds, for every open bracket, each midpoint those halvings can
+    reach (a binary tree of 2^_SCAN_DEPTH - 1 nodes, each formed with the
+    float operations the halvings take on the way to it), and the halvings
+    then walk the tree, so the points they evaluate are the ones they would
+    evaluate one at a time.  `each` evaluates a part of a batch only when a
+    walk reads it, so a midpoint no walk reaches never fails the scan.
     """
     if not (lo < hi and np.isfinite(hi - lo)):  # a finite width ends bisection
         raise UsageError(f"scan range [{lo}, {hi}] is empty or too wide")
@@ -203,25 +220,20 @@ def parameter_scan(spec, param, lo, hi, samples, probe_point):
     if param not in spec.params:
         raise UsageError(f"unknown parameter {param!r}")
 
-    def residual(value):
-        return normal_residual(spec.with_params(**{param: value}), probe_point)
-
     def residuals(xs):
         point = tuple(np.full(len(xs), c, dtype=float) for c in probe_point)
         return normal_residual(spec.with_params(**{param: np.array(xs)}), point)
 
     grid = [float(x) for x in np.linspace(lo, hi, samples)]
+    row = each(residuals, grid)
     values = []
     failures = []
-    for start in range(0, len(grid), _CHUNK):
-        chunk = grid[start : start + _CHUNK]
-        row = _rows(residuals, residual, chunk)
-        for i, x in enumerate(chunk):
-            try:
-                values.append((x, row(i)))
-            except WarpgeoError as exc:
-                values.append((x, None))
-                failures.append((x, str(exc)))
+    for i, x in enumerate(grid):
+        try:
+            values.append((x, row(i)))
+        except WarpgeoError as exc:
+            values.append((x, None))
+            failures.append((x, str(exc)))
 
     roots = []
     brackets = []
@@ -234,15 +246,11 @@ def parameter_scan(spec, param, lo, hi, samples, probe_point):
             continue
         if np.sign(r0) * np.sign(r1) < 0.0:  # a product of residuals can underflow
             brackets.append(_Bisection(x0, r0, x1, r1))
-    tree = 2**_SCAN_DEPTH - 1
-    per_build = _CHUNK // tree
     active = brackets
     while active:
-        for start in range(0, len(active), per_build):
-            group = active[start : start + per_build]
-            row = _rows(residuals, residual, [x for b in group for x in b.midpoints()])
-            for k, b in enumerate(group):
-                b.walk(row, k * tree)
+        row = each(residuals, [x for b in active for x in b.midpoints()])
+        for k, b in enumerate(active):
+            b.walk(row, k * (2**_SCAN_DEPTH - 1))
         active = [b for b in active if b.end is None]
     for b in brackets:
         x, message = b.end
@@ -259,17 +267,6 @@ def parameter_scan(spec, param, lo, hi, samples, probe_point):
         if not dedup or abs(r - dedup[-1]) > 10 * _XTOL:
             dedup.append(r)
     return ScanResult(param, tuple(dedup), tuple(values), tuple(failures))
-
-
-def _rows(batch, one, xs):
-    """A function i -> the residual at xs[i], read from one batched
-    evaluation of xs.  If the batch raises, xs[i] is evaluated alone when
-    asked for, and raises as it would alone."""
-    try:
-        rows = batch(xs)
-    except WarpgeoError:
-        return lambda i: one(xs[i])
-    return rows.__getitem__
 
 
 class _Bisection:

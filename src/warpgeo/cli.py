@@ -118,43 +118,35 @@ def _fmt(x):
     return f"{x:.9g}"
 
 
-def _analysis(spec, pg, points):
-    """(JSON entry, table row) of each of `points`, the points of the
-    PointGeometry `pg`, batched or not."""
+def _analysis(spec, points):
+    """(JSON entry, table cells) of each of `points`, evaluated as one batch."""
+    pg = PointGeometry(spec, np.array(points).T)
     n_res = biharmonic.normal_residual(spec, pg.point, geometry=pg)
     _, t_res = biharmonic.tangential_residual(spec, pg.point, geometry=pg)
     out = []
-    for p, rep, n, t in zip(
-        points, pg.report().rows(), np.atleast_1d(n_res), np.atleast_1d(t_res)
-    ):
+    for rep, n, t in zip(pg.report().rows(), n_res, t_res):
         entry = rep.to_dict()
         entry["normalResidual"] = n
         entry["tangentialResidual"] = t
         cells = [rep.lam, rep.normA2, rep.lap_lambda, n, t]
-        out.append((entry, [",".join(_fmt(c) for c in p)] + [_fmt(c) for c in cells]))
+        out.append((entry, [_fmt(c) for c in cells]))
     return out
-
-
-def _analysis_of_point(spec, p):
-    try:
-        return _analysis(spec, PointGeometry(spec, p), [p])[0]
-    except WarpgeoError as exc:
-        return (
-            {"point": list(p), "error": str(exc)},
-            [",".join(_fmt(c) for c in p), "error", str(exc), "", "", ""],
-        )
 
 
 def cmd_analyze(args):
     scene = load_scene(args.scene)
     spec = scene.immersion
     points = _resolve_points(args, scene)
-    try:  # one batched PointGeometry; if it raises, the points one by one
-        analysis = _analysis(spec, PointGeometry(spec, np.array(points).T), points)
-    except WarpgeoError:
-        analysis = [_analysis_of_point(spec, p) for p in points]
-    reports = [entry for entry, _ in analysis]
-    rows = [row for _, row in analysis]
+    read = biharmonic.each(lambda ps: _analysis(spec, ps), points)
+    reports, rows = [], []
+    for i, p in enumerate(points):
+        try:
+            entry, cells = read(i)
+        except WarpgeoError as exc:
+            entry = {"point": list(p), "error": str(exc)}
+            cells = ["error", str(exc), "", "", ""]
+        reports.append(entry)
+        rows.append([",".join(_fmt(c) for c in p)] + cells)
     failed = sum("error" in entry for entry in reports)
     _print_table(
         ["point", "lambda", "|A|^2", "lapLambda", "normalRes", "tangentialRes"], rows
@@ -224,6 +216,8 @@ def cmd_warp(args):
     ws = scene.require_warp()
     point = _parse_points(args.point, scene.immersion.m)[0]
     tgrid = _parse_tgrid(args.t)
+    if not ws.interval[0] <= tgrid.min() <= tgrid.max() <= ws.interval[1]:
+        raise UsageError(f"--t {args.t} leaves the warp interval {list(ws.interval)}")
     reports = [warped.warped_report(ws, float(t), point) for t in tgrid]
     values = [
         (r.t, r.f, r.pairing, r.pairing_closed_form, r.power_residual,

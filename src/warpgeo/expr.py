@@ -253,21 +253,31 @@ def free_symbols(node):
 
 
 def _constant_exponent(j):
-    """The value of the exponent jet `j` if it is one constant over its
-    whole batch, or None if it varies at every point.  An exponent that is
-    constant at some points of a batch only, or constant with different
-    values, would need a different power rule per point: that raises, and
-    the batch's points can be evaluated one by one instead."""
-    c = j.coeffs
-    varying = c[1:].any(axis=0)
-    count = np.count_nonzero(varying)
-    if count == varying.size:
+    """The value of the exponent jet `j` (a 0-d array, or one value per
+    point of its batch) if it is constant at every point, or None if it
+    varies at every point.  An exponent constant at some points of a batch
+    only raises, and the batch's points can be evaluated one by one
+    instead."""
+    varying = j.coeffs[1:].any(axis=0)
+    if varying.all():
         return None
-    if count == 0:
-        p = c[0]
-        if p.ndim == 0 or (p == p.flat[0]).all():
-            return float(p.flat[0])
-    raise UsageError("exponent is constant at only some points of the batch")
+    if varying.any():
+        raise UsageError("exponent is constant at only some points of the batch")
+    return j.coeffs[0]
+
+
+def _power_per_point(base, p):
+    """base ** p for an array `p` of one exponent per point of the batch:
+    each point's jet takes the power rule of its own exponent, so the batch
+    equals its points one by one."""
+    size = len(base.coeffs)
+    c = np.broadcast_to(base.coeffs.reshape(size, -1), (size, p.size))
+    powers = [
+        J.jpow(J.Jet(base.n_vars, base.order, col), q).coeffs
+        for col, q in zip(c.T, p.flat)
+    ]
+    stacked = np.stack(powers, axis=-1).reshape((size,) + p.shape)
+    return J.Jet(base.n_vars, base.order, stacked)
 
 
 def eval_jet(ast, variables, params=None):
@@ -307,9 +317,9 @@ def eval_jet(ast, variables, params=None):
                 if node.op == "^":
                     rhs = ev(node.right)
                     p = _constant_exponent(rhs)
-                    if p is not None:
-                        return J.jpow(lhs, p)
-                    return J.exp(rhs * J.log(lhs))
+                    if p is None:
+                        return J.exp(rhs * J.log(lhs))
+                    return _power_per_point(lhs, p) if np.ndim(p) else J.jpow(lhs, p)
                 rhs = ev(node.right)
                 if node.op == "+":
                     return lhs + rhs

@@ -351,9 +351,7 @@ class GeometryReport:
     ric_eta_eta: float
 
     def rows(self):
-        """The report of each point of a batched report, or [self]."""
-        if np.ndim(self.lam) == 0:
-            return [self]
+        """The report of each point of a batched report."""
         batched = ("g", "B", "H", "eta", "A", "normA2", "lap_lambda", "grad_lambda")
         return [
             GeometryReport(

@@ -221,10 +221,19 @@ def test_classify_names_the_first_failing_point_of_a_later_chunk(bad, error, mes
 
 
 def test_batched_param_equals_values_one_by_one():
-    # verify's scan: the r = 1 cone's 31 samples at (1, 1), as one batch
-    spec = SCENES["cone"][0]
-    rs = np.linspace(0.5, 2.0, 31)
-    point = (np.full(31, 1.0), np.full(31, 1.0))
-    batch = biharmonic.normal_residual(spec.with_params(r=rs), point)
-    singles = [biharmonic.normal_residual(spec.with_params(r=float(r)), (1.0, 1.0)) for r in rs]
-    assert np.array_equal(batch, singles)
+    exponent = immersion(
+        ("u", "v"), ("u", "v", "u^p+v"), {"p": 2.0}, AmbientChart("euclidean", 3)
+    )
+    for spec, param, values, point in [
+        # verify's scan: the r = 1 cone's 31 samples at (1, 1)
+        (SCENES["cone"][0], "r", np.linspace(0.5, 2.0, 31), (1.0, 1.0)),
+        # a param in an exponent: each point takes its own power rule
+        (exponent, "p", np.linspace(1.5, 3.0, 16), (0.5, 0.3)),
+    ]:
+        batched = tuple(np.full(len(values), c) for c in point)
+        batch = biharmonic.normal_residual(spec.with_params(**{param: values}), batched)
+        singles = [
+            biharmonic.normal_residual(spec.with_params(**{param: float(x)}), point)
+            for x in values
+        ]
+        assert np.array_equal(batch, singles)

@@ -32,12 +32,13 @@ SCANS = {
     "slice r 0.5:2/31": (verify.sphere_slice(1.0), "r", 0.5, 2.0, 31, (0.3, -0.2)),
     "cone r 1.5:2/11": (verify.cone(1.0), "r", 1.5, 2.0, 11, (1.0, 1.0)),
     "cone r -1:1/3": (verify.cone(1.0), "r", -1.0, 1.0, 3, (1.0, 1.0)),
+    # one degenerate sample, r = 0, in a batch of 101
+    "cone r -1:1/101": (verify.cone(1.0), "r", -1.0, 1.0, 101, (1.0, 1.0)),
     "pole r 0.5:1.5/30": (POLE_GRAPH, "r", 0.5, 1.5, 30, (0.3, 0.2)),
     "pole r 0.45:1.6/20": (POLE_GRAPH, "r", 0.45, 1.6, 20, (0.3, 0.2)),
     "cone r 0.5:2/33": (verify.cone(1.0), "r", 0.5, 2.0, 33, (1.0, 0.7)),
     "cone r 0.5:1e22/2": (verify.cone(1.0), "r", 0.5, 1e22, 2, (1.0, math.pi / 2)),
-    # a param in an exponent: a batch of several exponents cannot be one
-    # power rule, so every batch falls back to its points one by one
+    # a param in an exponent: each point of a batch takes its own power rule
     "exponent p 1.5:3/16": (_graph("u^p+v", {"p": 2.0}), "p", 1.5, 3.0, 16, (0.5, 0.3)),
 }
 SCAN_GOLDEN = Path(__file__).parent / "data" / "scan_golden.json"
@@ -118,6 +119,10 @@ class TestClassify:
     def test_empty_points(self, cone):
         with pytest.raises(UsageError):
             bh.classify(cone(1.0), [], 1e-7)
+
+    def test_point_of_the_wrong_length(self, cone):
+        with pytest.raises(UsageError, match="^point has 3 coords, expected 2$"):
+            bh.classify(cone(1.0), [(1.0, 0.7), (1.0, 0.7, 0.3)], 1e-7)
 
     def test_to_dict(self, cone):
         d = bh.classify(cone(1.0), [(1.0, 0.7)], 1e-7).to_dict()
@@ -215,19 +220,19 @@ class TestBisection:
     def test_failure_off_the_path_leaves_the_scan_as_it_was(self, monkeypatch):
         # the root lies right of the first midpoint, so bisection never
         # evaluates inside (lo, mid); a batch holding such a value raises,
-        # and only the midpoints on the path are evaluated one by one
+        # and only its halves that hold a midpoint on the path are evaluated
         lo, hi, c = 0.0, 1.0, 0.7
         mid = 0.5 * (lo + hi)
-        single = []
+        evaluated, raised = [], []
 
         def plain(spec, point):
             return spec.params["r"] - c
 
         def raising(spec, point):
             r = spec.params["r"]
-            if np.ndim(r) == 0:
-                single.append(r)
+            evaluated.append(r)
             if np.any((lo < r) & (r < mid)):
+                raised.append(r)
                 raise EvalDomainError("off the path")
             return plain(spec, point)
 
@@ -238,8 +243,11 @@ class TestBisection:
         assert res == ref
         assert res.failures == ()
         assert res.roots == (bisect(lambda x: x - c, lo, hi, xtol=1e-10),)
-        assert single[0] == mid and len(single) == bh._SCAN_DEPTH
-        assert all(x >= mid for x in single)
+        # the samples; round 1: 13 parts of its tree, 8 of which raise; then
+        # one batch for each of the 6 further rounds
+        assert len(evaluated) == 1 + 13 + 6
+        assert len(raised) == 8
+        assert all(np.any((lo < r) & (r < mid)) for r in raised)
 
     def test_import_leaves_scipy_out(self):
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))

@@ -127,6 +127,24 @@ def test_scan_bisects_from_the_sampled_ends(counts):
     assert counts["builds"] == 1 + math.ceil(29 / biharmonic._SCAN_DEPTH) == 7
 
 
+def test_scan_halves_a_batch_around_a_failing_sample(counts):
+    # r = 0 is degenerate: the batch of 101 samples and each part that
+    # holds r = 0 as it is halved down to r = 0 alone raise, 7 attempts; 6
+    # parts hold the other samples; then the brackets around r = -1 and
+    # r = 1 take one build per round, 6
+    biharmonic.parameter_scan(verify.cone(1.0), "r", -1.0, 1.0, 101, (1.0, 1.0))
+    assert counts["builds"] <= 20
+
+
+def test_scan_of_a_param_in_an_exponent(counts):
+    # each sample takes its own power rule in one batch: 1 + 6 builds
+    spec = immersion(
+        ("u", "v"), ("u", "v", "u^p+v"), {"p": 2.0}, AmbientChart("euclidean", 3)
+    )
+    biharmonic.parameter_scan(spec, "p", 1.5, 3.0, 16, (0.5, 0.3))
+    assert counts["builds"] == 7
+
+
 @pytest.mark.parametrize("name", ["tension_first_principles", "bitension_first_principles"])
 def test_oracle_evaluates_each_map_once(counts, name):
     scene = _scene()

@@ -7,6 +7,7 @@ import pytest
 from warpgeo import cli
 from warpgeo.errors import SceneError
 from warpgeo.expr import parse, pretty
+from warpgeo.immersion import PointGeometry
 from warpgeo.scene import load_scene, scene_from_dict
 
 CONE_SCENE = {
@@ -113,32 +114,64 @@ class TestCli:
         assert rep["normalResidual"] == pytest.approx(0.0, abs=1e-10)
 
     @pytest.mark.parametrize(
-        "points, codes",
-        [(["0.5,1", "1,0.7", "2,2.5"], [0, 0, 0]), (["0.5,1", "0,1", "2,2.5"], [0, 3, 0])],
-        ids=["all good", "axis point fails"],
+        "where, codes",
+        [
+            (["--points", "0.5,1;1,0.7;2,2.5"], [0, 0, 0]),
+            (["--points", "0.5,1;0,1;2,2.5"], [0, 3, 0]),
+            (["--grid", "0:1:8,0:1:8"], [3] * 8 + [0] * 56),
+        ],
+        ids=["all good", "axis point fails", "grid, axis row fails"],
     )
-    def test_analyze_batch_equals_points_one_by_one(self, tmp_path, capsys, points, codes):
-        # one batched build; the axis point u = 0 makes it raise, and then
-        # every point is evaluated on its own, the failing one as an error row
+    def test_analyze_batch_equals_points_one_by_one(self, tmp_path, capsys, where, codes):
+        # batched builds; a batch that raises is halved down to the axis
+        # points u = 0, each of which is an error row
         path = write_scene(tmp_path, CONE_SCENE)
 
-        def analyze(pts, name):
+        def analyze(where, name):
             out = tmp_path / name
-            code = run_cli(["analyze", path, "--points", ";".join(pts), "--json", str(out)])
+            code = run_cli(["analyze", path, *where, "--json", str(out)])
             lines = capsys.readouterr().out.splitlines()
             return code, [line.split() for line in lines[1:]], json.loads(out.read_text())
 
-        code, rows, payload = analyze(points, "all.json")
-        singles = [analyze([p], f"{i}.json") for i, p in enumerate(points)]
+        code, rows, payload = analyze(where, "all.json")
+        points = [rep["point"] for rep in payload["reports"]]
+        singles = [
+            analyze(["--points", ",".join(map(repr, p))], f"{i}.json")
+            for i, p in enumerate(points)
+        ]
         assert [c for c, _, _ in singles] == codes
         assert code == max(codes)
         assert rows == [row for _, (row,), _ in singles]
         assert payload["reports"] == [rep for _, _, s in singles for rep in s["reports"]]
         if code:
-            assert payload["reports"][1] == {
-                "point": [0.0, 1.0],
-                "error": "degenerate induced metric, det g = 0",
-            }
+            error = {"point": [0.0, 1.0], "error": "degenerate induced metric, det g = 0"}
+            assert error in payload["reports"]
+
+    @pytest.mark.parametrize(
+        "command, grid, builds",
+        [
+            # the u = 0 row fails: its 8 points and the 10 parts above them
+            # raise, and the 3 parts that hold the other rows are built
+            ("analyze", "0:1:8,0:1:8", 21),
+            # 1,100 good points: parts of 512, 512 and 76
+            ("analyze", "0.5:2:100,0:1:11", 3),
+            ("classify", "0.5:2:100,0:1:11", 3),
+        ],
+        ids=["analyze, failing row", "analyze, 1100 points", "classify, 1100 points"],
+    )
+    def test_grid_build_count(self, tmp_path, capsys, monkeypatch, command, grid, builds):
+        attempts = 0
+        init = PointGeometry.__init__
+
+        def counted_init(self, *args):
+            nonlocal attempts
+            attempts += 1
+            init(self, *args)
+
+        monkeypatch.setattr(PointGeometry, "__init__", counted_init)
+        run_cli([command, write_scene(tmp_path, CONE_SCENE), "--grid", grid])
+        capsys.readouterr()
+        assert attempts == builds
 
     def test_classify_slice(self, tmp_path, capsys):
         path = write_scene(tmp_path, SLICE_SCENE)
@@ -301,6 +334,10 @@ BAD_INPUT = {
         ["scan", "{scene}", "--param", "r", "--range", "0.5:2", "--probe", "1,-inf"],
     ),
     "warp t NaN": (SLICE_SCENE, ["warp", "{scene}", "--t", "0:nan:2", "--point", "0.3,-0.2"]),
+    "warp t outside the interval": (
+        _with(SLICE_SCENE, "warp", interval=[0.0, 1.0]),
+        ["warp", "{scene}", "--t", "5:6:2", "--point", "0.3,-0.2"],
+    ),
     "unwritable json": (CONE_SCENE, ["analyze", "{scene}", "--json", "{tmp}/no/r.json"]),
     "unwritable csv": (
         SLICE_SCENE,
