@@ -27,8 +27,8 @@ _SCAN_DEPTH = 5
 
 def normal_residual(spec, point, geometry=None):
     """m [ -Delta(lambda) + lambda |A|^2 - lambda Ric(eta, eta) ]."""
+    spec.require_hypersurface()
     pg = geometry or PointGeometry(spec, point)
-    pg.require_hypersurface()
     m = spec.m
     return m * (-pg.lap_lam + pg.lam * pg.normA2 - pg.lam * pg.ric_eta_eta)
 
@@ -41,8 +41,8 @@ def tangential_residual(spec, point, geometry=None):
     normal; the tangential projection is kept in the code path so the
     formula is evaluated verbatim.
     """
+    spec.require_hypersurface()
     pg = geometry or PointGeometry(spec, point)
-    pg.require_hypersurface()
     m = spec.m
 
     a_grad = matvec(pg.S_val, pg.grad_lam)  # intrinsic components of A(grad lambda)
@@ -98,15 +98,15 @@ def classify(spec, points, tol, geometries=None):
     points = [tuple(p) for p in points]
     if not points:
         raise UsageError("classify needs at least one point")
-    for p in points:
-        if len(p) != spec.m:
-            raise UsageError(f"point has {len(p)} coords, expected {spec.m}")
+    spec.require_hypersurface()
     if geometries is None:
-        read = each(lambda ps: _measures(spec, PointGeometry(spec, np.array(ps).T)), points)
-        rows = [read(i) for i in range(len(points))]
+        read = each(lambda ps: np.column_stack(_measures(spec, _geometry(spec, ps))), points)
+        maxima = np.max([read(i) for i in range(len(points))], axis=0, initial=0.0)
     else:
-        rows = [r for pg in geometries for r in _measures(spec, pg)]
-    scale, max_n, max_t, max_h = map(float, np.max(rows, axis=0, initial=0.0))
+        maxima = (0.0,) * 4
+        for pg in geometries:
+            maxima = [np.asarray(x).max(initial=a) for a, x in zip(maxima, _measures(spec, pg))]
+    scale, max_n, max_t, max_h = map(float, maxima)
     normally = max_n <= tol * scale
     tangentially = max_t <= tol * scale
     harmonic = max_h <= tol * (1.0 + scale)
@@ -124,13 +124,21 @@ def classify(spec, points, tol, geometries=None):
     )
 
 
+def _geometry(spec, points):
+    """The PointGeometry of `points` as one batch.  Points of different
+    lengths raise, for `each` to halve down to the one PointGeometry rejects."""
+    if len({len(p) for p in points}) > 1:
+        raise UsageError("points of different lengths in one batch")
+    return PointGeometry(spec, np.array(points).T)
+
+
 def _measures(spec, pg):
-    """The row (scale, |normal residual|, tangential residual, |H|) of each
-    point of the PointGeometry `pg`, batched or not."""
+    """(scale, |normal residual|, tangential residual, |H|) at the points of
+    the PointGeometry `pg`: floats, or arrays over its batch."""
     normal = np.abs(normal_residual(spec, pg.point, geometry=pg))
     _, tangential = tangential_residual(spec, pg.point, geometry=pg)
     scale = spec.m * (1.0 + np.abs(pg.lam)) * (1.0 + pg.normA2)
-    return np.atleast_2d(np.array([scale, normal, tangential, pg.normH]).T)
+    return scale, normal, tangential, pg.normH
 
 
 def each(evaluate, xs):

@@ -125,9 +125,7 @@ def _analysis(spec, points):
     _, t_res = biharmonic.tangential_residual(spec, pg.point, geometry=pg)
     out = []
     for rep, n, t in zip(pg.report().rows(), n_res, t_res):
-        entry = rep.to_dict()
-        entry["normalResidual"] = n
-        entry["tangentialResidual"] = t
+        entry = rep.to_dict() | {"normalResidual": n, "tangentialResidual": t}
         cells = [rep.lam, rep.normA2, rep.lap_lambda, n, t]
         out.append((entry, [_fmt(c) for c in cells]))
     return out
@@ -137,6 +135,7 @@ def cmd_analyze(args):
     scene = load_scene(args.scene)
     spec = scene.immersion
     points = _resolve_points(args, scene)
+    spec.require_hypersurface()
     read = biharmonic.each(lambda ps: _analysis(spec, ps), points)
     reports, rows = [], []
     for i, p in enumerate(points):

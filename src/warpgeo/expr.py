@@ -271,13 +271,9 @@ def _power_per_point(base, p):
     each point's jet takes the power rule of its own exponent, so the batch
     equals its points one by one."""
     size = len(base.coeffs)
-    c = np.broadcast_to(base.coeffs.reshape(size, -1), (size, p.size))
-    powers = [
-        J.jpow(J.Jet(base.n_vars, base.order, col), q).coeffs
-        for col, q in zip(c.T, p.flat)
-    ]
-    stacked = np.stack(powers, axis=-1).reshape((size,) + p.shape)
-    return J.Jet(base.n_vars, base.order, stacked)
+    cols = np.broadcast_to(base.coeffs.reshape(size, -1), (size, p.size)).T
+    powers = [J.jpow(J.unstack(col, base.n_vars), q) for col, q in zip(cols, p.flat)]
+    return J.Jet(base.n_vars, base.order, J.stack(powers).reshape((size,) + p.shape))
 
 
 def eval_jet(ast, variables, params=None):
@@ -289,10 +285,9 @@ def eval_jet(ast, variables, params=None):
     that broadcast against that batch.
     """
     params = params or {}
-    if variables:
-        template = next(iter(variables.values()))
-    else:
+    if not variables:
         raise UsageError("eval_jet needs at least one variable binding")
+    template = next(iter(variables.values()))
     n_vars, order = template.n_vars, template.order
 
     def ev(node):
@@ -313,14 +308,12 @@ def eval_jet(ast, variables, params=None):
             if isinstance(node, Call):
                 return _JET_FN[node.fn](ev(node.arg))
             if isinstance(node, BinOp):
-                lhs = ev(node.left)
+                lhs, rhs = ev(node.left), ev(node.right)
                 if node.op == "^":
-                    rhs = ev(node.right)
                     p = _constant_exponent(rhs)
                     if p is None:
                         return J.exp(rhs * J.log(lhs))
                     return _power_per_point(lhs, p) if np.ndim(p) else J.jpow(lhs, p)
-                rhs = ev(node.right)
                 if node.op == "+":
                     return lhs + rhs
                 if node.op == "-":

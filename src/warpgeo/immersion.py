@@ -57,6 +57,12 @@ class ImmersionSpec:
     def is_hypersurface(self):
         return self.n == self.m + 1
 
+    def require_hypersurface(self):
+        if not self.is_hypersurface:
+            raise UsageError(
+                f"hypersurface-only quantity requested for m={self.m}, n={self.n}"
+            )
+
     def with_params(self, **overrides):
         merged = dict(self.params)
         merged.update(overrides)
@@ -314,10 +320,7 @@ class PointGeometry:
     # -- conveniences -----------------------------------------------------
 
     def require_hypersurface(self):
-        if not self.spec.is_hypersurface:
-            raise UsageError(
-                f"hypersurface-only quantity requested for m={self.spec.m}, n={self.spec.n}"
-            )
+        self.spec.require_hypersurface()
 
     def report(self):
         self.require_hypersurface()

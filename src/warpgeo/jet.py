@@ -273,14 +273,10 @@ class Jet:
         a, b = _aligned(self.coeffs, other.coeffs)
         return Jet(self.n_vars, self.order, a - b)
 
-    def __rsub__(self, other):
+    def __rsub__(self, other):  # a Jet on the left takes its own __sub__
         if isinstance(other, _NUMBER):
             return -self + other
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = _aligned(self.coeffs, other.coeffs)
-        return Jet(self.n_vars, self.order, b - a)
+        return NotImplemented
 
     def __neg__(self):
         return Jet(self.n_vars, self.order, -self.coeffs)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from warpgeo import AmbientChart, biharmonic, classify, immersion
 from warpgeo import jet as J
-from warpgeo.errors import DegenerateImmersionError, EvalDomainError
+from warpgeo.errors import DegenerateImmersionError, EvalDomainError, UsageError
 from warpgeo.immersion import PointGeometry
 
 # (name, arity, function, value shift): the shift moves each operand's value
@@ -160,7 +160,7 @@ def test_classify_batch_equals_points_one_by_one(name, batch, seed):
 BALL_CONE = immersion(("u", "v"), ("r*u*cos(v)", "r*u*sin(v)", "u/10"), {"r": 0.5},
                       AmbientChart("hyperbolic", 3))
 GOOD = [(0.5, 0.1), (1.0, 0.7), (1.2, -0.4), (0.3, 2.0)]
-AXIS, OUTSIDE = (0.0, 0.5), (2.5, 0.3)
+AXIS, OUTSIDE, LONG = (0.0, 0.5), (2.5, 0.3), (1.0, 0.7, 0.3)
 
 
 @pytest.mark.parametrize(
@@ -205,8 +205,11 @@ def test_classify_in_chunks_equals_one_batch():
     [
         ([AXIS, GOOD[0], OUTSIDE], DegenerateImmersionError, "det g = 0"),
         ([OUTSIDE, GOOD[0], AXIS], EvalDomainError, "|x|^2 = 1.625"),
+        ([AXIS, GOOD[0], LONG], DegenerateImmersionError, "det g = 0"),
+        ([LONG, GOOD[0], AXIS], UsageError, "point has 3 coords, expected 2"),
     ],
-    ids=["degenerate first", "outside first"],
+    ids=["degenerate first", "outside first", "degenerate, then a wrong length",
+         "wrong length first"],
 )
 def test_classify_names_the_first_failing_point_of_a_later_chunk(bad, error, message):
     points = GOOD * 150 + bad + GOOD * 10  # the failures sit in the second chunk
@@ -215,6 +218,13 @@ def test_classify_names_the_first_failing_point_of_a_later_chunk(bad, error, mes
         classify(BALL_CONE, points, 1e-7)
     assert type(exc.value) is error
     assert str(exc.value).endswith(message)
+
+
+def test_classify_names_a_degenerate_point_before_a_wrong_length_in_a_later_chunk():
+    points = GOOD + [AXIS] + GOOD * 150 + [LONG]
+    assert len(points) - 1 >= biharmonic._CHUNK
+    with pytest.raises(DegenerateImmersionError, match="det g = 0$"):
+        classify(BALL_CONE, points, 1e-7)
 
 
 # -- a parameter as a batch -------------------------------------------------

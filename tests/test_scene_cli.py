@@ -31,6 +31,11 @@ SLICE_SCENE = {
     "analysis": {"points": [[0.3, -0.2]], "tolerance": 1e-7},
 }
 
+CODIM2_SCENE = {
+    "ambient": {"model": "sphere", "dim": 4},
+    "immersion": {"variables": ["u", "v"], "components": ["u", "v", "0.1", "0.2"]},
+}
+
 
 def write_scene(tmp_path, data, name="scene.json"):
     path = tmp_path / name
@@ -114,15 +119,22 @@ class TestCli:
         assert rep["normalResidual"] == pytest.approx(0.0, abs=1e-10)
 
     @pytest.mark.parametrize(
-        "where, codes",
+        "points, grid, codes, axis",
         [
-            (["--points", "0.5,1;1,0.7;2,2.5"], [0, 0, 0]),
-            (["--points", "0.5,1;0,1;2,2.5"], [0, 3, 0]),
-            (["--grid", "0:1:8,0:1:8"], [3] * 8 + [0] * 56),
+            (["0.5,1", "1,0.7", "2,2.5"], None, [0, 0, 0], None),
+            (["0.5,1", "0,1", "2,2.5"], None, [0, 3, 0], 1),
+            (
+                [",".join(map(repr, p)) for p in cli._parse_grid("0:1:8,0:1:8", 2)],
+                "0:1:8,0:1:8",
+                [3] * 8 + [0] * 56,
+                7,
+            ),
         ],
         ids=["all good", "axis point fails", "grid, axis row fails"],
     )
-    def test_analyze_batch_equals_points_one_by_one(self, tmp_path, capsys, where, codes):
+    def test_analyze_batch_equals_points_one_by_one(
+        self, tmp_path, capsys, points, grid, codes, axis
+    ):
         # batched builds; a batch that raises is halved down to the axis
         # points u = 0, each of which is an error row
         path = write_scene(tmp_path, CONE_SCENE)
@@ -133,33 +145,41 @@ class TestCli:
             lines = capsys.readouterr().out.splitlines()
             return code, [line.split() for line in lines[1:]], json.loads(out.read_text())
 
+        where = ["--grid", grid] if grid else ["--points", ";".join(points)]
         code, rows, payload = analyze(where, "all.json")
-        points = [rep["point"] for rep in payload["reports"]]
-        singles = [
-            analyze(["--points", ",".join(map(repr, p))], f"{i}.json")
-            for i, p in enumerate(points)
+        singles = [analyze(["--points", p], f"{i}.json") for i, p in enumerate(points)]
+        assert [rep["point"] for rep in payload["reports"]] == [
+            [float(c) for c in p.split(",")] for p in points
         ]
         assert [c for c, _, _ in singles] == codes
         assert code == max(codes)
         assert rows == [row for _, (row,), _ in singles]
         assert payload["reports"] == [rep for _, _, s in singles for rep in s["reports"]]
         if code:
-            error = {"point": [0.0, 1.0], "error": "degenerate induced metric, det g = 0"}
-            assert error in payload["reports"]
+            assert payload["reports"][axis] == {
+                "point": [0.0, 1.0],
+                "error": "degenerate induced metric, det g = 0",
+            }
 
     @pytest.mark.parametrize(
-        "command, grid, builds",
+        "command, scene, grid, builds, code",
         [
             # the u = 0 row fails: its 8 points and the 10 parts above them
             # raise, and the 3 parts that hold the other rows are built
-            ("analyze", "0:1:8,0:1:8", 21),
+            ("analyze", CONE_SCENE, "0:1:8,0:1:8", 21, 3),
             # 1,100 good points: parts of 512, 512 and 76
-            ("analyze", "0.5:2:100,0:1:11", 3),
-            ("classify", "0.5:2:100,0:1:11", 3),
+            ("analyze", CONE_SCENE, "0.5:2:100,0:1:11", 3, 0),
+            ("classify", CONE_SCENE, "0.5:2:100,0:1:11", 3, 0),
+            # hypersurface-only quantities: refused before any build
+            ("analyze", CODIM2_SCENE, "0:0.3:8,0:0.3:8", 0, 2),
+            ("classify", CODIM2_SCENE, "0:0.3:8,0:0.3:8", 0, 2),
         ],
-        ids=["analyze, failing row", "analyze, 1100 points", "classify, 1100 points"],
+        ids=["analyze, failing row", "analyze, 1100 points", "classify, 1100 points",
+             "analyze, codimension 2", "classify, codimension 2"],
     )
-    def test_grid_build_count(self, tmp_path, capsys, monkeypatch, command, grid, builds):
+    def test_grid_build_count(
+        self, tmp_path, capsys, monkeypatch, command, scene, grid, builds, code
+    ):
         attempts = 0
         init = PointGeometry.__init__
 
@@ -169,7 +189,7 @@ class TestCli:
             init(self, *args)
 
         monkeypatch.setattr(PointGeometry, "__init__", counted_init)
-        run_cli([command, write_scene(tmp_path, CONE_SCENE), "--grid", grid])
+        assert run_cli([command, write_scene(tmp_path, scene), "--grid", grid]) == code
         capsys.readouterr()
         assert attempts == builds
 
