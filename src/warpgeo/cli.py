@@ -63,11 +63,30 @@ def _fields(text, kinds, form):
         raise UsageError(f"{text!r} is not of the form {form}") from None
 
 
+# --t and --grid ask for at most this many points, checked before any is made
+MAX_POINTS = 1_000_000
+
+
+def _axis(text):
+    return _fields(text, (_finite, _finite, _count), "lo:hi:N")
+
+
+def _linspaces(option, text, axes):
+    """The lo:hi:N axes as arrays, after checking that their grid holds at
+    most MAX_POINTS points."""
+    total = math.prod(n for _, _, n in axes)
+    if total > MAX_POINTS:
+        raise UsageError(
+            f"{option} {text} asks for {total} points, more than {MAX_POINTS}"
+        )
+    return [np.linspace(*axis) for axis in axes]
+
+
 def _parse_grid(text, m):
-    axes = [_parse_tgrid(part) for part in text.split(",")]
+    axes = [_axis(part) for part in text.split(",")]
     if len(axes) != m:
         raise UsageError(f"grid needs {m} axes")
-    mesh = np.meshgrid(*axes, indexing="ij")
+    mesh = np.meshgrid(*_linspaces("--grid", text, axes), indexing="ij")
     return [tuple(float(c[i]) for c in mesh) for i in np.ndindex(mesh[0].shape)]
 
 
@@ -76,7 +95,7 @@ def _parse_range(text):
 
 
 def _parse_tgrid(text):
-    return np.linspace(*_fields(text, (_finite, _finite, _count), "lo:hi:N"))
+    return _linspaces("--t", text, [_axis(text)])[0]
 
 
 def _resolve_points(args, scene):
@@ -242,6 +261,8 @@ def cmd_warp(args):
 
 def cmd_verify(args):
     checks = verify_mod.run_checks(args.filter)
+    if not checks:
+        raise UsageError(f"--filter {args.filter!r} matches no check")
     rows = [
         [
             c.name,

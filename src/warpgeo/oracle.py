@@ -29,6 +29,8 @@ from .immersion import (
 )
 
 JET_ORDER = 4
+# `riemann` reads Christoffel symbols, two orders below the seeds, at order 1
+RIEMANN_ORDER = 3
 
 
 @dataclass(frozen=True)
@@ -86,23 +88,25 @@ def _pullback_hessian(V, gbar, dphi, gamma_dom, n_vars):
     return sec
 
 
-def _tension_pipeline(mapspec, point):
-    """(phi, dphi, G, gamma_dom, gbar, tau) at `point` as jet tensors: the
-    components and their coordinate derivatives, the domain metric and its
-    Christoffels, the codomain Christoffels along phi (None where they
-    vanish), and the tension field; gamma_dom, gbar and tau are two orders
-    below the seeds."""
+def _tension_pipeline(mapspec, point, order):
+    """(phi, dphi, G, gamma_dom, gbar, tau) at `point` as jet tensors, from
+    coordinates seeded at `order`: the components and their coordinate
+    derivatives, the domain metric and its Christoffels, the codomain
+    Christoffels along phi (None where they vanish), and the tension field;
+    gamma_dom, gbar and tau are two orders below the seeds.  A truncated
+    Taylor coefficient of degree k depends only on coefficients of degree
+    <= k, so every coefficient kept is the same at any seed order."""
     d = mapspec.dim
     if len(point) != d:
         raise UsageError(f"point has {len(point)} coords, expected {d}")
-    phi, G = mapspec.evaluate(_seed(point, d, JET_ORDER))
+    phi, G = mapspec.evaluate(_seed(point, d, order))
     Ginv = metric_inverse(G, d)
     gamma_dom = christoffels_from_metric(G, Ginv, d)
     dphi = J.gradient(phi, d, range(d))  # dphi[k, a] = d_k phi^a
 
     # tau^a = G^kl (d_l d_k phi^a + Gbar^a_bc dphi_k^b dphi_l^c
     #               - Gamma^j_kl dphi_j^a)
-    dphi_t = J.trunc(dphi, d, JET_ORDER - 2)
+    dphi_t = J.trunc(dphi, d, order - 2)
     hess = J.gradient(dphi, d, range(d), axis=2)
     hess = hess - J.contract("jkl,ja->kla", gamma_dom, dphi_t, d)
     gbar = mapspec.codomain_christoffel(phi, d)
@@ -114,32 +118,52 @@ def _tension_pipeline(mapspec, point):
 
 
 def tension_first_principles(mapspec, point):
-    *_, tau = _tension_pipeline(mapspec, point)
+    """tau at `point`: the pipeline seeded at order 2, as tau is read at
+    order 0."""
+    *_, tau = _tension_pipeline(mapspec, point, 2)
     return tau[0]
 
 
-def bitension_first_principles(mapspec, point):
-    phi, dphi, G, gamma_dom, gbar, tau = _tension_pipeline(mapspec, point)
+@dataclass(frozen=True)
+class FirstPrinciples:
+    """What the oracle computes of a map at one point from one pipeline:
+    tau, tau_2 and R^l_{ijk} of the domain metric, all as values."""
+
+    tension: np.ndarray
+    bitension: np.ndarray
+    riemann: np.ndarray
+
+
+def first_principles(mapspec, point):
+    """tau, tau_2 and the domain curvature of `mapspec` at `point`, from one
+    pipeline seeded at order 4 (the Hessian of tau reads tau at order 2)."""
+    phi, dphi, G, gamma_dom, gbar, tau = _tension_pipeline(mapspec, point, JET_ORDER)
     sec = _pullback_hessian(tau, gbar, dphi, gamma_dom, mapspec.dim)
 
     frame = orthonormal_frame(G[0])
     rough = np.einsum("ki,li,kla->a", frame, frame, sec)
     riem = codomain_riemann(mapspec, phi[0])
     if riem is None:
-        return -rough
-    # sum_e R(tau, dphi e) dphi e, with R(d_i, d_j) d_k = R^l_ijk d_l
-    amb = frame.T @ dphi[0]
-    curv = np.einsum("lijk,i,ej,ek->l", riem, tau[0], amb, amb)
-    return -curv - rough
+        bitension = -rough
+    else:
+        # sum_e R(tau, dphi e) dphi e, with R(d_i, d_j) d_k = R^l_ijk d_l
+        amb = frame.T @ dphi[0]
+        curv = np.einsum("lijk,i,ej,ek->l", riem, tau[0], amb, amb)
+        bitension = -curv - rough
+    return FirstPrinciples(tau[0], bitension, riemann(gamma_dom, mapspec.dim))
+
+
+def bitension_first_principles(mapspec, point):
+    return first_principles(mapspec, point).bitension
 
 
 def codomain_riemann(mapspec, x):
     """R^l_{ijk} of the codomain at the point x, from the map's Christoffel
-    symbols on codomain coordinates seeded at order 3 (so the symbols are
-    at order 1); None where they vanish."""
+    symbols on codomain coordinates seeded at RIEMANN_ORDER; None where
+    they vanish."""
     n = mapspec.codim
-    gamma = mapspec.codomain_christoffel(J.stack(_seed(x, n, 3)), n)
-    return None if gamma is None else _riemann(gamma, n)
+    gamma = mapspec.codomain_christoffel(J.stack(_seed(x, n, RIEMANN_ORDER)), n)
+    return None if gamma is None else riemann(gamma, n)
 
 
 # -- map constructors -----------------------------------------------------
@@ -234,10 +258,10 @@ def curvature_components(metric_rule, point):
     g = metric_rule(point)
     d = g.shape[1]
     gamma = christoffels_from_metric(g, metric_inverse(g, d), d)  # order >= 1
-    return _riemann(gamma, d), g[0]
+    return riemann(gamma, d), g[0]
 
 
-def _riemann(gamma, n_vars):
+def riemann(gamma, n_vars):
     """R^l_{ijk} = d_i Gamma^l_jk - d_j Gamma^l_ik + Gamma^l_ip Gamma^p_jk
     - Gamma^l_jp Gamma^p_ik as values, from a Christoffel jet tensor (size,
     d, d, d) of order >= 1 over its d = n_vars coordinates."""
@@ -251,23 +275,28 @@ def _riemann(gamma, n_vars):
     )
 
 
-def ricci_from_christoffels(metric_rule, point, x_vec):
+def ricci(riem, x_vec):
     """Ric(X, X) by tracing the curvature tensor: Ric_{jk} = R^i_{ijk}."""
-    riem, _ = curvature_components(metric_rule, point)
     ric = np.einsum("iijk->jk", riem)
     x = np.asarray(x_vec, dtype=float)
     return float(x @ ric @ x)
 
 
-# -- metric rules ---------------------------------------------------------
+def ricci_from_christoffels(metric_rule, point, x_vec):
+    """Ric(X, X) of the metric that `metric_rule` gives at `point`."""
+    return ricci(curvature_components(metric_rule, point)[0], x_vec)
+
+
+# -- metric rules, seeded at RIEMANN_ORDER for curvature_components ------
 
 
 def induced_metric_rule(spec):
     evaluate = inclusion_map(spec).evaluate
-    return lambda point: evaluate(_seed(point, spec.m, JET_ORDER))[1]
+    return lambda point: evaluate(_seed(point, spec.m, RIEMANN_ORDER))[1]
 
 
 def warped_domain_metric_rule(scene):
     """Metric rule of (I x M, dt^2 + f^2 g) in coordinates (t, u^1..u^m)."""
     evaluate = warped_inclusion_map(scene).evaluate
-    return lambda point: evaluate(_seed(point, scene.immersion.m + 1, JET_ORDER))[1]
+    d = scene.immersion.m + 1
+    return lambda point: evaluate(_seed(point, d, RIEMANN_ORDER))[1]

@@ -41,6 +41,7 @@ CONE_POINTS = ((0.5, 1.0), (1.0, 0.7), (2.0, 2.5))
 WARPS = (("exp(t)", {}), ("sqrt(t+2)", {}), ("2+cos(t)", {}))
 WARP_INTERVAL = (-0.5, 1.0)
 T_SAMPLES = (0.0, 0.3)
+WARP_POINT = (0.3, -0.2)  # the warped checks' point on the r=1 slice
 
 
 @dataclass(frozen=True)
@@ -118,21 +119,45 @@ def _checks_example_cone():
 
 
 def _warp_scenes(spec):
-    return [
-        (src, warped.warped_scene(spec, src, params, WARP_INTERVAL))
+    """{warp source: WarpedScene over `spec`} for each of WARPS."""
+    return {
+        src: warped.warped_scene(spec, src, params, WARP_INTERVAL)
         for src, params in WARPS
-    ]
+    }
 
 
-def _checks_tension_equivalence(slice1):
+def _oracle_records(scenes, point):
+    """{(warp source, t): oracle.first_principles of the warped inclusion at
+    (t, point)} for each scene of `scenes` and each of T_SAMPLES."""
+    return {
+        (src, t): oracle.first_principles(
+            oracle.warped_inclusion_map(scene), (t,) + point
+        )
+        for src, scene in scenes.items()
+        for t in T_SAMPLES
+    }
+
+
+def _checks_tension_equivalence(slice1, scenes, records):
     out = []
-    for label, spec in (("sphere-slice", slice1), ("cone", cone(1.0))):
-        point = (0.3, -0.2) if label == "sphere-slice" else (1.0, 0.7)
+    cone1, cone_point = cone(1.0), (1.0, 0.7)
+    cone_scenes = _warp_scenes(cone1)
+    cone_taus = {
+        (src, t): oracle.tension_first_principles(
+            oracle.warped_inclusion_map(scene), (t,) + cone_point
+        )
+        for src, scene in cone_scenes.items()
+        for t in T_SAMPLES
+    }
+    slice_taus = {key: rec.tension for key, rec in records.items()}
+    for label, spec, point, family, taus in (
+        ("sphere-slice", slice1, WARP_POINT, scenes, slice_taus),
+        ("cone", cone1, cone_point, cone_scenes, cone_taus),
+    ):
         base = warped.base_point(spec, point)
-        for src, scene in _warp_scenes(spec):
-            ms = oracle.warped_inclusion_map(scene)
+        for src, scene in family.items():
             for t in T_SAMPLES:
-                fp = oracle.tension_first_principles(ms, (t,) + point)
+                fp = taus[src, t]
                 w = scene.warp_at(t)
                 closed = warped.inclusion_tension(scene, t, point, w)
                 diff = warped.hbar_norm(
@@ -158,14 +183,13 @@ def _checks_tension_equivalence(slice1):
     return out
 
 
-def _checks_bitension_equivalence(spec):
+def _checks_bitension_equivalence(slice1, scenes, records):
     out = []
-    point = (0.3, -0.2)
-    base = warped.base_point(spec, point)
-    for src, scene in _warp_scenes(spec):
-        ms = oracle.warped_inclusion_map(scene)
+    point = WARP_POINT
+    base = warped.base_point(slice1, point)
+    for src, scene in scenes.items():
         for t in T_SAMPLES:
-            fp = oracle.bitension_first_principles(ms, (t,) + point)
+            fp = records[src, t].bitension
             w = scene.warp_at(t)
             closed = warped.inclusion_bitension(scene, t, point, w)
             diff = warped.hbar_norm(
@@ -183,12 +207,10 @@ def _checks_bitension_equivalence(spec):
     return out
 
 
-def _checks_pairing(spec):
-    point = (0.3, -0.2)
-    scene = warped.warped_scene(spec, "exp(t)", {}, WARP_INTERVAL)
+def _checks_pairing(scene):
     out = []
     for t, ref in ((0.0, 16.0), (0.5, 16.0 * math.exp(-1.0))):
-        pr = warped.pairing(scene, t, point)
+        pr = warped.pairing(scene, t, WARP_POINT)
         out.append(Check(f"pairing direct f=exp(t) t={t:g}", ref, pr.direct, 1e-6))
         out.append(
             Check(f"pairing closed form f=exp(t) t={t:g}", ref, pr.closed_form, 1e-6)
@@ -211,26 +233,25 @@ def _checks_power_family(slice1):
         )
         for t in np.linspace(interval[0] + 0.05, interval[1] - 0.05, 5):
             tag = f"a={a:g} b={b:g} m={m}, t={t:.2f}"
+            w = scene.warp_at(t)
             out.append(
                 Check(
                     f"power residual {tag}",
                     0.0,
-                    warped.power_family_residual(
-                        scene.warp, t, m, {"a": a, "b": b, "m": m}
-                    ),
+                    warped.power_family_residual(w, t, m),
                     1e-12,
                 )
             )
-            pr = warped.pairing(scene, float(t), point)
+            pr = warped.pairing(scene, float(t), point, warp=w)
             out.append(Check(f"power pairing {tag}", 0.0, pr.direct, 1e-9))
     return out
 
 
-def _checks_tangential_corollaries(spec):
-    point = (0.3, -0.2)
+def _checks_tangential_corollaries(cosw):
+    point = WARP_POINT
+    spec = cosw.immersion
     base = warped.base_point(spec, point)
     out = []
-    cosw = warped.warped_scene(spec, "2+cos(t)", {}, WARP_INTERVAL)
     b0 = warped.inclusion_bitension(cosw, 0.0, point)
     out.append(
         Check("tangential part at f'(0)=0 (f=2+cos t)", 0.0, b0.tangential_norm, 1e-8)
@@ -267,14 +288,16 @@ def _checks_tangential_corollaries(spec):
     return out
 
 
-def _checks_ricci(spec):
-    point = (0.3, -0.2)
-    g_val = warped.base_point(spec, point).geometry.g_val
+def _checks_ricci(slice1, scenes, records):
+    point = WARP_POINT
+    g_val = warped.base_point(slice1, point).geometry.g_val
     x = np.array([1.0, 0.0]) / math.sqrt(g_val[0, 0])
     out = []
-    for src, scene in _warp_scenes(spec):
+    for src, scene in scenes.items():
         for t in T_SAMPLES:
-            rc = warped.ricci_warped_check(scene, t, point, x)
+            rc = warped.ricci_warped_check(
+                scene, t, point, x, riemann=records[src, t].riemann
+            )
             out.append(
                 Check(
                     f"warped Ricci identity f={src} t={t:g}",
@@ -291,8 +314,9 @@ def _checks_ricci(spec):
                     1e-7 * (1.0 + abs(rc.pairing_closed_form)),
                 )
             )
-    scene = warped.warped_scene(spec, "exp(t)", {}, WARP_INTERVAL)
-    rc = warped.ricci_warped_check(scene, 0.0, point, x)
+    rc = warped.ricci_warped_check(
+        scenes["exp(t)"], 0.0, point, x, riemann=records["exp(t)", 0.0].riemann
+    )
     out.append(Check("warped Ricci vanishes (f=exp t, t=0)", 0.0, rc.ric_warped, 1e-6))
     return out
 
@@ -301,13 +325,17 @@ def run_checks(name_filter=None):
     checks = []
     checks.extend(_checks_example_sphere_slice())
     checks.extend(_checks_example_cone())
-    slice1 = sphere_slice(1.0)  # one spec: the warped checks share its BasePoint
-    checks.extend(_checks_tension_equivalence(slice1))
-    checks.extend(_checks_bitension_equivalence(slice1))
-    checks.extend(_checks_pairing(slice1))
+    # the warped checks share one slice spec (so one BasePoint), its scenes
+    # and one oracle record per scene and t sample
+    slice1 = sphere_slice(1.0)
+    scenes = _warp_scenes(slice1)
+    records = _oracle_records(scenes, WARP_POINT)
+    checks.extend(_checks_tension_equivalence(slice1, scenes, records))
+    checks.extend(_checks_bitension_equivalence(slice1, scenes, records))
+    checks.extend(_checks_pairing(scenes["exp(t)"]))
     checks.extend(_checks_power_family(slice1))
-    checks.extend(_checks_tangential_corollaries(slice1))
-    checks.extend(_checks_ricci(slice1))
+    checks.extend(_checks_tangential_corollaries(scenes["2+cos(t)"]))
+    checks.extend(_checks_ricci(slice1, scenes, records))
     if name_filter:
         checks = [c for c in checks if name_filter in c.name]
     return checks

@@ -216,26 +216,31 @@ class RicciCheck:
     pairing_closed_form: float
 
 
-def ricci_warped_check(scene, t, point, x_intrinsic):
+def ricci_warped_check(scene, t, point, x_intrinsic, riemann=None):
     """Verify Ric~(X,X) = Ric(X,X) - [f f'' + (m-1) f'^2] for X unit with
-    respect to g, and recompute the pairing through the Ricci difference."""
+    respect to g, and recompute the pairing through the Ricci difference.
+
+    Ric of (M, g) comes from the Christoffels the BasePoint holds.  Ric~
+    comes from `riemann`, R^l_{ijk} of (I x M, dt^2 + f^2 g) at (t, point)
+    as `oracle.first_principles` of the warped inclusion holds it, or is
+    computed from the warped metric when `riemann` is None."""
     spec = scene.immersion
+    m = spec.m
     base = base_point(spec, point)
     x = np.asarray(x_intrinsic, dtype=float)
+    if x.shape != (m,):
+        raise UsageError(f"X must have {m} components, got shape {x.shape}")
     norm = float(np.sqrt(x @ base.geometry.g_val @ x))
     if abs(norm - 1.0) > 1e-10:
         raise UsageError(f"X must be unit with respect to g, |X| = {norm:.12g}")
-    m = spec.m
     w = scene.warp_at(t)
 
-    ric_base = oracle.ricci_from_christoffels(
-        oracle.induced_metric_rule(spec), point, x
-    )
-    ric_warped = oracle.ricci_from_christoffels(
-        oracle.warped_domain_metric_rule(scene),
-        (float(t),) + tuple(point),
-        np.concatenate(([0.0], x)),
-    )
+    ric_base = oracle.ricci(oracle.riemann(base.geometry.gamma_c, m), x)
+    if riemann is None:
+        riemann, _ = oracle.curvature_components(
+            oracle.warped_domain_metric_rule(scene), (float(t),) + tuple(point)
+        )
+    ric_warped = oracle.ricci(riemann, np.concatenate(([0.0], x)))
     resid = w.power_residual(m)
     via_ricci = 2.0 * m**2 / w.f**4 * (ric_base - ric_warped) * base.h2
     closed = 2.0 * m**2 * resid / w.f**4 * base.h2

@@ -29,6 +29,9 @@ def counts(monkeypatch):
         "contract": 0,
         "warp_at": 0,
         "classify": 0,
+        "_tension_pipeline": 0,
+        "curvature_components": 0,
+        "warped_scene": 0,
     }
     init = PointGeometry.__init__
 
@@ -66,6 +69,9 @@ def counts(monkeypatch):
     counted(oracle, "submanifold_bitension")
     counted(oracle, "induced_metric_jets")
     counted(warped, "classify")
+    counted(oracle, "_tension_pipeline")
+    counted(oracle, "curvature_components")
+    counted(warped, "warped_scene")
     monkeypatch.setattr(warped, "_memo", (None, b"", None))
     return seen
 
@@ -160,8 +166,19 @@ def test_oracle_evaluates_each_map_once(counts, name):
 def test_verify_pass_mul_count(counts):
     # scalar jet products and jet tensor contractions
     verify.run_checks()
-    assert counts["mul"] == 1_137
-    assert counts["contract"] == 588
+    assert counts["mul"] == 718
+    assert counts["contract"] == 387
+
+
+def test_verify_pass_oracle_count(counts):
+    # one order-4 record per slice warp and t sample (3 x 2) serves the
+    # tension, bitension and Ricci checks; the cone's 6 tensions seed at
+    # order 2; Ric(M) comes from the BasePoint.  Scenes: the 3 WARPS on the
+    # slice and on the cone, 3 power warps and 2 more tangential ones
+    verify.run_checks()
+    assert counts["_tension_pipeline"] == 12
+    assert counts["curvature_components"] == 0
+    assert counts["warped_scene"] == 11
 
 
 @pytest.mark.parametrize(

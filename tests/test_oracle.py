@@ -181,3 +181,53 @@ class TestRicci:
                 + np.einsum("lijk,i,j,k->l", riem, z, x, y)
             )
             assert np.allclose(cyc, 0.0, atol=1e-9)
+
+
+class TestSeedOrders:
+    """Each oracle quantity is seeded at the lowest jet order it reads; a
+    truncated coefficient depends only on coefficients of no higher degree,
+    so the values equal those of the order-4 record bit for bit."""
+
+    @pytest.fixture
+    def specs(self, sphere_slice, cone):
+        graph = immersion(
+            ("u", "v"), ("u", "v", "0.5+u*v+0.3*u*u"), {}, AmbientChart("sphere", 3)
+        )
+        return {
+            "cone": (cone(1.0), (1.0, 0.7)),
+            "slice": (sphere_slice(1.0), (0.3, -0.2)),
+            "graph in S3": (graph, (0.2, 0.3)),
+        }
+
+    @pytest.mark.parametrize("name", ["cone", "slice", "graph in S3", "warped"])
+    def test_tension_equals_the_record(self, specs, name):
+        if name == "warped":
+            spec, point = specs["slice"]
+            scene = warped.warped_scene(spec, "sqrt(t+2)", {}, (-0.5, 1.0))
+            mapspec, point = oracle.warped_inclusion_map(scene), (0.3,) + point
+        else:
+            spec, point = specs[name]
+            mapspec = oracle.inclusion_map(spec)
+        rec = oracle.first_principles(mapspec, point)
+        tau = oracle.tension_first_principles(mapspec, point)
+        assert np.array_equal(tau, rec.tension)
+        assert np.array_equal(
+            oracle.bitension_first_principles(mapspec, point), rec.bitension
+        )
+
+    @pytest.mark.parametrize("warp", ["exp(t)", "2+cos(t)", "(3*t+1)^(1/2)"])
+    def test_record_riemann_equals_the_warped_metric_rule(self, sphere_slice, warp):
+        scene = warped.warped_scene(sphere_slice(1.0), warp, {}, (0.0, 1.0))
+        point = (0.3, 0.3, -0.2)
+        rec = oracle.first_principles(oracle.warped_inclusion_map(scene), point)
+        riem, _ = oracle.curvature_components(
+            oracle.warped_domain_metric_rule(scene), point
+        )
+        assert np.array_equal(rec.riemann, riem)
+
+    @pytest.mark.parametrize("name", ["cone", "slice", "graph in S3"])
+    def test_record_riemann_equals_the_induced_metric_rule(self, specs, name):
+        spec, point = specs[name]
+        rec = oracle.first_principles(oracle.inclusion_map(spec), point)
+        riem, _ = oracle.curvature_components(oracle.induced_metric_rule(spec), point)
+        assert np.array_equal(rec.riemann, riem)

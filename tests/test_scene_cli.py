@@ -5,7 +5,7 @@ import warnings
 import pytest
 
 from warpgeo import cli
-from warpgeo.errors import SceneError
+from warpgeo.errors import SceneError, UsageError
 from warpgeo.expr import parse, pretty
 from warpgeo.immersion import PointGeometry
 from warpgeo.scene import load_scene, scene_from_dict
@@ -358,6 +358,20 @@ BAD_INPUT = {
         _with(SLICE_SCENE, "warp", interval=[0.0, 1.0]),
         ["warp", "{scene}", "--t", "5:6:2", "--point", "0.3,-0.2"],
     ),
+    # counts of 1e11 points: a missed bound fails at once in numpy
+    "warp t count bound": (
+        SLICE_SCENE,
+        ["warp", "{scene}", "--t", "0:0.5:100000000000", "--point", "0.3,-0.2"],
+    ),
+    "grid count bound": (
+        CONE_SCENE,
+        ["classify", "{scene}", "--grid", "0.5:2:100000000000,0:1:2"],
+    ),
+    "grid count product bound": (
+        CONE_SCENE,
+        ["analyze", "{scene}", "--grid", "0.5:2:100000,0:1:1000000"],
+    ),
+    "verify filter matches nothing": (CONE_SCENE, ["verify", "--filter", "zzz"]),
     "unwritable json": (CONE_SCENE, ["analyze", "{scene}", "--json", "{tmp}/no/r.json"]),
     "unwritable csv": (
         SLICE_SCENE,
@@ -374,6 +388,12 @@ def test_bad_input_exits_2_with_message(tmp_path, capsys, data, argv):
     assert code == 2
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_point_bound_is_inclusive():
+    assert len(cli._parse_tgrid(f"0:1:{cli.MAX_POINTS}")) == cli.MAX_POINTS
+    with pytest.raises(UsageError, match="more than"):
+        cli._parse_grid(f"0:1:{cli.MAX_POINTS // 2},0:1:3", 2)
 
 
 def test_classify_beyond_float_range_exits_3(tmp_path, capsys):

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from warpgeo import warped
-from warpgeo.ambient import WarpEval
+from warpgeo import oracle, warped
+from warpgeo.ambient import AmbientChart, WarpEval
 from warpgeo.errors import ConfigError, EvalDomainError, UsageError
 from warpgeo.expr import parse
-from warpgeo.immersion import PointGeometry
+from warpgeo.immersion import PointGeometry, immersion
 
 INTERVAL = (-0.5, 1.0)
 POINT = (0.3, -0.2)
@@ -138,6 +138,38 @@ class TestRicciCheck:
         scene = slice_scene()
         with pytest.raises(UsageError):
             warped.ricci_warped_check(scene, 0.0, POINT, np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("x", [[1.0], [1.0, 0.0, 0.0], 1.0, [[1.0, 0.0]]])
+    def test_x_of_the_wrong_length(self, slice_scene, x):
+        with pytest.raises(UsageError, match="X must have 2 components"):
+            warped.ricci_warped_check(slice_scene(), 0.0, POINT, x)
+
+    @pytest.mark.parametrize("warp, t", [("exp(t)", 0.0), ("2+cos(t)", 0.3)])
+    def test_given_riemann_equals_the_computed_one(self, slice_scene, warp, t):
+        scene = slice_scene(warp)
+        pg = PointGeometry(scene.immersion, POINT)
+        x = np.array([1.0, 0.0]) / math.sqrt(pg.g_val[0, 0])
+        rec = oracle.first_principles(oracle.warped_inclusion_map(scene), (t,) + POINT)
+        given = warped.ricci_warped_check(scene, t, POINT, x, riemann=rec.riemann)
+        assert given == warped.ricci_warped_check(scene, t, POINT, x)
+
+    @pytest.mark.parametrize(
+        "components",
+        [("u", "v", "r"), ("u", "v", "0.5+u*v+0.3*u*u")],
+        ids=["slice", "graph"],
+    )
+    def test_base_ricci_equals_the_induced_metric_rule(self, components):
+        # Ric(M, g) from the BasePoint's Christoffels, not from a new seed
+        spec = immersion(("u", "v"), components, {"r": 1.0}, AmbientChart("sphere", 3))
+        scene = warped.warped_scene(spec, "sqrt(t+2)", {}, INTERVAL)
+        pg = PointGeometry(spec, POINT)
+        v = np.array([0.6, 0.8])
+        x = v / math.sqrt(v @ pg.g_val @ v)
+        rc = warped.ricci_warped_check(scene, 0.3, POINT, x)
+        ref = oracle.ricci_from_christoffels(
+            oracle.induced_metric_rule(scene.immersion), POINT, x
+        )
+        assert rc.ric_base == ref
 
 
 class TestReport:
