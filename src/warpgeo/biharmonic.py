@@ -19,8 +19,9 @@ _ROOT_RATE_BAND = 1e3
 _SLOPE_LAG = 20
 _XTOL = 1e-10
 _RTOL = 4 * sys.float_info.epsilon
-# items per batch of `each`
-_CHUNK = 512
+# items per batch of `each`; each contraction of a batch caches a scatter
+# index in proportion to its width (jet._plan)
+_CHUNK = 128
 # halvings parameter_scan's bisection evaluates per batched PointGeometry
 _SCAN_DEPTH = 5
 

@@ -63,7 +63,8 @@ def _fields(text, kinds, form):
         raise UsageError(f"{text!r} is not of the form {form}") from None
 
 
-# --t and --grid ask for at most this many points, checked before any is made
+# --t, --grid and --samples ask for at most this many points, checked before
+# any is made
 MAX_POINTS = 1_000_000
 
 
@@ -202,6 +203,10 @@ def cmd_classify(args):
 def cmd_scan(args):
     scene = load_scene(args.scene)
     lo, hi = _parse_range(args.range)
+    if args.samples > MAX_POINTS:
+        raise UsageError(
+            f"--samples {args.samples} asks for more than {MAX_POINTS} samples"
+        )
     if args.probe:
         probe = _parse_points(args.probe, scene.immersion.m)[0]
     elif scene.points:

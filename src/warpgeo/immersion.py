@@ -163,7 +163,8 @@ def values(c, depth):
     """The values of a jet tensor with `depth` tensor axes, as a contiguous
     array of shape (*batch, *tensor): matmul takes the same path for a
     batch as for one point only on contiguous operands."""
-    return np.ascontiguousarray(np.moveaxis(c[0], range(depth), range(-depth, 0)))
+    v = c[0]
+    return np.ascontiguousarray(v.transpose(*range(depth, v.ndim), *range(depth)))
 
 
 def per_point(x, k):

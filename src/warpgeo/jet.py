@@ -28,8 +28,10 @@ gathers the coefficient pairs of the truncated product, forms all their
 products with one ``einsum`` (``...`` spans the batch) and adds them into
 their coefficients in one fixed order with one ``np.bincount``, so a batch
 still equals its points one by one (:func:`jet_mat_inverse` is a series of
-contractions).  :func:`deriv`, :func:`gradient` and :func:`trunc` are the
-array forms of :meth:`Jet.d` and :meth:`Jet.trunc`.
+contractions).  Everything but that arithmetic is compiled once per
+pattern and operand shapes into a cached plan, which owns the scatter
+index of each batch shape.  :func:`deriv`, :func:`gradient` and
+:func:`trunc` are the array forms of :meth:`Jet.d` and :meth:`Jet.trunc`.
 """
 
 from __future__ import annotations
@@ -388,10 +390,24 @@ def unstack(c, n_vars):
 
 
 @lru_cache(maxsize=256)
-def _plan(subscripts, n_vars, order, shape_a, shape_b):
-    """For contract(subscripts) on operands of shapes shape_a and shape_b:
-    the einsum that forms every product, the bin of each product term in an
-    unbatched result, and the result's tensor and batch shapes."""
+def _plan(subscripts, n_vars, shape_a, shape_b):
+    """Everything contract(subscripts) does on operands of shapes shape_a
+    and shape_b apart from the arithmetic: the jet space, the einsum that
+    forms every product, the bin of each product term with the batch
+    already expanded (bin i of an unbatched result becomes bin
+    i * width + j at point j), the bin count and the result shape.
+
+    The bin index holds 8 bytes per coefficient pair, einsum entry and
+    batch point, and the cache keeps the 256 plans used last.  classify and
+    parameter_scan build over at most biharmonic._CHUNK = 128 points.  At
+    that width the plans of one PointGeometry build of a hypersurface hold
+    at most 3.3 MB over 2 variables (1.7 MB on the cone) and 24 MB over 3
+    (the S4 slice), and its largest plan 0.83 MB and 5.5 MB, so the cache
+    holds at most 212 MB and 1.4 GB.  A wider batch built directly caches
+    plans in proportion to its width."""
+    s = _space_of(n_vars, shape_a[0])
+    if shape_b[0] != s.size:
+        raise UsageError(f"jet tensor sizes differ: {shape_a[0]} vs {shape_b[0]}")
     inputs, out = subscripts.split("->")
     left, right = inputs.split(",")
     every = left + "".join(k for k in right if k not in left)
@@ -402,10 +418,14 @@ def _plan(subscripts, n_vars, order, shape_a, shape_b):
     entry = np.zeros(grid.shape[1:], dtype=np.intp)
     for k, stride in zip(out, np.cumprod((1,) + out_shape[:0:-1])[::-1]):
         entry += grid[every.index(k)] * stride
-    ic = _space(n_vars, order).mul_ic
-    bins = (ic[:, None] * math.prod(out_shape) + entry.ravel()).ravel()
+    bins = (s.mul_ic[:, None] * math.prod(out_shape) + entry.ravel()).ravel()
     batch = np.broadcast_shapes(shape_a[1 + len(left) :], shape_b[1 + len(right) :])
-    return f"Z{left}...,Z{right}...->Z{every}...", bins, out_shape, batch
+    width = math.prod(batch)
+    if width > 1:
+        bins = (bins[:, None] * width + np.arange(width)).ravel()
+    path = f"Z{left}...,Z{right}...->Z{every}..."
+    count = s.size * math.prod(out_shape) * width
+    return s, path, bins, count, (s.size,) + out_shape + batch
 
 
 def contract(subscripts, a, b, n_vars):
@@ -417,16 +437,9 @@ def contract(subscripts, a, b, n_vars):
     over `n_vars` variables; their batch shapes broadcast.  Each result
     entry adds its terms in one fixed order, by coefficient pair and then by
     contracted index, so a batch equals its points one by one."""
-    s = _space_of(n_vars, len(a))
-    if len(b) != s.size:
-        raise UsageError(f"jet tensor sizes differ: {len(a)} vs {len(b)}")
-    path, bins, out_shape, batch = _plan(subscripts, n_vars, s.order, a.shape, b.shape)
-    terms = np.einsum(path, a[s.mul_ia], b[s.mul_ib])
-    width = math.prod(batch)
-    if width > 1:
-        bins = (bins[:, None] * width + np.arange(width)).ravel()
-    out = np.bincount(bins, terms.reshape(-1), s.size * math.prod(out_shape) * width)
-    return out.reshape((s.size,) + out_shape + batch)
+    s, path, bins, count, shape = _plan(subscripts, n_vars, a.shape, b.shape)
+    terms = np.einsum(path, a[s.mul_ia], b[s.mul_ib], order="C")
+    return np.bincount(bins, terms.reshape(-1), count).reshape(shape)
 
 
 # -- univariate composition ----------------------------------------------

@@ -84,21 +84,28 @@ class BasePoint:
         return pg.dX_val.T @ (pg.ginv_val @ (pg.e2_val * (pg.dX_val @ v)))
 
 
-# (spec, point bit patterns, BasePoint) of the last build, read and replaced
-# whole: concurrent callers can at worst build twice, never mix two entries
-_memo = (None, b"", None)
+# (spec, point bit patterns, BasePoint) of the last _MEMO_SIZE builds, the
+# one read last first; the tuple is read and replaced whole: concurrent
+# callers can at worst build twice, never mix two entries
+_memo = ()
+# two: verify's warped checks at one point of the r = 1 slice are
+# interleaved with those at one other point (the cone's, then the S3's)
+_MEMO_SIZE = 2
 
 
 def base_point(spec, point):
-    """The BasePoint of `spec` at `point`.  The last one built is returned
+    """The BasePoint of `spec` at `point`.  The last two read are returned
     again for the same spec object at a point of the same float bit
     patterns, so +0.0 and -0.0 differ; a point holding a NaN never hits."""
     global _memo
     coords = np.asarray(point, dtype=float)
     key = coords.tobytes()
-    last_spec, last_key, last = _memo
-    if last_spec is spec and last_key == key and not np.isnan(coords).any():
-        return last
+    memo = _memo
+    if not np.isnan(coords).any():
+        for entry in memo:
+            if entry[0] is spec and entry[1] == key:
+                _memo = (entry,) + tuple(e for e in memo if e is not entry)
+                return entry[2]
     pg = PointGeometry(spec, point)
     tau2_i = oracle.submanifold_bitension(spec, point, geometry=pg)
     for a in [*vars(pg).values(), pg.e2.coeffs, tau2_i]:
@@ -109,7 +116,7 @@ def base_point(spec, point):
     ).biharmonic
     h2 = pg.e2_val * float(np.dot(pg.H_val, pg.H_val))
     base = BasePoint(pg, tau2_i, gate, h2)
-    _memo = (spec, key, base)
+    _memo = ((spec, key, base),) + memo[: _MEMO_SIZE - 1]
     return base
 
 

@@ -212,8 +212,8 @@ def test_classify_in_chunks_equals_one_batch():
          "wrong length first"],
 )
 def test_classify_names_the_first_failing_point_of_a_later_chunk(bad, error, message):
-    points = GOOD * 150 + bad + GOOD * 10  # the failures sit in the second chunk
-    assert biharmonic._CHUNK < 600 < 2 * biharmonic._CHUNK
+    points = GOOD * 40 + bad + GOOD * 10  # the failures sit in the second chunk
+    assert biharmonic._CHUNK < 160 < 160 + len(bad) <= 2 * biharmonic._CHUNK
     with pytest.raises(error) as exc:
         classify(BALL_CONE, points, 1e-7)
     assert type(exc.value) is error

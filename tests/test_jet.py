@@ -1,4 +1,5 @@
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from warpgeo import jet as J
+from warpgeo import verify
+from warpgeo.biharmonic import classify
 from warpgeo.errors import ConfigError, EvalDomainError, SingularJetError, UsageError
 from warpgeo.immersion import hypersurface_normal
 
@@ -290,17 +293,61 @@ def test_contract_equals_scalar_jet_loop(case):
     assert np.all(np.abs(got - ref) <= 1e-13 * bound)
 
 
+# batch widths with a plan each: one point, a few, the grid workload's 16,
+# an odd width and classify's chunk
+PLAN_WIDTHS = [1, 2, 16, 17, 128]
+
+
 @settings(max_examples=60, deadline=None)
-@given(tensor_cases, st.integers(1, 8))
+@given(tensor_cases, st.sampled_from(PLAN_WIDTHS))
 def test_contract_batch_equals_its_columns(case, width):
     pattern, n_vars, _, a, b = _operands(case, (width,))
     got = J.contract(pattern, a, b, n_vars)
     for j in range(width):
         assert np.array_equal(got[..., j], J.contract(pattern, a[..., j], b[..., j], n_vars))
-    # an unbatched operand broadcasts against a batched one
+    # an unbatched operand broadcasts against a batched one, on either side
     got = J.contract(pattern, a[..., 0], b, n_vars)
     for j in range(width):
         assert np.array_equal(got[..., j], J.contract(pattern, a[..., 0], b[..., j], n_vars))
+    got = J.contract(pattern, a, b[..., 0], n_vars)
+    for j in range(width):
+        assert np.array_equal(got[..., j], J.contract(pattern, a[..., j], b[..., 0], n_vars))
+
+
+@pytest.mark.parametrize("pattern", ["ia,ja->ij", "abc,ib->aci", "ij,->ij"])
+def test_contract_plans_of_interleaved_widths(pattern):
+    # a plan is compiled per operand shape: width 16 after 17 takes its own
+    case = (pattern, 3, 3, [3, 4, 2, 3, 4, 2], 5)
+    for width in (16, 17, 16):
+        _, n_vars, _, a, b = _operands(case, (width,))
+        got = J.contract(pattern, a, b, n_vars)
+        for j in range(width):
+            assert np.array_equal(
+                got[..., j], J.contract(pattern, a[..., j], b[..., j], n_vars)
+            )
+
+
+def test_cached_plans_of_a_chunked_classify_stay_under_the_bound(monkeypatch):
+    # 1,100 points build in parts of 128 and 76 points: two builds' plans,
+    # each under the 3.3 MB _plan's docstring gives a 2-variable build at
+    # width 128
+    made = {}
+    compile_plan = J._plan.__wrapped__
+
+    def recorded(*key):
+        plan = compile_plan(*key)
+        made[key] = plan[2].nbytes
+        return plan
+
+    cache = lru_cache(maxsize=J._plan.cache_info().maxsize)(recorded)
+    monkeypatch.setattr(J, "_plan", cache)
+    spec = verify.cone(1.0)
+    rng = np.random.default_rng(3)
+    points = [(rng.uniform(0.5, 2.0), rng.uniform(0.0, 1.0)) for _ in range(1100)]
+    classify(spec, points, 1e-7)
+    assert cache.cache_info().currsize == len(made)  # every plan made is held
+    assert {key[2][-1] for key in made} == {128, 76}
+    assert sum(made.values()) <= 2 * 3.3e6
 
 
 @settings(max_examples=30, deadline=None)

@@ -167,9 +167,9 @@ class TestCli:
             # the u = 0 row fails: its 8 points and the 10 parts above them
             # raise, and the 3 parts that hold the other rows are built
             ("analyze", CONE_SCENE, "0:1:8,0:1:8", 21, 3),
-            # 1,100 good points: parts of 512, 512 and 76
-            ("analyze", CONE_SCENE, "0.5:2:100,0:1:11", 3, 0),
-            ("classify", CONE_SCENE, "0.5:2:100,0:1:11", 3, 0),
+            # 1,100 good points: 8 parts of 128 and one of 76
+            ("analyze", CONE_SCENE, "0.5:2:100,0:1:11", 9, 0),
+            ("classify", CONE_SCENE, "0.5:2:100,0:1:11", 9, 0),
             # hypersurface-only quantities: refused before any build
             ("analyze", CODIM2_SCENE, "0:0.3:8,0:0.3:8", 0, 2),
             ("classify", CODIM2_SCENE, "0:0.3:8,0:0.3:8", 0, 2),
@@ -366,6 +366,10 @@ BAD_INPUT = {
     "grid count bound": (
         CONE_SCENE,
         ["classify", "{scene}", "--grid", "0.5:2:100000000000,0:1:2"],
+    ),
+    "scan sample count bound": (
+        CONE_SCENE,
+        ["scan", "{scene}", "--param", "r", "--range", "0.5:2", "--samples", "100000000000"],
     ),
     "grid count product bound": (
         CONE_SCENE,

@@ -195,7 +195,7 @@ class TestBasePoint:
         shared = [warped.warped_report(scene, t, p).to_dict() for t, p in requests]
         fresh = []
         for t, p in requests:
-            monkeypatch.setattr(warped, "_memo", (None, b"", None))
+            monkeypatch.setattr(warped, "_memo", ())
             fresh.append(warped.warped_report(scene, t, p).to_dict())
         assert repr(shared) == repr(fresh)  # repr tells -0.0 from 0.0
         # the two points differ in the sign bit of X_val alone
@@ -209,7 +209,7 @@ class TestBasePoint:
         point = (float("nan"), 0.2)
         stale = warped.base_point(spec, POINT)
         key = np.array(point).tobytes()
-        monkeypatch.setattr(warped, "_memo", (spec, key, stale))
+        monkeypatch.setattr(warped, "_memo", ((spec, key, stale),))
         with pytest.raises(EvalDomainError):
             warped.base_point(spec, point)
 
