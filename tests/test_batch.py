@@ -213,7 +213,8 @@ def test_classify_in_chunks_equals_one_batch():
 )
 def test_classify_names_the_first_failing_point_of_a_later_chunk(bad, error, message):
     points = GOOD * 40 + bad + GOOD * 10  # the failures sit in the second chunk
-    assert biharmonic._CHUNK < 160 < 160 + len(bad) <= 2 * biharmonic._CHUNK
+    first = len(GOOD) * 40
+    assert biharmonic._CHUNK < first and first + len(bad) <= 2 * biharmonic._CHUNK
     with pytest.raises(error) as exc:
         classify(BALL_CONE, points, 1e-7)
     assert type(exc.value) is error
