@@ -20,7 +20,8 @@ _SLOPE_LAG = 20
 _XTOL = 1e-10
 _RTOL = 4 * sys.float_info.epsilon
 # items per batch of `each`; each contraction of a batch caches a scatter
-# index in proportion to its width (jet._plan)
+# index in proportion to its width (jet._plan), up to jet.PLAN_INDEX_BYTES,
+# the largest one a batch of this width makes
 _CHUNK = 128
 # halvings parameter_scan's bisection evaluates per batched PointGeometry
 _SCAN_DEPTH = 5

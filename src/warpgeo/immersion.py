@@ -301,8 +301,6 @@ class PointGeometry:
         )
         self.S_val = self.ginv_val @ self.b_val  # mixed shape operator
         self.normA2 = _trace(self.S_val @ self.S_val)
-        frame = orthonormal_frame(self.g_val)
-        self.A_frame = mT(frame) @ self.b_val @ frame
 
         # gradient and Laplacian of the mean curvature function
         dlam = J.gradient(lam.coeffs, m, range(m))
@@ -322,6 +320,13 @@ class PointGeometry:
 
     def require_hypersurface(self):
         self.spec.require_hypersurface()
+
+    @property
+    def A_frame(self):
+        """The second fundamental form b in the orthonormal frame of g,
+        computed when read: only the report shows it."""
+        frame = orthonormal_frame(self.g_val)
+        return mT(frame) @ self.b_val @ frame
 
     def report(self):
         self.require_hypersurface()

@@ -23,15 +23,19 @@ fails them.
 
 A tensor of jets (a Christoffel symbol, a second fundamental form) is one
 coefficient array of shape ``(size, *tensor, *batch)``.  :func:`contract`
-multiplies two of them and sums over repeated indices in one call: it
-gathers the coefficient pairs of the truncated product, forms all their
-products with one ``einsum`` (``...`` spans the batch) and adds them into
-their coefficients in one fixed order with one ``np.bincount``, so a batch
-still equals its points one by one (:func:`jet_mat_inverse` is a series of
-contractions).  Everything but that arithmetic is compiled once per
-pattern and operand shapes into a cached plan, which owns the scatter
-index of each batch shape.  :func:`deriv`, :func:`gradient` and
-:func:`trunc` are the array forms of :meth:`Jet.d` and :meth:`Jet.trunc`.
+multiplies two of them and sums over repeated indices in one call, and it
+is the one product kernel: a scalar product (:meth:`Jet.__mul__`, each
+Horner step of a univariate series) is the contraction ``",->"``.  It
+gathers both factors of every term of the truncated product with one
+``take`` per operand, lines the two gathers up as views over the product's
+indices and the batch, forms every product with one ``np.multiply`` and
+adds them into their coefficients in one fixed order with one
+``np.bincount``, so a batch still equals its points one by one
+(:func:`jet_mat_inverse` is a series of contractions).  Everything but that
+arithmetic is compiled once per pattern and operand shapes into a cached
+plan, which owns the scatter index of each batch shape.  :func:`deriv`,
+:func:`gradient` and :func:`trunc` are the array forms of :meth:`Jet.d` and
+:meth:`Jet.trunc`.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -134,15 +139,6 @@ def _space(n_vars, order):
         tuple(deriv),
         len(monos),
     )
-
-
-@lru_cache(maxsize=32)
-def _scatter(n_vars, order, width):
-    """The bin of each product term in a batch `width` points wide: term k
-    of point j lands in bin mul_ic[k] * width + j (width 1 gives mul_ic).
-    The cache is bounded because the index grows with the batch."""
-    ic = _space(n_vars, order).mul_ic
-    return (ic[:, None] * width + np.arange(width)).ravel()
 
 
 def _scalar(x):
@@ -289,13 +285,8 @@ class Jet:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        s = _space(self.n_vars, self.order)
         a, b = _aligned(self.coeffs, other.coeffs)
-        terms = a[s.mul_ia] * b[s.mul_ib]
-        width = terms.size // len(s.mul_ic)
-        bins = _scatter(self.n_vars, self.order, width)
-        out = np.bincount(bins, terms.reshape(-1), s.size * width)
-        return Jet(self.n_vars, self.order, out.reshape((s.size,) + terms.shape[1:]))
+        return Jet(self.n_vars, self.order, contract(",->", a, b, self.n_vars))
 
     __rmul__ = __mul__
 
@@ -368,10 +359,25 @@ def deriv(c, n_vars, var):
     return c[src] * mult.reshape(mult.shape + (1,) * (c.ndim - 1))
 
 
+@lru_cache(maxsize=None)
+def _gradient_table(n_vars, size, slots, ndim, axis):
+    """The deriv tables of the variables in `slots` side by side, source
+    (size', k) and multiplier (size', k, 1, ...), for an array of `ndim`
+    axes, and the transpose that moves their k axis to `axis`."""
+    tables = _space_of(n_vars, size).deriv
+    src = np.stack([tables[v][0] for v in slots], axis=1)
+    mult = np.stack([tables[v][1] for v in slots], axis=1)
+    axes = list(range(ndim + 1))
+    axes.insert(axis, axes.pop(1))
+    return src, mult.reshape(mult.shape + (1,) * (ndim - 1)), tuple(axes)
+
+
 def gradient(c, n_vars, slots, axis=1):
     """The derivatives of `c` along each variable in `slots`, stacked as a
-    new tensor axis at position `axis`."""
-    return np.stack([deriv(c, n_vars, v) for v in slots], axis=axis)
+    new tensor axis at position `axis`: the deriv of every slot in one
+    gather, its slot axis moved to `axis` as a view."""
+    src, mult, axes = _gradient_table(n_vars, len(c), tuple(slots), c.ndim, axis)
+    return (c.take(src, axis=0) * mult).transpose(axes)
 
 
 def stack(jets):
@@ -389,27 +395,72 @@ def unstack(c, n_vars):
     return Jet(n_vars, order_of(c, n_vars), c)
 
 
+class _Plan(NamedTuple):
+    """A compiled contraction: everything but the arithmetic.  Each
+    operand gathers the coefficients ia (ib) of its factor of every term,
+    and the gather is reshaped to view_a (view_b) and transposed by axes_a
+    (axes_b) to line up with the product's axes."""
+
+    ia: np.ndarray
+    ib: np.ndarray
+    view_a: tuple
+    axes_a: tuple
+    view_b: tuple
+    axes_b: tuple
+    bins: np.ndarray  # the result bin of each product term
+    spread: int  # the batch width bins is spread over at each call, or 1
+    count: int  # bins of the flat result
+    shape: tuple  # of the result
+
+
+# The largest scatter index a plan caches, in bytes: the biggest one a build
+# of biharmonic._CHUNK = 128 points makes, the S4 slice's "abc,ib->aci" (28
+# coefficient pairs x 192 entries x 128 points x 8 bytes).  A wider plan
+# keeps the index of one point and spreads it over the batch at each call.
+PLAN_INDEX_BYTES = 28 * 192 * 128 * 8
+
+
+def _operand_view(letters, every, shape, pairs, n_batch):
+    """The reshape and transpose that turn an operand's gathered factors
+    (pairs, *tensor, *batch) into a view over the product's axes (pairs,
+    *every, *batch): a singleton axis for each index of `every` it lacks,
+    its batch right-aligned over n_batch axes."""
+    missing = "".join(k for k in every if k not in letters)
+    batch = shape[1 + len(letters) :]
+    view = (pairs,) + shape[1 : 1 + len(letters)] + (1,) * len(missing)
+    view += (1,) * (n_batch - len(batch)) + batch
+    order = letters + missing
+    axes = (0,) + tuple(1 + order.index(k) for k in every)
+    return view, axes + tuple(range(len(axes), len(axes) + n_batch))
+
+
 @lru_cache(maxsize=256)
 def _plan(subscripts, n_vars, shape_a, shape_b):
     """Everything contract(subscripts) does on operands of shapes shape_a
-    and shape_b apart from the arithmetic: the jet space, the einsum that
-    forms every product, the bin of each product term with the batch
-    already expanded (bin i of an unbatched result becomes bin
+    and shape_b apart from the arithmetic.  The product terms run over the
+    coefficient pairs of the truncated product, then over `every`, the
+    left operand's indices followed by the right one's new ones, then over
+    the batch.  The plan holds the coefficients each operand gathers, the
+    view that lines its gather up with those axes, the bin of each term with
+    the batch already expanded (bin i of an unbatched result becomes bin
     i * width + j at point j), the bin count and the result shape.
 
-    The bin index holds 8 bytes per coefficient pair, einsum entry and
+    The bin index holds 8 bytes per coefficient pair, product entry and
     batch point, and the cache keeps the 256 plans used last.  classify and
     parameter_scan build over at most biharmonic._CHUNK = 128 points.  At
     that width the plans of one PointGeometry build of a hypersurface hold
-    at most 3.3 MB over 2 variables (1.7 MB on the cone) and 24 MB over 3
-    (the S4 slice), and its largest plan 0.83 MB and 5.5 MB, so the cache
-    holds at most 212 MB and 1.4 GB.  A wider batch built directly caches
-    plans in proportion to its width."""
+    at most 3.3 MB over 2 variables (1.9 MB on the cone) and 24 MB over 3
+    (the S4 slice), and its largest plan 0.83 MB and PLAN_INDEX_BYTES,
+    5.5 MB.  A plan whose expanded index would be larger keeps the index of
+    one point and spreads it over the batch at each call, so the cache
+    holds at most 256 * 5.5 MB = 1.4 GB whatever the batch width."""
     s = _space_of(n_vars, shape_a[0])
     if shape_b[0] != s.size:
         raise UsageError(f"jet tensor sizes differ: {shape_a[0]} vs {shape_b[0]}")
     inputs, out = subscripts.split("->")
     left, right = inputs.split(",")
+    if len(set(left)) < len(left) or len(set(right)) < len(right):
+        raise UsageError(f"an operand repeats an index in {subscripts!r}")
     every = left + "".join(k for k in right if k not in left)
     dims = dict(zip(left, shape_a[1:]))
     dims.update(zip(right, shape_b[1:]))
@@ -421,25 +472,46 @@ def _plan(subscripts, n_vars, shape_a, shape_b):
     bins = (s.mul_ic[:, None] * math.prod(out_shape) + entry.ravel()).ravel()
     batch = np.broadcast_shapes(shape_a[1 + len(left) :], shape_b[1 + len(right) :])
     width = math.prod(batch)
-    if width > 1:
-        bins = (bins[:, None] * width + np.arange(width)).ravel()
-    path = f"Z{left}...,Z{right}...->Z{every}..."
-    count = s.size * math.prod(out_shape) * width
-    return s, path, bins, count, (s.size,) + out_shape + batch
+    spread = width
+    if width > 1 and bins.size * width * bins.itemsize <= PLAN_INDEX_BYTES:
+        bins, spread = _spread(bins, width), 1
+    pairs = len(s.mul_ia)
+    return _Plan(
+        s.mul_ia,
+        s.mul_ib,
+        *_operand_view(left, every, shape_a, pairs, len(batch)),
+        *_operand_view(right, every, shape_b, pairs, len(batch)),
+        bins,
+        spread,
+        s.size * math.prod(out_shape) * width,
+        (s.size,) + out_shape + batch,
+    )
+
+
+def _spread(bins, width):
+    """The scatter index of a batch `width` points wide: term k of point j
+    lands in bin bins[k] * width + j."""
+    return (bins[:, None] * width + np.arange(width)).ravel()
 
 
 def contract(subscripts, a, b, n_vars):
     """The truncated jet product of the tensors `a` and `b`, summed over
     the indices that `subscripts` (einsum notation over lowercase letters,
-    e.g. "abc,kb->ack") leaves out of the result.
+    no index repeated within an operand, e.g. "abc,kb->ack") leaves out of
+    the result.  ",->" is the product of two scalar jets.
 
     Operands are coefficient arrays (size, *tensor, *batch) of one jet space
     over `n_vars` variables; their batch shapes broadcast.  Each result
     entry adds its terms in one fixed order, by coefficient pair and then by
     contracted index, so a batch equals its points one by one."""
-    s, path, bins, count, shape = _plan(subscripts, n_vars, a.shape, b.shape)
-    terms = np.einsum(path, a[s.mul_ia], b[s.mul_ib], order="C")
-    return np.bincount(bins, terms.reshape(-1), count).reshape(shape)
+    p = _plan(subscripts, n_vars, a.shape, b.shape)
+    terms = np.multiply(
+        a.take(p.ia, axis=0).reshape(p.view_a).transpose(p.axes_a),
+        b.take(p.ib, axis=0).reshape(p.view_b).transpose(p.axes_b),
+        order="C",
+    )
+    bins = p.bins if p.spread == 1 else _spread(p.bins, p.spread)
+    return np.bincount(bins, terms.reshape(-1), p.count).reshape(p.shape)
 
 
 # -- univariate composition ----------------------------------------------
@@ -449,14 +521,13 @@ def _compose(a, series):
     """Compose the power series `series` (coefficients about a.value, each
     a float or a batch array) with the nilpotent part of `a`, by Horner
     evaluation.  Truncation guarantees termination after `order` steps."""
-    nil_coeffs = a.coeffs.copy()
-    nil_coeffs[0] = 0.0
-    nil = Jet(a.n_vars, a.order, nil_coeffs)
-    out = jet_constant(series[-1], a.n_vars, a.order)
+    nil = a.coeffs.copy()
+    nil[0] = 0.0
+    out = jet_constant(series[-1], a.n_vars, a.order).coeffs
     for c in reversed(series[:-1]):
-        out = out * nil
-        out.coeffs[0] += c
-    return out
+        out = contract(",->", out, nil, a.n_vars)
+        out[0] += c
+    return Jet(a.n_vars, a.order, out)
 
 
 def _require_finite(operation, at, rows):

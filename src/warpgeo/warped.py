@@ -141,8 +141,10 @@ def power_family_residual(warp, t, m, params=None):
 
 def inclusion_tension(scene, t, point, warp=None):
     """tau(phi) = (m / f^2) H, with no dt-component."""
-    base = base_point(scene.immersion, point)
-    w = warp or scene.warp_at(t)
+    return _tension(scene, base_point(scene.immersion, point), warp or scene.warp_at(t))
+
+
+def _tension(scene, base, w):
     return WVec(0.0, (scene.immersion.m / w.f**2) * base.geometry.H_val)
 
 
@@ -165,8 +167,10 @@ def inclusion_bitension(scene, t, point, warp=None):
     tension is m H; it comes from the submanifold closed form evaluated on
     the same geometry, so non-biharmonic bases are handled without
     assumption."""
-    base = base_point(scene.immersion, point)
-    w = warp or scene.warp_at(t)
+    return _bitension(scene, base_point(scene.immersion, point), warp or scene.warp_at(t))
+
+
+def _bitension(scene, base, w):
     m = scene.immersion.m
 
     coeff = 2.0 * m * w.power_residual(m) / w.f**4
@@ -202,13 +206,14 @@ def pairing(scene, t, point, warp=None):
     closed form 2 m^2 [f f'' + (m-1) f'^2] / f^4 |H|^2 (the latter is
     valid only over a biharmonic base, gated by classification of the
     same geometry).  The tau and tau_2 it pairs are returned with it.
-    The warp is evaluated once at t (or taken from `warp`) and passed on."""
+    The warp is evaluated once at t (or taken from `warp`) and the
+    BasePoint looked up once, and both are passed on."""
     base = base_point(scene.immersion, point)
     base.geometry.require_hypersurface()
     w = warp or scene.warp_at(t)
     m = scene.immersion.m
-    tau = inclusion_tension(scene, t, point, w)
-    tau2 = inclusion_bitension(scene, t, point, w)
+    tau = _tension(scene, base, w)
+    tau2 = _bitension(scene, base, w)
     direct = hbar_inner(base, w, tau2.vec, tau)
     closed = 2.0 * m**2 * w.power_residual(m) / w.f**4 * base.h2
     return PairingResult(direct, closed, base.biharmonic, tau, tau2)

@@ -1,3 +1,4 @@
+import itertools
 import math
 from functools import lru_cache
 
@@ -10,7 +11,7 @@ from warpgeo import jet as J
 from warpgeo import verify
 from warpgeo.biharmonic import classify
 from warpgeo.errors import ConfigError, EvalDomainError, SingularJetError, UsageError
-from warpgeo.immersion import hypersurface_normal
+from warpgeo.immersion import PointGeometry, hypersurface_normal
 
 
 def finite(lo=-3.0, hi=3.0):
@@ -327,27 +328,104 @@ def test_contract_plans_of_interleaved_widths(pattern):
             )
 
 
-def test_cached_plans_of_a_chunked_classify_stay_under_the_bound(monkeypatch):
-    # 1,100 points build in parts of 128 and 76 points: two builds' plans,
-    # each under the 3.3 MB _plan's docstring gives a 2-variable build at
-    # width 128
+@pytest.fixture
+def plans(monkeypatch):
+    """The plans compiled from here on, by key, through an empty cache of
+    _plan's size."""
     made = {}
     compile_plan = J._plan.__wrapped__
 
     def recorded(*key):
-        plan = compile_plan(*key)
-        made[key] = plan[2].nbytes
-        return plan
+        made[key] = compile_plan(*key)
+        return made[key]
 
     cache = lru_cache(maxsize=J._plan.cache_info().maxsize)(recorded)
     monkeypatch.setattr(J, "_plan", cache)
+    yield made
+    assert cache.cache_info().currsize == len(made)  # every plan made is held
+
+
+def test_cached_plans_of_a_chunked_classify_stay_under_the_bound(plans):
+    # 1,100 points build in parts of 128 and 76 points: two builds' plans,
+    # each under the 3.3 MB _plan's docstring gives a 2-variable build at
+    # width 128
     spec = verify.cone(1.0)
     rng = np.random.default_rng(3)
     points = [(rng.uniform(0.5, 2.0), rng.uniform(0.0, 1.0)) for _ in range(1100)]
     classify(spec, points, 1e-7)
-    assert cache.cache_info().currsize == len(made)  # every plan made is held
-    assert {key[2][-1] for key in made} == {128, 76}
-    assert sum(made.values()) <= 2 * 3.3e6
+    assert {plan.shape[-1] for plan in plans.values()} == {128, 76}
+    assert sum(plan.bins.nbytes for plan in plans.values()) <= 2 * 3.3e6
+
+
+def test_a_chunk_caches_every_scatter_index(plans):
+    # the S4 slice at classify's chunk width makes the largest index that
+    # is cached expanded, PLAN_INDEX_BYTES
+    rng = np.random.default_rng(5)
+    PointGeometry(verify.sphere_slice(0.7, 3), [rng.uniform(-0.3, 0.3, 128) for _ in range(3)])
+    assert all(plan.spread == 1 for plan in plans.values())
+    assert max(plan.bins.nbytes for plan in plans.values()) == J.PLAN_INDEX_BYTES
+
+
+def test_cached_plans_of_a_wide_build_stay_under_the_bound(plans):
+    # a 10,000-point build held 135 MB of scatter index when every plan
+    # kept its index expanded over the batch
+    rng = np.random.default_rng(7)
+    points = [rng.uniform(0.5, 2.0, 10_000), rng.uniform(0.0, 1.0, 10_000)]
+    PointGeometry(verify.cone(1.0), points)
+    assert any(plan.spread == 10_000 for plan in plans.values())
+    assert all(plan.bins.nbytes <= J.PLAN_INDEX_BYTES for plan in plans.values())
+    assert sum(plan.bins.nbytes for plan in plans.values()) <= 2 * J.PLAN_INDEX_BYTES
+
+
+def _reference_contract(pattern, a, b, n_vars):
+    """The product kernel as einsum and bincount: every product term in
+    the order of its coefficient pair, the indices of the left operand and
+    the new ones of the right one, then the batch, added into its bin."""
+    s = J._space_of(n_vars, len(a))
+    (left, right), out = pattern.split("->")[0].split(","), pattern.split("->")[1]
+    every = left + "".join(k for k in right if k not in left)
+    terms = np.einsum(
+        f"Z{left}...,Z{right}...->Z{every}...", a[s.mul_ia], b[s.mul_ib], order="C"
+    )
+    at = np.indices(terms.shape)
+    batch = terms.shape[1 + len(every):]
+    shape = (s.size,) + tuple(terms.shape[1 + every.index(k)] for k in out) + batch
+    index = [s.mul_ic[at[0]]] + [at[1 + every.index(k)] for k in out]
+    index += list(at[1 + len(every):])
+    bins = np.ravel_multi_index(index, shape).ravel()
+    return np.bincount(bins, terms.ravel(), math.prod(shape)).reshape(shape)
+
+
+@pytest.mark.parametrize("pattern", PATTERNS + [",->"])
+def test_contract_equals_the_einsum_kernel(pattern, monkeypatch):
+    # bit for bit, at every width, batched or broadcast on either side, with
+    # the scatter index cached expanded and spread at each call
+    for bound, (n_vars, order), width in itertools.product(
+        (J.PLAN_INDEX_BYTES, 0), ((2, 4), (3, 2)), (1, 2, 17, 128)
+    ):
+        monkeypatch.setattr(J, "PLAN_INDEX_BYTES", bound)
+        J._plan.cache_clear()
+        case = (pattern, n_vars, order, [2, 3, 4, 3, 2, 3], width)
+        _, _, _, a, b = _operands(case, (width,))
+        for x, y in ((a, b), (a[..., 0], b), (a, b[..., 0])):
+            got = J.contract(pattern, x, y, n_vars)
+            assert np.array_equal(got, _reference_contract(pattern, x, y, n_vars))
+    J._plan.cache_clear()
+
+
+@pytest.mark.parametrize("axis", [1, 2])
+def test_gradient_equals_stacked_derivatives(axis):
+    rng = np.random.default_rng(11)
+    for n_vars, order in ((2, 4), (3, 2), (4, 1)):
+        c = rng.uniform(-1.0, 1.0, (J._space(n_vars, order).size, 3, 5))
+        for slots in (range(n_vars), (n_vars - 1, 0)):
+            want = np.stack([J.deriv(c, n_vars, v) for v in slots], axis=axis)
+            assert np.array_equal(J.gradient(c, n_vars, slots, axis=axis), want)
+
+
+def test_contract_rejects_an_index_repeated_in_an_operand():
+    with pytest.raises(UsageError):
+        J.contract("aa,a->", np.zeros((6, 2, 2)), np.zeros((6, 2)), 2)
 
 
 @settings(max_examples=30, deadline=None)

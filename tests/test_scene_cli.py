@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import pytest
 
+import warpgeo
 from warpgeo import cli
 from warpgeo.errors import SceneError, UsageError
 from warpgeo.expr import parse, pretty
@@ -455,3 +459,15 @@ def test_scan_lists_overflow_as_failure(tmp_path, capsys):
     [(value, message)] = json.loads(out_json.read_text())["failures"]
     assert value == 1e160 and "float range" in message
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, code", [(["verify"], 0), (["classify"], 2)])
+def test_module_entry_point(argv, code):
+    # python -m warpgeo runs the same command line as warpgeo
+    src = os.path.dirname(os.path.dirname(os.path.abspath(warpgeo.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "warpgeo", *argv], capture_output=True, text=True, env=env
+    )
+    assert done.returncode == code, done.stderr
+    assert "Traceback" not in done.stderr
