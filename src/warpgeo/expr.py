@@ -276,13 +276,31 @@ def _power_per_point(base, p):
     return J.Jet(base.n_vars, base.order, J.stack(powers).reshape((size,) + p.shape))
 
 
+def _scale(j, c):
+    """The jet j times the constant c (a float or a batch array), bit for
+    bit its product with c's constant jet: each coefficient times c, added
+    to contract's +0.0 start."""
+    coeffs = j.coeffs
+    if np.ndim(c):
+        coeffs, c = J._aligned(coeffs, np.asarray(c)[None])
+    return J.Jet(j.n_vars, j.order, coeffs * c + 0.0)
+
+
 def eval_jet(ast, variables, params=None):
     """Evaluate `ast` over jet arithmetic.
 
     `variables` maps identifiers to jets (all sharing one (n_vars, order),
     batched or not); `params` maps identifiers to reals, or to arrays of
-    one value per point of the variables' batch, entering as constant jets
-    that broadcast against that batch.
+    one value per point of the variables' batch, that broadcast against
+    that batch.
+
+    Numbers and params stay constants, a float or a batch array, and so
+    does every subtree without a variable: it is evaluated on jets of order
+    0, the jet path's arithmetic on values, so it keeps that path's values,
+    domain errors and spans.  A jet times or over a constant is a scale of
+    its coefficients, the same bits as the product with the constant's jet
+    (over c, by the value of c's reciprocal); a constant meets a jet in a
+    sum or a power as its jet.  A constant result is returned as its jet.
     """
     params = params or {}
     if not variables:
@@ -290,44 +308,57 @@ def eval_jet(ast, variables, params=None):
     template = next(iter(variables.values()))
     n_vars, order = template.n_vars, template.order
 
+    def jet(c, at=order):
+        return c if isinstance(c, J.Jet) else J.jet_constant(c, n_vars, at)
+
+    def binop(op, lhs, rhs):
+        """lhs op rhs, at least one of them a jet."""
+        if op == "*" or op == "/":
+            if not isinstance(rhs, J.Jet):
+                if op == "/":
+                    rhs = J.reciprocal(jet(rhs, 0)).value
+                return _scale(lhs, rhs)
+            if not isinstance(lhs, J.Jet):
+                return _scale(rhs if op == "*" else J.reciprocal(rhs), lhs)
+            return lhs * rhs if op == "*" else lhs / rhs
+        if op == "^":
+            lhs = jet(lhs)
+            p = _constant_exponent(rhs) if isinstance(rhs, J.Jet) else rhs
+            if p is None:
+                return J.exp(rhs * J.log(lhs))
+            return _power_per_point(lhs, p) if np.ndim(p) else J.jpow(lhs, p)
+        return jet(lhs) + jet(rhs) if op == "+" else jet(lhs) - jet(rhs)
+
     def ev(node):
         try:
             if isinstance(node, Num):
-                return J.jet_constant(node.value, n_vars, order)
+                return node.value
             if isinstance(node, Name):
                 if node.ident in variables:
                     return variables[node.ident]
                 if node.ident in params:
                     value = np.asarray(params[node.ident], dtype=float)
-                    return J.jet_constant(
-                        value if value.ndim else float(value), n_vars, order
-                    )
+                    return value if value.ndim else float(value)
                 raise UsageError(f"unbound identifier {node.ident!r}")
             if isinstance(node, Neg):
                 return -ev(node.operand)
             if isinstance(node, Call):
-                return _JET_FN[node.fn](ev(node.arg))
+                arg = ev(node.arg)
+                if isinstance(arg, J.Jet):
+                    return _JET_FN[node.fn](arg)
+                return _JET_FN[node.fn](jet(arg, 0)).value
             if isinstance(node, BinOp):
                 lhs, rhs = ev(node.left), ev(node.right)
-                if node.op == "^":
-                    p = _constant_exponent(rhs)
-                    if p is None:
-                        return J.exp(rhs * J.log(lhs))
-                    return _power_per_point(lhs, p) if np.ndim(p) else J.jpow(lhs, p)
-                if node.op == "+":
-                    return lhs + rhs
-                if node.op == "-":
-                    return lhs - rhs
-                if node.op == "*":
-                    return lhs * rhs
-                return lhs / rhs
+                if isinstance(lhs, J.Jet) or isinstance(rhs, J.Jet):
+                    return binop(node.op, lhs, rhs)
+                return binop(node.op, jet(lhs, 0), jet(rhs, 0)).value
         except EvalDomainError as exc:
             if exc.span is None:
                 exc.span = node.span
             raise
         raise UsageError(f"not an AST node: {node!r}")
 
-    return ev(ast)
+    return jet(ev(ast))
 
 
 def eval_value(ast, env):
@@ -350,11 +381,19 @@ def eval_value(ast, env):
                 raise EvalDomainError(
                     f"{node.fn} of non-positive value {x:g}", value=x, span=node.span
                 )
+            if node.fn in ("sin", "cos") and not math.isfinite(x):
+                raise EvalDomainError(
+                    f"{node.fn} of non-finite value {x:g}", value=x, span=node.span
+                )
             try:
                 return _VAL_FN[node.fn](x)
             except OverflowError:
                 raise EvalDomainError(
                     f"{node.fn}({x:g}) leaves the float range", value=x, span=node.span
+                ) from None
+            except ValueError:
+                raise EvalDomainError(
+                    f"{node.fn}({x:g}) is outside its domain", value=x, span=node.span
                 ) from None
         if isinstance(node, BinOp):
             a = ev(node.left)

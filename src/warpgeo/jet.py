@@ -33,7 +33,14 @@ adds them into their coefficients in one fixed order with one
 ``np.bincount``, so a batch still equals its points one by one
 (:func:`jet_mat_inverse` is a series of contractions).  Everything but that
 arithmetic is compiled once per pattern and operand shapes into a cached
-plan, which owns the scatter index of each batch shape.  :func:`deriv`,
+plan, which owns the scatter index of each batch shape.  A tensor operand
+whose coefficients past the value are all zero (a constant factor, such as
+the tangents of a linear chart) takes a plan of its own that forms only the
+terms with its value: the same kernel over fewer coefficient pairs, and the
+same bits, since every term it drops is a product with an exact zero.  A
+scalar product with a constant is a scale before it gets here: the
+expression evaluator keeps numbers and params as constants, and
+:func:`_compose` starts its Horner steps with one.  :func:`deriv`,
 :func:`gradient` and :func:`trunc` are the array forms of :meth:`Jet.d` and
 :meth:`Jet.trunc`.
 """
@@ -77,7 +84,6 @@ def _monomials(n_vars, order):
 class _JetSpace:
     n_vars: int
     order: int
-    monomials: tuple
     index: dict
     factorials: np.ndarray  # alpha! per monomial
     mul_ia: np.ndarray
@@ -130,7 +136,6 @@ def _space(n_vars, order):
     return _JetSpace(
         n_vars,
         order,
-        monos,
         index,
         fact,
         np.array(ia),
@@ -414,9 +419,11 @@ class _Plan(NamedTuple):
 
 
 # The largest scatter index a plan caches, in bytes: the biggest one a build
-# of biharmonic._CHUNK = 128 points makes, the S4 slice's "abc,ib->aci" (28
-# coefficient pairs x 192 entries x 128 points x 8 bytes).  A wider plan
-# keeps the index of one point and spreads it over the batch at each call.
+# of biharmonic._CHUNK = 128 points makes over 3 variables, "abc,ib->aci" on
+# a curved hypersurface of S4 (28 coefficient pairs x 192 entries x 128
+# points x 8 bytes); a flat slice's tangents are constant, and its plans of
+# a constant factor are smaller.  A wider plan keeps the index of one point
+# and spreads it over the batch at each call.
 PLAN_INDEX_BYTES = 28 * 192 * 128 * 8
 
 
@@ -435,7 +442,7 @@ def _operand_view(letters, every, shape, pairs, n_batch):
 
 
 @lru_cache(maxsize=256)
-def _plan(subscripts, n_vars, shape_a, shape_b):
+def _plan(subscripts, n_vars, shape_a, shape_b, constant):
     """Everything contract(subscripts) does on operands of shapes shape_a
     and shape_b apart from the arithmetic.  The product terms run over the
     coefficient pairs of the truncated product, then over `every`, the
@@ -445,15 +452,25 @@ def _plan(subscripts, n_vars, shape_a, shape_b):
     the batch already expanded (bin i of an unbatched result becomes bin
     i * width + j at point j), the bin count and the result shape.
 
+    `constant` names the operands whose coefficients past the value are all
+    zero: "a", "b", "ab" or "".  Their plan keeps only the coefficient pairs
+    (0, j), (i, 0) or (0, 0), in the order of the full plan, so every result
+    entry adds the same nonzero terms in the same order; the terms it drops
+    are products with an exact zero, which add nothing to np.bincount's +0.0
+    start, and for finite operands the result is the full plan's bit for
+    bit.
+
     The bin index holds 8 bytes per coefficient pair, product entry and
     batch point, and the cache keeps the 256 plans used last.  classify and
     parameter_scan build over at most biharmonic._CHUNK = 128 points.  At
     that width the plans of one PointGeometry build of a hypersurface hold
-    at most 3.3 MB over 2 variables (1.9 MB on the cone) and 24 MB over 3
-    (the S4 slice), and its largest plan 0.83 MB and PLAN_INDEX_BYTES,
-    5.5 MB.  A plan whose expanded index would be larger keeps the index of
-    one point and spreads it over the batch at each call, so the cache
-    holds at most 256 * 5.5 MB = 1.4 GB whatever the batch width."""
+    at most 3.3 MB over 2 variables (1.8 MB on the cone) and 24 MB over 3
+    (a curved S4 hypersurface), and its largest plan 0.83 MB and
+    PLAN_INDEX_BYTES, 5.5 MB.  A plan whose full expanded index would be
+    larger keeps the index of one point and spreads it over the batch at
+    each call, so the cache holds at most 256 * 5.5 MB = 1.4 GB whatever
+    the batch width.  A constant operand's plan is expanded exactly when the
+    full plan would be, so its index is never the larger."""
     s = _space_of(n_vars, shape_a[0])
     if shape_b[0] != s.size:
         raise UsageError(f"jet tensor sizes differ: {shape_a[0]} vs {shape_b[0]}")
@@ -469,18 +486,24 @@ def _plan(subscripts, n_vars, shape_a, shape_b):
     entry = np.zeros(grid.shape[1:], dtype=np.intp)
     for k, stride in zip(out, np.cumprod((1,) + out_shape[:0:-1])[::-1]):
         entry += grid[every.index(k)] * stride
-    bins = (s.mul_ic[:, None] * math.prod(out_shape) + entry.ravel()).ravel()
+    keep = np.ones(len(s.mul_ia), dtype=bool)
+    if "a" in constant:
+        keep &= s.mul_ia == 0
+    if "b" in constant:
+        keep &= s.mul_ib == 0
+    ia, ib = s.mul_ia[keep], s.mul_ib[keep]
+    bins = (s.mul_ic[keep, None] * math.prod(out_shape) + entry.ravel()).ravel()
     batch = np.broadcast_shapes(shape_a[1 + len(left) :], shape_b[1 + len(right) :])
     width = math.prod(batch)
     spread = width
-    if width > 1 and bins.size * width * bins.itemsize <= PLAN_INDEX_BYTES:
+    full = len(s.mul_ia) * entry.size * width * bins.itemsize
+    if width > 1 and full <= PLAN_INDEX_BYTES:
         bins, spread = _spread(bins, width), 1
-    pairs = len(s.mul_ia)
     return _Plan(
-        s.mul_ia,
-        s.mul_ib,
-        *_operand_view(left, every, shape_a, pairs, len(batch)),
-        *_operand_view(right, every, shape_b, pairs, len(batch)),
+        ia,
+        ib,
+        *_operand_view(left, every, shape_a, len(ia), len(batch)),
+        *_operand_view(right, every, shape_b, len(ia), len(batch)),
         bins,
         spread,
         s.size * math.prod(out_shape) * width,
@@ -503,8 +526,17 @@ def contract(subscripts, a, b, n_vars):
     Operands are coefficient arrays (size, *tensor, *batch) of one jet space
     over `n_vars` variables; their batch shapes broadcast.  Each result
     entry adds its terms in one fixed order, by coefficient pair and then by
-    contracted index, so a batch equals its points one by one."""
-    p = _plan(subscripts, n_vars, a.shape, b.shape)
+    contracted index, so a batch equals its points one by one.  An operand
+    whose coefficients past the value are all zero takes the plan of a
+    constant factor, which forms only the terms with its value; a scalar
+    product ",->" is not checked, since its constant factors are scaled
+    before they get here (expr.eval_jet, _compose)."""
+    constant = ""
+    if subscripts != ",->":
+        constant = "a" * (not np.count_nonzero(a[1:])) + "b" * (
+            not np.count_nonzero(b[1:])
+        )
+    p = _plan(subscripts, n_vars, a.shape, b.shape, constant)
     terms = np.multiply(
         a.take(p.ia, axis=0).reshape(p.view_a).transpose(p.axes_a),
         b.take(p.ib, axis=0).reshape(p.view_b).transpose(p.axes_b),
@@ -521,10 +553,15 @@ def _compose(a, series):
     """Compose the power series `series` (coefficients about a.value, each
     a float or a batch array) with the nilpotent part of `a`, by Horner
     evaluation.  Truncation guarantees termination after `order` steps."""
+    if a.order == 0:
+        return jet_constant(series[0], a.n_vars, 0)
     nil = a.coeffs.copy()
     nil[0] = 0.0
-    out = jet_constant(series[-1], a.n_vars, a.order).coeffs
-    for c in reversed(series[:-1]):
+    # the first step multiplies by the constant series[-1]: nil * series[-1]
+    # with every zero +0.0, as contract forms that product
+    out = nil * series[-1] + 0.0
+    out[0] += series[-2]
+    for c in reversed(series[:-2]):
         out = contract(",->", out, nil, a.n_vars)
         out[0] += c
     return Jet(a.n_vars, a.order, out)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -163,7 +164,58 @@ class TestEvalJet:
         )
 
 
+class TestEvalJetConstants:
+    """Numbers and params stay constants; a product or quotient with one is
+    a scale with the bits of the product with its constant jet."""
+
+    @pytest.mark.parametrize(
+        "src, want",
+        [
+            ("u*r", lambda u, r: u * r), ("r*u", lambda u, r: r * u),
+            ("u/r", lambda u, r: u / r), ("r/u", lambda u, r: r / u),
+            ("u*(r*2)", lambda u, r: u * (r * J.jet_constant(2.0, 2, 3))),
+            ("u/-r", lambda u, r: u / -r),
+        ],
+    )
+    @pytest.mark.parametrize("r", [3.0, -0.25, np.array([0.5, -2.0, 3.0])])
+    def test_scale_equals_the_product_with_a_constant_jet(self, src, want, r):
+        u = J.jet_variable(0, 1.5, 2, 3)
+        u.coeffs[4] = -0.0  # a signed zero the product turns into +0.0
+        got = E.eval_jet(E.parse(src), {"u": u}, {"r": r}).coeffs
+        want = want(u, J.jet_constant(r, 2, 3)).coeffs
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_constant_result_is_a_jet(self):
+        u = J.jet_variable(0, 0.5, 1, 2)
+        got = E.eval_jet(E.parse("2*r+exp(0)"), {"u": u}, {"r": np.array([1.0, 2.0])})
+        assert np.array_equal(got.coeffs, J.jet_constant(np.array([3.0, 5.0]), 1, 2).coeffs)
+
+    @pytest.mark.parametrize(
+        "src, bad", [("u+log(0-1)", "log(0-1)"), ("u*sqrt(-r)", "sqrt(-r)"),
+                     ("u/z", "u/z"), ("u+1/z", "1/z"), ("u*z^-1", "z^-1")],
+    )
+    def test_constant_domain_error_keeps_its_span(self, src, bad):
+        u = J.jet_variable(0, 0.5, 1, 2)
+        with pytest.raises(EvalDomainError) as exc:
+            E.eval_jet(E.parse(src), {"u": u}, {"r": 2.0, "z": 0.0})
+        lo, hi = exc.value.span
+        assert src[lo:hi] == bad
+
+
 class TestEvalValue:
+    @pytest.mark.parametrize("src", ["2+cos(1e308*1e308)", "sin(u*0-1e308*1e308)", "cos(u)"])
+    def test_non_finite_sine_argument_is_a_domain_error(self, src):
+        with pytest.raises(EvalDomainError, match="non-finite") as exc:
+            E.eval_value(E.parse(src), {"u": math.nan})
+        lo, hi = exc.value.span
+        assert src[lo:hi].startswith(("sin(", "cos("))
+
+    def test_math_value_error_is_a_domain_error(self, monkeypatch):
+        monkeypatch.setitem(E._VAL_FN, "exp", math.acos)
+        with pytest.raises(EvalDomainError, match="domain") as exc:
+            E.eval_value(E.parse("1+exp(2)"), {})
+        assert exc.value.span == (2, 8)
+
     def test_division_by_zero(self):
         with pytest.raises(EvalDomainError):
             E.eval_value(E.parse("1/u"), {"u": 0.0})

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from warpgeo import jet as J
 from warpgeo import verify
+from warpgeo.ambient import AmbientChart
 from warpgeo.biharmonic import classify
 from warpgeo.errors import ConfigError, EvalDomainError, SingularJetError, UsageError
-from warpgeo.immersion import PointGeometry, hypersurface_normal
+from warpgeo.immersion import PointGeometry, hypersurface_normal, immersion
 
 
 def finite(lo=-3.0, hi=3.0):
@@ -358,10 +359,12 @@ def test_cached_plans_of_a_chunked_classify_stay_under_the_bound(plans):
 
 
 def test_a_chunk_caches_every_scatter_index(plans):
-    # the S4 slice at classify's chunk width makes the largest index that
-    # is cached expanded, PLAN_INDEX_BYTES
+    # a curved hypersurface of S4 at classify's chunk width makes the
+    # largest index that is cached expanded, PLAN_INDEX_BYTES (the slice's
+    # tangents are constant, and its constant plans are smaller)
+    spec = immersion(("u", "v", "w"), ("u", "v", "w", "0.7+u*v/4"), {}, AmbientChart("sphere", 4))
     rng = np.random.default_rng(5)
-    PointGeometry(verify.sphere_slice(0.7, 3), [rng.uniform(-0.3, 0.3, 128) for _ in range(3)])
+    PointGeometry(spec, [rng.uniform(-0.3, 0.3, 128) for _ in range(3)])
     assert all(plan.spread == 1 for plan in plans.values())
     assert max(plan.bins.nbytes for plan in plans.values()) == J.PLAN_INDEX_BYTES
 
@@ -382,24 +385,57 @@ def _reference_contract(pattern, a, b, n_vars):
     the order of its coefficient pair, the indices of the left operand and
     the new ones of the right one, then the batch, added into its bin."""
     s = J._space_of(n_vars, len(a))
-    (left, right), out = pattern.split("->")[0].split(","), pattern.split("->")[1]
+    left, right = pattern.split("->")[0].split(",")
     every = left + "".join(k for k in right if k not in left)
     terms = np.einsum(
         f"Z{left}...,Z{right}...->Z{every}...", a[s.mul_ia], b[s.mul_ib], order="C"
     )
-    at = np.indices(terms.shape)
-    batch = terms.shape[1 + len(every):]
-    shape = (s.size,) + tuple(terms.shape[1 + every.index(k)] for k in out) + batch
+    shape, bins = _reference_bins(pattern, n_vars, len(a), terms.shape)
+    return np.bincount(bins, terms.ravel(), math.prod(shape)).reshape(shape)
+
+
+@lru_cache(maxsize=4)
+def _reference_bins(pattern, n_vars, size, terms_shape):
+    """The result shape and the bin of each term of _reference_contract."""
+    (left, right), out = pattern.split("->")[0].split(","), pattern.split("->")[1]
+    every = left + "".join(k for k in right if k not in left)
+    s = J._space_of(n_vars, size)
+    at = np.indices(terms_shape)
+    batch = terms_shape[1 + len(every):]
+    shape = (s.size,) + tuple(terms_shape[1 + every.index(k)] for k in out) + batch
     index = [s.mul_ic[at[0]]] + [at[1 + every.index(k)] for k in out]
     index += list(at[1 + len(every):])
-    bins = np.ravel_multi_index(index, shape).ravel()
-    return np.bincount(bins, terms.ravel(), math.prod(shape)).reshape(shape)
+    return shape, np.ravel_multi_index(index, shape).ravel()
+
+
+def _constant(x, zero=0.0):
+    """x with every coefficient past the value set to `zero`."""
+    out = x.copy()
+    out[1:] = zero
+    return out
+
+
+def _signed_zeros(x):
+    """x with every other coefficient past the value -0.0."""
+    out = x.copy()
+    out[1::2] = -0.0
+    return out
+
+
+def _infinite(x, at):
+    """x with the first entry of coefficient `at` infinite."""
+    out = x.copy()
+    out[at].flat[0] = np.inf
+    return out
 
 
 @pytest.mark.parametrize("pattern", PATTERNS + [",->"])
 def test_contract_equals_the_einsum_kernel(pattern, monkeypatch):
     # bit for bit, at every width, batched or broadcast on either side, with
-    # the scatter index cached expanded and spread at each call
+    # the scatter index cached expanded and spread at each call, for general
+    # operands, constant ones on either side or both (their plans keep only
+    # the value's coefficient pairs), and operands holding -0.0; an infinite
+    # coefficient gives a non-finite result as the reference does
     for bound, (n_vars, order), width in itertools.product(
         (J.PLAN_INDEX_BYTES, 0), ((2, 4), (3, 2)), (1, 2, 17, 128)
     ):
@@ -408,9 +444,68 @@ def test_contract_equals_the_einsum_kernel(pattern, monkeypatch):
         case = (pattern, n_vars, order, [2, 3, 4, 3, 2, 3], width)
         _, _, _, a, b = _operands(case, (width,))
         for x, y in ((a, b), (a[..., 0], b), (a, b[..., 0])):
-            got = J.contract(pattern, x, y, n_vars)
-            assert np.array_equal(got, _reference_contract(pattern, x, y, n_vars))
+            exact = [
+                (x, y), (_constant(x), y), (x, _constant(y)),
+                (_constant(x), _constant(y)), (_signed_zeros(x), _constant(y, -0.0)),
+                (_constant(x, -0.0), _signed_zeros(y)),
+            ]
+            for u, w in exact:
+                got = J.contract(pattern, u, w, n_vars)
+                assert np.array_equal(got, _reference_contract(pattern, u, w, n_vars))
+            infinite = [
+                (_infinite(x, 1), _constant(y)), (_constant(x), _infinite(y, 1)),
+                (x, _infinite(_constant(y), 0)), (_infinite(_constant(x), 0), _constant(y)),
+            ]
+            with np.errstate(invalid="ignore"):
+                for u, w in infinite:
+                    got = J.contract(pattern, u, w, n_vars)
+                    ref = _reference_contract(pattern, u, w, n_vars)
+                    assert np.isfinite(got).all() == np.isfinite(ref).all()
     J._plan.cache_clear()
+
+
+@pytest.mark.parametrize("width, spread", [(16, 1), (64, 64)])
+def test_a_constant_operand_takes_the_pairs_of_its_value(width, spread):
+    # the right operand is constant; the plan keeps the pairs (i, 0) of the
+    # full plan in their order, and expands its index over the batch when
+    # the full plan does (at width 64 the full index would pass the bound)
+    case = ("abc,ib->aci", 3, 4, [2, 3, 4, 3, 2, 3], 16)
+    _, n_vars, _, a, b = _operands(case, (width,))
+    full = J._plan("abc,ib->aci", n_vars, a.shape, b.shape, "")
+    const = J._plan("abc,ib->aci", n_vars, a.shape, b.shape, "b")
+    assert (const.ib == 0).all() and np.array_equal(const.ia, full.ia[full.ib == 0])
+    assert const.spread == full.spread == spread
+    assert const.bins.nbytes < full.bins.nbytes
+    assert J._plan("abc,ib->aci", n_vars, a.shape, b.shape, "ab").ia.tolist() == [0]
+
+
+def _horner_with_a_constant_jet(a, series):
+    """A univariate series composed with `a` by Horner steps that all are
+    contractions, the first one with the constant jet series[-1]."""
+    nil = a.coeffs.copy()
+    nil[0] = 0.0
+    out = J.jet_constant(series[-1], a.n_vars, a.order).coeffs
+    for c in reversed(series[:-1]):
+        out = J.contract(",->", out, nil, a.n_vars)
+        out[0] += c
+    return out
+
+
+@pytest.mark.parametrize("order", range(J.MAX_ORDER + 1))
+def test_series_start_equals_a_product_with_its_constant_jet(order, monkeypatch):
+    # _compose scales by the last series coefficient: the same bits, signed
+    # zeros included, as contracting with it as a constant jet
+    rng = np.random.default_rng(order)
+    a = J.Jet(2, order, rng.uniform(0.5, 1.5, (J._space(2, order).size, 3)))
+    a.coeffs[1::2] = -0.0
+    for fn in (J.exp, J.log, J.sin, J.cos, J.reciprocal, J.sqrt):
+        series = []
+        compose = J._compose
+        monkeypatch.setattr(J, "_compose", lambda x, s: series.append(s) or compose(x, s))
+        got = fn(a).coeffs
+        monkeypatch.undo()
+        want = _horner_with_a_constant_jet(a, series[0])
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
 @pytest.mark.parametrize("axis", [1, 2])

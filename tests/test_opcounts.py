@@ -29,6 +29,7 @@ def counts(monkeypatch):
         "induced_metric_jets": 0,
         "mul": 0,
         "contract": 0,
+        "constant_plans": 0,
         "warp_at": 0,
         "classify": 0,
         "_tension_pipeline": 0,
@@ -66,6 +67,13 @@ def counts(monkeypatch):
         return warp_at(self, t)
 
     monkeypatch.setattr(warped.WarpedScene, "warp_at", counted_warp_at)
+    plan = jet._plan
+
+    def counted_plan(*key):
+        seen["constant_plans"] += key[-1] != ""
+        return plan(*key)
+
+    monkeypatch.setattr(jet, "_plan", counted_plan)
     counted(jet, "contract")
     counted(warped, "_bitension")
     counted(warped, "base_point")
@@ -176,11 +184,14 @@ def test_oracle_evaluates_each_map_once(counts, name):
 
 
 def test_verify_pass_mul_count(counts):
-    # Jet.__mul__ calls (216 of them jet x jet) and jet tensor contractions;
-    # every jet x jet product, Horner steps included, is one contraction
+    # Jet.__mul__ calls and jet tensor contractions; every jet x jet
+    # product, Horner steps included, is one contraction, but a jet times a
+    # constant of the DSL, or a series' first Horner step, is a scale, and a
+    # contraction with a constant factor forms only its value's terms
     verify.run_checks()
-    assert counts["mul"] == 276
-    assert counts["contract"] == 983
+    assert counts["mul"] == 229
+    assert counts["contract"] == 738
+    assert counts["constant_plans"] == 164
 
 
 def test_verify_pass_oracle_count(counts):
@@ -195,15 +206,15 @@ def test_verify_pass_oracle_count(counts):
 
 
 @pytest.mark.parametrize(
-    "spec, mul, contract",
-    [(verify.cone(1.0), 6, 30), (verify.sphere_slice(1.0), 6, 26)],
+    "spec, mul, contract, constant",
+    [(verify.cone(1.0), 4, 24, 3), (verify.sphere_slice(1.0), 6, 23, 10)],
     ids=["cone", "slice"],
 )
-def test_grid_classify_is_one_batched_pass(counts, spec, mul, contract):
+def test_grid_classify_is_one_batched_pass(counts, spec, mul, contract, constant):
     # a 16-point grid costs the jet products of one point: one batched build
     biharmonic.classify(spec, [POINT], 1e-7)
     one = dict(counts)
-    assert (one["mul"], one["contract"]) == (mul, contract)
+    assert (one["mul"], one["contract"], one["constant_plans"]) == (mul, contract, constant)
     grid = [(0.2 + 0.1 * i, -0.3 + 0.2 * j) for i in range(4) for j in range(4)]
     biharmonic.classify(spec, grid, 1e-7)
     assert counts["mul"] - one["mul"] == one["mul"]
@@ -213,9 +224,10 @@ def test_grid_classify_is_one_batched_pass(counts, spec, mul, contract):
 
 def test_three_dimensional_classify_count(counts):
     # an S4 slice: the metric inverse and the normal are contractions, so a
-    # 3x3 metric costs no more scalar products than a 2x2 one
+    # 3x3 metric costs no more scalar products than a 2x2 one; its chart is
+    # linear, so its tangents are constant jets
     biharmonic.classify(verify.sphere_slice(0.7, 3), [POINT + (0.1,)], 1e-7)
-    assert (counts["mul"], counts["contract"]) == (6, 27)
+    assert (counts["mul"], counts["contract"], counts["constant_plans"]) == (6, 24, 11)
 
 
 @pytest.fixture

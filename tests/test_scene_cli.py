@@ -347,6 +347,10 @@ BAD_INPUT = {
         _with(SLICE_SCENE, "warp", expr="1+2^(t*1e308*10-t*1e308*10)", interval=[0.5, 1.0]),
         ["classify", "{scene}", "--points", "0.3,-0.2"],
     ),
+    "warp cos of infinity": (
+        _with(SLICE_SCENE, "warp", expr="2+cos(1e308*1e308)"),
+        ["warp", "{scene}", "--t", "0:1:2", "--point", "0.3,-0.2"],
+    ),
     "warp infinite inside interval": (
         _with(SLICE_SCENE, "warp", expr="t*1e200*t*1e200", interval=[1.0, 2.0]),
         ["warp", "{scene}", "--t", "1:2:2", "--point", "0.3,-0.2"],
