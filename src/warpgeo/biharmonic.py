@@ -38,23 +38,17 @@ def normal_residual(spec, point, geometry=None):
 def tangential_residual(spec, point, geometry=None):
     """m [ 2 A(grad lambda) + m lambda grad lambda - 2 lambda (Ricci eta)^T ].
 
-    Returns (ambient components, induced-metric norm).  The Ricci operator
-    of a space form is (n-1)c * identity, so its eta-image is purely
-    normal; the tangential projection is kept in the code path so the
-    formula is evaluated verbatim.
+    Returns (ambient components, induced-metric norm).  The Ricci term is
+    zero and is not computed: in a space form Ric(eta) = (n-1)c eta is
+    normal, so its projection onto span{d_i X} vanishes.
     """
     spec.require_hypersurface()
     pg = geometry or PointGeometry(spec, point)
     m = spec.m
 
     a_grad = matvec(pg.S_val, pg.grad_lam)  # intrinsic components of A(grad lambda)
-    ric_eta = (spec.n - 1) * spec.ambient.c * pg.eta_val
-    # tangential projection of ric_eta onto span{dX_i} (zero for space forms)
-    rhs = per_point(pg.e2_val, 1) * matvec(pg.dX_val, ric_eta)
-    ric_eta_tan = matvec(pg.ginv_val, rhs)
-
     lam = per_point(pg.lam, 1)
-    t_intr = m * (2.0 * a_grad + m * lam * pg.grad_lam - 2.0 * lam * ric_eta_tan)
+    t_intr = m * (2.0 * a_grad + m * lam * pg.grad_lam)
     t_amb = matvec(mT(pg.dX_val), t_intr)
     norm = np.sqrt(np.maximum(vdot(t_intr, matvec(pg.g_val, t_intr)), 0.0))
     return t_amb, norm
@@ -103,12 +97,10 @@ def classify(spec, points, tol, geometries=None):
     spec.require_hypersurface()
     if geometries is None:
         read = each(lambda ps: np.column_stack(_measures(spec, _geometry(spec, ps))), points)
-        maxima = np.max([read(i) for i in range(len(points))], axis=0, initial=0.0)
+        rows = [read(i) for i in range(len(points))]
     else:
-        maxima = (0.0,) * 4
-        for pg in geometries:
-            maxima = [np.asarray(x).max(initial=a) for a, x in zip(maxima, _measures(spec, pg))]
-    scale, max_n, max_t, max_h = map(float, maxima)
+        rows = np.vstack([np.column_stack(_measures(spec, pg)) for pg in geometries])
+    scale, max_n, max_t, max_h = map(float, np.max(rows, axis=0, initial=0.0))
     normally = max_n <= tol * scale
     tangentially = max_t <= tol * scale
     harmonic = max_h <= tol * (1.0 + scale)

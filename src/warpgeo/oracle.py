@@ -3,11 +3,13 @@
 Everything here is assembled directly from the Euler-Lagrange traces and
 Christoffel symbols, with all derivatives supplied by jets: covariant
 derivatives of the tension field are obtained by differentiating the
-tension pipeline itself on jet-seeded coordinates.  A `MapSpec` is
-evaluated once per point for its components and its domain metric.
-Ambient curvature comes from the map's own codomain Christoffels, seeded at
-phi(p) and assembled as dGamma + Gamma Gamma by the same code that
-`curvature_components` runs, so the oracle borrows no closed form.
+tension pipeline itself on jet-seeded coordinates.  Every entry takes a
+`MapSpec` and seeds it itself; the map is evaluated once per point for its
+components and its domain metric.  The domain curvature comes from the
+Christoffels of that one pipeline (`first_principles`,
+`curvature_components`), and the ambient curvature from the map's own
+codomain Christoffels, seeded at phi(p) and assembled as dGamma + Gamma
+Gamma by the same `riemann`, so the oracle borrows no closed form.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ from .immersion import (
 )
 
 JET_ORDER = 4
-# `riemann` reads Christoffel symbols, two orders below the seeds, at order 1
+# curvature_components and codomain_riemann seed here: `riemann` reads
+# Christoffel symbols, two orders below the seeds, at order 1
 RIEMANN_ORDER = 3
 
 
@@ -154,6 +157,8 @@ def first_principles(mapspec, point):
 
 
 def bitension_first_principles(mapspec, point):
+    """tau_2 of `first_principles`.  The package does not call it; tests
+    and the benchmark's tracer (bench/tracer.py) read it."""
     return first_principles(mapspec, point).bitension
 
 
@@ -248,17 +253,15 @@ def submanifold_bitension(spec, point, geometry=None):
     return -m * (curv + trace_sec)
 
 
-# -- Ricci curvature from Christoffel symbols -----------------------------
+# -- curvature from Christoffel symbols ----------------------------------
 
 
-def curvature_components(metric_rule, point):
-    """(R^l_{ijk}, g values) with R(d_i, d_j) d_k = R^l_{ijk} d_l, assembled
-    as dGamma + Gamma Gamma from the metric jet tensor (size, d, d) that
-    `metric_rule` gives over the d coordinates of `point`."""
-    g = metric_rule(point)
-    d = g.shape[1]
-    gamma = christoffels_from_metric(g, metric_inverse(g, d), d)  # order >= 1
-    return riemann(gamma, d), g[0]
+def curvature_components(mapspec, point):
+    """(R^l_{ijk}, g values) of the domain metric of `mapspec` at `point`,
+    with R(d_i, d_j) d_k = R^l_{ijk} d_l, assembled as dGamma + Gamma Gamma
+    from the Christoffels of the pipeline seeded at RIEMANN_ORDER."""
+    _, _, G, gamma_dom, _, _ = _tension_pipeline(mapspec, point, RIEMANN_ORDER)
+    return riemann(gamma_dom, mapspec.dim), G[0]
 
 
 def riemann(gamma, n_vars):
@@ -280,23 +283,3 @@ def ricci(riem, x_vec):
     ric = np.einsum("iijk->jk", riem)
     x = np.asarray(x_vec, dtype=float)
     return float(x @ ric @ x)
-
-
-def ricci_from_christoffels(metric_rule, point, x_vec):
-    """Ric(X, X) of the metric that `metric_rule` gives at `point`."""
-    return ricci(curvature_components(metric_rule, point)[0], x_vec)
-
-
-# -- metric rules, seeded at RIEMANN_ORDER for curvature_components ------
-
-
-def induced_metric_rule(spec):
-    evaluate = inclusion_map(spec).evaluate
-    return lambda point: evaluate(_seed(point, spec.m, RIEMANN_ORDER))[1]
-
-
-def warped_domain_metric_rule(scene):
-    """Metric rule of (I x M, dt^2 + f^2 g) in coordinates (t, u^1..u^m)."""
-    evaluate = warped_inclusion_map(scene).evaluate
-    d = scene.immersion.m + 1
-    return lambda point: evaluate(_seed(point, d, RIEMANN_ORDER))[1]

@@ -151,8 +151,6 @@ def _tension(scene, base, w):
 @dataclass(frozen=True)
 class BitensionParts:
     vec: WVec
-    mean_curvature_coeff: float  # multiplies H
-    submanifold_bitension: np.ndarray  # tau_2 of the unwarped inclusion
     tangential: WVec  # component tangent to I x M
     normal: WVec  # component normal to I x M
     tangential_norm: float
@@ -183,8 +181,6 @@ def _bitension(scene, base, w):
     normal = WVec(0.0, n_part - n_tan)
     return BitensionParts(
         vec=WVec(t_part, n_part),
-        mean_curvature_coeff=coeff,
-        submanifold_bitension=base.submanifold_bitension,
         tangential=tangential,
         normal=normal,
         tangential_norm=hbar_norm(base, w, tangential),
@@ -235,7 +231,7 @@ def ricci_warped_check(scene, t, point, x_intrinsic, riemann=None):
     Ric of (M, g) comes from the Christoffels the BasePoint holds.  Ric~
     comes from `riemann`, R^l_{ijk} of (I x M, dt^2 + f^2 g) at (t, point)
     as `oracle.first_principles` of the warped inclusion holds it, or is
-    computed from the warped metric when `riemann` is None."""
+    `oracle.curvature_components` of that inclusion when `riemann` is None."""
     spec = scene.immersion
     m = spec.m
     base = base_point(spec, point)
@@ -250,7 +246,7 @@ def ricci_warped_check(scene, t, point, x_intrinsic, riemann=None):
     ric_base = oracle.ricci(oracle.riemann(base.geometry.gamma_c, m), x)
     if riemann is None:
         riemann, _ = oracle.curvature_components(
-            oracle.warped_domain_metric_rule(scene), (float(t),) + tuple(point)
+            oracle.warped_inclusion_map(scene), (float(t),) + tuple(point)
         )
     ric_warped = oracle.ricci(riemann, np.concatenate(([0.0], x)))
     resid = w.power_residual(m)

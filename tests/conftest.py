@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from warpgeo import jet as J
-from warpgeo import verify
+from warpgeo import oracle, verify
 from warpgeo.ambient import AmbientChart
 from warpgeo.immersion import immersion
 
@@ -28,16 +28,19 @@ def rng():
 
 
 @pytest.fixture
-def chart_metric_rule():
-    """The metric rule of a chart's metric e^{2 rho} delta: point -> jet
-    tensor (size, n, n)."""
+def chart_identity_map():
+    """The identity map of a chart as a MapSpec whose domain metric is the
+    chart's e^{2 rho} delta, one order below the seeds, and whose codomain
+    Christoffels are None."""
 
-    def rule_of(chart):
-        def rule(point):
-            x = [J.jet_variable(a, float(point[a]), chart.n, 3) for a in range(chart.n)]
-            e2 = chart.metric_factor(J.stack(x), chart.n)
-            return np.einsum("z,ab->zab", e2.coeffs, np.eye(chart.n))
+    def map_of(chart):
+        n = chart.n
 
-        return rule
+        def evaluate(var_jets):
+            x = J.stack(var_jets)
+            e2 = chart.metric_factor(J.trunc(x, n, J.order_of(x, n) - 1), n)
+            return x, np.einsum("z,ab->zab", e2.coeffs, np.eye(n))
 
-    return rule_of
+        return oracle.MapSpec(n, n, evaluate, lambda x, n_vars: None)
+
+    return map_of

@@ -281,10 +281,10 @@ def test_09_jet_correctness():
 
     # first Bianchi on the assembled warped-domain curvature, to 1e-9
     scene = warped.warped_scene(sphere_slice(1.0), "exp(t)", {}, WARP_INTERVAL)
-    rule = oracle.warped_domain_metric_rule(scene)
+    ms = oracle.warped_inclusion_map(scene)
     for _ in range(3):
         p = (float(nrng.uniform(-0.3, 0.6)), *nrng.uniform(-0.4, 0.4, size=2))
-        riem, _ = oracle.curvature_components(rule, p)
+        riem, _ = oracle.curvature_components(ms, p)
         x, y, z = nrng.normal(size=(3, 3))
         cyc = (
             np.einsum("lijk,i,j,k->l", riem, x, y, z)

@@ -87,13 +87,13 @@ class TestCharts:
                         )
                         assert lhs == pytest.approx(rhs, abs=1e-10)
 
-    def test_sphere_ricci_is_spaceform(self, rng, chart_metric_rule):
+    def test_sphere_ricci_is_spaceform(self, rng, chart_identity_map):
         # Ricci of the chart metric equals (n-1) h
         chart = AmbientChart("sphere", 3)
-        rule = chart_metric_rule(chart)
+        ms = chart_identity_map(chart)
         for _ in range(5):
             p = rng.uniform(-0.5, 0.5, size=3)
-            riem, g_val = oracle.curvature_components(rule, p)
+            riem, g_val = oracle.curvature_components(ms, p)
             ric = np.einsum("iijk->jk", riem)
             assert np.allclose(ric, (chart.n - 1) * g_val, atol=1e-7)
 
@@ -132,7 +132,7 @@ class TestWarped:
     def test_full_assembly_matches_christoffel_curvature(self, model, rng):
         # R of dt^2 + f^2 h in (t, y) coordinates: the oracle's, from the
         # warped map's codomain Christoffels, against curvature_components
-        # of the metric built here
+        # of the identity map with the domain metric built here
         chart = AmbientChart(model, 3)
         n = chart.n
         spec = immersion(("u", "v"), ("u", "v", "0.1"), {}, chart)
@@ -142,18 +142,19 @@ class TestWarped:
                 warped.warped_scene(spec, warp, {}, (-1.0, 1.0))
             )
 
-            def metric_rule(point):
-                x = [J.jet_variable(i, point[i], n + 1, 3) for i in range(n + 1)]
-                f = eval_jet(warp, {"t": x[0]}, {})
-                f2e2 = f * f * chart.metric_factor(J.stack(x[1:]), n + 1)
+            def evaluate(var_jets):
+                x = J.trunc(J.stack(var_jets), n + 1, var_jets[0].order - 1)
+                f = eval_jet(warp, {"t": J.unstack(x[:, 0], n + 1)}, {})
+                f2e2 = f * f * chart.metric_factor(x[:, 1:], n + 1)
                 G = np.zeros((len(f2e2.coeffs), n + 1, n + 1))
                 G[0, 0, 0] = 1.0
                 for a in range(n):
                     G[:, a + 1, a + 1] = f2e2.coeffs
-                return G
+                return J.stack(var_jets), G
 
+            warped_metric = oracle.MapSpec(n + 1, n + 1, evaluate, lambda x, n_vars: None)
             point = np.concatenate(([0.3], rng.uniform(-0.4, 0.4, size=n)))
-            ref, _ = oracle.curvature_components(metric_rule, point)
+            ref, _ = oracle.curvature_components(warped_metric, point)
             got = oracle.codomain_riemann(mapspec, point)
             assert np.abs(ref).max() > 0.1
             assert np.allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())

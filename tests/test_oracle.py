@@ -131,24 +131,22 @@ class TestBitension:
 
 
 class TestRicci:
-    def test_euclidean_flat(self, chart_metric_rule):
-        chart = AmbientChart("euclidean", 3)
-        rule = chart_metric_rule(chart)
-        assert oracle.ricci_from_christoffels(
-            rule, (0.3, 1.0, -2.0), np.array([1.0, 2.0, -1.0])
-        ) == pytest.approx(0.0, abs=1e-12)
+    def test_euclidean_flat(self, chart_identity_map):
+        ms = chart_identity_map(AmbientChart("euclidean", 3))
+        riem, _ = oracle.curvature_components(ms, (0.3, 1.0, -2.0))
+        assert oracle.ricci(riem, np.array([1.0, 2.0, -1.0])) == pytest.approx(
+            0.0, abs=1e-12
+        )
 
     def test_slice_gauss_curvature(self, sphere_slice):
         # induced metric of the r=1 slice has Ric(X, X) = 2 for unit X
         spec = sphere_slice(1.0)
-        rule = oracle.induced_metric_rule(spec)
         point = (0.3, -0.2)
+        riem, _ = oracle.curvature_components(oracle.inclusion_map(spec), point)
         g_val = PointGeometry(spec, point).g_val
         for i in range(2):
             x = unit_vector(g_val, i)
-            assert oracle.ricci_from_christoffels(rule, point, x) == pytest.approx(
-                2.0, abs=1e-7
-            )
+            assert oracle.ricci(riem, x) == pytest.approx(2.0, abs=1e-7)
 
     def test_product_metric_keeps_base_ricci(self, sphere_slice):
         # f == 1: the warped metric is a product, Ric~(X, X) = Ric(X, X)
@@ -157,23 +155,21 @@ class TestRicci:
         point = (0.3, -0.2)
         g_val = PointGeometry(spec, point).g_val
         x = unit_vector(g_val)
-        base = oracle.ricci_from_christoffels(
-            oracle.induced_metric_rule(spec), point, x
+        base_riem, _ = oracle.curvature_components(oracle.inclusion_map(spec), point)
+        prod_riem, _ = oracle.curvature_components(
+            oracle.warped_inclusion_map(scene), (0.2,) + point
         )
-        prod = oracle.ricci_from_christoffels(
-            oracle.warped_domain_metric_rule(scene),
-            (0.2,) + point,
-            np.concatenate(([0.0], x)),
-        )
+        base = oracle.ricci(base_riem, x)
+        prod = oracle.ricci(prod_riem, np.concatenate(([0.0], x)))
         assert prod == pytest.approx(base, abs=1e-8)
 
     def test_first_bianchi_warped(self, sphere_slice, rng):
         spec = sphere_slice(1.0)
         scene = warped.warped_scene(spec, "exp(t)", {}, (-0.5, 1.0))
-        rule = oracle.warped_domain_metric_rule(scene)
+        ms = oracle.warped_inclusion_map(scene)
         for _ in range(3):
             p = (float(rng.uniform(-0.3, 0.6)), *rng.uniform(-0.4, 0.4, size=2))
-            riem, _ = oracle.curvature_components(rule, p)
+            riem, _ = oracle.curvature_components(ms, p)
             x, y, z = rng.normal(size=(3, 3))
             cyc = (
                 np.einsum("lijk,i,j,k->l", riem, x, y, z)
@@ -216,18 +212,18 @@ class TestSeedOrders:
         )
 
     @pytest.mark.parametrize("warp", ["exp(t)", "2+cos(t)", "(3*t+1)^(1/2)"])
-    def test_record_riemann_equals_the_warped_metric_rule(self, sphere_slice, warp):
+    def test_record_riemann_equals_the_warped_map(self, sphere_slice, warp):
         scene = warped.warped_scene(sphere_slice(1.0), warp, {}, (0.0, 1.0))
         point = (0.3, 0.3, -0.2)
-        rec = oracle.first_principles(oracle.warped_inclusion_map(scene), point)
-        riem, _ = oracle.curvature_components(
-            oracle.warped_domain_metric_rule(scene), point
-        )
+        mapspec = oracle.warped_inclusion_map(scene)
+        rec = oracle.first_principles(mapspec, point)
+        riem, _ = oracle.curvature_components(mapspec, point)
         assert np.array_equal(rec.riemann, riem)
 
     @pytest.mark.parametrize("name", ["cone", "slice", "graph in S3"])
-    def test_record_riemann_equals_the_induced_metric_rule(self, specs, name):
+    def test_record_riemann_equals_the_inclusion_map(self, specs, name):
         spec, point = specs[name]
-        rec = oracle.first_principles(oracle.inclusion_map(spec), point)
-        riem, _ = oracle.curvature_components(oracle.induced_metric_rule(spec), point)
+        mapspec = oracle.inclusion_map(spec)
+        rec = oracle.first_principles(mapspec, point)
+        riem, _ = oracle.curvature_components(mapspec, point)
         assert np.array_equal(rec.riemann, riem)
