@@ -13,14 +13,13 @@ from .errors import (
     UsageError,
     WarpgeoError,
 )
-from .immersion import GeometryReport, ImmersionSpec, PointGeometry, immersion
+from .immersion import ImmersionSpec, PointGeometry, immersion
 from .scene import Scene, load_scene, scene_from_dict
 from .warped import (
     WarpedScene,
     inclusion_bitension,
     inclusion_tension,
     pairing,
-    power_family_residual,
     ricci_warped_check,
     warped_report,
     warped_scene,
@@ -32,7 +31,6 @@ __all__ = [
     "DegenerateImmersionError",
     "EvalDomainError",
     "ExprSyntaxError",
-    "GeometryReport",
     "ImmersionSpec",
     "PointGeometry",
     "Scene",
@@ -50,7 +48,6 @@ __all__ = [
     "normal_residual",
     "pairing",
     "parameter_scan",
-    "power_family_residual",
     "ricci_warped_check",
     "scene_from_dict",
     "tangential_residual",

@@ -56,7 +56,7 @@ class AmbientChart:
 
     # Chart points x are jet tensors (size, n, *batch) over n_vars variables.
     # metric_factor and christoffel take q = conformal_factor(y, n_vars) of
-    # chart points y that x truncates, if the caller has it, so a point's
+    # chart points y that x truncates (y may be x itself), so a point's
     # conformal factor is computed once; truncated to the order of x it is
     # bit for bit the q computed from x.
 
@@ -66,21 +66,21 @@ class AmbientChart:
             return None
         return self._conformal_factor(self._radial(x, n_vars))
 
-    def metric_factor(self, x, n_vars, q=None):
+    def metric_factor(self, x, n_vars, q):
         """q^2 = e^{2 rho} as a jet."""
         if self.model == "euclidean":
             return J.jet_constant(1.0, n_vars, J.order_of(x, n_vars))
-        q = self._q_at(x, n_vars, q)
+        q = q.trunc(J.order_of(x, n_vars))
         return q * q
 
-    def christoffel(self, x, n_vars, q=None):
+    def christoffel(self, x, n_vars, q):
         """Gamma^k_ab = delta_ak d_b rho + delta_bk d_a rho - delta_ab d_k rho
         from the conformal gradient d_a rho = -c q x_a, as a jet tensor
         (size, n, n, n, *batch); None for the Euclidean chart, whose symbols
         vanish."""
         if self.model == "euclidean":
             return None
-        minus_cq = (-self.c) * self._q_at(x, n_vars, q)
+        minus_cq = (-self.c) * q.trunc(J.order_of(x, n_vars))
         grad = J.contract(",a->a", minus_cq.coeffs, x, n_vars)
         eye = np.eye(self.n)
         return (
@@ -88,12 +88,6 @@ class AmbientChart:
             + np.einsum("kb,za...->zkab...", eye, grad)
             - np.einsum("ab,zk...->zkab...", eye, grad)
         )
-
-    def _q_at(self, x, n_vars, q):
-        """q at the order of x: the given q truncated, or computed."""
-        if q is None:
-            return self.conformal_factor(x, n_vars)
-        return q.trunc(J.order_of(x, n_vars))
 
 
 def spaceform_curvature(chart, x_vec, y_vec, z_vec, e2):

@@ -27,24 +27,24 @@ _CHUNK = 128
 _SCAN_DEPTH = 5
 
 
-def normal_residual(spec, point, geometry=None):
-    """m [ -Delta(lambda) + lambda |A|^2 - lambda Ric(eta, eta) ]."""
-    spec.require_hypersurface()
-    pg = geometry or PointGeometry(spec, point)
-    m = spec.m
+def normal_residual(pg):
+    """m [ -Delta(lambda) + lambda |A|^2 - lambda Ric(eta, eta) ] at the
+    points of the hypersurface PointGeometry `pg`."""
+    pg.require_hypersurface()
+    m = pg.spec.m
     return m * (-pg.lap_lam + pg.lam * pg.normA2 - pg.lam * pg.ric_eta_eta)
 
 
-def tangential_residual(spec, point, geometry=None):
-    """m [ 2 A(grad lambda) + m lambda grad lambda - 2 lambda (Ricci eta)^T ].
+def tangential_residual(pg):
+    """m [ 2 A(grad lambda) + m lambda grad lambda - 2 lambda (Ricci eta)^T ]
+    at the points of the hypersurface PointGeometry `pg`.
 
     Returns (ambient components, induced-metric norm).  The Ricci term is
     zero and is not computed: in a space form Ric(eta) = (n-1)c eta is
     normal, so its projection onto span{d_i X} vanishes.
     """
-    spec.require_hypersurface()
-    pg = geometry or PointGeometry(spec, point)
-    m = spec.m
+    pg.require_hypersurface()
+    m = pg.spec.m
 
     a_grad = matvec(pg.S_val, pg.grad_lam)  # intrinsic components of A(grad lambda)
     lam = per_point(pg.lam, 1)
@@ -96,10 +96,10 @@ def classify(spec, points, tol, geometries=None):
         raise UsageError("classify needs at least one point")
     spec.require_hypersurface()
     if geometries is None:
-        read = each(lambda ps: np.column_stack(_measures(spec, _geometry(spec, ps))), points)
+        read = each(lambda ps: np.column_stack(_measures(_geometry(spec, ps))), points)
         rows = [read(i) for i in range(len(points))]
     else:
-        rows = np.vstack([np.column_stack(_measures(spec, pg)) for pg in geometries])
+        rows = np.vstack([np.column_stack(_measures(pg)) for pg in geometries])
     scale, max_n, max_t, max_h = map(float, np.max(rows, axis=0, initial=0.0))
     normally = max_n <= tol * scale
     tangentially = max_t <= tol * scale
@@ -126,12 +126,12 @@ def _geometry(spec, points):
     return PointGeometry(spec, np.array(points).T)
 
 
-def _measures(spec, pg):
+def _measures(pg):
     """(scale, |normal residual|, tangential residual, |H|) at the points of
     the PointGeometry `pg`: floats, or arrays over its batch."""
-    normal = np.abs(normal_residual(spec, pg.point, geometry=pg))
-    _, tangential = tangential_residual(spec, pg.point, geometry=pg)
-    scale = spec.m * (1.0 + np.abs(pg.lam)) * (1.0 + pg.normA2)
+    normal = np.abs(normal_residual(pg))
+    _, tangential = tangential_residual(pg)
+    scale = pg.spec.m * (1.0 + np.abs(pg.lam)) * (1.0 + pg.normA2)
     return scale, normal, tangential, pg.normH
 
 
@@ -221,10 +221,12 @@ def parameter_scan(spec, param, lo, hi, samples, probe_point):
         raise UsageError("scan needs at least 2 samples")
     if param not in spec.params:
         raise UsageError(f"unknown parameter {param!r}")
+    spec.require_hypersurface()
 
     def residuals(xs):
         point = tuple(np.full(len(xs), c, dtype=float) for c in probe_point)
-        return normal_residual(spec.with_params(**{param: np.array(xs)}), point)
+        scanned = spec.with_params(**{param: np.array(xs)})
+        return normal_residual(PointGeometry(scanned, point))
 
     grid = [float(x) for x in np.linspace(lo, hi, samples)]
     row = each(residuals, grid)

@@ -141,12 +141,29 @@ def _fmt(x):
 def _analysis(spec, points):
     """(JSON entry, table cells) of each of `points`, evaluated as one batch."""
     pg = PointGeometry(spec, np.array(points).T)
-    n_res = biharmonic.normal_residual(spec, pg.point, geometry=pg)
-    _, t_res = biharmonic.tangential_residual(spec, pg.point, geometry=pg)
+    n_res = biharmonic.normal_residual(pg)
+    _, t_res = biharmonic.tangential_residual(pg)
+    # per-point arrays, the batch axis first
+    arrays = {
+        "g": pg.g_val,
+        "B": pg.B_val,
+        "H": pg.H_val,
+        "eta": pg.eta_val,
+        "A": pg.A_frame,
+        "gradLambda": pg.grad_lam_amb,
+    }
     out = []
-    for rep, n, t in zip(pg.report().rows(), n_res, t_res):
-        entry = rep.to_dict() | {"normalResidual": n, "tangentialResidual": t}
-        cells = [rep.lam, rep.normA2, rep.lap_lambda, n, t]
+    for i in range(len(points)):
+        entry = {key: a[i].tolist() for key, a in arrays.items()} | {
+            "point": [float(c[i]) for c in pg.point],
+            "lambda": float(pg.lam[i]),
+            "normA2": pg.normA2[i],
+            "lapLambda": pg.lap_lam[i],
+            "ricEtaEta": pg.ric_eta_eta,
+            "normalResidual": n_res[i],
+            "tangentialResidual": t_res[i],
+        }
+        cells = [pg.lam[i], pg.normA2[i], pg.lap_lam[i], n_res[i], t_res[i]]
         out.append((entry, [_fmt(c) for c in cells]))
     return out
 

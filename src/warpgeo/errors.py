@@ -1,7 +1,10 @@
 """Exception hierarchy shared by all warpgeo modules.
 
 Exit-code contract for the CLI: 0 success, 1 check failure,
-2 usage/configuration error, 3 numerical/domain error.
+2 usage/configuration error, 3 numerical/domain error.  Any WarpgeoError
+raised while a scene file loads is re-raised as a SceneError (exit 2), an
+EvalDomainError included; the same failure met while a loaded scene is
+evaluated exits 3.
 """
 
 

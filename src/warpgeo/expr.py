@@ -362,8 +362,8 @@ def eval_jet(ast, variables, params=None):
 
 
 def eval_value(ast, env):
-    """Plain-float evaluation, independent of the jet pipeline (used as the
-    finite-difference oracle)."""
+    """Plain-float evaluation, independent of the jet pipeline: the warp
+    positivity sampler's evaluator, and the tests' reference for `eval_jet`."""
 
     def ev(node):
         if isinstance(node, Num):

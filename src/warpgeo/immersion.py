@@ -324,65 +324,6 @@ class PointGeometry:
     @property
     def A_frame(self):
         """The second fundamental form b in the orthonormal frame of g,
-        computed when read: only the report shows it."""
+        computed when read: only `analyze` shows it."""
         frame = orthonormal_frame(self.g_val)
         return mT(frame) @ self.b_val @ frame
-
-    def report(self):
-        self.require_hypersurface()
-        return GeometryReport(
-            point=self.point,
-            g=self.g_val,
-            B=self.B_val,
-            H=self.H_val,
-            lam=self.lam,
-            eta=self.eta_val,
-            A=self.A_frame,
-            normA2=self.normA2,
-            lap_lambda=self.lap_lam,
-            grad_lambda=self.grad_lam_amb,
-            ric_eta_eta=self.ric_eta_eta,
-        )
-
-
-@dataclass(frozen=True)
-class GeometryReport:
-    point: tuple
-    g: np.ndarray
-    B: np.ndarray
-    H: np.ndarray
-    lam: float
-    eta: np.ndarray
-    A: np.ndarray
-    normA2: float
-    lap_lambda: float
-    grad_lambda: np.ndarray
-    ric_eta_eta: float
-
-    def rows(self):
-        """The report of each point of a batched report."""
-        batched = ("g", "B", "H", "eta", "A", "normA2", "lap_lambda", "grad_lambda")
-        return [
-            GeometryReport(
-                point=tuple(float(c[i]) for c in self.point),
-                lam=float(self.lam[i]),
-                ric_eta_eta=self.ric_eta_eta,
-                **{name: getattr(self, name)[i] for name in batched},
-            )
-            for i in range(len(self.lam))
-        ]
-
-    def to_dict(self):
-        return {
-            "point": list(self.point),
-            "g": self.g.tolist(),
-            "B": self.B.tolist(),
-            "H": self.H.tolist(),
-            "lambda": self.lam,
-            "eta": self.eta.tolist(),
-            "A": self.A.tolist(),
-            "normA2": self.normA2,
-            "lapLambda": self.lap_lambda,
-            "gradLambda": self.grad_lambda.tolist(),
-            "ricEtaEta": self.ric_eta_eta,
-        }

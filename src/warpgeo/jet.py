@@ -250,8 +250,6 @@ class Jet:
                     f"({other.n_vars},{other.order})"
                 )
             return other
-        if isinstance(other, _NUMBER):
-            return jet_constant(float(other), self.n_vars, self.order)
         return NotImplemented
 
     def __add__(self, other):
@@ -303,11 +301,10 @@ class Jet:
             return NotImplemented
         return self * reciprocal(other)
 
-    def __rtruediv__(self, other):
-        rec = reciprocal(self)
-        if isinstance(other, _NUMBER):
-            return rec * float(other)
-        return self._coerce(other) * rec
+    def __rtruediv__(self, other):  # a Jet on the left takes its own __truediv__
+        if not isinstance(other, _NUMBER):
+            return NotImplemented
+        return reciprocal(self) * float(other)
 
     def __pow__(self, exponent):
         return jpow(self, exponent)

@@ -184,7 +184,8 @@ def inclusion_map(spec):
         return X, g
 
     def codomain_christoffel(x, n_vars):
-        return chart.christoffel(J.trunc(x, n_vars, J.order_of(x, n_vars) - 2), n_vars)
+        x = J.trunc(x, n_vars, J.order_of(x, n_vars) - 2)
+        return chart.christoffel(x, n_vars, chart.conformal_factor(x, n_vars))
 
     return MapSpec(m, n, evaluate, codomain_christoffel)
 

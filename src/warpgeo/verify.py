@@ -69,17 +69,15 @@ def _checks_example_sphere_slice():
     out = []
     # one batched PointGeometry per spec: row i is SLICE_POINTS[i]
     points = np.array(SLICE_POINTS).T
-    spec = sphere_slice(1.0)
-    pg = PointGeometry(spec, points)
-    residual = biharmonic.normal_residual(spec, points, geometry=pg)
+    pg = PointGeometry(sphere_slice(1.0), points)
+    residual = biharmonic.normal_residual(pg)
     for i, p in enumerate(SLICE_POINTS):
         tag = f"({p[0]:g},{p[1]:g})"
         out.append(Check(f"sphere-slice r=1 lambda {tag}", 1.0, float(pg.lam[i]), 1e-9))
         out.append(Check(f"sphere-slice r=1 |A|^2 {tag}", 2.0, pg.normA2[i], 1e-8))
         out.append(Check(f"sphere-slice r=1 lapLambda {tag}", 0.0, pg.lap_lam[i], 1e-7))
         out.append(Check(f"sphere-slice r=1 normal residual {tag}", 0.0, residual[i], 1e-7))
-    spec2 = sphere_slice(2.0)
-    residual = biharmonic.normal_residual(spec2, points, geometry=PointGeometry(spec2, points))
+    residual = biharmonic.normal_residual(PointGeometry(sphere_slice(2.0), points))
     for i, p in enumerate(SLICE_POINTS):
         out.append(
             Check(
@@ -238,7 +236,7 @@ def _checks_power_family(slice1):
                 Check(
                     f"power residual {tag}",
                     0.0,
-                    warped.power_family_residual(w, t, m),
+                    w.power_residual(m),
                     1e-12,
                 )
             )

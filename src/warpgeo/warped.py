@@ -1,6 +1,6 @@
 """The warped inclusion (I x M, dt^2 + f^2 g) -> (I x N, dt^2 + f^2 h):
-closed-form tension and bitension, the tension/bitension pairing, the
-power-warping residual, and the warped Ricci identity."""
+closed-form tension and bitension, the tension/bitension pairing, and
+the warped Ricci identity."""
 
 from __future__ import annotations
 
@@ -128,15 +128,6 @@ def hbar_inner(base, warp, a, b):
 
 def hbar_norm(base, warp, a):
     return float(np.sqrt(max(hbar_inner(base, warp, a, a), 0.0)))
-
-
-def power_family_residual(warp, t, m, params=None):
-    """f f'' + (m-1) (f')^2 at t; vanishes identically exactly on the
-    power family f(t) = (a t + b)^{1/m}."""
-    if isinstance(warp, str):
-        warp = parse(warp)
-    w = warp if isinstance(warp, WarpEval) else WarpEval.at(warp, t, params or {})
-    return w.power_residual(m)
 
 
 def inclusion_tension(scene, t, point, warp=None):
@@ -309,7 +300,7 @@ def warped_report(scene, t, point):
         pairing=pr.direct,
         pairing_closed_form=pr.closed_form,
         pairing_closed_form_applicable=pr.closed_form_applicable,
-        power_residual=power_family_residual(w, t, scene.immersion.m),
+        power_residual=w.power_residual(scene.immersion.m),
         tangential_part_norm=pr.bitension.tangential_norm,
         normal_part_norm=pr.bitension.normal_norm,
     )

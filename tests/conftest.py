@@ -38,7 +38,8 @@ def chart_identity_map():
 
         def evaluate(var_jets):
             x = J.stack(var_jets)
-            e2 = chart.metric_factor(J.trunc(x, n, J.order_of(x, n) - 1), n)
+            y = J.trunc(x, n, J.order_of(x, n) - 1)
+            e2 = chart.metric_factor(y, n, chart.conformal_factor(y, n))
             return x, np.einsum("z,ab->zab", e2.coeffs, np.eye(n))
 
         return oracle.MapSpec(n, n, evaluate, lambda x, n_vars: None)

@@ -242,9 +242,13 @@ def test_batched_param_equals_values_one_by_one():
         (exponent, "p", np.linspace(1.5, 3.0, 16), (0.5, 0.3)),
     ]:
         batched = tuple(np.full(len(values), c) for c in point)
-        batch = biharmonic.normal_residual(spec.with_params(**{param: values}), batched)
+        batch = biharmonic.normal_residual(
+            PointGeometry(spec.with_params(**{param: values}), batched)
+        )
         singles = [
-            biharmonic.normal_residual(spec.with_params(**{param: float(x)}), point)
+            biharmonic.normal_residual(
+                PointGeometry(spec.with_params(**{param: float(x)}), point)
+            )
             for x in values
         ]
         assert np.array_equal(batch, singles)

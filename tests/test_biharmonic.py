@@ -55,34 +55,32 @@ class TestResiduals:
                 lap = 1.0 / (2.0 * r * (1 + r * r) ** 1.5 * u**3)
                 a2 = 1.0 / (r * r * (1 + r * r) * u * u)
                 ref = 2.0 * (-lap + lam * a2)
-                got = bh.normal_residual(spec, (u, 1.0))
+                got = bh.normal_residual(PointGeometry(spec, (u, 1.0)))
                 assert got == pytest.approx(ref, abs=1e-9 * (1 + abs(ref)))
 
     def test_cone_r1_normally_biharmonic(self, cone):
-        assert bh.normal_residual(cone(1.0), (1.0, 0.7)) == pytest.approx(
+        assert bh.normal_residual(PointGeometry(cone(1.0), (1.0, 0.7))) == pytest.approx(
             0.0, abs=1e-10
         )
 
     def test_slice_r2_residual(self, sphere_slice):
         # m [ lambda |A|^2 - lambda Ric(eta,eta) ] = 2 [2*8 - 2*2] = 24
-        assert bh.normal_residual(sphere_slice(2.0), (0.3, -0.2)) == pytest.approx(
-            24.0, abs=1e-6
-        )
+        pg = PointGeometry(sphere_slice(2.0), (0.3, -0.2))
+        assert bh.normal_residual(pg) == pytest.approx(24.0, abs=1e-6)
 
     def test_cone_tangential_residual(self, cone):
         # frozen fixture: |T|_g = 1/(2 sqrt 2) at r = 1, u = 1
-        _, norm = bh.tangential_residual(cone(1.0), (1.0, 0.7))
+        _, norm = bh.tangential_residual(PointGeometry(cone(1.0), (1.0, 0.7)))
         assert norm == pytest.approx(1.0 / (2.0 * math.sqrt(2.0)), rel=1e-9)
 
     def test_slice_tangential_vanishes(self, sphere_slice):
-        t_amb, norm = bh.tangential_residual(sphere_slice(1.0), (0.3, -0.2))
+        t_amb, norm = bh.tangential_residual(PointGeometry(sphere_slice(1.0), (0.3, -0.2)))
         assert norm == pytest.approx(0.0, abs=1e-8)
         assert np.allclose(t_amb, 0.0, atol=1e-8)
 
     def test_tangential_is_tangent(self, cone):
-        spec = cone(1.3)
-        pg = PointGeometry(spec, (1.0, 0.7))
-        t_amb, _ = bh.tangential_residual(spec, (1.0, 0.7), geometry=pg)
+        pg = PointGeometry(cone(1.3), (1.0, 0.7))
+        t_amb, _ = bh.tangential_residual(pg)
         assert pg.e2_val * np.dot(t_amb, pg.eta_val) == pytest.approx(0.0, abs=1e-9)
 
 
@@ -184,6 +182,13 @@ class TestScan:
         with pytest.raises(UsageError):
             bh.parameter_scan(cone(1.0), "q", 0.5, 2.0, 11, (1.0, 1.0))
 
+    def test_non_hypersurface_is_refused_before_any_build(self, monkeypatch):
+        # every sample would fail alike; none is built
+        spec = immersion(("u", "v"), ("u", "v", "a", "0.2"), {"a": 0.1}, AmbientChart("sphere", 4))
+        monkeypatch.setattr(bh, "PointGeometry", None)
+        with pytest.raises(UsageError, match="hypersurface-only"):
+            bh.parameter_scan(spec, "a", 0.0, 1.0, 3, (0.1, 0.1))
+
 
 # monotone functions with one simple root c, as (name, f(x, c, a)); x is a
 # float or, for a batched scan, an array of parameter values
@@ -193,6 +198,14 @@ MONOTONE = {
     "sinh": lambda x, c, a: a * np.sinh((x - c) / 4.0),
     "cubic": lambda x, c, a: a * ((x - c) ** 3 + (x - c)),
 }
+
+
+def _scan_reads(monkeypatch, residual):
+    """Make parameter_scan's normal residual residual(r) of the scanned
+    parameter r alone, with no geometry built: the bisection is tested
+    apart from the geometry."""
+    monkeypatch.setattr(bh, "PointGeometry", lambda spec, point: spec.params["r"])
+    monkeypatch.setattr(bh, "normal_residual", residual)
 
 
 class TestBisection:
@@ -212,7 +225,7 @@ class TestBisection:
 
         assume(f(lo) * f(hi) < 0.0)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(bh, "normal_residual", lambda spec, point: f(spec.params["r"]))
+            _scan_reads(mp, f)
             res = bh.parameter_scan(verify.cone(1.0), "r", lo, hi, 2, (1.0, 1.0))
         assert res.failures == ()
         assert res.roots == (bisect(f, lo, hi, xtol=1e-10),)
@@ -225,20 +238,19 @@ class TestBisection:
         mid = 0.5 * (lo + hi)
         evaluated, raised = [], []
 
-        def plain(spec, point):
-            return spec.params["r"] - c
+        def plain(r):
+            return r - c
 
-        def raising(spec, point):
-            r = spec.params["r"]
+        def raising(r):
             evaluated.append(r)
             if np.any((lo < r) & (r < mid)):
                 raised.append(r)
                 raise EvalDomainError("off the path")
-            return plain(spec, point)
+            return plain(r)
 
-        monkeypatch.setattr(bh, "normal_residual", plain)
+        _scan_reads(monkeypatch, plain)
         ref = bh.parameter_scan(verify.cone(1.0), "r", lo, hi, 2, (1.0, 1.0))
-        monkeypatch.setattr(bh, "normal_residual", raising)
+        _scan_reads(monkeypatch, raising)
         res = bh.parameter_scan(verify.cone(1.0), "r", lo, hi, 2, (1.0, 1.0))
         assert res == ref
         assert res.failures == ()

@@ -74,25 +74,6 @@ class TestReportInvariants:
         assert e2 * np.dot(pg.H_val, pg.eta_val) == pytest.approx(pg.lam, abs=1e-10)
         assert np.trace(pg.S_val) == pytest.approx(pg.spec.m * pg.lam, abs=1e-9)
 
-    def test_report_dict(self, cone):
-        rep = PointGeometry(cone(1.0), (1.0, 0.5)).report()
-        d = rep.to_dict()
-        for key in (
-            "point",
-            "g",
-            "B",
-            "H",
-            "lambda",
-            "eta",
-            "A",
-            "normA2",
-            "lapLambda",
-            "gradLambda",
-            "ricEtaEta",
-        ):
-            assert key in d
-        assert d["ricEtaEta"] == 0.0
-
 
 class TestSphereSlice:
     def test_cmc(self, sphere_slice):

@@ -101,6 +101,13 @@ class TestArithmetic:
         with pytest.raises(SingularJetError):
             a / b
 
+    @pytest.mark.parametrize("value", [0.0, 2.0])
+    def test_non_number_over_jet_is_a_type_error(self, value):
+        # the operand is looked at before the jet is inverted: a singular
+        # jet does not turn the TypeError into a SingularJetError
+        with pytest.raises(TypeError, match="'object' and 'Jet'"):
+            object() / J.jet_constant(value, 1, 2)
+
     def test_mixed_partial(self):
         u = J.jet_variable(0, 1.0, 2, 2)
         v = J.jet_variable(1, 1.0, 2, 2)

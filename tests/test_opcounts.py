@@ -258,7 +258,7 @@ def test_products_make_no_einsum(numpy_calls):
 def test_frame_is_computed_when_read(numpy_calls):
     pg = PointGeometry(verify.sphere_slice(1.0), POINT)
     assert numpy_calls["cholesky"] == 0
-    pg.report()
+    assert pg.A_frame.shape == (2, 2)
     assert numpy_calls["cholesky"] == 1
 
 

@@ -8,7 +8,7 @@ import warnings
 import pytest
 
 import warpgeo
-from warpgeo import cli
+from warpgeo import biharmonic, cli
 from warpgeo.errors import SceneError, UsageError
 from warpgeo.expr import parse, pretty
 from warpgeo.immersion import PointGeometry
@@ -121,6 +121,32 @@ class TestCli:
         assert rep["lapLambda"] == pytest.approx(0.17677669529663687)
         assert rep["normA2"] == pytest.approx(0.5)
         assert rep["normalResidual"] == pytest.approx(0.0, abs=1e-10)
+
+    def test_analyze_row_is_the_geometry(self, tmp_path):
+        # every key of a row, each equal to the field of the point's own
+        # PointGeometry (a batch equals its points one by one, and JSON
+        # round-trips floats)
+        path = write_scene(tmp_path, CONE_SCENE)
+        out_json = tmp_path / "report.json"
+        assert run_cli(["analyze", path, "--points", "1,0.7", "--json", str(out_json)]) == 0
+        (row,) = json.loads(out_json.read_text())["reports"]
+        pg = PointGeometry(load_scene(path).immersion, (1.0, 0.7))
+        assert row == {
+            "point": [1.0, 0.7],
+            "g": pg.g_val.tolist(),
+            "B": pg.B_val.tolist(),
+            "H": pg.H_val.tolist(),
+            "lambda": pg.lam,
+            "eta": pg.eta_val.tolist(),
+            "A": pg.A_frame.tolist(),
+            "normA2": pg.normA2,
+            "lapLambda": pg.lap_lam,
+            "gradLambda": pg.grad_lam_amb.tolist(),
+            "ricEtaEta": 0.0,
+            "normalResidual": biharmonic.normal_residual(pg),
+            "tangentialResidual": biharmonic.tangential_residual(pg)[1],
+        }
+        assert pg.ric_eta_eta == 0.0
 
     @pytest.mark.parametrize(
         "points, grid, codes, axis",

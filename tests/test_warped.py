@@ -44,21 +44,20 @@ class TestScene:
 class TestPowerFamily:
     @pytest.mark.parametrize("a,b,m", [(1.0, 2.0, 2), (3.0, 1.0, 3), (-0.5, 4.0, 2)])
     def test_residual_vanishes(self, a, b, m):
-        src = "(a*t+b)^(1/m)"
+        src = parse("(a*t+b)^(1/m)")
         params = {"a": a, "b": b, "m": m}
         for t in np.linspace(0.1, 1.4, 5):
-            assert warped.power_family_residual(src, float(t), m, params) == pytest.approx(
+            assert WarpEval.at(src, t, params).power_residual(m) == pytest.approx(
                 0.0, abs=1e-12
             )
 
-    def test_accepts_ast_and_eval(self):
-        ast = parse("exp(t)")
+    def test_exp_warp_closed_form(self):
         # f = e^t, m = 2: f f'' + f'^2 = 2 e^{2t}
-        assert warped.power_family_residual(ast, 0.0, 2) == pytest.approx(2.0)
-        assert warped.power_family_residual(WarpEval(1.0, 1.0, 1.0), 0.0, 2) == pytest.approx(2.0)
+        assert WarpEval.at(parse("exp(t)"), 0.0, {}).power_residual(2) == pytest.approx(2.0)
+        assert WarpEval(1.0, 1.0, 1.0).power_residual(2) == pytest.approx(2.0)
 
     def test_nonmember_warp(self):
-        assert abs(warped.power_family_residual("2+cos(t)", 0.5, 2)) > 0.1
+        assert abs(WarpEval.at(parse("2+cos(t)"), 0.5, {}).power_residual(2)) > 0.1
 
 
 class TestTension:
