@@ -17,6 +17,7 @@ from .immersion import ImmersionSpec, PointGeometry, immersion
 from .scene import Scene, load_scene, scene_from_dict
 from .warped import (
     WarpedScene,
+    base_point,
     inclusion_bitension,
     inclusion_tension,
     pairing,
@@ -40,6 +41,7 @@ __all__ = [
     "WarpEval",
     "WarpedScene",
     "WarpgeoError",
+    "base_point",
     "classify",
     "immersion",
     "inclusion_bitension",

@@ -105,8 +105,9 @@ def spaceform_curvature(chart, x_vec, y_vec, z_vec, e2):
 
 @dataclass(frozen=True)
 class WarpEval:
-    """Warping function and its first two derivatives at a fixed t."""
+    """Warping function and its first two derivatives at t."""
 
+    t: float
     f: float
     f1: float
     f2: float
@@ -125,7 +126,7 @@ class WarpEval:
     def at(cls, warp, t, params):
         """Evaluate the warp expression `warp` and its derivatives at t."""
         f = eval_jet(warp, {"t": J.jet_variable(0, float(t), 1, 2)}, params)
-        return cls(f.value, f.partial((1,)), f.partial((2,)))
+        return cls(float(t), f.value, f.partial((1,)), f.partial((2,)))
 
     def power_residual(self, m):
         """f f'' + (m-1) f'^2, the power-family residual."""

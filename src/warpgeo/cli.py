@@ -45,6 +45,13 @@ def _parse_points(text, m):
     return points
 
 
+def _parse_point(option, text, m):
+    points = _parse_points(text, m)
+    if len(points) != 1:
+        raise UsageError(f"{option} takes one point, got {len(points)}")
+    return points[0]
+
+
 def _count(text):
     num = int(text)
     if num < 1:
@@ -225,7 +232,7 @@ def cmd_scan(args):
             f"--samples {args.samples} asks for more than {MAX_POINTS} samples"
         )
     if args.probe:
-        probe = _parse_points(args.probe, scene.immersion.m)[0]
+        probe = _parse_point("--probe", args.probe, scene.immersion.m)
     elif scene.points:
         probe = scene.points[0]
     else:
@@ -254,14 +261,12 @@ def cmd_scan(args):
 def cmd_warp(args):
     scene = load_scene(args.scene)
     ws = scene.require_warp()
-    point = _parse_points(args.point, scene.immersion.m)[0]
+    point = _parse_point("--point", args.point, scene.immersion.m)
     tgrid = _parse_tgrid(args.t)
-    if not ws.interval[0] <= tgrid.min() <= tgrid.max() <= ws.interval[1]:
-        raise UsageError(f"--t {args.t} leaves the warp interval {list(ws.interval)}")
     reports = [warped.warped_report(ws, float(t), point) for t in tgrid]
     values = [
-        (r.t, r.f, r.pairing, r.pairing_closed_form, r.power_residual,
-         r.tangential_part_norm, r.normal_part_norm)
+        (r.warp.t, r.warp.f, r.pairing, r.pairing_closed_form, r.power_residual,
+         r.bitension.tangential_norm, r.bitension.normal_norm)
         for r in reports
     ]
     _print_table(

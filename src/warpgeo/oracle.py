@@ -260,7 +260,8 @@ def submanifold_bitension(spec, point, geometry=None):
 def curvature_components(mapspec, point):
     """(R^l_{ijk}, g values) of the domain metric of `mapspec` at `point`,
     with R(d_i, d_j) d_k = R^l_{ijk} d_l, assembled as dGamma + Gamma Gamma
-    from the Christoffels of the pipeline seeded at RIEMANN_ORDER."""
+    from the Christoffels of the pipeline seeded at RIEMANN_ORDER.  The
+    package does not call it; tests and the benchmark's tracer read it."""
     _, _, G, gamma_dom, _, _ = _tension_pipeline(mapspec, point, RIEMANN_ORDER)
     return riemann(gamma_dom, mapspec.dim), G[0]
 

@@ -136,7 +136,7 @@ def _oracle_records(scenes, point):
     }
 
 
-def _checks_tension_equivalence(slice1, scenes, records):
+def _checks_tension_equivalence(base, scenes, records):
     out = []
     cone1, cone_point = cone(1.0), (1.0, 0.7)
     cone_scenes = _warp_scenes(cone1)
@@ -148,20 +148,17 @@ def _checks_tension_equivalence(slice1, scenes, records):
         for t in T_SAMPLES
     }
     slice_taus = {key: rec.tension for key, rec in records.items()}
-    for label, spec, point, family, taus in (
-        ("sphere-slice", slice1, WARP_POINT, scenes, slice_taus),
-        ("cone", cone1, cone_point, cone_scenes, cone_taus),
+    for label, bp, family, taus in (
+        ("sphere-slice", base, scenes, slice_taus),
+        ("cone", warped.base_point(cone1, cone_point), cone_scenes, cone_taus),
     ):
-        base = warped.base_point(spec, point)
         for src, scene in family.items():
             for t in T_SAMPLES:
                 fp = taus[src, t]
                 w = scene.warp_at(t)
-                closed = warped.inclusion_tension(scene, t, point, w)
-                diff = warped.hbar_norm(
-                    base, w, warped.WVec(fp[0] - closed.t, fp[1:] - closed.n)
-                )
-                scale = 1.0 + warped.hbar_norm(base, w, closed)
+                closed = warped.inclusion_tension(bp, w)
+                diff = warped.hbar_norm(bp, w, fp - closed)
+                scale = 1.0 + warped.hbar_norm(bp, w, closed)
                 out.append(
                     Check(
                         f"tension oracle {label} f={src} t={t:g}",
@@ -181,18 +178,14 @@ def _checks_tension_equivalence(slice1, scenes, records):
     return out
 
 
-def _checks_bitension_equivalence(slice1, scenes, records):
+def _checks_bitension_equivalence(base, scenes, records):
     out = []
-    point = WARP_POINT
-    base = warped.base_point(slice1, point)
     for src, scene in scenes.items():
         for t in T_SAMPLES:
             fp = records[src, t].bitension
             w = scene.warp_at(t)
-            closed = warped.inclusion_bitension(scene, t, point, w)
-            diff = warped.hbar_norm(
-                base, w, warped.WVec(fp[0] - closed.vec.t, fp[1:] - closed.vec.n)
-            )
+            closed = warped.inclusion_bitension(base, w)
+            diff = warped.hbar_norm(base, w, fp - closed.vec)
             scale = 1.0 + warped.hbar_norm(base, w, closed.vec)
             out.append(
                 Check(
@@ -205,56 +198,55 @@ def _checks_bitension_equivalence(slice1, scenes, records):
     return out
 
 
-def _checks_pairing(scene):
+def _checks_pairing(base, scene):
     out = []
     for t, ref in ((0.0, 16.0), (0.5, 16.0 * math.exp(-1.0))):
-        pr = warped.pairing(scene, t, WARP_POINT)
-        out.append(Check(f"pairing direct f=exp(t) t={t:g}", ref, pr.direct, 1e-6))
+        pr = warped.pairing(base, scene.warp_at(t))
+        out.append(Check(f"pairing direct f=exp(t) t={t:g}", ref, pr.pairing, 1e-6))
         out.append(
-            Check(f"pairing closed form f=exp(t) t={t:g}", ref, pr.closed_form, 1e-6)
+            Check(
+                f"pairing closed form f=exp(t) t={t:g}", ref, pr.pairing_closed_form, 1e-6
+            )
         )
     return out
 
 
-def _checks_power_family(slice1):
+def _checks_power_family(base):
     out = []
     cases = (
         ((1.0, 2.0, 2), (0.0, 1.5)),
         ((3.0, 1.0, 3), (0.0, 1.5)),
         ((-0.5, 4.0, 2), (0.0, 1.5)),
     )
+    # base is the r = 1 slice's at (0.3, -0.2)
+    bases = {2: base, 3: warped.base_point(sphere_slice(1.0, m=3), (0.3, -0.2, 0.1))}
     for (a, b, m), interval in cases:
-        spec = slice1 if m == 2 else sphere_slice(1.0, m=m)
-        point = (0.3, -0.2, 0.1)[:m]
         scene = warped.warped_scene(
-            spec, "(a*t+b)^(1/m)", {"a": a, "b": b, "m": m}, interval
+            bases[m].geometry.spec, "(a*t+b)^(1/m)", {"a": a, "b": b, "m": m}, interval
         )
         for t in np.linspace(interval[0] + 0.05, interval[1] - 0.05, 5):
             tag = f"a={a:g} b={b:g} m={m}, t={t:.2f}"
-            w = scene.warp_at(t)
+            pr = warped.pairing(bases[m], scene.warp_at(t))
             out.append(
                 Check(
                     f"power residual {tag}",
                     0.0,
-                    w.power_residual(m),
+                    pr.power_residual,
                     1e-12,
                 )
             )
-            pr = warped.pairing(scene, float(t), point, warp=w)
-            out.append(Check(f"power pairing {tag}", 0.0, pr.direct, 1e-9))
+            out.append(Check(f"power pairing {tag}", 0.0, pr.pairing, 1e-9))
     return out
 
 
-def _checks_tangential_corollaries(cosw):
-    point = WARP_POINT
+def _checks_tangential_corollaries(base, cosw):
     spec = cosw.immersion
-    base = warped.base_point(spec, point)
     out = []
-    b0 = warped.inclusion_bitension(cosw, 0.0, point)
+    b0 = warped.inclusion_bitension(base, cosw.warp_at(0.0))
     out.append(
         Check("tangential part at f'(0)=0 (f=2+cos t)", 0.0, b0.tangential_norm, 1e-8)
     )
-    b5 = warped.inclusion_bitension(cosw, 0.5, point)
+    b5 = warped.inclusion_bitension(base, cosw.warp_at(0.5))
     out.append(
         Check(
             "tangential part nonzero at t=0.5 (f=2+cos t), floor 0.05",
@@ -263,38 +255,37 @@ def _checks_tangential_corollaries(cosw):
             0.0,
         )
     )
-    sq = warped.warped_scene(spec, "2+t^2", {}, WARP_INTERVAL)
-    bs = warped.inclusion_bitension(sq, 0.0, point)
+    w = warped.warped_scene(spec, "2+t^2", {}, WARP_INTERVAL).warp_at(0.0)
+    bs = warped.inclusion_bitension(base, w)
     out.append(
         Check(
             "bitension nonzero at t=0 (f=2+t^2), floor 0.5",
             1.0,
-            float(warped.hbar_norm(base, sq.warp_at(0.0), bs.vec) >= 0.5),
+            float(warped.hbar_norm(base, w, bs.vec) >= 0.5),
             0.0,
         )
     )
-    cb = warped.warped_scene(spec, "2+t^3", {}, WARP_INTERVAL)
-    bc = warped.inclusion_bitension(cb, 0.0, point)
+    w = warped.warped_scene(spec, "2+t^3", {}, WARP_INTERVAL).warp_at(0.0)
+    bc = warped.inclusion_bitension(base, w)
     out.append(
         Check(
             "bitension vanishes at f'=f''=0 (f=2+t^3)",
             0.0,
-            warped.hbar_norm(base, cb.warp_at(0.0), bc.vec),
+            warped.hbar_norm(base, w, bc.vec),
             1e-7,
         )
     )
     return out
 
 
-def _checks_ricci(slice1, scenes, records):
-    point = WARP_POINT
-    g_val = warped.base_point(slice1, point).geometry.g_val
+def _checks_ricci(base, scenes, records):
+    g_val = base.geometry.g_val
     x = np.array([1.0, 0.0]) / math.sqrt(g_val[0, 0])
     out = []
     for src, scene in scenes.items():
         for t in T_SAMPLES:
             rc = warped.ricci_warped_check(
-                scene, t, point, x, riemann=records[src, t].riemann
+                base, scene.warp_at(t), x, records[src, t].riemann
             )
             out.append(
                 Check(
@@ -313,7 +304,7 @@ def _checks_ricci(slice1, scenes, records):
                 )
             )
     rc = warped.ricci_warped_check(
-        scenes["exp(t)"], 0.0, point, x, riemann=records["exp(t)", 0.0].riemann
+        base, scenes["exp(t)"].warp_at(0.0), x, records["exp(t)", 0.0].riemann
     )
     out.append(Check("warped Ricci vanishes (f=exp t, t=0)", 0.0, rc.ric_warped, 1e-6))
     return out
@@ -323,17 +314,18 @@ def run_checks(name_filter=None):
     checks = []
     checks.extend(_checks_example_sphere_slice())
     checks.extend(_checks_example_cone())
-    # the warped checks share one slice spec (so one BasePoint), its scenes
+    # the warped checks share one BasePoint of the r = 1 slice, its scenes
     # and one oracle record per scene and t sample
     slice1 = sphere_slice(1.0)
+    base = warped.base_point(slice1, WARP_POINT)
     scenes = _warp_scenes(slice1)
     records = _oracle_records(scenes, WARP_POINT)
-    checks.extend(_checks_tension_equivalence(slice1, scenes, records))
-    checks.extend(_checks_bitension_equivalence(slice1, scenes, records))
-    checks.extend(_checks_pairing(scenes["exp(t)"]))
-    checks.extend(_checks_power_family(slice1))
-    checks.extend(_checks_tangential_corollaries(scenes["2+cos(t)"]))
-    checks.extend(_checks_ricci(slice1, scenes, records))
+    checks.extend(_checks_tension_equivalence(base, scenes, records))
+    checks.extend(_checks_bitension_equivalence(base, scenes, records))
+    checks.extend(_checks_pairing(base, scenes["exp(t)"]))
+    checks.extend(_checks_power_family(base))
+    checks.extend(_checks_tangential_corollaries(base, scenes["2+cos(t)"]))
+    checks.extend(_checks_ricci(base, scenes, records))
     if name_filter:
         checks = [c for c in checks if name_filter in c.name]
     return checks

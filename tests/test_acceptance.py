@@ -90,10 +90,8 @@ def test_03_tension_oracle_equivalence():
         for t in T_SAMPLES:
             fp = oracle.tension_first_principles(ms, (t,) + point)
             w = scene.warp_at(t)
-            closed = warped.inclusion_tension(scene, t, point, w)
-            diff = warped.hbar_norm(
-                base, w, warped.WVec(fp[0] - closed.t, fp[1:] - closed.n)
-            )
+            closed = warped.inclusion_tension(base, w)
+            diff = warped.hbar_norm(base, w, fp - closed)
             scale = 1.0 + warped.hbar_norm(base, w, closed)
             if diff > 1e-9 * scale:
                 bad.append((label, src, t, diff))
@@ -113,10 +111,8 @@ def test_04_bitension_oracle_equivalence():
         for t in T_SAMPLES:
             fp = oracle.bitension_first_principles(ms, (t,) + point)
             w = scene.warp_at(t)
-            closed = warped.inclusion_bitension(scene, t, point, w)
-            diff = warped.hbar_norm(
-                base, w, warped.WVec(fp[0] - closed.vec.t, fp[1:] - closed.vec.n)
-            )
+            closed = warped.inclusion_bitension(base, w)
+            diff = warped.hbar_norm(base, w, fp - closed.vec)
             scale = 1.0 + warped.hbar_norm(base, w, closed.vec)
             if diff > 1e-6 * scale:
                 bad.append((src, t, diff))
@@ -126,13 +122,14 @@ def test_04_bitension_oracle_equivalence():
 def test_05_pairing_values():
     bad = []
     scene = warped.warped_scene(sphere_slice(1.0), "exp(t)", {}, WARP_INTERVAL)
+    base = warped.base_point(scene.immersion, (0.3, -0.2))
     for t, ref in ((0.0, 16.0), (0.5, 16.0 * math.exp(-1.0))):
-        pr = warped.pairing(scene, t, (0.3, -0.2))
-        if abs(pr.direct - ref) > 1e-6:
-            bad.append(("direct", t, pr.direct, ref))
-        if abs(pr.closed_form - ref) > 1e-6:
-            bad.append(("closed", t, pr.closed_form, ref))
-        if not pr.closed_form_applicable:
+        pr = warped.pairing(base, scene.warp_at(t))
+        if abs(pr.pairing - ref) > 1e-6:
+            bad.append(("direct", t, pr.pairing, ref))
+        if abs(pr.pairing_closed_form - ref) > 1e-6:
+            bad.append(("closed", t, pr.pairing_closed_form, ref))
+        if not pr.pairing_closed_form_applicable:
             bad.append(("gate", t))
     record(5, "exponential-warp pairing", bad)
 
@@ -144,13 +141,15 @@ def test_06_power_family():
         point = (0.3, -0.2, 0.1)[:m]
         params = {"a": a, "b": b, "m": m}
         scene = warped.warped_scene(spec, "(a*t+b)^(1/m)", params, (0.0, 1.5))
+        base = warped.base_point(spec, point)
         for t in np.linspace(0.05, 1.45, 5):
-            res = scene.warp_at(t).power_residual(m)
+            w = scene.warp_at(t)
+            res = w.power_residual(m)
             if abs(res) > 1e-12:
                 bad.append(("residual", a, b, m, float(t), res))
-            pr = warped.pairing(scene, float(t), point)
-            if abs(pr.direct) > 1e-9:
-                bad.append(("pairing", a, b, m, float(t), pr.direct))
+            pr = warped.pairing(base, w)
+            if abs(pr.pairing) > 1e-9:
+                bad.append(("pairing", a, b, m, float(t), pr.pairing))
     record(6, "power-family warps are biharmonic", bad)
 
 
@@ -160,17 +159,17 @@ def test_07_tangential_vanishing():
     point = (0.3, -0.2)
     base = warped.base_point(spec, point)
     cosw = warped.warped_scene(spec, "2+cos(t)", {}, WARP_INTERVAL)
-    if warped.inclusion_bitension(cosw, 0.0, point).tangential_norm > 1e-8:
+    if warped.inclusion_bitension(base, cosw.warp_at(0.0)).tangential_norm > 1e-8:
         bad.append("tangential nonzero at critical t")
-    if warped.inclusion_bitension(cosw, 0.5, point).tangential_norm < 0.05:
+    if warped.inclusion_bitension(base, cosw.warp_at(0.5)).tangential_norm < 0.05:
         bad.append("tangential too small at t=0.5")
-    sq = warped.warped_scene(spec, "2+t^2", {}, WARP_INTERVAL)
-    v = warped.inclusion_bitension(sq, 0.0, point).vec
-    if warped.hbar_norm(base, sq.warp_at(0.0), v) < 0.5:
+    w = warped.warped_scene(spec, "2+t^2", {}, WARP_INTERVAL).warp_at(0.0)
+    v = warped.inclusion_bitension(base, w).vec
+    if warped.hbar_norm(base, w, v) < 0.5:
         bad.append("bitension vanished despite f'' != 0")
-    cb = warped.warped_scene(spec, "2+t^3", {}, WARP_INTERVAL)
-    v = warped.inclusion_bitension(cb, 0.0, point).vec
-    if warped.hbar_norm(base, cb.warp_at(0.0), v) > 1e-7:
+    w = warped.warped_scene(spec, "2+t^3", {}, WARP_INTERVAL).warp_at(0.0)
+    v = warped.inclusion_bitension(base, w).vec
+    if warped.hbar_norm(base, w, v) > 1e-7:
         bad.append("bitension nonzero despite f' = f'' = 0")
     record(7, "tangential-part vanishing criteria", bad)
 
@@ -180,18 +179,25 @@ def test_08_warped_ricci_identity():
     spec = sphere_slice(1.0)
     point = (0.3, -0.2)
     pg = PointGeometry(spec, point)
+    base = warped.base_point(spec, point)
     x = np.array([1.0, 0.0]) / math.sqrt(pg.g_val[0, 0])
+
+    def check(scene, t):
+        riemann, _ = oracle.curvature_components(
+            oracle.warped_inclusion_map(scene), (t,) + point
+        )
+        return warped.ricci_warped_check(base, scene.warp_at(t), x, riemann)
+
     for src in WARPS:
         scene = warped.warped_scene(spec, src, {}, WARP_INTERVAL)
         for t in T_SAMPLES:
-            rc = warped.ricci_warped_check(scene, t, point, x)
+            rc = check(scene, t)
             if abs(rc.identity_residual) > 1e-6:
                 bad.append(("identity", src, t, rc.identity_residual))
             tol = 1e-7 * (1.0 + abs(rc.pairing_closed_form))
             if abs(rc.pairing_via_ricci - rc.pairing_closed_form) > tol:
                 bad.append(("pairing", src, t))
-    scene = warped.warped_scene(spec, "exp(t)", {}, WARP_INTERVAL)
-    rc = warped.ricci_warped_check(scene, 0.0, point, x)
+    rc = check(warped.warped_scene(spec, "exp(t)", {}, WARP_INTERVAL), 0.0)
     if abs(rc.ric_warped) > 1e-6:
         bad.append(("flat warped Ricci", rc.ric_warped))
     record(8, "warped Ricci identity", bad)

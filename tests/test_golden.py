@@ -6,8 +6,10 @@ refactor may change how sums are rounded, but not which checks run or
 what they expect, and every result must stay within 1e-12 relative.
 
 `tests/data/warp_<name>.csv` hold `warpgeo warp --csv` on the S3 slice from
-before the warped reports shared one base-point record across a t-sweep.
-Sharing moves no bit, so the output must stay byte for byte the same.
+before the warped reports shared one base-point record across a t-sweep,
+and `warp_<name>.json` its `--json` from before the closed forms took a
+base point and a warp evaluation in place of a scene, t and point.
+Neither change moves a bit, so the output must stay byte for byte the same.
 """
 
 import json
@@ -62,9 +64,11 @@ def test_warp_csv_matches_golden(tmp_path, capsys, name):
     scene = tmp_path / "scene.json"
     scene.write_text(json.dumps({**SLICE, "warp": warp}))
     out = tmp_path / "warp.csv"
+    out_json = tmp_path / "warp.json"
     argv = ["warp", str(scene), f"--t={tgrid}", "--point", "0.3,-0.2", "--csv", str(out)]
     with pytest.raises(SystemExit) as exc:
-        cli.main(argv)
+        cli.main(argv + ["--json", str(out_json)])
     capsys.readouterr()
     assert exc.value.code == 0
     assert out.read_bytes() == (DATA / f"warp_{name}.csv").read_bytes()
+    assert out_json.read_bytes() == (DATA / f"warp_{name}.json").read_bytes()

@@ -23,7 +23,7 @@ POINT = (0.3, -0.2)
 def counts(monkeypatch):
     seen = {
         "builds": 0,
-        "_bitension": 0,
+        "inclusion_bitension": 0,
         "base_point": 0,
         "submanifold_bitension": 0,
         "induced_metric_jets": 0,
@@ -75,7 +75,7 @@ def counts(monkeypatch):
 
     monkeypatch.setattr(jet, "_plan", counted_plan)
     counted(jet, "contract")
-    counted(warped, "_bitension")
+    counted(warped, "inclusion_bitension")
     counted(warped, "base_point")
     counted(oracle, "submanifold_bitension")
     counted(oracle, "induced_metric_jets")
@@ -83,7 +83,7 @@ def counts(monkeypatch):
     counted(oracle, "_tension_pipeline")
     counted(oracle, "curvature_components")
     counted(warped, "warped_scene")
-    monkeypatch.setattr(warped, "_memo", ())
+    monkeypatch.setattr(warped, "_memo", None)
     return seen
 
 
@@ -95,7 +95,7 @@ def _scene():
 def test_warped_report_builds_geometry_once(counts):
     warped.warped_report(_scene(), 0.3, POINT)
     assert counts["builds"] == 1
-    assert counts["_bitension"] == counts["submanifold_bitension"] == 1
+    assert counts["inclusion_bitension"] == counts["submanifold_bitension"] == 1
 
 
 def test_warped_report_looks_up_its_base_point_once(counts):
@@ -117,7 +117,18 @@ def test_warped_sweep_shares_one_base_point(counts):
         warped.warped_report(scene, t, POINT)
     assert counts["builds"] == counts["submanifold_bitension"] == 1
     assert counts["classify"] == 1  # the biharmonic gate
-    assert counts["warp_at"] == counts["_bitension"] == 5
+    assert counts["warp_at"] == counts["inclusion_bitension"] == 5
+
+
+def test_sweep_after_another_point_builds_once(counts):
+    # the memo holds the last BasePoint: a sweep's first report replaces
+    # the other point's, and the rest of the sweep reads it
+    scene = _scene()
+    warped.base_point(scene.immersion, (0.1, 0.1))
+    counts["builds"] = counts["submanifold_bitension"] = 0
+    for t in (0.1, 0.15, 0.2, 0.25, 0.3):
+        warped.warped_report(scene, t, POINT)
+    assert counts["builds"] == counts["submanifold_bitension"] == 1
 
 
 def test_pairing_reuses_the_base_point(counts):
@@ -125,17 +136,22 @@ def test_pairing_reuses_the_base_point(counts):
     # the same record; another point, or another spec object, builds anew
     scene = _scene()
     other = warped.warped_scene(scene.immersion, "2+cos(t)", {}, verify.WARP_INTERVAL)
-    warped.pairing(scene, 0.3, POINT)
-    warped.inclusion_tension(other, 0.5, POINT)
-    warped.inclusion_bitension(other, 0.5, POINT)
-    g_val = warped.base_point(scene.immersion, POINT).geometry.g_val
-    warped.ricci_warped_check(scene, 0.3, POINT, [g_val[0, 0] ** -0.5, 0.0])
+    warped.warped_report(scene, 0.3, POINT)
+    warped.warped_report(other, 0.5, POINT)
+    base = warped.base_point(scene.immersion, POINT)
+    warped.inclusion_tension(base, other.warp_at(0.5))
+    warped.inclusion_bitension(base, other.warp_at(0.5))
+    riemann, _ = oracle.curvature_components(
+        oracle.warped_inclusion_map(scene), (0.3,) + POINT
+    )
+    x = [base.geometry.g_val[0, 0] ** -0.5, 0.0]
+    warped.ricci_warped_check(base, scene.warp_at(0.3), x, riemann)
     assert counts["builds"] == counts["submanifold_bitension"] == 1
-    warped.pairing(scene, 0.3, (0.3, 0.2))
+    warped.warped_report(scene, 0.3, (0.3, 0.2))
     copy = warped.warped_scene(
         scene.immersion.with_params(), "exp(t)", {}, verify.WARP_INTERVAL
     )
-    warped.pairing(copy, 0.3, (0.3, 0.2))
+    warped.warped_report(copy, 0.3, (0.3, 0.2))
     assert counts["builds"] == counts["submanifold_bitension"] == 3
 
 
@@ -189,8 +205,8 @@ def test_verify_pass_mul_count(counts):
     # constant of the DSL, or a series' first Horner step, is a scale, and a
     # contraction with a constant factor forms only its value's terms
     verify.run_checks()
-    assert counts["mul"] == 229
-    assert counts["contract"] == 738
+    assert counts["mul"] == 226
+    assert counts["contract"] == 735
     assert counts["constant_plans"] == 164
 
 

@@ -87,8 +87,8 @@ class TestBitension:
             got = oracle.bitension_first_principles(oracle.inclusion_map(spec), point)
         else:
             scene = warped.warped_scene(spec, warp, {}, (-1.0, 1.0))
-            vec = warped.inclusion_bitension(scene, 0.3, point).vec
-            ref = np.concatenate(([vec.t], vec.n))
+            base = warped.base_point(spec, point)
+            ref = warped.inclusion_bitension(base, scene.warp_at(0.3)).vec
             got = oracle.bitension_first_principles(
                 oracle.warped_inclusion_map(scene), (0.3,) + point
             )

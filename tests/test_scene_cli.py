@@ -387,6 +387,14 @@ BAD_INPUT = {
         CONE_SCENE,
         ["scan", "{scene}", "--param", "r", "--range", "0.5:2", "--probe", "1,-inf"],
     ),
+    "scan two probes": (
+        CONE_SCENE,
+        ["scan", "{scene}", "--param", "r", "--range", "0.5:2", "--probe", "1,0.7;9,9"],
+    ),
+    "warp two points": (
+        SLICE_SCENE,
+        ["warp", "{scene}", "--t", "0:0.5:2", "--point", "0.3,-0.2;0.1,0.1"],
+    ),
     "warp t NaN": (SLICE_SCENE, ["warp", "{scene}", "--t", "0:nan:2", "--point", "0.3,-0.2"]),
     "warp t outside the interval": (
         _with(SLICE_SCENE, "warp", interval=[0.0, 1.0]),

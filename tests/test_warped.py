@@ -21,12 +21,33 @@ def slice_scene(sphere_slice):
     return make
 
 
+def base_of(scene, point=POINT):
+    return warped.base_point(scene.immersion, point)
+
+
+def warped_riemann(scene, t, point=POINT):
+    """R of (I x M, dt^2 + f^2 g) at (t, point), from the oracle."""
+    riemann, _ = oracle.curvature_components(
+        oracle.warped_inclusion_map(scene), (t,) + point
+    )
+    return riemann
+
+
 class TestScene:
     def test_warp_at(self, slice_scene):
-        w = slice_scene("sqrt(t+2)").warp_at(2.0)
+        w = slice_scene("sqrt(t+2)", interval=(-0.5, 2.0)).warp_at(2.0)
+        assert w.t == 2.0
         assert w.f == pytest.approx(2.0)
         assert w.f1 == pytest.approx(0.25)
         assert w.f2 == pytest.approx(-1 / 32)
+
+    @pytest.mark.parametrize("t", [5.0, -0.6, math.nan])
+    def test_warp_at_refuses_t_outside_the_interval(self, slice_scene, t):
+        # the warp is checked positive on the interval only
+        with pytest.raises(UsageError, match=r"outside the warp interval \[-0.5, 1\]"):
+            slice_scene().warp_at(t)
+        with pytest.raises(UsageError):
+            warped.warped_report(slice_scene(), t, POINT)
 
     def test_positivity_sampled(self, sphere_slice):
         with pytest.raises(EvalDomainError):
@@ -54,7 +75,7 @@ class TestPowerFamily:
     def test_exp_warp_closed_form(self):
         # f = e^t, m = 2: f f'' + f'^2 = 2 e^{2t}
         assert WarpEval.at(parse("exp(t)"), 0.0, {}).power_residual(2) == pytest.approx(2.0)
-        assert WarpEval(1.0, 1.0, 1.0).power_residual(2) == pytest.approx(2.0)
+        assert WarpEval(0.0, 1.0, 1.0, 1.0).power_residual(2) == pytest.approx(2.0)
 
     def test_nonmember_warp(self):
         assert abs(WarpEval.at(parse("2+cos(t)"), 0.5, {}).power_residual(2)) > 0.1
@@ -62,15 +83,16 @@ class TestPowerFamily:
 
 class TestTension:
     def test_no_dt_component(self, slice_scene):
-        tau = warped.inclusion_tension(slice_scene(), 0.3, POINT)
-        assert tau.t == 0.0
+        scene = slice_scene()
+        tau = warped.inclusion_tension(base_of(scene), scene.warp_at(0.3))
+        assert tau[0] == 0.0
 
     def test_scaling(self, slice_scene):
         scene = slice_scene()
         pg = PointGeometry(scene.immersion, POINT)
-        tau = warped.inclusion_tension(scene, 0.5, POINT)
+        tau = warped.inclusion_tension(base_of(scene), scene.warp_at(0.5))
         f = math.exp(0.5)
-        assert np.allclose(tau.n, (2.0 / f**2) * pg.H_val)
+        assert np.allclose(tau[1:], (2.0 / f**2) * pg.H_val)
 
 
 class TestBitension:
@@ -79,41 +101,41 @@ class TestBitension:
         scene = slice_scene()
         t = 0.4
         pg = PointGeometry(scene.immersion, POINT)
-        parts = warped.inclusion_bitension(scene, t, POINT)
         w = scene.warp_at(t)
+        parts = warped.inclusion_bitension(base_of(scene), w)
         h2 = pg.e2_val * float(np.dot(pg.H_val, pg.H_val))
-        assert parts.tangential.t == pytest.approx(-4.0 * w.f1 / w.f**3 * h2)
-        assert np.allclose(parts.tangential.n, 0.0, atol=1e-7)
-        assert parts.normal.t == 0.0
+        assert parts.tangential[0] == pytest.approx(-4.0 * w.f1 / w.f**3 * h2)
+        assert np.allclose(parts.tangential[1:], 0.0, atol=1e-7)
+        assert parts.normal[0] == 0.0
 
     def test_split_reassembles(self, slice_scene):
         scene = slice_scene("2+cos(t)")
-        parts = warped.inclusion_bitension(scene, 0.5, POINT)
-        assert parts.vec.t == pytest.approx(parts.tangential.t + parts.normal.t)
-        assert np.allclose(parts.vec.n, parts.tangential.n + parts.normal.n, atol=1e-12)
+        parts = warped.inclusion_bitension(base_of(scene), scene.warp_at(0.5))
+        assert parts.vec[0] == pytest.approx(parts.tangential[0] + parts.normal[0])
+        assert np.allclose(parts.vec[1:], parts.tangential[1:] + parts.normal[1:], atol=1e-12)
 
     def test_mean_curvature_coeff(self, slice_scene):
         scene = slice_scene()  # f = e^t, m = 2, over the biharmonic r = 1 slice
-        parts = warped.inclusion_bitension(scene, 0.0, POINT)
+        parts = warped.inclusion_bitension(base_of(scene), scene.warp_at(0.0))
         H = PointGeometry(scene.immersion, POINT).H_val
         # tau_2(i) = 0, so the normal part is 2m [f f'' + (m-1) f'^2] / f^4 H
         # = 2*2*2 H = 8 H at t = 0
-        assert parts.vec.n == pytest.approx(8.0 * H)
+        assert parts.vec[1:] == pytest.approx(8.0 * H)
 
 
 class TestPairing:
     def test_exponential_values(self, slice_scene):
         scene = slice_scene()
         for t, ref in ((0.0, 16.0), (0.5, 16.0 * math.exp(-1.0))):
-            pr = warped.pairing(scene, t, POINT)
-            assert pr.direct == pytest.approx(ref, abs=1e-6)
-            assert pr.closed_form == pytest.approx(ref, abs=1e-6)
-            assert pr.closed_form_applicable
+            pr = warped.pairing(base_of(scene), scene.warp_at(t))
+            assert pr.pairing == pytest.approx(ref, abs=1e-6)
+            assert pr.pairing_closed_form == pytest.approx(ref, abs=1e-6)
+            assert pr.pairing_closed_form_applicable
 
     def test_gate_on_nonbiharmonic_base(self, cone):
         scene = warped.warped_scene(cone(1.0), "exp(t)", {}, INTERVAL)
-        pr = warped.pairing(scene, 0.0, (1.0, 0.7))
-        assert not pr.closed_form_applicable
+        pr = warped.pairing(base_of(scene, (1.0, 0.7)), scene.warp_at(0.0))
+        assert not pr.pairing_closed_form_applicable
 
 
 class TestRicciCheck:
@@ -121,7 +143,9 @@ class TestRicciCheck:
         scene = slice_scene("sqrt(t+2)")
         pg = PointGeometry(scene.immersion, POINT)
         x = np.array([1.0, 0.0]) / math.sqrt(pg.g_val[0, 0])
-        rc = warped.ricci_warped_check(scene, 0.3, POINT, x)
+        rc = warped.ricci_warped_check(
+            base_of(scene), scene.warp_at(0.3), x, warped_riemann(scene, 0.3)
+        )
         assert rc.identity_residual == pytest.approx(0.0, abs=1e-6)
         assert rc.pairing_via_ricci == pytest.approx(
             rc.pairing_closed_form, abs=1e-7 * (1 + abs(rc.pairing_closed_form))
@@ -131,19 +155,36 @@ class TestRicciCheck:
         scene = slice_scene()
         pg = PointGeometry(scene.immersion, POINT)
         x = np.array([0.0, 1.0]) / math.sqrt(pg.g_val[1, 1])
-        rc = warped.ricci_warped_check(scene, 0.0, POINT, x)
+        rc = warped.ricci_warped_check(
+            base_of(scene), scene.warp_at(0.0), x, warped_riemann(scene, 0.0)
+        )
         assert rc.ric_base == pytest.approx(2.0, abs=1e-6)
         assert rc.ric_warped == pytest.approx(0.0, abs=1e-6)
 
     def test_requires_unit_vector(self, slice_scene):
         scene = slice_scene()
         with pytest.raises(UsageError):
-            warped.ricci_warped_check(scene, 0.0, POINT, np.array([1.0, 0.0]))
+            warped.ricci_warped_check(
+                base_of(scene), scene.warp_at(0.0), np.array([1.0, 0.0]),
+                warped_riemann(scene, 0.0),
+            )
+
+    def test_nan_x_is_refused(self, slice_scene):
+        # |X| is NaN, and NaN is not within 1e-10 of 1
+        scene = slice_scene()
+        with pytest.raises(UsageError, match="unit"):
+            warped.ricci_warped_check(
+                base_of(scene), scene.warp_at(0.3), [math.nan, 0.0],
+                warped_riemann(scene, 0.3),
+            )
 
     @pytest.mark.parametrize("x", [[1.0], [1.0, 0.0, 0.0], 1.0, [[1.0, 0.0]]])
     def test_x_of_the_wrong_length(self, slice_scene, x):
+        scene = slice_scene()
         with pytest.raises(UsageError, match="X must have 2 components"):
-            warped.ricci_warped_check(slice_scene(), 0.0, POINT, x)
+            warped.ricci_warped_check(
+                base_of(scene), scene.warp_at(0.0), x, warped_riemann(scene, 0.0)
+            )
 
     @pytest.mark.parametrize("warp, t", [("exp(t)", 0.0), ("2+cos(t)", 0.3)])
     def test_given_riemann_equals_the_computed_one(self, slice_scene, warp, t):
@@ -151,8 +192,9 @@ class TestRicciCheck:
         pg = PointGeometry(scene.immersion, POINT)
         x = np.array([1.0, 0.0]) / math.sqrt(pg.g_val[0, 0])
         rec = oracle.first_principles(oracle.warped_inclusion_map(scene), (t,) + POINT)
-        given = warped.ricci_warped_check(scene, t, POINT, x, riemann=rec.riemann)
-        assert given == warped.ricci_warped_check(scene, t, POINT, x)
+        base, w = base_of(scene), scene.warp_at(t)
+        given = warped.ricci_warped_check(base, w, x, rec.riemann)
+        assert given == warped.ricci_warped_check(base, w, x, warped_riemann(scene, t))
 
     @pytest.mark.parametrize(
         "components",
@@ -166,7 +208,9 @@ class TestRicciCheck:
         pg = PointGeometry(spec, POINT)
         v = np.array([0.6, 0.8])
         x = v / math.sqrt(v @ pg.g_val @ v)
-        rc = warped.ricci_warped_check(scene, 0.3, POINT, x)
+        rc = warped.ricci_warped_check(
+            base_of(scene), scene.warp_at(0.3), x, warped_riemann(scene, 0.3)
+        )
         riem, _ = oracle.curvature_components(oracle.inclusion_map(spec), POINT)
         ref = oracle.ricci(riem, x)
         assert rc.ric_base == ref
@@ -176,7 +220,7 @@ class TestReport:
     def test_report_fields(self, slice_scene):
         scene = slice_scene()
         rep = warped.warped_report(scene, 0.0, POINT)
-        assert rep.f == pytest.approx(1.0)
+        assert rep.warp.f == pytest.approx(1.0)
         assert rep.pairing == pytest.approx(16.0, abs=1e-6)
         assert rep.pairing_closed_form_applicable
         assert rep.power_residual == pytest.approx(2.0)
@@ -195,7 +239,7 @@ class TestBasePoint:
         shared = [warped.warped_report(scene, t, p).to_dict() for t, p in requests]
         fresh = []
         for t, p in requests:
-            monkeypatch.setattr(warped, "_memo", ())
+            monkeypatch.setattr(warped, "_memo", None)
             fresh.append(warped.warped_report(scene, t, p).to_dict())
         assert repr(shared) == repr(fresh)  # repr tells -0.0 from 0.0
         # the two points differ in the sign bit of X_val alone
@@ -209,14 +253,14 @@ class TestBasePoint:
         point = (float("nan"), 0.2)
         stale = warped.base_point(spec, POINT)
         key = np.array(point).tobytes()
-        monkeypatch.setattr(warped, "_memo", ((spec, key, stale),))
+        monkeypatch.setattr(warped, "_memo", (spec, key, stale))
         with pytest.raises(EvalDomainError):
             warped.base_point(spec, point)
 
     def test_shared_arrays_are_read_only(self, slice_scene):
         scene = slice_scene()
-        warped.inclusion_bitension(scene, 0.3, POINT)
-        base = warped.base_point(scene.immersion, POINT)
+        base = base_of(scene)
+        warped.inclusion_bitension(base, scene.warp_at(0.3))
         pg = base.geometry
         arrays = [a for a in vars(pg).values() if isinstance(a, np.ndarray)]
         arrays += [pg.e2.coeffs, base.submanifold_bitension]
@@ -229,5 +273,5 @@ class TestBasePoint:
         # the h-inner product and |H|^2_h read the geometry's one e2; at
         # this point |x|^2 summed in another order rounds e2 differently
         base = warped.base_point(sphere_slice(1.0, 3), (-0.1, -0.3, 0.1))
-        h = warped.WVec(0.0, base.geometry.H_val)
-        assert warped.hbar_inner(base, WarpEval(1.0, 0.0, 0.0), h, h) == base.h2
+        h = np.concatenate(([0.0], base.geometry.H_val))
+        assert warped.hbar_inner(base, WarpEval(0.0, 1.0, 0.0, 0.0), h, h) == base.h2
