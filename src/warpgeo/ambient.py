@@ -17,7 +17,6 @@ import numpy as np
 
 from . import jet as J
 from .errors import ConfigError, EvalDomainError
-from .expr import eval_jet
 
 MODELS = ("euclidean", "sphere", "hyperbolic")
 _CURVATURE = {"euclidean": 0.0, "sphere": 1.0, "hyperbolic": -1.0}
@@ -105,7 +104,8 @@ def spaceform_curvature(chart, x_vec, y_vec, z_vec, e2):
 
 @dataclass(frozen=True)
 class WarpEval:
-    """Warping function and its first two derivatives at t."""
+    """Warping function and its first two derivatives at t, as
+    `WarpedScene.warp_at` evaluates them."""
 
     t: float
     f: float
@@ -121,12 +121,6 @@ class WarpEval:
                 f"f={self.f:g}, f'={self.f1:g}, f''={self.f2:g}",
                 value=self.f,
             )
-
-    @classmethod
-    def at(cls, warp, t, params):
-        """Evaluate the warp expression `warp` and its derivatives at t."""
-        f = eval_jet(warp, {"t": J.jet_variable(0, float(t), 1, 2)}, params)
-        return cls(float(t), f.value, f.partial((1,)), f.partial((2,)))
 
     def power_residual(self, m):
         """f f'' + (m-1) f'^2, the power-family residual."""

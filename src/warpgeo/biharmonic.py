@@ -3,6 +3,7 @@ bitension split, classification flags, and parameter root scans."""
 
 from __future__ import annotations
 
+import math
 import sys
 from collections import deque
 from dataclasses import dataclass
@@ -91,6 +92,8 @@ def classify(spec, points, tol, geometries=None):
     points in batches, and the error raised is the one of the first
     failing point.  A maximum over residuals one of which is NaN is NaN,
     so a NaN residual never passes a tolerance."""
+    if not 0.0 <= tol < math.inf:
+        raise UsageError(f"tolerance {tol} is not a finite number >= 0")
     points = [tuple(p) for p in points]
     if not points:
         raise UsageError("classify needs at least one point")

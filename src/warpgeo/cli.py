@@ -205,8 +205,6 @@ def cmd_classify(args):
     scene = load_scene(args.scene)
     points = _resolve_points(args, scene)
     tol = args.tol if args.tol is not None else scene.tolerance
-    if not math.isfinite(tol):
-        raise UsageError(f"--tol {tol} is not a finite number")
     record = biharmonic.classify(scene.immersion, points, tol)
     payload = record.to_dict()
     for key in (

@@ -362,8 +362,9 @@ def eval_jet(ast, variables, params=None):
 
 
 def eval_value(ast, env):
-    """Plain-float evaluation, independent of the jet pipeline: the warp
-    positivity sampler's evaluator, and the tests' reference for `eval_jet`."""
+    """Plain-float evaluation, independent of the jet pipeline.  The
+    package does not call it; tests read it as the reference for
+    `eval_jet`, and the benchmark's tracer (bench/tracer.py) traces it."""
 
     def ev(node):
         if isinstance(node, Num):

@@ -649,15 +649,17 @@ def sqrt(a):
 
 
 def jpow(a, exponent):
-    """a**exponent.  Integer exponents use repeated multiplication and are
-    valid at non-positive base; non-integer exponents require value > 0.
-    A base or exponent that is not finite is a domain error."""
+    """a**exponent.  Integer exponents up to 128 in size use repeated
+    multiplication and are valid at non-positive base; other exponents
+    require value > 0.  A base or exponent that is not finite is a domain
+    error."""
     p = float(exponent)
     if not math.isfinite(p):
         raise EvalDomainError(f"power with non-finite exponent {p:g}", value=p)
     a0 = a.coeffs[0]
     rounded = round(p)
-    if abs(p - rounded) < 1e-12 and abs(rounded) <= 128:
+    integral = abs(p - rounded) < 1e-12
+    if integral and abs(rounded) <= 128:
         v = first_where(a0, ~np.isfinite(a0))
         if v is not None:
             raise EvalDomainError(f"power {p:g} of non-finite value {v:g}", value=v)
@@ -671,9 +673,10 @@ def jpow(a, exponent):
         return out
     v = first_where(a0, a0 <= 0.0)
     if v is not None:
-        raise EvalDomainError(
-            f"non-integer power {p:g} of non-positive value {v:g}", value=v
+        kind = (
+            f"integer power {p:g} (|p| > 128)" if integral else f"non-integer power {p:g}"
         )
+        raise EvalDomainError(f"{kind} of non-positive value {v:g}", value=v)
     series = []
     binom = 1.0
     with np.errstate(all="ignore"):

@@ -21,7 +21,6 @@ import numpy as np
 from . import jet as J
 from .ambient import spaceform_curvature
 from .errors import UsageError
-from .expr import eval_jet
 from .immersion import (
     PointGeometry,
     christoffels_from_metric,
@@ -199,13 +198,10 @@ def warped_inclusion_map(scene):
     chart = spec.ambient
     slots = range(1, d)
 
-    def warp_jet(t_jet):
-        return eval_jet(scene.warp, {"t": t_jet}, scene.warp_params)
-
     def evaluate(var_jets):
         X, _, _, _, g = induced_metric_jets(spec, var_jets[1:], slots)
         t = var_jets[0]
-        f = warp_jet(t).trunc(t.order - 1)
+        f = scene.warp_jet(t).trunc(t.order - 1)
         G = np.zeros((len(g), m + 1, m + 1) + g.shape[3:])
         G[0, 0, 0] = 1.0
         G[:, 1:, 1:] = J.contract("ij,->ij", g, (f * f).coeffs, d)
@@ -215,7 +211,7 @@ def warped_inclusion_map(scene):
         order = J.order_of(tx, n_vars) - 2
         # slot 0 is t itself, both along phi and at a seeded phi(p), so
         # d/d slot0 of f(t) is f'
-        f_up = warp_jet(J.unstack(J.trunc(tx[:, 0], n_vars, order + 1), n_vars))
+        f_up = scene.warp_jet(J.unstack(J.trunc(tx[:, 0], n_vars, order + 1), n_vars))
         f, f1 = f_up.trunc(order), f_up.d(0)
         x = J.trunc(tx[:, 1:], n_vars, order)
         q = chart.conformal_factor(x, n_vars)

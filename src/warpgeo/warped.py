@@ -4,17 +4,17 @@ the warped Ricci identity."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
 
+from . import jet as J
 from . import oracle
 from .ambient import WarpEval
 from .biharmonic import classify
 from .errors import ConfigError, EvalDomainError, UsageError
-from .expr import eval_value, free_symbols, parse
+from .expr import eval_jet, free_symbols, parse
 from .immersion import PointGeometry
 
 BIHARMONIC_GATE_TOL = 1e-7
@@ -37,20 +37,34 @@ class WarpedScene:
             raise ConfigError(f"unbound identifiers in warp: {sorted(extra)}")
         # positivity is checked by sampling; the DSL has no symbolic
         # positivity decision procedure
-        for t in np.linspace(lo, hi, _POSITIVITY_SAMPLES + 2):
-            v = eval_value(self.warp, {"t": float(t), **self.warp_params})
-            if not (v > 0.0 and math.isfinite(v)):
-                raise EvalDomainError(
-                    f"warping function not positive and finite at t={t:g} (f={v:g})",
-                    value=v,
-                )
+        ts = np.linspace(lo, hi, _POSITIVITY_SAMPLES + 2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            f = self.warp_jet(J.jet_variable(0, ts, 1, 0)).coeffs[0]
+        f = np.broadcast_to(f, ts.shape)  # a constant warp is one value
+        bad = np.flatnonzero(~(np.isfinite(f) & (f > 0.0)))
+        if bad.size:
+            t, v = ts[bad[0]], float(f[bad[0]])
+            raise EvalDomainError(
+                f"warping function not positive and finite at t={t:g} (f={v:g})",
+                value=v,
+            )
+
+    def warp_jet(self, t):
+        """The warp as a jet of the jet `t`, whose values must lie in the
+        interval: every evaluation of the warp expression comes here."""
+        lo, hi = self.interval
+        v = t.coeffs[0]
+        outside = J.first_where(v, ~((lo <= v) & (v <= hi)))
+        if outside is not None:
+            raise UsageError(
+                f"t = {outside:g} lies outside the warp interval [{lo:g}, {hi:g}]"
+            )
+        return eval_jet(self.warp, {"t": t}, self.warp_params)
 
     def warp_at(self, t):
-        """The warp at t, which must lie in the interval checked positive."""
-        lo, hi = self.interval
-        if not lo <= t <= hi:
-            raise UsageError(f"t = {t:g} lies outside the warp interval [{lo:g}, {hi:g}]")
-        return WarpEval.at(self.warp, t, self.warp_params)
+        """The warp and its first two derivatives at t."""
+        f = self.warp_jet(J.jet_variable(0, float(t), 1, 2))
+        return WarpEval(float(t), f.value, f.partial((1,)), f.partial((2,)))
 
 
 def warped_scene(immersion_spec, warp_source, warp_params, interval):

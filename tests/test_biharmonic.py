@@ -114,6 +114,12 @@ class TestClassify:
                     assert cur[k] >= prev[k]  # loosening never clears a flag
             prev = cur
 
+    @pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
+    def test_tol_must_be_finite_and_nonnegative(self, cone, tol):
+        # the biharmonic r = 1 cone: a negative tol would clear its flags
+        with pytest.raises(UsageError, match="not a finite number >= 0"):
+            bh.classify(cone(1.0), [(1.0, 0.7)], tol)
+
     def test_empty_points(self, cone):
         with pytest.raises(UsageError):
             bh.classify(cone(1.0), [], 1e-7)

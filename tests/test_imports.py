@@ -41,3 +41,21 @@ def test_every_imported_name_is_read(path):
 def test_init_imports_exactly_all():
     tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
     assert _imported(tree) == set(warpgeo.__all__)
+
+
+def _readers(name):
+    """The modules that import `name` or read it as an attribute."""
+    out = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        attrs = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        if name in _imported(tree) | attrs:
+            out.append(path.stem)
+    return out
+
+
+def test_expressions_are_evaluated_in_two_places():
+    # the immersion's components, and the warp in WarpedScene.warp_jet;
+    # eval_value is the tests' reference only
+    assert _readers("eval_jet") == ["immersion", "warped"]
+    assert _readers("eval_value") == []

@@ -168,6 +168,16 @@ class TestElementary:
             J.jpow(u, 0.5)
         assert exc.value.value == -2.0
 
+    def test_integer_pow_above_the_cap_names_its_exponent(self):
+        # integer exponents beyond 128 in size take the series of a real
+        # power, which needs a positive base
+        u = J.jet_variable(0, -1.0, 1, 2)
+        with pytest.raises(
+            EvalDomainError,
+            match=r"^integer power 200 \(\|p\| > 128\) of non-positive value -1$",
+        ):
+            J.jpow(u, 200)
+
     def test_log_domain(self):
         with pytest.raises(EvalDomainError):
             J.log(J.jet_constant(0.0, 1, 2))

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from warpgeo import biharmonic, jet, oracle, verify, warped
+from warpgeo import biharmonic, expr, jet, oracle, verify, warped
 from warpgeo.ambient import AmbientChart
 from warpgeo.immersion import PointGeometry, immersion
 
@@ -35,6 +35,8 @@ def counts(monkeypatch):
         "_tension_pipeline": 0,
         "curvature_components": 0,
         "warped_scene": 0,
+        "eval_jet": 0,
+        "eval_value": 0,
     }
     init = PointGeometry.__init__
 
@@ -83,6 +85,8 @@ def counts(monkeypatch):
     counted(oracle, "_tension_pipeline")
     counted(oracle, "curvature_components")
     counted(warped, "warped_scene")
+    counted(warped, "eval_jet")
+    counted(expr, "eval_value")
     monkeypatch.setattr(warped, "_memo", None)
     return seen
 
@@ -90,6 +94,12 @@ def counts(monkeypatch):
 def _scene():
     spec = verify.sphere_slice(1.0)
     return warped.warped_scene(spec, "exp(t)", {}, verify.WARP_INTERVAL)
+
+
+def test_scene_evaluates_the_warp_once_when_built(counts):
+    # the positivity samples are one batch
+    _scene()
+    assert counts["eval_jet"] == 1
 
 
 def test_warped_report_builds_geometry_once(counts):
@@ -203,10 +213,11 @@ def test_verify_pass_mul_count(counts):
     # Jet.__mul__ calls and jet tensor contractions; every jet x jet
     # product, Horner steps included, is one contraction, but a jet times a
     # constant of the DSL, or a series' first Horner step, is a scale, and a
-    # contraction with a constant factor forms only its value's terms
+    # contraction with a constant factor forms only its value's terms; each
+    # scene's positivity samples are one order-0 evaluation of its warp
     verify.run_checks()
-    assert counts["mul"] == 226
-    assert counts["contract"] == 735
+    assert counts["mul"] == 232
+    assert counts["contract"] == 741
     assert counts["constant_plans"] == 164
 
 
@@ -219,6 +230,13 @@ def test_verify_pass_oracle_count(counts):
     assert counts["_tension_pipeline"] == 12
     assert counts["curvature_components"] == 0
     assert counts["warped_scene"] == 11
+
+
+def test_verify_pass_evaluates_no_plain_float_warp(counts):
+    # the positivity samples go through the jet evaluator every report uses
+    verify.run_checks()
+    assert counts["eval_value"] == 0
+    assert counts["eval_jet"] > 0
 
 
 @pytest.mark.parametrize(

@@ -129,6 +129,14 @@ class TestBitension:
         with pytest.raises(UsageError):
             oracle.tension_first_principles(oracle.inclusion_map(cone(1.0)), (1.0,))
 
+    def test_warped_map_refuses_t_outside_the_interval(self, sphere_slice):
+        # the warp is checked positive on its interval only
+        scene = warped.warped_scene(sphere_slice(1.0), "exp(t)", {}, (-0.5, 1.0))
+        with pytest.raises(UsageError, match="outside the warp interval"):
+            oracle.tension_first_principles(
+                oracle.warped_inclusion_map(scene), (5.0, 0.3, -0.2)
+            )
+
 
 class TestRicci:
     def test_euclidean_flat(self, chart_identity_map):

@@ -365,6 +365,11 @@ BAD_INPUT = {
     "scene point NaN": (_with(CONE_SCENE, "analysis", points=[[math.nan, 1.0]]), ["analyze", "{scene}"]),
     "tolerance NaN": (_with(CONE_SCENE, "analysis", tolerance=math.nan), ["classify", "{scene}"]),
     "tol NaN": (CONE_SCENE, ["classify", "{scene}", "--points", "1,0.7", "--tol", "nan"]),
+    "tol -1": (CONE_SCENE, ["classify", "{scene}", "--points", "1,0.7", "--tol", "-1"]),
+    "scene tolerance -1": (
+        _with(CONE_SCENE, "analysis", tolerance=-1.0),
+        ["classify", "{scene}", "--points", "1,0.7"],
+    ),
     "warp beyond float range": (
         _with(SLICE_SCENE, "warp", interval=[0.0, 1000.0]),
         ["warp", "{scene}", "--t", "0:1:2", "--point", "0.3,-0.2"],
@@ -376,6 +381,10 @@ BAD_INPUT = {
     "warp cos of infinity": (
         _with(SLICE_SCENE, "warp", expr="2+cos(1e308*1e308)"),
         ["warp", "{scene}", "--t", "0:1:2", "--point", "0.3,-0.2"],
+    ),
+    "warp integer power above 128": (
+        _with(SLICE_SCENE, "warp", expr="2+t^200", interval=[-1.0, 1.0]),
+        ["warp", "{scene}", "--t=-1:1:3", "--point", "0.3,-0.2"],
     ),
     "warp infinite inside interval": (
         _with(SLICE_SCENE, "warp", expr="t*1e200*t*1e200", interval=[1.0, 2.0]),

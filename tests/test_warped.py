@@ -6,7 +6,6 @@ import pytest
 from warpgeo import oracle, warped
 from warpgeo.ambient import AmbientChart, WarpEval
 from warpgeo.errors import ConfigError, EvalDomainError, UsageError
-from warpgeo.expr import parse
 from warpgeo.immersion import PointGeometry, immersion
 
 INTERVAL = (-0.5, 1.0)
@@ -53,6 +52,23 @@ class TestScene:
         with pytest.raises(EvalDomainError):
             warped.warped_scene(sphere_slice(1.0), "t", {}, (-1.0, 1.0))
 
+    def test_positivity_names_the_first_failing_sample(self, sphere_slice):
+        with pytest.raises(
+            EvalDomainError, match=r"not positive and finite at t=1 \(f=inf\)"
+        ):
+            warped.warped_scene(sphere_slice(1.0), "t*1e200*t*1e200", {}, (1.0, 2.0))
+
+    def test_positivity_uses_the_reports_evaluator(self, sphere_slice):
+        # 2+t^200 is positive, but a report at t = -1 cannot evaluate it:
+        # the scene is refused at load, not at the first report
+        with pytest.raises(EvalDomainError, match="integer power 200"):
+            warped.warped_scene(sphere_slice(1.0), "2+t^200", {}, (-1.0, 1.0))
+
+    def test_constant_warp(self, slice_scene):
+        assert slice_scene("2").warp_at(0.5).f == 2.0
+        with pytest.raises(EvalDomainError, match="at t=-0.5 "):
+            slice_scene("-2")
+
     def test_empty_interval(self, sphere_slice):
         with pytest.raises(ConfigError):
             warped.warped_scene(sphere_slice(1.0), "exp(t)", {}, (1.0, 1.0))
@@ -64,21 +80,19 @@ class TestScene:
 
 class TestPowerFamily:
     @pytest.mark.parametrize("a,b,m", [(1.0, 2.0, 2), (3.0, 1.0, 3), (-0.5, 4.0, 2)])
-    def test_residual_vanishes(self, a, b, m):
-        src = parse("(a*t+b)^(1/m)")
+    def test_residual_vanishes(self, slice_scene, a, b, m):
         params = {"a": a, "b": b, "m": m}
+        scene = slice_scene("(a*t+b)^(1/m)", params, interval=(0.1, 1.4))
         for t in np.linspace(0.1, 1.4, 5):
-            assert WarpEval.at(src, t, params).power_residual(m) == pytest.approx(
-                0.0, abs=1e-12
-            )
+            assert scene.warp_at(t).power_residual(m) == pytest.approx(0.0, abs=1e-12)
 
-    def test_exp_warp_closed_form(self):
+    def test_exp_warp_closed_form(self, slice_scene):
         # f = e^t, m = 2: f f'' + f'^2 = 2 e^{2t}
-        assert WarpEval.at(parse("exp(t)"), 0.0, {}).power_residual(2) == pytest.approx(2.0)
+        assert slice_scene("exp(t)").warp_at(0.0).power_residual(2) == pytest.approx(2.0)
         assert WarpEval(0.0, 1.0, 1.0, 1.0).power_residual(2) == pytest.approx(2.0)
 
-    def test_nonmember_warp(self):
-        assert abs(WarpEval.at(parse("2+cos(t)"), 0.5, {}).power_residual(2)) > 0.1
+    def test_nonmember_warp(self, slice_scene):
+        assert abs(slice_scene("2+cos(t)").warp_at(0.5).power_residual(2)) > 0.1
 
 
 class TestTension:
