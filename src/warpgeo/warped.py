@@ -54,7 +54,10 @@ class WarpedScene:
         interval: every evaluation of the warp expression comes here."""
         lo, hi = self.interval
         v = t.coeffs[0]
-        outside = J.first_where(v, ~((lo <= v) & (v <= hi)))
+        if np.ndim(v):
+            outside = J.first_where(v, ~((lo <= v) & (v <= hi)))
+        else:  # one t, as warp_at has: a plain comparison
+            outside = None if lo <= v <= hi else float(v)
         if outside is not None:
             raise UsageError(
                 f"t = {outside:g} lies outside the warp interval [{lo:g}, {hi:g}]"
