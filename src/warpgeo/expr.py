@@ -252,20 +252,6 @@ def free_symbols(node):
 # -- evaluation -----------------------------------------------------------
 
 
-def _constant_exponent(j):
-    """The value of the exponent jet `j` (a 0-d array, or one value per
-    point of its batch) if it is constant at every point, or None if it
-    varies at every point.  An exponent constant at some points of a batch
-    only raises, and the batch's points can be evaluated one by one
-    instead."""
-    varying = j.coeffs[1:].any(axis=0)
-    if varying.all():
-        return None
-    if varying.any():
-        raise UsageError("exponent is constant at only some points of the batch")
-    return j.coeffs[0]
-
-
 def _power_per_point(base, p):
     """base ** p for an array `p` of one exponent per point of the batch:
     each point's jet takes the power rule of its own exponent, so the batch
@@ -300,7 +286,13 @@ def eval_jet(ast, variables, params=None):
     domain errors and spans.  A jet times or over a constant is a scale of
     its coefficients, the same bits as the product with the constant's jet
     (over c, by the value of c's reciprocal); a constant meets a jet in a
-    sum or a power as its jet.  A constant result is returned as its jet.
+    sum, or as the base of a power, as its jet.  A constant result is
+    returned as its jet.
+
+    The exponent's syntax decides `^`, at every order alike: an exponent
+    that holds a variable is a jet and takes exp(rhs * log(lhs)), so its
+    base must be positive; a constant exponent takes `jpow`, and a batch
+    array of them takes `jpow` at each point (`_power_per_point`).
     """
     params = params or {}
     if not variables:
@@ -323,10 +315,9 @@ def eval_jet(ast, variables, params=None):
             return lhs * rhs if op == "*" else lhs / rhs
         if op == "^":
             lhs = jet(lhs)
-            p = _constant_exponent(rhs) if isinstance(rhs, J.Jet) else rhs
-            if p is None:
+            if isinstance(rhs, J.Jet):
                 return J.exp(rhs * J.log(lhs))
-            return _power_per_point(lhs, p) if np.ndim(p) else J.jpow(lhs, p)
+            return _power_per_point(lhs, rhs) if np.ndim(rhs) else J.jpow(lhs, rhs)
         return jet(lhs) + jet(rhs) if op == "+" else jet(lhs) - jet(rhs)
 
     def ev(node):
@@ -351,7 +342,9 @@ def eval_jet(ast, variables, params=None):
                 lhs, rhs = ev(node.left), ev(node.right)
                 if isinstance(lhs, J.Jet) or isinstance(rhs, J.Jet):
                     return binop(node.op, lhs, rhs)
-                return binop(node.op, jet(lhs, 0), jet(rhs, 0)).value
+                if node.op != "^":  # a jet exponent would take the log rule
+                    rhs = jet(rhs, 0)
+                return binop(node.op, jet(lhs, 0), rhs).value
         except EvalDomainError as exc:
             if exc.span is None:
                 exc.span = node.span

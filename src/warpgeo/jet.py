@@ -266,18 +266,11 @@ class Jet:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, _NUMBER):
-            return self + (-other)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         a, b = _aligned(self.coeffs, other.coeffs)
         return Jet(self.n_vars, self.order, a - b)
-
-    def __rsub__(self, other):  # a Jet on the left takes its own __sub__
-        if isinstance(other, _NUMBER):
-            return -self + other
-        return NotImplemented
 
     def __neg__(self):
         return Jet(self.n_vars, self.order, -self.coeffs)
@@ -294,8 +287,6 @@ class Jet:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, _NUMBER):
-            return Jet(self.n_vars, self.order, self.coeffs / float(other))
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -305,9 +296,6 @@ class Jet:
         if not isinstance(other, _NUMBER):
             return NotImplemented
         return reciprocal(self) * float(other)
-
-    def __pow__(self, exponent):
-        return jpow(self, exponent)
 
 
 # -- constructors ---------------------------------------------------------

@@ -208,25 +208,29 @@ class WarpedReport:
         }
 
 
+def _closed_form_pairing(base, w):
+    """2 m^2 [f f'' + (m-1) f'^2] / f^4 |H|^2, the pairing over a
+    biharmonic base."""
+    m = base.geometry.spec.m
+    return 2.0 * m**2 * w.power_residual(m) / w.f**4 * base.h2
+
+
 def pairing(base, w):
     """h(tau_2(phi), tau(phi)) both by direct assembly and by the closed
-    form 2 m^2 [f f'' + (m-1) f'^2] / f^4 |H|^2 (the latter is valid only
-    over a biharmonic base, gated by classification of the same
-    geometry)."""
+    form (the latter is valid only over a biharmonic base, gated by
+    classification of the same geometry)."""
     base.geometry.require_hypersurface()
-    m = base.geometry.spec.m
     tau = inclusion_tension(base, w)
     tau2 = inclusion_bitension(base, w)
-    resid = w.power_residual(m)
     return WarpedReport(
         base=base,
         warp=w,
         tension=tau,
         bitension=tau2,
         pairing=hbar_inner(base, w, tau2.vec, tau),
-        pairing_closed_form=2.0 * m**2 * resid / w.f**4 * base.h2,
+        pairing_closed_form=_closed_form_pairing(base, w),
         pairing_closed_form_applicable=base.biharmonic,
-        power_residual=resid,
+        power_residual=w.power_residual(base.geometry.spec.m),
     )
 
 
@@ -263,7 +267,7 @@ def ricci_warped_check(base, w, x_intrinsic, riemann):
         ric_warped=ric_warped,
         identity_residual=ric_warped - ric_base + resid,
         pairing_via_ricci=2.0 * m**2 / w.f**4 * (ric_base - ric_warped) * base.h2,
-        pairing_closed_form=2.0 * m**2 * resid / w.f**4 * base.h2,
+        pairing_closed_form=_closed_form_pairing(base, w),
     )
 
 

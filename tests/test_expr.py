@@ -148,6 +148,24 @@ class TestEvalJet:
         # d/dv u^v = u^v log u
         assert j.partial((0, 1)) == pytest.approx(8.0 * math.log(2.0))
 
+    @pytest.mark.parametrize("order", [0, 2])
+    def test_constant_exponent_takes_jpow(self, monkeypatch, order):
+        # an exponent without a variable keeps jpow's rule, which takes an
+        # integer power of a negative base
+        calls = []
+        jpow = J.jpow
+        monkeypatch.setattr(J, "jpow", lambda a, p: calls.append(p) or jpow(a, p))
+        u = J.jet_variable(0, 0.5, 1, order)
+        assert E.eval_jet(E.parse("u+(-2)^2"), {"u": u}).value == 4.5
+        assert calls == [2.0]
+
+    @pytest.mark.parametrize("order", [0, 2])
+    def test_exponent_holding_a_variable_takes_the_log_rule(self, order):
+        # 0*t is 0 in value, but it holds t: the base must be positive
+        t = J.jet_variable(0, 1.0, 1, order)
+        with pytest.raises(EvalDomainError, match="log of non-positive value"):
+            E.eval_jet(E.parse("(t-2)^(0*t)+1"), {"t": t})
+
     @pytest.mark.parametrize(
         "src,env",
         [

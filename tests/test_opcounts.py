@@ -38,6 +38,7 @@ def counts(monkeypatch):
         "warped_scene": 0,
         "eval_jet": 0,
         "eval_value": 0,
+        "jpow": 0,
     }
     init = PointGeometry.__init__
 
@@ -78,6 +79,7 @@ def counts(monkeypatch):
 
     monkeypatch.setattr(jet, "_plan", counted_plan)
     counted(jet, "contract")
+    counted(jet, "jpow")
     counted(warped, "inclusion_bitension")
     counted(warped, "base_point")
     counted(oracle, "submanifold_bitension")
@@ -106,6 +108,14 @@ def test_scene_evaluates_the_warp_once_when_built(counts):
     # the positivity samples are one batch
     _scene()
     assert counts["eval_jet"] == 1
+
+
+def test_variable_exponent_scene_build(counts):
+    # t^t takes exp(t log t) at order 0 as at every order: its positivity
+    # samples are one batched product, with no jpow
+    warped.warped_scene(verify.sphere_slice(1.0), "t^t", {}, (0.5, 2.0))
+    assert counts["jpow"] == 0
+    assert counts["contract"] == 1
 
 
 def test_warped_report_builds_geometry_once(counts):

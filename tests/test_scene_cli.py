@@ -386,6 +386,12 @@ BAD_INPUT = {
         _with(SLICE_SCENE, "warp", expr="2+t^200", interval=[-1.0, 1.0]),
         ["warp", "{scene}", "--t=-1:1:3", "--point", "0.3,-0.2"],
     ),
+    # the base of an exponent that holds t must be positive, at load as in
+    # a report: (t-1)^t is refused at t = 1
+    "warp variable exponent of zero": (
+        _with(SLICE_SCENE, "warp", expr="(t-1)^t+3", interval=[1.0, 2.0]),
+        ["warp", "{scene}", "--t", "1:2:2", "--point", "0.3,-0.2"],
+    ),
     "warp infinite inside interval": (
         _with(SLICE_SCENE, "warp", expr="t*1e200*t*1e200", interval=[1.0, 2.0]),
         ["warp", "{scene}", "--t", "1:2:2", "--point", "0.3,-0.2"],

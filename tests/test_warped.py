@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from warpgeo import jet as J
 from warpgeo import oracle, warped
 from warpgeo.ambient import AmbientChart, WarpEval
 from warpgeo.errors import ConfigError, EvalDomainError, UsageError
@@ -63,6 +64,17 @@ class TestScene:
         # the scene is refused at load, not at the first report
         with pytest.raises(EvalDomainError, match="integer power 200"):
             warped.warped_scene(sphere_slice(1.0), "2+t^200", {}, (-1.0, 1.0))
+
+    @pytest.mark.parametrize(
+        "warp, interval", [("t^t", (0.5, 2.0)), ("(t+1)^(t/2)+1", (0.0, 1.0))]
+    )
+    def test_positivity_samples_are_the_reports_values(self, slice_scene, warp, interval):
+        # an exponent that holds t takes one rule at every jet order, so the
+        # order-0 samples equal warp_at's f bit for bit
+        scene = slice_scene(warp, interval=interval)
+        ts = np.linspace(*interval, warped._POSITIVITY_SAMPLES + 2)
+        f = scene.warp_jet(J.jet_variable(0, ts, 1, 0)).coeffs[0]
+        assert np.array_equal(f, [scene.warp_at(t).f for t in ts])
 
     def test_constant_warp(self, slice_scene):
         assert slice_scene("2").warp_at(0.5).f == 2.0
