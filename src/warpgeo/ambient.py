@@ -1,5 +1,5 @@
 """Space-form ambients as conformally flat charts, and the warp of the
-warped product (I x N, dt^2 + f^2 h) evaluated at one t.
+warped product (I x N, dt^2 + f^2 h) evaluated at one t or over a sweep.
 
 Charts: Euclidean space (identity chart), the unit sphere via stereographic
 projection (conformal factor 2/(1+|x|^2), missing one point) and unit
@@ -105,23 +105,42 @@ def spaceform_curvature(chart, x_vec, y_vec, z_vec, e2):
 @dataclass(frozen=True)
 class WarpEval:
     """Warping function and its first two derivatives at t, as
-    `WarpedScene.warp_at` evaluates them."""
+    `WarpedScene.warp_at` evaluates them: floats at one t, and arrays of
+    one shape over a sweep of t."""
 
-    t: float
-    f: float
-    f1: float
-    f2: float
+    t: object
+    f: object
+    f1: object
+    f2: object
 
     def __post_init__(self):
-        if not self.f > 0.0:
-            raise EvalDomainError(f"warping function must be positive, got {self.f:g}", value=self.f)
-        if not all(map(math.isfinite, (self.f, self.f1, self.f2))):
-            raise EvalDomainError(
-                f"warping function and its derivatives must be finite, got "
-                f"f={self.f:g}, f'={self.f1:g}, f''={self.f2:g}",
-                value=self.f,
-            )
+        # the first t at which f is not positive or a value is not finite,
+        # with the message of its first failing check
+        inf = math.inf
+        ok = (0.0 < self.f) & (self.f < inf) & (abs(self.f1) < inf) & (abs(self.f2) < inf)
+        if ok is True or np.all(ok):  # a bool at one t
+            return
+        i = np.flatnonzero(np.logical_not(ok))[0]
+        f, f1, f2 = (float(np.ravel(x)[i]) for x in (self.f, self.f1, self.f2))
+        if not f > 0.0:
+            raise EvalDomainError(f"warping function must be positive, got {f:g}", value=f)
+        raise EvalDomainError(
+            f"warping function and its derivatives must be finite, got "
+            f"f={f:g}, f'={f1:g}, f''={f2:g}",
+            value=f,
+        )
+
+    def at(self, i):
+        """The WarpEval of t number i of a sweep."""
+        return WarpEval(*(float(x[i]) for x in (self.t, self.f, self.f1, self.f2)))
 
     def power_residual(self, m):
         """f f'' + (m-1) f'^2, the power-family residual."""
-        return self.f * self.f2 + (m - 1) * self.f1**2
+        return self.f * self.f2 + (m - 1) * power(self.f1, 2)
+
+
+def power(x, p):
+    """x ** p for a float or an array x, by C's pow at every entry, as
+    Python takes a float's power: numpy's own array power rounds some
+    entries differently, so a sweep would not equal its one-t values."""
+    return x**p if isinstance(x, float) else np.float_power(x, p)

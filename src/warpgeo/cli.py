@@ -261,12 +261,13 @@ def cmd_warp(args):
     ws = scene.require_warp()
     point = _parse_point("--point", args.point, scene.immersion.m)
     tgrid = _parse_tgrid(args.t)
-    reports = [warped.warped_report(ws, float(t), point) for t in tgrid]
-    values = [
-        (r.warp.t, r.warp.f, r.pairing, r.pairing_closed_form, r.power_residual,
-         r.bitension.tangential_norm, r.bitension.normal_norm)
-        for r in reports
-    ]
+    sweep = warped.warped_report(ws, tgrid, point)
+    tau2 = sweep.bitension
+    columns = (
+        sweep.warp.t, sweep.warp.f, sweep.pairing, sweep.pairing_closed_form,
+        sweep.power_residual, tau2.tangential_norm, tau2.normal_norm,
+    )
+    values = list(zip(*(c.tolist() for c in columns)))
     _print_table(
         ["t", "f", "pairing", "pairingClosed", "powerResidual", "|tangential|", "|normal|"],
         [[_fmt(v) for v in row] for row in values],
@@ -280,7 +281,8 @@ def cmd_warp(args):
             )
             writer.writerows(values)
     if args.json:
-        _emit_json(args.json, {"reports": [r.to_dict() for r in reports]})
+        reports = [sweep.at(i).to_dict() for i in range(len(tgrid))]
+        _emit_json(args.json, {"reports": reports})
     return 0
 
 

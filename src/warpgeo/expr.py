@@ -76,10 +76,11 @@ class Call:
 
 # -- lexer ----------------------------------------------------------------
 
+_IDENT = r"[A-Za-z][A-Za-z0-9]*"
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
     r"|\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<ident>[A-Za-z][A-Za-z0-9]*)"
+    rf"|(?P<ident>{_IDENT})"
     r"|(?P<op>[-+*/^()]))"
 )
 
@@ -211,6 +212,11 @@ class _Parser:
 
 def parse(source):
     return _Parser(source).parse()
+
+
+def is_name(text):
+    """Whether `text` is an identifier the DSL reads as one name."""
+    return isinstance(text, str) and re.fullmatch(_IDENT, text) is not None
 
 
 # -- printing -------------------------------------------------------------

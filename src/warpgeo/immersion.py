@@ -18,7 +18,7 @@ import numpy as np
 from . import jet as J
 from .ambient import AmbientChart
 from .errors import ConfigError, DegenerateImmersionError, EvalDomainError, UsageError
-from .expr import eval_jet, free_symbols, parse, pretty
+from .expr import eval_jet, free_symbols, is_name, parse, pretty
 
 JET_ORDER = 4
 
@@ -31,6 +31,13 @@ class ImmersionSpec:
     ambient: AmbientChart
 
     def __post_init__(self):
+        for i, v in enumerate(self.variables):
+            if not is_name(v):
+                raise ConfigError(f"variable {v!r} is not a name the expressions can read")
+            if v in self.variables[:i]:
+                raise ConfigError(f"variable {v!r} is listed twice")
+            if v in self.params:
+                raise ConfigError(f"variable {v!r} is also a param")
         if len(self.components) != self.ambient.n:
             raise ConfigError(
                 f"component count {len(self.components)} != ambient dim {self.ambient.n}"
@@ -164,7 +171,9 @@ def values(c, depth):
     array of shape (*batch, *tensor): matmul takes the same path for a
     batch as for one point only on contiguous operands."""
     v = c[0]
-    return np.ascontiguousarray(v.transpose(*range(depth, v.ndim), *range(depth)))
+    if v.ndim > depth:
+        v = v.transpose(*range(depth, v.ndim), *range(depth))
+    return np.ascontiguousarray(v)
 
 
 def per_point(x, k):
@@ -261,7 +270,6 @@ class PointGeometry:
         self.g_val = values(g, 2)
         self.ginv_c = metric_inverse(g, m)  # order 2
         self.ginv_val = values(self.ginv_c, 2)
-        self.X_val = values(X, 1)
         self.dX_val = values(self.dX_c, 2)
         self.e2_val = self.e2.value
 

@@ -10,6 +10,14 @@ Christoffels of that one pipeline (`first_principles`,
 `curvature_components`), and the ambient curvature from the map's own
 codomain Christoffels, seeded at phi(p) and assembled as dGamma + Gamma
 Gamma by the same `riemann`, so the oracle borrows no closed form.
+
+Batches: a point's coordinates are floats, or arrays over a batch of
+points broadcast to one shape (t samples of a warped map, say), as for
+`PointGeometry`.  Jet tensors keep the batch axes last, and every value
+an entry returns puts them first: tau has shape (*batch, D) and R^l_{ijk}
+(*batch, d, d, d, d).  The float stage is np.einsum over batch-first
+values, which adds each point's terms in the order it does for that point
+alone, so each row of a batch equals the oracle at its point bit for bit.
 """
 
 from __future__ import annotations
@@ -26,7 +34,9 @@ from .immersion import (
     christoffels_from_metric,
     induced_metric_jets,
     metric_inverse,
+    mT,
     orthonormal_frame,
+    values,
 )
 
 JET_ORDER = 4
@@ -62,13 +72,18 @@ class MapSpec:
 
 
 def _seed(point, dim, order):
-    """Jets of the coordinate functions at `point`."""
-    return [J.jet_variable(i, float(point[i]), dim, order) for i in range(dim)]
+    """Jets of the coordinate functions at `point`, whose coordinates are
+    floats or arrays over a batch, broadcast to one batch shape."""
+    coords = np.broadcast_arrays(*(np.asarray(point[i], dtype=float) for i in range(dim)))
+    return [
+        J.jet_variable(i, c if c.ndim else float(c), dim, order)
+        for i, c in enumerate(coords)
+    ]
 
 
 def _pullback_hessian(V, gbar, dphi, gamma_dom, n_vars):
     """(nabla^2 V)_{kl}^a of a vector field V along a map phi, as a value
-    array of shape (d, d, D), over the d = n_vars domain variables.
+    array of shape (*batch, d, d, D), over the d = n_vars domain variables.
 
     Jet tensors: V (size, D) the field at order 2; gbar (size, D, D, D)
     the codomain Christoffels along phi at order 2, or None where they
@@ -83,10 +98,13 @@ def _pullback_hessian(V, gbar, dphi, gamma_dom, n_vars):
         nV = nV + J.contract("ab,lb->la", gV, J.trunc(dphi, d, 1), d)
 
     # tensorial second covariant derivative, on values
-    sec = J.gradient(nV, d, range(d))[0]  # sec[k, l, a] = d_k nV[l, a]
-    sec = sec - np.einsum("jkl,ja->kla", gamma_dom[0], nV[0])
+    nV_val = values(nV, 2)
+    sec = values(J.gradient(nV, d, range(d)), 3)  # sec[k, l, a] = d_k nV[l, a]
+    sec = sec - np.einsum("...jkl,...ja->...kla", values(gamma_dom, 3), nV_val)
     if gbar is not None:
-        sec = sec + np.einsum("abc,kb,lc->kla", gbar[0], dphi[0], nV[0])
+        sec = sec + np.einsum(
+            "...abc,...kb,...lc->...kla", values(gbar, 3), values(dphi, 2), nV_val
+        )
     return sec
 
 
@@ -123,13 +141,14 @@ def tension_first_principles(mapspec, point):
     """tau at `point`: the pipeline seeded at order 2, as tau is read at
     order 0."""
     *_, tau = _tension_pipeline(mapspec, point, 2)
-    return tau[0]
+    return values(tau, 1)
 
 
 @dataclass(frozen=True)
 class FirstPrinciples:
-    """What the oracle computes of a map at one point from one pipeline:
-    tau, tau_2 and R^l_{ijk} of the domain metric, all as values."""
+    """What the oracle computes of a map at a point, or at a batch of
+    points, from one pipeline: tau, tau_2 and R^l_{ijk} of the domain
+    metric, all as values with the batch axes first."""
 
     tension: np.ndarray
     bitension: np.ndarray
@@ -142,17 +161,18 @@ def first_principles(mapspec, point):
     phi, dphi, G, gamma_dom, gbar, tau = _tension_pipeline(mapspec, point, JET_ORDER)
     sec = _pullback_hessian(tau, gbar, dphi, gamma_dom, mapspec.dim)
 
-    frame = orthonormal_frame(G[0])
-    rough = np.einsum("ki,li,kla->a", frame, frame, sec)
+    tau_val = values(tau, 1)
+    frame = orthonormal_frame(values(G, 2))
+    rough = np.einsum("...ki,...li,...kla->...a", frame, frame, sec)
     riem = codomain_riemann(mapspec, phi[0])
     if riem is None:
         bitension = -rough
     else:
         # sum_e R(tau, dphi e) dphi e, with R(d_i, d_j) d_k = R^l_ijk d_l
-        amb = frame.T @ dphi[0]
-        curv = np.einsum("lijk,i,ej,ek->l", riem, tau[0], amb, amb)
+        amb = mT(frame) @ values(dphi, 2)
+        curv = np.einsum("...lijk,...i,...ej,...ek->...l", riem, tau_val, amb, amb)
         bitension = -curv - rough
-    return FirstPrinciples(tau[0], bitension, riemann(gamma_dom, mapspec.dim))
+    return FirstPrinciples(tau_val, bitension, riemann(gamma_dom, mapspec.dim))
 
 
 def bitension_first_principles(mapspec, point):
@@ -259,20 +279,22 @@ def curvature_components(mapspec, point):
     from the Christoffels of the pipeline seeded at RIEMANN_ORDER.  The
     package does not call it; tests and the benchmark's tracer read it."""
     _, _, G, gamma_dom, _, _ = _tension_pipeline(mapspec, point, RIEMANN_ORDER)
-    return riemann(gamma_dom, mapspec.dim), G[0]
+    return riemann(gamma_dom, mapspec.dim), values(G, 2)
 
 
 def riemann(gamma, n_vars):
     """R^l_{ijk} = d_i Gamma^l_jk - d_j Gamma^l_ik + Gamma^l_ip Gamma^p_jk
-    - Gamma^l_jp Gamma^p_ik as values, from a Christoffel jet tensor (size,
-    d, d, d) of order >= 1 over its d = n_vars coordinates."""
-    gv = gamma[0]  # gv[l, i, j] = Gamma^l_ij
-    dgamma = J.gradient(gamma, n_vars, range(n_vars))[0]  # [i, l, j, k] = d_i Gamma^l_jk
+    - Gamma^l_jp Gamma^p_ik as values (*batch, d, d, d, d), from a
+    Christoffel jet tensor (size, d, d, d, *batch) of order >= 1 over its
+    d = n_vars coordinates."""
+    gv = values(gamma, 3)  # gv[l, i, j] = Gamma^l_ij
+    # [i, l, j, k] = d_i Gamma^l_jk
+    dgamma = values(J.gradient(gamma, n_vars, range(n_vars)), 4)
     return (
-        np.einsum("iljk->lijk", dgamma)
-        - np.einsum("jlik->lijk", dgamma)
-        + np.einsum("lip,pjk->lijk", gv, gv)
-        - np.einsum("ljp,pik->lijk", gv, gv)
+        np.einsum("...iljk->...lijk", dgamma)
+        - np.einsum("...jlik->...lijk", dgamma)
+        + np.einsum("...lip,...pjk->...lijk", gv, gv)
+        - np.einsum("...ljp,...pik->...lijk", gv, gv)
     )
 
 

@@ -65,11 +65,20 @@ class Check:
         }
 
 
+def _family(make, points, radii):
+    """One batched PointGeometry of the specs make(r), r in `radii`, each at
+    every one of `points`: r enters as a batch param, as in
+    biharmonic.parameter_scan, and row j * len(points) + i is point i at
+    radii[j]."""
+    k = len(points)
+    coords = np.tile(np.array(points).T, len(radii))
+    return PointGeometry(make(np.repeat(radii, k)), coords)
+
+
 def _checks_example_sphere_slice():
     out = []
-    # one batched PointGeometry per spec: row i is SLICE_POINTS[i]
-    points = np.array(SLICE_POINTS).T
-    pg = PointGeometry(sphere_slice(1.0), points)
+    k = len(SLICE_POINTS)
+    pg = _family(sphere_slice, SLICE_POINTS, (1.0, 2.0))
     residual = biharmonic.normal_residual(pg)
     for i, p in enumerate(SLICE_POINTS):
         tag = f"({p[0]:g},{p[1]:g})"
@@ -77,13 +86,12 @@ def _checks_example_sphere_slice():
         out.append(Check(f"sphere-slice r=1 |A|^2 {tag}", 2.0, pg.normA2[i], 1e-8))
         out.append(Check(f"sphere-slice r=1 lapLambda {tag}", 0.0, pg.lap_lam[i], 1e-7))
         out.append(Check(f"sphere-slice r=1 normal residual {tag}", 0.0, residual[i], 1e-7))
-    residual = biharmonic.normal_residual(PointGeometry(sphere_slice(2.0), points))
     for i, p in enumerate(SLICE_POINTS):
         out.append(
             Check(
                 f"sphere-slice r=2 normal residual ({p[0]:g},{p[1]:g})",
                 24.0,
-                residual[i],
+                residual[k + i],
                 1e-6,
             )
         )
@@ -93,21 +101,23 @@ def _checks_example_sphere_slice():
 def _checks_example_cone():
     out = []
     points = ((0.5, 1.0), (1.0, 1.0), (2.0, 1.0))
-    for r in (1.0, 2.0):
-        pg = PointGeometry(cone(r), np.array(points).T)
+    radii = (1.0, 2.0)
+    pg = _family(cone, points, radii)
+    for j, r in enumerate(radii):
         for i, (u, _) in enumerate(points):
+            row = j * len(points) + i
             lam_ref = 1.0 / (2.0 * r * math.sqrt(1 + r * r) * u)
             lap_ref = 1.0 / (2.0 * r * (1 + r * r) ** 1.5 * u**3)
             a2_ref = 1.0 / (r * r * (1 + r * r) * u * u)
             tag = f"r={r:g} u={u:g}"
             out.append(
-                Check(f"cone lambda {tag}", lam_ref, float(pg.lam[i]), 1e-8 * abs(lam_ref))
+                Check(f"cone lambda {tag}", lam_ref, float(pg.lam[row]), 1e-8 * abs(lam_ref))
             )
             out.append(
-                Check(f"cone lapLambda {tag}", lap_ref, pg.lap_lam[i], 1e-8 * abs(lap_ref))
+                Check(f"cone lapLambda {tag}", lap_ref, pg.lap_lam[row], 1e-8 * abs(lap_ref))
             )
             out.append(
-                Check(f"cone |A|^2 {tag}", a2_ref, pg.normA2[i], 1e-8 * abs(a2_ref))
+                Check(f"cone |A|^2 {tag}", a2_ref, pg.normA2[row], 1e-8 * abs(a2_ref))
             )
     scan = biharmonic.parameter_scan(cone(1.0), "r", 0.5, 2.0, 31, (1.0, 1.0))
     out.append(Check("cone scan root count", 1.0, float(len(scan.roots)), 0.0))
@@ -125,45 +135,45 @@ def _warp_scenes(spec):
 
 
 def _oracle_records(scenes, point):
-    """{(warp source, t): oracle.first_principles of the warped inclusion at
-    (t, point)} for each scene of `scenes` and each of T_SAMPLES."""
+    """{warp source: oracle.first_principles of the warped inclusion at
+    (t, point) for t over T_SAMPLES, one batch}: row i of each value array
+    is T_SAMPLES[i]."""
     return {
-        (src, t): oracle.first_principles(
-            oracle.warped_inclusion_map(scene), (t,) + point
+        src: oracle.first_principles(
+            oracle.warped_inclusion_map(scene), (T_SAMPLES,) + point
         )
         for src, scene in scenes.items()
-        for t in T_SAMPLES
     }
 
 
-def _checks_tension_equivalence(base, scenes, records):
+def _checks_tension_equivalence(base, warps, records):
     out = []
     cone1, cone_point = cone(1.0), (1.0, 0.7)
     cone_scenes = _warp_scenes(cone1)
+    cone_warps = {src: scene.warp_at(T_SAMPLES) for src, scene in cone_scenes.items()}
     cone_taus = {
-        (src, t): oracle.tension_first_principles(
-            oracle.warped_inclusion_map(scene), (t,) + cone_point
+        src: oracle.tension_first_principles(
+            oracle.warped_inclusion_map(scene), (T_SAMPLES,) + cone_point
         )
         for src, scene in cone_scenes.items()
-        for t in T_SAMPLES
     }
-    slice_taus = {key: rec.tension for key, rec in records.items()}
-    for label, bp, family, taus in (
-        ("sphere-slice", base, scenes, slice_taus),
-        ("cone", warped.base_point(cone1, cone_point), cone_scenes, cone_taus),
-    ):
-        for src, scene in family.items():
-            for t in T_SAMPLES:
-                fp = taus[src, t]
-                w = scene.warp_at(t)
-                closed = warped.inclusion_tension(bp, w)
-                diff = warped.hbar_norm(bp, w, fp - closed)
-                scale = 1.0 + warped.hbar_norm(bp, w, closed)
+    slice_taus = {src: rec.tension for src, rec in records.items()}
+    families = (
+        ("sphere-slice", base, warps, slice_taus),
+        ("cone", warped.base_point(cone1, cone_point), cone_warps, cone_taus),
+    )
+    for label, bp, family_warps, taus in families:
+        for src, w in family_warps.items():
+            fp = taus[src]
+            closed = warped.inclusion_tension(bp, w)
+            diff = warped.hbar_norm(bp, w, fp - closed)
+            scale = 1.0 + warped.hbar_norm(bp, w, closed)
+            for i, t in enumerate(T_SAMPLES):
                 out.append(
                     Check(
                         f"tension oracle {label} f={src} t={t:g}",
                         0.0,
-                        diff / scale,
+                        diff[i] / scale[i],
                         1e-9,
                     )
                 )
@@ -171,27 +181,25 @@ def _checks_tension_equivalence(base, scenes, records):
                     Check(
                         f"tension dt-orthogonality {label} f={src} t={t:g}",
                         0.0,
-                        fp[0],
+                        fp[i, 0],
                         1e-12,
                     )
                 )
     return out
 
 
-def _checks_bitension_equivalence(base, scenes, records):
+def _checks_bitension_equivalence(base, warps, records):
     out = []
-    for src, scene in scenes.items():
-        for t in T_SAMPLES:
-            fp = records[src, t].bitension
-            w = scene.warp_at(t)
-            closed = warped.inclusion_bitension(base, w)
-            diff = warped.hbar_norm(base, w, fp - closed.vec)
-            scale = 1.0 + warped.hbar_norm(base, w, closed.vec)
+    for src, w in warps.items():
+        closed = warped.inclusion_bitension(base, w)
+        diff = warped.hbar_norm(base, w, records[src].bitension - closed.vec)
+        scale = 1.0 + warped.hbar_norm(base, w, closed.vec)
+        for i, t in enumerate(T_SAMPLES):
             out.append(
                 Check(
                     f"bitension oracle sphere-slice f={src} t={t:g}",
                     0.0,
-                    diff / scale,
+                    diff[i] / scale[i],
                     1e-6,
                 )
             )
@@ -200,12 +208,13 @@ def _checks_bitension_equivalence(base, scenes, records):
 
 def _checks_pairing(base, scene):
     out = []
-    for t, ref in ((0.0, 16.0), (0.5, 16.0 * math.exp(-1.0))):
-        pr = warped.pairing(base, scene.warp_at(t))
-        out.append(Check(f"pairing direct f=exp(t) t={t:g}", ref, pr.pairing, 1e-6))
+    ts, refs = (0.0, 0.5), (16.0, 16.0 * math.exp(-1.0))
+    pr = warped.pairing(base, scene.warp_at(ts))
+    for i, (t, ref) in enumerate(zip(ts, refs)):
+        out.append(Check(f"pairing direct f=exp(t) t={t:g}", ref, pr.pairing[i], 1e-6))
         out.append(
             Check(
-                f"pairing closed form f=exp(t) t={t:g}", ref, pr.pairing_closed_form, 1e-6
+                f"pairing closed form f=exp(t) t={t:g}", ref, pr.pairing_closed_form[i], 1e-6
             )
         )
     return out
@@ -224,34 +233,34 @@ def _checks_power_family(base):
         scene = warped.warped_scene(
             bases[m].geometry.spec, "(a*t+b)^(1/m)", {"a": a, "b": b, "m": m}, interval
         )
-        for t in np.linspace(interval[0] + 0.05, interval[1] - 0.05, 5):
+        ts = np.linspace(interval[0] + 0.05, interval[1] - 0.05, 5)
+        pr = warped.pairing(bases[m], scene.warp_at(ts))
+        for i, t in enumerate(ts):
             tag = f"a={a:g} b={b:g} m={m}, t={t:.2f}"
-            pr = warped.pairing(bases[m], scene.warp_at(t))
             out.append(
                 Check(
                     f"power residual {tag}",
                     0.0,
-                    pr.power_residual,
+                    pr.power_residual[i],
                     1e-12,
                 )
             )
-            out.append(Check(f"power pairing {tag}", 0.0, pr.pairing, 1e-9))
+            out.append(Check(f"power pairing {tag}", 0.0, pr.pairing[i], 1e-9))
     return out
 
 
 def _checks_tangential_corollaries(base, cosw):
     spec = cosw.immersion
     out = []
-    b0 = warped.inclusion_bitension(base, cosw.warp_at(0.0))
+    b = warped.inclusion_bitension(base, cosw.warp_at((0.0, 0.5)))
     out.append(
-        Check("tangential part at f'(0)=0 (f=2+cos t)", 0.0, b0.tangential_norm, 1e-8)
+        Check("tangential part at f'(0)=0 (f=2+cos t)", 0.0, b.tangential_norm[0], 1e-8)
     )
-    b5 = warped.inclusion_bitension(base, cosw.warp_at(0.5))
     out.append(
         Check(
             "tangential part nonzero at t=0.5 (f=2+cos t), floor 0.05",
             1.0,
-            float(b5.tangential_norm >= 0.05),
+            float(b.tangential_norm[1] >= 0.05),
             0.0,
         )
     )
@@ -278,15 +287,13 @@ def _checks_tangential_corollaries(base, cosw):
     return out
 
 
-def _checks_ricci(base, scenes, records):
+def _checks_ricci(base, warps, records):
     g_val = base.geometry.g_val
     x = np.array([1.0, 0.0]) / math.sqrt(g_val[0, 0])
     out = []
-    for src, scene in scenes.items():
-        for t in T_SAMPLES:
-            rc = warped.ricci_warped_check(
-                base, scene.warp_at(t), x, records[src, t].riemann
-            )
+    for src, w in warps.items():
+        for i, t in enumerate(T_SAMPLES):
+            rc = warped.ricci_warped_check(base, w.at(i), x, records[src].riemann[i])
             out.append(
                 Check(
                     f"warped Ricci identity f={src} t={t:g}",
@@ -304,7 +311,7 @@ def _checks_ricci(base, scenes, records):
                 )
             )
     rc = warped.ricci_warped_check(
-        base, scenes["exp(t)"].warp_at(0.0), x, records["exp(t)", 0.0].riemann
+        base, warps["exp(t)"].at(0), x, records["exp(t)"].riemann[0]
     )
     out.append(Check("warped Ricci vanishes (f=exp t, t=0)", 0.0, rc.ric_warped, 1e-6))
     return out
@@ -314,18 +321,20 @@ def run_checks(name_filter=None):
     checks = []
     checks.extend(_checks_example_sphere_slice())
     checks.extend(_checks_example_cone())
-    # the warped checks share one BasePoint of the r = 1 slice, its scenes
-    # and one oracle record per scene and t sample
+    # the warped checks share one BasePoint of the r = 1 slice, its scenes,
+    # each scene's warp over T_SAMPLES and one oracle record per scene, all
+    # one sweep over T_SAMPLES
     slice1 = sphere_slice(1.0)
     base = warped.base_point(slice1, WARP_POINT)
     scenes = _warp_scenes(slice1)
+    warps = {src: scene.warp_at(T_SAMPLES) for src, scene in scenes.items()}
     records = _oracle_records(scenes, WARP_POINT)
-    checks.extend(_checks_tension_equivalence(base, scenes, records))
-    checks.extend(_checks_bitension_equivalence(base, scenes, records))
+    checks.extend(_checks_tension_equivalence(base, warps, records))
+    checks.extend(_checks_bitension_equivalence(base, warps, records))
     checks.extend(_checks_pairing(base, scenes["exp(t)"]))
     checks.extend(_checks_power_family(base))
     checks.extend(_checks_tangential_corollaries(base, scenes["2+cos(t)"]))
-    checks.extend(_checks_ricci(base, scenes, records))
+    checks.extend(_checks_ricci(base, warps, records))
     if name_filter:
         checks = [c for c in checks if name_filter in c.name]
     return checks

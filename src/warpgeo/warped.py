@@ -11,11 +11,11 @@ import numpy as np
 
 from . import jet as J
 from . import oracle
-from .ambient import WarpEval
+from .ambient import WarpEval, power
 from .biharmonic import classify
 from .errors import ConfigError, EvalDomainError, UsageError
 from .expr import eval_jet, free_symbols, parse
-from .immersion import PointGeometry
+from .immersion import PointGeometry, per_point
 
 BIHARMONIC_GATE_TOL = 1e-7
 _POSITIVITY_SAMPLES = 64
@@ -32,6 +32,8 @@ class WarpedScene:
         lo, hi = self.interval
         if not lo < hi:
             raise ConfigError(f"empty warp interval [{lo}, {hi}]")
+        if "t" in self.warp_params:
+            raise ConfigError("warp param 't' would shadow the warp's variable t")
         extra = free_symbols(self.warp) - ({"t"} | set(self.warp_params))
         if extra:
             raise ConfigError(f"unbound identifiers in warp: {sorted(extra)}")
@@ -54,7 +56,7 @@ class WarpedScene:
         interval: every evaluation of the warp expression comes here."""
         lo, hi = self.interval
         v = t.coeffs[0]
-        if np.ndim(v):
+        if v.ndim:
             outside = J.first_where(v, ~((lo <= v) & (v <= hi)))
         else:  # one t, as warp_at has: a plain comparison
             outside = None if lo <= v <= hi else float(v)
@@ -65,9 +67,18 @@ class WarpedScene:
         return eval_jet(self.warp, {"t": t}, self.warp_params)
 
     def warp_at(self, t):
-        """The warp and its first two derivatives at t."""
-        f = self.warp_jet(J.jet_variable(0, float(t), 1, 2))
-        return WarpEval(float(t), f.value, f.partial((1,)), f.partial((2,)))
+        """The warp and its first two derivatives at t, a float or an array
+        of t (a sweep), from one evaluation of the warp jet either way.  A
+        sweep's values equal its t one by one, and each check names the
+        first t that fails it."""
+        t = np.asarray(t, dtype=float)
+        sweep = t.shape
+        t = t if sweep else float(t)
+        f = self.warp_jet(J.jet_variable(0, t, 1, 2))
+        fields = (f.value, f.partial((1,)), f.partial((2,)))
+        if f.coeffs.shape[1:] != sweep:  # a constant warp is one value
+            fields = (np.broadcast_to(x, sweep) for x in fields)
+        return WarpEval(t, *fields)
 
 
 def warped_scene(immersion_spec, warp_source, warp_params, interval):
@@ -92,9 +103,10 @@ class BasePoint:
     h2: float
 
     def tangential(self, v):
-        """The h-orthogonal projection of ambient components v on span{dX_i}."""
+        """The h-orthogonal projection of ambient components v (..., n) on
+        span{dX_i}."""
         pg = self.geometry
-        return pg.dX_val.T @ (pg.ginv_val @ (pg.e2_val * (pg.dX_val @ v)))
+        return np.matvec(pg.dX_val.T, np.matvec(pg.ginv_val, pg.e2_val * np.matvec(pg.dX_val, v)))
 
 
 # (spec, point bit patterns, BasePoint) of the last build, or None; read
@@ -127,21 +139,45 @@ def base_point(spec, point):
     return base
 
 
+# A vector at a point of I x N is an (n+1,) array of warped-chart
+# components, the dt slot first; over a sweep of t the vectors, and every
+# per-t value, carry a leading sweep axis.  Products of vectors and
+# matrices act vector by vector (np.vecdot and np.matvec take np.dot's
+# path for each), and powers take C's pow, so each t of a sweep equals its
+# one-t value bit for bit.
+
+
+def _per_t(x):
+    """A per-t result: a float at one t, an array over a sweep."""
+    return x if getattr(x, "ndim", 0) else float(x)
+
+
+def _vector(t_part, n_part):
+    """The vector on I x N with dt component `t_part` (a per-t value) and
+    N components `n_part` (..., n)."""
+    out = np.empty(n_part.shape[:-1] + (n_part.shape[-1] + 1,))
+    out[..., 0] = t_part
+    out[..., 1:] = n_part
+    return out
+
+
 def hbar_inner(base, w, a, b):
     """Inner product of the warped ambient at a BasePoint and a WarpEval:
-    h(u, v) = u_t v_t + f^2 h(u_N, v_N).  A vector at a point of I x N is
-    an (n+1,) array of warped-chart components, the dt slot first."""
-    return float(a[0] * b[0] + w.f**2 * base.geometry.e2_val * np.dot(a[1:], b[1:]))
+    h(u, v) = u_t v_t + f^2 h(u_N, v_N)."""
+    e2 = base.geometry.e2_val
+    ab = np.vecdot(a[..., 1:], b[..., 1:])
+    return _per_t(a.T[0] * b.T[0] + power(w.f, 2) * e2 * ab)  # .T[0]: the dt slots
 
 
 def hbar_norm(base, w, a):
-    return float(np.sqrt(max(hbar_inner(base, w, a, a), 0.0)))
+    # h is positive definite: a sum of squares, never negative or -0.0
+    return _per_t(np.sqrt(hbar_inner(base, w, a, a)))
 
 
 def inclusion_tension(base, w):
     """tau(phi) = (m / f^2) H, with no dt-component."""
     m = base.geometry.spec.m
-    return np.concatenate(([0.0], (m / w.f**2) * base.geometry.H_val))
+    return _vector(0.0, per_point(m / power(w.f, 2), 1) * base.geometry.H_val)
 
 
 @dataclass(frozen=True)
@@ -149,8 +185,8 @@ class BitensionParts:
     vec: np.ndarray
     tangential: np.ndarray  # component tangent to I x M
     normal: np.ndarray  # component normal to I x M
-    tangential_norm: float
-    normal_norm: float
+    tangential_norm: object  # per t
+    normal_norm: object
 
 
 def inclusion_bitension(base, w):
@@ -162,16 +198,19 @@ def inclusion_bitension(base, w):
     the same geometry, so non-biharmonic bases are handled without
     assumption."""
     m = base.geometry.spec.m
-    coeff = 2.0 * m * w.power_residual(m) / w.f**4
-    n_part = coeff * base.geometry.H_val + (1 / w.f**4) * base.submanifold_bitension
-    t_part = -(m**2) * w.f1 / w.f**3 * base.h2
+    f4 = power(w.f, 4)
+    coeff = 2.0 * m * w.power_residual(m) / f4
+    n_part = per_point(coeff, 1) * base.geometry.H_val + per_point(
+        1 / f4, 1
+    ) * base.submanifold_bitension
+    t_part = -(m**2) * w.f1 / power(w.f, 3) * base.h2
 
     # split relative to T(I x M): dt plus span{dX_i} is tangential
     n_tan = base.tangential(n_part)
-    tangential = np.concatenate(([t_part], n_tan))
-    normal = np.concatenate(([0.0], n_part - n_tan))
+    tangential = _vector(t_part, n_tan)
+    normal = _vector(0.0, n_part - n_tan)
     return BitensionParts(
-        vec=np.concatenate(([t_part], n_part)),
+        vec=_vector(t_part, n_part),
         tangential=tangential,
         normal=normal,
         tangential_norm=hbar_norm(base, w, tangential),
@@ -181,16 +220,38 @@ def inclusion_bitension(base, w):
 
 @dataclass(frozen=True)
 class WarpedReport:
-    """tau(phi), tau_2(phi) and their pairing at a BasePoint and a WarpEval."""
+    """tau(phi), tau_2(phi) and their pairing at a BasePoint and a WarpEval:
+    floats at one t, arrays over a sweep (`at` gives the report of one of
+    its t)."""
 
     base: BasePoint
     warp: WarpEval
     tension: np.ndarray
     bitension: BitensionParts
-    pairing: float
-    pairing_closed_form: float
+    pairing: object  # per t
+    pairing_closed_form: object
     pairing_closed_form_applicable: bool
-    power_residual: float
+    power_residual: object
+
+    def at(self, i):
+        """The report of t number i of a sweep, equal to its one-t report."""
+        b = self.bitension
+        return WarpedReport(
+            base=self.base,
+            warp=self.warp.at(i),
+            tension=self.tension[i],
+            bitension=BitensionParts(
+                b.vec[i],
+                b.tangential[i],
+                b.normal[i],
+                float(b.tangential_norm[i]),
+                float(b.normal_norm[i]),
+            ),
+            pairing=float(self.pairing[i]),
+            pairing_closed_form=float(self.pairing_closed_form[i]),
+            pairing_closed_form_applicable=self.pairing_closed_form_applicable,
+            power_residual=float(self.power_residual[i]),
+        )
 
     def to_dict(self):
         tau, tau2 = self.tension, self.bitension
@@ -212,7 +273,7 @@ def _closed_form_pairing(base, w):
     """2 m^2 [f f'' + (m-1) f'^2] / f^4 |H|^2, the pairing over a
     biharmonic base."""
     m = base.geometry.spec.m
-    return 2.0 * m**2 * w.power_residual(m) / w.f**4 * base.h2
+    return 2.0 * m**2 * w.power_residual(m) / power(w.f, 4) * base.h2
 
 
 def pairing(base, w):
@@ -266,12 +327,14 @@ def ricci_warped_check(base, w, x_intrinsic, riemann):
         ric_base=ric_base,
         ric_warped=ric_warped,
         identity_residual=ric_warped - ric_base + resid,
-        pairing_via_ricci=2.0 * m**2 / w.f**4 * (ric_base - ric_warped) * base.h2,
+        pairing_via_ricci=2.0 * m**2 / power(w.f, 4) * (ric_base - ric_warped) * base.h2,
         pairing_closed_form=_closed_form_pairing(base, w),
     )
 
 
 def warped_report(scene, t, point):
-    """`pairing` at the BasePoint of `scene` at `point` and its warp at t."""
+    """`pairing` at the BasePoint of `scene` at `point` and its warp at t,
+    a float or an array of t: a sweep is one warp evaluation and one
+    `pairing`."""
     w = scene.warp_at(t)
     return pairing(base_point(scene.immersion, point), w)

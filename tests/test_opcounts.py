@@ -7,13 +7,14 @@ and jet products per workload is fixed; a change that evaluates a point
 again raises these counts.
 """
 
+import json
 import math
 import sys
 
 import numpy as np
 import pytest
 
-from warpgeo import biharmonic, expr, jet, oracle, verify, warped
+from warpgeo import biharmonic, cli, expr, jet, oracle, verify, warped
 from warpgeo.ambient import AmbientChart
 from warpgeo.immersion import PointGeometry, immersion
 
@@ -137,6 +138,21 @@ def test_warped_report_evaluates_the_warp_once(counts):
     assert counts["warp_at"] == 1
 
 
+def test_cli_warp_sweep_is_one_evaluation(counts, tmp_path):
+    # five t are one warp evaluation, one build and one pairing
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps({
+        "ambient": {"model": "sphere", "dim": 3},
+        "immersion": {"variables": ["u", "v"], "components": ["u", "v", "r"],
+                      "params": {"r": 1.0}},
+        "warp": {"expr": "exp(t)", "interval": [-0.5, 1.0]},
+    }))
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["warp", str(scene), "--t", "0:0.2:5", "--point", "0.3,-0.2"])
+    assert exit_.value.code == 0
+    assert counts["warp_at"] == counts["builds"] == counts["inclusion_bitension"] == 1
+
+
 def test_warped_sweep_shares_one_base_point(counts):
     scene = _scene()
     for t in (0.1, 0.15, 0.2, 0.25, 0.3):
@@ -182,10 +198,11 @@ def test_pairing_reuses_the_base_point(counts):
 
 
 def test_verify_pass_build_count(counts):
-    # the closed-form fixtures: one batch per spec, 4; the scan: 7; one
-    # BasePoint per warped point: the r = 1 slice's, the cone's and the S3's
+    # the closed-form fixtures: one batch per family, r a batch param, 2;
+    # the scan: 7; one BasePoint per warped point: the r = 1 slice's, the
+    # cone's and the S3's
     verify.run_checks()
-    assert counts["builds"] == 14
+    assert counts["builds"] == 12
 
 
 def test_scan_bisects_from_the_sampled_ends(counts):
@@ -230,22 +247,32 @@ def test_verify_pass_mul_count(counts):
     # product, Horner steps included, is one contraction, but a jet times a
     # constant of the DSL, or a series' first Horner step, is a scale, and a
     # contraction with a constant factor forms only its value's terms; each
-    # scene's positivity samples are one order-0 evaluation of its warp
+    # scene's positivity samples are one order-0 evaluation of its warp, and
+    # its t samples one more of order 2
     verify.run_checks()
-    assert counts["mul"] == 232
-    assert counts["contract"] == 741
-    assert counts["constant_plans"] == 164
+    assert counts["mul"] == 138
+    assert counts["contract"] == 481
+    assert counts["constant_plans"] == 105
 
 
 def test_verify_pass_oracle_count(counts):
-    # one order-4 record per slice warp and t sample (3 x 2) serves the
-    # tension, bitension and Ricci checks; the cone's 6 tensions seed at
-    # order 2; Ric(M) comes from the BasePoint.  Scenes: the 3 WARPS on the
-    # slice and on the cone, 3 power warps and 2 more tangential ones
+    # one order-4 record per slice warp, batched over T_SAMPLES, serves the
+    # tension, bitension and Ricci checks; the cone's tensions are one
+    # order-2 batch per warp; Ric(M) comes from the BasePoint.  Scenes: the
+    # 3 WARPS on the slice and on the cone, 3 power warps and 2 more
+    # tangential ones
     verify.run_checks()
-    assert counts["_tension_pipeline"] == 12
+    assert counts["_tension_pipeline"] == 6
     assert counts["curvature_components"] == 0
     assert counts["warped_scene"] == 11
+
+
+def test_verify_pass_evaluates_each_warp_once_per_sweep(counts):
+    # one sweep over T_SAMPLES per scene of the slice and of the cone (6),
+    # one per power case (3), the cosine's two t and one t for each of
+    # the two further tangential warps (3), and the pairing's two t (1)
+    verify.run_checks()
+    assert counts["warp_at"] == 13
 
 
 def test_verify_pass_evaluates_no_plain_float_warp(counts):

@@ -235,3 +235,45 @@ class TestSeedOrders:
         rec = oracle.first_principles(mapspec, point)
         riem, _ = oracle.curvature_components(mapspec, point)
         assert np.array_equal(rec.riemann, riem)
+
+
+class TestBatch:
+    """The oracle over a batch of points, here t samples of a warped map:
+    each value array carries the batch axes first, and each row equals the
+    oracle at that point alone bit for bit."""
+
+    @staticmethod
+    def _same(a, b):
+        return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+    @pytest.mark.parametrize("warp", ["exp(t)", "sqrt(t+2)", "2+cos(t)"])
+    @pytest.mark.parametrize("base", ["slice", "cone"])
+    def test_batch_equals_its_points(self, sphere_slice, cone, base, warp):
+        spec, point = (
+            (sphere_slice(1.0), (0.3, -0.2)) if base == "slice" else (cone(1.0), (1.0, 0.7))
+        )
+        mapspec = oracle.warped_inclusion_map(
+            warped.warped_scene(spec, warp, {}, (-0.5, 1.0))
+        )
+        ts = np.array([0.0, 0.3, -0.45, 0.9])
+        rec = oracle.first_principles(mapspec, (ts,) + point)
+        tau = oracle.tension_first_principles(mapspec, (ts,) + point)
+        assert rec.tension.shape == tau.shape == (4, 4)
+        assert rec.riemann.shape == (4,) + (3,) * 4
+        for i, t in enumerate(ts):
+            one = oracle.first_principles(mapspec, (float(t),) + point)
+            assert self._same(rec.tension[i], one.tension)
+            assert self._same(rec.bitension[i], one.bitension)
+            assert self._same(rec.riemann[i], one.riemann)
+            assert self._same(tau[i], oracle.tension_first_principles(mapspec, (t,) + point))
+
+    def test_batch_over_chart_points(self, sphere_slice):
+        # coordinates of one shape: a batch over points of M at one t
+        mapspec = oracle.warped_inclusion_map(
+            warped.warped_scene(sphere_slice(1.0), "exp(t)", {}, (-0.5, 1.0))
+        )
+        us, vs = np.array([0.3, -0.1, 0.2]), np.array([-0.2, 0.4, 0.0])
+        rec = oracle.first_principles(mapspec, (0.3, us, vs))
+        for i in range(3):
+            one = oracle.first_principles(mapspec, (0.3, us[i], vs[i]))
+            assert self._same(rec.bitension[i], one.bitension)

@@ -432,6 +432,29 @@ BAD_INPUT = {
         CONE_SCENE,
         ["analyze", "{scene}", "--grid", "0.5:2:100000,0:1:1000000"],
     ),
+    # scene identifiers are checked at load; each of these once loaded and
+    # exited 3 (a degenerate metric) or 0
+    "variable listed twice": (
+        _with(SLICE_SCENE, "immersion", variables=["u", "u"], components=["u", "u*u", "r"]),
+        ["classify", "{scene}"],
+    ),
+    "variable a number": (
+        _with(SLICE_SCENE, "immersion", variables=["u", "2"], components=["u", "u*u", "r"]),
+        ["classify", "{scene}"],
+    ),
+    "variable empty": (
+        _with(SLICE_SCENE, "immersion", variables=["u", ""], components=["u", "u*u", "r"]),
+        ["classify", "{scene}"],
+    ),
+    "variable shadows a param": (
+        _with(SLICE_SCENE, "immersion", variables=["u", "r"], components=["u", "r", "r"],
+              params={"r": 2.0}),
+        ["classify", "{scene}"],
+    ),
+    "warp param t": (
+        _with(SLICE_SCENE, "warp", expr="t+2", params={"t": 5.0}),
+        ["warp", "{scene}", "--t", "0:1:2", "--point", "0.3,-0.2"],
+    ),
     "verify filter matches nothing": (CONE_SCENE, ["verify", "--filter", "zzz"]),
     "unwritable json": (CONE_SCENE, ["analyze", "{scene}", "--json", "{tmp}/no/r.json"]),
     "unwritable csv": (
@@ -449,6 +472,24 @@ def test_bad_input_exits_2_with_message(tmp_path, capsys, data, argv):
     assert code == 2
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "warp, interval, tgrid, code, message",
+    [
+        ("t^2-1e-4", [-1.0, 1.0], "-1:1:3", 3, "warping function must be positive, got -0.0001"),
+        ("t^2-1e-4", [-1.0, 1.0], "-1:1:5", 3, "warping function must be positive, got -0.0001"),
+        ("exp(t)", [-0.5, 1.0], "-2:2:5", 2, "t = -2 lies outside the warp interval [-0.5, 1]"),
+        ("exp(t)", [-0.5, 1.0], "0:2:3", 2, "t = 2 lies outside the warp interval [-0.5, 1]"),
+    ],
+)
+def test_warp_sweep_names_the_first_failing_t(
+    tmp_path, capsys, warp, interval, tgrid, code, message
+):
+    # a sweep is one evaluation; its error is that of its first failing t
+    scene = write_scene(tmp_path, _with(SLICE_SCENE, "warp", expr=warp, interval=interval))
+    assert run_cli(["warp", scene, f"--t={tgrid}", "--point", "0.3,-0.2"]) == code
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_point_bound_is_inclusive():

@@ -255,6 +255,55 @@ class TestReport:
         assert len(d["bitension"]["n"]) == 3
 
 
+SWEEP_WARPS = [
+    ("exp(t)", {}, INTERVAL, 2),
+    ("sqrt(t+2)", {}, INTERVAL, 2),
+    ("2+cos(t)", {}, INTERVAL, 3),
+    ("(a*t+b)^(1/m)", {"a": 1.0, "b": 2.0, "m": 2}, (0.0, 1.5), 2),
+    ("(a*t+b)^(1/m)", {"a": 3.0, "b": 1.0, "m": 3}, (0.0, 1.5), 3),
+    ("t^t", {}, (0.5, 2.0), 2),
+    ("2", {}, INTERVAL, 2),
+]
+
+
+class TestSweep:
+    """A sweep over an array of t is one warp evaluation and one pairing;
+    each of its t equals the one-t report bit for bit."""
+
+    @pytest.mark.parametrize(
+        "warp, params, interval, m", SWEEP_WARPS, ids=[f"{w[0]} m={w[3]}" for w in SWEEP_WARPS]
+    )
+    def test_sweep_equals_its_one_t_reports(self, slice_scene, warp, params, interval, m):
+        scene = slice_scene(warp, params, interval, m=m)
+        point = (0.3, -0.2, 0.1)[:m]
+        ts = np.linspace(interval[0] + 0.05, interval[1] - 0.05, 7)
+        sweep = warped.warped_report(scene, ts, point)
+        assert sweep.tension.shape == sweep.bitension.vec.shape == (7, m + 2)
+        for i, t in enumerate(ts):
+            got, one = sweep.at(i), warped.warped_report(scene, float(t), point)
+            assert repr(got.to_dict()) == repr(one.to_dict())  # repr tells -0.0 from 0.0
+            for a, b in (
+                (got.tension, one.tension),
+                (got.bitension.tangential, one.bitension.tangential),
+                (got.bitension.normal, one.bitension.normal),
+            ):
+                assert np.array_equal(a, b)
+                assert np.array_equal(np.signbit(a), np.signbit(b))
+
+    def test_sweep_names_the_first_t_outside_the_interval(self, slice_scene):
+        with pytest.raises(UsageError, match=r"^t = 2 lies outside"):
+            slice_scene().warp_at([0.0, 2.0, 3.0, -1.0])
+
+    def test_warp_eval_names_the_first_failing_t(self):
+        t, zero = np.arange(3.0), np.zeros(3)
+        with pytest.raises(EvalDomainError, match=r"must be positive, got -2$"):
+            WarpEval(t, np.array([1.0, -2.0, -3.0]), zero, zero)
+        with pytest.raises(EvalDomainError, match=r"must be finite, got f=inf"):
+            WarpEval(t, np.array([1.0, math.inf, -3.0]), zero, zero)
+        with pytest.raises(EvalDomainError, match=r"f=1, f'=1, f''=nan"):
+            WarpEval(t, np.ones(3), np.ones(3), np.array([0.0, math.nan, 0.0]))
+
+
 class TestBasePoint:
     """One warped.BasePoint serves every report at a point of M."""
 
@@ -268,9 +317,9 @@ class TestBasePoint:
             monkeypatch.setattr(warped, "_memo", None)
             fresh.append(warped.warped_report(scene, t, p).to_dict())
         assert repr(shared) == repr(fresh)  # repr tells -0.0 from 0.0
-        # the two points differ in the sign bit of X_val alone
-        x_pos = warped.base_point(scene.immersion, (0.0, 0.2)).geometry.X_val
-        x_neg = warped.base_point(scene.immersion, (-0.0, 0.2)).geometry.X_val
+        # the two points differ in the sign bit of their first coordinate alone
+        x_pos = np.array(warped.base_point(scene.immersion, (0.0, 0.2)).geometry.point)
+        x_neg = np.array(warped.base_point(scene.immersion, (-0.0, 0.2)).geometry.point)
         assert np.array_equal(x_pos, x_neg)
         assert np.signbit(x_neg[0]) and not np.signbit(x_pos[0])
 
@@ -290,7 +339,7 @@ class TestBasePoint:
         pg = base.geometry
         arrays = [a for a in vars(pg).values() if isinstance(a, np.ndarray)]
         arrays += [pg.e2.coeffs, base.submanifold_bitension]
-        assert len(arrays) >= 20
+        assert len(arrays) >= 19
         for a in arrays:
             with pytest.raises(ValueError):
                 a[(0,) * a.ndim] = 1.0
