@@ -208,15 +208,16 @@ def parameter_scan(spec, param, lo, hi, samples, probe_point):
     fewer halvings): narrow enough that a simple root is linear across it
     even when the sampled bracket spans decades.
 
-    The parameter enters as an array, so one PointGeometry evaluates a
-    whole batch of values, and `each` batches the samples and every round
-    of bisection.  Bisection looks _SCAN_DEPTH halvings ahead: a round's
-    batch holds, for every open bracket, each midpoint those halvings can
-    reach (a binary tree of 2^_SCAN_DEPTH - 1 nodes, each formed with the
-    float operations the halvings take on the way to it), and the halvings
-    then walk the tree, so the points they evaluate are the ones they would
-    evaluate one at a time.  `each` evaluates a part of a batch only when a
-    walk reads it, so a midpoint no walk reaches never fails the scan.
+    The parameter enters as an array at the probe point's floats, so one
+    PointGeometry evaluates a whole batch of values, and `each` batches
+    the samples and every round of bisection.  Bisection looks _SCAN_DEPTH
+    halvings ahead: a round's batch holds, for every open bracket, each
+    midpoint those halvings can reach (a binary tree of 2^_SCAN_DEPTH - 1
+    nodes, each formed with the float operations the halvings take on the
+    way to it), and the halvings then walk the tree, so the points they
+    evaluate are the ones they would evaluate one at a time.  `each`
+    evaluates a part of a batch only when a walk reads it, so a midpoint no
+    walk reaches never fails the scan.
     """
     if not (lo < hi and np.isfinite(hi - lo)):  # a finite width ends bisection
         raise UsageError(f"scan range [{lo}, {hi}] is empty or too wide")
@@ -226,10 +227,13 @@ def parameter_scan(spec, param, lo, hi, samples, probe_point):
         raise UsageError(f"unknown parameter {param!r}")
     spec.require_hypersurface()
 
+    point = tuple(float(c) for c in probe_point)
+
     def residuals(xs):
-        point = tuple(np.full(len(xs), c, dtype=float) for c in probe_point)
+        # the batch comes from the param alone, and a param no component
+        # reads leaves the geometry unbatched: one residual for every x
         scanned = spec.with_params(**{param: np.array(xs)})
-        return normal_residual(PointGeometry(scanned, point))
+        return np.broadcast_to(normal_residual(PointGeometry(scanned, point)), len(xs))
 
     grid = [float(x) for x in np.linspace(lo, hi, samples)]
     row = each(residuals, grid)

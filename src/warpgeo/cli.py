@@ -281,8 +281,7 @@ def cmd_warp(args):
             )
             writer.writerows(values)
     if args.json:
-        reports = [sweep.at(i).to_dict() for i in range(len(tgrid))]
-        _emit_json(args.json, {"reports": reports})
+        _emit_json(args.json, {"reports": sweep.to_dicts()})
     return 0
 
 

@@ -247,9 +247,12 @@ class PointGeometry:
     a batch of points in one pass.
 
     `point` holds the m chart coordinates, each a float or an array over
-    the batch (all of one shape).  Jet tensors (coefficient arrays, suffix
-    _c) are retained where downstream consumers need further derivatives
-    (the tangents, H, eta, and the Christoffels of the chart and of g).
+    the batch (all of one shape).  The batch may also come from the spec's
+    params alone, at a point of floats, as in biharmonic.parameter_scan;
+    then a quantity that reads no batched param is one value.  Jet tensors
+    (coefficient arrays, suffix _c) are retained where downstream consumers
+    need further derivatives (the tangents, H, eta, and the Christoffels of
+    the chart and of g).
     Plain floats/arrays hold everything else, with the batch axes first
     (g_val has shape (*batch, m, m)).  A batch gives the same values as its
     points one by one; an error names the first point that fails a check.

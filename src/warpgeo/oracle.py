@@ -18,6 +18,9 @@ an entry returns puts them first: tau has shape (*batch, D) and R^l_{ijk}
 (*batch, d, d, d, d).  The float stage is np.einsum over batch-first
 values, which adds each point's terms in the order it does for that point
 alone, so each row of a batch equals the oracle at its point bit for bit.
+A family of warps over one immersion is one more batch axis: a scene whose
+warp_jet evaluates warp i on row i of a t of shape (warps, samples) gives,
+in row i, the oracle of warp i's own map (`verify` runs its warps so).
 """
 
 from __future__ import annotations
@@ -211,7 +214,12 @@ def inclusion_map(spec):
 
 def warped_inclusion_map(scene):
     """The inclusion (I x M, dt^2 + f^2 g) -> (I x N, dt^2 + f^2 h),
-    (t, x) -> (t, x), in warped-chart coordinates (slot 0 is t)."""
+    (t, x) -> (t, x), in warped-chart coordinates (slot 0 is t).
+
+    It reads only `scene.immersion`, the ImmersionSpec of M in N, and
+    `scene.warp_jet(t)`, the warp as a jet of the jet t with t's batch
+    shape, so any object with those two serves: a WarpedScene, or a
+    family of them whose warp_jet evaluates one scene per row of t."""
     spec = scene.immersion
     m, n = spec.m, spec.n
     d = m + 1

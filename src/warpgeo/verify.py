@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import biharmonic, oracle, warped
+from . import jet as J
 from .ambient import AmbientChart
 from .immersion import PointGeometry, immersion
 
@@ -134,15 +135,43 @@ def _warp_scenes(spec):
     }
 
 
+@dataclass(frozen=True)
+class _WarpFamily:
+    """Warped scenes over one immersion as one scene for
+    oracle.warped_inclusion_map, which reads `immersion` and `warp_jet`:
+    the t coordinate carries a leading axis over the scenes, and
+    warp_jet(t) evaluates scene i on row i of t and stacks the results on
+    that axis.  A map of the family evaluated at t of shape (len(scenes),
+    k) gives, in row i, the oracle of scene i's map at t[i] bit for bit."""
+
+    immersion: object
+    scenes: tuple
+
+    def warp_jet(self, t):
+        rows = [
+            scene.warp_jet(J.Jet(t.n_vars, t.order, t.coeffs[:, i]))
+            for i, scene in enumerate(self.scenes)
+        ]
+        return J.Jet(t.n_vars, t.order, J.stack(rows))
+
+
+def _family_map(scenes, point):
+    """The warped inclusion of the family of `scenes` and its point (t,
+    *point), with T_SAMPLES as each scene's row of t."""
+    scenes = tuple(scenes.values())
+    ts = np.tile(T_SAMPLES, (len(scenes), 1))
+    family = _WarpFamily(scenes[0].immersion, scenes)
+    return oracle.warped_inclusion_map(family), (ts,) + point
+
+
 def _oracle_records(scenes, point):
     """{warp source: oracle.first_principles of the warped inclusion at
-    (t, point) for t over T_SAMPLES, one batch}: row i of each value array
-    is T_SAMPLES[i]."""
+    (t, point) for t over T_SAMPLES}, all one batch: row i of each value
+    array is T_SAMPLES[i]."""
+    rec = oracle.first_principles(*_family_map(scenes, point))
     return {
-        src: oracle.first_principles(
-            oracle.warped_inclusion_map(scene), (T_SAMPLES,) + point
-        )
-        for src, scene in scenes.items()
+        src: oracle.FirstPrinciples(rec.tension[i], rec.bitension[i], rec.riemann[i])
+        for i, src in enumerate(scenes)
     }
 
 
@@ -151,12 +180,8 @@ def _checks_tension_equivalence(base, warps, records):
     cone1, cone_point = cone(1.0), (1.0, 0.7)
     cone_scenes = _warp_scenes(cone1)
     cone_warps = {src: scene.warp_at(T_SAMPLES) for src, scene in cone_scenes.items()}
-    cone_taus = {
-        src: oracle.tension_first_principles(
-            oracle.warped_inclusion_map(scene), (T_SAMPLES,) + cone_point
-        )
-        for src, scene in cone_scenes.items()
-    }
+    taus = oracle.tension_first_principles(*_family_map(cone_scenes, cone_point))
+    cone_taus = dict(zip(cone_scenes, taus))
     slice_taus = {src: rec.tension for src, rec in records.items()}
     families = (
         ("sphere-slice", base, warps, slice_taus),
@@ -322,8 +347,9 @@ def run_checks(name_filter=None):
     checks.extend(_checks_example_sphere_slice())
     checks.extend(_checks_example_cone())
     # the warped checks share one BasePoint of the r = 1 slice, its scenes,
-    # each scene's warp over T_SAMPLES and one oracle record per scene, all
-    # one sweep over T_SAMPLES
+    # each scene's warp over T_SAMPLES and one oracle record per scene; the
+    # records come from one oracle pipeline, the scenes a batch axis of t
+    # and T_SAMPLES the other
     slice1 = sphere_slice(1.0)
     base = warped.base_point(slice1, WARP_POINT)
     scenes = _warp_scenes(slice1)

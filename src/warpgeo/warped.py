@@ -42,7 +42,6 @@ class WarpedScene:
         ts = np.linspace(lo, hi, _POSITIVITY_SAMPLES + 2)
         with np.errstate(over="ignore", invalid="ignore"):
             f = self.warp_jet(J.jet_variable(0, ts, 1, 0)).coeffs[0]
-        f = np.broadcast_to(f, ts.shape)  # a constant warp is one value
         bad = np.flatnonzero(~(np.isfinite(f) & (f > 0.0)))
         if bad.size:
             t, v = ts[bad[0]], float(f[bad[0]])
@@ -53,7 +52,8 @@ class WarpedScene:
 
     def warp_jet(self, t):
         """The warp as a jet of the jet `t`, whose values must lie in the
-        interval: every evaluation of the warp expression comes here."""
+        interval, with t's batch shape: every evaluation of the warp
+        expression comes here."""
         lo, hi = self.interval
         v = t.coeffs[0]
         if v.ndim:
@@ -64,7 +64,12 @@ class WarpedScene:
             raise UsageError(
                 f"t = {outside:g} lies outside the warp interval [{lo:g}, {hi:g}]"
             )
-        return eval_jet(self.warp, {"t": t}, self.warp_params)
+        f = eval_jet(self.warp, {"t": t}, self.warp_params)
+        missing = t.coeffs.ndim - f.coeffs.ndim
+        if missing:  # a constant warp is one value
+            c = f.coeffs.reshape(f.coeffs.shape + (1,) * missing)
+            f = J.Jet(f.n_vars, f.order, np.broadcast_to(c, t.coeffs.shape))
+        return f
 
     def warp_at(self, t):
         """The warp and its first two derivatives at t, a float or an array
@@ -72,13 +77,9 @@ class WarpedScene:
         sweep's values equal its t one by one, and each check names the
         first t that fails it."""
         t = np.asarray(t, dtype=float)
-        sweep = t.shape
-        t = t if sweep else float(t)
+        t = t if t.ndim else float(t)
         f = self.warp_jet(J.jet_variable(0, t, 1, 2))
-        fields = (f.value, f.partial((1,)), f.partial((2,)))
-        if f.coeffs.shape[1:] != sweep:  # a constant warp is one value
-            fields = (np.broadcast_to(x, sweep) for x in fields)
-        return WarpEval(t, *fields)
+        return WarpEval(t, f.value, f.partial((1,)), f.partial((2,)))
 
 
 def warped_scene(immersion_spec, warp_source, warp_params, interval):
@@ -254,19 +255,43 @@ class WarpedReport:
         )
 
     def to_dict(self):
-        tau, tau2 = self.tension, self.bitension
-        return {
-            **vars(self.warp),  # t, f, f1, f2
-            "point": list(self.base.geometry.point),
-            "tension": {"t": float(tau[0]), "n": tau[1:].tolist()},
-            "bitension": {"t": float(tau2.vec[0]), "n": tau2.vec[1:].tolist()},
-            "pairing": self.pairing,
-            "pairing_closed_form": self.pairing_closed_form,
-            "pairing_closed_form_applicable": self.pairing_closed_form_applicable,
-            "power_residual": self.power_residual,
-            "tangential_part_norm": tau2.tangential_norm,
-            "normal_part_norm": tau2.normal_norm,
-        }
+        """The report of one t as a dict."""
+        return self.to_dicts()[0]
+
+    def to_dicts(self):
+        """One dict per t, of a sweep or of a one-t report, built column by
+        column: one tolist() per array, the values of `at(i).to_dict()`."""
+
+        def column(x):  # a per-t value
+            return np.ravel(x).tolist()
+
+        w, b = self.warp, self.bitension
+        tau, tau2 = (x.reshape(-1, x.shape[-1]) for x in (self.tension, b.vec))
+        rows = zip(
+            column(w.t), column(w.f), column(w.f1), column(w.f2),
+            tau[:, 0].tolist(), tau[:, 1:].tolist(), tau2[:, 0].tolist(), tau2[:, 1:].tolist(),
+            column(self.pairing), column(self.pairing_closed_form),
+            column(self.power_residual), column(b.tangential_norm), column(b.normal_norm),
+        )
+        point = self.base.geometry.point
+        return [
+            {
+                "t": t, "f": f, "f1": f1, "f2": f2,
+                "point": list(point),
+                "tension": {"t": tau_t, "n": tau_n},
+                "bitension": {"t": tau2_t, "n": tau2_n},
+                "pairing": p,
+                "pairing_closed_form": p_closed,
+                "pairing_closed_form_applicable": self.pairing_closed_form_applicable,
+                "power_residual": residual,
+                "tangential_part_norm": tan_norm,
+                "normal_part_norm": normal_norm,
+            }
+            for (
+                t, f, f1, f2, tau_t, tau_n, tau2_t, tau2_n,
+                p, p_closed, residual, tan_norm, normal_norm,
+            ) in rows
+        ]
 
 
 def _closed_form_pairing(base, w):

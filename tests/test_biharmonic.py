@@ -196,6 +196,19 @@ class TestScan:
             bh.parameter_scan(spec, "a", 0.0, 1.0, 3, (0.1, 0.1))
 
 
+    def test_scan_of_a_param_no_component_reads(self):
+        # the probe point is floats and the batch comes from the param, so
+        # here the geometry is one point: every sample takes its residual
+        spec = immersion(
+            ("u", "v"), ("u", "v", "u*u+v*v"), {"k": 1.0}, AmbientChart("euclidean", 3)
+        )
+        res = bh.parameter_scan(spec, "k", 0.0, 1.0, 5, (0.3, 0.2))
+        assert res.roots == () and res.failures == ()
+        residual = bh.normal_residual(PointGeometry(spec, (0.3, 0.2)))
+        assert residual != 0.0
+        assert [r for _, r in res.samples] == [residual] * 5
+
+
 # monotone functions with one simple root c, as (name, f(x, c, a)); x is a
 # float or, for a batched scan, an array of parameter values
 MONOTONE = {

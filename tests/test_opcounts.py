@@ -248,21 +248,22 @@ def test_verify_pass_mul_count(counts):
     # constant of the DSL, or a series' first Horner step, is a scale, and a
     # contraction with a constant factor forms only its value's terms; each
     # scene's positivity samples are one order-0 evaluation of its warp, and
-    # its t samples one more of order 2
+    # its t samples one more of order 2; the oracle runs one pipeline per
+    # base point, its warps a leading batch axis of t
     verify.run_checks()
-    assert counts["mul"] == 138
-    assert counts["contract"] == 481
-    assert counts["constant_plans"] == 105
+    assert counts["mul"] == 90
+    assert counts["contract"] == 383
+    assert counts["constant_plans"] == 75
 
 
 def test_verify_pass_oracle_count(counts):
-    # one order-4 record per slice warp, batched over T_SAMPLES, serves the
-    # tension, bitension and Ricci checks; the cone's tensions are one
-    # order-2 batch per warp; Ric(M) comes from the BasePoint.  Scenes: the
-    # 3 WARPS on the slice and on the cone, 3 power warps and 2 more
-    # tangential ones
+    # one order-4 pipeline on the slice, batched over its warps and
+    # T_SAMPLES, serves the tension, bitension and Ricci checks; the cone's
+    # tensions are one order-2 pipeline over the same batch; Ric(M) comes
+    # from the BasePoint.  Scenes: the 3 WARPS on the slice and on the
+    # cone, 3 power warps and 2 more tangential ones
     verify.run_checks()
-    assert counts["_tension_pipeline"] == 6
+    assert counts["_tension_pipeline"] == 2
     assert counts["curvature_components"] == 0
     assert counts["warped_scene"] == 11
 

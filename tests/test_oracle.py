@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from warpgeo import ambient, oracle, warped
+from warpgeo import ambient, oracle, verify, warped
 from warpgeo.ambient import AmbientChart
 from warpgeo.biharmonic import normal_residual, tangential_residual
 from warpgeo.errors import DegenerateImmersionError, UsageError
@@ -246,7 +246,7 @@ class TestBatch:
     def _same(a, b):
         return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
-    @pytest.mark.parametrize("warp", ["exp(t)", "sqrt(t+2)", "2+cos(t)"])
+    @pytest.mark.parametrize("warp", ["exp(t)", "sqrt(t+2)", "2+cos(t)", "2"])
     @pytest.mark.parametrize("base", ["slice", "cone"])
     def test_batch_equals_its_points(self, sphere_slice, cone, base, warp):
         spec, point = (
@@ -277,3 +277,61 @@ class TestBatch:
         for i in range(3):
             one = oracle.first_principles(mapspec, (0.3, us[i], vs[i]))
             assert self._same(rec.bitension[i], one.bitension)
+
+
+FAMILY_WARPS = ("exp(t)", "sqrt(t+2)", "2+cos(t)", "2")
+
+
+class TestWarpFamily:
+    """verify's warp family: the warped scenes of one immersion as one map,
+    the scenes a leading batch axis of t.  Row i of each value array equals
+    the oracle of scene i's own map over row i of t bit for bit."""
+
+    @pytest.fixture(params=["S3 slice", "cone", "S4 slice"])
+    def base(self, request, sphere_slice, cone):
+        return {
+            "S3 slice": (sphere_slice(1.0), (0.3, -0.2)),
+            "cone": (cone(1.0), (1.0, 0.7)),
+            "S4 slice": (sphere_slice(1.0, m=3), (0.3, -0.2, 0.1)),
+        }[request.param]
+
+    def test_rows_equal_their_scenes(self, base):
+        spec, point = base
+        scenes = [warped.warped_scene(spec, w, {}, (-0.5, 1.0)) for w in FAMILY_WARPS]
+        family = oracle.warped_inclusion_map(verify._WarpFamily(spec, tuple(scenes)))
+        # a different t row per scene
+        ts = np.array([[0.0, 0.3], [-0.45, 0.9], [0.3, 0.0], [0.7, -0.2]])
+        rec = oracle.first_principles(family, (ts,) + point)
+        tau = oracle.tension_first_principles(family, (ts,) + point)
+        d = spec.m + 1
+        assert rec.riemann.shape == (4, 2) + (d,) * 4
+        for i, scene in enumerate(scenes):
+            own = oracle.warped_inclusion_map(scene)
+            one = oracle.first_principles(own, (ts[i],) + point)
+            assert TestBatch._same(rec.tension[i], one.tension)
+            assert TestBatch._same(rec.bitension[i], one.bitension)
+            assert TestBatch._same(rec.riemann[i], one.riemann)
+            assert TestBatch._same(tau[i], oracle.tension_first_principles(own, (ts[i],) + point))
+
+    def test_verify_records_equal_their_scenes(self, sphere_slice):
+        point = verify.WARP_POINT
+        scenes = verify._warp_scenes(sphere_slice(1.0))
+        records = verify._oracle_records(scenes, point)
+        for src, scene in scenes.items():
+            one = oracle.first_principles(
+                oracle.warped_inclusion_map(scene), (verify.T_SAMPLES,) + point
+            )
+            for name in ("tension", "bitension", "riemann"):
+                assert TestBatch._same(getattr(records[src], name), getattr(one, name))
+
+    def test_names_the_t_outside_one_scene_interval(self, sphere_slice):
+        spec = sphere_slice(1.0)
+        scenes = (
+            warped.warped_scene(spec, "exp(t)", {}, (-0.5, 1.0)),
+            warped.warped_scene(spec, "2+cos(t)", {}, (-0.5, 0.2)),
+        )
+        family = oracle.warped_inclusion_map(verify._WarpFamily(spec, scenes))
+        ts = np.array([[0.0, 0.3], [0.0, 0.3]])
+        message = r"^t = 0.3 lies outside the warp interval \[-0.5, 0.2\]"
+        with pytest.raises(UsageError, match=message):
+            oracle.first_principles(family, (ts, 0.3, -0.2))

@@ -279,9 +279,11 @@ class TestSweep:
         ts = np.linspace(interval[0] + 0.05, interval[1] - 0.05, 7)
         sweep = warped.warped_report(scene, ts, point)
         assert sweep.tension.shape == sweep.bitension.vec.shape == (7, m + 2)
+        dicts = sweep.to_dicts()
         for i, t in enumerate(ts):
             got, one = sweep.at(i), warped.warped_report(scene, float(t), point)
             assert repr(got.to_dict()) == repr(one.to_dict())  # repr tells -0.0 from 0.0
+            assert repr(dicts[i]) == repr(one.to_dict())
             for a, b in (
                 (got.tension, one.tension),
                 (got.bitension.tangential, one.bitension.tangential),
@@ -289,6 +291,32 @@ class TestSweep:
             ):
                 assert np.array_equal(a, b)
                 assert np.array_equal(np.signbit(a), np.signbit(b))
+
+    @staticmethod
+    def _dict_of_one_t(rep):
+        """A one-t report as a dict, field by field: the reference for
+        to_dicts, which builds the dicts of a sweep one column at a time."""
+        tau, tau2 = rep.tension, rep.bitension
+        return {
+            **vars(rep.warp),
+            "point": list(rep.base.geometry.point),
+            "tension": {"t": float(tau[0]), "n": tau[1:].tolist()},
+            "bitension": {"t": float(tau2.vec[0]), "n": tau2.vec[1:].tolist()},
+            "pairing": rep.pairing,
+            "pairing_closed_form": rep.pairing_closed_form,
+            "pairing_closed_form_applicable": rep.pairing_closed_form_applicable,
+            "power_residual": rep.power_residual,
+            "tangential_part_norm": tau2.tangential_norm,
+            "normal_part_norm": tau2.normal_norm,
+        }
+
+    def test_long_sweep_dicts_equal_the_dicts_of_its_t(self, slice_scene):
+        # warpgeo warp --json writes to_dicts
+        ts = np.linspace(-0.5, 1.0, 20000)
+        sweep = warped.warped_report(slice_scene(), ts, POINT)
+        per_t = [self._dict_of_one_t(sweep.at(i)) for i in range(len(ts))]
+        assert repr(sweep.to_dicts()) == repr(per_t)  # repr tells -0.0 from 0.0
+        assert repr(sweep.at(7).to_dict()) == repr(per_t[7])
 
     def test_sweep_names_the_first_t_outside_the_interval(self, slice_scene):
         with pytest.raises(UsageError, match=r"^t = 2 lies outside"):
