@@ -3,6 +3,7 @@ bitension split, classification flags, and parameter root scans."""
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from collections import deque
@@ -22,9 +23,11 @@ _XTOL = 1e-10
 _RTOL = 4 * sys.float_info.epsilon
 # items per batch of `each`; each contraction of a batch caches a scatter
 # index in proportion to its width (jet._plan), up to jet.PLAN_INDEX_BYTES,
-# the largest one a batch of this width makes
+# the largest one a batch of this width makes; also the most midpoints a
+# predicted path adds to a round of parameter_scan's bisection
 _CHUNK = 128
-# halvings parameter_scan's bisection evaluates per batched PointGeometry
+# halvings every round of parameter_scan's bisection can take, whichever
+# way they go
 _SCAN_DEPTH = 5
 
 
@@ -210,12 +213,18 @@ def parameter_scan(spec, param, lo, hi, samples, probe_point):
 
     The parameter enters as an array at the probe point's floats, so one
     PointGeometry evaluates a whole batch of values, and `each` batches
-    the samples and every round of bisection.  Bisection looks _SCAN_DEPTH
-    halvings ahead: a round's batch holds, for every open bracket, each
-    midpoint those halvings can reach (a binary tree of 2^_SCAN_DEPTH - 1
-    nodes, each formed with the float operations the halvings take on the
-    way to it), and the halvings then walk the tree, so the points they
-    evaluate are the ones they would evaluate one at a time.  `each`
+    the samples and every round of bisection.  A round's batch holds, for
+    every open bracket, each midpoint the next _SCAN_DEPTH halvings can
+    reach (a binary tree of 2^_SCAN_DEPTH - 1 nodes), and, in the bracket's
+    first round and after each round whose halvings all went the predicted
+    way through the tree, the path the secant through the held bracket's
+    ends predicts, down to the stopping width, with both children of each
+    of its midpoints (see _Bisection).  Each midpoint is formed with the
+    float operations the halvings take on the way to it, and the halvings
+    then walk the batch while it holds their next midpoint, so the points
+    they evaluate are the ones they would evaluate one at a time: a
+    prediction changes only how many rounds they take.  Verify's cone scan
+    takes 2 builds this way, its samples' and one round's.  `each`
     evaluates a part of a batch only when a walk reads it, so a midpoint no
     walk reaches never fails the scan.
     """
@@ -259,9 +268,12 @@ def parameter_scan(spec, param, lo, hi, samples, probe_point):
             brackets.append(_Bisection(x0, r0, x1, r1))
     active = brackets
     while active:
-        row = each(residuals, [x for b in active for x in b.midpoints()])
-        for k, b in enumerate(active):
-            b.walk(row, k * (2**_SCAN_DEPTH - 1))
+        xs = []
+        for b in active:
+            xs += b.midpoints(len(xs))
+        row = each(residuals, xs)
+        for b in active:
+            b.walk(row)
         active = [b for b in active if b.end is None]
     for b in brackets:
         x, message = b.end
@@ -280,11 +292,29 @@ def parameter_scan(spec, param, lo, hi, samples, probe_point):
     return ScanResult(param, tuple(dedup), tuple(values), tuple(failures))
 
 
+def _secant(xl, rl, xr, rr):
+    """Where the secant through (xl, rl) and (xr, rr) meets 0, or NaN when
+    a residual is not finite."""
+    if not (np.isfinite(rl) and np.isfinite(rr)):
+        return math.nan
+    with np.errstate(all="ignore"):
+        return float(xl - rl * (xr - xl) / (rr - rl))
+
+
 class _Bisection:
     """The halving loop of one sign-change bracket from its sampled ends
-    (x0, r0), (x1, r1), run _SCAN_DEPTH halvings at a time.  `end` is None
-    while it runs, then (x, None) for a root x or (x, message) for a
-    failure at x."""
+    (x0, r0), (x1, r1), run a round at a time.  `end` is None while it
+    runs, then (x, None) for a root x or (x, message) for a failure at x.
+
+    A round's batch holds the tree of the midpoints the next _SCAN_DEPTH
+    halvings can reach.  In the bracket's first round, and after each round
+    whose halvings all took the predicted branch through the tree, it also
+    holds the predicted path: each halving is predicted to keep the side
+    that holds the secant root of the bracket held when the round starts,
+    and the path follows that prediction beyond the tree down to the
+    stopping width, with both children of each midpoint on it, at most
+    _CHUNK midpoints.  A walk halves while the batch holds its next
+    midpoint, so a wrong prediction costs only the rest of its round."""
 
     def __init__(self, x0, r0, x1, r1):
         self.r0 = r0
@@ -293,11 +323,15 @@ class _Bisection:
         # the brackets [left, left + step] held, with their residuals
         self.held = deque([(x0, r0, x1, r1)], maxlen=_SLOPE_LAG + 1)
         self.end = None
+        self.speculate = True  # whether the next round adds the predicted path
 
-    def midpoints(self):
-        """The midpoints the next _SCAN_DEPTH halvings can reach, in heap
-        order: node i has children 2i + 1, where the left end stays, and
-        2i + 2, where node i becomes the left end."""
+    def midpoints(self, start):
+        """This round's batch, to be read from position `start` of the
+        round's: the tree in heap order (node i has children 2i + 1, where
+        the left end stays, and 2i + 2, where node i becomes the left end),
+        then the path beyond it.  Each midpoint is formed with the float
+        operations the halvings take on the way to it."""
+        self.guess = _secant(*self.held[-1])
         ends = [(self.left, self.step)]  # (left, step) before each node
         xs = []
         while len(xs) < 2**_SCAN_DEPTH - 1:
@@ -305,28 +339,45 @@ class _Bisection:
             step *= 0.5
             xs.append(left + step)
             ends += [(left, step), (xs[-1], step)]
+        if self.speculate and math.isfinite(self.guess):
+            left, step, tree = self.left, self.step, len(xs)
+            for depth in itertools.count(1):  # x is `depth` halvings away
+                step *= 0.5
+                x = left + step
+                if abs(step) < _XTOL + _RTOL * abs(x) or len(xs) - tree >= _CHUNK:
+                    break
+                if depth >= _SCAN_DEPTH:  # x's children are beyond the tree
+                    xs += [left + step * 0.5, x + step * 0.5]
+                if self.guess > x:
+                    left = x
+        self.index = {x: start + i for i, x in enumerate(xs)}
         return xs
 
-    def walk(self, row, offset):
-        """Take up to _SCAN_DEPTH halvings, reading the residual at midpoint
-        node i from row(offset + i)."""
-        node = 0
-        for _ in range(_SCAN_DEPTH):
-            self.step *= 0.5
-            x = self.left + self.step
+    def walk(self, row):
+        """Halve while this round's batch holds the next midpoint, reading
+        the residual at position i of the round's from row(i)."""
+        on_path = math.isfinite(self.guess)
+        for depth in itertools.count(1):
+            step = self.step * 0.5
+            x = self.left + step
+            if x not in self.index:
+                self.speculate = on_path
+                return
+            self.step = step
             try:
-                r = row(offset + node)
+                r = row(self.index[x])
             except WarpgeoError as exc:
                 self.end = (x, str(exc))
                 return
             self.last = (self.last[1], (x, r))
-            if np.sign(r) * np.sign(self.r0) >= 0.0:
+            rightward = np.sign(r) * np.sign(self.r0) >= 0.0  # x becomes the left end
+            if depth <= _SCAN_DEPTH:
+                on_path = on_path and rightward == (self.guess > x)
+            if rightward:
                 self.left = x
                 self.held.append((x, r) + self.held[-1][2:])
-                node = 2 * node + 2
             else:
                 self.held.append(self.held[-1][:2] + (x, r))
-                node = 2 * node + 1
             if r == 0.0 or abs(self.step) < _XTOL + _RTOL * abs(x):
                 self.end = (x, self._pole_test())
                 return

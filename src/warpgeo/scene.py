@@ -83,6 +83,9 @@ def scene_from_dict(data, where="scene"):
     imm = _expect(data, "immersion", dict, where)
     variables = _expect(imm, "variables", list, f"{where}.immersion")
     components = _expect(imm, "components", list, f"{where}.immersion")
+    for i, comp in enumerate(components):
+        if not isinstance(comp, str):
+            raise SceneError(f"{where}.immersion: component {i} must be a string")
     params = _params(imm, f"{where}.immersion")
     try:
         spec = immersion(variables, components, params, chart)

@@ -3,11 +3,12 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import bisect
 
@@ -178,6 +179,59 @@ class TestScan:
         res = bh.parameter_scan(*SCANS[name])
         assert repr(res.to_dict()) == json.loads(SCAN_GOLDEN.read_text())[name]
 
+    @pytest.mark.parametrize("name", sorted(SCANS))
+    def test_scan_equals_the_one_point_at_a_time_scan(self, monkeypatch, name):
+        res = bh.parameter_scan(*SCANS[name])
+        _one_at_a_time(monkeypatch)
+        ref = bh.parameter_scan(*SCANS[name])
+        assert res == ref
+        assert repr(res.to_dict()) == repr(ref.to_dict())
+
+    @pytest.mark.parametrize("name", sorted(SCANS))
+    def test_scan_takes_no_more_rounds_than_the_tree_alone(self, monkeypatch, name):
+        # (build attempts, bisection rounds) with the look-ahead tree alone
+        # in every round, as a NaN secant leaves it
+        tree_alone = {
+            "cone r -1:1/101": (19, 6),
+            "cone r -1:1/3": (5, 0),
+            "cone r 0.5:1e22/2": (23, 22),
+            "cone r 0.5:2/31": (7, 6),
+            "cone r 0.5:2/33": (7, 6),
+            "cone r 1.5:2/11": (1, 0),
+            "exponent p 1.5:3/16": (7, 6),
+            "pole r 0.45:1.6/20": (7, 6),
+            "pole r 0.5:1.5/30": (6, 1),
+            "slice r 0.5:2/31": (7, 6),
+        }
+        # a round whose batch raises is halved by `each`: a wider first
+        # round can take more attempts
+        wider_failing = {"pole r 0.5:1.5/30": 8}
+        counts = {"attempts": 0, "batches": 0}
+        geometry, batched = bh.PointGeometry, bh.each
+
+        def attempt(*args):
+            counts["attempts"] += 1
+            return geometry(*args)
+
+        def batch(*args):
+            counts["batches"] += 1  # the samples, then one per round
+            return batched(*args)
+
+        def scan():
+            counts.update(attempts=0, batches=0)
+            bh.parameter_scan(*SCANS[name])
+            return counts["attempts"], counts["batches"] - 1
+
+        monkeypatch.setattr(bh, "PointGeometry", attempt)
+        monkeypatch.setattr(bh, "each", batch)
+        attempts, rounds = scan()
+        assert rounds <= tree_alone[name][1]
+        assert attempts <= wider_failing.get(name, tree_alone[name][0])
+        if name == "cone r 0.5:2/31":  # verify's scan: the samples and one round
+            assert attempts == 2
+        monkeypatch.setattr(bh, "_secant", lambda *held: math.nan)
+        assert scan() == tree_alone[name]
+
     def test_bad_arguments(self, cone):
         with pytest.raises(UsageError):
             bh.parameter_scan(cone(1.0), "r", 2.0, 0.5, 11, (1.0, 1.0))
@@ -217,6 +271,13 @@ MONOTONE = {
     "sinh": lambda x, c, a: a * np.sinh((x - c) / 4.0),
     "cubic": lambda x, c, a: a * ((x - c) ** 3 + (x - c)),
 }
+
+
+def _one_at_a_time(monkeypatch):
+    """Make parameter_scan's bisection take one halving per round, with no
+    predicted path: the scan as it runs without look-ahead."""
+    monkeypatch.setattr(bh, "_SCAN_DEPTH", 1)
+    monkeypatch.setattr(bh, "_secant", lambda *held: math.nan)
 
 
 def _scan_reads(monkeypatch, residual):
@@ -274,11 +335,82 @@ class TestBisection:
         assert res == ref
         assert res.failures == ()
         assert res.roots == (bisect(lambda x: x - c, lo, hi, xtol=1e-10),)
-        # the samples; round 1: 13 parts of its tree, 8 of which raise; then
-        # one batch for each of the 6 further rounds
-        assert len(evaluated) == 1 + 13 + 6
-        assert len(raised) == 8
+        # the samples, then one round: the residual is linear, so the secant
+        # predicts every halving and the round's batch of 89 (its tree of
+        # 31 and the predicted path of 58) reaches the root; halving it
+        # around the values in (lo, mid) makes 22 parts, 14 of which raise
+        # (20 and 8 with the tree alone, over 7 rounds)
+        assert len(evaluated) == 1 + 22
+        assert len(raised) == 14
         assert all(np.any((lo < r) & (r < mid)) for r in raised)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(sorted(MONOTONE) + ["pole", "sine"]),
+        st.floats(-10.0, 10.0),
+        st.floats(1e-6, 10.0),
+        st.floats(1e-6, 10.0),
+        st.sampled_from([-3.0, -0.5, 0.25, 1.0, 40.0]),
+        st.integers(2, 12),
+        st.none() | st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 0.5)),
+    )
+    @example("sine", 0.3, 5.3, 4.7, 1.0, 8, None)  # three brackets in a round
+    def test_scan_equals_the_one_point_at_a_time_scan(
+        self, name, c, below, above, a, samples, raising
+    ):
+        # a pole at c, or a sine with roots c + k pi, several brackets in
+        # one round; `raising` is a region (start, width) of [lo, hi], as
+        # fractions of it, where an evaluation raises: on the path or off it
+        lo, hi = c - below, c + above
+
+        def f(x):
+            if raising is not None:
+                start = lo + raising[0] * (hi - lo)
+                if np.any((start < x) & (x < start + raising[1] * (hi - lo))):
+                    raise EvalDomainError("in the raising region")
+            if name == "pole":
+                with np.errstate(divide="ignore"):
+                    return a / (x - c)
+            if name == "sine":
+                return a * np.sin(x - c)
+            return MONOTONE[name](x, c, a)
+
+        with pytest.MonkeyPatch.context() as mp:
+            _scan_reads(mp, f)
+            res = bh.parameter_scan(verify.cone(1.0), "r", lo, hi, samples, (1.0, 1.0))
+            _one_at_a_time(mp)
+            ref = bh.parameter_scan(verify.cone(1.0), "r", lo, hi, samples, (1.0, 1.0))
+        assert res == ref
+        assert repr(res.to_dict()) == repr(ref.to_dict())
+
+    @pytest.mark.parametrize("end", [0, 1])
+    def test_infinite_end_residual_falls_back_to_the_tree(self, monkeypatch, end):
+        # the secant through an infinite residual predicts nothing, and no
+        # RuntimeWarning is raised: the first round holds the tree alone,
+        # and so does the next, as a round with no prediction never took
+        # it; that round's halvings go the way its finite secant predicts,
+        # so the third round holds the path again and reaches the root
+        lo, hi, c = 0.0, 1.0, 0.7
+
+        def f(r):
+            return np.where(r == (lo, hi)[end], (-np.inf, np.inf)[end], r - c)
+
+        _scan_reads(monkeypatch, f)
+        sizes = []
+        midpoints = bh._Bisection.midpoints
+
+        def spied(self, start):
+            xs = midpoints(self, start)
+            sizes.append(len(xs))
+            return xs
+
+        monkeypatch.setattr(bh._Bisection, "midpoints", spied)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = bh.parameter_scan(verify.cone(1.0), "r", lo, hi, 2, (1.0, 1.0))
+        assert res.roots == (bisect(lambda x: x - c, lo, hi, xtol=1e-10),)
+        assert sizes[:2] == [2**bh._SCAN_DEPTH - 1] * 2
+        assert len(sizes) == 3 and sizes[2] > sizes[1]
 
     def test_import_leaves_scipy_out(self):
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))

@@ -8,7 +8,6 @@ again raises these counts.
 """
 
 import json
-import math
 import sys
 
 import numpy as np
@@ -199,17 +198,21 @@ def test_pairing_reuses_the_base_point(counts):
 
 def test_verify_pass_build_count(counts):
     # the closed-form fixtures: one batch per family, r a batch param, 2;
-    # the scan: 7; one BasePoint per warped point: the r = 1 slice's, the
-    # cone's and the S3's
+    # the scan: 2, as its bisection reaches the root in the one round the
+    # secant predicts (7 with the look-ahead tree alone); one BasePoint per
+    # warped point: the r = 1 slice's, the cone's and the S3's
     verify.run_checks()
-    assert counts["builds"] == 12
+    assert counts["builds"] == 7
 
 
 def test_scan_bisects_from_the_sampled_ends(counts):
     # 31 samples in one batch, then 29 midpoints for the one bracket around
-    # r = 1, _SCAN_DEPTH = 5 of them per batch: 1 + 6 builds
+    # r = 1: every halving goes the way the secant through the bracket's
+    # sampled ends predicts, so its first round's batch, the tree of 5
+    # halvings and the predicted path beyond it, holds all 29: 1 + 1 builds
+    # (1 + 6 with the tree alone, 5 halvings a round)
     biharmonic.parameter_scan(verify.cone(1.0), "r", 0.5, 2.0, 31, (1.0, 1.0))
-    assert counts["builds"] == 1 + math.ceil(29 / biharmonic._SCAN_DEPTH) == 7
+    assert counts["builds"] == 2
 
 
 def test_scan_halves_a_batch_around_a_failing_sample(counts):
@@ -222,12 +225,15 @@ def test_scan_halves_a_batch_around_a_failing_sample(counts):
 
 
 def test_scan_of_a_param_in_an_exponent(counts):
-    # each sample takes its own power rule in one batch: 1 + 6 builds
+    # each sample takes its own power rule in one batch; the bisection
+    # takes 3 rounds, each holding the predicted path, which the halvings
+    # of the first two leave below the tree: 1 + 3 builds (1 + 6 with the
+    # look-ahead tree alone)
     spec = immersion(
         ("u", "v"), ("u", "v", "u^p+v"), {"p": 2.0}, AmbientChart("euclidean", 3)
     )
     biharmonic.parameter_scan(spec, "p", 1.5, 3.0, 16, (0.5, 0.3))
-    assert counts["builds"] == 7
+    assert counts["builds"] == 4
 
 
 @pytest.mark.parametrize("name", ["tension_first_principles", "bitension_first_principles"])
@@ -249,11 +255,12 @@ def test_verify_pass_mul_count(counts):
     # contraction with a constant factor forms only its value's terms; each
     # scene's positivity samples are one order-0 evaluation of its warp, and
     # its t samples one more of order 2; the oracle runs one pipeline per
-    # base point, its warps a leading batch axis of t
+    # base point, its warps a leading batch axis of t; the cone scan makes 2
+    # builds (7, and 90, 383 and 75 here, with the look-ahead tree alone)
     verify.run_checks()
-    assert counts["mul"] == 90
-    assert counts["contract"] == 383
-    assert counts["constant_plans"] == 75
+    assert counts["mul"] == 70
+    assert counts["contract"] == 263
+    assert counts["constant_plans"] == 60
 
 
 def test_verify_pass_oracle_count(counts):

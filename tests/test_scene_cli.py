@@ -84,6 +84,12 @@ class TestSceneLoading:
         with pytest.raises(SceneError, match="immersion"):
             scene_from_dict(bad)
 
+    @pytest.mark.parametrize("component", [1, None, ["r"]])
+    def test_non_string_component_names_its_index(self, component):
+        bad = _with(CONE_SCENE, "immersion", components=["u", "v", component])
+        with pytest.raises(SceneError, match="component 2 must be a string"):
+            scene_from_dict(bad)
+
     def test_bad_point_arity(self):
         bad = json.loads(json.dumps(CONE_SCENE))
         bad["analysis"]["points"] = [[1.0]]
@@ -344,6 +350,18 @@ BAD_INPUT = {
     "grid count": (CONE_SCENE, ["classify", "{scene}", "--grid", "0.5:2:-1,0:1:2"]),
     "scan range": (CONE_SCENE, ["scan", "{scene}", "--param", "r", "--range", "0.5"]),
     "warp t lo:hi": (SLICE_SCENE, ["warp", "{scene}", "--t", "0:1", "--point", "0.3,-0.2"]),
+    "component a number": (
+        _with(CONE_SCENE, "immersion", components=["u", "v", 1]),
+        ["analyze", "{scene}"],
+    ),
+    "component null": (
+        _with(CONE_SCENE, "immersion", components=["u", "v", None]),
+        ["analyze", "{scene}"],
+    ),
+    "component a list": (
+        _with(CONE_SCENE, "immersion", components=["u", "v", ["r"]]),
+        ["analyze", "{scene}"],
+    ),
     "param not numeric": (
         _with(CONE_SCENE, "immersion", params={"r": "abc"}),
         ["analyze", "{scene}"],
