@@ -11,6 +11,7 @@ immersion instead.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,25 +115,36 @@ class WarpEval:
     f2: object
 
     def __post_init__(self):
-        # the first t at which f is not positive or a value is not finite,
-        # with the message of its first failing check
+        # the first t at which f is not positive, a value is not finite or
+        # f^4, which the closed forms divide by, is not a finite normal
+        # float, with the message of its first failing check
         inf = math.inf
-        ok = (0.0 < self.f) & (self.f < inf) & (abs(self.f1) < inf) & (abs(self.f2) < inf)
+        if isinstance(self.f, float):  # one t: a float's power raises on overflow
+            try:
+                f4 = power(self.f, 4)
+            except OverflowError:
+                f4 = inf
+        else:
+            with np.errstate(over="ignore"):
+                f4 = power(self.f, 4)
+        ok = (0.0 < self.f) & (abs(self.f1) < inf) & (abs(self.f2) < inf)
+        ok &= (sys.float_info.min <= f4) & (f4 < inf)
         if ok is True or np.all(ok):  # a bool at one t
             return
         i = np.flatnonzero(np.logical_not(ok))[0]
         f, f1, f2 = (float(np.ravel(x)[i]) for x in (self.f, self.f1, self.f2))
         if not f > 0.0:
             raise EvalDomainError(f"warping function must be positive, got {f:g}", value=f)
+        if not all(map(math.isfinite, (f, f1, f2))):
+            raise EvalDomainError(
+                f"warping function and its derivatives must be finite, got "
+                f"f={f:g}, f'={f1:g}, f''={f2:g}",
+                value=f,
+            )
         raise EvalDomainError(
-            f"warping function and its derivatives must be finite, got "
-            f"f={f:g}, f'={f1:g}, f''={f2:g}",
+            f"f^4 of the warping function must be a finite normal float, got f={f:g}",
             value=f,
         )
-
-    def at(self, i):
-        """The WarpEval of t number i of a sweep."""
-        return WarpEval(*(float(x[i]) for x in (self.t, self.f, self.f1, self.f2)))
 
     def power_residual(self, m):
         """f f'' + (m-1) f'^2, the power-family residual."""

@@ -80,8 +80,11 @@ def _axis(text):
 
 
 def _linspaces(option, text, axes):
-    """The lo:hi:N axes as arrays, after checking that their grid holds at
-    most MAX_POINTS points."""
+    """The lo:hi:N axes as arrays, after checking that each has a finite
+    width and that their grid holds at most MAX_POINTS points."""
+    for lo, hi, _ in axes:
+        if not math.isfinite(hi - lo):
+            raise UsageError(f"{option} axis {lo:g}:{hi:g} is too wide")
     total = math.prod(n for _, _, n in axes)
     if total > MAX_POINTS:
         raise UsageError(

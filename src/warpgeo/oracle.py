@@ -260,12 +260,12 @@ def warped_inclusion_map(scene):
     return MapSpec(d, n + 1, evaluate, codomain_christoffel)
 
 
-def submanifold_bitension(spec, point, geometry=None):
-    """tau_2 of the canonical inclusion assembled from the submanifold
-    closed form: -m sum_i { R(H, e_i) e_i + (nabla^2 H)(e_i, e_i) }."""
-    pg = geometry or PointGeometry(spec, point)
-    m, n = spec.m, spec.n
-    chart = spec.ambient
+def submanifold_bitension(pg: PointGeometry):
+    """tau_2 of the canonical inclusion at the point of `pg`, assembled from
+    the submanifold closed form:
+    -m sum_i { R(H, e_i) e_i + (nabla^2 H)(e_i, e_i) }."""
+    m, n = pg.spec.m, pg.spec.n
+    chart = pg.spec.ambient
 
     sec = _pullback_hessian(pg.H_c, pg.gamma_n_c, pg.dX_c, pg.gamma_c, m)
     trace_sec = np.einsum("kl,kla->a", pg.ginv_val, sec)
@@ -307,7 +307,10 @@ def riemann(gamma, n_vars):
 
 
 def ricci(riem, x_vec):
-    """Ric(X, X) by tracing the curvature tensor: Ric_{jk} = R^i_{ijk}."""
-    ric = np.einsum("iijk->jk", riem)
+    """Ric(X, X) by tracing the curvature tensor, Ric_{jk} = R^i_{ijk}: a
+    float for R of one point (d, d, d, d), an array for R over a batch
+    (*batch, d, d, d, d), each entry its point's float bit for bit."""
+    ric = np.einsum("...iijk->...jk", riem)
     x = np.asarray(x_vec, dtype=float)
-    return float(x @ ric @ x)
+    r = np.vecdot(np.vecmat(x, ric), x)
+    return r if r.ndim else float(r)

@@ -30,8 +30,8 @@ class WarpedScene:
 
     def __post_init__(self):
         lo, hi = self.interval
-        if not lo < hi:
-            raise ConfigError(f"empty warp interval [{lo}, {hi}]")
+        if not (lo < hi and np.isfinite(hi - lo)):  # its samples need a finite width
+            raise ConfigError(f"warp interval [{lo}, {hi}] is empty or too wide")
         if "t" in self.warp_params:
             raise ConfigError("warp param 't' would shadow the warp's variable t")
         extra = free_symbols(self.warp) - ({"t"} | set(self.warp_params))
@@ -127,7 +127,7 @@ def base_point(spec, point):
     if memo and memo[0] is spec and memo[1] == key and not np.isnan(coords).any():
         return memo[2]
     pg = PointGeometry(spec, point)
-    tau2_i = oracle.submanifold_bitension(spec, point, geometry=pg)
+    tau2_i = oracle.submanifold_bitension(pg)
     for a in [*vars(pg).values(), pg.e2.coeffs, tau2_i]:
         if isinstance(a, np.ndarray):
             a.setflags(write=False)
@@ -222,8 +222,7 @@ def inclusion_bitension(base, w):
 @dataclass(frozen=True)
 class WarpedReport:
     """tau(phi), tau_2(phi) and their pairing at a BasePoint and a WarpEval:
-    floats at one t, arrays over a sweep (`at` gives the report of one of
-    its t)."""
+    floats at one t, arrays over a sweep."""
 
     base: BasePoint
     warp: WarpEval
@@ -234,33 +233,10 @@ class WarpedReport:
     pairing_closed_form_applicable: bool
     power_residual: object
 
-    def at(self, i):
-        """The report of t number i of a sweep, equal to its one-t report."""
-        b = self.bitension
-        return WarpedReport(
-            base=self.base,
-            warp=self.warp.at(i),
-            tension=self.tension[i],
-            bitension=BitensionParts(
-                b.vec[i],
-                b.tangential[i],
-                b.normal[i],
-                float(b.tangential_norm[i]),
-                float(b.normal_norm[i]),
-            ),
-            pairing=float(self.pairing[i]),
-            pairing_closed_form=float(self.pairing_closed_form[i]),
-            pairing_closed_form_applicable=self.pairing_closed_form_applicable,
-            power_residual=float(self.power_residual[i]),
-        )
-
-    def to_dict(self):
-        """The report of one t as a dict."""
-        return self.to_dicts()[0]
-
     def to_dicts(self):
         """One dict per t, of a sweep or of a one-t report, built column by
-        column: one tolist() per array, the values of `at(i).to_dict()`."""
+        column: one tolist() per array.  The dict of t number i of a sweep
+        equals that of its one-t report."""
 
         def column(x):  # a per-t value
             return np.ravel(x).tolist()
@@ -323,10 +299,10 @@ def pairing(base, w):
 @dataclass(frozen=True)
 class RicciCheck:
     ric_base: float  # Ric of (M, g) on X
-    ric_warped: float  # Ric of (I x M, dt^2 + f^2 g) on X
-    identity_residual: float  # ric_warped - ric_base + power residual
-    pairing_via_ricci: float
-    pairing_closed_form: float
+    ric_warped: object  # per t: Ric of (I x M, dt^2 + f^2 g) on X
+    identity_residual: object  # ric_warped - ric_base + power residual
+    pairing_via_ricci: object
+    pairing_closed_form: object
 
 
 def ricci_warped_check(base, w, x_intrinsic, riemann):
@@ -336,7 +312,9 @@ def ricci_warped_check(base, w, x_intrinsic, riemann):
     Ric of (M, g) comes from the Christoffels the BasePoint holds.  Ric~
     comes from `riemann`, R^l_{ijk} of (I x M, dt^2 + f^2 g) at (t, point),
     as `oracle.first_principles` or `oracle.curvature_components` of the
-    warped inclusion gives it."""
+    warped inclusion gives it: (d, d, d, d) at one t, (T, d, d, d, d) over
+    w's sweep of T values of t.  Each t of a sweep equals its one-t check
+    bit for bit."""
     m = base.geometry.spec.m
     x = np.asarray(x_intrinsic, dtype=float)
     if x.shape != (m,):

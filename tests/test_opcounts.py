@@ -39,6 +39,7 @@ def counts(monkeypatch):
         "eval_jet": 0,
         "eval_value": 0,
         "jpow": 0,
+        "ricci_warped_check": 0,
     }
     init = PointGeometry.__init__
 
@@ -88,6 +89,7 @@ def counts(monkeypatch):
     counted(oracle, "_tension_pipeline")
     counted(oracle, "curvature_components")
     counted(warped, "warped_scene")
+    counted(warped, "ricci_warped_check")
     counted(warped, "eval_jet")
     # every module that binds eval_value, as `from .expr import eval_value`
     # would, calls its own binding
@@ -273,6 +275,14 @@ def test_verify_pass_oracle_count(counts):
     assert counts["_tension_pipeline"] == 2
     assert counts["curvature_components"] == 0
     assert counts["warped_scene"] == 11
+
+
+def test_verify_pass_ricci_check_count(counts):
+    # one check per warp of the slice over T_SAMPLES, the flat exp(t)
+    # check read from its t = 0 (7 with one check per t and one more for
+    # the flat check)
+    verify.run_checks()
+    assert counts["ricci_warped_check"] == 3
 
 
 def test_verify_pass_evaluates_each_warp_once_per_sweep(counts):

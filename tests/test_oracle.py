@@ -49,14 +49,14 @@ class TestBitension:
     def test_self_consistency_slice(self, sphere_slice, point):
         spec = sphere_slice(1.0)
         fp = oracle.bitension_first_principles(oracle.inclusion_map(spec), point)
-        closed = oracle.submanifold_bitension(spec, point)
+        closed = oracle.submanifold_bitension(PointGeometry(spec, point))
         assert np.allclose(fp, closed, atol=1e-7 * (1 + np.abs(closed).max()))
 
     def test_self_consistency_cone(self, cone):
         spec = cone(1.3)
         point = (1.0, 0.7)
         fp = oracle.bitension_first_principles(oracle.inclusion_map(spec), point)
-        closed = oracle.submanifold_bitension(spec, point)
+        closed = oracle.submanifold_bitension(PointGeometry(spec, point))
         assert np.allclose(fp, closed, atol=1e-7 * (1 + np.abs(closed).max()))
 
     @pytest.mark.parametrize(
@@ -67,7 +67,7 @@ class TestBitension:
         # hypersurfaces that are not biharmonic
         spec = immersion(("u", "v"), components, {}, AmbientChart(model, 3))
         pg = PointGeometry(spec, point)
-        tau2 = oracle.submanifold_bitension(spec, point, geometry=pg)
+        tau2 = oracle.submanifold_bitension(pg)
         tangential, _ = tangential_residual(pg)
         ref = normal_residual(pg) * pg.eta_val + tangential
         assert np.abs(ref).max() > 1e-2
@@ -83,7 +83,7 @@ class TestBitension:
         variables = ("u", "v", "w")[: len(point)]
         spec = immersion(variables, components, {}, AmbientChart(model, len(components)))
         if warp is None:
-            ref = oracle.submanifold_bitension(spec, point)
+            ref = oracle.submanifold_bitension(PointGeometry(spec, point))
             got = oracle.bitension_first_principles(oracle.inclusion_map(spec), point)
         else:
             scene = warped.warped_scene(spec, warp, {}, (-1.0, 1.0))
@@ -112,7 +112,7 @@ class TestBitension:
 
     def test_slice_r1_bitension_vanishes(self, sphere_slice):
         spec = sphere_slice(1.0)
-        tau2 = oracle.submanifold_bitension(spec, (0.3, -0.2))
+        tau2 = oracle.submanifold_bitension(PointGeometry(spec, (0.3, -0.2)))
         assert np.allclose(tau2, 0.0, atol=1e-7)
 
     def test_frame_independence(self, cone):

@@ -400,6 +400,13 @@ BAD_INPUT = {
         _with(SLICE_SCENE, "warp", expr="2+cos(1e308*1e308)"),
         ["warp", "{scene}", "--t", "0:1:2", "--point", "0.3,-0.2"],
     ),
+    # a lo:hi whose width overflows: at load and on the command line
+    "warp interval too wide": (
+        _with(SLICE_SCENE, "warp", interval=[-1e308, 1e308]),
+        ["warp", "{scene}", "--t", "0:1:2", "--point", "0.3,-0.2"],
+    ),
+    "warp t too wide": (SLICE_SCENE, ["warp", "{scene}", "--t=-1e308:1e308:3", "--point", "0.3,-0.2"]),
+    "grid too wide": (CONE_SCENE, ["classify", "{scene}", "--grid=-1e308:1e308:3,0:0.1:2"]),
     "warp integer power above 128": (
         _with(SLICE_SCENE, "warp", expr="2+t^200", interval=[-1.0, 1.0]),
         ["warp", "{scene}", "--t=-1:1:3", "--point", "0.3,-0.2"],
@@ -492,6 +499,18 @@ def test_bad_input_exits_2_with_message(tmp_path, capsys, data, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("case", ["warp interval too wide", "warp t too wide", "grid too wide"])
+def test_too_wide_names_the_width(tmp_path, capsys, case):
+    # not "t = nan lies outside the warp interval" or "leaves the float range"
+    data, argv = BAD_INPUT[case]
+    scene = write_scene(tmp_path, data)
+    run_cli([arg.format(scene=scene) for arg in argv])
+    assert "too wide" in capsys.readouterr().err
+
+
+F4_MESSAGE = "f^4 of the warping function must be a finite normal float, got f="
+
+
 @pytest.mark.parametrize(
     "warp, interval, tgrid, code, message",
     [
@@ -499,6 +518,9 @@ def test_bad_input_exits_2_with_message(tmp_path, capsys, data, argv):
         ("t^2-1e-4", [-1.0, 1.0], "-1:1:5", 3, "warping function must be positive, got -0.0001"),
         ("exp(t)", [-0.5, 1.0], "-2:2:5", 2, "t = -2 lies outside the warp interval [-0.5, 1]"),
         ("exp(t)", [-0.5, 1.0], "0:2:3", 2, "t = 2 lies outside the warp interval [-0.5, 1]"),
+        # the closed forms divide by f^4, which must be a finite normal float
+        ("t", [1e-300, 1.0], "1e-300:1:3", 3, F4_MESSAGE + "1e-300"),
+        ("exp(t)", [0.0, 200.0], "0:200:3", 3, F4_MESSAGE + "7.22597e+86"),
     ],
 )
 def test_warp_sweep_names_the_first_failing_t(

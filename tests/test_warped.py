@@ -11,6 +11,16 @@ from warpgeo.immersion import PointGeometry, immersion
 
 INTERVAL = (-0.5, 1.0)
 POINT = (0.3, -0.2)
+# warps of the sweep tests, each with its interval and the dimension m of M
+SWEEP_WARPS = [
+    ("exp(t)", {}, INTERVAL, 2),
+    ("sqrt(t+2)", {}, INTERVAL, 2),
+    ("2+cos(t)", {}, INTERVAL, 3),
+    ("(a*t+b)^(1/m)", {"a": 1.0, "b": 2.0, "m": 2}, (0.0, 1.5), 2),
+    ("(a*t+b)^(1/m)", {"a": 3.0, "b": 1.0, "m": 3}, (0.0, 1.5), 3),
+    ("t^t", {}, (0.5, 2.0), 2),
+    ("2", {}, INTERVAL, 2),
+]
 
 
 @pytest.fixture
@@ -165,6 +175,8 @@ class TestPairing:
 
 
 class TestRicciCheck:
+    PER_T_FIELDS = ("ric_warped", "identity_residual", "pairing_via_ricci", "pairing_closed_form")
+
     def test_identity_and_pairing(self, slice_scene):
         scene = slice_scene("sqrt(t+2)")
         pg = PointGeometry(scene.immersion, POINT)
@@ -241,6 +253,28 @@ class TestRicciCheck:
         ref = oracle.ricci(riem, x)
         assert rc.ric_base == ref
 
+    @pytest.mark.parametrize(
+        "warp, params, interval, m", SWEEP_WARPS, ids=[f"{w[0]} m={w[3]}" for w in SWEEP_WARPS]
+    )
+    def test_sweep_equals_its_one_t_checks(self, slice_scene, warp, params, interval, m):
+        # R over the sweep is one batched oracle record, as verify reads it
+        scene = slice_scene(warp, params, interval, m=m)
+        point = (0.3, -0.2, 0.1)[:m]
+        base = base_of(scene, point)
+        x = np.eye(m)[0] / math.sqrt(base.geometry.g_val[0, 0])
+        ts = np.linspace(interval[0] + 0.05, interval[1] - 0.05, 7)
+        mapspec = oracle.warped_inclusion_map(scene)
+        riemann = oracle.first_principles(mapspec, (ts,) + point).riemann
+        sweep = warped.ricci_warped_check(base, scene.warp_at(ts), x, riemann)
+        for i, t in enumerate(ts):
+            one = warped.ricci_warped_check(base, scene.warp_at(float(t)), x, riemann[i])
+            assert type(sweep.ric_base) is float and sweep.ric_base == one.ric_base
+            for name in self.PER_T_FIELDS:
+                a, b = getattr(sweep, name)[i], getattr(one, name)
+                assert type(b) is float
+                assert np.array_equal(a, b)
+                assert np.signbit(a) == np.signbit(b)
+
 
 class TestReport:
     def test_report_fields(self, slice_scene):
@@ -250,20 +284,9 @@ class TestReport:
         assert rep.pairing == pytest.approx(16.0, abs=1e-6)
         assert rep.pairing_closed_form_applicable
         assert rep.power_residual == pytest.approx(2.0)
-        d = rep.to_dict()
+        (d,) = rep.to_dicts()
         assert d["tension"]["t"] == 0.0
         assert len(d["bitension"]["n"]) == 3
-
-
-SWEEP_WARPS = [
-    ("exp(t)", {}, INTERVAL, 2),
-    ("sqrt(t+2)", {}, INTERVAL, 2),
-    ("2+cos(t)", {}, INTERVAL, 3),
-    ("(a*t+b)^(1/m)", {"a": 1.0, "b": 2.0, "m": 2}, (0.0, 1.5), 2),
-    ("(a*t+b)^(1/m)", {"a": 3.0, "b": 1.0, "m": 3}, (0.0, 1.5), 3),
-    ("t^t", {}, (0.5, 2.0), 2),
-    ("2", {}, INTERVAL, 2),
-]
 
 
 class TestSweep:
@@ -281,42 +304,44 @@ class TestSweep:
         assert sweep.tension.shape == sweep.bitension.vec.shape == (7, m + 2)
         dicts = sweep.to_dicts()
         for i, t in enumerate(ts):
-            got, one = sweep.at(i), warped.warped_report(scene, float(t), point)
-            assert repr(got.to_dict()) == repr(one.to_dict())  # repr tells -0.0 from 0.0
-            assert repr(dicts[i]) == repr(one.to_dict())
+            one = warped.warped_report(scene, float(t), point)
+            (one_dict,) = one.to_dicts()
+            assert repr(dicts[i]) == repr(one_dict)  # repr tells -0.0 from 0.0
             for a, b in (
-                (got.tension, one.tension),
-                (got.bitension.tangential, one.bitension.tangential),
-                (got.bitension.normal, one.bitension.normal),
+                (sweep.tension[i], one.tension),
+                (sweep.bitension.tangential[i], one.bitension.tangential),
+                (sweep.bitension.normal[i], one.bitension.normal),
             ):
                 assert np.array_equal(a, b)
                 assert np.array_equal(np.signbit(a), np.signbit(b))
 
     @staticmethod
-    def _dict_of_one_t(rep):
-        """A one-t report as a dict, field by field: the reference for
-        to_dicts, which builds the dicts of a sweep one column at a time."""
-        tau, tau2 = rep.tension, rep.bitension
+    def _dict_of_one_t(rep, i):
+        """t number i of a sweep as a dict, field by field from the sweep's
+        arrays: the reference for to_dicts, which builds the dicts of a
+        sweep one column at a time."""
+        tau, tau2 = rep.tension[i], rep.bitension
         return {
-            **vars(rep.warp),
+            **{name: float(x[i]) for name, x in vars(rep.warp).items()},
             "point": list(rep.base.geometry.point),
             "tension": {"t": float(tau[0]), "n": tau[1:].tolist()},
-            "bitension": {"t": float(tau2.vec[0]), "n": tau2.vec[1:].tolist()},
-            "pairing": rep.pairing,
-            "pairing_closed_form": rep.pairing_closed_form,
+            "bitension": {"t": float(tau2.vec[i, 0]), "n": tau2.vec[i, 1:].tolist()},
+            "pairing": float(rep.pairing[i]),
+            "pairing_closed_form": float(rep.pairing_closed_form[i]),
             "pairing_closed_form_applicable": rep.pairing_closed_form_applicable,
-            "power_residual": rep.power_residual,
-            "tangential_part_norm": tau2.tangential_norm,
-            "normal_part_norm": tau2.normal_norm,
+            "power_residual": float(rep.power_residual[i]),
+            "tangential_part_norm": float(tau2.tangential_norm[i]),
+            "normal_part_norm": float(tau2.normal_norm[i]),
         }
 
     def test_long_sweep_dicts_equal_the_dicts_of_its_t(self, slice_scene):
         # warpgeo warp --json writes to_dicts
         ts = np.linspace(-0.5, 1.0, 20000)
         sweep = warped.warped_report(slice_scene(), ts, POINT)
-        per_t = [self._dict_of_one_t(sweep.at(i)) for i in range(len(ts))]
+        per_t = [self._dict_of_one_t(sweep, i) for i in range(len(ts))]
         assert repr(sweep.to_dicts()) == repr(per_t)  # repr tells -0.0 from 0.0
-        assert repr(sweep.at(7).to_dict()) == repr(per_t[7])
+        one = warped.warped_report(slice_scene(), float(ts[7]), POINT)
+        assert repr(one.to_dicts()) == repr(per_t[7:8])
 
     def test_sweep_names_the_first_t_outside_the_interval(self, slice_scene):
         with pytest.raises(UsageError, match=r"^t = 2 lies outside"):
@@ -331,6 +356,28 @@ class TestSweep:
         with pytest.raises(EvalDomainError, match=r"f=1, f'=1, f''=nan"):
             WarpEval(t, np.ones(3), np.ones(3), np.array([0.0, math.nan, 0.0]))
 
+    @pytest.mark.parametrize(
+        "warp, interval, ts",
+        [
+            ("t", (1e-300, 1.0), [0.5, 1e-150, 1e-300]),
+            ("exp(t)", (-200.0, 0.0), [-1.0, -190.0, -200.0]),
+            ("exp(t)", (0.0, 200.0), [1.0, 190.0, 200.0]),
+        ],
+    )
+    def test_f4_out_of_the_normal_range_is_refused(self, slice_scene, warp, interval, ts):
+        # the closed forms divide by f^4: at one t it underflowed to 0.0 (a
+        # ZeroDivisionError) or overflowed (an OverflowError), and a sweep
+        # gave NaN, inf or 0; a sweep names its first failing t
+        scene = slice_scene(warp, interval=interval)
+        with pytest.raises(EvalDomainError) as one:
+            warped.warped_report(scene, ts[1], POINT)
+        with pytest.raises(EvalDomainError) as sweep:
+            warped.warped_report(scene, np.array(ts), POINT)
+        f = scene.warp_jet(J.jet_variable(0, ts[1], 1, 0)).value
+        assert str(one.value) == str(sweep.value) == (
+            f"f^4 of the warping function must be a finite normal float, got f={f:g}"
+        )
+
 
 class TestBasePoint:
     """One warped.BasePoint serves every report at a point of M."""
@@ -339,11 +386,11 @@ class TestBasePoint:
         scene = slice_scene()
         requests = [(t, POINT) for t in (0.0, 0.05, 0.1, 0.15, 0.2)]
         requests += [(0.3, (0.0, 0.2)), (0.3, (-0.0, 0.2))] * 2
-        shared = [warped.warped_report(scene, t, p).to_dict() for t, p in requests]
+        shared = [warped.warped_report(scene, t, p).to_dicts() for t, p in requests]
         fresh = []
         for t, p in requests:
             monkeypatch.setattr(warped, "_memo", None)
-            fresh.append(warped.warped_report(scene, t, p).to_dict())
+            fresh.append(warped.warped_report(scene, t, p).to_dicts())
         assert repr(shared) == repr(fresh)  # repr tells -0.0 from 0.0
         # the two points differ in the sign bit of their first coordinate alone
         x_pos = np.array(warped.base_point(scene.immersion, (0.0, 0.2)).geometry.point)
