@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -92,12 +92,16 @@ class AmbientChart:
 
 def spaceform_curvature(chart, x_vec, y_vec, z_vec, e2):
     """R^N(X,Y)Z = c (h(Y,Z) X - h(X,Z) Y) at constant curvature c, for
-    float arrays X, Y, Z at a point where h = e2 delta (e2 the value of
-    `metric_factor`)."""
+    float vectors X, Y, Z (..., n), stacked on any leading axes that
+    broadcast, at a point where h = e2 delta (e2 the value of
+    `metric_factor`).  The inner products are np.vecdot's, which takes
+    np.dot's path for each vector."""
     c = chart.c
     if c == 0.0:
-        return np.zeros_like(x_vec)
-    return c * (e2 * np.dot(y_vec, z_vec) * x_vec - e2 * np.dot(x_vec, z_vec) * y_vec)
+        return np.zeros(np.broadcast_shapes(np.shape(x_vec), np.shape(y_vec), np.shape(z_vec)))
+    yz = e2 * np.vecdot(y_vec, z_vec)
+    xz = e2 * np.vecdot(x_vec, z_vec)
+    return c * (yz[..., None] * x_vec - xz[..., None] * y_vec)
 
 
 # -- warped ambient (I x N, dt^2 + f^2 h) ---------------------------------
@@ -107,32 +111,35 @@ def spaceform_curvature(chart, x_vec, y_vec, z_vec, e2):
 class WarpEval:
     """Warping function and its first two derivatives at t, as
     `WarpedScene.warp_at` evaluates them: floats at one t, and arrays of
-    one shape over a sweep of t."""
+    one shape over a sweep of t.  It forms the powers of f and f' that the
+    closed forms read once, by `power`: f^2, f^3, f^4 and f'^2."""
 
     t: object
     f: object
     f1: object
     f2: object
+    f_pow2: object = field(init=False)
+    f_pow3: object = field(init=False)
+    f_pow4: object = field(init=False)
+    f1_pow2: object = field(init=False)
 
     def __post_init__(self):
-        # the first t at which f is not positive, a value is not finite or
+        f, f1 = self.f, self.f1
+        factors = _quietly(f, lambda: {
+            "f_pow2": power(f, 2), "f_pow3": power(f, 3), "f_pow4": power(f, 4),
+            "f1_pow2": power(f1, 2),
+        })
+        self.__dict__.update(factors)  # set once, here: the dataclass is frozen
+        # the first t at which f is not positive, a value is not finite,
         # f^4, which the closed forms divide by, is not a finite normal
-        # float, with the message of its first failing check
-        inf = math.inf
-        if isinstance(self.f, float):  # one t: a float's power raises on overflow
-            try:
-                f4 = power(self.f, 4)
-            except OverflowError:
-                f4 = inf
-        else:
-            with np.errstate(over="ignore"):
-                f4 = power(self.f, 4)
-        ok = (0.0 < self.f) & (abs(self.f1) < inf) & (abs(self.f2) < inf)
-        ok &= (sys.float_info.min <= f4) & (f4 < inf)
+        # float, or f'^2 is not finite, with the message of its first
+        # failing check
+        inf, f4 = math.inf, self.f_pow4
+        ok = (0.0 < f) & (abs(f1) < inf) & (abs(self.f2) < inf)
+        ok &= (sys.float_info.min <= f4) & (f4 < inf) & (self.f1_pow2 < inf)
         if ok is True or np.all(ok):  # a bool at one t
             return
-        i = np.flatnonzero(np.logical_not(ok))[0]
-        f, f1, f2 = (float(np.ravel(x)[i]) for x in (self.f, self.f1, self.f2))
+        t, f, f1, f2, f4 = self._at_first_false(ok, ("t", "f", "f1", "f2", "f_pow4"))
         if not f > 0.0:
             raise EvalDomainError(f"warping function must be positive, got {f:g}", value=f)
         if not all(map(math.isfinite, (f, f1, f2))):
@@ -141,18 +148,58 @@ class WarpEval:
                 f"f={f:g}, f'={f1:g}, f''={f2:g}",
                 value=f,
             )
+        if not sys.float_info.min <= f4 < inf:
+            raise EvalDomainError(
+                f"f^4 of the warping function must be a finite normal float, got f={f:g}",
+                value=f,
+            )
         raise EvalDomainError(
-            f"f^4 of the warping function must be a finite normal float, got f={f:g}",
-            value=f,
+            f"f'^2 of the warping function must be finite, got f'={f1:g} at t={t:g}",
+            value=f1,
         )
 
+    def _at_first_false(self, ok, names):
+        """The fields `names`, as floats, at the first t (in a sweep's flat
+        order) where the per-t mask `ok` is false."""
+        i = np.flatnonzero(np.logical_not(ok))[0]
+        return [float(np.ravel(getattr(self, name))[i]) for name in names]
+
     def power_residual(self, m):
-        """f f'' + (m-1) f'^2, the power-family residual."""
-        return self.f * self.f2 + (m - 1) * power(self.f1, 2)
+        """P = f f'' + (m-1) f'^2, the power-family residual, refused at the
+        first t where it is not finite."""
+        f, f2, f1_pow2 = self.f, self.f2, self.f1_pow2
+        residual = _quietly(f, lambda: f * f2 + (m - 1) * f1_pow2)
+        ok = abs(residual) < math.inf
+        if ok is True or np.all(ok):  # a bool at one t
+            return residual
+        t, f, f1, f2 = self._at_first_false(ok, ("t", "f", "f1", "f2"))
+        raise EvalDomainError(
+            f"f f'' + (m-1) f'^2 of the warping function must be finite, got "
+            f"f={f:g}, f'={f1:g}, f''={f2:g} at t={t:g}",
+            value=f1,
+        )
+
+
+def _quietly(per_t, values):
+    """values(), with numpy's overflow and invalid warnings off over a
+    sweep (`per_t` an array), whose checks then refuse the first t that
+    left the float range.  At one t (`per_t` a float) the arithmetic is a
+    float's, which warns of nothing."""
+    if isinstance(per_t, float):
+        return values()
+    with np.errstate(over="ignore", invalid="ignore"):
+        return values()
 
 
 def power(x, p):
     """x ** p for a float or an array x, by C's pow at every entry, as
     Python takes a float's power: numpy's own array power rounds some
-    entries differently, so a sweep would not equal its one-t values."""
-    return x**p if isinstance(x, float) else np.float_power(x, p)
+    entries differently, so a sweep would not equal its one-t values.  An
+    overflow gives an infinity either way, where a float's power raises and
+    numpy's warns: -inf for an odd power of a negative x."""
+    if isinstance(x, float):
+        try:
+            return x**p
+        except OverflowError:
+            return math.copysign(math.inf, x) if p % 2 == 1 else math.inf
+    return np.float_power(x, p)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 
 import numpy as np
@@ -52,15 +52,16 @@ class ImmersionSpec:
             if extra:
                 raise ConfigError(f"unbound identifiers in component: {sorted(extra)}")
 
-    @property
+    # computed once when first read: every closed form reads them
+    @cached_property
     def m(self):
         return len(self.variables)
 
-    @property
+    @cached_property
     def n(self):
         return self.ambient.n
 
-    @property
+    @cached_property
     def is_hypersurface(self):
         return self.n == self.m + 1
 
@@ -134,7 +135,8 @@ def christoffels_from_metric(g, ginv, n_vars):
     inverse from metric_inverse; the result (size', d, d, d, *batch) is at
     the inverse's order, one below g."""
     dg = J.gradient(g, n_vars, range(n_vars))  # dg[l, i, j] = d_l g_ij
-    first = dg + np.swapaxes(dg, 1, 2) - np.moveaxis(dg, 1, 3)
+    # [i, j, l] = d_i g_jl + d_j g_il - d_l g_ij, the batch axes kept last
+    first = dg + dg.swapaxes(1, 2) - dg.transpose(0, 2, 3, 1, *range(4, dg.ndim))
     return 0.5 * J.contract("kl,ijl->kij", ginv, first, n_vars)
 
 
@@ -148,11 +150,12 @@ def metric_inverse(g, n_vars):
     decades (a cone far from its apex) loses the small entries otherwise."""
     g_val = values(g, 2)
     _check_nondegenerate(g_val)
-    s = 1.0 / np.sqrt(np.diagonal(g_val, axis1=-2, axis2=-1))
+    s = 1.0 / np.sqrt(g_val.diagonal(axis1=-2, axis2=-1))
     inv0 = s[..., :, None] * np.linalg.inv(s[..., :, None] * g_val * s[..., None, :])
     inv0 = inv0 * s[..., None, :]
     g = J.trunc(g, n_vars, J.order_of(g, n_vars) - 1)
-    return J.jet_mat_inverse(g, n_vars, np.moveaxis(inv0, (-2, -1), (0, 1)))
+    batch = inv0.ndim - 2  # (*batch, d, d) to (d, d, *batch)
+    return J.jet_mat_inverse(g, n_vars, inv0.transpose(batch, batch + 1, *range(batch)))
 
 
 def orthonormal_frame(g_val):
@@ -184,7 +187,7 @@ def per_point(x, k):
 
 def mT(a):
     """The transpose of each matrix in a stack."""
-    return np.swapaxes(a, -1, -2)
+    return a.swapaxes(-1, -2)
 
 
 def matvec(mat, vec):
@@ -205,13 +208,14 @@ def vdot(x, y):
 
 
 def _trace(mat):
-    return _sum_last(np.diagonal(mat, axis1=-2, axis2=-1))
+    return _sum_last(mat.diagonal(axis1=-2, axis2=-1))
 
 
 def _check_nondegenerate(g_val):
     det = np.linalg.det(g_val)
-    diag = np.diagonal(g_val, axis1=-2, axis2=-1)
-    scale = np.exp(np.mean(np.log(np.maximum(diag, 1e-300)), axis=-1))
+    diag = g_val.diagonal(axis1=-2, axis2=-1)
+    # the geometric mean of the diagonal
+    scale = np.exp(np.add.reduce(np.log(np.maximum(diag, 1e-300)), axis=-1) / diag.shape[-1])
     bad = J.first_where(det, ~(det > 1e-12 * scale))
     if bad is not None:
         raise DegenerateImmersionError(
@@ -321,7 +325,9 @@ class PointGeometry:
 
         # Delta lambda = g^ij (d_i d_j lambda - Gamma^k_ij d_k lambda)
         hess = values(J.gradient(dlam, m, range(m)), 2)
-        gamma_ijk = np.moveaxis(values(self.gamma_c, 3), -3, -1)
+        gamma = values(self.gamma_c, 3)  # (*batch, k, i, j) to (*batch, i, j, k)
+        batch = gamma.ndim - 3
+        gamma_ijk = gamma.transpose(*range(batch), batch + 1, batch + 2, batch)
         hess = hess - vdot(gamma_ijk, self.dlam_val[..., None, None, :])
         self.lap_lam = _trace(self.ginv_val @ hess)
 

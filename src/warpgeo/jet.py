@@ -25,15 +25,16 @@ A tensor of jets (a Christoffel symbol, a second fundamental form) is one
 coefficient array of shape ``(size, *tensor, *batch)``.  :func:`contract`
 multiplies two of them and sums over repeated indices in one call, and it
 is the one product kernel: a scalar product (:meth:`Jet.__mul__`, each
-Horner step of a univariate series) is the contraction ``",->"``.  It
-gathers both factors of every term of the truncated product with one
-``take`` per operand, lines the two gathers up as views over the product's
-indices and the batch, forms every product with one ``np.multiply`` and
-adds them into their coefficients in one fixed order with one
-``np.bincount``, so a batch still equals its points one by one
-(:func:`jet_mat_inverse` is a series of contractions).  Everything but that
-arithmetic is compiled once per pattern and operand shapes into a cached
-plan, which owns the scatter index of each batch shape.  A tensor operand
+Horner step of a univariate series) is the contraction ``",->"``.  A call
+is one ``take`` per operand, one ``np.multiply`` and one ``np.bincount``:
+each operand, reshaped to insert the singleton axes of the indices it
+lacks, gathers its factor of every term of the truncated product along its
+first axis, already lined up with the product's axes; the products are
+added into their coefficients in one fixed order, so a batch still equals
+its points one by one (:func:`jet_mat_inverse` is a series of
+contractions).  Everything but that arithmetic is compiled once per
+pattern and operand shapes into a cached plan, which owns each operand's
+gather and the scatter index of each batch shape.  A tensor operand
 whose coefficients past the value are all zero (a constant factor, such as
 the tangents of a linear chart) takes a plan of its own that forms only the
 terms with its value: the same kernel over fewer coefficient pairs, and the
@@ -209,12 +210,13 @@ class Jet:
     def partial(self, alpha):
         """Return the raw derivative d^alpha f at the point."""
         alpha = tuple(alpha)
-        if len(alpha) != self.n_vars:
-            raise UsageError(f"multi-index length {len(alpha)} != {self.n_vars}")
-        if sum(alpha) > self.order:
-            raise UsageError(f"|{alpha}| exceeds jet order {self.order}")
-        i = self.space.index[alpha]
-        return _scalar(self.coeffs[i] * self.space.factorials[i])
+        space = _space(self.n_vars, self.order)
+        if alpha not in space.index:
+            if len(alpha) != self.n_vars:
+                raise UsageError(f"multi-index length {len(alpha)} != {self.n_vars}")
+            raise UsageError(f"{alpha} is not a multi-index of order <= {self.order}")
+        i = space.index[alpha]
+        return _scalar(self.coeffs[i] * space.factorials[i])
 
     def trunc(self, order):
         if order == self.order:
@@ -316,8 +318,8 @@ def jet_variable(index, value, n_vars, order):
         raise ConfigError(f"variable index {index} out of range for n_vars={n_vars}")
     out = jet_constant(value, n_vars, order)
     if order >= 1:
-        unit = tuple(1 if k == index else 0 for k in range(n_vars))
-        out.coeffs[out.space.index[unit]] = 1.0
+        unit = (0,) * index + (1,) + (0,) * (n_vars - 1 - index)
+        out.coeffs[_space(n_vars, order).index[unit]] = 1.0
     return out
 
 
@@ -372,11 +374,17 @@ def gradient(c, n_vars, slots, axis=1):
 
 def stack(jets):
     """The coefficient array (size, k, *batch) of a list of k scalar jets of
-    one space, their batch shapes broadcast together."""
-    rows = [j.coeffs for j in jets]
-    ndim = max(r.ndim for r in rows)
-    rows = [r.reshape(r.shape + (1,) * (ndim - r.ndim)) for r in rows]
-    return np.stack(np.broadcast_arrays(*rows), axis=1)
+    one space, their batch shapes broadcast together from the left (a jet
+    of batch shape () against any).  Each jet is copied into its slot of
+    one preallocated array through reversed axes, which line the batch
+    shapes up from the left; the shape is that of one row of each shape
+    broadcast (np.broadcast takes at most 64)."""
+    rows = [j.coeffs.T for j in jets]
+    shape = np.broadcast(*{r.shape: r for r in rows}.values()).shape[::-1]
+    out = np.empty(shape[:1] + (len(rows),) + shape[1:])
+    for i, r in enumerate(rows):
+        out[:, i].T[...] = r
+    return out
 
 
 def unstack(c, n_vars):
@@ -386,17 +394,19 @@ def unstack(c, n_vars):
 
 
 class _Plan(NamedTuple):
-    """A compiled contraction: everything but the arithmetic.  Each
-    operand gathers the coefficients ia (ib) of its factor of every term,
-    and the gather is reshaped to view_a (view_b) and transposed by axes_a
-    (axes_b) to line up with the product's axes."""
+    """A compiled contraction: everything but the arithmetic.  Term k of
+    the product pairs coefficient ia[k] of the left factor with coefficient
+    ib[k] of the right one.  Each operand is reshaped to view_a (view_b),
+    or kept as it is where that is None, and gathered along its first axis
+    by take_a (take_b), which lines its factor of every term up with the
+    product's axes."""
 
     ia: np.ndarray
     ib: np.ndarray
     view_a: tuple
-    axes_a: tuple
+    take_a: np.ndarray
     view_b: tuple
-    axes_b: tuple
+    take_b: np.ndarray
     bins: np.ndarray  # the result bin of each product term
     spread: int  # the batch width bins is spread over at each call, or 1
     count: int  # bins of the flat result
@@ -412,30 +422,62 @@ class _Plan(NamedTuple):
 PLAN_INDEX_BYTES = 28 * 192 * 128 * 8
 
 
-def _operand_view(letters, every, shape, pairs, n_batch):
-    """The reshape and transpose that turn an operand's gathered factors
-    (pairs, *tensor, *batch) into a view over the product's axes (pairs,
-    *every, *batch): a singleton axis for each index of `every` it lacks,
-    its batch right-aligned over n_batch axes."""
-    missing = "".join(k for k in every if k not in letters)
-    batch = shape[1 + len(letters) :]
-    view = (pairs,) + shape[1 : 1 + len(letters)] + (1,) * len(missing)
-    view += (1,) * (n_batch - len(batch)) + batch
-    order = letters + missing
-    axes = (0,) + tuple(1 + order.index(k) for k in every)
-    return view, axes + tuple(range(len(axes), len(axes) + n_batch))
+def _term_axes(left, right, out):
+    """The order of the product's index axes: each index of the two
+    operands once, merged so that each operand's indices keep their own
+    order where the indices they share allow it, and the contracted ones
+    keep the order of `left` followed by the new ones of `right`: each
+    result entry adds its terms by coefficient pair and then by contracted
+    index, so the order of the free indices does not change its bits."""
+    every = left + "".join(k for k in right if k not in left)
+    shared = [k for k in left if k in right]
+    if shared != [k for k in right if k in left]:
+        return every
+    axes, i, j = "", 0, 0
+    for k in shared:
+        axes += left[i : left.index(k)] + right[j : right.index(k)] + k
+        i, j = left.index(k) + 1, right.index(k) + 1
+    axes += left[i:] + right[j:]
+    contracted = [k for k in every if k not in out]
+    return axes if [k for k in axes if k not in out] == contracted else every
+
+
+def _gather(letters, axes, dims, shape, coeffs, n_batch):
+    """How an operand of `shape` whose indices are `letters` gathers the
+    coefficients `coeffs` (pairs,) into its factors of the product terms
+    (pairs, *axes, *batch), with a singleton for each index of `axes` and
+    each of the n_batch batch axes it lacks: (view, take), the reshape of the
+    operand, or None if it needs none, and the index its first axis is
+    gathered by.  Where its indices run in the order of `axes`, the view
+    inserts the singletons and the take gathers whole coefficients; where
+    they do not, the view flattens its tensor axes and the take gathers one
+    row per coefficient and entry."""
+    depth = len(letters)
+    batch = shape[1 + depth :]
+    pad = (1,) * (n_batch - len(batch))
+    if [k for k in axes if k in letters] == list(letters):
+        view = shape[:1] + tuple(dims[k] if k in letters else 1 for k in axes) + pad + batch
+        return (None if view == shape else view), coeffs
+    entries = math.prod(shape[1 : 1 + depth])
+    rows = coeffs.reshape((-1,) + (1,) * len(axes)) * entries
+    stride = entries
+    for k in letters:
+        stride //= dims[k]
+        at = [1] * (1 + len(axes))
+        at[1 + axes.index(k)] = dims[k]
+        rows = rows + np.arange(0, dims[k] * stride, stride).reshape(at)
+    return (shape[0] * entries,) + batch, rows.reshape(rows.shape + pad)
 
 
 @lru_cache(maxsize=256)
 def _plan(subscripts, n_vars, shape_a, shape_b, constant):
     """Everything contract(subscripts) does on operands of shapes shape_a
     and shape_b apart from the arithmetic.  The product terms run over the
-    coefficient pairs of the truncated product, then over `every`, the
-    left operand's indices followed by the right one's new ones, then over
-    the batch.  The plan holds the coefficients each operand gathers, the
-    view that lines its gather up with those axes, the bin of each term with
-    the batch already expanded (bin i of an unbatched result becomes bin
-    i * width + j at point j), the bin count and the result shape.
+    coefficient pairs of the truncated product, then over the index axes
+    of `_term_axes`, then over the batch.  The plan holds how each operand
+    gathers its factor of every term, the bin of each term with the batch
+    already expanded (bin i of an unbatched result becomes bin i * width + j
+    at point j), the bin count and the result shape.
 
     `constant` names the operands whose coefficients past the value are all
     zero: "a", "b", "ab" or "".  Their plan keeps only the coefficient pairs
@@ -450,12 +492,15 @@ def _plan(subscripts, n_vars, shape_a, shape_b, constant):
     parameter_scan build over at most biharmonic._CHUNK = 128 points.  At
     that width the plans of one PointGeometry build of a hypersurface hold
     at most 3.3 MB over 2 variables (1.8 MB on the cone) and 24 MB over 3
-    (a curved S4 hypersurface), and its largest plan 0.83 MB and
-    PLAN_INDEX_BYTES, 5.5 MB.  A plan whose full expanded index would be
-    larger keeps the index of one point and spreads it over the batch at
-    each call, so the cache holds at most 256 * 5.5 MB = 1.4 GB whatever
-    the batch width.  A constant operand's plan is expanded exactly when the
-    full plan would be, so its index is never the larger."""
+    (a curved S4 hypersurface), and its largest plan PLAN_INDEX_BYTES,
+    5.5 MB.  A plan whose full expanded index would be larger keeps the
+    index of one point and spreads it over the batch at each call, so the
+    cache holds at most 256 * 5.5 MB = 1.4 GB whatever the batch width.  An
+    operand gathers by the coefficient pairs themselves wherever its
+    indices run in the order of the product's axes, as every pattern of the
+    package does; only other patterns hold a row index, of one point.  A
+    constant operand's plan is expanded exactly when the full plan would
+    be, so its index is never the larger."""
     s = _space_of(n_vars, shape_a[0])
     if shape_b[0] != s.size:
         raise UsageError(f"jet tensor sizes differ: {shape_a[0]} vs {shape_b[0]}")
@@ -463,14 +508,14 @@ def _plan(subscripts, n_vars, shape_a, shape_b, constant):
     left, right = inputs.split(",")
     if len(set(left)) < len(left) or len(set(right)) < len(right):
         raise UsageError(f"an operand repeats an index in {subscripts!r}")
-    every = left + "".join(k for k in right if k not in left)
+    axes = _term_axes(left, right, out)
     dims = dict(zip(left, shape_a[1:]))
     dims.update(zip(right, shape_b[1:]))
     out_shape = tuple(dims[k] for k in out)
-    grid = np.indices(tuple(dims[k] for k in every))
+    grid = np.indices(tuple(dims[k] for k in axes))
     entry = np.zeros(grid.shape[1:], dtype=np.intp)
     for k, stride in zip(out, np.cumprod((1,) + out_shape[:0:-1])[::-1]):
-        entry += grid[every.index(k)] * stride
+        entry += grid[axes.index(k)] * stride
     keep = np.ones(len(s.mul_ia), dtype=bool)
     if "a" in constant:
         keep &= s.mul_ia == 0
@@ -487,8 +532,8 @@ def _plan(subscripts, n_vars, shape_a, shape_b, constant):
     return _Plan(
         ia,
         ib,
-        *_operand_view(left, every, shape_a, len(ia), len(batch)),
-        *_operand_view(right, every, shape_b, len(ia), len(batch)),
+        *_gather(left, axes, dims, shape_a, ia, len(batch)),
+        *_gather(right, axes, dims, shape_b, ib, len(batch)),
         bins,
         spread,
         s.size * math.prod(out_shape) * width,
@@ -522,13 +567,10 @@ def contract(subscripts, a, b, n_vars):
             not np.count_nonzero(b[1:])
         )
     p = _plan(subscripts, n_vars, a.shape, b.shape, constant)
-    terms = np.multiply(
-        a.take(p.ia, axis=0).reshape(p.view_a).transpose(p.axes_a),
-        b.take(p.ib, axis=0).reshape(p.view_b).transpose(p.axes_b),
-        order="C",
-    )
+    x = (a if p.view_a is None else a.reshape(p.view_a)).take(p.take_a, axis=0)
+    y = (b if p.view_b is None else b.reshape(p.view_b)).take(p.take_b, axis=0)
     bins = p.bins if p.spread == 1 else _spread(p.bins, p.spread)
-    return np.bincount(bins, terms.reshape(-1), p.count).reshape(p.shape)
+    return np.bincount(bins, (x * y).ravel(), p.count).reshape(p.shape)
 
 
 # -- univariate composition ----------------------------------------------

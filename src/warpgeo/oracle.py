@@ -263,18 +263,21 @@ def warped_inclusion_map(scene):
 def submanifold_bitension(pg: PointGeometry):
     """tau_2 of the canonical inclusion at the point of `pg`, assembled from
     the submanifold closed form:
-    -m sum_i { R(H, e_i) e_i + (nabla^2 H)(e_i, e_i) }."""
-    m, n = pg.spec.m, pg.spec.n
-    chart = pg.spec.ambient
+    -m sum_i { R(H, e_i) e_i + (nabla^2 H)(e_i, e_i) }.
 
+    The curvature trace sum_kl g^kl R(H, dX_k) dX_l is one
+    `spaceform_curvature` call over the m^2 tangent pairs (k, l), whose
+    terms are added in (k, l) order from +0.0."""
+    m, n = pg.spec.m, pg.spec.n
     sec = _pullback_hessian(pg.H_c, pg.gamma_n_c, pg.dX_c, pg.gamma_c, m)
     trace_sec = np.einsum("kl,kla->a", pg.ginv_val, sec)
+    tangents = pg.dX_val
+    terms = pg.ginv_val[..., None] * spaceform_curvature(
+        pg.spec.ambient, pg.H_val, tangents[:, None], tangents[None, :], pg.e2_val
+    )
     curv = np.zeros(n)
-    for k in range(m):
-        for l in range(m):
-            curv += pg.ginv_val[k][l] * spaceform_curvature(
-                chart, pg.H_val, pg.dX_val[k], pg.dX_val[l], pg.e2_val
-            )
+    for term in terms.reshape(m * m, n):
+        curv += term
     return -m * (curv + trace_sec)
 
 

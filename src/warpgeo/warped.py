@@ -11,7 +11,7 @@ import numpy as np
 
 from . import jet as J
 from . import oracle
-from .ambient import WarpEval, power
+from .ambient import WarpEval
 from .biharmonic import classify
 from .errors import ConfigError, EvalDomainError, UsageError
 from .expr import eval_jet, free_symbols, parse
@@ -144,13 +144,13 @@ def base_point(spec, point):
 # components, the dt slot first; over a sweep of t the vectors, and every
 # per-t value, carry a leading sweep axis.  Products of vectors and
 # matrices act vector by vector (np.vecdot and np.matvec take np.dot's
-# path for each), and powers take C's pow, so each t of a sweep equals its
-# one-t value bit for bit.
+# path for each), and the powers of f and f' are WarpEval's, by C's pow, so
+# each t of a sweep equals its one-t value bit for bit.
 
 
 def _per_t(x):
     """A per-t result: a float at one t, an array over a sweep."""
-    return x if getattr(x, "ndim", 0) else float(x)
+    return x if type(x) is np.ndarray and x.ndim else float(x)
 
 
 def _vector(t_part, n_part):
@@ -167,7 +167,7 @@ def hbar_inner(base, w, a, b):
     h(u, v) = u_t v_t + f^2 h(u_N, v_N)."""
     e2 = base.geometry.e2_val
     ab = np.vecdot(a[..., 1:], b[..., 1:])
-    return _per_t(a.T[0] * b.T[0] + power(w.f, 2) * e2 * ab)  # .T[0]: the dt slots
+    return _per_t(a.T[0] * b.T[0] + w.f_pow2 * e2 * ab)  # .T[0]: the dt slots
 
 
 def hbar_norm(base, w, a):
@@ -178,7 +178,7 @@ def hbar_norm(base, w, a):
 def inclusion_tension(base, w):
     """tau(phi) = (m / f^2) H, with no dt-component."""
     m = base.geometry.spec.m
-    return _vector(0.0, per_point(m / power(w.f, 2), 1) * base.geometry.H_val)
+    return _vector(0.0, per_point(m / w.f_pow2, 1) * base.geometry.H_val)
 
 
 @dataclass(frozen=True)
@@ -190,21 +190,24 @@ class BitensionParts:
     normal_norm: object
 
 
-def inclusion_bitension(base, w):
-    """tau_2(phi) = (2m [f f'' + (m-1) f'^2] / f^4) H
-                    + (1 / f^4) tau_2(i)  -  (m^2 f' / f^3) |H|^2 dt.
+def inclusion_bitension(base, w, residual=None):
+    """tau_2(phi) = (2m P / f^4) H + (1 / f^4) tau_2(i) - (m^2 f' / f^3) |H|^2 dt,
+    with P = f f'' + (m-1) f'^2, `w.power_residual(m)` unless the caller
+    has formed it as `residual`.
 
     tau_2(i) is the bitension of the unwarped inclusion i: M -> N, whose
     tension is m H; it comes from the submanifold closed form evaluated on
     the same geometry, so non-biharmonic bases are handled without
     assumption."""
     m = base.geometry.spec.m
-    f4 = power(w.f, 4)
-    coeff = 2.0 * m * w.power_residual(m) / f4
+    if residual is None:
+        residual = w.power_residual(m)
+    f4 = w.f_pow4
+    coeff = 2.0 * m * residual / f4
     n_part = per_point(coeff, 1) * base.geometry.H_val + per_point(
         1 / f4, 1
     ) * base.submanifold_bitension
-    t_part = -(m**2) * w.f1 / power(w.f, 3) * base.h2
+    t_part = -(m**2) * w.f1 / w.f_pow3 * base.h2
 
     # split relative to T(I x M): dt plus span{dX_i} is tangential
     n_tan = base.tangential(n_part)
@@ -270,29 +273,31 @@ class WarpedReport:
         ]
 
 
-def _closed_form_pairing(base, w):
-    """2 m^2 [f f'' + (m-1) f'^2] / f^4 |H|^2, the pairing over a
-    biharmonic base."""
+def _closed_form_pairing(base, w, residual):
+    """2 m^2 P / f^4 |H|^2, the pairing over a biharmonic base, from the
+    residual P = f f'' + (m-1) f'^2 the caller has formed."""
     m = base.geometry.spec.m
-    return 2.0 * m**2 * w.power_residual(m) / power(w.f, 4) * base.h2
+    return 2.0 * m**2 * residual / w.f_pow4 * base.h2
 
 
 def pairing(base, w):
     """h(tau_2(phi), tau(phi)) both by direct assembly and by the closed
     form (the latter is valid only over a biharmonic base, gated by
-    classification of the same geometry)."""
-    base.geometry.require_hypersurface()
+    classification of the same geometry).  P = f f'' + (m-1) f'^2 is
+    formed once and read by both."""
+    base.geometry.spec.require_hypersurface()
+    residual = w.power_residual(base.geometry.spec.m)
     tau = inclusion_tension(base, w)
-    tau2 = inclusion_bitension(base, w)
+    tau2 = inclusion_bitension(base, w, residual)
     return WarpedReport(
         base=base,
         warp=w,
         tension=tau,
         bitension=tau2,
         pairing=hbar_inner(base, w, tau2.vec, tau),
-        pairing_closed_form=_closed_form_pairing(base, w),
+        pairing_closed_form=_closed_form_pairing(base, w, residual),
         pairing_closed_form_applicable=base.biharmonic,
-        power_residual=w.power_residual(base.geometry.spec.m),
+        power_residual=residual,
     )
 
 
@@ -330,8 +335,8 @@ def ricci_warped_check(base, w, x_intrinsic, riemann):
         ric_base=ric_base,
         ric_warped=ric_warped,
         identity_residual=ric_warped - ric_base + resid,
-        pairing_via_ricci=2.0 * m**2 / power(w.f, 4) * (ric_base - ric_warped) * base.h2,
-        pairing_closed_form=_closed_form_pairing(base, w),
+        pairing_via_ricci=2.0 * m**2 / w.f_pow4 * (ric_base - ric_warped) * base.h2,
+        pairing_closed_form=_closed_form_pairing(base, w, resid),
     )
 
 

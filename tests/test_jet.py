@@ -1,6 +1,7 @@
 import itertools
 import math
 from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -562,3 +563,103 @@ def test_array_forms_match_jet_methods(case):
 def test_contract_rejects_mixed_orders():
     with pytest.raises(UsageError):
         J.contract("a,a->", np.zeros((6, 2)), np.zeros((3, 2)), 2)
+
+
+def _view_gather_contract(pattern, a, b, n_vars):
+    """The product kernel as it gathered before each plan held its
+    operands' gathers: each operand takes its factor of every term as whole
+    coefficients along its first axis, and the gather is reshaped and
+    transposed into a view over every index, the left operand's followed
+    by the right one's new ones, and the batch; the views are multiplied
+    and each term added into its bin by np.bincount.  An operand constant
+    past its value forms only the terms with its value, as in contract."""
+    s = J._space_of(n_vars, len(a))
+    inputs, out = pattern.split("->")
+    left, right = inputs.split(",")
+    every = left + "".join(k for k in right if k not in left)
+    keep = np.ones(len(s.mul_ia), dtype=bool)
+    if pattern != ",->":
+        keep &= (s.mul_ia == 0) | bool(np.count_nonzero(a[1:]))
+        keep &= (s.mul_ib == 0) | bool(np.count_nonzero(b[1:]))
+    batch = np.broadcast_shapes(a.shape[1 + len(left) :], b.shape[1 + len(right) :])
+
+    def view(x, letters, coeffs):
+        gathered = x.take(coeffs, axis=0)
+        missing = "".join(k for k in every if k not in letters)
+        own = x.shape[1 + len(letters) :]
+        gathered = gathered.reshape(
+            gathered.shape[: 1 + len(letters)]
+            + (1,) * (len(missing) + len(batch) - len(own))
+            + own
+        )
+        order = letters + missing
+        axes = (0,) + tuple(1 + order.index(k) for k in every)
+        return gathered.transpose(axes + tuple(range(len(axes), len(axes) + len(batch))))
+
+    terms = np.multiply(
+        view(a, left, s.mul_ia[keep]), view(b, right, s.mul_ib[keep]), order="C"
+    )
+    dims = dict(zip(left, a.shape[1:]))
+    dims.update(zip(right, b.shape[1:]))
+    shape = (s.size,) + tuple(dims[k] for k in out) + batch
+    at = np.indices(terms.shape)
+    index = [s.mul_ic[keep][at[0]]] + [at[1 + every.index(k)] for k in out]
+    index += list(at[1 + len(every) :])
+    bins = np.ravel_multi_index(index, shape).ravel()
+    return np.bincount(bins, terms.ravel(), math.prod(shape)).reshape(shape)
+
+
+# the package's contraction patterns, one that merges its operands'
+# indices in another order than the left's followed by the right's new
+# ones, and two whose right operand is gathered a row at a time
+KERNEL_PATTERNS = [
+    ",->", "a,a->", ",a->a", "ij,->ij", "ij,jk->ik", "ia,ja->ij", "kl,ijl->kij",
+    "abc,ib->aci", "ab,ba->", "ab,ca->",
+]
+# (batch of the left operand, batch of the right one)
+KERNEL_BATCHES = [
+    ((), ()), ((16,), (16,)), ((), (16,)), ((16,), ()), ((3, 2), (2,)), ((2,), (3, 2)),
+]
+SPECIAL_ENTRIES = [0.0, -0.0, math.inf, -math.inf, math.nan]
+
+
+@st.composite
+def kernel_cases(draw):
+    """Operands of a pattern and batch, constant past their values or
+    not, some of their entries drawn from SPECIAL_ENTRIES, and whether the
+    plan's scatter index is spread at each call."""
+    pattern = draw(st.sampled_from(KERNEL_PATTERNS))
+    n_vars, order = draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    batch_a, batch_b = draw(st.sampled_from(KERNEL_BATCHES))
+    left, right = pattern.split("->")[0].split(",")
+    dims = dict(zip("abcijkl", draw(st.lists(st.integers(1, 3), min_size=7, max_size=7))))
+    size = J._space(n_vars, order).size
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    special_share = draw(st.sampled_from([0.0, 0.1, 0.5]))
+    operands = []
+    for letters, batch in ((left, batch_a), (right, batch_b)):
+        x = rng.uniform(-1.0, 1.0, (size,) + tuple(dims[k] for k in letters) + batch)
+        special = rng.random(x.shape) < special_share
+        x[special] = rng.choice(SPECIAL_ENTRIES, special.sum())
+        if draw(st.booleans()):
+            x[1:] = draw(st.sampled_from([0.0, -0.0]))
+        operands.append(x)
+    return pattern, n_vars, *operands, draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_cases())
+def test_contract_equals_the_view_gather_kernel(case):
+    # bit for bit, sign bits included, NaN where the reference has one
+    pattern, n_vars, a, b, spread = case
+    J._plan.cache_clear()
+    try:
+        with mock.patch.object(J, "PLAN_INDEX_BYTES", 0 if spread else J.PLAN_INDEX_BYTES):
+            with np.errstate(invalid="ignore"):
+                got = J.contract(pattern, a, b, n_vars)
+                want = _view_gather_contract(pattern, a, b, n_vars)
+    finally:
+        J._plan.cache_clear()
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))

@@ -13,7 +13,7 @@ import sys
 import numpy as np
 import pytest
 
-from warpgeo import biharmonic, cli, expr, jet, oracle, verify, warped
+from warpgeo import ambient, biharmonic, cli, expr, jet, oracle, verify, warped
 from warpgeo.ambient import AmbientChart
 from warpgeo.immersion import PointGeometry, immersion
 
@@ -325,9 +325,13 @@ def test_three_dimensional_classify_count(counts):
     assert (counts["mul"], counts["contract"], counts["constant_plans"]) == (6, 24, 11)
 
 
+# numpy's Python-level helpers a build does without
+NUMPY_HELPERS = ("moveaxis", "stack", "broadcast_arrays", "mean")
+
+
 @pytest.fixture
 def numpy_calls(monkeypatch):
-    seen = {"einsum": 0, "cholesky": 0}
+    seen = dict.fromkeys(("einsum", "cholesky") + NUMPY_HELPERS, 0)
 
     def counted(module, name):
         fn = getattr(module, name)
@@ -338,7 +342,8 @@ def numpy_calls(monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    counted(np, "einsum")
+    for name in ("einsum",) + NUMPY_HELPERS:
+        counted(np, name)
     counted(np.linalg, "cholesky")
     return seen
 
@@ -348,6 +353,22 @@ def test_products_make_no_einsum(numpy_calls):
     # first factor of the normal; every jet product is a contraction
     PointGeometry(verify.sphere_slice(1.0), POINT)
     assert numpy_calls["einsum"] == 4
+
+
+@pytest.mark.parametrize(
+    "spec, point",
+    [(verify.sphere_slice(1.0), POINT), (verify.cone(1.0), (1.2, 0.4)),
+     (verify.sphere_slice(0.7, 3), POINT + (0.1,))],
+    ids=["slice", "cone", "S4 slice"],
+)
+def test_build_calls_no_numpy_python_helper(numpy_calls, spec, point):
+    # axes move by transpose, jet.stack fills one array, and the metric's
+    # scale is a sum over its diagonal divided by its length; the first
+    # build compiles the plans and tables the second reads
+    PointGeometry(spec, point)
+    numpy_calls.update(dict.fromkeys(NUMPY_HELPERS, 0))
+    PointGeometry(spec, tuple(x + 0.01 for x in point))
+    assert [numpy_calls[name] for name in NUMPY_HELPERS] == [0, 0, 0, 0]
 
 
 def test_frame_is_computed_when_read(numpy_calls):
@@ -387,3 +408,59 @@ def test_oracle_conformal_factor_count(conformal_factors, name, calls):
     # the metric factor and the ambient Christoffels
     getattr(oracle, name)(oracle.warped_inclusion_map(_scene()), (0.3,) + POINT)
     assert len(conformal_factors) == calls
+
+
+@pytest.fixture
+def warp_factor_calls(monkeypatch):
+    """Calls of ambient.power and of WarpEval.power_residual, the
+    evaluation of P = f f'' + (m-1) f'^2."""
+    seen = {"power": 0, "power_residual": 0}
+    power, residual = ambient.power, ambient.WarpEval.power_residual
+
+    def counted_power(x, p):
+        seen["power"] += 1
+        return power(x, p)
+
+    def counted_residual(self, m):
+        seen["power_residual"] += 1
+        return residual(self, m)
+
+    monkeypatch.setattr(ambient, "power", counted_power)
+    monkeypatch.setattr(ambient.WarpEval, "power_residual", counted_residual)
+    return seen
+
+
+@pytest.mark.parametrize("warp", ["exp(t)", "(a*t+b)^(1/m)"])
+def test_one_t_report_forms_the_warp_factors_once(warp_factor_calls, warp):
+    # WarpEval forms f^2, f^3, f^4 and f'^2, and pairing forms P once for
+    # the bitension, the closed-form pairing and the report (11 powers and
+    # 3 evaluations of P before)
+    params = {"a": 1.0, "b": 2.0, "m": 2} if "a" in warp else {}
+    scene = warped.warped_scene(verify.sphere_slice(1.0), warp, params, (0.0, 1.0))
+    warped.warped_report(scene, 0.3, POINT)
+    assert warp_factor_calls == {"power": 4, "power_residual": 1}
+
+
+@pytest.fixture
+def curvature_calls(monkeypatch):
+    calls = []
+    curvature = oracle.spaceform_curvature
+
+    def counted(*args):
+        calls.append(args)
+        return curvature(*args)
+
+    monkeypatch.setattr(oracle, "spaceform_curvature", counted)
+    monkeypatch.setattr(warped, "_memo", None)
+    return calls
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_one_curvature_call_per_base_point(curvature_calls, m):
+    # tau_2(i) takes the m^2 tangent pairs of its curvature trace in one
+    # call (m^2 calls before)
+    point = (0.3, -0.2, 0.1)[:m]
+    warped.base_point(verify.sphere_slice(1.0, m), point)
+    assert len(curvature_calls) == 1
+    _, _, y, z, _ = curvature_calls[0]
+    assert (y.shape, z.shape) == ((m, 1, m + 1), (1, m, m + 1))

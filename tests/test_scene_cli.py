@@ -509,6 +509,7 @@ def test_too_wide_names_the_width(tmp_path, capsys, case):
 
 
 F4_MESSAGE = "f^4 of the warping function must be a finite normal float, got f="
+F1_SQUARED_MESSAGE = "f'^2 of the warping function must be finite, got f'=1e+200 at t=0"
 
 
 @pytest.mark.parametrize(
@@ -521,6 +522,8 @@ F4_MESSAGE = "f^4 of the warping function must be a finite normal float, got f="
         # the closed forms divide by f^4, which must be a finite normal float
         ("t", [1e-300, 1.0], "1e-300:1:3", 3, F4_MESSAGE + "1e-300"),
         ("exp(t)", [0.0, 200.0], "0:200:3", 3, F4_MESSAGE + "7.22597e+86"),
+        # f, f', f'' and f^4 are finite, f'^2 and P are not
+        ("1+1e200*t", [0.0, 1e-190], "0:1e-190:3", 3, F1_SQUARED_MESSAGE),
     ],
 )
 def test_warp_sweep_names_the_first_failing_t(
@@ -530,6 +533,17 @@ def test_warp_sweep_names_the_first_failing_t(
     scene = write_scene(tmp_path, _with(SLICE_SCENE, "warp", expr=warp, interval=interval))
     assert run_cli(["warp", scene, f"--t={tgrid}", "--point", "0.3,-0.2"]) == code
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_warp_whose_f1_squared_overflows_exits_3_and_writes_no_json(tmp_path, capsys):
+    # it printed a NaN pairing and an infinite power residual with exit 0
+    data = _with(SLICE_SCENE, "warp", expr="1+1e200*t", interval=[0.0, 1e-190])
+    scene = write_scene(tmp_path, data)
+    out = tmp_path / "warp.json"
+    argv = ["warp", scene, "--t=0:1e-190:3", "--point", "0.3,-0.2", "--json", str(out)]
+    assert run_cli(argv) == 3
+    assert capsys.readouterr().err == f"error: {F1_SQUARED_MESSAGE}\n"
+    assert not out.exists()
 
 
 def test_point_bound_is_inclusive():

@@ -322,7 +322,7 @@ class TestSweep:
         sweep one column at a time."""
         tau, tau2 = rep.tension[i], rep.bitension
         return {
-            **{name: float(x[i]) for name, x in vars(rep.warp).items()},
+            **{name: float(getattr(rep.warp, name)[i]) for name in ("t", "f", "f1", "f2")},
             "point": list(rep.base.geometry.point),
             "tension": {"t": float(tau[0]), "n": tau[1:].tolist()},
             "bitension": {"t": float(tau2.vec[i, 0]), "n": tau2.vec[i, 1:].tolist()},
@@ -377,6 +377,48 @@ class TestSweep:
         assert str(one.value) == str(sweep.value) == (
             f"f^4 of the warping function must be a finite normal float, got f={f:g}"
         )
+
+
+    @pytest.mark.parametrize(
+        "warp, interval, ts, message",
+        [
+            # f'^2 overflows while f, f', f'' and f^4 are finite
+            ("1+1e200*t", (0.0, 1e-190), [0.0, 5e-191, 1e-190],
+             "f'^2 of the warping function must be finite, got f'=1e+200 at t=0"),
+            # f f'' overflows, so P does
+            ("1e10+1e300*t^2", (0.0, 1e-160), [0.0, 5e-161, 1e-160],
+             "f f'' + (m-1) f'^2 of the warping function must be finite, got "
+             "f=1e+10, f'=0, f''=2e+300 at t=0"),
+        ],
+        ids=["f1 squared", "residual"],
+    )
+    def test_f1_squared_and_residual_out_of_the_float_range_are_refused(
+        self, slice_scene, warp, interval, ts, message
+    ):
+        # at one t the f'^2 scene raised a bare OverflowError, and a sweep
+        # reported a NaN pairing and an infinite residual
+        scene = slice_scene(warp, interval=interval)
+        with pytest.raises(EvalDomainError) as one:
+            warped.warped_report(scene, ts[0], POINT)
+        with pytest.raises(EvalDomainError) as sweep:
+            warped.warped_report(scene, np.array(ts), POINT)
+        assert str(one.value) == str(sweep.value) == message
+
+    @pytest.mark.parametrize(
+        "warp, params, interval, m", SWEEP_WARPS, ids=[f"{w[0]} m={w[3]}" for w in SWEEP_WARPS]
+    )
+    def test_sweep_factors_equal_their_one_t_factors(self, slice_scene, warp, params, interval, m):
+        # the powers of f and f' a WarpEval forms once for the closed forms
+        scene = slice_scene(warp, params, interval, m=m)
+        ts = np.linspace(interval[0] + 0.05, interval[1] - 0.05, 7)
+        sweep = scene.warp_at(ts)
+        for i, t in enumerate(ts):
+            one = scene.warp_at(float(t))
+            for name in ("f_pow2", "f_pow3", "f_pow4", "f1_pow2"):
+                a, b = getattr(sweep, name)[i], getattr(one, name)
+                assert type(b) is float
+                assert np.array_equal(a, b)
+                assert np.signbit(a) == np.signbit(b)
 
 
 class TestBasePoint:
