@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError, WarpgeoError
-from .immersion import PointGeometry, matvec, mT, per_point, vdot
+from .immersion import PointGeometry, per_point, vdot
 
 # parameter_scan's root test: simple roots of the fixture scans measure
 # 0.5-2.0 against it, the pole of the graph u^2/(r-1) + v^2 measures 6e-7.
@@ -50,11 +50,11 @@ def tangential_residual(pg):
     pg.require_hypersurface()
     m = pg.spec.m
 
-    a_grad = matvec(pg.S_val, pg.grad_lam)  # intrinsic components of A(grad lambda)
+    a_grad = np.matvec(pg.S_val, pg.grad_lam)  # intrinsic components of A(grad lambda)
     lam = per_point(pg.lam, 1)
     t_intr = m * (2.0 * a_grad + m * lam * pg.grad_lam)
-    t_amb = matvec(mT(pg.dX_val), t_intr)
-    norm = np.sqrt(np.maximum(vdot(t_intr, matvec(pg.g_val, t_intr)), 0.0))
+    t_amb = np.matvec(pg.dX_val.mT, t_intr)
+    norm = np.sqrt(np.maximum(vdot(t_intr, np.matvec(pg.g_val, t_intr)), 0.0))
     return t_amb, norm
 
 

@@ -129,9 +129,14 @@ def _open_report(path):
 
 
 def _emit_json(path, payload):
+    """Write `payload` to `path`; a payload holding a non-finite number is
+    an EvalDomainError, raised before the file is opened."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise EvalDomainError(f"{path}: the report holds a non-finite number") from None
     with _open_report(path) as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _print_table(headers, rows):
@@ -264,17 +269,22 @@ def cmd_warp(args):
     ws = scene.require_warp()
     point = _parse_point("--point", args.point, scene.immersion.m)
     tgrid = _parse_tgrid(args.t)
-    sweep = warped.warped_report(ws, tgrid, point)
+    # a value past the float range is refused below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        sweep = warped.warped_report(ws, tgrid, point)
     tau2 = sweep.bitension
+    headers = ["t", "f", "pairing", "pairingClosed", "powerResidual", "|tangential|", "|normal|"]
     columns = (
         sweep.warp.t, sweep.warp.f, sweep.pairing, sweep.pairing_closed_form,
         sweep.power_residual, tau2.tangential_norm, tau2.normal_norm,
     )
+    for name, column in zip(headers, columns):
+        bad = ~np.isfinite(column)
+        if bad.any():
+            t = float(sweep.warp.t[bad][0])
+            raise EvalDomainError(f"{name} is not finite at t = {_fmt(t)}", value=t)
     values = list(zip(*(c.tolist() for c in columns)))
-    _print_table(
-        ["t", "f", "pairing", "pairingClosed", "powerResidual", "|tangential|", "|normal|"],
-        [[_fmt(v) for v in row] for row in values],
-    )
+    _print_table(headers, [[_fmt(v) for v in row] for row in values])
     if args.csv:
         with _open_report(args.csv) as fh:
             writer = csv.writer(fh)

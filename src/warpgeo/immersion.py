@@ -161,12 +161,13 @@ def metric_inverse(g, n_vars):
 def orthonormal_frame(g_val):
     """Gram-Schmidt on the coordinate fields, as the coefficient matrix E
     with e_i = sum_k E[k, i] d_k (stacked over any leading batch axes)."""
-    return mT(np.linalg.inv(np.linalg.cholesky(g_val)))
+    return np.linalg.inv(np.linalg.cholesky(g_val)).mT
 
 
 # -- the float stage: value arrays with the batch axes first --------------
-# Sums over an index run in index order, and matrix products act matrix by
-# matrix, so a batch gives the same values as its points one by one.
+# Sums over an index run in index order, matrix products act matrix by
+# matrix, and np.matvec acts vector by vector (np.dot's path for each), so a
+# batch gives the same values as its points one by one.
 
 
 def values(c, depth):
@@ -183,16 +184,6 @@ def per_point(x, k):
     """A per-point scalar (a float or a batch array) shaped to broadcast
     against arrays with `k` index axes after the batch axes."""
     return np.asarray(x)[(...,) + (None,) * k]
-
-
-def mT(a):
-    """The transpose of each matrix in a stack."""
-    return a.swapaxes(-1, -2)
-
-
-def matvec(mat, vec):
-    """mat @ vec for each point of a batch of matrices and vectors."""
-    return (mat @ vec[..., None])[..., 0]
 
 
 def _sum_last(v):
@@ -320,8 +311,8 @@ class PointGeometry:
         # gradient and Laplacian of the mean curvature function
         dlam = J.gradient(lam.coeffs, m, range(m))
         self.dlam_val = values(dlam, 1)
-        self.grad_lam = matvec(self.ginv_val, self.dlam_val)  # intrinsic components
-        self.grad_lam_amb = matvec(mT(self.dX_val), self.grad_lam)
+        self.grad_lam = np.matvec(self.ginv_val, self.dlam_val)  # intrinsic components
+        self.grad_lam_amb = np.matvec(self.dX_val.mT, self.grad_lam)
 
         # Delta lambda = g^ij (d_i d_j lambda - Gamma^k_ij d_k lambda)
         hess = values(J.gradient(dlam, m, range(m)), 2)
@@ -343,4 +334,4 @@ class PointGeometry:
         """The second fundamental form b in the orthonormal frame of g,
         computed when read: only `analyze` shows it."""
         frame = orthonormal_frame(self.g_val)
-        return mT(frame) @ self.b_val @ frame
+        return frame.mT @ self.b_val @ frame

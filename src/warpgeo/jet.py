@@ -34,11 +34,15 @@ added into their coefficients in one fixed order, so a batch still equals
 its points one by one (:func:`jet_mat_inverse` is a series of
 contractions).  Everything but that arithmetic is compiled once per
 pattern and operand shapes into a cached plan, which owns each operand's
-gather and the scatter index of each batch shape.  A tensor operand
-whose coefficients past the value are all zero (a constant factor, such as
-the tangents of a linear chart) takes a plan of its own that forms only the
-terms with its value: the same kernel over fewer coefficient pairs, and the
-same bits, since every term it drops is a product with an exact zero.  A
+gather and the scatter index of each batch shape.  The one gather serves
+one class of pattern, which every contraction of the package is in: the
+indices the operands share run in the same order in both, every summed
+index is shared, and every result index is held once; a plan refuses any
+other.  A tensor operand whose coefficients past the value are all zero (a
+constant factor, such as the tangents of a linear chart) takes a plan of
+its own that forms only the terms with its value: the same kernel over
+fewer coefficient pairs, and the same bits, since every term it drops is a
+product with an exact zero.  A
 scalar product with a constant is a scale before it gets here: the
 expression evaluator keeps numbers and params as constants, and
 :func:`_compose` starts its Horner steps with one.  :func:`deriv`,
@@ -398,15 +402,13 @@ class _Plan(NamedTuple):
     the product pairs coefficient ia[k] of the left factor with coefficient
     ib[k] of the right one.  Each operand is reshaped to view_a (view_b),
     or kept as it is where that is None, and gathered along its first axis
-    by take_a (take_b), which lines its factor of every term up with the
-    product's axes."""
+    by ia (ib), which lines its factor of every term up with the product's
+    axes."""
 
     ia: np.ndarray
-    ib: np.ndarray
     view_a: tuple
-    take_a: np.ndarray
+    ib: np.ndarray
     view_b: tuple
-    take_b: np.ndarray
     bins: np.ndarray  # the result bin of each product term
     spread: int  # the batch width bins is spread over at each call, or 1
     count: int  # bins of the flat result
@@ -422,62 +424,64 @@ class _Plan(NamedTuple):
 PLAN_INDEX_BYTES = 28 * 192 * 128 * 8
 
 
-def _term_axes(left, right, out):
+def _indices(subscripts):
+    """The indices (left, right, out) of a pattern that contract serves:
+    no index repeated within an operand or the result, every index held by
+    two of the three, so that a summed one is shared and a kept one comes
+    from an operand, and the shared indices in the same order in both
+    operands.  Any other pattern is a UsageError."""
+    try:
+        inputs, out = subscripts.split("->")
+        left, right = inputs.split(",")
+    except ValueError:
+        raise UsageError(f"{subscripts!r} is not of the form 'left,right->out'") from None
+    for letters in (left, right, out):
+        for k in letters:
+            if letters.count(k) > 1:
+                raise UsageError(f"{subscripts!r} repeats index {k!r} in {letters!r}")
+    for k in left + right + out:
+        if (k in left) + (k in right) + (k in out) < 2:
+            where = "the result" if k in out else "one operand"
+            raise UsageError(f"{subscripts!r}: index {k!r} is only in {where}")
+    if [k for k in left if k in right] != [k for k in right if k in left]:
+        raise UsageError(f"{subscripts!r}: the shared indices run in different orders")
+    return left, right, out
+
+
+def _term_axes(left, right):
     """The order of the product's index axes: each index of the two
     operands once, merged so that each operand's indices keep their own
-    order where the indices they share allow it, and the contracted ones
-    keep the order of `left` followed by the new ones of `right`: each
-    result entry adds its terms by coefficient pair and then by contracted
-    index, so the order of the free indices does not change its bits."""
-    every = left + "".join(k for k in right if k not in left)
-    shared = [k for k in left if k in right]
-    if shared != [k for k in right if k in left]:
-        return every
+    order.  The indices the operands share, the contracted ones among
+    them, run in their common order, so each result entry adds its terms
+    by coefficient pair and then by contracted index in the order of
+    `left`."""
     axes, i, j = "", 0, 0
-    for k in shared:
+    for k in (k for k in left if k in right):
         axes += left[i : left.index(k)] + right[j : right.index(k)] + k
         i, j = left.index(k) + 1, right.index(k) + 1
-    axes += left[i:] + right[j:]
-    contracted = [k for k in every if k not in out]
-    return axes if [k for k in axes if k not in out] == contracted else every
+    return axes + left[i:] + right[j:]
 
 
-def _gather(letters, axes, dims, shape, coeffs, n_batch):
-    """How an operand of `shape` whose indices are `letters` gathers the
-    coefficients `coeffs` (pairs,) into its factors of the product terms
-    (pairs, *axes, *batch), with a singleton for each index of `axes` and
-    each of the n_batch batch axes it lacks: (view, take), the reshape of the
-    operand, or None if it needs none, and the index its first axis is
-    gathered by.  Where its indices run in the order of `axes`, the view
-    inserts the singletons and the take gathers whole coefficients; where
-    they do not, the view flattens its tensor axes and the take gathers one
-    row per coefficient and entry."""
-    depth = len(letters)
-    batch = shape[1 + depth :]
+def _view(letters, axes, dims, shape, n_batch):
+    """The reshape of an operand of `shape` whose indices are `letters`
+    that inserts a singleton for each index of `axes` and each of the
+    n_batch batch axes it lacks, or None if it needs none."""
+    batch = shape[1 + len(letters) :]
     pad = (1,) * (n_batch - len(batch))
-    if [k for k in axes if k in letters] == list(letters):
-        view = shape[:1] + tuple(dims[k] if k in letters else 1 for k in axes) + pad + batch
-        return (None if view == shape else view), coeffs
-    entries = math.prod(shape[1 : 1 + depth])
-    rows = coeffs.reshape((-1,) + (1,) * len(axes)) * entries
-    stride = entries
-    for k in letters:
-        stride //= dims[k]
-        at = [1] * (1 + len(axes))
-        at[1 + axes.index(k)] = dims[k]
-        rows = rows + np.arange(0, dims[k] * stride, stride).reshape(at)
-    return (shape[0] * entries,) + batch, rows.reshape(rows.shape + pad)
+    view = shape[:1] + tuple(dims[k] if k in letters else 1 for k in axes) + pad + batch
+    return None if view == shape else view
 
 
 @lru_cache(maxsize=256)
 def _plan(subscripts, n_vars, shape_a, shape_b, constant):
     """Everything contract(subscripts) does on operands of shapes shape_a
-    and shape_b apart from the arithmetic.  The product terms run over the
-    coefficient pairs of the truncated product, then over the index axes
-    of `_term_axes`, then over the batch.  The plan holds how each operand
-    gathers its factor of every term, the bin of each term with the batch
-    already expanded (bin i of an unbatched result becomes bin i * width + j
-    at point j), the bin count and the result shape.
+    and shape_b apart from the arithmetic, once the operands' shapes fit
+    the pattern.  The product terms run over the coefficient pairs of the
+    truncated product, then over the index axes of `_term_axes`, then over
+    the batch.  The plan holds how each operand gathers its factor of every
+    term, the bin of each term with the batch already expanded (bin i of an
+    unbatched result becomes bin i * width + j at point j), the bin count
+    and the result shape.
 
     `constant` names the operands whose coefficients past the value are all
     zero: "a", "b", "ab" or "".  Their plan keeps only the coefficient pairs
@@ -495,22 +499,26 @@ def _plan(subscripts, n_vars, shape_a, shape_b, constant):
     (a curved S4 hypersurface), and its largest plan PLAN_INDEX_BYTES,
     5.5 MB.  A plan whose full expanded index would be larger keeps the
     index of one point and spreads it over the batch at each call, so the
-    cache holds at most 256 * 5.5 MB = 1.4 GB whatever the batch width.  An
-    operand gathers by the coefficient pairs themselves wherever its
-    indices run in the order of the product's axes, as every pattern of the
-    package does; only other patterns hold a row index, of one point.  A
+    cache holds at most 256 * 5.5 MB = 1.4 GB whatever the batch width.  A
     constant operand's plan is expanded exactly when the full plan would
     be, so its index is never the larger."""
+    left, right, out = _indices(subscripts)
     s = _space_of(n_vars, shape_a[0])
     if shape_b[0] != s.size:
         raise UsageError(f"jet tensor sizes differ: {shape_a[0]} vs {shape_b[0]}")
-    inputs, out = subscripts.split("->")
-    left, right = inputs.split(",")
-    if len(set(left)) < len(left) or len(set(right)) < len(right):
-        raise UsageError(f"an operand repeats an index in {subscripts!r}")
-    axes = _term_axes(left, right, out)
-    dims = dict(zip(left, shape_a[1:]))
-    dims.update(zip(right, shape_b[1:]))
+    dims = {}
+    for letters, shape in ((left, shape_a), (right, shape_b)):
+        if len(shape) <= len(letters):
+            raise UsageError(f"{subscripts!r}: {letters!r} needs more axes than {shape}")
+        for k, n in zip(letters, shape[1:]):
+            if dims.setdefault(k, n) != n:
+                raise UsageError(f"{subscripts!r}: index {k!r} has sizes {dims[k]} and {n}")
+    try:
+        batch = np.broadcast_shapes(shape_a[1 + len(left) :], shape_b[1 + len(right) :])
+    except ValueError:
+        msg = f"{subscripts!r}: batch shapes of {shape_a} and {shape_b} do not broadcast"
+        raise UsageError(msg) from None
+    axes = _term_axes(left, right)
     out_shape = tuple(dims[k] for k in out)
     grid = np.indices(tuple(dims[k] for k in axes))
     entry = np.zeros(grid.shape[1:], dtype=np.intp)
@@ -523,7 +531,6 @@ def _plan(subscripts, n_vars, shape_a, shape_b, constant):
         keep &= s.mul_ib == 0
     ia, ib = s.mul_ia[keep], s.mul_ib[keep]
     bins = (s.mul_ic[keep, None] * math.prod(out_shape) + entry.ravel()).ravel()
-    batch = np.broadcast_shapes(shape_a[1 + len(left) :], shape_b[1 + len(right) :])
     width = math.prod(batch)
     spread = width
     full = len(s.mul_ia) * entry.size * width * bins.itemsize
@@ -531,9 +538,9 @@ def _plan(subscripts, n_vars, shape_a, shape_b, constant):
         bins, spread = _spread(bins, width), 1
     return _Plan(
         ia,
+        _view(left, axes, dims, shape_a, len(batch)),
         ib,
-        *_gather(left, axes, dims, shape_a, ia, len(batch)),
-        *_gather(right, axes, dims, shape_b, ib, len(batch)),
+        _view(right, axes, dims, shape_b, len(batch)),
         bins,
         spread,
         s.size * math.prod(out_shape) * width,
@@ -549,9 +556,9 @@ def _spread(bins, width):
 
 def contract(subscripts, a, b, n_vars):
     """The truncated jet product of the tensors `a` and `b`, summed over
-    the indices that `subscripts` (einsum notation over lowercase letters,
-    no index repeated within an operand, e.g. "abc,kb->ack") leaves out of
-    the result.  ",->" is the product of two scalar jets.
+    the indices that `subscripts` (einsum notation, e.g. "abc,kb->ack")
+    leaves out of the result, a pattern `_indices` accepts.  ",->" is the
+    product of two scalar jets.
 
     Operands are coefficient arrays (size, *tensor, *batch) of one jet space
     over `n_vars` variables; their batch shapes broadcast.  Each result
@@ -567,8 +574,8 @@ def contract(subscripts, a, b, n_vars):
             not np.count_nonzero(b[1:])
         )
     p = _plan(subscripts, n_vars, a.shape, b.shape, constant)
-    x = (a if p.view_a is None else a.reshape(p.view_a)).take(p.take_a, axis=0)
-    y = (b if p.view_b is None else b.reshape(p.view_b)).take(p.take_b, axis=0)
+    x = (a if p.view_a is None else a.reshape(p.view_a)).take(p.ia, axis=0)
+    y = (b if p.view_b is None else b.reshape(p.view_b)).take(p.ib, axis=0)
     bins = p.bins if p.spread == 1 else _spread(p.bins, p.spread)
     return np.bincount(bins, (x * y).ravel(), p.count).reshape(p.shape)
 

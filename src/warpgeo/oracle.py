@@ -37,7 +37,6 @@ from .immersion import (
     christoffels_from_metric,
     induced_metric_jets,
     metric_inverse,
-    mT,
     orthonormal_frame,
     values,
 )
@@ -172,7 +171,7 @@ def first_principles(mapspec, point):
         bitension = -rough
     else:
         # sum_e R(tau, dphi e) dphi e, with R(d_i, d_j) d_k = R^l_ijk d_l
-        amb = mT(frame) @ values(dphi, 2)
+        amb = frame.mT @ values(dphi, 2)
         curv = np.einsum("...lijk,...i,...ej,...ek->...l", riem, tau_val, amb, amb)
         bitension = -curv - rough
     return FirstPrinciples(tau_val, bitension, riemann(gamma_dom, mapspec.dim))

@@ -1,6 +1,9 @@
+import ast
 import itertools
 import math
+import re
 from functools import lru_cache
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -257,16 +260,32 @@ class TestLinearAlgebra:
 
 # -- jet tensors: contract, deriv, trunc ---------------------------------------
 
-# every contraction pattern the package uses
-PATTERNS = [
-    "ia,ja->ij", "ij,->ij", "kl,ijl->kij", "kij,ka->ija", "abc,ib->aci",
-    "aci,jc->ija", "ij,ija->a", "a,a->", "a,->a", ",a->a", "abc,c->ab",
-    "ab,lb->la", "jkl,ja->kla", "abc,kb->ack", "ack,lc->kla", "kl,kla->a",
-    "ij,jk->ik", "ca,c->a", "cda,c->da", "da,d->a",
-]
+
+def _package_patterns():
+    """Every contraction pattern the package uses: each string literal
+    passed to contract in src/warpgeo, and the patterns hypersurface_normal
+    forms for m = 2 and 3."""
+    found = set()
+    for path in Path(J.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "attr", getattr(node.func, "id", None)) == "contract"
+                and node.args
+                and isinstance(node.args[0], ast.Constant)
+            ):
+                found.add(node.args[0].value)
+    contract = J.contract
+    with mock.patch.object(J, "contract", lambda p, *args: found.add(p) or contract(p, *args)):
+        for m in (2, 3):
+            hypersurface_normal(np.zeros((1, m, m + 1)), 1)
+    return sorted(found)
+
+
+KERNEL_PATTERNS = _package_patterns()
 
 tensor_cases = st.tuples(
-    st.sampled_from(PATTERNS),
+    st.sampled_from(KERNEL_PATTERNS),
     st.integers(1, 4),  # n_vars
     st.integers(0, 4),  # order
     st.lists(st.integers(1, 5), min_size=6, max_size=6),  # index sizes
@@ -447,7 +466,7 @@ def _infinite(x, at):
     return out
 
 
-@pytest.mark.parametrize("pattern", PATTERNS + [",->"])
+@pytest.mark.parametrize("pattern", KERNEL_PATTERNS)
 def test_contract_equals_the_einsum_kernel(pattern, monkeypatch):
     # bit for bit, at every width, batched or broadcast on either side, with
     # the scatter index cached expanded and spread at each call, for general
@@ -541,6 +560,29 @@ def test_contract_rejects_an_index_repeated_in_an_operand():
         J.contract("aa,a->", np.zeros((6, 2, 2)), np.zeros((6, 2)), 2)
 
 
+@pytest.mark.parametrize(
+    "pattern, shape_a, shape_b, fault",
+    [
+        ("ab,b->aa", (6, 2, 2), (6, 2), "'a'"),  # a result index repeated
+        ("a,a->b", (6, 2), (6, 2), "'b'"),  # a result index in no operand
+        ("a,a", (6, 2), (6, 2), "left,right->out"),
+        ("a,b,c->", (6, 2), (6, 2), "left,right->out"),
+        ("ij,jk->ik", (6, 2, 3), (6, 2, 2), "'j'"),  # j of size 3 and 2
+        ("a,a->", (6, 2, 3), (6, 2, 4), "(6, 2, 3) and (6, 2, 4)"),  # batches
+        # patterns outside the class contract serves
+        ("ab,ba->", (6, 2, 2), (6, 2, 2), "different orders"),
+        ("ab,ca->", (6, 2, 2), (6, 2, 2), "'b'"),  # b summed in one operand only
+    ],
+    ids=["repeated result index", "result index in no operand", "no second operand",
+         "three operands", "index sizes differ", "batches do not broadcast",
+         "shared indices reordered", "summed index not shared"],
+)
+def test_contract_refuses_a_pattern_it_does_not_serve(pattern, shape_a, shape_b, fault):
+    with pytest.raises(UsageError, match=r"\A" + re.escape(repr(pattern))) as err:
+        J.contract(pattern, np.ones(shape_a), np.ones(shape_b), 2)
+    assert fault in str(err.value)
+
+
 @settings(max_examples=30, deadline=None)
 @given(tensor_cases)
 def test_array_forms_match_jet_methods(case):
@@ -609,13 +651,6 @@ def _view_gather_contract(pattern, a, b, n_vars):
     return np.bincount(bins, terms.ravel(), math.prod(shape)).reshape(shape)
 
 
-# the package's contraction patterns, one that merges its operands'
-# indices in another order than the left's followed by the right's new
-# ones, and two whose right operand is gathered a row at a time
-KERNEL_PATTERNS = [
-    ",->", "a,a->", ",a->a", "ij,->ij", "ij,jk->ik", "ia,ja->ij", "kl,ijl->kij",
-    "abc,ib->aci", "ab,ba->", "ab,ca->",
-]
 # (batch of the left operand, batch of the right one)
 KERNEL_BATCHES = [
     ((), ()), ((16,), (16,)), ((), (16,)), ((16,), ()), ((3, 2), (2,)), ((2,), (3, 2)),
@@ -632,7 +667,7 @@ def kernel_cases(draw):
     n_vars, order = draw(st.integers(1, 3)), draw(st.integers(0, 3))
     batch_a, batch_b = draw(st.sampled_from(KERNEL_BATCHES))
     left, right = pattern.split("->")[0].split(",")
-    dims = dict(zip("abcijkl", draw(st.lists(st.integers(1, 3), min_size=7, max_size=7))))
+    dims = dict(zip("abcdijkl", draw(st.lists(st.integers(1, 3), min_size=8, max_size=8))))
     size = J._space(n_vars, order).size
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     special_share = draw(st.sampled_from([0.0, 0.1, 0.5]))

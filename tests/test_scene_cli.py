@@ -9,7 +9,7 @@ import pytest
 
 import warpgeo
 from warpgeo import biharmonic, cli
-from warpgeo.errors import SceneError, UsageError
+from warpgeo.errors import EvalDomainError, SceneError, UsageError
 from warpgeo.expr import parse, pretty
 from warpgeo.immersion import PointGeometry
 from warpgeo.scene import load_scene, scene_from_dict
@@ -543,6 +543,30 @@ def test_warp_whose_f1_squared_overflows_exits_3_and_writes_no_json(tmp_path, ca
     argv = ["warp", scene, "--t=0:1e-190:3", "--point", "0.3,-0.2", "--json", str(out)]
     assert run_cli(argv) == 3
     assert capsys.readouterr().err == f"error: {F1_SQUARED_MESSAGE}\n"
+    assert not out.exists()
+
+
+def test_warp_whose_pairing_overflows_exits_3_and_writes_nothing(tmp_path, capsys):
+    # the true values are finite (pairingClosed reads 8e+300), but tau2 . tau
+    # and the dt parts of the norms leave the float range before f^2 = 1e-140
+    # scales them; it printed inf in three columns, and numpy warnings (each
+    # an error under pytest's filterwarnings), with exit 0
+    data = _with(SLICE_SCENE, "warp", expr="1e-70+1e10*t", interval=[0.0, 1e-80])
+    scene = write_scene(tmp_path, data)
+    out_json, out_csv = tmp_path / "warp.json", tmp_path / "warp.csv"
+    argv = ["warp", scene, "--t=0:1e-80:3", "--point", "0.3,-0.2",
+            "--json", str(out_json), "--csv", str(out_csv)]
+    assert run_cli(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: pairing is not finite at t = 0\n"
+    assert not out_json.exists() and not out_csv.exists()
+
+
+def test_json_report_holding_a_nan_is_refused_unwritten(tmp_path):
+    out = tmp_path / "report.json"
+    with pytest.raises(EvalDomainError, match="non-finite"):
+        cli._emit_json(str(out), {"reports": [{"pairing": math.nan}]})
     assert not out.exists()
 
 
