@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UsageError, WarpgeoError
+from .errors import EvalDomainError, UsageError, WarpgeoError
 from .immersion import PointGeometry, per_point, vdot
 
 # parameter_scan's root test: simple roots of the fixture scans measure
@@ -33,19 +33,33 @@ _SCAN_DEPTH = 5
 
 def normal_residual(pg):
     """m [ -Delta(lambda) + lambda |A|^2 - lambda Ric(eta, eta) ] at the
-    points of the hypersurface PointGeometry `pg`."""
+    points of the hypersurface PointGeometry `pg`; a point at which lambda,
+    |A|^2, Delta(lambda) or the residual is not finite is an
+    EvalDomainError (`_require_finite`)."""
     pg.require_hypersurface()
     m = pg.spec.m
-    return m * (-pg.lap_lam + pg.lam * pg.normA2 - pg.lam * pg.ric_eta_eta)
+    residual = m * (-pg.lap_lam + pg.lam * pg.normA2 - pg.lam * pg.ric_eta_eta)
+    # a non-finite lambda, |A|^2 or Delta(lambda) makes its term, and so the
+    # residual, non-finite (0 * inf is nan): they are named when it is not
+    if not np.isfinite(residual).all():
+        _require_finite(
+            pg,
+            ("lambda", pg.lam),
+            ("|A|^2", pg.normA2),
+            ("lapLambda", pg.lap_lam),
+            ("normal residual", residual),
+        )
+    return residual
 
 
 def tangential_residual(pg):
     """m [ 2 A(grad lambda) + m lambda grad lambda - 2 lambda (Ricci eta)^T ]
     at the points of the hypersurface PointGeometry `pg`.
 
-    Returns (ambient components, induced-metric norm).  The Ricci term is
-    zero and is not computed: in a space form Ric(eta) = (n-1)c eta is
-    normal, so its projection onto span{d_i X} vanishes.
+    Returns (ambient components, induced-metric norm); a point at which the
+    norm is not finite is an EvalDomainError.  The Ricci term is zero and
+    is not computed: in a space form Ric(eta) = (n-1)c eta is normal, so
+    its projection onto span{d_i X} vanishes.
     """
     pg.require_hypersurface()
     m = pg.spec.m
@@ -55,6 +69,7 @@ def tangential_residual(pg):
     t_intr = m * (2.0 * a_grad + m * lam * pg.grad_lam)
     t_amb = np.matvec(pg.dX_val.mT, t_intr)
     norm = np.sqrt(np.maximum(vdot(t_intr, np.matvec(pg.g_val, t_intr)), 0.0))
+    _require_finite(pg, ("tangential residual", norm))
     return t_amb, norm
 
 
@@ -101,11 +116,13 @@ def classify(spec, points, tol, geometries=None):
     if not points:
         raise UsageError("classify needs at least one point")
     spec.require_hypersurface()
-    if geometries is None:
-        read = each(lambda ps: np.column_stack(_measures(_geometry(spec, ps))), points)
-        rows = [read(i) for i in range(len(points))]
-    else:
-        rows = np.vstack([np.column_stack(_measures(pg)) for pg in geometries])
+    # a value past the float range is refused in _measures, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        if geometries is None:
+            read = each(lambda ps: np.column_stack(_measures(_geometry(spec, ps))), points)
+            rows = [read(i) for i in range(len(points))]
+        else:
+            rows = np.vstack([np.column_stack(_measures(pg)) for pg in geometries])
     scale, max_n, max_t, max_h = map(float, np.max(rows, axis=0, initial=0.0))
     normally = max_n <= tol * scale
     tangentially = max_t <= tol * scale
@@ -134,11 +151,38 @@ def _geometry(spec, points):
 
 def _measures(pg):
     """(scale, |normal residual|, tangential residual, |H|) at the points of
-    the PointGeometry `pg`: floats, or arrays over its batch."""
+    the PointGeometry `pg`: floats, or arrays over its batch.  A point at
+    which one of them is not finite is an EvalDomainError: an infinite
+    scale would pass any residual."""
     normal = np.abs(normal_residual(pg))
     _, tangential = tangential_residual(pg)
     scale = pg.spec.m * (1.0 + np.abs(pg.lam)) * (1.0 + pg.normA2)
+    _require_finite(pg, ("residual scale", scale))
     return scale, normal, tangential, pg.normH
+
+
+def _require_finite(pg, *named):
+    """Raise EvalDomainError unless the per-point values of `named`, (name,
+    values) pairs read at the points of the PointGeometry `pg`, are all
+    finite.  The error names the first point at which one is not, and the
+    first of them that is not finite there.  Callers form the values, and
+    build `pg`, with numpy's overflow and invalid warnings off.  A value
+    at one point (a float) is tested by math.isfinite, at a tenth of
+    np.isfinite's cost."""
+    if all(
+        np.isfinite(v).all() if isinstance(v, np.ndarray) else math.isfinite(v)
+        for _, v in named
+    ):
+        return
+    shape = np.broadcast_shapes(*(np.shape(values) for _, values in named))
+    bad = [~np.isfinite(np.broadcast_to(values, shape)).ravel() for _, values in named]
+    i = int(np.argmax(np.logical_or.reduce(bad)))
+    name, values = next(q for q, b in zip(named, bad) if b[i])
+    value = float(np.broadcast_to(values, shape).flat[i])
+    point = ", ".join(f"{float(np.broadcast_to(c, shape).flat[i]):g}" for c in pg.point)
+    raise EvalDomainError(
+        f"{name} at ({point}) leaves the float range ({value:g})", value=value
+    )
 
 
 def each(evaluate, xs):
@@ -242,7 +286,9 @@ def parameter_scan(spec, param, lo, hi, samples, probe_point):
         # the batch comes from the param alone, and a param no component
         # reads leaves the geometry unbatched: one residual for every x
         scanned = spec.with_params(**{param: np.array(xs)})
-        return np.broadcast_to(normal_residual(PointGeometry(scanned, point)), len(xs))
+        with np.errstate(over="ignore", invalid="ignore"):  # normal_residual refuses it
+            r = normal_residual(PointGeometry(scanned, point))
+        return np.broadcast_to(r, len(xs))
 
     grid = [float(x) for x in np.linspace(lo, hi, samples)]
     row = each(residuals, grid)

@@ -155,9 +155,11 @@ def _fmt(x):
 
 def _analysis(spec, points):
     """(JSON entry, table cells) of each of `points`, evaluated as one batch."""
-    pg = PointGeometry(spec, np.array(points).T)
-    n_res = biharmonic.normal_residual(pg)
-    _, t_res = biharmonic.tangential_residual(pg)
+    # the residuals refuse a value past the float range, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        pg = PointGeometry(spec, np.array(points).T)
+        n_res = biharmonic.normal_residual(pg)
+        _, t_res = biharmonic.tangential_residual(pg)
     # per-point arrays, the batch axis first
     arrays = {
         "g": pg.g_val,
@@ -269,15 +271,16 @@ def cmd_warp(args):
     ws = scene.require_warp()
     point = _parse_point("--point", args.point, scene.immersion.m)
     tgrid = _parse_tgrid(args.t)
-    # a value past the float range is refused below, not warned about
+    headers = ["t", "f", "pairing", "pairingClosed", "powerResidual", "|tangential|", "|normal|"]
+    # a value past the float range is refused below, not warned about; the
+    # bitension's parts are formed when read, so they are read in here
     with np.errstate(over="ignore", invalid="ignore"):
         sweep = warped.warped_report(ws, tgrid, point)
-    tau2 = sweep.bitension
-    headers = ["t", "f", "pairing", "pairingClosed", "powerResidual", "|tangential|", "|normal|"]
-    columns = (
-        sweep.warp.t, sweep.warp.f, sweep.pairing, sweep.pairing_closed_form,
-        sweep.power_residual, tau2.tangential_norm, tau2.normal_norm,
-    )
+        tau2 = sweep.bitension
+        columns = (
+            sweep.warp.t, sweep.warp.f, sweep.pairing, sweep.pairing_closed_form,
+            sweep.power_residual, tau2.tangential_norm, tau2.normal_norm,
+        )
     for name, column in zip(headers, columns):
         bad = ~np.isfinite(column)
         if bad.any():

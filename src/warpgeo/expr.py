@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import math
 import re
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import jet as J
-from .errors import EvalDomainError, ExprSyntaxError, UsageError
+from .errors import EvalDomainError, ExprSyntaxError, UsageError, WarpgeoError
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt")
 
@@ -358,6 +359,60 @@ def eval_jet(ast, variables, params=None):
         raise UsageError(f"not an AST node: {node!r}")
 
     return jet(ev(ast))
+
+
+# a variable binding no identifier can read: fold_constants evaluates only
+# subtrees without a variable, but eval_jet needs one to know its jet space
+_NO_VARIABLE = {"": J.jet_constant(0.0, 1, 0)}
+
+
+def fold_constants(ast, params):
+    """`ast` with each largest subtree that reads no variable (it may read
+    names of `params`) replaced by a number node, with the subtree's span,
+    of the value `eval_jet` gives it.  That is the value the subtree takes
+    inside any evaluation of `ast`: eval_jet evaluates such a subtree on
+    jets of order 0 wherever it lies, and reads a number node as its value.
+
+    A subtree whose evaluation raises, warns, or gives a value that is not
+    one finite float stays as it is, so evaluating the result raises and
+    warns as evaluating `ast` does, at the same spans."""
+
+    def value(node):
+        if isinstance(node, Num):
+            return node
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning raises where it is issued
+            try:
+                v = eval_jet(node, _NO_VARIABLE, params).value
+            except (WarpgeoError, ArithmeticError, Warning):
+                return node
+        return Num(v, node.span) if type(v) is float and math.isfinite(v) else node
+
+    def fold(node):
+        """(`node` with the largest constant subtrees below it folded, or
+        `node` itself when it reads no variable)"""
+        if isinstance(node, Name):
+            return node, node.ident in params
+        if isinstance(node, Neg):
+            parts = (node.operand,)
+        elif isinstance(node, Call):
+            parts = (node.arg,)
+        elif isinstance(node, BinOp):
+            parts = (node.left, node.right)
+        else:  # a number
+            return node, True
+        folded = [fold(p) for p in parts]
+        if all(constant for _, constant in folded):
+            return node, True
+        parts = [value(p) if constant else p for p, constant in folded]
+        if isinstance(node, Neg):
+            return Neg(*parts, node.span), False
+        if isinstance(node, Call):
+            return Call(node.fn, *parts, node.span), False
+        return BinOp(node.op, *parts, node.span), False
+
+    node, constant = fold(ast)
+    return value(node) if constant else node
 
 
 def eval_value(ast, env):

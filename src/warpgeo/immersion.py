@@ -182,7 +182,10 @@ def values(c, depth):
 
 def per_point(x, k):
     """A per-point scalar (a float or a batch array) shaped to broadcast
-    against arrays with `k` index axes after the batch axes."""
+    against arrays with `k` index axes after the batch axes; a float, one
+    point's, broadcasts as it is."""
+    if type(x) is float:
+        return x
     return np.asarray(x)[(...,) + (None,) * k]
 
 

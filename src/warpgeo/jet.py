@@ -604,7 +604,11 @@ def _compose(a, series):
 def _require_finite(operation, at, rows):
     """Raise EvalDomainError unless every entry of `rows` (a list of floats
     or batch arrays) is finite; the error names the value `at` of the first
-    point where one is not."""
+    point where one is not.  A series at one point (`at` a scalar, so every
+    row one) is tested by math.isfinite, a tenth of np.isfinite's cost on
+    a short list of scalars."""
+    if not isinstance(at, np.ndarray) and all(map(math.isfinite, rows)):
+        return
     finite = np.isfinite(rows)
     if not finite.all():
         value = first_where(at, ~finite.all(axis=0))

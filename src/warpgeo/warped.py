@@ -4,7 +4,9 @@ the warped Ricci identity."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
+from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
@@ -14,7 +16,7 @@ from . import oracle
 from .ambient import WarpEval
 from .biharmonic import classify
 from .errors import ConfigError, EvalDomainError, UsageError
-from .expr import eval_jet, free_symbols, parse
+from .expr import eval_jet, fold_constants, free_symbols, parse
 from .immersion import PointGeometry, per_point
 
 BIHARMONIC_GATE_TOL = 1e-7
@@ -23,10 +25,23 @@ _POSITIVITY_SAMPLES = 64
 
 @dataclass(frozen=True)
 class WarpedScene:
+    """A base immersion, a warp expression in t over an interval, and the
+    warp's params.
+
+    `warp` is the parsed expression; its names are checked on it.  Every
+    evaluation, the positivity samples' first, reads `folded`: the warp
+    with each largest subtree that reads no t, its params' names included,
+    replaced by its value (`expr.fold_constants`), so a constant such as
+    the 1/m of (a*t+b)^(1/m) is evaluated once per scene, not at every t.
+    Folding keeps every value bit for bit, and a constant subtree that
+    raises, warns or leaves the float range is not folded, so it fails
+    the load, or an evaluation, as the parsed warp does."""
+
     immersion: object  # ImmersionSpec
     warp: object  # ExprAst in t
     warp_params: MappingProxyType
     interval: tuple
+    folded: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lo, hi = self.interval
@@ -37,6 +52,8 @@ class WarpedScene:
         extra = free_symbols(self.warp) - ({"t"} | set(self.warp_params))
         if extra:
             raise ConfigError(f"unbound identifiers in warp: {sorted(extra)}")
+        # set once, here: the dataclass is frozen
+        object.__setattr__(self, "folded", fold_constants(self.warp, self.warp_params))
         # positivity is checked by sampling; the DSL has no symbolic
         # positivity decision procedure
         ts = np.linspace(lo, hi, _POSITIVITY_SAMPLES + 2)
@@ -53,7 +70,7 @@ class WarpedScene:
     def warp_jet(self, t):
         """The warp as a jet of the jet `t`, whose values must lie in the
         interval, with t's batch shape: every evaluation of the warp
-        expression comes here."""
+        expression comes here, and evaluates `folded`."""
         lo, hi = self.interval
         v = t.coeffs[0]
         if v.ndim:
@@ -64,7 +81,7 @@ class WarpedScene:
             raise UsageError(
                 f"t = {outside:g} lies outside the warp interval [{lo:g}, {hi:g}]"
             )
-        f = eval_jet(self.warp, {"t": t}, self.warp_params)
+        f = eval_jet(self.folded, {"t": t}, self.warp_params)
         missing = t.coeffs.ndim - f.coeffs.ndim
         if missing:  # a constant warp is one value
             c = f.coeffs.reshape(f.coeffs.shape + (1,) * missing)
@@ -75,14 +92,20 @@ class WarpedScene:
         """The warp and its first two derivatives at t, a float or an array
         of t (a sweep), from one evaluation of the warp jet either way.  A
         sweep's values equal its t one by one, and each check names the
-        first t that fails it."""
-        t = np.asarray(t, dtype=float)
-        t = t if t.ndim else float(t)
+        first t that fails it.  A float t is used as it is, with no array
+        made of it."""
+        if type(t) is not float:
+            t = np.asarray(t, dtype=float)
+            t = t if t.ndim else float(t)
         f = self.warp_jet(J.jet_variable(0, t, 1, 2))
         return WarpEval(t, f.value, f.partial((1,)), f.partial((2,)))
 
 
 def warped_scene(immersion_spec, warp_source, warp_params, interval):
+    """The WarpedScene of `warp_source` (DSL source or a parsed AST) with
+    `warp_params` over `interval`.  Loading checks the warp's names and
+    interval, folds its constants once, and samples it for positivity; a
+    failure of any of these is raised here."""
     return WarpedScene(
         immersion_spec,
         parse(warp_source) if isinstance(warp_source, str) else warp_source,
@@ -124,7 +147,7 @@ def base_point(spec, point):
     coords = np.asarray(point, dtype=float)
     key = coords.tobytes()
     memo = _memo
-    if memo and memo[0] is spec and memo[1] == key and not np.isnan(coords).any():
+    if memo and memo[0] is spec and memo[1] == key and not any(map(math.isnan, coords.flat)):
         return memo[2]
     pg = PointGeometry(spec, point)
     tau2_i = oracle.submanifold_bitension(pg)
@@ -181,13 +204,35 @@ def inclusion_tension(base, w):
     return _vector(0.0, per_point(m / w.f_pow2, 1) * base.geometry.H_val)
 
 
-@dataclass(frozen=True)
 class BitensionParts:
-    vec: np.ndarray
-    tangential: np.ndarray  # component tangent to I x M
-    normal: np.ndarray  # component normal to I x M
-    tangential_norm: object  # per t
-    normal_norm: object
+    """tau_2(phi) at a BasePoint and a WarpEval, as the vector `vec`, and
+    its split relative to T(I x M), dt plus span{dX_i}: the parts
+    `tangential` and `normal` and their h-norms `tangential_norm` and
+    `normal_norm` (per t).  The split is formed when one of them is first
+    read and then kept, so a caller that reads only the pairing does not
+    form it; a caller that reads it over a sweep under numpy's error state
+    reads it inside that state."""
+
+    def __init__(self, base, w, t_part, n_part):
+        self.base, self.w = base, w
+        self.t_part, self.n_part = t_part, n_part
+        self.vec = _vector(t_part, n_part)
+
+    @cached_property
+    def tangential(self):
+        return _vector(self.t_part, self.base.tangential(self.n_part))
+
+    @cached_property
+    def normal(self):
+        return _vector(0.0, self.n_part - self.tangential[..., 1:])
+
+    @cached_property
+    def tangential_norm(self):
+        return hbar_norm(self.base, self.w, self.tangential)
+
+    @cached_property
+    def normal_norm(self):
+        return hbar_norm(self.base, self.w, self.normal)
 
 
 def inclusion_bitension(base, w, residual=None):
@@ -208,18 +253,7 @@ def inclusion_bitension(base, w, residual=None):
         1 / f4, 1
     ) * base.submanifold_bitension
     t_part = -(m**2) * w.f1 / w.f_pow3 * base.h2
-
-    # split relative to T(I x M): dt plus span{dX_i} is tangential
-    n_tan = base.tangential(n_part)
-    tangential = _vector(t_part, n_tan)
-    normal = _vector(0.0, n_part - n_tan)
-    return BitensionParts(
-        vec=_vector(t_part, n_part),
-        tangential=tangential,
-        normal=normal,
-        tangential_norm=hbar_norm(base, w, tangential),
-        normal_norm=hbar_norm(base, w, normal),
-    )
+    return BitensionParts(base, w, t_part, n_part)
 
 
 @dataclass(frozen=True)

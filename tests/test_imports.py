@@ -1,4 +1,5 @@
-"""Every import in the package is read, and every function is named.
+"""Every import in the package is read, every function is named, and the
+declared numpy floor has every numpy attribute the package reads.
 
     python3 -m pytest tests/test_imports.py
 
@@ -7,12 +8,14 @@ so deleting the code that used it cannot leave the import behind; the
 package's __init__ imports exactly the names of its __all__.  Every
 module-level function and every method but a dunder must be named in the
 package outside its own definition, or be one of the few kept for a
-reason outside it.
+reason outside it.  The numpy release that pyproject.toml requires must
+have each newer numpy attribute the package reads (`NUMPY_ADDED`).
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -111,3 +114,22 @@ def test_every_function_is_named_outside_its_definition():
         if name.rsplit(".", 1)[-1] not in named
     ]
     assert sorted(uncalled) == sorted(UNCALLED)
+
+
+# numpy attributes the package reads that numpy 1.x lacks, with the release
+# that added each
+NUMPY_ADDED = {"vecdot": (2, 0), "mT": (2, 0), "matvec": (2, 2), "vecmat": (2, 2)}
+
+
+def test_declared_numpy_floor_has_every_attribute_read():
+    used = {
+        node.attr
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr in NUMPY_ADDED
+    }
+    assert used  # the table still names what the package reads
+    pyproject = (PACKAGE.parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    [floor] = re.findall(r'"numpy>=(\d+)\.(\d+)"', pyproject)
+    floor = tuple(map(int, floor))
+    assert {a: NUMPY_ADDED[a] for a in used if NUMPY_ADDED[a] > floor} == {}

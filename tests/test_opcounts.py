@@ -258,10 +258,12 @@ def test_verify_pass_mul_count(counts):
     # scene's positivity samples are one order-0 evaluation of its warp, and
     # its t samples one more of order 2; the oracle runs one pipeline per
     # base point, its warps a leading batch axis of t; the cone scan makes 2
-    # builds (7, and 90, 383 and 75 here, with the look-ahead tree alone)
+    # builds (7, and 90, 383 and 75 here, with the look-ahead tree alone);
+    # each power scene's 1/m is one product when the scene folds it, where
+    # its positivity samples and its t samples each formed it (70 and 263)
     verify.run_checks()
-    assert counts["mul"] == 70
-    assert counts["contract"] == 263
+    assert counts["mul"] == 67
+    assert counts["contract"] == 260
     assert counts["constant_plans"] == 60
 
 
@@ -439,6 +441,65 @@ def test_one_t_report_forms_the_warp_factors_once(warp_factor_calls, warp):
     scene = warped.warped_scene(verify.sphere_slice(1.0), warp, params, (0.0, 1.0))
     warped.warped_report(scene, 0.3, POINT)
     assert warp_factor_calls == {"power": 4, "power_residual": 1}
+
+
+@pytest.fixture
+def split_calls(monkeypatch):
+    calls = []
+    tangential = warped.BasePoint.tangential
+
+    def counted(self, v):
+        calls.append(v)
+        return tangential(self, v)
+
+    monkeypatch.setattr(warped.BasePoint, "tangential", counted)
+    return calls
+
+
+def test_split_is_formed_when_read(split_calls):
+    # a report read for its pairing, closed form, gate and residual forms no
+    # tangential/normal split of tau_2(phi); reading its norms forms it once
+    scene = _scene()
+    rep = warped.warped_report(scene, 0.3, POINT)
+    assert rep.pairing == pytest.approx(rep.pairing_closed_form)
+    assert rep.pairing_closed_form_applicable and abs(rep.power_residual) > 0
+    assert split_calls == []
+    parts = rep.bitension
+    norms = (parts.tangential_norm, parts.normal_norm)
+    assert (parts.tangential_norm, parts.normal_norm) == norms
+    assert len(split_calls) == 1
+
+
+# the bench's warps: (source, params, contractions, jpow calls) of a one-t
+# report at a base point already built
+ONE_T_WARPS = [
+    ("exp(t)", {}, 1, 0),  # one Horner step of exp's order-2 series
+    ("sqrt(t+2)", {}, 1, 1),  # sqrt is jpow(., 0.5)
+    ("2+cos(t)", {}, 1, 0),
+    # 1/m is folded at load: jpow of the order-2 jet a t + b, no reciprocal
+    ("(a*t+b)^(1/m)", {"a": 1.0, "b": 2.0, "m": 2}, 1, 1),
+]
+
+
+@pytest.mark.parametrize(
+    "warp, params, contract, jpow", ONE_T_WARPS, ids=[w[0] for w in ONE_T_WARPS]
+)
+def test_one_t_report_counts(counts, monkeypatch, warp, params, contract, jpow):
+    orders = []
+    init = jet.Jet.__init__
+
+    def recorded_init(self, n_vars, order, coeffs):
+        orders.append(order)
+        init(self, n_vars, order, coeffs)
+
+    scene = warped.warped_scene(verify.sphere_slice(1.0), warp, params, (0.0, 1.0))
+    warped.base_point(scene.immersion, POINT)
+    counts.update(dict.fromkeys(counts, 0))
+    monkeypatch.setattr(jet.Jet, "__init__", recorded_init)
+    warped.warped_report(scene, 0.3, POINT)
+    assert (counts["contract"], counts["jpow"]) == (contract, jpow)
+    assert counts["builds"] == counts["mul"] == 0
+    assert 0 not in orders  # no constant of the warp is formed as an order-0 jet
 
 
 @pytest.fixture

@@ -633,6 +633,76 @@ def test_scan_lists_overflow_as_failure(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("warp, message", [
+    ("2+cos(1e308*1e308)", "cos series at inf leaves the float range"),
+    ("exp(t)+log(0-1)", "log of non-positive value -1"),
+])
+def test_warp_whose_constant_fails_exits_2_at_load(tmp_path, capsys, warp, message):
+    # the scene folds its warp's constants once; one that fails is left to
+    # fail the load as it did before
+    scene = write_scene(tmp_path, _with(SLICE_SCENE, "warp", expr=warp))
+    assert run_cli(["warp", scene, "--t=0:1:3", "--point", "0.3,-0.2"]) == 2
+    assert capsys.readouterr().err == f"error: {scene}.warp: {message}\n"
+
+
+# a graph whose lambda and |A|^2 are finite at (0, 0.3) but whose Delta
+# lambda, residuals and classify scale m (1 + |lambda|)(1 + |A|^2) are not
+STEEP_GRAPH = {
+    "ambient": {"model": "euclidean", "dim": 3},
+    "immersion": {"variables": ["u", "v"], "components": ["u", "v", "k*u*u+v*v"],
+                  "params": {"k": 1e110}},
+}
+STEEP_MESSAGE = "lapLambda at (0, 0.3) leaves the float range (nan)"
+
+
+def _quiet_cli(argv):
+    """The exit code of the command line, failing on any warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return run_cli(argv)
+
+
+def test_classify_of_overflowing_residuals_exits_3(tmp_path, capsys):
+    # an infinite scale passed every residual: it printed all four flags True
+    # and nan and inf maxima, with four RuntimeWarnings and exit 0
+    out = tmp_path / "classify.json"
+    argv = ["classify", write_scene(tmp_path, STEEP_GRAPH), "--points", "0,0.3",
+            "--json", str(out)]
+    assert _quiet_cli(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {STEEP_MESSAGE}\n"
+    assert not out.exists()
+
+
+def test_analyze_of_overflowing_residuals_shows_an_error_row(tmp_path, capsys):
+    # it printed lapLambda nan, normalRes nan and tangentialRes inf with exit 0
+    out = tmp_path / "analyze.json"
+    argv = ["analyze", write_scene(tmp_path, STEEP_GRAPH), "--points", "0,0.3",
+            "--json", str(out)]
+    assert _quiet_cli(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: 1 point(s) failed\n"
+    assert captured.out.splitlines()[1].rstrip().split(None, 2)[1:] == ["error", STEEP_MESSAGE]
+    assert json.loads(out.read_text()) == {
+        "reports": [{"point": [0.0, 0.3], "error": STEEP_MESSAGE}]
+    }
+
+
+def test_scan_lists_overflowing_residuals_as_failures(tmp_path, capsys):
+    # it printed nan for the two larger samples with exit 0
+    out = tmp_path / "scan.json"
+    argv = ["scan", write_scene(tmp_path, STEEP_GRAPH), "--param", "k", "--range",
+            "1e100:1e120", "--samples", "3", "--probe", "0,0.3", "--json", str(out)]
+    assert _quiet_cli(argv) == 0
+    report = json.loads(out.read_text())
+    assert [r is None for _, r in report["samples"]] == [False, True, True]
+    assert report["failures"] == [[5e119, STEEP_MESSAGE], [1e120, STEEP_MESSAGE]]
+    assert capsys.readouterr().err == "".join(
+        f"failed sample k={k}: {STEEP_MESSAGE}\n" for k in ("5e+119", "1e+120")
+    )
+
+
 @pytest.mark.parametrize("argv, code", [(["verify"], 0), (["classify"], 2)])
 def test_module_entry_point(argv, code):
     # python -m warpgeo runs the same command line as warpgeo

@@ -7,6 +7,7 @@ from warpgeo import jet as J
 from warpgeo import oracle, warped
 from warpgeo.ambient import AmbientChart, WarpEval
 from warpgeo.errors import ConfigError, EvalDomainError, UsageError
+from warpgeo.expr import eval_jet, free_symbols
 from warpgeo.immersion import PointGeometry, immersion
 
 INTERVAL = (-0.5, 1.0)
@@ -98,6 +99,66 @@ class TestScene:
     def test_unbound_warp_symbol(self, sphere_slice):
         with pytest.raises(ConfigError):
             warped.warped_scene(sphere_slice(1.0), "a*t", {}, (0.1, 1.0))
+
+
+# warps with subtrees that read no t, with their params
+FOLDED_WARPS = [
+    ("(a*t+b)^(1/m)", {"a": 1.0, "b": 2.0, "m": 2}),
+    ("(a*t+b)^(1/m)", {"a": 3.0, "b": 1.0, "m": 3}),
+    ("exp(t)*(2-1/3)", {}),
+    ("t*log(2)+3", {}),
+    ("-(1/m)*t+4", {"m": 3}),
+    ("2+cos(t)*sqrt(a)", {"a": 2.0}),
+]
+
+
+def _reads_t_or_is_a_leaf(node):
+    """Whether every subtree of `node` but a number or a name reads t."""
+    parts = [getattr(node, k) for k in ("operand", "arg", "left", "right") if hasattr(node, k)]
+    return all(map(_reads_t_or_is_a_leaf, parts)) and (
+        not parts or "t" in free_symbols(node)
+    )
+
+
+class TestFold:
+    """A scene folds its warp's subtrees that read no t once, and every
+    value it gives is that of the parsed warp, bit for bit."""
+
+    @staticmethod
+    def _same_bits(a, b):
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        return a.shape == b.shape and a.tobytes() == b.tobytes()  # -0.0 is not 0.0
+
+    @pytest.mark.parametrize("warp, params", FOLDED_WARPS, ids=[
+        f"{w} {p}" for w, p in FOLDED_WARPS
+    ])
+    def test_folded_warp_equals_the_parsed_one(self, slice_scene, warp, params):
+        scene = slice_scene(warp, params, (0.0, 1.5))
+        assert scene.folded != scene.warp and _reads_t_or_is_a_leaf(scene.folded)
+        ts = np.linspace(0.05, 1.45, 7)
+        for t in (ts, *map(float, ts)):
+            parsed = eval_jet(scene.warp, {"t": J.jet_variable(0, t, 1, 2)}, params)
+            w = scene.warp_at(t)
+            for got, alpha in ((w.f, (0,)), (w.f1, (1,)), (w.f2, (2,))):
+                assert self._same_bits(got, parsed.partial(alpha))
+
+    @pytest.mark.parametrize("warp, message, span", [
+        ("2+cos(1e308*1e308)", "cos series at inf leaves the float range", (2, 18)),
+        ("exp(t)+log(0-1)", "log of non-positive value -1", (7, 15)),
+    ])
+    def test_constant_that_fails_is_left_to_fail_at_load(
+        self, sphere_slice, warp, message, span
+    ):
+        # the fold sees 1e308*1e308 overflow (a warning) and log(-1) raise,
+        # and leaves both to the positivity samples, which refuse them as
+        # they refused the parsed warp
+        with pytest.raises(EvalDomainError) as err:
+            warped.warped_scene(sphere_slice(1.0), warp, {}, INTERVAL)
+        assert (str(err.value), err.value.span) == (message, span)
+
+    def test_unbound_name_in_a_constant(self, sphere_slice):
+        with pytest.raises(ConfigError, match=r"^unbound identifiers in warp: \['c'\]$"):
+            warped.warped_scene(sphere_slice(1.0), "exp(t)+sqrt(c)*2", {}, INTERVAL)
 
 
 class TestPowerFamily:
