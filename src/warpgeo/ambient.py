@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import jet as J
-from .errors import ConfigError, EvalDomainError
+from .errors import ConfigError, EvalDomainError, range_policy
 
 MODELS = ("euclidean", "sphere", "hyperbolic")
 _CURVATURE = {"euclidean": 0.0, "sphere": 1.0, "hyperbolic": -1.0}
@@ -125,11 +125,9 @@ class WarpEval:
 
     def __post_init__(self):
         f, f1 = self.f, self.f1
-        factors = _quietly(f, lambda: {
-            "f_pow2": power(f, 2), "f_pow3": power(f, 3), "f_pow4": power(f, 4),
-            "f1_pow2": power(f1, 2),
-        })
-        self.__dict__.update(factors)  # set once, here: the dataclass is frozen
+        with range_policy():  # set once, here: the dataclass is frozen
+            self.__dict__.update(f_pow2=power(f, 2), f_pow3=power(f, 3), f_pow4=power(f, 4),
+                                 f1_pow2=power(f1, 2))
         # the first t at which f is not positive, a value is not finite,
         # f^4, which the closed forms divide by, is not a finite normal
         # float, or f'^2 is not finite, with the message of its first
@@ -167,8 +165,8 @@ class WarpEval:
     def power_residual(self, m):
         """P = f f'' + (m-1) f'^2, the power-family residual, refused at the
         first t where it is not finite."""
-        f, f2, f1_pow2 = self.f, self.f2, self.f1_pow2
-        residual = _quietly(f, lambda: f * f2 + (m - 1) * f1_pow2)
+        with range_policy():
+            residual = self.f * self.f2 + (m - 1) * self.f1_pow2
         ok = abs(residual) < math.inf
         if ok is True or np.all(ok):  # a bool at one t
             return residual
@@ -178,17 +176,6 @@ class WarpEval:
             f"f={f:g}, f'={f1:g}, f''={f2:g} at t={t:g}",
             value=f1,
         )
-
-
-def _quietly(per_t, values):
-    """values(), with numpy's overflow and invalid warnings off over a
-    sweep (`per_t` an array), whose checks then refuse the first t that
-    left the float range.  At one t (`per_t` a float) the arithmetic is a
-    float's, which warns of nothing."""
-    if isinstance(per_t, float):
-        return values()
-    with np.errstate(over="ignore", invalid="ignore"):
-        return values()
 
 
 def power(x, p):

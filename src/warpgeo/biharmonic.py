@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EvalDomainError, UsageError, WarpgeoError
+from .errors import EvalDomainError, UsageError, WarpgeoError, range_policy
 from .immersion import PointGeometry, per_point, vdot
 
 # parameter_scan's root test: simple roots of the fixture scans measure
@@ -38,7 +38,8 @@ def normal_residual(pg):
     EvalDomainError (`_require_finite`)."""
     pg.require_hypersurface()
     m = pg.spec.m
-    residual = m * (-pg.lap_lam + pg.lam * pg.normA2 - pg.lam * pg.ric_eta_eta)
+    with range_policy():
+        residual = m * (-pg.lap_lam + pg.lam * pg.normA2 - pg.lam * pg.ric_eta_eta)
     # a non-finite lambda, |A|^2 or Delta(lambda) makes its term, and so the
     # residual, non-finite (0 * inf is nan): they are named when it is not
     if not np.isfinite(residual).all():
@@ -64,11 +65,12 @@ def tangential_residual(pg):
     pg.require_hypersurface()
     m = pg.spec.m
 
-    a_grad = np.matvec(pg.S_val, pg.grad_lam)  # intrinsic components of A(grad lambda)
-    lam = per_point(pg.lam, 1)
-    t_intr = m * (2.0 * a_grad + m * lam * pg.grad_lam)
-    t_amb = np.matvec(pg.dX_val.mT, t_intr)
-    norm = np.sqrt(np.maximum(vdot(t_intr, np.matvec(pg.g_val, t_intr)), 0.0))
+    with range_policy():
+        a_grad = np.matvec(pg.S_val, pg.grad_lam)  # intrinsic components of A(grad lambda)
+        lam = per_point(pg.lam, 1)
+        t_intr = m * (2.0 * a_grad + m * lam * pg.grad_lam)
+        t_amb = np.matvec(pg.dX_val.mT, t_intr)
+        norm = np.sqrt(np.maximum(vdot(t_intr, np.matvec(pg.g_val, t_intr)), 0.0))
     _require_finite(pg, ("tangential residual", norm))
     return t_amb, norm
 
@@ -116,8 +118,7 @@ def classify(spec, points, tol, geometries=None):
     if not points:
         raise UsageError("classify needs at least one point")
     spec.require_hypersurface()
-    # a value past the float range is refused in _measures, not warned about
-    with np.errstate(over="ignore", invalid="ignore"):
+    with range_policy():  # a value past the float range is refused in _measures
         if geometries is None:
             read = each(lambda ps: np.column_stack(_measures(_geometry(spec, ps))), points)
             rows = [read(i) for i in range(len(points))]
@@ -165,10 +166,8 @@ def _require_finite(pg, *named):
     """Raise EvalDomainError unless the per-point values of `named`, (name,
     values) pairs read at the points of the PointGeometry `pg`, are all
     finite.  The error names the first point at which one is not, and the
-    first of them that is not finite there.  Callers form the values, and
-    build `pg`, with numpy's overflow and invalid warnings off.  A value
-    at one point (a float) is tested by math.isfinite, at a tenth of
-    np.isfinite's cost."""
+    first of them that is not finite there.  A value at one point (a
+    float) is tested by math.isfinite, at a tenth of np.isfinite's cost."""
     if all(
         np.isfinite(v).all() if isinstance(v, np.ndarray) else math.isfinite(v)
         for _, v in named
@@ -280,62 +279,62 @@ def parameter_scan(spec, param, lo, hi, samples, probe_point):
         raise UsageError(f"unknown parameter {param!r}")
     spec.require_hypersurface()
 
-    point = tuple(float(c) for c in probe_point)
+    with range_policy():
+        point = tuple(float(c) for c in probe_point)
 
-    def residuals(xs):
-        # the batch comes from the param alone, and a param no component
-        # reads leaves the geometry unbatched: one residual for every x
-        scanned = spec.with_params(**{param: np.array(xs)})
-        with np.errstate(over="ignore", invalid="ignore"):  # normal_residual refuses it
+        def residuals(xs):
+            # the batch comes from the param alone, and a param no component
+            # reads leaves the geometry unbatched: one residual for every x
+            scanned = spec.with_params(**{param: np.array(xs)})
             r = normal_residual(PointGeometry(scanned, point))
-        return np.broadcast_to(r, len(xs))
+            return np.broadcast_to(r, len(xs))
 
-    grid = [float(x) for x in np.linspace(lo, hi, samples)]
-    row = each(residuals, grid)
-    values = []
-    failures = []
-    for i, x in enumerate(grid):
-        try:
-            values.append((x, row(i)))
-        except WarpgeoError as exc:
-            values.append((x, None))
-            failures.append((x, str(exc)))
+        grid = [float(x) for x in np.linspace(lo, hi, samples)]
+        row = each(residuals, grid)
+        values = []
+        failures = []
+        for i, x in enumerate(grid):
+            try:
+                values.append((x, row(i)))
+            except WarpgeoError as exc:
+                values.append((x, None))
+                failures.append((x, str(exc)))
 
-    roots = []
-    brackets = []
-    for (x0, r0), (x1, r1) in zip(values, values[1:]):
-        # never bracket across a failed sample
-        if r0 is None or r1 is None:
-            continue
-        if r0 == 0.0:
-            roots.append(x0)
-            continue
-        if np.sign(r0) * np.sign(r1) < 0.0:  # a product of residuals can underflow
-            brackets.append(_Bisection(x0, r0, x1, r1))
-    active = brackets
-    while active:
-        xs = []
-        for b in active:
-            xs += b.midpoints(len(xs))
-        row = each(residuals, xs)
-        for b in active:
-            b.walk(row)
-        active = [b for b in active if b.end is None]
-    for b in brackets:
-        x, message = b.end
-        if message is None:
-            roots.append(x)
-        else:
-            failures.append((x, message))
-    if values and values[-1][1] == 0.0:
-        roots.append(values[-1][0])
+        roots = []
+        brackets = []
+        for (x0, r0), (x1, r1) in zip(values, values[1:]):
+            # never bracket across a failed sample
+            if r0 is None or r1 is None:
+                continue
+            if r0 == 0.0:
+                roots.append(x0)
+                continue
+            if np.sign(r0) * np.sign(r1) < 0.0:  # a product of residuals can underflow
+                brackets.append(_Bisection(x0, r0, x1, r1))
+        active = brackets
+        while active:
+            xs = []
+            for b in active:
+                xs += b.midpoints(len(xs))
+            row = each(residuals, xs)
+            for b in active:
+                b.walk(row)
+            active = [b for b in active if b.end is None]
+        for b in brackets:
+            x, message = b.end
+            if message is None:
+                roots.append(x)
+            else:
+                failures.append((x, message))
+        if values and values[-1][1] == 0.0:
+            roots.append(values[-1][0])
 
-    # collapse duplicates from touching brackets
-    dedup = []
-    for r in sorted(roots):
-        if not dedup or abs(r - dedup[-1]) > 10 * _XTOL:
-            dedup.append(r)
-    return ScanResult(param, tuple(dedup), tuple(values), tuple(failures))
+        # collapse duplicates from touching brackets
+        dedup = []
+        for r in sorted(roots):
+            if not dedup or abs(r - dedup[-1]) > 10 * _XTOL:
+                dedup.append(r)
+        return ScanResult(param, tuple(dedup), tuple(values), tuple(failures))
 
 
 def _secant(xl, rl, xr, rr):
@@ -343,8 +342,7 @@ def _secant(xl, rl, xr, rr):
     a residual is not finite."""
     if not (np.isfinite(rl) and np.isfinite(rr)):
         return math.nan
-    with np.errstate(all="ignore"):
-        return float(xl - rl * (xr - xl) / (rr - rl))
+    return float(xl - rl * (xr - xl) / (rr - rl))
 
 
 class _Bisection:

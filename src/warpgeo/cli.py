@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import biharmonic, verify as verify_mod, warped
-from .errors import EvalDomainError, UsageError, WarpgeoError
+from .errors import EvalDomainError, UsageError, WarpgeoError, range_policy
 from .immersion import PointGeometry
 from .scene import load_scene
 
@@ -139,14 +139,38 @@ def _emit_json(path, payload):
         fh.write(text + "\n")
 
 
-def _print_table(headers, rows):
-    widths = [
-        max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
-        for i, h in enumerate(headers)
-    ]
-    print("  ".join(h.ljust(w) for h, w in zip(headers, widths)))
-    for r in rows:
-        print("  ".join(c.ljust(w) for c, w in zip(r, widths)))
+def _finite_rows(values):
+    """Whether each row of `values` (an array, row axis first, or cells) is finite."""
+    if isinstance(values, np.ndarray):
+        return np.isfinite(values.reshape(len(values), -1)).all(axis=1)
+    return [not isinstance(v, (float, list)) or np.isfinite(v).all() for v in values]
+
+
+def _emit(args, label, rows, lines, csv_rows=None, report=None):
+    """The one output path of every subcommand: check its rows, then print
+    `lines`, write `csv_rows` to --csv and report() to --json where asked.
+    `rows`, records (dicts) or {field: values over the rows}, holds every
+    number printed or written.  Each is checked once, before anything is
+    printed or opened: the first row holding one that is not finite is an
+    EvalDomainError naming its first such field and the row, label(i)."""
+    if isinstance(rows, list):  # records: each field's values, None where a record lacks it
+        rows = {f: [r.get(f) for r in rows] for f in dict.fromkeys(k for r in rows for k in r)}
+    bad = [(int(np.argmin(ok)), field) for field, values in rows.items()
+           if not np.all(ok := _finite_rows(values))]
+    if bad:
+        i, field = min(bad, key=lambda b: b[0])
+        raise EvalDomainError(f"{field} is not finite at {label(i)}")
+    print(*lines, sep="\n")
+    if csv_rows is not None and args.csv:
+        with _open_report(args.csv) as fh:
+            csv.writer(fh).writerows(csv_rows)
+    if report is not None and args.json:
+        _emit_json(args.json, report())
+
+
+def _table(headers, rows):
+    widths = [max([len(h), *(len(r[i]) for r in rows)]) for i, h in enumerate(headers)]
+    return ["  ".join(c.ljust(w) for c, w in zip(r, widths)) for r in [headers, *rows]]
 
 
 def _fmt(x):
@@ -154,24 +178,15 @@ def _fmt(x):
 
 
 def _analysis(spec, points):
-    """(JSON entry, table cells) of each of `points`, evaluated as one batch."""
-    # the residuals refuse a value past the float range, not warned about
-    with np.errstate(over="ignore", invalid="ignore"):
-        pg = PointGeometry(spec, np.array(points).T)
-        n_res = biharmonic.normal_residual(pg)
-        _, t_res = biharmonic.tangential_residual(pg)
+    """The JSON entry of each of `points`, evaluated as one batch."""
+    pg = PointGeometry(spec, np.array(points).T)
+    n_res = biharmonic.normal_residual(pg)
+    _, t_res = biharmonic.tangential_residual(pg)
     # per-point arrays, the batch axis first
-    arrays = {
-        "g": pg.g_val,
-        "B": pg.B_val,
-        "H": pg.H_val,
-        "eta": pg.eta_val,
-        "A": pg.A_frame,
-        "gradLambda": pg.grad_lam_amb,
-    }
-    out = []
-    for i in range(len(points)):
-        entry = {key: a[i].tolist() for key, a in arrays.items()} | {
+    arrays = {"g": pg.g_val, "B": pg.B_val, "H": pg.H_val, "eta": pg.eta_val,
+              "A": pg.A_frame, "gradLambda": pg.grad_lam_amb}
+    return [
+        {key: a[i].tolist() for key, a in arrays.items()} | {
             "point": [float(c[i]) for c in pg.point],
             "lambda": float(pg.lam[i]),
             "normA2": pg.normA2[i],
@@ -180,9 +195,8 @@ def _analysis(spec, points):
             "normalResidual": n_res[i],
             "tangentialResidual": t_res[i],
         }
-        cells = [pg.lam[i], pg.normA2[i], pg.lap_lam[i], n_res[i], t_res[i]]
-        out.append((entry, [_fmt(c) for c in cells]))
-    return out
+        for i in range(len(points))
+    ]
 
 
 def cmd_analyze(args):
@@ -191,21 +205,21 @@ def cmd_analyze(args):
     points = _resolve_points(args, scene)
     spec.require_hypersurface()
     read = biharmonic.each(lambda ps: _analysis(spec, ps), points)
+    shown = ("lambda", "normA2", "lapLambda", "normalResidual", "tangentialResidual")
     reports, rows = [], []
     for i, p in enumerate(points):
         try:
-            entry, cells = read(i)
+            entry = read(i)
+            cells = [_fmt(entry[key]) for key in shown]
         except WarpgeoError as exc:
             entry = {"point": list(p), "error": str(exc)}
             cells = ["error", str(exc), "", "", ""]
         reports.append(entry)
         rows.append([",".join(_fmt(c) for c in p)] + cells)
+    headers = ["point", "lambda", "|A|^2", "lapLambda", "normalRes", "tangentialRes"]
+    _emit(args, lambda i: f"point {rows[i][0]}", reports, _table(headers, rows),
+          report=lambda: {"reports": reports})
     failed = sum("error" in entry for entry in reports)
-    _print_table(
-        ["point", "lambda", "|A|^2", "lapLambda", "normalRes", "tangentialRes"], rows
-    )
-    if args.json:
-        _emit_json(args.json, {"reports": reports})
     if failed:
         raise EvalDomainError(f"{failed} point(s) failed")
     return 0
@@ -215,20 +229,13 @@ def cmd_classify(args):
     scene = load_scene(args.scene)
     points = _resolve_points(args, scene)
     tol = args.tol if args.tol is not None else scene.tolerance
-    record = biharmonic.classify(scene.immersion, points, tol)
-    payload = record.to_dict()
-    for key in (
-        "harmonic",
-        "biharmonic",
-        "normally_biharmonic",
-        "tangentially_biharmonic",
-    ):
-        print(f"{key:25s} {payload[key]}")
-    print(f"{'maxNormalResidual':25s} {_fmt(record.max_normal)}")
-    print(f"{'maxTangentialResidual':25s} {_fmt(record.max_tangential)}")
-    print(f"{'maxMeanCurvature':25s} {_fmt(record.max_mean_curvature)}")
-    if args.json:
-        _emit_json(args.json, payload)
+    payload = biharmonic.classify(scene.immersion, points, tol).to_dict()
+    flags = ("harmonic", "biharmonic", "normally_biharmonic", "tangentially_biharmonic")
+    maxima = ("maxNormalResidual", "maxTangentialResidual", "maxMeanCurvature")
+    lines = [f"{key:25s} {payload[key]}" for key in flags]
+    lines += [f"{key:25s} {_fmt(payload[key])}" for key in maxima]
+    _emit(args, lambda i: f"the {len(points)} point(s)", [payload], lines,
+          report=lambda: payload)
     return 0
 
 
@@ -236,33 +243,24 @@ def cmd_scan(args):
     scene = load_scene(args.scene)
     lo, hi = _parse_range(args.range)
     if args.samples > MAX_POINTS:
-        raise UsageError(
-            f"--samples {args.samples} asks for more than {MAX_POINTS} samples"
-        )
+        raise UsageError(f"--samples {args.samples} asks for more than {MAX_POINTS} samples")
     if args.probe:
         probe = _parse_point("--probe", args.probe, scene.immersion.m)
     elif scene.points:
         probe = scene.points[0]
     else:
         raise UsageError("scan needs --probe or an analysis point")
-    result = biharmonic.parameter_scan(
-        scene.immersion, args.param, lo, hi, args.samples, probe
-    )
-    rows = [
-        [_fmt(v), _fmt(r) if r is not None else "failed"] for v, r in result.samples
-    ]
-    _print_table([args.param, "normalResidual"], rows)
-    print("roots:", " ".join(_fmt(r) for r in result.roots) or "(none)")
+    result = biharmonic.parameter_scan(scene.immersion, args.param, lo, hi, args.samples, probe)
+    samples = [{args.param: v, "normal_residual": r} for v, r in result.samples]
+    rows = [[_fmt(v), "failed" if r is None else _fmt(r)] for v, r in result.samples]
+    lines = _table([args.param, "normalResidual"], rows)
+    lines.append("roots: " + (" ".join(_fmt(r) for r in result.roots) or "(none)"))
+    csv_rows = [[args.param, "normal_residual"]]
+    csv_rows += [[v, "" if r is None else r] for v, r in result.samples]
+    _emit(args, lambda i: f"{args.param} = {rows[i][0]}", samples, lines, csv_rows,
+          result.to_dict)
     for v, msg in result.failures:
         print(f"failed sample {args.param}={_fmt(v)}: {msg}", file=sys.stderr)
-    if args.csv:
-        with _open_report(args.csv) as fh:
-            writer = csv.writer(fh)
-            writer.writerow([args.param, "normal_residual"])
-            for v, r in result.samples:
-                writer.writerow([v, "" if r is None else r])
-    if args.json:
-        _emit_json(args.json, result.to_dict())
     return 0
 
 
@@ -270,34 +268,20 @@ def cmd_warp(args):
     scene = load_scene(args.scene)
     ws = scene.require_warp()
     point = _parse_point("--point", args.point, scene.immersion.m)
-    tgrid = _parse_tgrid(args.t)
+    sweep = warped.warped_report(ws, _parse_tgrid(args.t), point)
+    w, tau2 = sweep.warp, sweep.bitension
+    # the table's and the CSV's columns, then the numbers only the JSON holds
+    columns = {"t": w.t, "f": w.f, "pairing": sweep.pairing,
+               "pairing_closed_form": sweep.pairing_closed_form,
+               "power_residual": sweep.power_residual, "tangential_norm": tau2.tangential_norm,
+               "normal_norm": tau2.normal_norm}
+    values = list(zip(*(c.tolist() for c in columns.values())))
+    csv_rows = [list(columns), *values]
+    columns |= {"f1": w.f1, "f2": w.f2, "tension": sweep.tension, "bitension": tau2.vec}
     headers = ["t", "f", "pairing", "pairingClosed", "powerResidual", "|tangential|", "|normal|"]
-    # a value past the float range is refused below, not warned about; the
-    # bitension's parts are formed when read, so they are read in here
-    with np.errstate(over="ignore", invalid="ignore"):
-        sweep = warped.warped_report(ws, tgrid, point)
-        tau2 = sweep.bitension
-        columns = (
-            sweep.warp.t, sweep.warp.f, sweep.pairing, sweep.pairing_closed_form,
-            sweep.power_residual, tau2.tangential_norm, tau2.normal_norm,
-        )
-    for name, column in zip(headers, columns):
-        bad = ~np.isfinite(column)
-        if bad.any():
-            t = float(sweep.warp.t[bad][0])
-            raise EvalDomainError(f"{name} is not finite at t = {_fmt(t)}", value=t)
-    values = list(zip(*(c.tolist() for c in columns)))
-    _print_table(headers, [[_fmt(v) for v in row] for row in values])
-    if args.csv:
-        with _open_report(args.csv) as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["t", "f", "pairing", "pairing_closed_form", "power_residual",
-                 "tangential_norm", "normal_norm"]
-            )
-            writer.writerows(values)
-    if args.json:
-        _emit_json(args.json, {"reports": sweep.to_dicts()})
+    _emit(args, lambda i: f"t = {_fmt(w.t[i])}", columns,
+          _table(headers, [[_fmt(v) for v in row] for row in values]), csv_rows,
+          lambda: {"reports": sweep.to_dicts()})
     return 0
 
 
@@ -305,21 +289,13 @@ def cmd_verify(args):
     checks = verify_mod.run_checks(args.filter)
     if not checks:
         raise UsageError(f"--filter {args.filter!r} matches no check")
-    rows = [
-        [
-            c.name,
-            _fmt(c.expected),
-            _fmt(c.got),
-            _fmt(c.tol),
-            "pass" if c.passed else "FAIL",
-        ]
-        for c in checks
-    ]
-    _print_table(["check", "expected", "got", "tol", "status"], rows)
+    rows = [c.row() for c in checks]
     failed = sum(not c.passed for c in checks)
-    print(f"{len(checks) - failed}/{len(checks)} checks passed")
-    if args.json:
-        _emit_json(args.json, {"checks": [c.row() for c in checks]})
+    table = [[c.name, _fmt(c.expected), _fmt(c.got), _fmt(c.tol), "pass" if c.passed else "FAIL"]
+             for c in checks]
+    lines = _table(["check", "expected", "got", "tol", "status"], table)
+    lines.append(f"{len(checks) - failed}/{len(checks)} checks passed")
+    _emit(args, lambda i: checks[i].name, rows, lines, report=lambda: {"checks": rows})
     return 1 if failed else 0
 
 
@@ -378,7 +354,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.fn(args)
+        with range_policy():
+            code = args.fn(args)
     except WarpgeoError as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = exc.exit_code

@@ -4,8 +4,33 @@ Exit-code contract for the CLI: 0 success, 1 check failure,
 2 usage/configuration error, 3 numerical/domain error.  Any WarpgeoError
 raised while a scene file loads is re-raised as a SceneError (exit 2), an
 EvalDomainError included; the same failure met while a loaded scene is
-evaluated exits 3.
+evaluated exits 3.  Whether a number left the float range is decided by
+value, by the checks that read it, under the one `range_policy`.
 """
+
+from contextlib import nullcontext
+from contextvars import ContextVar
+
+import numpy as np
+
+_INSIDE = ContextVar("warpgeo_range_policy", default=False)
+_NESTED = nullcontext()
+
+
+def range_policy():
+    """The context of every public call that does float arithmetic: only
+    the outermost enters np.errstate(all="ignore"), once per outside call."""
+    return _NESTED if _INSIDE.get() else _Outermost()
+
+
+class _Outermost:
+    def __enter__(self):
+        self._token, self._state = _INSIDE.set(True), np.errstate(all="ignore")
+        self._state.__enter__()
+
+    def __exit__(self, *exc):
+        _INSIDE.reset(self._token)
+        self._state.__exit__(*exc)
 
 
 class WarpgeoError(Exception):

@@ -17,9 +17,9 @@ offending sub-expression.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import re
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -256,6 +256,24 @@ def free_symbols(node):
     return frozenset(out)
 
 
+_OPERANDS = {Neg: ("operand",), Call: ("arg",), BinOp: ("left", "right")}  # fields of operands
+
+
+def _parts(node):
+    """The operands of `node`: none for a number or a name."""
+    return [getattr(node, k) for k in _OPERANDS.get(type(node), ())]
+
+
+def _subtrees(node):
+    """`node` and every node below it, each after the nodes below it, left
+    to right: the reverse of a walk that takes each node's last part first."""
+    out, stack = [], [node]
+    while stack:
+        out.append(stack.pop())
+        stack += _parts(out[-1])
+    return out[::-1]
+
+
 # -- evaluation -----------------------------------------------------------
 
 
@@ -373,43 +391,41 @@ def fold_constants(ast, params):
     inside any evaluation of `ast`: eval_jet evaluates such a subtree on
     jets of order 0 wherever it lies, and reads a number node as its value.
 
-    A subtree whose evaluation raises, warns, or gives a value that is not
-    one finite float stays as it is, so evaluating the result raises and
-    warns as evaluating `ast` does, at the same spans."""
+    A subtree whose evaluation raises, or gives a batch array, stays as it
+    is, to raise as `ast` does, at the same span.  One that evaluates, but
+    where it or a sub-expression has a value that is not finite, is an
+    EvalDomainError at the first such, innermost first: exp(-(1e308*1e308))
+    at 1e308*1e308."""
 
     def value(node):
-        if isinstance(node, Num):
+        try:
+            values = [
+                sub.value if isinstance(sub, Num) else eval_jet(sub, _NO_VARIABLE, params).value
+                for sub in _subtrees(node)
+            ]
+        except WarpgeoError:
             return node
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # a warning raises where it is issued
-            try:
-                v = eval_jet(node, _NO_VARIABLE, params).value
-            except (WarpgeoError, ArithmeticError, Warning):
-                return node
-        return Num(v, node.span) if type(v) is float and math.isfinite(v) else node
+        if type(values[-1]) is not float:
+            return node
+        for sub, v in zip(_subtrees(node), values):
+            if not math.isfinite(v):
+                raise EvalDomainError(f"constant {pretty(sub)} leaves the float range ({v:g})",
+                                      value=v, span=sub.span)
+        return node if isinstance(node, Num) else Num(values[-1], node.span)
 
     def fold(node):
         """(`node` with the largest constant subtrees below it folded, or
         `node` itself when it reads no variable)"""
-        if isinstance(node, Name):
-            return node, node.ident in params
-        if isinstance(node, Neg):
-            parts = (node.operand,)
-        elif isinstance(node, Call):
-            parts = (node.arg,)
-        elif isinstance(node, BinOp):
-            parts = (node.left, node.right)
-        else:  # a number
-            return node, True
+        parts = _parts(node)
+        if not parts:
+            return node, not isinstance(node, Name) or node.ident in params
         folded = [fold(p) for p in parts]
         if all(constant for _, constant in folded):
             return node, True
-        parts = [value(p) if constant else p for p, constant in folded]
-        if isinstance(node, Neg):
-            return Neg(*parts, node.span), False
-        if isinstance(node, Call):
-            return Call(node.fn, *parts, node.span), False
-        return BinOp(node.op, *parts, node.span), False
+        new = [value(p) if constant else p for p, constant in folded]
+        if new == parts:  # each part is itself (list equality tests identity first)
+            return node, False
+        return dataclasses.replace(node, **dict(zip(_OPERANDS[type(node)], new))), False
 
     node, constant = fold(ast)
     return value(node) if constant else node

@@ -18,6 +18,7 @@ import numpy as np
 from . import jet as J
 from .ambient import AmbientChart
 from .errors import ConfigError, DegenerateImmersionError, EvalDomainError, UsageError
+from .errors import range_policy
 from .expr import eval_jet, free_symbols, is_name, parse, pretty
 
 JET_ORDER = 4
@@ -105,21 +106,20 @@ def induced_metric_jets(spec, var_jets, slots):
     """
     n_vars, order = var_jets[0].n_vars, var_jets[0].order
     env = dict(zip(spec.variables, var_jets))
-    with np.errstate(over="ignore", invalid="ignore"):
-        X = J.stack([eval_jet(comp, env, spec.params) for comp in spec.components])
-        bad = ~np.isfinite(X).swapaxes(0, 1).reshape(spec.n, -1).all(axis=1)
-        if bad.any():
-            raise _overflow(spec, int(np.argmax(bad)))
-        dX = J.gradient(X, n_vars, slots)
-        x = J.trunc(X, n_vars, order - 1)
-        q = spec.ambient.conformal_factor(x, n_vars)
-        e2 = spec.ambient.metric_factor(x, n_vars, q)
-        g = J.contract("ia,ja->ij", dX, dX, n_vars)
-        g = J.contract("ij,->ij", g, e2.coeffs, n_vars)
-        if not np.isfinite(g).all():
-            # the metric overflows: name the component with the largest tangent
-            tangent = np.abs(dX).swapaxes(0, 2).reshape(spec.n, -1).max(axis=1)
-            raise _overflow(spec, int(np.argmax(tangent)))
+    X = J.stack([eval_jet(comp, env, spec.params) for comp in spec.components])
+    bad = ~np.isfinite(X).swapaxes(0, 1).reshape(spec.n, -1).all(axis=1)
+    if bad.any():
+        raise _overflow(spec, int(np.argmax(bad)))
+    dX = J.gradient(X, n_vars, slots)
+    x = J.trunc(X, n_vars, order - 1)
+    q = spec.ambient.conformal_factor(x, n_vars)
+    e2 = spec.ambient.metric_factor(x, n_vars, q)
+    g = J.contract("ia,ja->ij", dX, dX, n_vars)
+    g = J.contract("ij,->ij", g, e2.coeffs, n_vars)
+    if not np.isfinite(g).all():
+        # the metric overflows: name the component with the largest tangent
+        tangent = np.abs(dX).swapaxes(0, 2).reshape(spec.n, -1).max(axis=1)
+        raise _overflow(spec, int(np.argmax(tangent)))
     return X, dX, q, e2, g
 
 
@@ -259,39 +259,40 @@ class PointGeometry:
     def __init__(self, spec, point):
         if len(point) != spec.m:
             raise UsageError(f"point has {len(point)} coords, expected {spec.m}")
-        self.spec = spec
-        coords = [np.asarray(p, dtype=float) for p in point]
-        self.point = tuple(c if c.ndim else float(c) for c in coords)
-        m = spec.m
-        var_jets = [
-            J.jet_variable(i, self.point[i], m, JET_ORDER) for i in range(m)
-        ]
-        X, self.dX_c, q, self.e2, g = induced_metric_jets(spec, var_jets, range(m))
+        with range_policy():
+            self.spec = spec
+            coords = [np.asarray(p, dtype=float) for p in point]
+            self.point = tuple(c if c.ndim else float(c) for c in coords)
+            m = spec.m
+            var_jets = [
+                J.jet_variable(i, self.point[i], m, JET_ORDER) for i in range(m)
+            ]
+            X, self.dX_c, q, self.e2, g = induced_metric_jets(spec, var_jets, range(m))
 
-        self.g_val = values(g, 2)
-        self.ginv_c = metric_inverse(g, m)  # order 2
-        self.ginv_val = values(self.ginv_c, 2)
-        self.dX_val = values(self.dX_c, 2)
-        self.e2_val = self.e2.value
+            self.g_val = values(g, 2)
+            self.ginv_c = metric_inverse(g, m)  # order 2
+            self.ginv_val = values(self.ginv_c, 2)
+            self.dX_val = values(self.dX_c, 2)
+            self.e2_val = self.e2.value
 
-        self.gamma_c = christoffels_from_metric(g, self.ginv_c, m)  # order 2
-        self.gamma_n_c = spec.ambient.christoffel(J.trunc(X, m, 2), m, q)
+            self.gamma_c = christoffels_from_metric(g, self.ginv_c, m)  # order 2
+            self.gamma_n_c = spec.ambient.christoffel(J.trunc(X, m, 2), m, q)
 
-        # Second fundamental form and mean curvature: order 2
-        # B_ij^a = d_j d_i X^a + Gamma^a_bc dX_i^b dX_j^c - Gamma^k_ij dX_k^a
-        dX2 = J.trunc(self.dX_c, m, 2)
-        B = J.gradient(self.dX_c, m, range(m), axis=2)
-        B = B - J.contract("kij,ka->ija", self.gamma_c, dX2, m)
-        if self.gamma_n_c is not None:
-            gamma_dX = J.contract("abc,ib->aci", self.gamma_n_c, dX2, m)
-            B = B + J.contract("aci,jc->ija", gamma_dX, dX2, m)
-        self.H_c = J.contract("ij,ija->a", self.ginv_c, B, m) * (1.0 / m)
-        self.H_val = values(self.H_c, 1)
-        self.B_val = values(B, 3)
-        self.normH = np.sqrt(self.e2_val * vdot(self.H_val, self.H_val))
+            # Second fundamental form and mean curvature: order 2
+            # B_ij^a = d_j d_i X^a + Gamma^a_bc dX_i^b dX_j^c - Gamma^k_ij dX_k^a
+            dX2 = J.trunc(self.dX_c, m, 2)
+            B = J.gradient(self.dX_c, m, range(m), axis=2)
+            B = B - J.contract("kij,ka->ija", self.gamma_c, dX2, m)
+            if self.gamma_n_c is not None:
+                gamma_dX = J.contract("abc,ib->aci", self.gamma_n_c, dX2, m)
+                B = B + J.contract("aci,jc->ija", gamma_dX, dX2, m)
+            self.H_c = J.contract("ij,ija->a", self.ginv_c, B, m) * (1.0 / m)
+            self.H_val = values(self.H_c, 1)
+            self.B_val = values(B, 3)
+            self.normH = np.sqrt(self.e2_val * vdot(self.H_val, self.H_val))
 
-        if spec.is_hypersurface:
-            self._hypersurface_fields(dX2)
+            if spec.is_hypersurface:
+                self._hypersurface_fields(dX2)
 
     def _hypersurface_fields(self, dX2):
         m = self.spec.m

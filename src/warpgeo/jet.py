@@ -19,7 +19,8 @@ point alone, so a batched result equals the column-by-column results bit
 for bit: products add each point's terms in one fixed order (``np.bincount``)
 and the univariate series use numpy ufuncs for every batch shape.  Domain
 checks hold at every point, and each error names the first point that
-fails them.
+fails them.  The univariate series run under ``errors.range_policy``: a
+series whose terms leave the float range is an EvalDomainError.
 
 A tensor of jets (a Christoffel symbol, a second fundamental form) is one
 coefficient array of shape ``(size, *tensor, *batch)``.  :func:`contract`
@@ -59,7 +60,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, EvalDomainError, SingularJetError, UsageError
+from .errors import ConfigError, EvalDomainError, SingularJetError, UsageError, range_policy
 
 MAX_VARS = 6
 MAX_ORDER = 4
@@ -207,9 +208,6 @@ class Jet:
     @property
     def value(self):
         return _scalar(self.coeffs[0])
-
-    def coefficient(self, alpha):
-        return _scalar(self.coeffs[self.space.index[tuple(alpha)]])
 
     def partial(self, alpha):
         """Return the raw derivative d^alpha f at the point."""
@@ -632,56 +630,54 @@ def _require_positive(operation, a0):
 
 
 def reciprocal(b):
-    b0 = b.coeffs[0]
-    v = first_where(b0, abs(b0) < SINGULAR_EPS)
-    if v is not None:
-        raise SingularJetError(f"division by jet with value {v:g}", value=v)
-    with np.errstate(all="ignore"):
+    with range_policy():
+        b0 = b.coeffs[0]
+        v = first_where(b0, abs(b0) < SINGULAR_EPS)
+        if v is not None:
+            raise SingularJetError(f"division by jet with value {v:g}", value=v)
         powers = _powers(b0, b.order + 1)
-    _require_finite("reciprocal", b0, powers)
-    series = [(-1.0) ** k / p for k, p in enumerate(powers)]
-    return _compose(b, series)
+        _require_finite("reciprocal", b0, powers)
+        series = [(-1.0) ** k / p for k, p in enumerate(powers)]
+        return _compose(b, series)
 
 
 def exp(a):
-    a0 = a.coeffs[0]
-    with np.errstate(all="ignore"):
+    with range_policy():
+        a0 = a.coeffs[0]
         v = np.exp(a0)
-    _require_finite("exp", a0, [v])
-    series = [v / math.factorial(k) for k in range(a.order + 1)]
-    return _compose(a, series)
+        _require_finite("exp", a0, [v])
+        series = [v / math.factorial(k) for k in range(a.order + 1)]
+        return _compose(a, series)
 
 
 def log(a):
-    a0 = a.coeffs[0]
-    _require_positive("log", a0)
-    with np.errstate(all="ignore"):
+    with range_policy():
+        a0 = a.coeffs[0]
+        _require_positive("log", a0)
         powers = _powers(a0, a.order)
         series = [np.log(a0)] + [
             (-1.0) ** (k + 1) / (k * p) for k, p in enumerate(powers, start=1)
         ]
-    _require_finite("log", a0, powers + series)
-    return _compose(a, series)
+        _require_finite("log", a0, powers + series)
+        return _compose(a, series)
 
 
-def _sin_cos(operation, a):
-    a0 = a.coeffs[0]
-    _require_finite(operation, a0, [a0])
-    return np.sin(a0), np.cos(a0)
+def _sin_cos(operation, a, cycle):
+    """The sine or cosine series of `a`: coefficient k is cycle(s, c)[k % 4] / k!."""
+    with range_policy():
+        a0 = a.coeffs[0]
+        _require_finite(operation, a0, [a0])
+        cycle = cycle(np.sin(a0), np.cos(a0))
+        series = [cycle[k % 4] / math.factorial(k) for k in range(a.order + 1)]
+        return _compose(a, series)
 
 
 def sin(a):
-    s, c = _sin_cos("sin", a)
-    cycle = [s, c, -s, -c]
-    series = [cycle[k % 4] / math.factorial(k) for k in range(a.order + 1)]
-    return _compose(a, series)
+    return _sin_cos("sin", a, lambda s, c: [s, c, -s, -c])
 
 
 def cos(a):
-    s, c = _sin_cos("cos", a)
-    cycle = [c, -s, -c, s]
-    series = [cycle[k % 4] / math.factorial(k) for k in range(a.order + 1)]
-    return _compose(a, series)
+    return _sin_cos("cos", a, lambda s, c: [c, -s, -c, s])
 
 
 def sqrt(a):
@@ -697,35 +693,35 @@ def jpow(a, exponent):
     p = float(exponent)
     if not math.isfinite(p):
         raise EvalDomainError(f"power with non-finite exponent {p:g}", value=p)
-    a0 = a.coeffs[0]
-    rounded = round(p)
-    integral = abs(p - rounded) < 1e-12
-    if integral and abs(rounded) <= 128:
-        v = first_where(a0, ~np.isfinite(a0))
+    with range_policy():
+        a0 = a.coeffs[0]
+        rounded = round(p)
+        integral = abs(p - rounded) < 1e-12
+        if integral and abs(rounded) <= 128:
+            v = first_where(a0, ~np.isfinite(a0))
+            if v is not None:
+                raise EvalDomainError(f"power {p:g} of non-finite value {v:g}", value=v)
+            n = int(rounded)
+            if n == 0:
+                return jet_constant(1.0, a.n_vars, a.order)
+            base = a if n > 0 else reciprocal(a)
+            out = base
+            for _ in range(abs(n) - 1):
+                out = out * base
+            return out
+        v = first_where(a0, a0 <= 0.0)
         if v is not None:
-            raise EvalDomainError(f"power {p:g} of non-finite value {v:g}", value=v)
-        n = int(rounded)
-        if n == 0:
-            return jet_constant(1.0, a.n_vars, a.order)
-        base = a if n > 0 else reciprocal(a)
-        out = base
-        for _ in range(abs(n) - 1):
-            out = out * base
-        return out
-    v = first_where(a0, a0 <= 0.0)
-    if v is not None:
-        kind = (
-            f"integer power {p:g} (|p| > 128)" if integral else f"non-integer power {p:g}"
-        )
-        raise EvalDomainError(f"{kind} of non-positive value {v:g}", value=v)
-    series = []
-    binom = 1.0
-    with np.errstate(all="ignore"):
+            kind = (
+                f"integer power {p:g} (|p| > 128)" if integral else f"non-integer power {p:g}"
+            )
+            raise EvalDomainError(f"{kind} of non-positive value {v:g}", value=v)
+        series = []
+        binom = 1.0
         for k in range(a.order + 1):
             series.append(binom * np.power(a0, p - k))
             binom *= (p - k) / (k + 1)
-    _require_finite(f"power {p:g}", a0, series)
-    return _compose(a, series)
+        _require_finite(f"power {p:g}", a0, series)
+        return _compose(a, series)
 
 
 # -- small dense linear algebra over jets: contractions of jet tensors ----

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import jet as J
 from .ambient import spaceform_curvature
-from .errors import UsageError
+from .errors import UsageError, range_policy
 from .immersion import (
     PointGeometry,
     christoffels_from_metric,
@@ -142,8 +142,8 @@ def _tension_pipeline(mapspec, point, order):
 def tension_first_principles(mapspec, point):
     """tau at `point`: the pipeline seeded at order 2, as tau is read at
     order 0."""
-    *_, tau = _tension_pipeline(mapspec, point, 2)
-    return values(tau, 1)
+    with range_policy():
+        return values(_tension_pipeline(mapspec, point, 2)[-1], 1)
 
 
 @dataclass(frozen=True)
@@ -160,21 +160,22 @@ class FirstPrinciples:
 def first_principles(mapspec, point):
     """tau, tau_2 and the domain curvature of `mapspec` at `point`, from one
     pipeline seeded at order 4 (the Hessian of tau reads tau at order 2)."""
-    phi, dphi, G, gamma_dom, gbar, tau = _tension_pipeline(mapspec, point, JET_ORDER)
-    sec = _pullback_hessian(tau, gbar, dphi, gamma_dom, mapspec.dim)
+    with range_policy():
+        phi, dphi, G, gamma_dom, gbar, tau = _tension_pipeline(mapspec, point, JET_ORDER)
+        sec = _pullback_hessian(tau, gbar, dphi, gamma_dom, mapspec.dim)
 
-    tau_val = values(tau, 1)
-    frame = orthonormal_frame(values(G, 2))
-    rough = np.einsum("...ki,...li,...kla->...a", frame, frame, sec)
-    riem = codomain_riemann(mapspec, phi[0])
-    if riem is None:
-        bitension = -rough
-    else:
-        # sum_e R(tau, dphi e) dphi e, with R(d_i, d_j) d_k = R^l_ijk d_l
-        amb = frame.mT @ values(dphi, 2)
-        curv = np.einsum("...lijk,...i,...ej,...ek->...l", riem, tau_val, amb, amb)
-        bitension = -curv - rough
-    return FirstPrinciples(tau_val, bitension, riemann(gamma_dom, mapspec.dim))
+        tau_val = values(tau, 1)
+        frame = orthonormal_frame(values(G, 2))
+        rough = np.einsum("...ki,...li,...kla->...a", frame, frame, sec)
+        riem = codomain_riemann(mapspec, phi[0])
+        if riem is None:
+            bitension = -rough
+        else:
+            # sum_e R(tau, dphi e) dphi e, with R(d_i, d_j) d_k = R^l_ijk d_l
+            amb = frame.mT @ values(dphi, 2)
+            curv = np.einsum("...lijk,...i,...ej,...ek->...l", riem, tau_val, amb, amb)
+            bitension = -curv - rough
+        return FirstPrinciples(tau_val, bitension, riemann(gamma_dom, mapspec.dim))
 
 
 def bitension_first_principles(mapspec, point):
@@ -268,16 +269,17 @@ def submanifold_bitension(pg: PointGeometry):
     `spaceform_curvature` call over the m^2 tangent pairs (k, l), whose
     terms are added in (k, l) order from +0.0."""
     m, n = pg.spec.m, pg.spec.n
-    sec = _pullback_hessian(pg.H_c, pg.gamma_n_c, pg.dX_c, pg.gamma_c, m)
-    trace_sec = np.einsum("kl,kla->a", pg.ginv_val, sec)
-    tangents = pg.dX_val
-    terms = pg.ginv_val[..., None] * spaceform_curvature(
-        pg.spec.ambient, pg.H_val, tangents[:, None], tangents[None, :], pg.e2_val
-    )
-    curv = np.zeros(n)
-    for term in terms.reshape(m * m, n):
-        curv += term
-    return -m * (curv + trace_sec)
+    with range_policy():
+        sec = _pullback_hessian(pg.H_c, pg.gamma_n_c, pg.dX_c, pg.gamma_c, m)
+        trace_sec = np.einsum("kl,kla->a", pg.ginv_val, sec)
+        tangents = pg.dX_val
+        terms = pg.ginv_val[..., None] * spaceform_curvature(
+            pg.spec.ambient, pg.H_val, tangents[:, None], tangents[None, :], pg.e2_val
+        )
+        curv = np.zeros(n)
+        for term in terms.reshape(m * m, n):
+            curv += term
+        return -m * (curv + trace_sec)
 
 
 # -- curvature from Christoffel symbols ----------------------------------
@@ -288,8 +290,9 @@ def curvature_components(mapspec, point):
     with R(d_i, d_j) d_k = R^l_{ijk} d_l, assembled as dGamma + Gamma Gamma
     from the Christoffels of the pipeline seeded at RIEMANN_ORDER.  The
     package does not call it; tests and the benchmark's tracer read it."""
-    _, _, G, gamma_dom, _, _ = _tension_pipeline(mapspec, point, RIEMANN_ORDER)
-    return riemann(gamma_dom, mapspec.dim), values(G, 2)
+    with range_policy():
+        _, _, G, gamma_dom, _, _ = _tension_pipeline(mapspec, point, RIEMANN_ORDER)
+        return riemann(gamma_dom, mapspec.dim), values(G, 2)
 
 
 def riemann(gamma, n_vars):

@@ -15,6 +15,7 @@ import numpy as np
 from . import biharmonic, oracle, warped
 from . import jet as J
 from .ambient import AmbientChart
+from .errors import range_policy
 from .immersion import PointGeometry, immersion
 
 
@@ -57,13 +58,7 @@ class Check:
         return bool(abs(self.got - self.expected) <= self.tol)
 
     def row(self):
-        return {
-            "name": self.name,
-            "expected": self.expected,
-            "got": self.got,
-            "tol": self.tol,
-            "pass": self.passed,
-        }
+        return {**vars(self), "pass": self.passed}
 
 
 def _family(make, points, radii):
@@ -346,24 +341,25 @@ def _checks_ricci(base, warps, records):
 
 
 def run_checks(name_filter=None):
-    checks = []
-    checks.extend(_checks_example_sphere_slice())
-    checks.extend(_checks_example_cone())
-    # the warped checks share one BasePoint of the r = 1 slice, its scenes,
-    # each scene's warp over T_SAMPLES and one oracle record per scene; the
-    # records come from one oracle pipeline, the scenes a batch axis of t
-    # and T_SAMPLES the other
-    slice1 = sphere_slice(1.0)
-    base = warped.base_point(slice1, WARP_POINT)
-    scenes = _warp_scenes(slice1)
-    warps = {src: scene.warp_at(T_SAMPLES) for src, scene in scenes.items()}
-    records = _oracle_records(scenes, WARP_POINT)
-    checks.extend(_checks_tension_equivalence(base, warps, records))
-    checks.extend(_checks_bitension_equivalence(base, warps, records))
-    checks.extend(_checks_pairing(base, scenes["exp(t)"]))
-    checks.extend(_checks_power_family(base))
-    checks.extend(_checks_tangential_corollaries(base, scenes["2+cos(t)"]))
-    checks.extend(_checks_ricci(base, warps, records))
-    if name_filter:
-        checks = [c for c in checks if name_filter in c.name]
-    return checks
+    with range_policy():
+        checks = []
+        checks.extend(_checks_example_sphere_slice())
+        checks.extend(_checks_example_cone())
+        # the warped checks share one BasePoint of the r = 1 slice, its scenes,
+        # each scene's warp over T_SAMPLES and one oracle record per scene; the
+        # records come from one oracle pipeline, the scenes a batch axis of t
+        # and T_SAMPLES the other
+        slice1 = sphere_slice(1.0)
+        base = warped.base_point(slice1, WARP_POINT)
+        scenes = _warp_scenes(slice1)
+        warps = {src: scene.warp_at(T_SAMPLES) for src, scene in scenes.items()}
+        records = _oracle_records(scenes, WARP_POINT)
+        checks.extend(_checks_tension_equivalence(base, warps, records))
+        checks.extend(_checks_bitension_equivalence(base, warps, records))
+        checks.extend(_checks_pairing(base, scenes["exp(t)"]))
+        checks.extend(_checks_power_family(base))
+        checks.extend(_checks_tangential_corollaries(base, scenes["2+cos(t)"]))
+        checks.extend(_checks_ricci(base, warps, records))
+        if name_filter:
+            checks = [c for c in checks if name_filter in c.name]
+        return checks

@@ -15,7 +15,7 @@ from . import jet as J
 from . import oracle
 from .ambient import WarpEval
 from .biharmonic import classify
-from .errors import ConfigError, EvalDomainError, UsageError
+from .errors import ConfigError, EvalDomainError, UsageError, range_policy
 from .expr import eval_jet, fold_constants, free_symbols, parse
 from .immersion import PointGeometry, per_point
 
@@ -33,9 +33,9 @@ class WarpedScene:
     with each largest subtree that reads no t, its params' names included,
     replaced by its value (`expr.fold_constants`), so a constant such as
     the 1/m of (a*t+b)^(1/m) is evaluated once per scene, not at every t.
-    Folding keeps every value bit for bit, and a constant subtree that
-    raises, warns or leaves the float range is not folded, so it fails
-    the load, or an evaluation, as the parsed warp does."""
+    Folding keeps every value bit for bit.  A constant subtree that raises
+    is not folded, so it fails as the parsed warp does; one that passes
+    through a value out of the float range fails the load at its span."""
 
     immersion: object  # ImmersionSpec
     warp: object  # ExprAst in t
@@ -52,12 +52,12 @@ class WarpedScene:
         extra = free_symbols(self.warp) - ({"t"} | set(self.warp_params))
         if extra:
             raise ConfigError(f"unbound identifiers in warp: {sorted(extra)}")
-        # set once, here: the dataclass is frozen
-        object.__setattr__(self, "folded", fold_constants(self.warp, self.warp_params))
-        # positivity is checked by sampling; the DSL has no symbolic
-        # positivity decision procedure
-        ts = np.linspace(lo, hi, _POSITIVITY_SAMPLES + 2)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with range_policy():
+            # set once, here: the dataclass is frozen
+            object.__setattr__(self, "folded", fold_constants(self.warp, self.warp_params))
+            # positivity is checked by sampling; the DSL has no symbolic
+            # positivity decision procedure
+            ts = np.linspace(lo, hi, _POSITIVITY_SAMPLES + 2)
             f = self.warp_jet(J.jet_variable(0, ts, 1, 0)).coeffs[0]
         bad = np.flatnonzero(~(np.isfinite(f) & (f > 0.0)))
         if bad.size:
@@ -97,8 +97,9 @@ class WarpedScene:
         if type(t) is not float:
             t = np.asarray(t, dtype=float)
             t = t if t.ndim else float(t)
-        f = self.warp_jet(J.jet_variable(0, t, 1, 2))
-        return WarpEval(t, f.value, f.partial((1,)), f.partial((2,)))
+        with range_policy():
+            f = self.warp_jet(J.jet_variable(0, t, 1, 2))
+            return WarpEval(t, f.value, f.partial((1,)), f.partial((2,)))
 
 
 def warped_scene(immersion_spec, warp_source, warp_params, interval):
@@ -149,15 +150,16 @@ def base_point(spec, point):
     memo = _memo
     if memo and memo[0] is spec and memo[1] == key and not any(map(math.isnan, coords.flat)):
         return memo[2]
-    pg = PointGeometry(spec, point)
-    tau2_i = oracle.submanifold_bitension(pg)
-    for a in [*vars(pg).values(), pg.e2.coeffs, tau2_i]:
-        if isinstance(a, np.ndarray):
-            a.setflags(write=False)
-    gate = spec.is_hypersurface and classify(
-        spec, [point], BIHARMONIC_GATE_TOL, geometries=[pg]
-    ).biharmonic
-    h2 = pg.e2_val * float(np.dot(pg.H_val, pg.H_val))
+    with range_policy():
+        pg = PointGeometry(spec, point)
+        tau2_i = oracle.submanifold_bitension(pg)
+        for a in [*vars(pg).values(), pg.e2.coeffs, tau2_i]:
+            if isinstance(a, np.ndarray):
+                a.setflags(write=False)
+        gate = spec.is_hypersurface and classify(
+            spec, [point], BIHARMONIC_GATE_TOL, geometries=[pg]
+        ).biharmonic
+        h2 = pg.e2_val * float(np.dot(pg.H_val, pg.H_val))
     base = BasePoint(pg, tau2_i, gate, h2)
     _memo = (spec, key, base)
     return base
@@ -208,10 +210,9 @@ class BitensionParts:
     """tau_2(phi) at a BasePoint and a WarpEval, as the vector `vec`, and
     its split relative to T(I x M), dt plus span{dX_i}: the parts
     `tangential` and `normal` and their h-norms `tangential_norm` and
-    `normal_norm` (per t).  The split is formed when one of them is first
-    read and then kept, so a caller that reads only the pairing does not
-    form it; a caller that reads it over a sweep under numpy's error state
-    reads it inside that state."""
+    `normal_norm` (per t).  The four are formed together when one of them
+    is first read and then kept, so a caller that reads only the pairing
+    does not form them."""
 
     def __init__(self, base, w, t_part, n_part):
         self.base, self.w = base, w
@@ -219,20 +220,17 @@ class BitensionParts:
         self.vec = _vector(t_part, n_part)
 
     @cached_property
-    def tangential(self):
-        return _vector(self.t_part, self.base.tangential(self.n_part))
+    def _split(self):
+        """(tangential, normal, tangential_norm, normal_norm), formed together."""
+        with range_policy():
+            tangential = _vector(self.t_part, self.base.tangential(self.n_part))
+            normal = _vector(0.0, self.n_part - tangential[..., 1:])
+            norms = (hbar_norm(self.base, self.w, v) for v in (tangential, normal))
+            return (tangential, normal, *norms)
 
-    @cached_property
-    def normal(self):
-        return _vector(0.0, self.n_part - self.tangential[..., 1:])
-
-    @cached_property
-    def tangential_norm(self):
-        return hbar_norm(self.base, self.w, self.tangential)
-
-    @cached_property
-    def normal_norm(self):
-        return hbar_norm(self.base, self.w, self.normal)
+    tangential, normal, tangential_norm, normal_norm = (
+        property(lambda self, k=k: self._split[k]) for k in range(4)
+    )
 
 
 def inclusion_bitension(base, w, residual=None):
@@ -320,19 +318,20 @@ def pairing(base, w):
     classification of the same geometry).  P = f f'' + (m-1) f'^2 is
     formed once and read by both."""
     base.geometry.spec.require_hypersurface()
-    residual = w.power_residual(base.geometry.spec.m)
-    tau = inclusion_tension(base, w)
-    tau2 = inclusion_bitension(base, w, residual)
-    return WarpedReport(
-        base=base,
-        warp=w,
-        tension=tau,
-        bitension=tau2,
-        pairing=hbar_inner(base, w, tau2.vec, tau),
-        pairing_closed_form=_closed_form_pairing(base, w, residual),
-        pairing_closed_form_applicable=base.biharmonic,
-        power_residual=residual,
-    )
+    with range_policy():
+        residual = w.power_residual(base.geometry.spec.m)
+        tau = inclusion_tension(base, w)
+        tau2 = inclusion_bitension(base, w, residual)
+        return WarpedReport(
+            base=base,
+            warp=w,
+            tension=tau,
+            bitension=tau2,
+            pairing=hbar_inner(base, w, tau2.vec, tau),
+            pairing_closed_form=_closed_form_pairing(base, w, residual),
+            pairing_closed_form_applicable=base.biharmonic,
+            power_residual=residual,
+        )
 
 
 @dataclass(frozen=True)
@@ -378,5 +377,6 @@ def warped_report(scene, t, point):
     """`pairing` at the BasePoint of `scene` at `point` and its warp at t,
     a float or an array of t: a sweep is one warp evaluation and one
     `pairing`."""
-    w = scene.warp_at(t)
-    return pairing(base_point(scene.immersion, point), w)
+    with range_policy():
+        w = scene.warp_at(t)
+        return pairing(base_point(scene.immersion, point), w)

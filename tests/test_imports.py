@@ -73,7 +73,6 @@ UNCALLED = {
     "oracle.bitension_first_principles": "the bench tracer times it; tests call it",
     "oracle.curvature_components": "the bench tracer times it; tests call it",
     "oracle.inclusion_map": "the tests' oracle of the warped inclusion",
-    "jet.Jet.coefficient": "a public accessor of one Taylor coefficient; tests read it",
 }
 
 

@@ -525,3 +525,47 @@ def test_one_curvature_call_per_base_point(curvature_calls, m):
     assert len(curvature_calls) == 1
     _, _, y, z, _ = curvature_calls[0]
     assert (y.shape, z.shape) == ((m, 1, m + 1), (1, m, m + 1))
+
+
+@pytest.fixture
+def errstate_entries(monkeypatch):
+    """The number of times warpgeo's own code enters np.errstate (numpy.linalg
+    enters its own inside inv and cholesky, which is numpy's, not counted)."""
+    seen = [0]
+    enter = np.errstate.__enter__
+
+    def counted(self):
+        seen[0] += sys._getframe(1).f_globals.get("__name__", "").startswith("warpgeo")
+        return enter(self)
+
+    monkeypatch.setattr(np.errstate, "__enter__", counted)
+    monkeypatch.setattr(warped, "_memo", None)
+    return seen
+
+
+def test_one_t_report_enters_the_error_state_once(errstate_entries):
+    # the warp evaluation, the pairing and its parts are nested in the report
+    scene = _scene()
+    warped.base_point(scene.immersion, POINT)
+    errstate_entries[0] = 0
+    warped.warped_report(scene, 0.3, POINT)
+    assert errstate_entries[0] == 1
+
+
+def test_base_point_build_enters_the_error_state_once(errstate_entries):
+    # the geometry, the bitension of the unwarped inclusion and the
+    # classify gate are nested in the build (5 when each entered its own)
+    warped.base_point(verify.sphere_slice(1.0), POINT)
+    assert errstate_entries[0] == 1
+
+
+def test_grid_classify_enters_the_error_state_once(errstate_entries):
+    grid = [(0.2 + 0.1 * i, -0.3 + 0.2 * j) for i in range(4) for j in range(4)]
+    biharmonic.classify(verify.cone(1.0), grid, 1e-7)
+    assert errstate_entries[0] == 1
+
+
+def test_verify_pass_enters_the_error_state_once(errstate_entries):
+    # 110 when every series and stage entered its own
+    verify.run_checks()
+    assert errstate_entries[0] == 1
