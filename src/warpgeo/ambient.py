@@ -125,9 +125,12 @@ class WarpEval:
 
     def __post_init__(self):
         f, f1 = self.f, self.f1
-        with range_policy():  # set once, here: the dataclass is frozen
-            self.__dict__.update(f_pow2=power(f, 2), f_pow3=power(f, 3), f_pow4=power(f, 4),
-                                 f1_pow2=power(f1, 2))
+        with range_policy():
+            factors = {
+                "f_pow2": power(f, 2), "f_pow3": power(f, 3), "f_pow4": power(f, 4),
+                "f1_pow2": power(f1, 2),
+            }
+        self.__dict__.update(factors)  # set once, here: the dataclass is frozen
         # the first t at which f is not positive, a value is not finite,
         # f^4, which the closed forms divide by, is not a finite normal
         # float, or f'^2 is not finite, with the message of its first
@@ -165,8 +168,9 @@ class WarpEval:
     def power_residual(self, m):
         """P = f f'' + (m-1) f'^2, the power-family residual, refused at the
         first t where it is not finite."""
+        f, f2, f1_pow2 = self.f, self.f2, self.f1_pow2
         with range_policy():
-            residual = self.f * self.f2 + (m - 1) * self.f1_pow2
+            residual = f * f2 + (m - 1) * f1_pow2
         ok = abs(residual) < math.inf
         if ok is True or np.all(ok):  # a bool at one t
             return residual

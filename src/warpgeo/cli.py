@@ -139,24 +139,20 @@ def _emit_json(path, payload):
         fh.write(text + "\n")
 
 
-def _finite_rows(values):
-    """Whether each row of `values` (an array, row axis first, or cells) is finite."""
-    if isinstance(values, np.ndarray):
-        return np.isfinite(values.reshape(len(values), -1)).all(axis=1)
-    return [not isinstance(v, (float, list)) or np.isfinite(v).all() for v in values]
-
-
-def _emit(args, label, rows, lines, csv_rows=None, report=None):
-    """The one output path of every subcommand: check its rows, then print
-    `lines`, write `csv_rows` to --csv and report() to --json where asked.
-    `rows`, records (dicts) or {field: values over the rows}, holds every
-    number printed or written.  Each is checked once, before anything is
-    printed or opened: the first row holding one that is not finite is an
-    EvalDomainError naming its first such field and the row, label(i)."""
-    if isinstance(rows, list):  # records: each field's values, None where a record lacks it
-        rows = {f: [r.get(f) for r in rows] for f in dict.fromkeys(k for r in rows for k in r)}
-    bad = [(int(np.argmin(ok)), field) for field, values in rows.items()
-           if not np.all(ok := _finite_rows(values))]
+def _emit(args, label, columns, lines, csv_rows=None, report=None):
+    """The one output path of every subcommand: check its numbers, then
+    print `lines`, write `csv_rows` to --csv and report() to --json where
+    asked.  `columns` maps each field to its values over the rows, row
+    first: an array, or a list of numbers or of nested lists of numbers.
+    Each is checked once, before anything is printed or opened: the first
+    row holding a value that is not finite is an EvalDomainError naming
+    its first such field and the row, label(i)."""
+    bad = []
+    for field, values in columns.items():
+        ok = np.isfinite(np.asarray(values, dtype=float))
+        ok = ok.all(axis=tuple(range(1, ok.ndim)))
+        if not ok.all():
+            bad.append((int(np.argmin(ok)), field))
     if bad:
         i, field = min(bad, key=lambda b: b[0])
         raise EvalDomainError(f"{field} is not finite at {label(i)}")
@@ -169,7 +165,10 @@ def _emit(args, label, rows, lines, csv_rows=None, report=None):
 
 
 def _table(headers, rows):
-    widths = [max([len(h), *(len(r[i]) for r in rows)]) for i, h in enumerate(headers)]
+    widths = [
+        max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
+        for i, h in enumerate(headers)
+    ]
     return ["  ".join(c.ljust(w) for c, w in zip(r, widths)) for r in [headers, *rows]]
 
 
@@ -178,15 +177,22 @@ def _fmt(x):
 
 
 def _analysis(spec, points):
-    """The JSON entry of each of `points`, evaluated as one batch."""
+    """(JSON entry, table cells) of each of `points`, evaluated as one batch."""
     pg = PointGeometry(spec, np.array(points).T)
     n_res = biharmonic.normal_residual(pg)
     _, t_res = biharmonic.tangential_residual(pg)
     # per-point arrays, the batch axis first
-    arrays = {"g": pg.g_val, "B": pg.B_val, "H": pg.H_val, "eta": pg.eta_val,
-              "A": pg.A_frame, "gradLambda": pg.grad_lam_amb}
-    return [
-        {key: a[i].tolist() for key, a in arrays.items()} | {
+    arrays = {
+        "g": pg.g_val,
+        "B": pg.B_val,
+        "H": pg.H_val,
+        "eta": pg.eta_val,
+        "A": pg.A_frame,
+        "gradLambda": pg.grad_lam_amb,
+    }
+    out = []
+    for i in range(len(points)):
+        entry = {key: a[i].tolist() for key, a in arrays.items()} | {
             "point": [float(c[i]) for c in pg.point],
             "lambda": float(pg.lam[i]),
             "normA2": pg.normA2[i],
@@ -195,8 +201,9 @@ def _analysis(spec, points):
             "normalResidual": n_res[i],
             "tangentialResidual": t_res[i],
         }
-        for i in range(len(points))
-    ]
+        cells = [pg.lam[i], pg.normA2[i], pg.lap_lam[i], n_res[i], t_res[i]]
+        out.append((entry, [_fmt(c) for c in cells]))
+    return out
 
 
 def cmd_analyze(args):
@@ -205,19 +212,19 @@ def cmd_analyze(args):
     points = _resolve_points(args, scene)
     spec.require_hypersurface()
     read = biharmonic.each(lambda ps: _analysis(spec, ps), points)
-    shown = ("lambda", "normA2", "lapLambda", "normalResidual", "tangentialResidual")
     reports, rows = [], []
     for i, p in enumerate(points):
         try:
-            entry = read(i)
-            cells = [_fmt(entry[key]) for key in shown]
+            entry, cells = read(i)
         except WarpgeoError as exc:
             entry = {"point": list(p), "error": str(exc)}
             cells = ["error", str(exc), "", "", ""]
         reports.append(entry)
         rows.append([",".join(_fmt(c) for c in p)] + cells)
+    good = [i for i, entry in enumerate(reports) if "error" not in entry]
+    columns = {key: [reports[i][key] for i in good] for key in (reports[good[0]] if good else ())}
     headers = ["point", "lambda", "|A|^2", "lapLambda", "normalRes", "tangentialRes"]
-    _emit(args, lambda i: f"point {rows[i][0]}", reports, _table(headers, rows),
+    _emit(args, lambda j: f"point {rows[good[j]][0]}", columns, _table(headers, rows),
           report=lambda: {"reports": reports})
     failed = sum("error" in entry for entry in reports)
     if failed:
@@ -234,8 +241,8 @@ def cmd_classify(args):
     maxima = ("maxNormalResidual", "maxTangentialResidual", "maxMeanCurvature")
     lines = [f"{key:25s} {payload[key]}" for key in flags]
     lines += [f"{key:25s} {_fmt(payload[key])}" for key in maxima]
-    _emit(args, lambda i: f"the {len(points)} point(s)", [payload], lines,
-          report=lambda: payload)
+    _emit(args, lambda i: f"the {len(points)} point(s)", {k: [payload[k]] for k in maxima},
+          lines, report=lambda: payload)
     return 0
 
 
@@ -243,21 +250,26 @@ def cmd_scan(args):
     scene = load_scene(args.scene)
     lo, hi = _parse_range(args.range)
     if args.samples > MAX_POINTS:
-        raise UsageError(f"--samples {args.samples} asks for more than {MAX_POINTS} samples")
+        raise UsageError(
+            f"--samples {args.samples} asks for more than {MAX_POINTS} samples"
+        )
     if args.probe:
         probe = _parse_point("--probe", args.probe, scene.immersion.m)
     elif scene.points:
         probe = scene.points[0]
     else:
         raise UsageError("scan needs --probe or an analysis point")
-    result = biharmonic.parameter_scan(scene.immersion, args.param, lo, hi, args.samples, probe)
-    samples = [{args.param: v, "normal_residual": r} for v, r in result.samples]
+    result = biharmonic.parameter_scan(
+        scene.immersion, args.param, lo, hi, args.samples, probe
+    )
+    good = [(v, r) for v, r in result.samples if r is not None]
+    columns = {args.param: [v for v, _ in good], "normal_residual": [r for _, r in good]}
     rows = [[_fmt(v), "failed" if r is None else _fmt(r)] for v, r in result.samples]
     lines = _table([args.param, "normalResidual"], rows)
     lines.append("roots: " + (" ".join(_fmt(r) for r in result.roots) or "(none)"))
     csv_rows = [[args.param, "normal_residual"]]
     csv_rows += [[v, "" if r is None else r] for v, r in result.samples]
-    _emit(args, lambda i: f"{args.param} = {rows[i][0]}", samples, lines, csv_rows,
+    _emit(args, lambda i: f"{args.param} = {_fmt(good[i][0])}", columns, lines, csv_rows,
           result.to_dict)
     for v, msg in result.failures:
         print(f"failed sample {args.param}={_fmt(v)}: {msg}", file=sys.stderr)
@@ -271,10 +283,15 @@ def cmd_warp(args):
     sweep = warped.warped_report(ws, _parse_tgrid(args.t), point)
     w, tau2 = sweep.warp, sweep.bitension
     # the table's and the CSV's columns, then the numbers only the JSON holds
-    columns = {"t": w.t, "f": w.f, "pairing": sweep.pairing,
-               "pairing_closed_form": sweep.pairing_closed_form,
-               "power_residual": sweep.power_residual, "tangential_norm": tau2.tangential_norm,
-               "normal_norm": tau2.normal_norm}
+    columns = {
+        "t": w.t,
+        "f": w.f,
+        "pairing": sweep.pairing,
+        "pairing_closed_form": sweep.pairing_closed_form,
+        "power_residual": sweep.power_residual,
+        "tangential_norm": tau2.tangential_norm,
+        "normal_norm": tau2.normal_norm,
+    }
     values = list(zip(*(c.tolist() for c in columns.values())))
     csv_rows = [list(columns), *values]
     columns |= {"f1": w.f1, "f2": w.f2, "tension": sweep.tension, "bitension": tau2.vec}
@@ -289,13 +306,24 @@ def cmd_verify(args):
     checks = verify_mod.run_checks(args.filter)
     if not checks:
         raise UsageError(f"--filter {args.filter!r} matches no check")
-    rows = [c.row() for c in checks]
+    rows = [
+        [
+            c.name,
+            _fmt(c.expected),
+            _fmt(c.got),
+            _fmt(c.tol),
+            "pass" if c.passed else "FAIL",
+        ]
+        for c in checks
+    ]
+    lines = _table(["check", "expected", "got", "tol", "status"], rows)
     failed = sum(not c.passed for c in checks)
-    table = [[c.name, _fmt(c.expected), _fmt(c.got), _fmt(c.tol), "pass" if c.passed else "FAIL"]
-             for c in checks]
-    lines = _table(["check", "expected", "got", "tol", "status"], table)
     lines.append(f"{len(checks) - failed}/{len(checks)} checks passed")
-    _emit(args, lambda i: checks[i].name, rows, lines, report=lambda: {"checks": rows})
+    # a check whose `got` is not finite is a FAIL row, not a refusal of the
+    # table; the JSON writer alone refuses it
+    columns = {"expected": [c.expected for c in checks], "tol": [c.tol for c in checks]}
+    _emit(args, lambda i: checks[i].name, columns, lines,
+          report=lambda: {"checks": [c.row() for c in checks]})
     return 1 if failed else 0
 
 

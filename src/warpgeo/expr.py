@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import jet as J
-from .errors import EvalDomainError, ExprSyntaxError, UsageError, WarpgeoError
+from .errors import EvalDomainError, ExprSyntaxError, UsageError, WarpgeoError, range_policy
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt")
 
@@ -256,22 +256,19 @@ def free_symbols(node):
     return frozenset(out)
 
 
-_OPERANDS = {Neg: ("operand",), Call: ("arg",), BinOp: ("left", "right")}  # fields of operands
+_OPERAND_FIELDS = {Neg: ("operand",), Call: ("arg",), BinOp: ("left", "right")}
 
 
-def _parts(node):
-    """The operands of `node`: none for a number or a name."""
-    return [getattr(node, k) for k in _OPERANDS.get(type(node), ())]
+def _operands(node):
+    """The operands of `node`, none for a number or a name."""
+    return [getattr(node, k) for k in _OPERAND_FIELDS.get(type(node), ())]
 
 
-def _subtrees(node):
-    """`node` and every node below it, each after the nodes below it, left
-    to right: the reverse of a walk that takes each node's last part first."""
-    out, stack = [], [node]
-    while stack:
-        out.append(stack.pop())
-        stack += _parts(out[-1])
-    return out[::-1]
+def _rebuild(node, operands):
+    """`node` with its operands replaced by `operands`."""
+    if not operands:
+        return node
+    return dataclasses.replace(node, **dict(zip(_OPERAND_FIELDS[type(node)], operands)))
 
 
 # -- evaluation -----------------------------------------------------------
@@ -398,37 +395,46 @@ def fold_constants(ast, params):
     at 1e308*1e308."""
 
     def value(node):
+        """A number node of `node`'s value, or `node` when its evaluation
+        raises or gives a batch array."""
+        formed = []  # (sub-expression, its value), each after the ones below it
+
+        def ev(sub):
+            # one evaluation per sub-expression: its operands enter as the
+            # number nodes of their values
+            if isinstance(sub, Num):
+                v = sub.value
+            else:
+                parts = [ev(p) for p in _operands(sub)]
+                v = eval_jet(_rebuild(sub, parts), _NO_VARIABLE, params).value
+            formed.append((sub, v))
+            return Num(v, sub.span)
+
         try:
-            values = [
-                sub.value if isinstance(sub, Num) else eval_jet(sub, _NO_VARIABLE, params).value
-                for sub in _subtrees(node)
-            ]
-        except WarpgeoError:
+            folded = ev(node)
+        except (WarpgeoError, ArithmeticError):
             return node
-        if type(values[-1]) is not float:
+        if type(folded.value) is not float:
             return node
-        for sub, v in zip(_subtrees(node), values):
+        for sub, v in formed:
             if not math.isfinite(v):
                 raise EvalDomainError(f"constant {pretty(sub)} leaves the float range ({v:g})",
                                       value=v, span=sub.span)
-        return node if isinstance(node, Num) else Num(values[-1], node.span)
+        return folded
 
     def fold(node):
         """(`node` with the largest constant subtrees below it folded, or
         `node` itself when it reads no variable)"""
-        parts = _parts(node)
-        if not parts:
-            return node, not isinstance(node, Name) or node.ident in params
-        folded = [fold(p) for p in parts]
-        if all(constant for _, constant in folded):
+        if isinstance(node, Name):
+            return node, node.ident in params
+        folded = [fold(p) for p in _operands(node)]
+        if all(constant for _, constant in folded):  # a number, or all constant
             return node, True
-        new = [value(p) if constant else p for p, constant in folded]
-        if new == parts:  # each part is itself (list equality tests identity first)
-            return node, False
-        return dataclasses.replace(node, **dict(zip(_OPERANDS[type(node)], new))), False
+        return _rebuild(node, [value(p) if constant else p for p, constant in folded]), False
 
-    node, constant = fold(ast)
-    return value(node) if constant else node
+    with range_policy():
+        node, constant = fold(ast)
+        return value(node) if constant else node
 
 
 def eval_value(ast, env):

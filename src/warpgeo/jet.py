@@ -662,22 +662,26 @@ def log(a):
         return _compose(a, series)
 
 
-def _sin_cos(operation, a, cycle):
-    """The sine or cosine series of `a`: coefficient k is cycle(s, c)[k % 4] / k!."""
+def _sin_cos(operation, a):
+    a0 = a.coeffs[0]
+    _require_finite(operation, a0, [a0])
+    return np.sin(a0), np.cos(a0)
+
+
+def sin(a):
     with range_policy():
-        a0 = a.coeffs[0]
-        _require_finite(operation, a0, [a0])
-        cycle = cycle(np.sin(a0), np.cos(a0))
+        s, c = _sin_cos("sin", a)
+        cycle = [s, c, -s, -c]
         series = [cycle[k % 4] / math.factorial(k) for k in range(a.order + 1)]
         return _compose(a, series)
 
 
-def sin(a):
-    return _sin_cos("sin", a, lambda s, c: [s, c, -s, -c])
-
-
 def cos(a):
-    return _sin_cos("cos", a, lambda s, c: [c, -s, -c, s])
+    with range_policy():
+        s, c = _sin_cos("cos", a)
+        cycle = [c, -s, -c, s]
+        series = [cycle[k % 4] / math.factorial(k) for k in range(a.order + 1)]
+        return _compose(a, series)
 
 
 def sqrt(a):

@@ -143,7 +143,8 @@ def tension_first_principles(mapspec, point):
     """tau at `point`: the pipeline seeded at order 2, as tau is read at
     order 0."""
     with range_policy():
-        return values(_tension_pipeline(mapspec, point, 2)[-1], 1)
+        *_, tau = _tension_pipeline(mapspec, point, 2)
+        return values(tau, 1)
 
 
 @dataclass(frozen=True)

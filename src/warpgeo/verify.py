@@ -58,7 +58,13 @@ class Check:
         return bool(abs(self.got - self.expected) <= self.tol)
 
     def row(self):
-        return {**vars(self), "pass": self.passed}
+        return {
+            "name": self.name,
+            "expected": self.expected,
+            "got": self.got,
+            "tol": self.tol,
+            "pass": self.passed,
+        }
 
 
 def _family(make, points, radii):

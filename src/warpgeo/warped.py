@@ -210,9 +210,8 @@ class BitensionParts:
     """tau_2(phi) at a BasePoint and a WarpEval, as the vector `vec`, and
     its split relative to T(I x M), dt plus span{dX_i}: the parts
     `tangential` and `normal` and their h-norms `tangential_norm` and
-    `normal_norm` (per t).  The four are formed together when one of them
-    is first read and then kept, so a caller that reads only the pairing
-    does not form them."""
+    `normal_norm` (per t).  Each is formed when it is first read and then
+    kept, so a caller that reads only the pairing does not form them."""
 
     def __init__(self, base, w, t_part, n_part):
         self.base, self.w = base, w
@@ -220,17 +219,24 @@ class BitensionParts:
         self.vec = _vector(t_part, n_part)
 
     @cached_property
-    def _split(self):
-        """(tangential, normal, tangential_norm, normal_norm), formed together."""
+    def tangential(self):
         with range_policy():
-            tangential = _vector(self.t_part, self.base.tangential(self.n_part))
-            normal = _vector(0.0, self.n_part - tangential[..., 1:])
-            norms = (hbar_norm(self.base, self.w, v) for v in (tangential, normal))
-            return (tangential, normal, *norms)
+            return _vector(self.t_part, self.base.tangential(self.n_part))
 
-    tangential, normal, tangential_norm, normal_norm = (
-        property(lambda self, k=k: self._split[k]) for k in range(4)
-    )
+    @cached_property
+    def normal(self):
+        with range_policy():
+            return _vector(0.0, self.n_part - self.tangential[..., 1:])
+
+    @cached_property
+    def tangential_norm(self):
+        with range_policy():
+            return hbar_norm(self.base, self.w, self.tangential)
+
+    @cached_property
+    def normal_norm(self):
+        with range_policy():
+            return hbar_norm(self.base, self.w, self.normal)
 
 
 def inclusion_bitension(base, w, residual=None):
@@ -316,22 +322,31 @@ def pairing(base, w):
     """h(tau_2(phi), tau(phi)) both by direct assembly and by the closed
     form (the latter is valid only over a biharmonic base, gated by
     classification of the same geometry).  P = f f'' + (m-1) f'^2 is
-    formed once and read by both."""
+    formed once and read by both.  The first t at which either pairing is
+    not finite is an EvalDomainError naming it."""
     base.geometry.spec.require_hypersurface()
     with range_policy():
         residual = w.power_residual(base.geometry.spec.m)
         tau = inclusion_tension(base, w)
         tau2 = inclusion_bitension(base, w, residual)
-        return WarpedReport(
-            base=base,
-            warp=w,
-            tension=tau,
-            bitension=tau2,
-            pairing=hbar_inner(base, w, tau2.vec, tau),
-            pairing_closed_form=_closed_form_pairing(base, w, residual),
-            pairing_closed_form_applicable=base.biharmonic,
-            power_residual=residual,
-        )
+        direct = hbar_inner(base, w, tau2.vec, tau)
+        closed = _closed_form_pairing(base, w, residual)
+    ok = (abs(direct) < math.inf) & (abs(closed) < math.inf)
+    if not (ok is True or np.all(ok)):  # a bool at one t
+        i = np.flatnonzero(np.logical_not(ok))[0]
+        t, p = (float(np.ravel(x)[i]) for x in (w.t, direct))
+        name = "pairing" if not math.isfinite(p) else "pairing_closed_form"
+        raise EvalDomainError(f"{name} is not finite at t = {t:.9g}", value=t)
+    return WarpedReport(
+        base=base,
+        warp=w,
+        tension=tau,
+        bitension=tau2,
+        pairing=direct,
+        pairing_closed_form=closed,
+        pairing_closed_form_applicable=base.biharmonic,
+        power_residual=residual,
+    )
 
 
 @dataclass(frozen=True)

@@ -18,10 +18,11 @@ ROOT = Path(__file__).resolve().parents[1]
 def test_ab_writes_its_record(tmp_path):
     out = tmp_path / "ab.json"
     argv = [sys.executable, str(ROOT / "tools" / "ab.py"), "--base", str(ROOT / "src"),
-            "--rounds", "2", "--seconds", "0", "--workloads", "grid", "--out", str(out)]
+            "--quick", "--workloads", "grid", "--out", str(out)]
     subprocess.run(argv, check=True, capture_output=True, cwd=tmp_path, timeout=60)
     record = json.loads(out.read_text())
-    assert set(record) == {"base", "seed", "seconds", "machine", "workloads"}
+    assert set(record) == {"base", "protocol", "machine", "workloads"}
+    assert record["protocol"] == {"rounds": 2, "seconds": 0.0, "seed": 0}
     [grid] = record["workloads"].values()
     assert set(grid) == {
         "requests_per_round", "base_round_s", "change_round_s", "base_s", "change_s",

@@ -554,7 +554,7 @@ def test_one_t_report_enters_the_error_state_once(errstate_entries):
 
 def test_base_point_build_enters_the_error_state_once(errstate_entries):
     # the geometry, the bitension of the unwarped inclusion and the
-    # classify gate are nested in the build (5 when each entered its own)
+    # classify gate are nested in the build
     warped.base_point(verify.sphere_slice(1.0), POINT)
     assert errstate_entries[0] == 1
 
@@ -566,6 +566,5 @@ def test_grid_classify_enters_the_error_state_once(errstate_entries):
 
 
 def test_verify_pass_enters_the_error_state_once(errstate_entries):
-    # 110 when every series and stage entered its own
     verify.run_checks()
     assert errstate_entries[0] == 1

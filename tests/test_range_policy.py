@@ -64,6 +64,15 @@ def test_overflowing_warp_over_a_sweep():
         warped.warped_report(scene, ts, (0.3, -0.2))
 
 
+def test_overflowing_pairing_is_refused_in_process():
+    # tau_2 . tau overflows before it is scaled by f^2 = 1e-140, at one t
+    # and over a sweep alike
+    scene = warped.warped_scene(verify.sphere_slice(1.0), "1e-70+1e10*t", {}, (0.0, 1e-80))
+    for t in (0.0, np.linspace(0.0, 1e-80, 3)):
+        with pytest.raises(EvalDomainError, match="^pairing is not finite at t = 0$"):
+            warped.warped_report(scene, t, (0.3, -0.2))
+
+
 def test_scan_across_the_pole_reports_it():
     res = biharmonic.parameter_scan(POLE_GRAPH, "r", 0.45, 1.6, 20, (0.3, 0.2))
     assert res.roots == ()
@@ -110,3 +119,23 @@ def test_cli_subcommand_out_of_range(tmp_path, capsys, scene, argv, code, err):
     assert exit_.value.code == code
     assert captured.err == err.format(scene=path)
     assert "Traceback" not in captured.out + captured.err
+
+
+def test_verify_check_that_is_not_finite_is_a_fail_row(tmp_path, monkeypatch, capsys):
+    # the table shows it among the other checks and exits 1; only the JSON
+    # writer refuses it, before its file is opened
+    checks = [verify.Check("finite", 1.0, 1.0, 1e-9), verify.Check("nan", 1.0, np.nan, 1e-9)]
+    monkeypatch.setattr(verify, "run_checks", lambda name_filter=None: checks)
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["verify"])
+    out = capsys.readouterr().out.splitlines()
+    assert exit_.value.code == 1
+    assert out[1].split() == ["finite", "1", "1", "1e-09", "pass"]
+    assert out[2].split() == ["nan", "1", "nan", "1e-09", "FAIL"]
+    assert out[3] == "1/2 checks passed"
+    report = tmp_path / "verify.json"
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["verify", "--json", str(report)])
+    assert exit_.value.code == 3
+    assert capsys.readouterr().err == f"error: {report}: the report holds a non-finite number\n"
+    assert not report.exists()

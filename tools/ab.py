@@ -1,8 +1,8 @@
 """In-process A/B timing of two versions of warpgeo on the benchmark's own
 requests.
 
-    python3 tools/ab.py --out BENCH.json [--base REV_OR_DIR] [--rounds N]
-        [--seconds S] [--seed K] [--workloads grid,warp,verify]
+    python3 tools/ab.py --out BENCH.json [--base REV_OR_DIR]
+        [--workloads grid,warp,verify] [--quick]
 
 The base is a git revision of this repository (default HEAD), whose
 src/warpgeo is extracted with `git archive` into a temporary directory that
@@ -12,14 +12,17 @@ process under their own package names (warpgeo imports itself only
 relatively), and bench/workloads.py, imported as it is, drives both: its
 `warpgeo` global is set to the side that runs.
 
-Each workload's seeded request list is sent round after round.  Within a
-round the two sides alternate request by request, and the side that goes
-first swaps every round, so neither side always runs in the other's wake.
+Each workload's request list, sized as `bench/run.py --seconds 2` sizes
+it and drawn from seed 0, is sent for 60 rounds.  Within a round the two
+sides alternate request by request, and the side that goes first swaps
+every round, so neither side always runs in the other's wake.
 An A/A control times the base against a second copy of itself the same
 way.  The JSON written holds, per workload, each side's round sums with
 their median and quartiles, the rounds the change was faster in, and the
 median ratio base/change (above 1: the change is faster) next to the A/A
-ratio, whose distance from 1 is the noise of the protocol.
+ratio, whose distance from 1 is the noise of the protocol.  `--quick`
+runs 2 rounds of each workload's shortest request list: a check that the
+harness runs, not a measurement.
 """
 
 from __future__ import annotations
@@ -48,6 +51,8 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 
 import workloads  # noqa: E402
+
+ROUNDS, SECONDS, SEED = 60, 2.0, 0
 
 
 def load(package_dir, name):
@@ -130,12 +135,12 @@ def compare(first, second, requests, rounds):
     }
 
 
-def measure(name, base, base_copy, change, rounds, seconds, seed):
+def measure(name, base, base_copy, change, rounds, seconds):
     workload = workloads.WORKLOADS[name]
-    requests = workload.requests(np.random.default_rng(seed), seconds)
+    requests = workload.requests(np.random.default_rng(SEED), seconds)
     sides = [Side(package, workload) for package in (base, base_copy, change)]
     for side in sides:
-        side.run(workload.warmup(seed))
+        side.run(workload.warmup(SEED))
     ab = compare(sides[0], sides[2], requests, rounds)
     aa = compare(sides[0], sides[1], requests, rounds)
     return {
@@ -161,16 +166,15 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True, help="the JSON file to write")
     parser.add_argument("--base", default="HEAD", help="git revision or package directory")
-    parser.add_argument("--rounds", type=int, default=30)
-    parser.add_argument("--seconds", type=float, default=1.0,
-                        help="sizes each request list, as bench/run.py --seconds does")
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--workloads", default="grid,warp,verify")
+    parser.add_argument("--quick", action="store_true",
+                        help="2 rounds of the shortest request lists, to check the harness")
     args = parser.parse_args(argv)
     names = args.workloads.split(",")
     unknown = sorted(set(names) - set(workloads.WORKLOADS))
-    if unknown or args.rounds < 2:
-        parser.error(f"unknown workloads {unknown}" if unknown else "--rounds must be >= 2")
+    if unknown:
+        parser.error(f"unknown workloads {unknown}")
+    rounds, seconds = (2, 0.0) if args.quick else (ROUNDS, SECONDS)
 
     with tempfile.TemporaryDirectory() as tmp:
         if os.path.isdir(args.base):
@@ -182,13 +186,11 @@ def main(argv=None):
         base_copy = load(base_dir, "warpgeo_base_copy")
         change = load(ROOT / "src" / "warpgeo", "warpgeo_change")
         results = {
-            name: measure(name, base, base_copy, change, args.rounds, args.seconds, args.seed)
-            for name in names
+            name: measure(name, base, base_copy, change, rounds, seconds) for name in names
         }
     record = {
         "base": args.base,
-        "seed": args.seed,
-        "seconds": args.seconds,
+        "protocol": {"rounds": rounds, "seconds": seconds, "seed": SEED},
         "machine": {
             "python": platform.python_version(),
             "numpy": np.__version__,
