@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import jet as J
-from .errors import ConfigError, EvalDomainError, range_policy
+from .errors import ConfigError, EvalDomainError, first_failing, range_policy
 
 MODELS = ("euclidean", "sphere", "hyperbolic")
 _CURVATURE = {"euclidean": 0.0, "sphere": 1.0, "hyperbolic": -1.0}
@@ -47,10 +47,10 @@ class AmbientChart:
     def _conformal_factor(self, s):
         """q = 2 / (1 + c s) at the squared chart radius s, a jet.  Not
         defined for the Euclidean chart, where q = 1."""
-        outside = J.first_where(s.value, s.value >= 1.0) if self.c < 0.0 else None
-        if outside is not None:
+        s0 = s.coeffs[0]  # a NaN s0 passes, as s0 != s0 holds for it alone
+        if self.c < 0.0 and (outside := first_failing((s0 < 1.0) | (s0 != s0), s0)):
             raise EvalDomainError(
-                f"point outside Poincare ball, |x|^2 = {outside:g}", value=outside
+                f"point outside Poincare ball, |x|^2 = {outside[0]:g}", value=outside[0]
             )
         return 2.0 / (1.0 + self.c * s)
 
@@ -112,7 +112,8 @@ class WarpEval:
     """Warping function and its first two derivatives at t, as
     `WarpedScene.warp_at` evaluates them: floats at one t, and arrays of
     one shape over a sweep of t.  It forms the powers of f and f' that the
-    closed forms read once, by `power`: f^2, f^3, f^4 and f'^2."""
+    closed forms read once, by `power`: f^2, f^3, f^4 and f'^2.  A refusal
+    names the first t that fails it (`errors.first_failing`)."""
 
     t: object
     f: object
@@ -138,9 +139,9 @@ class WarpEval:
         inf, f4 = math.inf, self.f_pow4
         ok = (0.0 < f) & (abs(f1) < inf) & (abs(self.f2) < inf)
         ok &= (sys.float_info.min <= f4) & (f4 < inf) & (self.f1_pow2 < inf)
-        if ok is True or np.all(ok):  # a bool at one t
+        if not (bad := first_failing(ok, self.t, f, f1, self.f2, f4)):
             return
-        t, f, f1, f2, f4 = self._at_first_false(ok, ("t", "f", "f1", "f2", "f_pow4"))
+        t, f, f1, f2, f4 = bad
         if not f > 0.0:
             raise EvalDomainError(f"warping function must be positive, got {f:g}", value=f)
         if not all(map(math.isfinite, (f, f1, f2))):
@@ -159,22 +160,15 @@ class WarpEval:
             value=f1,
         )
 
-    def _at_first_false(self, ok, names):
-        """The fields `names`, as floats, at the first t (in a sweep's flat
-        order) where the per-t mask `ok` is false."""
-        i = np.flatnonzero(np.logical_not(ok))[0]
-        return [float(np.ravel(getattr(self, name))[i]) for name in names]
-
     def power_residual(self, m):
         """P = f f'' + (m-1) f'^2, the power-family residual, refused at the
         first t where it is not finite."""
         f, f2, f1_pow2 = self.f, self.f2, self.f1_pow2
         with range_policy():
             residual = f * f2 + (m - 1) * f1_pow2
-        ok = abs(residual) < math.inf
-        if ok is True or np.all(ok):  # a bool at one t
+        if not (bad := first_failing(abs(residual) < math.inf, self.t, f, self.f1, f2)):
             return residual
-        t, f, f1, f2 = self._at_first_false(ok, ("t", "f", "f1", "f2"))
+        t, f, f1, f2 = bad
         raise EvalDomainError(
             f"f f'' + (m-1) f'^2 of the warping function must be finite, got "
             f"f={f:g}, f'={f1:g}, f''={f2:g} at t={t:g}",

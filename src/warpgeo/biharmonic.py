@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EvalDomainError, UsageError, WarpgeoError, range_policy
+from .errors import EvalDomainError, UsageError, WarpgeoError, first_failing, range_policy
 from .immersion import PointGeometry, per_point, vdot
 
 # parameter_scan's root test: simple roots of the fixture scans measure
@@ -168,17 +168,13 @@ def _require_finite(pg, *named):
     finite.  The error names the first point at which one is not, and the
     first of them that is not finite there.  A value at one point (a
     float) is tested by math.isfinite, at a tenth of np.isfinite's cost."""
-    if all(
-        np.isfinite(v).all() if isinstance(v, np.ndarray) else math.isfinite(v)
-        for _, v in named
-    ):
+    ok = True
+    for _, v in named:
+        ok = ok & (np.isfinite(v) if isinstance(v, np.ndarray) else math.isfinite(v))
+    if not (bad := first_failing(ok, *[v for _, v in named], *pg.point)):
         return
-    shape = np.broadcast_shapes(*(np.shape(values) for _, values in named))
-    bad = [~np.isfinite(np.broadcast_to(values, shape)).ravel() for _, values in named]
-    i = int(np.argmax(np.logical_or.reduce(bad)))
-    name, values = next(q for q, b in zip(named, bad) if b[i])
-    value = float(np.broadcast_to(values, shape).flat[i])
-    point = ", ".join(f"{float(np.broadcast_to(c, shape).flat[i]):g}" for c in pg.point)
+    name, value = next((q, x) for (q, _), x in zip(named, bad) if not math.isfinite(x))
+    point = ", ".join(f"{c:g}" for c in bad[len(named):])
     raise EvalDomainError(
         f"{name} at ({point}) leaves the float range ({value:g})", value=value
     )

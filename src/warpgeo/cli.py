@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import biharmonic, verify as verify_mod, warped
-from .errors import EvalDomainError, UsageError, WarpgeoError, range_policy
+from .errors import EvalDomainError, UsageError, WarpgeoError, first_failing, range_policy
 from .immersion import PointGeometry
 from .scene import load_scene
 
@@ -147,14 +147,14 @@ def _emit(args, label, columns, lines, csv_rows=None, report=None):
     Each is checked once, before anything is printed or opened: the first
     row holding a value that is not finite is an EvalDomainError naming
     its first such field and the row, label(i)."""
-    bad = []
+    ok = {}
     for field, values in columns.items():
-        ok = np.isfinite(np.asarray(values, dtype=float))
-        ok = ok.all(axis=tuple(range(1, ok.ndim)))
-        if not ok.all():
-            bad.append((int(np.argmin(ok)), field))
-    if bad:
-        i, field = min(bad, key=lambda b: b[0])
+        finite = np.isfinite(np.asarray(values, dtype=float))
+        ok[field] = finite.all(axis=tuple(range(1, finite.ndim)))
+    rows_ok = np.logical_and.reduce(list(ok.values()))
+    if bad := first_failing(rows_ok, np.arange(np.size(rows_ok))):
+        i = int(bad[0])
+        field = next(name for name, row_ok in ok.items() if not row_ok[i])
         raise EvalDomainError(f"{field} is not finite at {label(i)}")
     print(*lines, sep="\n")
     if csv_rows is not None and args.csv:

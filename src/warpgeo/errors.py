@@ -33,6 +33,20 @@ class _Outermost:
         self._state.__exit__(*exc)
 
 
+def first_failing(ok, *values):
+    """The one lookup of every per-point refusal: None if the check's mask
+    `ok` (a bool at one point, an array over a batch) holds everywhere, else
+    `values` (floats at one point, or arrays that broadcast to the mask) as
+    floats at the first point where it does not, in flat order.  At one
+    point the mask is tested by its truth value, with no numpy call."""
+    if not isinstance(ok, np.ndarray):
+        return None if ok else [float(v) for v in values]
+    if ok.all():
+        return None
+    i = ok.argmin()
+    return [float(np.broadcast_to(v, ok.shape).flat[i]) for v in values]
+
+
 class WarpgeoError(Exception):
     exit_code = 1
 

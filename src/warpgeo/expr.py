@@ -12,7 +12,8 @@ Grammar (whitespace-insensitive, no implicit multiplication):
 Identifiers are ASCII letters followed by alphanumerics.  Recognised
 functions: sin, cos, exp, log, sqrt.  Every node records its source span
 as byte offsets, so evaluation-time domain errors can point back at the
-offending sub-expression.
+offending sub-expression.  Each walk recurses once per level, so parse
+refuses a tree or a nesting deeper than MAX_DEPTH, at the level past it.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ from . import jet as J
 from .errors import EvalDomainError, ExprSyntaxError, UsageError, WarpgeoError, range_policy
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt")
+MAX_DEPTH = 100
+_TOO_DEEP = f"expression nested more than {MAX_DEPTH} levels deep"
 
 _JET_FN = {"sin": J.sin, "cos": J.cos, "exp": J.exp, "log": J.log, "sqrt": J.sqrt}
 _VAL_FN = {
@@ -122,9 +125,10 @@ def _tokenize(source):
 
 class _Parser:
     def __init__(self, source):
-        self.source = source
         self.tokens = _tokenize(source)
         self.i = 0
+        self.nesting = 0  # open calls of unary(), through which every nesting passes
+        self.heights = {}  # id(node) -> the height of its tree; made() refuses past MAX_DEPTH
 
     @property
     def cur(self):
@@ -144,6 +148,13 @@ class _Parser:
             expected,
         )
 
+    def made(self, node, offset):
+        height = 1 + max([self.heights.get(id(o), 1) for o in _operands(node)])
+        if height > MAX_DEPTH:
+            raise ExprSyntaxError(_TOO_DEEP, offset)
+        self.heights[id(node)] = height
+        return node
+
     def expect(self, kind):
         if self.cur.kind != kind:
             self.fail({kind})
@@ -158,32 +169,38 @@ class _Parser:
     def expr(self):
         node = self.term()
         while self.cur.kind in ("+", "-"):
-            op = self.advance().kind
+            op = self.advance()
             rhs = self.term()
-            node = BinOp(op, node, rhs, (node.span[0], rhs.span[1]))
+            node = self.made(BinOp(op.kind, node, rhs, (node.span[0], rhs.span[1])), op.pos)
         return node
 
     def term(self):
         node = self.unary()
         while self.cur.kind in ("*", "/"):
-            op = self.advance().kind
+            op = self.advance()
             rhs = self.unary()
-            node = BinOp(op, node, rhs, (node.span[0], rhs.span[1]))
+            node = self.made(BinOp(op.kind, node, rhs, (node.span[0], rhs.span[1])), op.pos)
         return node
 
     def unary(self):
+        self.nesting += 1
+        if self.nesting > MAX_DEPTH:
+            raise ExprSyntaxError(_TOO_DEEP, self.cur.pos)
         if self.cur.kind == "-":
             tok = self.advance()
             operand = self.unary()
-            return Neg(operand, (tok.pos, operand.span[1]))
-        return self.power()
+            node = self.made(Neg(operand, (tok.pos, operand.span[1])), tok.pos)
+        else:
+            node = self.power()
+        self.nesting -= 1
+        return node
 
     def power(self):
         base = self.atom()
         if self.cur.kind == "^":
-            self.advance()
+            op = self.advance()
             expo = self.unary()
-            return BinOp("^", base, expo, (base.span[0], expo.span[1]))
+            return self.made(BinOp("^", base, expo, (base.span[0], expo.span[1])), op.pos)
         return base
 
     def atom(self):
@@ -201,7 +218,7 @@ class _Parser:
                 self.advance()
                 arg = self.expr()
                 close = self.expect(")")
-                return Call(tok.text, arg, (tok.pos, close.pos + 1))
+                return self.made(Call(tok.text, arg, (tok.pos, close.pos + 1)), tok.pos)
             return Name(tok.text, (tok.pos, tok.pos + len(tok.text)))
         if tok.kind == "(":
             self.advance()

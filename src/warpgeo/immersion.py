@@ -18,7 +18,7 @@ import numpy as np
 from . import jet as J
 from .ambient import AmbientChart
 from .errors import ConfigError, DegenerateImmersionError, EvalDomainError, UsageError
-from .errors import range_policy
+from .errors import first_failing, range_policy
 from .expr import eval_jet, free_symbols, is_name, parse, pretty
 
 JET_ORDER = 4
@@ -210,11 +210,8 @@ def _check_nondegenerate(g_val):
     diag = g_val.diagonal(axis1=-2, axis2=-1)
     # the geometric mean of the diagonal
     scale = np.exp(np.add.reduce(np.log(np.maximum(diag, 1e-300)), axis=-1) / diag.shape[-1])
-    bad = J.first_where(det, ~(det > 1e-12 * scale))
-    if bad is not None:
-        raise DegenerateImmersionError(
-            f"degenerate induced metric, det g = {bad:g}", det=bad
-        )
+    if bad := first_failing(det > 1e-12 * scale, det):
+        raise DegenerateImmersionError(f"degenerate induced metric, det g = {bad[0]:g}", det=bad[0])
 
 
 @lru_cache(maxsize=None)

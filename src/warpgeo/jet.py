@@ -19,8 +19,10 @@ point alone, so a batched result equals the column-by-column results bit
 for bit: products add each point's terms in one fixed order (``np.bincount``)
 and the univariate series use numpy ufuncs for every batch shape.  Domain
 checks hold at every point, and each error names the first point that
-fails them.  The univariate series run under ``errors.range_policy``: a
-series whose terms leave the float range is an EvalDomainError.
+fails them (``errors.first_failing``); a NaN passes the checks of sign and
+size (``x != x``) to the series check.  The univariate series run under
+``errors.range_policy``: a series whose terms leave the float range is an
+EvalDomainError.
 
 A tensor of jets (a Christoffel symbol, a second fundamental form) is one
 coefficient array of shape ``(size, *tensor, *batch)``.  :func:`contract`
@@ -60,7 +62,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, EvalDomainError, SingularJetError, UsageError, range_policy
+from .errors import ConfigError, EvalDomainError, SingularJetError, UsageError, first_failing
+from .errors import range_policy
 
 MAX_VARS = 6
 MAX_ORDER = 4
@@ -168,17 +171,6 @@ def _aligned(a, b):
     else:
         b = b.reshape(b.shape + (1,) * (a.ndim - b.ndim))
     return a, b
-
-
-def first_where(values, bad):
-    """The first entry of `values` (a float or a batch array) at which the
-    mask `bad` holds, as a float, or None if it holds nowhere: the value a
-    domain error reports."""
-    if np.ndim(bad) == 0:
-        return float(values) if bad else None
-    if not bad.any():
-        return None
-    return float(values[bad][0])
 
 
 _NUMBER = (int, float, np.floating, np.integer)
@@ -605,13 +597,12 @@ def _require_finite(operation, at, rows):
     point where one is not.  A series at one point (`at` a scalar, so every
     row one) is tested by math.isfinite, a tenth of np.isfinite's cost on
     a short list of scalars."""
-    if not isinstance(at, np.ndarray) and all(map(math.isfinite, rows)):
-        return
-    finite = np.isfinite(rows)
-    if not finite.all():
-        value = first_where(at, ~finite.all(axis=0))
+    ok = True
+    for row in rows:
+        ok = ok & (np.isfinite(row) if isinstance(row, np.ndarray) else math.isfinite(row))
+    if bad := first_failing(ok, at):
         raise EvalDomainError(
-            f"{operation} series at {value:g} leaves the float range", value=value
+            f"{operation} series at {bad[0]:g} leaves the float range", value=bad[0]
         )
 
 
@@ -623,18 +614,11 @@ def _powers(x, count):
     return out
 
 
-def _require_positive(operation, a0):
-    v = first_where(a0, a0 <= 0.0)
-    if v is not None:
-        raise EvalDomainError(f"{operation} of non-positive value {v:g}", value=v)
-
-
 def reciprocal(b):
     with range_policy():
         b0 = b.coeffs[0]
-        v = first_where(b0, abs(b0) < SINGULAR_EPS)
-        if v is not None:
-            raise SingularJetError(f"division by jet with value {v:g}", value=v)
+        if bad := first_failing((abs(b0) >= SINGULAR_EPS) | (b0 != b0), b0):
+            raise SingularJetError(f"division by jet with value {bad[0]:g}", value=bad[0])
         powers = _powers(b0, b.order + 1)
         _require_finite("reciprocal", b0, powers)
         series = [(-1.0) ** k / p for k, p in enumerate(powers)]
@@ -653,7 +637,8 @@ def exp(a):
 def log(a):
     with range_policy():
         a0 = a.coeffs[0]
-        _require_positive("log", a0)
+        if bad := first_failing((a0 > 0.0) | (a0 != a0), a0):
+            raise EvalDomainError(f"log of non-positive value {bad[0]:g}", value=bad[0])
         powers = _powers(a0, a.order)
         series = [np.log(a0)] + [
             (-1.0) ** (k + 1) / (k * p) for k, p in enumerate(powers, start=1)
@@ -685,7 +670,9 @@ def cos(a):
 
 
 def sqrt(a):
-    _require_positive("sqrt", a.coeffs[0])
+    a0 = a.coeffs[0]
+    if bad := first_failing((a0 > 0.0) | (a0 != a0), a0):
+        raise EvalDomainError(f"sqrt of non-positive value {bad[0]:g}", value=bad[0])
     return jpow(a, 0.5)
 
 
@@ -702,9 +689,8 @@ def jpow(a, exponent):
         rounded = round(p)
         integral = abs(p - rounded) < 1e-12
         if integral and abs(rounded) <= 128:
-            v = first_where(a0, ~np.isfinite(a0))
-            if v is not None:
-                raise EvalDomainError(f"power {p:g} of non-finite value {v:g}", value=v)
+            if bad := first_failing(np.isfinite(a0), a0):
+                raise EvalDomainError(f"power {p:g} of non-finite value {bad[0]:g}", value=bad[0])
             n = int(rounded)
             if n == 0:
                 return jet_constant(1.0, a.n_vars, a.order)
@@ -713,12 +699,11 @@ def jpow(a, exponent):
             for _ in range(abs(n) - 1):
                 out = out * base
             return out
-        v = first_where(a0, a0 <= 0.0)
-        if v is not None:
+        if bad := first_failing((a0 > 0.0) | (a0 != a0), a0):
             kind = (
                 f"integer power {p:g} (|p| > 128)" if integral else f"non-integer power {p:g}"
             )
-            raise EvalDomainError(f"{kind} of non-positive value {v:g}", value=v)
+            raise EvalDomainError(f"{kind} of non-positive value {bad[0]:g}", value=bad[0])
         series = []
         binom = 1.0
         for k in range(a.order + 1):

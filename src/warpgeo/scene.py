@@ -135,4 +135,6 @@ def load_scene(path):
         raise SceneError(f"cannot read scene file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SceneError(f"malformed JSON in {path}: {exc}") from exc
+    except (UnicodeDecodeError, RecursionError) as exc:  # not UTF-8, or nested too deeply
+        raise SceneError(f"cannot decode scene file {path}: {exc}") from None
     return scene_from_dict(data, where=str(path))

@@ -15,7 +15,7 @@ from . import jet as J
 from . import oracle
 from .ambient import WarpEval
 from .biharmonic import classify
-from .errors import ConfigError, EvalDomainError, UsageError, range_policy
+from .errors import ConfigError, EvalDomainError, UsageError, first_failing, range_policy
 from .expr import eval_jet, fold_constants, free_symbols, parse
 from .immersion import PointGeometry, per_point
 
@@ -59,9 +59,8 @@ class WarpedScene:
             # positivity decision procedure
             ts = np.linspace(lo, hi, _POSITIVITY_SAMPLES + 2)
             f = self.warp_jet(J.jet_variable(0, ts, 1, 0)).coeffs[0]
-        bad = np.flatnonzero(~(np.isfinite(f) & (f > 0.0)))
-        if bad.size:
-            t, v = ts[bad[0]], float(f[bad[0]])
+        if bad := first_failing(np.isfinite(f) & (f > 0.0), ts, f):
+            t, v = bad
             raise EvalDomainError(
                 f"warping function not positive and finite at t={t:g} (f={v:g})",
                 value=v,
@@ -73,13 +72,9 @@ class WarpedScene:
         expression comes here, and evaluates `folded`."""
         lo, hi = self.interval
         v = t.coeffs[0]
-        if v.ndim:
-            outside = J.first_where(v, ~((lo <= v) & (v <= hi)))
-        else:  # one t, as warp_at has: a plain comparison
-            outside = None if lo <= v <= hi else float(v)
-        if outside is not None:
+        if outside := first_failing((lo <= v) & (v <= hi), v):
             raise UsageError(
-                f"t = {outside:g} lies outside the warp interval [{lo:g}, {hi:g}]"
+                f"t = {outside[0]:g} lies outside the warp interval [{lo:g}, {hi:g}]"
             )
         f = eval_jet(self.folded, {"t": t}, self.warp_params)
         missing = t.coeffs.ndim - f.coeffs.ndim
@@ -331,10 +326,8 @@ def pairing(base, w):
         tau2 = inclusion_bitension(base, w, residual)
         direct = hbar_inner(base, w, tau2.vec, tau)
         closed = _closed_form_pairing(base, w, residual)
-    ok = (abs(direct) < math.inf) & (abs(closed) < math.inf)
-    if not (ok is True or np.all(ok)):  # a bool at one t
-        i = np.flatnonzero(np.logical_not(ok))[0]
-        t, p = (float(np.ravel(x)[i]) for x in (w.t, direct))
+    if bad := first_failing((abs(direct) < math.inf) & (abs(closed) < math.inf), w.t, direct):
+        t, p = bad
         name = "pairing" if not math.isfinite(p) else "pairing_closed_form"
         raise EvalDomainError(f"{name} is not finite at t = {t:.9g}", value=t)
     return WarpedReport(

@@ -2,14 +2,18 @@
 on each point of its batch exactly as on that point alone, and classify over
 a batch must give the record of its points one by one."""
 
+import argparse
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from warpgeo import AmbientChart, biharmonic, classify, immersion
+from warpgeo import AmbientChart, biharmonic, classify, cli, immersion, verify, warped
 from warpgeo import jet as J
-from warpgeo.errors import DegenerateImmersionError, EvalDomainError, UsageError
+from warpgeo.ambient import WarpEval
+from warpgeo.errors import DegenerateImmersionError, EvalDomainError, UsageError, WarpgeoError
 from warpgeo.immersion import PointGeometry
 
 # (name, arity, function, value shift): the shift moves each operand's value
@@ -184,6 +188,129 @@ def test_classify_raises_the_first_failing_points_error(points, error, message):
         classify(BALL_CONE, points, 1e-7)
     assert type(exc.value) is error
     assert str(exc.value) == message
+
+
+# -- every per-point refusal: a batch refuses as its first failing point -----
+
+
+def _jet(values):
+    """An order-2 jet in one variable with the value coefficients `values`."""
+    values = np.asarray(values, dtype=float)
+    c = np.zeros((3,) + values.shape)
+    c[0], c[1] = values, 1.0
+    return J.Jet(1, 2, c)
+
+
+def _warp(*columns):
+    return WarpEval(*(np.array(c, dtype=float) for c in columns))
+
+
+def _slice_warp(source, interval):
+    return warped.warped_scene(verify.sphere_slice(0.5), source, {}, interval)
+
+
+def _emit_rows(rows, columns):
+    labels = [f"row {i}" for i in rows]
+    cli._emit(argparse.Namespace(csv=None, json=None), labels.__getitem__, columns, [])
+
+
+STEEP_GRAPH = immersion(("u", "v"), ("u", "v", "1e110*u*u+v*v"), {}, AmbientChart("euclidean", 3))
+# the first positivity sample of 1-t on [0, 2] that fails
+NEGATIVE_SAMPLE = float(np.linspace(0.0, 2.0, warped._POSITIVITY_SAMPLES + 2)[33])
+inf, nan = math.inf, math.nan
+
+# site: (a call on a batch whose first failing point is not its first, the
+# same call at that point alone)
+REFUSALS = {
+    "exp series": (lambda: J.exp(_jet([0.0, 800.0, 900.0])), lambda: J.exp(_jet(800.0))),
+    "log of non-positive": (lambda: J.log(_jet([1.0, -2.0, -3.0])), lambda: J.log(_jet(-2.0))),
+    # a NaN passes the sign check, to the series check
+    "log series": (lambda: J.log(_jet([1.0, nan, inf])), lambda: J.log(_jet(nan))),
+    "sqrt of non-positive": (lambda: J.sqrt(_jet([4.0, -1.0, -2.0])), lambda: J.sqrt(_jet(-1.0))),
+    "reciprocal singular": (
+        lambda: J.reciprocal(_jet([2.0, 0.0, 1e-20])), lambda: J.reciprocal(_jet(0.0))
+    ),
+    "reciprocal series": (
+        lambda: J.reciprocal(_jet([2.0, 1e200, 1e250])), lambda: J.reciprocal(_jet(1e200))
+    ),
+    "jpow of non-finite": (
+        lambda: J.jpow(_jet([1.0, inf, nan]), 3), lambda: J.jpow(_jet(inf), 3)
+    ),
+    "jpow of non-positive": (
+        lambda: J.jpow(_jet([1.0, -1.0, -2.0]), 0.5), lambda: J.jpow(_jet(-1.0), 0.5)
+    ),
+    "jpow series": (
+        lambda: J.jpow(_jet([1.0, 1e300, 1e301]), 2.5), lambda: J.jpow(_jet(1e300), 2.5)
+    ),
+    "Poincare ball": (
+        lambda: PointGeometry(BALL_CONE, np.array([GOOD[0], OUTSIDE, (3.0, 0.3)]).T),
+        lambda: PointGeometry(BALL_CONE, OUTSIDE),
+    ),
+    "degenerate metric": (
+        lambda: PointGeometry(BALL_CONE, np.array([GOOD[0], AXIS, GOOD[1]]).T),
+        lambda: PointGeometry(BALL_CONE, AXIS),
+    ),
+    "warp not positive": (
+        lambda: _warp([0, 1, 2], [1, -1, 0], [0, 0, 0], [0, 0, 0]),
+        lambda: WarpEval(1.0, -1.0, 0.0, 0.0),
+    ),
+    "warp not finite": (
+        lambda: _warp([0, 1, 2], [1, 1, 1], [0, inf, nan], [0, 0, 0]),
+        lambda: WarpEval(1.0, 1.0, inf, 0.0),
+    ),
+    "warp f^4": (
+        lambda: _warp([0, 1, 2], [1, 1e-100, 1e-90], [0, 0, 0], [0, 0, 0]),
+        lambda: WarpEval(1.0, 1e-100, 0.0, 0.0),
+    ),
+    "warp f'^2": (
+        lambda: _warp([0, 1, 2], [1, 1, 1], [0, 1e200, 1e300], [0, 0, 0]),
+        lambda: WarpEval(1.0, 1.0, 1e200, 0.0),
+    ),
+    "power residual": (
+        lambda: _warp([0, 1, 2], [1, 2, 2], [0, 1e150, 1e150], [0, 1e308, 1e308]).power_residual(2),
+        lambda: WarpEval(1.0, 2.0, 1e150, 1e308).power_residual(2),
+    ),
+    "warp interval": (
+        lambda: _slice_warp("exp(t)", (0.0, 1.0)).warp_at(np.array([0.5, 5.0, 6.0])),
+        lambda: _slice_warp("exp(t)", (0.0, 1.0)).warp_at(5.0),
+    ),
+    # alone: the first sample of an interval that starts there
+    "warp positivity samples": (
+        lambda: _slice_warp("1-t", (0.0, 2.0)),
+        lambda: _slice_warp("1-t", (NEGATIVE_SAMPLE, NEGATIVE_SAMPLE + 1.0)),
+    ),
+    "pairing": (
+        lambda: warped.warped_report(
+            _slice_warp("t", (1e-60, 1.0)), np.array([1.0, 1e-60, 1e-59]), (0.3, -0.2)
+        ),
+        lambda: warped.warped_report(_slice_warp("t", (1e-60, 1.0)), 1e-60, (0.3, -0.2)),
+    ),
+    "residual": (
+        lambda: biharmonic.normal_residual(
+            PointGeometry(STEEP_GRAPH, np.array([(1e-30, 0.3), (0.0, 0.3), (0.0, 0.2)]).T)
+        ),
+        lambda: biharmonic.normal_residual(PointGeometry(STEEP_GRAPH, (0.0, 0.3))),
+    ),
+    # the first failing row over all fields: b's row 1, before a's row 2
+    "CLI emitter": (
+        lambda: _emit_rows(
+            [0, 1, 2], {"a": [1.0, 2.0, nan], "b": [[1.0, 1.0], [1.0, inf], [0.0, 0.0]]}
+        ),
+        lambda: _emit_rows([1], {"a": [2.0], "b": [[1.0, inf]]}),
+    ),
+}
+
+
+@pytest.mark.parametrize("batch, alone", REFUSALS.values(), ids=list(REFUSALS))
+def test_a_batch_refuses_as_its_first_failing_point_alone(batch, alone):
+    with pytest.raises(WarpgeoError) as single:
+        alone()
+    with pytest.raises(WarpgeoError) as batched:
+        batch()
+    assert type(batched.value) is type(single.value)
+    assert str(batched.value) == str(single.value)
+    # the value a refusal reports, NaN included
+    assert repr(getattr(batched.value, "value", None)) == repr(getattr(single.value, "value", None))
 
 
 # -- classify over several chunks -------------------------------------------

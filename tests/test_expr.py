@@ -93,6 +93,31 @@ class TestParse:
         assert E.parse(E.pretty(ast)) == ast
 
 
+DEPTH = E.MAX_DEPTH
+
+
+@pytest.mark.parametrize(
+    "nest, offset",
+    [
+        (lambda n: "+".join(["t"] * n), 2 * DEPTH - 1),  # n terms: a tree n levels high
+        # n - 1 brackets, minus signs or exponents: the last t nests n deep
+        (lambda n: "(" * (n - 1) + "t" + ")" * (n - 1), DEPTH),
+        (lambda n: "-" * (n - 1) + "t", DEPTH),
+        (lambda n: "^".join(["t"] * n), 2 * DEPTH),
+    ],
+    ids=["chain", "brackets", "minus signs", "exponents"],
+)
+def test_parse_refuses_nesting_past_max_depth_where_it_is_crossed(nest, offset):
+    # at the limit every walk of the tree runs
+    ast = E.parse(nest(DEPTH))
+    assert E.free_symbols(ast) == {"t"}
+    E.eval_jet(E.fold_constants(ast, {}), {"t": J.jet_variable(0, 0.5, 1, 2)})
+    with pytest.raises(ExprSyntaxError) as exc:
+        E.parse(nest(DEPTH + 1))
+    assert str(exc.value) == f"expression nested more than {DEPTH} levels deep at offset {offset}"
+    assert exc.value.offset == offset
+
+
 class TestFreeSymbols:
     def test_literal(self):
         assert E.free_symbols(E.parse("3.5")) == frozenset()

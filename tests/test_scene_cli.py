@@ -42,8 +42,12 @@ CODIM2_SCENE = {
 
 
 def write_scene(tmp_path, data, name="scene.json"):
+    """A scene file of `data`: JSON of a dict, or bytes written as they are."""
     path = tmp_path / name
-    path.write_text(json.dumps(data), encoding="utf-8")
+    if isinstance(data, bytes):
+        path.write_bytes(data)
+    else:
+        path.write_text(json.dumps(data), encoding="utf-8")
     return str(path)
 
 
@@ -480,6 +484,19 @@ BAD_INPUT = {
         _with(SLICE_SCENE, "warp", expr="t+2", params={"t": 5.0}),
         ["warp", "{scene}", "--t", "0:1:2", "--point", "0.3,-0.2"],
     ),
+    # a scene file that is not UTF-8, or whose JSON nests deeper than json reads
+    "scene file not UTF-8": (b"\xff\xfe{}", ["analyze", "{scene}"]),
+    "scene JSON nested too deeply": (b"[" * 200_000, ["analyze", "{scene}"]),
+    # expressions nested more than expr.MAX_DEPTH deep, at 1,200 and 500 levels
+    "warp nested too deeply": (
+        _with(SLICE_SCENE, "warp", expr="t+2+(" + "+".join(["1"] * 1200) + ")"),
+        ["warp", "{scene}", "--t", "0:1:2", "--point", "0.3,-0.2"],
+    ),
+    "component nested too deeply": (
+        _with(CONE_SCENE, "immersion",
+              components=["u", "v", "1+0*(" + "+".join(["u"] + ["0*u"] * 500) + ")"]),
+        ["analyze", "{scene}"],
+    ),
     "verify filter matches nothing": (CONE_SCENE, ["verify", "--filter", "zzz"]),
     "unwritable json": (CONE_SCENE, ["analyze", "{scene}", "--json", "{tmp}/no/r.json"]),
     "unwritable csv": (
@@ -497,6 +514,14 @@ def test_bad_input_exits_2_with_message(tmp_path, capsys, data, argv):
     assert code == 2
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", ["scene file not UTF-8", "scene JSON nested too deeply"])
+def test_undecodable_scene_file_is_a_scene_error_naming_it(tmp_path, case):
+    path = write_scene(tmp_path, BAD_INPUT[case][0])
+    with pytest.raises(SceneError) as exc:
+        load_scene(path)
+    assert str(exc.value).startswith(f"cannot decode scene file {path}: ")
 
 
 @pytest.mark.parametrize("case", ["warp interval too wide", "warp t too wide", "grid too wide"])
