@@ -237,6 +237,17 @@ def hypersurface_normal(dX, n_vars):
     return w
 
 
+# The tensor axes of each array field of a PointGeometry, for `row`: a jet
+# tensor (suffix _c) holds its batch axes after its size and tensor axes, a
+# value array before its tensor axes.
+_TENSOR_AXES = {
+    "dX_c": 2, "ginv_c": 2, "gamma_c": 3, "gamma_n_c": 3, "H_c": 1, "eta_c": 1,
+    "g_val": 2, "ginv_val": 2, "dX_val": 2, "e2_val": 0, "H_val": 1, "B_val": 3,
+    "normH": 0, "eta_val": 1, "lam": 0, "b_val": 2, "S_val": 2, "normA2": 0,
+    "dlam_val": 1, "grad_lam": 1, "grad_lam_amb": 1, "lap_lam": 0,
+}
+
+
 class PointGeometry:
     """All pointwise quantities of an immersion at one chart point, or at
     a batch of points in one pass.
@@ -324,6 +335,31 @@ class PointGeometry:
         self.lap_lam = _trace(self.ginv_val @ hess)
 
         self.ric_eta_eta = (self.spec.n - 1) * self.spec.ambient.c
+
+    def row(self, i):
+        """The one-point geometry of row i of a build over one batch axis,
+        equal bit for bit to PointGeometry(spec_i, point_i), spec_i the
+        spec with each batched param taken at i.  Jet tensors are taken on
+        their trailing batch axis, value arrays on their leading one, and a
+        one-point value is a float; a field that reads nothing batched (the
+        Euclidean chart's e2, say) is kept as it is."""
+        out = object.__new__(PointGeometry)
+        batched = {k: float(v[i]) for k, v in self.spec.params.items() if np.ndim(v)}
+        for name, v in vars(self).items():
+            depth = _TENSOR_AXES.get(name)
+            if depth is not None and v is not None:
+                if name.endswith("_c"):
+                    if v.ndim > depth + 1:
+                        v = np.ascontiguousarray(v[..., i])
+                elif np.ndim(v) > depth:
+                    v = float(v[i]) if depth == 0 else v[i]
+            setattr(out, name, v)
+        out.spec = self.spec.with_params(**batched) if batched else self.spec
+        out.point = tuple(c if type(c) is float else float(c[i]) for c in self.point)
+        e2 = self.e2
+        if e2.coeffs.ndim > 1:
+            out.e2 = J.Jet(e2.n_vars, e2.order, np.ascontiguousarray(e2.coeffs[..., i]))
+        return out
 
     # -- conveniences -----------------------------------------------------
 

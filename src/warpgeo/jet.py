@@ -670,10 +670,11 @@ def cos(a):
 
 
 def sqrt(a):
-    a0 = a.coeffs[0]
-    if bad := first_failing((a0 > 0.0) | (a0 != a0), a0):
-        raise EvalDomainError(f"sqrt of non-positive value {bad[0]:g}", value=bad[0])
-    return jpow(a, 0.5)
+    with range_policy():
+        a0 = a.coeffs[0]
+        if bad := first_failing((a0 > 0.0) | (a0 != a0), a0):
+            raise EvalDomainError(f"sqrt of non-positive value {bad[0]:g}", value=bad[0])
+        return _power_series(a, 0.5)
 
 
 def jpow(a, exponent):
@@ -704,13 +705,20 @@ def jpow(a, exponent):
                 f"integer power {p:g} (|p| > 128)" if integral else f"non-integer power {p:g}"
             )
             raise EvalDomainError(f"{kind} of non-positive value {bad[0]:g}", value=bad[0])
-        series = []
-        binom = 1.0
-        for k in range(a.order + 1):
-            series.append(binom * np.power(a0, p - k))
-            binom *= (p - k) / (k + 1)
-        _require_finite(f"power {p:g}", a0, series)
-        return _compose(a, series)
+        return _power_series(a, p)
+
+
+def _power_series(a, p):
+    """a**p by its binomial series about a.value, which the caller has
+    checked is positive (or NaN) at every point."""
+    a0 = a.coeffs[0]
+    series = []
+    binom = 1.0
+    for k in range(a.order + 1):
+        series.append(binom * np.power(a0, p - k))
+        binom *= (p - k) / (k + 1)
+    _require_finite(f"power {p:g}", a0, series)
+    return _compose(a, series)
 
 
 # -- small dense linear algebra over jets: contractions of jet tensors ----

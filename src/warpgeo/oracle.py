@@ -75,10 +75,14 @@ class MapSpec:
 
 def _seed(point, dim, order):
     """Jets of the coordinate functions at `point`, whose coordinates are
-    floats or arrays over a batch, broadcast to one batch shape."""
-    coords = np.broadcast_arrays(*(np.asarray(point[i], dtype=float) for i in range(dim)))
+    floats or arrays over a batch.  The arrays are broadcast to one batch
+    shape; a float is seeded as one value, so what reads only floats (a
+    warped map's point of M under a batch of t) is evaluated once, and
+    broadcasts against the batch where it meets it."""
+    coords = [np.asarray(point[i], dtype=float) for i in range(dim)]
+    shape = np.broadcast_shapes(*(c.shape for c in coords))
     return [
-        J.jet_variable(i, c if c.ndim else float(c), dim, order)
+        J.jet_variable(i, np.broadcast_to(c, shape) if c.ndim else float(c), dim, order)
         for i, c in enumerate(coords)
     ]
 
@@ -228,13 +232,21 @@ def warped_inclusion_map(scene):
     slots = range(1, d)
 
     def evaluate(var_jets):
+        # X and g read only M's coordinates, t and f only t: each is formed
+        # at its own batch, and f^2 g at the two broadcast, the batch of phi
         X, _, _, _, g = induced_metric_jets(spec, var_jets[1:], slots)
         t = var_jets[0]
         f = scene.warp_jet(t).trunc(t.order - 1)
-        G = np.zeros((len(g), m + 1, m + 1) + g.shape[3:])
+        fg = J.contract("ij,->ij", g, (f * f).coeffs, d)
+        batch = fg.shape[3:]
+        G = np.zeros(fg.shape[:1] + (d, d) + batch)
         G[0, 0, 0] = 1.0
-        G[:, 1:, 1:] = J.contract("ij,->ij", g, (f * f).coeffs, d)
-        return np.concatenate((t.coeffs[:, None], X), axis=1), G
+        G[:, 1:, 1:] = fg
+        phi = np.empty((len(X), n + 1) + batch)
+        # through reversed axes, which line an unbatched jet up with a batch
+        phi[:, 0].T[...] = t.coeffs.T
+        phi[:, 1:].T[...] = X.T
+        return phi, G
 
     def codomain_christoffel(tx, n_vars):
         order = J.order_of(tx, n_vars) - 2

@@ -16,6 +16,7 @@ from . import biharmonic, oracle, warped
 from . import jet as J
 from .ambient import AmbientChart
 from .errors import range_policy
+from .expr import parse
 from .immersion import PointGeometry, immersion
 
 
@@ -38,7 +39,8 @@ def cone(r=1.0):
 
 
 SLICE_POINTS = ((0.0, 0.0), (0.3, -0.2), (-0.5, 0.1), (0.2, 0.4), (-0.1, -0.3))
-CONE_POINTS = ((0.5, 1.0), (1.0, 0.7), (2.0, 2.5))
+# the cone's closed-form checks' points, then its warped checks' point
+CONE_POINTS = ((0.5, 1.0), (1.0, 1.0), (2.0, 1.0), (1.0, 0.7))
 
 WARPS = (("exp(t)", {}), ("sqrt(t+2)", {}), ("2+cos(t)", {}))
 WARP_INTERVAL = (-0.5, 1.0)
@@ -71,13 +73,15 @@ def _family(make, points, radii):
     """One batched PointGeometry of the specs make(r), r in `radii`, each at
     every one of `points`: r enters as a batch param, as in
     biharmonic.parameter_scan, and row j * len(points) + i is point i at
-    radii[j]."""
+    radii[j], so row i is point i at radii[0]."""
     k = len(points)
     coords = np.tile(np.array(points).T, len(radii))
     return PointGeometry(make(np.repeat(radii, k)), coords)
 
 
 def _checks_example_sphere_slice():
+    """The slice checks, and the family's geometry at WARP_POINT on the
+    r = 1 slice, the warped checks' base point."""
     out = []
     k = len(SLICE_POINTS)
     pg = _family(sphere_slice, SLICE_POINTS, (1.0, 2.0))
@@ -97,17 +101,19 @@ def _checks_example_sphere_slice():
                 1e-6,
             )
         )
-    return out
+    return out, pg.row(SLICE_POINTS.index(WARP_POINT))
 
 
 def _checks_example_cone():
+    """The cone checks and its scan, and the family's geometry at the last
+    of CONE_POINTS on the r = 1 cone, whose spec the scan varies."""
     out = []
-    points = ((0.5, 1.0), (1.0, 1.0), (2.0, 1.0))
     radii = (1.0, 2.0)
-    pg = _family(cone, points, radii)
+    pg = _family(cone, CONE_POINTS, radii)
+    warp_pg = pg.row(len(CONE_POINTS) - 1)
     for j, r in enumerate(radii):
-        for i, (u, _) in enumerate(points):
-            row = j * len(points) + i
+        for i, (u, _) in enumerate(CONE_POINTS[:-1]):
+            row = j * len(CONE_POINTS) + i
             lam_ref = 1.0 / (2.0 * r * math.sqrt(1 + r * r) * u)
             lap_ref = 1.0 / (2.0 * r * (1 + r * r) ** 1.5 * u**3)
             a2_ref = 1.0 / (r * r * (1 + r * r) * u * u)
@@ -121,11 +127,11 @@ def _checks_example_cone():
             out.append(
                 Check(f"cone |A|^2 {tag}", a2_ref, pg.normA2[row], 1e-8 * abs(a2_ref))
             )
-    scan = biharmonic.parameter_scan(cone(1.0), "r", 0.5, 2.0, 31, (1.0, 1.0))
+    scan = biharmonic.parameter_scan(warp_pg.spec, "r", 0.5, 2.0, 31, (1.0, 1.0))
     out.append(Check("cone scan root count", 1.0, float(len(scan.roots)), 0.0))
     if scan.roots:
         out.append(Check("cone scan root r", 1.0, scan.roots[0], 1e-6))
-    return out
+    return out, warp_pg
 
 
 def _warp_scenes(spec):
@@ -156,20 +162,22 @@ class _WarpFamily:
         return J.Jet(t.n_vars, t.order, J.stack(rows))
 
 
-def _family_map(scenes, point):
-    """The warped inclusion of the family of `scenes` and its point (t,
-    *point), with T_SAMPLES as each scene's row of t."""
+def _family_map(scenes, immersion, point):
+    """The warped inclusion of `immersion` under the warps of `scenes` and
+    its point (t, *point), with T_SAMPLES as each scene's row of t.  A
+    scene's warp reads no immersion, so scenes loaded over one immersion
+    serve any other."""
     scenes = tuple(scenes.values())
     ts = np.tile(T_SAMPLES, (len(scenes), 1))
-    family = _WarpFamily(scenes[0].immersion, scenes)
+    family = _WarpFamily(immersion, scenes)
     return oracle.warped_inclusion_map(family), (ts,) + point
 
 
-def _oracle_records(scenes, point):
-    """{warp source: oracle.first_principles of the warped inclusion at
-    (t, point) for t over T_SAMPLES}, all one batch: row i of each value
-    array is T_SAMPLES[i]."""
-    rec = oracle.first_principles(*_family_map(scenes, point))
+def _oracle_records(scenes, immersion, point):
+    """{warp source: oracle.first_principles of the warped inclusion of
+    `immersion` at (t, point) for t over T_SAMPLES}, all one batch: row i
+    of each value array is T_SAMPLES[i]."""
+    rec = oracle.first_principles(*_family_map(scenes, immersion, point))
     return {
         src: oracle.FirstPrinciples(rec.tension[i], rec.bitension[i], rec.riemann[i])
         for i, src in enumerate(scenes)
@@ -183,20 +191,19 @@ def _oracle_gap(base, w, oracle_vec, closed_vec):
     return diff / (1.0 + warped.hbar_norm(base, w, closed_vec))
 
 
-def _checks_tension_equivalence(base, warps, records):
+def _checks_tension_equivalence(base, cone_pg, scenes, warps, records):
+    """The tension checks on the slice and on the cone at `cone_pg`, both
+    under the slice's scenes and their warps over T_SAMPLES."""
     out = []
-    cone1, cone_point = cone(1.0), (1.0, 0.7)
-    cone_scenes = _warp_scenes(cone1)
-    cone_warps = {src: scene.warp_at(T_SAMPLES) for src, scene in cone_scenes.items()}
-    taus = oracle.tension_first_principles(*_family_map(cone_scenes, cone_point))
-    cone_taus = dict(zip(cone_scenes, taus))
+    taus = oracle.tension_first_principles(*_family_map(scenes, cone_pg.spec, cone_pg.point))
+    cone_taus = dict(zip(scenes, taus))
     slice_taus = {src: rec.tension for src, rec in records.items()}
     families = (
-        ("sphere-slice", base, warps, slice_taus),
-        ("cone", warped.base_point(cone1, cone_point), cone_warps, cone_taus),
+        ("sphere-slice", base, slice_taus),
+        ("cone", warped.base_point_of(cone_pg), cone_taus),
     )
-    for label, bp, family_warps, taus in families:
-        for src, w in family_warps.items():
+    for label, bp, taus in families:
+        for src, w in warps.items():
             fp = taus[src]
             gap = _oracle_gap(bp, w, fp, warped.inclusion_tension(bp, w))
             for i, t in enumerate(T_SAMPLES):
@@ -259,10 +266,10 @@ def _checks_power_family(base):
     )
     # base is the r = 1 slice's at (0.3, -0.2)
     bases = {2: base, 3: warped.base_point(sphere_slice(1.0, m=3), (0.3, -0.2, 0.1))}
+    power = parse("(a*t+b)^(1/m)")  # one parse serves the three cases
     for (a, b, m), interval in cases:
-        scene = warped.warped_scene(
-            bases[m].geometry.spec, "(a*t+b)^(1/m)", {"a": a, "b": b, "m": m}, interval
-        )
+        params = {"a": a, "b": b, "m": m}
+        scene = warped.warped_scene(bases[m].geometry.spec, power, params, interval)
         ts = np.linspace(interval[0] + 0.05, interval[1] - 0.05, 5)
         pr = warped.pairing(bases[m], scene.warp_at(ts))
         for i, t in enumerate(ts):
@@ -348,19 +355,20 @@ def _checks_ricci(base, warps, records):
 
 def run_checks(name_filter=None):
     with range_policy():
-        checks = []
-        checks.extend(_checks_example_sphere_slice())
-        checks.extend(_checks_example_cone())
-        # the warped checks share one BasePoint of the r = 1 slice, its scenes,
-        # each scene's warp over T_SAMPLES and one oracle record per scene; the
-        # records come from one oracle pipeline, the scenes a batch axis of t
-        # and T_SAMPLES the other
-        slice1 = sphere_slice(1.0)
-        base = warped.base_point(slice1, WARP_POINT)
-        scenes = _warp_scenes(slice1)
+        # the closed-form families hold the warped checks' base points as
+        # rows; the warped checks share the r = 1 slice's BasePoint, its
+        # scenes (the cone's checks read them too), each scene's warp over
+        # T_SAMPLES and one oracle record per scene; the records come from
+        # one oracle pipeline, the scenes a batch axis of t and T_SAMPLES the
+        # other
+        checks, slice_pg = _checks_example_sphere_slice()
+        cone_checks, cone_pg = _checks_example_cone()
+        checks.extend(cone_checks)
+        base = warped.base_point_of(slice_pg)
+        scenes = _warp_scenes(slice_pg.spec)
         warps = {src: scene.warp_at(T_SAMPLES) for src, scene in scenes.items()}
-        records = _oracle_records(scenes, WARP_POINT)
-        checks.extend(_checks_tension_equivalence(base, warps, records))
+        records = _oracle_records(scenes, slice_pg.spec, WARP_POINT)
+        checks.extend(_checks_tension_equivalence(base, cone_pg, scenes, warps, records))
         checks.extend(_checks_bitension_equivalence(base, warps, records))
         checks.extend(_checks_pairing(base, scenes["exp(t)"]))
         checks.extend(_checks_power_family(base))

@@ -146,18 +146,26 @@ def base_point(spec, point):
     if memo and memo[0] is spec and memo[1] == key and not any(map(math.isnan, coords.flat)):
         return memo[2]
     with range_policy():
-        pg = PointGeometry(spec, point)
+        base = base_point_of(PointGeometry(spec, point))
+    _memo = (spec, key, base)
+    return base
+
+
+def base_point_of(pg):
+    """The BasePoint of the one-point geometry `pg`, a build or a row of a
+    batched one: tau_2(i), the classify gate and |H|^2_h of the geometry
+    as it is, whose arrays, and the BasePoint's, are made read-only."""
+    spec = pg.spec
+    with range_policy():
         tau2_i = oracle.submanifold_bitension(pg)
         for a in [*vars(pg).values(), pg.e2.coeffs, tau2_i]:
             if isinstance(a, np.ndarray):
                 a.setflags(write=False)
         gate = spec.is_hypersurface and classify(
-            spec, [point], BIHARMONIC_GATE_TOL, geometries=[pg]
+            spec, [pg.point], BIHARMONIC_GATE_TOL, geometries=[pg]
         ).biharmonic
         h2 = pg.e2_val * float(np.dot(pg.H_val, pg.H_val))
-    base = BasePoint(pg, tau2_i, gate, h2)
-    _memo = (spec, key, base)
-    return base
+    return BasePoint(pg, tau2_i, gate, h2)
 
 
 # A vector at a point of I x N is an (n+1,) array of warped-chart

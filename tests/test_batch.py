@@ -379,3 +379,63 @@ def test_batched_param_equals_values_one_by_one():
             for x in values
         ]
         assert np.array_equal(batch, singles)
+
+
+# -- the rows of a batched build ----------------------------------------------
+
+
+def _same_bits(a, b):
+    """a and b hold the same floats bit for bit: values, shapes and the
+    signs of zeros."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _assert_same_geometry(row, one):
+    assert vars(row).keys() == vars(one).keys()
+    for name, expected in vars(one).items():
+        got = getattr(row, name)
+        if isinstance(expected, J.Jet):
+            assert (got.n_vars, got.order) == (expected.n_vars, expected.order), name
+            assert _same_bits(got.coeffs, expected.coeffs), name
+        elif expected is None or name in ("spec", "point"):
+            assert got == expected, name
+        else:
+            assert _same_bits(got, expected), name
+
+
+H3_BALL_SLICE = lambda r: immersion(  # noqa: E731
+    ("u", "v"), ("u", "v", "r"), {"r": r}, AmbientChart("hyperbolic", 3)
+)
+ROW_FAMILIES = {
+    "S3 slice": (verify.sphere_slice, verify.SLICE_POINTS, (1.0, 2.0)),
+    # Euclidean: e2 is one unbatched constant jet
+    "cone": (verify.cone, verify.CONE_POINTS, (1.0, 2.0)),
+    "H3 ball slice": (H3_BALL_SLICE, ((0.0, 0.0), (0.3, -0.2), (-0.4, 0.1)), (0.5, -0.25)),
+    "S4 slice": (
+        lambda r: verify.sphere_slice(r, m=3),
+        ((0.3, -0.2, 0.1), (0.0, 0.0, 0.0), (-0.5, 0.1, 0.2)),
+        (1.0, 0.7),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROW_FAMILIES))
+def test_row_equals_a_one_point_build(name):
+    make, points, radii = ROW_FAMILIES[name]
+    family = verify._family(make, points, radii)
+    for j, r in enumerate(radii):
+        for i, p in enumerate(points):
+            _assert_same_geometry(family.row(j * len(points) + i), PointGeometry(make(r), p))
+
+
+@pytest.mark.parametrize("name", ["S3 slice", "cone"])
+def test_row_of_a_param_batch_equals_a_one_point_build(name):
+    # the point is floats and only r is batched, as in a scan; the cone's
+    # e2 is still one unbatched jet
+    make, _, _ = ROW_FAMILIES[name]
+    radii = np.array([0.5, 1.0, 1.7])
+    point = (0.3, -0.2) if name == "S3 slice" else (1.0, 0.7)
+    family = PointGeometry(make(1.0).with_params(r=radii), point)
+    for i, r in enumerate(radii):
+        _assert_same_geometry(family.row(i), PointGeometry(make(float(r)), point))

@@ -201,10 +201,44 @@ def test_pairing_reuses_the_base_point(counts):
 def test_verify_pass_build_count(counts):
     # the closed-form fixtures: one batch per family, r a batch param, 2;
     # the scan: 2, as its bisection reaches the root in the one round the
-    # secant predicts (7 with the look-ahead tree alone); one BasePoint per
-    # warped point: the r = 1 slice's, the cone's and the S3's
+    # secant predicts (7 with the look-ahead tree alone); the S4 slice's
+    # BasePoint: 1.  The r = 1 slice's and the cone's BasePoints are rows
+    # of the family builds (7 when each was built on its own)
     verify.run_checks()
-    assert counts["builds"] == 7
+    assert counts["builds"] == 5
+
+
+@pytest.fixture
+def built_rows(monkeypatch):
+    """Every (immersion, params, point) row of every PointGeometry build,
+    each batch spread into its rows."""
+    rows = []
+    init = PointGeometry.__init__
+
+    def recorded_init(self, spec, point):
+        params = {k: np.asarray(v, dtype=float) for k, v in spec.params.items()}
+        coords = [np.asarray(c, dtype=float) for c in point]
+        arrays = np.broadcast_arrays(*params.values(), *coords)
+        for values in zip(*(a.ravel().tolist() for a in arrays)):
+            rows.append((spec.components, spec.ambient, tuple(params), values))
+        init(self, spec, point)
+
+    monkeypatch.setattr(PointGeometry, "__init__", recorded_init)
+    monkeypatch.setattr(warped, "_memo", None)
+    return rows
+
+
+def test_verify_pass_builds_no_row_twice(built_rows):
+    # the warped checks read their base points as rows of the closed-form
+    # families (the r = 1 slice at (0.3, -0.2) was built twice before).  The
+    # one repeat left is the cone scan's: parameter_scan builds its own
+    # sweep of r over [0.5, 2] at (1, 1), which holds the cone family's
+    # r = 1 and r = 2 at that point
+    verify.run_checks()
+    seen = set()
+    repeated = [row for row in built_rows if row in seen or seen.add(row)]
+    scan_rows = [("euclidean", (r, 1.0, 1.0)) for r in (1.0, 2.0)]
+    assert [(ambient.model, values) for _, ambient, _, values in repeated] == scan_rows
 
 
 def test_scan_bisects_from_the_sampled_ends(counts):
@@ -260,23 +294,28 @@ def test_verify_pass_mul_count(counts):
     # base point, its warps a leading batch axis of t; the cone scan makes 2
     # builds (7, and 90, 383 and 75 here, with the look-ahead tree alone);
     # each power scene's 1/m is one product when the scene folds it, where
-    # its positivity samples and its t samples each formed it (70 and 263)
+    # its positivity samples and its t samples each formed it (70 and 263).
+    # The slice's and the cone's BasePoints are rows of the family builds,
+    # and the cone's tensions read the slice's warps: the two one-point
+    # builds' 6 + 4 products, 23 + 24 contractions and 10 + 3 constant
+    # plans and the cone sweeps' 3 Horner steps are gone (67, 260 and 60)
     verify.run_checks()
-    assert counts["mul"] == 67
-    assert counts["contract"] == 260
-    assert counts["constant_plans"] == 60
+    assert counts["mul"] == 57
+    assert counts["contract"] == 210
+    assert counts["constant_plans"] == 47
 
 
 def test_verify_pass_oracle_count(counts):
     # one order-4 pipeline on the slice, batched over its warps and
     # T_SAMPLES, serves the tension, bitension and Ricci checks; the cone's
     # tensions are one order-2 pipeline over the same batch; Ric(M) comes
-    # from the BasePoint.  Scenes: the 3 WARPS on the slice and on the
-    # cone, 3 power warps and 2 more tangential ones
+    # from the BasePoint.  Scenes: the 3 WARPS, whose scenes on the slice
+    # also serve the cone (11 with the cone's own 3), 3 power warps and 2
+    # more tangential ones
     verify.run_checks()
     assert counts["_tension_pipeline"] == 2
     assert counts["curvature_components"] == 0
-    assert counts["warped_scene"] == 11
+    assert counts["warped_scene"] == 8
 
 
 def test_verify_pass_ricci_check_count(counts):
@@ -288,11 +327,12 @@ def test_verify_pass_ricci_check_count(counts):
 
 
 def test_verify_pass_evaluates_each_warp_once_per_sweep(counts):
-    # one sweep over T_SAMPLES per scene of the slice and of the cone (6),
-    # one per power case (3), the cosine's two t and one t for each of
-    # the two further tangential warps (3), and the pairing's two t (1)
+    # one sweep over T_SAMPLES per scene of the slice, which the cone's
+    # checks read too (3; 6 with sweeps of the cone's own scenes), one per
+    # power case (3), the cosine's two t and one t for each of the two
+    # further tangential warps (3), and the pairing's two t (1)
     verify.run_checks()
-    assert counts["warp_at"] == 13
+    assert counts["warp_at"] == 10
 
 
 def test_verify_pass_evaluates_no_plain_float_warp(counts):
@@ -474,7 +514,8 @@ def test_split_is_formed_when_read(split_calls):
 # report at a base point already built
 ONE_T_WARPS = [
     ("exp(t)", {}, 1, 0),  # one Horner step of exp's order-2 series
-    ("sqrt(t+2)", {}, 1, 1),  # sqrt is jpow(., 0.5)
+    # sqrt checks its sign and runs jpow's power series, not jpow (1 before)
+    ("sqrt(t+2)", {}, 1, 0),
     ("2+cos(t)", {}, 1, 0),
     # 1/m is folded at load: jpow of the order-2 jet a t + b, no reciprocal
     ("(a*t+b)^(1/m)", {"a": 1.0, "b": 2.0, "m": 2}, 1, 1),

@@ -315,14 +315,25 @@ class TestWarpFamily:
 
     def test_verify_records_equal_their_scenes(self, sphere_slice):
         point = verify.WARP_POINT
-        scenes = verify._warp_scenes(sphere_slice(1.0))
-        records = verify._oracle_records(scenes, point)
+        spec = sphere_slice(1.0)
+        scenes = verify._warp_scenes(spec)
+        records = verify._oracle_records(scenes, spec, point)
         for src, scene in scenes.items():
             one = oracle.first_principles(
                 oracle.warped_inclusion_map(scene), (verify.T_SAMPLES,) + point
             )
             for name in ("tension", "bitension", "riemann"):
                 assert TestBatch._same(getattr(records[src], name), getattr(one, name))
+
+    def test_scenes_of_one_immersion_serve_another(self, sphere_slice, cone):
+        # a warp reads no immersion: the slice's scenes over the cone give
+        # the oracle of the cone's own scenes bit for bit
+        point = verify.CONE_POINTS[-1]
+        records = verify._oracle_records(verify._warp_scenes(sphere_slice(1.0)), cone(1.0), point)
+        own = verify._oracle_records(verify._warp_scenes(cone(1.0)), cone(1.0), point)
+        for src, rec in records.items():
+            for name in ("tension", "bitension", "riemann"):
+                assert TestBatch._same(getattr(rec, name), getattr(own[src], name))
 
     def test_names_the_t_outside_one_scene_interval(self, sphere_slice):
         spec = sphere_slice(1.0)
