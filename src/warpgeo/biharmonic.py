@@ -235,37 +235,14 @@ class ScanResult:
 def parameter_scan(spec, param, lo, hi, samples, probe_point):
     """Roots of the normal residual as a function of one parameter.
 
-    Samples the residual r on a uniform grid at a fixed probe point,
-    brackets sign changes, and bisects each bracket from its sampled ends
-    (x0, r0), (x1, r1): the step halves, x = left + step becomes the left
-    end when r(x) has the sign of r0 or is 0, and x is the root once
-    r(x) == 0 or |step| < _XTOL + _RTOL |x|.  Signs are compared, not
-    products, which can underflow.  Evaluation failures are reported and the
-    sample skipped.  A bisection that raises or closes on a pole is a
-    failure, not a root: at a simple root the residual at bisection's last
-    two points is a reference secant slope times the last bracket width,
-    within a factor _ROOT_RATE_BAND; at a pole of the scene it grows past
-    that or vanishes far faster.  The reference is the bracket bisection
-    held _SLOPE_LAG halvings before it stopped (the sampled bracket after
-    fewer halvings): narrow enough that a simple root is linear across it
-    even when the sampled bracket spans decades.
+    Samples the residual r on the uniform grid scan_grid(lo, hi, samples)
+    at a fixed probe point, and bisects the sign changes between the
+    samples with bisect_samples.  Evaluation failures are reported and the
+    sample skipped.
 
     The parameter enters as an array at the probe point's floats, so one
     PointGeometry evaluates a whole batch of values, and `each` batches
-    the samples and every round of bisection.  A round's batch holds, for
-    every open bracket, each midpoint the next _SCAN_DEPTH halvings can
-    reach (a binary tree of 2^_SCAN_DEPTH - 1 nodes), and, in the bracket's
-    first round and after each round whose halvings all went the predicted
-    way through the tree, the path the secant through the held bracket's
-    ends predicts, down to the stopping width, with both children of each
-    of its midpoints (see _Bisection).  Each midpoint is formed with the
-    float operations the halvings take on the way to it, and the halvings
-    then walk the batch while it holds their next midpoint, so the points
-    they evaluate are the ones they would evaluate one at a time: a
-    prediction changes only how many rounds they take.  Verify's cone scan
-    takes 2 builds this way, its samples' and one round's.  `each`
-    evaluates a part of a batch only when a walk reads it, so a midpoint no
-    walk reaches never fails the scan.
+    the samples, as it batches every round of bisection.
     """
     if not (lo < hi and np.isfinite(hi - lo)):  # a finite width ends bisection
         raise UsageError(f"scan range [{lo}, {hi}] is empty or too wide")
@@ -277,16 +254,8 @@ def parameter_scan(spec, param, lo, hi, samples, probe_point):
 
     with range_policy():
         point = tuple(float(c) for c in probe_point)
-
-        def residuals(xs):
-            # the batch comes from the param alone, and a param no component
-            # reads leaves the geometry unbatched: one residual for every x
-            scanned = spec.with_params(**{param: np.array(xs)})
-            r = normal_residual(PointGeometry(scanned, point))
-            return np.broadcast_to(r, len(xs))
-
-        grid = [float(x) for x in np.linspace(lo, hi, samples)]
-        row = each(residuals, grid)
+        grid = scan_grid(lo, hi, samples)
+        row = each(_scan_residuals(spec, param, point), grid)
         values = []
         failures = []
         for i, x in enumerate(grid):
@@ -295,10 +264,69 @@ def parameter_scan(spec, param, lo, hi, samples, probe_point):
             except WarpgeoError as exc:
                 values.append((x, None))
                 failures.append((x, str(exc)))
+        return bisect_samples(spec, param, point, values, failures)
 
+
+def scan_grid(lo, hi, samples):
+    """The parameter values, floats, that parameter_scan samples."""
+    return [float(x) for x in np.linspace(lo, hi, samples)]
+
+
+def _scan_residuals(spec, param, point):
+    """xs -> the normal residual of `spec` at the float point `point` with
+    `param` at each value of the list xs, from one PointGeometry."""
+
+    def residuals(xs):
+        # the batch comes from the param alone, and a param no component
+        # reads leaves the geometry unbatched: one residual for every x
+        scanned = spec.with_params(**{param: np.array(xs)})
+        r = normal_residual(PointGeometry(scanned, point))
+        return np.broadcast_to(r, len(xs))
+
+    return residuals
+
+
+def bisect_samples(spec, param, probe_point, samples, failures=()):
+    """The ScanResult of parameter_scan(spec, param, ..., probe_point) from
+    its sampled (x, residual) pairs `samples`, in increasing x, a residual
+    None where its sample failed, and those samples' (x, message) pairs
+    `failures`.  Only the rounds of bisection are built here, so a caller
+    that holds the sampled residuals as rows of its own build passes them.
+
+    Brackets sign changes between samples that did not fail, and bisects
+    each bracket from its sampled ends (x0, r0), (x1, r1): the step halves,
+    x = left + step becomes the left end when r(x) has the sign of r0 or
+    is 0, and x is the root once r(x) == 0 or |step| < _XTOL + _RTOL |x|.
+    Signs are compared, not products, which can underflow.  A bisection
+    that raises or closes on a pole is a failure, not a root: at a simple
+    root the residual at bisection's last two points is a reference secant
+    slope times the last bracket width, within a factor _ROOT_RATE_BAND; at
+    a pole of the scene it grows past that or vanishes far faster.  The
+    reference is the bracket bisection held _SLOPE_LAG halvings before it
+    stopped (the sampled bracket after fewer halvings): narrow enough that
+    a simple root is linear across it even when the sampled bracket spans
+    decades.
+
+    `each` batches every round of bisection.  A round's batch holds, for
+    every open bracket, each midpoint the next _SCAN_DEPTH halvings can
+    reach (a binary tree of 2^_SCAN_DEPTH - 1 nodes), and, in the
+    bracket's first round and after each round whose halvings all went the
+    predicted way through the tree, the midpoints beyond the tree of the
+    path the secant through the held bracket's ends predicts, down to the
+    stopping width (see _Bisection).  Each midpoint is formed with the
+    float operations the halvings take on the way to it, and the halvings
+    then walk the batch while it holds their next midpoint, so the points
+    they evaluate are the ones they would evaluate one at a time: a
+    prediction changes only how many rounds they take.  Verify's cone scan
+    takes 1 round this way.  `each` evaluates a part of a batch only when a
+    walk reads it, so a midpoint no walk reaches never fails the scan.
+    """
+    with range_policy():
+        residuals = _scan_residuals(spec, param, tuple(float(c) for c in probe_point))
         roots = []
+        failures = list(failures)
         brackets = []
-        for (x0, r0), (x1, r1) in zip(values, values[1:]):
+        for (x0, r0), (x1, r1) in zip(samples, samples[1:]):
             # never bracket across a failed sample
             if r0 is None or r1 is None:
                 continue
@@ -322,15 +350,15 @@ def parameter_scan(spec, param, lo, hi, samples, probe_point):
                 roots.append(x)
             else:
                 failures.append((x, message))
-        if values and values[-1][1] == 0.0:
-            roots.append(values[-1][0])
+        if samples and samples[-1][1] == 0.0:
+            roots.append(samples[-1][0])
 
         # collapse duplicates from touching brackets
         dedup = []
         for r in sorted(roots):
             if not dedup or abs(r - dedup[-1]) > 10 * _XTOL:
                 dedup.append(r)
-        return ScanResult(param, tuple(dedup), tuple(values), tuple(failures))
+        return ScanResult(param, tuple(dedup), tuple(samples), tuple(failures))
 
 
 def _secant(xl, rl, xr, rr):
@@ -349,12 +377,13 @@ class _Bisection:
     A round's batch holds the tree of the midpoints the next _SCAN_DEPTH
     halvings can reach.  In the bracket's first round, and after each round
     whose halvings all took the predicted branch through the tree, it also
-    holds the predicted path: each halving is predicted to keep the side
-    that holds the secant root of the bracket held when the round starts,
-    and the path follows that prediction beyond the tree down to the
-    stopping width, with both children of each midpoint on it, at most
-    _CHUNK midpoints.  A walk halves while the batch holds its next
-    midpoint, so a wrong prediction costs only the rest of its round."""
+    holds the predicted path beyond the tree: each halving is predicted to
+    keep the side that holds the secant root of the bracket held when the
+    round starts, and the path follows that prediction down to the stopping
+    width, one midpoint per halving, at most _CHUNK midpoints.  A walk
+    halves while the batch holds its next midpoint, so a wrong prediction
+    costs only the rest of its round: below the tree, the round ends at the
+    first halving that leaves the path."""
 
     def __init__(self, x0, r0, x1, r1):
         self.r0 = r0
@@ -384,10 +413,12 @@ class _Bisection:
             for depth in itertools.count(1):  # x is `depth` halvings away
                 step *= 0.5
                 x = left + step
-                if abs(step) < _XTOL + _RTOL * abs(x) or len(xs) - tree >= _CHUNK:
+                if depth > _SCAN_DEPTH:  # x is beyond the tree
+                    if len(xs) - tree >= _CHUNK:
+                        break
+                    xs.append(x)
+                if abs(step) < _XTOL + _RTOL * abs(x):
                     break
-                if depth >= _SCAN_DEPTH:  # x's children are beyond the tree
-                    xs += [left + step * 0.5, x + step * 0.5]
                 if self.guess > x:
                     left = x
         self.index = {x: start + i for i, x in enumerate(xs)}

@@ -69,14 +69,19 @@ class Check:
         }
 
 
-def _family(make, points, radii):
-    """One batched PointGeometry of the specs make(r), r in `radii`, each at
-    every one of `points`: r enters as a batch param, as in
-    biharmonic.parameter_scan, and row j * len(points) + i is point i at
-    radii[j], so row i is point i at radii[0]."""
-    k = len(points)
-    coords = np.tile(np.array(points).T, len(radii))
-    return PointGeometry(make(np.repeat(radii, k)), coords)
+def _rows(points, radii):
+    """(r, p) for every one of `points` at each of `radii`: _family's rows."""
+    return [(r, p) for r in radii for p in points]
+
+
+def _family(make, points, radii, extra=()):
+    """One batched PointGeometry of the specs make(r), r in `radii`, each
+    at every one of `points`, then of make(r) at p for each (r, p) of
+    `extra`: r enters as a batch param, as in biharmonic.parameter_scan,
+    and row j * len(points) + i is point i at radii[j], so row i is point i
+    at radii[0]."""
+    rs, ps = zip(*_rows(points, radii), *extra)
+    return PointGeometry(make(np.array(rs)), np.array(ps).T)
 
 
 def _checks_example_sphere_slice():
@@ -106,10 +111,16 @@ def _checks_example_sphere_slice():
 
 def _checks_example_cone():
     """The cone checks and its scan, and the family's geometry at the last
-    of CONE_POINTS on the r = 1 cone, whose spec the scan varies."""
+    of CONE_POINTS on the r = 1 cone, whose spec the scan varies.  The
+    scan's samples are rows of the family build: its grid of r at the probe
+    point, less the rows the closed-form checks hold already."""
     out = []
     radii = (1.0, 2.0)
-    pg = _family(cone, CONE_POINTS, radii)
+    probe = (1.0, 1.0)
+    rows = _rows(CONE_POINTS, radii)
+    grid = biharmonic.scan_grid(0.5, 2.0, 31)
+    extra = [(r, probe) for r in grid if (r, probe) not in rows]
+    pg = _family(cone, CONE_POINTS, radii, extra)
     warp_pg = pg.row(len(CONE_POINTS) - 1)
     for j, r in enumerate(radii):
         for i, (u, _) in enumerate(CONE_POINTS[:-1]):
@@ -127,7 +138,10 @@ def _checks_example_cone():
             out.append(
                 Check(f"cone |A|^2 {tag}", a2_ref, pg.normA2[row], 1e-8 * abs(a2_ref))
             )
-    scan = biharmonic.parameter_scan(warp_pg.spec, "r", 0.5, 2.0, 31, (1.0, 1.0))
+    residual = biharmonic.normal_residual(pg)
+    index = {row: i for i, row in enumerate(rows + extra)}
+    samples = [(r, residual[index[r, probe]]) for r in grid]
+    scan = biharmonic.bisect_samples(warp_pg.spec, "r", probe, samples)
     out.append(Check("cone scan root count", 1.0, float(len(scan.roots)), 0.0))
     if scan.roots:
         out.append(Check("cone scan root r", 1.0, scan.roots[0], 1e-6))
@@ -191,6 +205,14 @@ def _oracle_gap(base, w, oracle_vec, closed_vec):
     return diff / (1.0 + warped.hbar_norm(base, w, closed_vec))
 
 
+@dataclass(frozen=True)
+class _TensionBase:
+    """A base point as warped.inclusion_tension and warped.hbar_norm read
+    it, its geometry alone: no tau_2(i) or classify gate is formed."""
+
+    geometry: PointGeometry
+
+
 def _checks_tension_equivalence(base, cone_pg, scenes, warps, records):
     """The tension checks on the slice and on the cone at `cone_pg`, both
     under the slice's scenes and their warps over T_SAMPLES."""
@@ -200,7 +222,7 @@ def _checks_tension_equivalence(base, cone_pg, scenes, warps, records):
     slice_taus = {src: rec.tension for src, rec in records.items()}
     families = (
         ("sphere-slice", base, slice_taus),
-        ("cone", warped.base_point_of(cone_pg), cone_taus),
+        ("cone", _TensionBase(cone_pg), cone_taus),
     )
     for label, bp, taus in families:
         for src, w in warps.items():

@@ -250,6 +250,27 @@ class TestScan:
             bh.parameter_scan(spec, "a", 0.0, 1.0, 3, (0.1, 0.1))
 
 
+    def test_verify_samples_are_the_scans(self, monkeypatch):
+        # verify reads its cone scan's samples from the cone family build:
+        # each residual is a row of a batch, so it equals the scan's own
+        # bit for bit, and the bisection from them gives the scan's result
+        calls = []
+        bisect = bh.bisect_samples
+
+        def spied(*args):
+            calls.append((args[3], bisect(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(bh, "bisect_samples", spied)
+        verify.run_checks()
+        [(samples, got)] = calls
+        ref = bh.parameter_scan(*SCANS["cone r 0.5:2/31"])
+        assert [(x.hex(), float(r).hex()) for x, r in samples] == [
+            (x.hex(), float(r).hex()) for x, r in ref.samples
+        ]
+        assert got == ref
+        assert repr(got.to_dict()) == repr(ref.to_dict())
+
     def test_scan_of_a_param_no_component_reads(self):
         # the probe point is floats and the batch comes from the param, so
         # here the geometry is one point: every sample takes its residual
@@ -336,12 +357,14 @@ class TestBisection:
         assert res.failures == ()
         assert res.roots == (bisect(lambda x: x - c, lo, hi, xtol=1e-10),)
         # the samples, then one round: the residual is linear, so the secant
-        # predicts every halving and the round's batch of 89 (its tree of
-        # 31 and the predicted path of 58) reaches the root; halving it
-        # around the values in (lo, mid) makes 22 parts, 14 of which raise
-        # (20 and 8 with the tree alone, over 7 rounds)
-        assert len(evaluated) == 1 + 22
-        assert len(raised) == 14
+        # predicts every halving and the round's batch of 60 (its tree of
+        # 31 and the predicted path's 29 midpoints beyond it) reaches the
+        # root; halving it around the values in (lo, mid) makes 16 parts,
+        # 10 of which raise (22 and 14 when the path carried both children
+        # of each of its midpoints, a batch of 89; 20 and 8 with the tree
+        # alone, over 7 rounds)
+        assert len(evaluated) == 1 + 16
+        assert len(raised) == 10
         assert all(np.any((lo < r) & (r < mid)) for r in raised)
 
     @settings(max_examples=60, deadline=None)

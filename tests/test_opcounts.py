@@ -199,13 +199,15 @@ def test_pairing_reuses_the_base_point(counts):
 
 
 def test_verify_pass_build_count(counts):
-    # the closed-form fixtures: one batch per family, r a batch param, 2;
-    # the scan: 2, as its bisection reaches the root in the one round the
-    # secant predicts (7 with the look-ahead tree alone); the S4 slice's
-    # BasePoint: 1.  The r = 1 slice's and the cone's BasePoints are rows
-    # of the family builds (7 when each was built on its own)
+    # the closed-form fixtures: one batch per family, r a batch param, 2,
+    # the cone's also holding the scan's samples (3 when the scan sampled
+    # on its own); the scan's bisection: 1, as it reaches the root in the
+    # one round the secant predicts (6 with the look-ahead tree alone); the
+    # S4 slice's BasePoint: 1.  The r = 1 slice's and the cone's
+    # BasePoints are rows of the family builds (7 when each was built on
+    # its own)
     verify.run_checks()
-    assert counts["builds"] == 5
+    assert counts["builds"] == 4
 
 
 @pytest.fixture
@@ -230,25 +232,27 @@ def built_rows(monkeypatch):
 
 def test_verify_pass_builds_no_row_twice(built_rows):
     # the warped checks read their base points as rows of the closed-form
-    # families (the r = 1 slice at (0.3, -0.2) was built twice before).  The
-    # one repeat left is the cone scan's: parameter_scan builds its own
-    # sweep of r over [0.5, 2] at (1, 1), which holds the cone family's
-    # r = 1 and r = 2 at that point
+    # families (the r = 1 slice at (0.3, -0.2) was built twice before), and
+    # the cone scan's samples are rows of the cone family, which holds its
+    # r = 1 and r = 2 at (1, 1) once (built again by the scan's own
+    # sampling before)
     verify.run_checks()
     seen = set()
     repeated = [row for row in built_rows if row in seen or seen.add(row)]
-    scan_rows = [("euclidean", (r, 1.0, 1.0)) for r in (1.0, 2.0)]
-    assert [(ambient.model, values) for _, ambient, _, values in repeated] == scan_rows
+    assert repeated == []
 
 
-def test_scan_bisects_from_the_sampled_ends(counts):
+def test_scan_bisects_from_the_sampled_ends(counts, built_rows):
     # 31 samples in one batch, then 29 midpoints for the one bracket around
     # r = 1: every halving goes the way the secant through the bracket's
     # sampled ends predicts, so its first round's batch, the tree of 5
     # halvings and the predicted path beyond it, holds all 29: 1 + 1 builds
-    # (1 + 6 with the tree alone, 5 halvings a round)
+    # (1 + 6 with the tree alone, 5 halvings a round).  The round's rows:
+    # the tree's 31 and the path's 24 beyond it, one per halving (79 when
+    # the path carried both children of each of its midpoints)
     biharmonic.parameter_scan(verify.cone(1.0), "r", 0.5, 2.0, 31, (1.0, 1.0))
     assert counts["builds"] == 2
+    assert len(built_rows) == 31 + 55
 
 
 def test_scan_halves_a_batch_around_a_failing_sample(counts):
@@ -298,11 +302,24 @@ def test_verify_pass_mul_count(counts):
     # The slice's and the cone's BasePoints are rows of the family builds,
     # and the cone's tensions read the slice's warps: the two one-point
     # builds' 6 + 4 products, 23 + 24 contractions and 10 + 3 constant
-    # plans and the cone sweeps' 3 Horner steps are gone (67, 260 and 60)
+    # plans and the cone sweeps' 3 Horner steps are gone (67, 260 and 60).
+    # The scan's samples are rows of the cone family build, and the cone's
+    # tension checks form neither its tau_2(i) nor its classify gate: its
+    # own sample build's 4 products, 24 contractions and 3 constant plans
+    # are gone (57, 210 and 47)
     verify.run_checks()
-    assert counts["mul"] == 57
-    assert counts["contract"] == 210
-    assert counts["constant_plans"] == 47
+    assert counts["mul"] == 53
+    assert counts["contract"] == 186
+    assert counts["constant_plans"] == 44
+
+
+def test_verify_pass_base_point_count(counts):
+    # tau_2(i) and the classify gate of the warped checks' two base points,
+    # the r = 1 slice's and the S4 slice's; the cone's tension checks read
+    # only its geometry's H and e2 (3 and 3 with the cone's BasePoint)
+    verify.run_checks()
+    assert counts["submanifold_bitension"] == 2
+    assert counts["classify"] == 2
 
 
 def test_verify_pass_oracle_count(counts):
