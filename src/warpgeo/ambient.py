@@ -112,14 +112,13 @@ class WarpEval:
     """Warping function and its first two derivatives at t, as
     `WarpedScene.warp_at` evaluates them: floats at one t, and arrays of
     one shape over a sweep of t.  It forms the powers of f and f' that the
-    closed forms read once, by `power`: f^2, f^3, f^4 and f'^2.  A refusal
+    closed forms read once, by `power`: f^3, f^4 and f'^2.  A refusal
     names the first t that fails it (`errors.first_failing`)."""
 
     t: object
     f: object
     f1: object
     f2: object
-    f_pow2: object = field(init=False)
     f_pow3: object = field(init=False)
     f_pow4: object = field(init=False)
     f1_pow2: object = field(init=False)
@@ -128,8 +127,7 @@ class WarpEval:
         f, f1 = self.f, self.f1
         with range_policy():
             factors = {
-                "f_pow2": power(f, 2), "f_pow3": power(f, 3), "f_pow4": power(f, 4),
-                "f1_pow2": power(f1, 2),
+                "f_pow3": power(f, 3), "f_pow4": power(f, 4), "f1_pow2": power(f1, 2),
             }
         self.__dict__.update(factors)  # set once, here: the dataclass is frozen
         # the first t at which f is not positive, a value is not finite,

@@ -294,7 +294,8 @@ def cmd_warp(args):
     }
     values = list(zip(*(c.tolist() for c in columns.values())))
     csv_rows = [list(columns), *values]
-    columns |= {"f1": w.f1, "f2": w.f2, "tension": sweep.tension, "bitension": tau2.vec}
+    tau_chart, tau2_chart = (warped.to_chart(sweep.base, w, v) for v in (sweep.tension, tau2.vec))
+    columns |= {"f1": w.f1, "f2": w.f2, "tension": tau_chart, "bitension": tau2_chart}
     headers = ["t", "f", "pairing", "pairingClosed", "powerResidual", "|tangential|", "|normal|"]
     _emit(args, lambda i: f"t = {_fmt(w.t[i])}", columns,
           _table(headers, [[_fmt(v) for v in row] for row in values]), csv_rows,

@@ -200,17 +200,10 @@ def _oracle_records(scenes, immersion, point):
 
 def _oracle_gap(base, w, oracle_vec, closed_vec):
     """|oracle - closed|_h / (1 + |closed|_h) per t: the relative gap
-    between an oracle vector on I x N and its closed form."""
-    diff = warped.hbar_norm(base, w, oracle_vec - closed_vec)
-    return diff / (1.0 + warped.hbar_norm(base, w, closed_vec))
-
-
-@dataclass(frozen=True)
-class _TensionBase:
-    """A base point as warped.inclusion_tension and warped.hbar_norm read
-    it, its geometry alone: no tau_2(i) or classify gate is formed."""
-
-    geometry: PointGeometry
+    between an oracle vector on I x N, in chart components, and its closed
+    form, in frame components."""
+    diff = warped.hbar_norm(warped.to_frame(base, w, oracle_vec) - closed_vec)
+    return diff / (1.0 + warped.hbar_norm(closed_vec))
 
 
 def _checks_tension_equivalence(base, cone_pg, scenes, warps, records):
@@ -222,7 +215,7 @@ def _checks_tension_equivalence(base, cone_pg, scenes, warps, records):
     slice_taus = {src: rec.tension for src, rec in records.items()}
     families = (
         ("sphere-slice", base, slice_taus),
-        ("cone", _TensionBase(cone_pg), cone_taus),
+        ("cone", warped.base_point_of(cone_pg), cone_taus),
     )
     for label, bp, taus in families:
         for src, w in warps.items():
@@ -323,26 +316,14 @@ def _checks_tangential_corollaries(base, cosw):
             0.0,
         )
     )
-    w = warped.warped_scene(spec, "2+t^2", {}, WARP_INTERVAL).warp_at(0.0)
-    bs = warped.inclusion_bitension(base, w)
-    out.append(
-        Check(
-            "bitension nonzero at t=0 (f=2+t^2), floor 0.5",
-            1.0,
-            float(warped.hbar_norm(base, w, bs.vec) >= 0.5),
-            0.0,
-        )
-    )
-    w = warped.warped_scene(spec, "2+t^3", {}, WARP_INTERVAL).warp_at(0.0)
-    bc = warped.inclusion_bitension(base, w)
-    out.append(
-        Check(
-            "bitension vanishes at f'=f''=0 (f=2+t^3)",
-            0.0,
-            warped.hbar_norm(base, w, bc.vec),
-            1e-7,
-        )
-    )
+
+    def norm_at_0(src):  # |tau_2(phi)| at t = 0 under the warp src
+        w = warped.warped_scene(spec, src, {}, WARP_INTERVAL).warp_at(0.0)
+        return warped.hbar_norm(warped.inclusion_bitension(base, w).vec)
+
+    nonzero = float(norm_at_0("2+t^2") >= 0.5)
+    out.append(Check("bitension nonzero at t=0 (f=2+t^2), floor 0.5", 1.0, nonzero, 0.0))
+    out.append(Check("bitension vanishes at f'=f''=0 (f=2+t^3)", 0.0, norm_at_0("2+t^3"), 1e-7))
     return out
 
 

@@ -110,23 +110,48 @@ def warped_scene(immersion_spec, warp_source, warp_params, interval):
     )
 
 
+def _read_only(a):
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class BasePoint:
     """What a warped closed form at a point of M reads that does not depend
-    on t: the point's geometry, tau_2 of the unwarped inclusion, the
-    biharmonic gate of the closed-form pairing and |H|^2_h.  Its arrays and
-    those of its geometry are read-only: reports share it."""
+    on t, N-side vectors in an h-orthonormal frame (chart components times
+    h's conformal factor e, the root of the geometry's one e2_val): the
+    geometry, e, eH and |H|^2_h.  e tau_2(i), tau_2 of the unwarped
+    inclusion, its split tangent and normal to M and the biharmonic gate
+    are formed when first read and then kept.  Every array is read-only:
+    reports share it."""
 
     geometry: PointGeometry
-    submanifold_bitension: np.ndarray
-    biharmonic: bool  # the classify gate; False off hypersurfaces
+    e: float
+    eH: np.ndarray
     h2: float
 
-    def tangential(self, v):
-        """The h-orthogonal projection of ambient components v (..., n) on
-        span{dX_i}."""
+    @cached_property
+    def e_tau2_i(self):
+        with range_policy():
+            return _read_only(self.e * oracle.submanifold_bitension(self.geometry))
+
+    @cached_property
+    def e_tau2_i_split(self):
+        """(tangential, normal) parts of e tau_2(i), the first its projection
+        e^2 dX^T g^-1 dX on span{e dX_i}."""
+        pg, v = self.geometry, self.e_tau2_i
+        with range_policy():
+            tan = np.matvec(pg.dX_val.T, np.matvec(pg.ginv_val, pg.e2_val * (pg.dX_val @ v)))
+            return _read_only(tan), _read_only(v - tan)
+
+    @cached_property
+    def biharmonic(self):
+        """The classify gate; False off hypersurfaces."""
         pg = self.geometry
-        return np.matvec(pg.dX_val.T, np.matvec(pg.ginv_val, pg.e2_val * np.matvec(pg.dX_val, v)))
+        with range_policy():
+            return pg.spec.is_hypersurface and classify(
+                pg.spec, [pg.point], BIHARMONIC_GATE_TOL, geometries=[pg]
+            ).biharmonic
 
 
 # (spec, point bit patterns, BasePoint) of the last build, or None; read
@@ -153,27 +178,24 @@ def base_point(spec, point):
 
 def base_point_of(pg):
     """The BasePoint of the one-point geometry `pg`, a build or a row of a
-    batched one: tau_2(i), the classify gate and |H|^2_h of the geometry
-    as it is, whose arrays, and the BasePoint's, are made read-only."""
-    spec = pg.spec
+    batched one, whose arrays are made read-only."""
     with range_policy():
-        tau2_i = oracle.submanifold_bitension(pg)
-        for a in [*vars(pg).values(), pg.e2.coeffs, tau2_i]:
+        for a in [*vars(pg).values(), pg.e2.coeffs]:
             if isinstance(a, np.ndarray):
-                a.setflags(write=False)
-        gate = spec.is_hypersurface and classify(
-            spec, [pg.point], BIHARMONIC_GATE_TOL, geometries=[pg]
-        ).biharmonic
+                _read_only(a)
+        e = math.sqrt(pg.e2_val)
         h2 = pg.e2_val * float(np.dot(pg.H_val, pg.H_val))
-    return BasePoint(pg, tau2_i, gate, h2)
+        return BasePoint(pg, e, _read_only(e * pg.H_val), h2)
 
 
-# A vector at a point of I x N is an (n+1,) array of warped-chart
-# components, the dt slot first; over a sweep of t the vectors, and every
-# per-t value, carry a leading sweep axis.  Products of vectors and
-# matrices act vector by vector (np.vecdot and np.matvec take np.dot's
-# path for each), and the powers of f and f' are WarpEval's, by C's pow, so
-# each t of a sweep equals its one-t value bit for bit.
+# A vector at a point of I x N is an (n+1,) array of components in the
+# h-orthonormal frame (dt, (1 / (f e)) d_a), the dt slot first: a chart
+# vector's N components times f e (`to_frame`, `to_chart`).  Over a sweep
+# of t the vectors, and every per-t value, carry a leading sweep axis.
+# Products of vectors and matrices act vector by vector (np.vecdot and
+# np.matvec take np.dot's path for each), and the powers of f and f' are
+# WarpEval's, by C's pow, so each t of a sweep equals its one-t value bit
+# for bit.
 
 
 def _per_t(x):
@@ -190,62 +212,73 @@ def _vector(t_part, n_part):
     return out
 
 
-def hbar_inner(base, w, a, b):
-    """Inner product of the warped ambient at a BasePoint and a WarpEval:
-    h(u, v) = u_t v_t + f^2 h(u_N, v_N)."""
-    e2 = base.geometry.e2_val
-    ab = np.vecdot(a[..., 1:], b[..., 1:])
-    return _per_t(a.T[0] * b.T[0] + w.f_pow2 * e2 * ab)  # .T[0]: the dt slots
+def to_frame(base, w, v):
+    """The frame components of the warped-chart vector `v`, as the oracle
+    gives it, at a BasePoint and a WarpEval."""
+    with range_policy():
+        return _vector(v[..., 0], per_point(w.f * base.e, 1) * v[..., 1:])
 
 
-def hbar_norm(base, w, a):
-    # h is positive definite: a sum of squares, never negative or -0.0
-    return _per_t(np.sqrt(hbar_inner(base, w, a, a)))
+def to_chart(base, w, v):
+    """The warped-chart components of the frame vector `v`, as the reports
+    write them."""
+    with range_policy():
+        return _vector(v[..., 0], v[..., 1:] / per_point(w.f * base.e, 1))
+
+
+def hbar_norm(a):
+    """|a| of frame vectors, per t, accumulated by np.hypot component by
+    component: no square is formed, so it is finite wherever |a| is
+    (tau_2(phi)'s dt slot is about 4e220 at f = 1e-70, past the float range
+    squared)."""
+    with range_policy():
+        return _per_t(np.hypot.reduce(a, axis=-1))
 
 
 def inclusion_tension(base, w):
-    """tau(phi) = (m / f^2) H, with no dt-component."""
+    """tau(phi) = (m / f^2) H, with no dt-component: m eH / f in the frame."""
     m = base.geometry.spec.m
-    return _vector(0.0, per_point(m / w.f_pow2, 1) * base.geometry.H_val)
+    return _vector(0.0, per_point(m / w.f, 1) * base.eH)
 
 
 class BitensionParts:
     """tau_2(phi) at a BasePoint and a WarpEval, as the vector `vec`, and
     its split relative to T(I x M), dt plus span{dX_i}: the parts
-    `tangential` and `normal` and their h-norms `tangential_norm` and
-    `normal_norm` (per t).  Each is formed when it is first read and then
-    kept, so a caller that reads only the pairing does not form them."""
+    `tangential` and `normal` and their norms `tangential_norm` and
+    `normal_norm` (per t).  H is normal to M, so the N side of the split is
+    the BasePoint's split of e tau_2(i) over f^3, with 2m P eH / f^3 in the
+    normal part.  Each part is formed when it is first read and then kept,
+    so a caller that reads only the pairing forms neither them nor the
+    BasePoint's split."""
 
-    def __init__(self, base, w, t_part, n_part):
-        self.base, self.w = base, w
-        self.t_part, self.n_part = t_part, n_part
-        self.vec = _vector(t_part, n_part)
+    def __init__(self, base, t_part, h_part, f3):
+        self.base, self.t_part, self.h_part, self.f3 = base, t_part, h_part, f3
+        self.vec = _vector(t_part, (h_part + base.e_tau2_i) / f3)
 
     @cached_property
     def tangential(self):
         with range_policy():
-            return _vector(self.t_part, self.base.tangential(self.n_part))
+            return _vector(self.t_part, self.base.e_tau2_i_split[0] / self.f3)
 
     @cached_property
     def normal(self):
         with range_policy():
-            return _vector(0.0, self.n_part - self.tangential[..., 1:])
+            return _vector(0.0, (self.h_part + self.base.e_tau2_i_split[1]) / self.f3)
 
     @cached_property
     def tangential_norm(self):
-        with range_policy():
-            return hbar_norm(self.base, self.w, self.tangential)
+        return hbar_norm(self.tangential)
 
     @cached_property
     def normal_norm(self):
-        with range_policy():
-            return hbar_norm(self.base, self.w, self.normal)
+        return hbar_norm(self.normal)
 
 
 def inclusion_bitension(base, w, residual=None):
     """tau_2(phi) = (2m P / f^4) H + (1 / f^4) tau_2(i) - (m^2 f' / f^3) |H|^2 dt,
     with P = f f'' + (m-1) f'^2, `w.power_residual(m)` unless the caller
-    has formed it as `residual`.
+    has formed it as `residual`: in the frame, [2m P eH + e tau_2(i)] / f^3
+    and the same dt slot.
 
     tau_2(i) is the bitension of the unwarped inclusion i: M -> N, whose
     tension is m H; it comes from the submanifold closed form evaluated on
@@ -254,13 +287,9 @@ def inclusion_bitension(base, w, residual=None):
     m = base.geometry.spec.m
     if residual is None:
         residual = w.power_residual(m)
-    f4 = w.f_pow4
-    coeff = 2.0 * m * residual / f4
-    n_part = per_point(coeff, 1) * base.geometry.H_val + per_point(
-        1 / f4, 1
-    ) * base.submanifold_bitension
     t_part = -(m**2) * w.f1 / w.f_pow3 * base.h2
-    return BitensionParts(base, w, t_part, n_part)
+    h_part = per_point(2.0 * m * residual, 1) * base.eH
+    return BitensionParts(base, t_part, h_part, per_point(w.f_pow3, 1))
 
 
 @dataclass(frozen=True)
@@ -278,40 +307,33 @@ class WarpedReport:
     power_residual: object
 
     def to_dicts(self):
-        """One dict per t, of a sweep or of a one-t report, built column by
-        column: one tolist() per array.  The dict of t number i of a sweep
-        equals that of its one-t report."""
+        """One dict per t, of a sweep or of a one-t report, its vectors in
+        warped-chart components, built column by column: one tolist() per
+        array.  The dict of t number i of a sweep equals that of its one-t
+        report."""
+        w, b = self.warp, self.bitension
 
         def column(x):  # a per-t value
             return np.ravel(x).tolist()
 
-        w, b = self.warp, self.bitension
-        tau, tau2 = (x.reshape(-1, x.shape[-1]) for x in (self.tension, b.vec))
-        rows = zip(
-            column(w.t), column(w.f), column(w.f1), column(w.f2),
-            tau[:, 0].tolist(), tau[:, 1:].tolist(), tau2[:, 0].tolist(), tau2[:, 1:].tolist(),
-            column(self.pairing), column(self.pairing_closed_form),
-            column(self.power_residual), column(b.tangential_norm), column(b.normal_norm),
-        )
-        point = self.base.geometry.point
-        return [
-            {
-                "t": t, "f": f, "f1": f1, "f2": f2,
-                "point": list(point),
-                "tension": {"t": tau_t, "n": tau_n},
-                "bitension": {"t": tau2_t, "n": tau2_n},
-                "pairing": p,
-                "pairing_closed_form": p_closed,
-                "pairing_closed_form_applicable": self.pairing_closed_form_applicable,
-                "power_residual": residual,
-                "tangential_part_norm": tan_norm,
-                "normal_part_norm": normal_norm,
-            }
-            for (
-                t, f, f1, f2, tau_t, tau_n, tau2_t, tau2_n,
-                p, p_closed, residual, tan_norm, normal_norm,
-            ) in rows
-        ]
+        def vectors(v):
+            v = to_chart(self.base, w, v).reshape(-1, v.shape[-1])
+            return [{"t": t, "n": n} for t, n in zip(v[:, 0].tolist(), v[:, 1:].tolist())]
+
+        ts = column(w.t)
+        columns = {
+            "t": ts, "f": column(w.f), "f1": column(w.f1), "f2": column(w.f2),
+            "point": [list(self.base.geometry.point) for _ in ts],
+            "tension": vectors(self.tension),
+            "bitension": vectors(b.vec),
+            "pairing": column(self.pairing),
+            "pairing_closed_form": column(self.pairing_closed_form),
+            "pairing_closed_form_applicable": [self.pairing_closed_form_applicable] * len(ts),
+            "power_residual": column(self.power_residual),
+            "tangential_part_norm": column(b.tangential_norm),
+            "normal_part_norm": column(b.normal_norm),
+        }
+        return [dict(zip(columns, row)) for row in zip(*columns.values())]
 
 
 def _closed_form_pairing(base, w, residual):
@@ -332,22 +354,13 @@ def pairing(base, w):
         residual = w.power_residual(base.geometry.spec.m)
         tau = inclusion_tension(base, w)
         tau2 = inclusion_bitension(base, w, residual)
-        direct = hbar_inner(base, w, tau2.vec, tau)
+        direct = _per_t(np.vecdot(tau2.vec, tau))
         closed = _closed_form_pairing(base, w, residual)
     if bad := first_failing((abs(direct) < math.inf) & (abs(closed) < math.inf), w.t, direct):
         t, p = bad
         name = "pairing" if not math.isfinite(p) else "pairing_closed_form"
         raise EvalDomainError(f"{name} is not finite at t = {t:.9g}", value=t)
-    return WarpedReport(
-        base=base,
-        warp=w,
-        tension=tau,
-        bitension=tau2,
-        pairing=direct,
-        pairing_closed_form=closed,
-        pairing_closed_form_applicable=base.biharmonic,
-        power_residual=residual,
-    )
+    return WarpedReport(base, w, tau, tau2, direct, closed, base.biharmonic, residual)
 
 
 @dataclass(frozen=True)

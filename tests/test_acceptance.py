@@ -91,8 +91,8 @@ def test_03_tension_oracle_equivalence():
             fp = oracle.tension_first_principles(ms, (t,) + point)
             w = scene.warp_at(t)
             closed = warped.inclusion_tension(base, w)
-            diff = warped.hbar_norm(base, w, fp - closed)
-            scale = 1.0 + warped.hbar_norm(base, w, closed)
+            diff = warped.hbar_norm(warped.to_frame(base, w, fp) - closed)
+            scale = 1.0 + warped.hbar_norm(closed)
             if diff > 1e-9 * scale:
                 bad.append((label, src, t, diff))
             if abs(fp[0]) > 1e-12:
@@ -112,8 +112,8 @@ def test_04_bitension_oracle_equivalence():
             fp = oracle.bitension_first_principles(ms, (t,) + point)
             w = scene.warp_at(t)
             closed = warped.inclusion_bitension(base, w)
-            diff = warped.hbar_norm(base, w, fp - closed.vec)
-            scale = 1.0 + warped.hbar_norm(base, w, closed.vec)
+            diff = warped.hbar_norm(warped.to_frame(base, w, fp) - closed.vec)
+            scale = 1.0 + warped.hbar_norm(closed.vec)
             if diff > 1e-6 * scale:
                 bad.append((src, t, diff))
     record(4, "bitension vs first principles", bad)
@@ -165,11 +165,11 @@ def test_07_tangential_vanishing():
         bad.append("tangential too small at t=0.5")
     w = warped.warped_scene(spec, "2+t^2", {}, WARP_INTERVAL).warp_at(0.0)
     v = warped.inclusion_bitension(base, w).vec
-    if warped.hbar_norm(base, w, v) < 0.5:
+    if warped.hbar_norm(v) < 0.5:
         bad.append("bitension vanished despite f'' != 0")
     w = warped.warped_scene(spec, "2+t^3", {}, WARP_INTERVAL).warp_at(0.0)
     v = warped.inclusion_bitension(base, w).vec
-    if warped.hbar_norm(base, w, v) > 1e-7:
+    if warped.hbar_norm(v) > 1e-7:
         bad.append("bitension nonzero despite f' = f'' = 0")
     record(7, "tangential-part vanishing criteria", bad)
 

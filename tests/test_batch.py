@@ -279,11 +279,12 @@ REFUSALS = {
         lambda: _slice_warp("1-t", (0.0, 2.0)),
         lambda: _slice_warp("1-t", (NEGATIVE_SAMPLE, NEGATIVE_SAMPLE + 1.0)),
     ),
+    # a pairing of about 8e312 at t = 1e-84, where f = 1e-72
     "pairing": (
         lambda: warped.warped_report(
-            _slice_warp("t", (1e-60, 1.0)), np.array([1.0, 1e-60, 1e-59]), (0.3, -0.2)
+            _slice_warp("1e12*t", (1e-84, 1.0)), np.array([1.0, 1e-84, 1e-83]), (0.3, -0.2)
         ),
-        lambda: warped.warped_report(_slice_warp("t", (1e-60, 1.0)), 1e-60, (0.3, -0.2)),
+        lambda: warped.warped_report(_slice_warp("1e12*t", (1e-84, 1.0)), 1e-84, (0.3, -0.2)),
     ),
     "residual": (
         lambda: biharmonic.normal_residual(

@@ -5,11 +5,12 @@ from before jet tensor contractions replaced the scalar jet loops.  A
 refactor may change how sums are rounded, but not which checks run or
 what they expect, and every result must stay within 1e-12 relative.
 
-`tests/data/warp_<name>.csv` hold `warpgeo warp --csv` on the S3 slice from
-before the warped reports shared one base-point record across a t-sweep,
-and `warp_<name>.json` its `--json` from before the closed forms took a
-base point and a warp evaluation in place of a scene, t and point.
-Neither change moves a bit, so the output must stay byte for byte the same.
+`tests/data/warp_<name>.csv` and `warp_<name>.json` hold `warpgeo warp
+--csv` and `--json` on the S3 slice, recorded again when the warped layer
+moved its vectors into an h-orthonormal frame: that change rounds some
+values differently in the last place (each within 1e-15 relative of the
+earlier recording, or, for round-off of zero, 1e-15 absolute).  A
+refactor that moves no bit must keep the output byte for byte the same.
 """
 
 import json

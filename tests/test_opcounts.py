@@ -7,6 +7,7 @@ and jet products per workload is fixed; a change that evaluates a point
 again raises these counts.
 """
 
+import functools
 import json
 import sys
 
@@ -491,25 +492,31 @@ def warp_factor_calls(monkeypatch):
 
 @pytest.mark.parametrize("warp", ["exp(t)", "(a*t+b)^(1/m)"])
 def test_one_t_report_forms_the_warp_factors_once(warp_factor_calls, warp):
-    # WarpEval forms f^2, f^3, f^4 and f'^2, and pairing forms P once for
-    # the bitension, the closed-form pairing and the report (11 powers and
-    # 3 evaluations of P before)
+    # WarpEval forms f^3, f^4 and f'^2, and pairing forms P once for the
+    # bitension, the closed-form pairing and the report (11 powers and 3
+    # evaluations of P before; 4 powers while the closed forms' vectors
+    # were in chart components, whose inner product scaled by f^2)
     params = {"a": 1.0, "b": 2.0, "m": 2} if "a" in warp else {}
     scene = warped.warped_scene(verify.sphere_slice(1.0), warp, params, (0.0, 1.0))
     warped.warped_report(scene, 0.3, POINT)
-    assert warp_factor_calls == {"power": 4, "power_residual": 1}
+    assert warp_factor_calls == {"power": 3, "power_residual": 1}
 
 
 @pytest.fixture
 def split_calls(monkeypatch):
+    """The BasePoints whose split of e tau_2(i), the one projection on
+    span{dX_i} the split of tau_2(phi) reads, is formed."""
     calls = []
-    tangential = warped.BasePoint.tangential
+    split = warped.BasePoint.e_tau2_i_split
 
-    def counted(self, v):
-        calls.append(v)
-        return tangential(self, v)
+    def counted(self):
+        calls.append(self)
+        return split.func(self)
 
-    monkeypatch.setattr(warped.BasePoint, "tangential", counted)
+    counted_split = functools.cached_property(counted)
+    counted_split.__set_name__(warped.BasePoint, split.attrname)
+    monkeypatch.setattr(warped.BasePoint, split.attrname, counted_split)
+    monkeypatch.setattr(warped, "_memo", None)
     return calls
 
 
@@ -524,6 +531,19 @@ def test_split_is_formed_when_read(split_calls):
     parts = rep.bitension
     norms = (parts.tangential_norm, parts.normal_norm)
     assert (parts.tangential_norm, parts.normal_norm) == norms
+    assert len(split_calls) == 1
+
+
+@pytest.mark.parametrize("sweep", [False, True], ids=["per t", "sweep"])
+def test_split_is_formed_once_per_base_point(split_calls, sweep):
+    # five t at one point read the split of their BasePoint, formed by the
+    # first of them, as one report per t or as one sweep
+    scene = _scene()
+    ts = (0.1, 0.15, 0.2, 0.25, 0.3)
+    reports = [warped.warped_report(scene, t, POINT) for t in ([np.array(ts)] if sweep else ts)]
+    assert split_calls == []
+    norms = [(rep.bitension.tangential_norm, rep.bitension.normal_norm) for rep in reports]
+    assert np.all(np.isfinite(norms))
     assert len(split_calls) == 1
 
 
@@ -550,8 +570,10 @@ def test_one_t_report_counts(counts, monkeypatch, warp, params, contract, jpow):
         orders.append(order)
         init(self, n_vars, order, coeffs)
 
+    # the base point's tau_2(i) and gate, formed when first read, are
+    # formed by a report at another t
     scene = warped.warped_scene(verify.sphere_slice(1.0), warp, params, (0.0, 1.0))
-    warped.base_point(scene.immersion, POINT)
+    warped.warped_report(scene, 0.5, POINT)
     counts.update(dict.fromkeys(counts, 0))
     monkeypatch.setattr(jet.Jet, "__init__", recorded_init)
     warped.warped_report(scene, 0.3, POINT)
@@ -577,9 +599,11 @@ def curvature_calls(monkeypatch):
 @pytest.mark.parametrize("m", [2, 3])
 def test_one_curvature_call_per_base_point(curvature_calls, m):
     # tau_2(i) takes the m^2 tangent pairs of its curvature trace in one
-    # call (m^2 calls before)
+    # call (m^2 calls before); a BasePoint forms it when it is first read
     point = (0.3, -0.2, 0.1)[:m]
-    warped.base_point(verify.sphere_slice(1.0, m), point)
+    base = warped.base_point(verify.sphere_slice(1.0, m), point)
+    assert curvature_calls == []
+    assert base.e_tau2_i.shape == (m + 1,)
     assert len(curvature_calls) == 1
     _, _, y, z, _ = curvature_calls[0]
     assert (y.shape, z.shape) == ((m, 1, m + 1), (1, m, m + 1))

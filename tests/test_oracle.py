@@ -88,7 +88,8 @@ class TestBitension:
         else:
             scene = warped.warped_scene(spec, warp, {}, (-1.0, 1.0))
             base = warped.base_point(spec, point)
-            ref = warped.inclusion_bitension(base, scene.warp_at(0.3)).vec
+            w = scene.warp_at(0.3)
+            ref = warped.to_chart(base, w, warped.inclusion_bitension(base, w).vec)
             got = oracle.bitension_first_principles(
                 oracle.warped_inclusion_map(scene), (0.3,) + point
             )

@@ -64,11 +64,23 @@ def test_overflowing_warp_over_a_sweep():
         warped.warped_report(scene, ts, (0.3, -0.2))
 
 
-def test_overflowing_pairing_is_refused_in_process():
-    # tau_2 . tau overflows before it is scaled by f^2 = 1e-140, at one t
-    # and over a sweep alike
+def test_pairing_near_the_float_range_is_reported_in_process():
+    # about 8.0e300, from f = 1e-70 and f' = 1e10: in chart components
+    # tau_2 . tau overflowed before it was scaled by f^2 e^2, and the
+    # pairing was refused; frame components stay in range
     scene = warped.warped_scene(verify.sphere_slice(1.0), "1e-70+1e10*t", {}, (0.0, 1e-80))
     for t in (0.0, np.linspace(0.0, 1e-80, 3)):
+        rep = warped.warped_report(scene, t, (0.3, -0.2))
+        closed = np.asarray(rep.pairing_closed_form)
+        assert np.all(abs(rep.pairing - closed) <= 1e-15 * abs(closed))
+        assert np.ravel(closed)[0] == pytest.approx(8.0e300, rel=1e-12)
+
+
+def test_overflowing_pairing_is_refused_in_process():
+    # f = 1e-72 and f' = 1e12: the pairing, about 8e312, leaves the float
+    # range, at one t and over a sweep alike
+    scene = warped.warped_scene(verify.sphere_slice(1.0), "1e-72+1e12*t", {}, (0.0, 1e-82))
+    for t in (0.0, np.linspace(0.0, 1e-82, 3)):
         with pytest.raises(EvalDomainError, match="^pairing is not finite at t = 0$"):
             warped.warped_report(scene, t, (0.3, -0.2))
 
@@ -100,14 +112,17 @@ STEEP = {
     (SLICE | {"warp": {"expr": FOUND_WARP, "interval": [-0.5, 1.0]}},
      ["warp", "{scene}", "--t=0:1:3", "--point", "0.3,-0.2"], 2,
      "error: {scene}.warp: constant (1e+308*1e+308) leaves the float range (inf)\n"),
-    (SLICE | {"warp": {"expr": "1e-70+1e10*t", "interval": [0.0, 1e-80]}},
-     ["warp", "{scene}", "--t=0:1e-80:3", "--point", "0.3,-0.2"], 3,
+    (SLICE | {"warp": {"expr": "1e-72+1e12*t", "interval": [0.0, 1e-82]}},
+     ["warp", "{scene}", "--t=0:1e-82:3", "--point", "0.3,-0.2"], 3,
      "error: pairing is not finite at t = 0\n"),
+    (SLICE | {"warp": {"expr": "1e-70+1e10*t", "interval": [0.0, 1e-80]}},
+     ["warp", "{scene}", "--t=0:1e-80:3", "--point", "0.3,-0.2"], 0, ""),
     (SLICE | {"warp": {"expr": OVERFLOWING_WARP, "interval": [0.0, 1e-250]}},
      ["warp", "{scene}", "--t=0:1e-250:5", "--point", "0.3,-0.2"], 3,
      f"error: {OVERFLOWING_MESSAGE}\n"),
     (None, ["verify", "--filter", "f=exp(t)"], 0, ""),
-], ids=["analyze", "classify", "scan", "warp at load", "warp pairing", "warp sweep", "verify"])
+], ids=["analyze", "classify", "scan", "warp at load", "warp pairing", "warp finite pairing",
+        "warp sweep", "verify"])
 def test_cli_subcommand_out_of_range(tmp_path, capsys, scene, argv, code, err):
     path = tmp_path / "scene.json"
     if scene is not None:

@@ -571,15 +571,32 @@ def test_warp_whose_f1_squared_overflows_exits_3_and_writes_no_json(tmp_path, ca
     assert not out.exists()
 
 
-def test_warp_whose_pairing_overflows_exits_3_and_writes_nothing(tmp_path, capsys):
-    # the true values are finite (pairingClosed reads 8e+300), but tau2 . tau
-    # and the dt parts of the norms leave the float range before f^2 = 1e-140
-    # scales them; it printed inf in three columns, and numpy warnings (each
-    # an error under pytest's filterwarnings), with exit 0
+def test_warp_whose_pairing_nears_the_float_range_exits_0(tmp_path, capsys):
+    # the pairing is about 8.0e300; while the vectors were in chart
+    # components tau2 . tau left the float range before f^2 e^2 = 1e-140
+    # scaled it, and the run exited 3
     data = _with(SLICE_SCENE, "warp", expr="1e-70+1e10*t", interval=[0.0, 1e-80])
     scene = write_scene(tmp_path, data)
+    out = tmp_path / "warp.json"
+    argv = ["warp", scene, "--t=0:1e-80:3", "--point", "0.3,-0.2", "--json", str(out)]
+    assert run_cli(argv) == 0
+    assert capsys.readouterr().err == ""
+    reports = json.loads(out.read_text())["reports"]
+    assert len(reports) == 3
+    for rep in reports:
+        closed = rep["pairing_closed_form"]
+        assert abs(rep["pairing"] - closed) <= 1e-15 * abs(closed)
+    assert reports[0]["pairing_closed_form"] == pytest.approx(8.0e300, rel=1e-12)
+
+
+def test_warp_whose_pairing_overflows_exits_3_and_writes_nothing(tmp_path, capsys):
+    # the pairing, about 8e312 from f = 1e-72 and f' = 1e12, leaves the
+    # float range; it printed inf in three columns, and numpy warnings
+    # (each an error under pytest's filterwarnings), with exit 0
+    data = _with(SLICE_SCENE, "warp", expr="1e-72+1e12*t", interval=[0.0, 1e-82])
+    scene = write_scene(tmp_path, data)
     out_json, out_csv = tmp_path / "warp.json", tmp_path / "warp.csv"
-    argv = ["warp", scene, "--t=0:1e-80:3", "--point", "0.3,-0.2",
+    argv = ["warp", scene, "--t=0:1e-82:3", "--point", "0.3,-0.2",
             "--json", str(out_json), "--csv", str(out_csv)]
     assert run_cli(argv) == 3
     captured = capsys.readouterr()

@@ -187,7 +187,8 @@ class TestTension:
     def test_scaling(self, slice_scene):
         scene = slice_scene()
         pg = PointGeometry(scene.immersion, POINT)
-        tau = warped.inclusion_tension(base_of(scene), scene.warp_at(0.5))
+        base, w = base_of(scene), scene.warp_at(0.5)
+        tau = warped.to_chart(base, w, warped.inclusion_tension(base, w))
         f = math.exp(0.5)
         assert np.allclose(tau[1:], (2.0 / f**2) * pg.H_val)
 
@@ -213,11 +214,12 @@ class TestBitension:
 
     def test_mean_curvature_coeff(self, slice_scene):
         scene = slice_scene()  # f = e^t, m = 2, over the biharmonic r = 1 slice
-        parts = warped.inclusion_bitension(base_of(scene), scene.warp_at(0.0))
+        base, w = base_of(scene), scene.warp_at(0.0)
+        vec = warped.to_chart(base, w, warped.inclusion_bitension(base, w).vec)
         H = PointGeometry(scene.immersion, POINT).H_val
         # tau_2(i) = 0, so the normal part is 2m [f f'' + (m-1) f'^2] / f^4 H
         # = 2*2*2 H = 8 H at t = 0
-        assert parts.vec[1:] == pytest.approx(8.0 * H)
+        assert vec[1:] == pytest.approx(8.0 * H)
 
 
 class TestPairing:
@@ -377,29 +379,34 @@ class TestSweep:
                 assert np.array_equal(np.signbit(a), np.signbit(b))
 
     @staticmethod
-    def _dict_of_one_t(rep, i):
-        """t number i of a sweep as a dict, field by field from the sweep's
+    def _dicts_of_each_t(rep):
+        """Each t of a sweep as a dict, field by field from the sweep's
         arrays: the reference for to_dicts, which builds the dicts of a
-        sweep one column at a time."""
-        tau, tau2 = rep.tension[i], rep.bitension
-        return {
-            **{name: float(getattr(rep.warp, name)[i]) for name in ("t", "f", "f1", "f2")},
-            "point": list(rep.base.geometry.point),
-            "tension": {"t": float(tau[0]), "n": tau[1:].tolist()},
-            "bitension": {"t": float(tau2.vec[i, 0]), "n": tau2.vec[i, 1:].tolist()},
-            "pairing": float(rep.pairing[i]),
-            "pairing_closed_form": float(rep.pairing_closed_form[i]),
-            "pairing_closed_form_applicable": rep.pairing_closed_form_applicable,
-            "power_residual": float(rep.power_residual[i]),
-            "tangential_part_norm": float(tau2.tangential_norm[i]),
-            "normal_part_norm": float(tau2.normal_norm[i]),
-        }
+        sweep one column at a time.  Its vectors are in warped-chart
+        components, which to_dicts forms from the report's frame ones."""
+        tau2 = rep.bitension
+        taus, vecs = (warped.to_chart(rep.base, rep.warp, v) for v in (rep.tension, tau2.vec))
+        return [
+            {
+                **{name: float(getattr(rep.warp, name)[i]) for name in ("t", "f", "f1", "f2")},
+                "point": list(rep.base.geometry.point),
+                "tension": {"t": float(tau[0]), "n": tau[1:].tolist()},
+                "bitension": {"t": float(vec[0]), "n": vec[1:].tolist()},
+                "pairing": float(rep.pairing[i]),
+                "pairing_closed_form": float(rep.pairing_closed_form[i]),
+                "pairing_closed_form_applicable": rep.pairing_closed_form_applicable,
+                "power_residual": float(rep.power_residual[i]),
+                "tangential_part_norm": float(tau2.tangential_norm[i]),
+                "normal_part_norm": float(tau2.normal_norm[i]),
+            }
+            for i, (tau, vec) in enumerate(zip(taus, vecs))
+        ]
 
     def test_long_sweep_dicts_equal_the_dicts_of_its_t(self, slice_scene):
         # warpgeo warp --json writes to_dicts
         ts = np.linspace(-0.5, 1.0, 20000)
         sweep = warped.warped_report(slice_scene(), ts, POINT)
-        per_t = [self._dict_of_one_t(sweep, i) for i in range(len(ts))]
+        per_t = self._dicts_of_each_t(sweep)
         assert repr(sweep.to_dicts()) == repr(per_t)  # repr tells -0.0 from 0.0
         one = warped.warped_report(slice_scene(), float(ts[7]), POINT)
         assert repr(one.to_dicts()) == repr(per_t[7:8])
@@ -475,7 +482,7 @@ class TestSweep:
         sweep = scene.warp_at(ts)
         for i, t in enumerate(ts):
             one = scene.warp_at(float(t))
-            for name in ("f_pow2", "f_pow3", "f_pow4", "f1_pow2"):
+            for name in ("f_pow3", "f_pow4", "f1_pow2"):
                 a, b = getattr(sweep, name)[i], getattr(one, name)
                 assert type(b) is float
                 assert np.array_equal(a, b)
@@ -516,15 +523,20 @@ class TestBasePoint:
         warped.inclusion_bitension(base, scene.warp_at(0.3))
         pg = base.geometry
         arrays = [a for a in vars(pg).values() if isinstance(a, np.ndarray)]
-        arrays += [pg.e2.coeffs, base.submanifold_bitension]
-        assert len(arrays) >= 19
+        arrays += [pg.e2.coeffs, base.eH, base.e_tau2_i, *base.e_tau2_i_split]
+        assert len(arrays) >= 22
         for a in arrays:
             with pytest.raises(ValueError):
                 a[(0,) * a.ndim] = 1.0
 
     def test_one_conformal_factor_per_point(self, sphere_slice):
-        # the h-inner product and |H|^2_h read the geometry's one e2; at
+        # the frame's factor e and |H|^2_h read the geometry's one e2; at
         # this point |x|^2 summed in another order rounds e2 differently
         base = warped.base_point(sphere_slice(1.0, 3), (-0.1, -0.3, 0.1))
-        h = np.concatenate(([0.0], base.geometry.H_val))
-        assert warped.hbar_inner(base, WarpEval(0.0, 1.0, 0.0, 0.0), h, h) == base.h2
+        e2, H = base.geometry.e2_val, base.geometry.H_val
+        assert base.e == math.sqrt(e2)
+        assert np.array_equal(base.eH, base.e * H)
+        assert base.h2 == e2 * np.vecdot(H, H)
+        # |eH|^2 is |H|^2_h; its rounding differs, so h2 keeps e2 H . H,
+        # whose bits verify's "pairing via Ricci" expected values pin
+        assert np.vecdot(base.eH, base.eH) == pytest.approx(base.h2, rel=1e-15, abs=0.0)
