@@ -281,24 +281,15 @@ def cmd_warp(args):
     ws = scene.require_warp()
     point = _parse_point("--point", args.point, scene.immersion.m)
     sweep = warped.warped_report(ws, _parse_tgrid(args.t), point)
-    w, tau2 = sweep.warp, sweep.bitension
-    # the table's and the CSV's columns, then the numbers only the JSON holds
-    columns = {
-        "t": w.t,
-        "f": w.f,
-        "pairing": sweep.pairing,
-        "pairing_closed_form": sweep.pairing_closed_form,
-        "power_residual": sweep.power_residual,
-        "tangential_norm": tau2.tangential_norm,
-        "normal_norm": tau2.normal_norm,
-    }
-    values = list(zip(*(c.tolist() for c in columns.values())))
-    csv_rows = [list(columns), *values]
-    tau_chart, tau2_chart = (warped.to_chart(sweep.base, w, v) for v in (sweep.tension, tau2.vec))
-    columns |= {"f1": w.f1, "f2": w.f2, "tension": tau_chart, "bitension": tau2_chart}
+    columns = sweep.columns
+    keys = ["t", "f", "pairing", "pairing_closed_form", "power_residual",
+            "tangential_part_norm", "normal_part_norm"]
+    values = list(zip(*(columns[key].tolist() for key in keys)))
+    csv_header = ["t", "f", "pairing", "pairing_closed_form", "power_residual",
+                  "tangential_norm", "normal_norm"]
     headers = ["t", "f", "pairing", "pairingClosed", "powerResidual", "|tangential|", "|normal|"]
-    _emit(args, lambda i: f"t = {_fmt(w.t[i])}", columns,
-          _table(headers, [[_fmt(v) for v in row] for row in values]), csv_rows,
+    _emit(args, lambda i: f"t = {_fmt(columns['t'][i])}", columns,
+          _table(headers, [[_fmt(v) for v in row] for row in values]), [csv_header, *values],
           lambda: {"reports": sweep.to_dicts()})
     return 0
 

@@ -306,34 +306,39 @@ class WarpedReport:
     pairing_closed_form_applicable: bool
     power_residual: object
 
-    def to_dicts(self):
-        """One dict per t, of a sweep or of a one-t report, its vectors in
-        warped-chart components, built column by column: one tolist() per
-        array.  The dict of t number i of a sweep equals that of its one-t
-        report."""
-        w, b = self.warp, self.bitension
+    @cached_property
+    def columns(self):
+        """The report's one per-t table, formed when first read: each key of
+        a to_dicts row, in its order, to an array with one row per t (one
+        row at one t).  tension and bitension rows are warped-chart
+        components, converted from the frame once here."""
+        w, b, point = self.warp, self.bitension, self.base.geometry.point
+        ts = np.ravel(w.t)
 
-        def column(x):  # a per-t value
-            return np.ravel(x).tolist()
+        def per_t(x):
+            return np.broadcast_to(x, ts.shape)
 
-        def vectors(v):
-            v = to_chart(self.base, w, v).reshape(-1, v.shape[-1])
-            return [{"t": t, "n": n} for t, n in zip(v[:, 0].tolist(), v[:, 1:].tolist())]
+        def chart(v):
+            return to_chart(self.base, w, v).reshape(ts.size, -1)
 
-        ts = column(w.t)
-        columns = {
-            "t": ts, "f": column(w.f), "f1": column(w.f1), "f2": column(w.f2),
-            "point": [list(self.base.geometry.point) for _ in ts],
-            "tension": vectors(self.tension),
-            "bitension": vectors(b.vec),
-            "pairing": column(self.pairing),
-            "pairing_closed_form": column(self.pairing_closed_form),
-            "pairing_closed_form_applicable": [self.pairing_closed_form_applicable] * len(ts),
-            "power_residual": column(self.power_residual),
-            "tangential_part_norm": column(b.tangential_norm),
-            "normal_part_norm": column(b.normal_norm),
+        return {
+            "t": ts, "f": per_t(w.f), "f1": per_t(w.f1), "f2": per_t(w.f2),
+            "point": np.broadcast_to(point, (ts.size, len(point))),
+            "tension": chart(self.tension), "bitension": chart(b.vec),
+            "pairing": per_t(self.pairing), "pairing_closed_form": per_t(self.pairing_closed_form),
+            "pairing_closed_form_applicable": per_t(self.pairing_closed_form_applicable),
+            "power_residual": per_t(self.power_residual),
+            "tangential_part_norm": per_t(b.tangential_norm),
+            "normal_part_norm": per_t(b.normal_norm),
         }
-        return [dict(zip(columns, row)) for row in zip(*columns.values())]
+
+    def to_dicts(self):
+        """The rows of `columns`, each vector as {"t", "n"}: one tolist() per
+        column.  Row i of a sweep equals the row of its one-t report."""
+        rows = {key: a.tolist() for key, a in self.columns.items()}
+        for key in ("tension", "bitension"):
+            rows[key] = [{"t": v[0], "n": v[1:]} for v in rows[key]]
+        return [dict(zip(rows, row)) for row in zip(*rows.values())]
 
 
 def _closed_form_pairing(base, w, residual):
@@ -345,11 +350,12 @@ def _closed_form_pairing(base, w, residual):
 
 def pairing(base, w):
     """h(tau_2(phi), tau(phi)) both by direct assembly and by the closed
-    form (the latter is valid only over a biharmonic base, gated by
-    classification of the same geometry).  P = f f'' + (m-1) f'^2 is
-    formed once and read by both.  The first t at which either pairing is
-    not finite is an EvalDomainError naming it."""
-    base.geometry.spec.require_hypersurface()
+    form, at any codimension.  The closed form holds over a biharmonic
+    base; `pairing_closed_form_applicable` is the classify gate of the same
+    geometry, which decides biharmonicity of hypersurfaces only and is
+    False for any other base.  P = f f'' + (m-1) f'^2 is formed once and
+    read by both.  The first t at which either pairing is not finite is an
+    EvalDomainError naming it."""
     with range_policy():
         residual = w.power_residual(base.geometry.spec.m)
         tau = inclusion_tension(base, w)

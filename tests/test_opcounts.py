@@ -650,3 +650,53 @@ def test_grid_classify_enters_the_error_state_once(errstate_entries):
 def test_verify_pass_enters_the_error_state_once(errstate_entries):
     verify.run_checks()
     assert errstate_entries[0] == 1
+
+
+@pytest.fixture
+def chart_calls(monkeypatch):
+    """Calls of warped.to_chart and formations of WarpedReport.columns."""
+    seen = {"to_chart": 0, "columns": 0}
+    to_chart, columns = warped.to_chart, warped.WarpedReport.columns
+
+    def counted_to_chart(*args):
+        seen["to_chart"] += 1
+        return to_chart(*args)
+
+    def counted_columns(self):
+        seen["columns"] += 1
+        return columns.func(self)
+
+    counted = functools.cached_property(counted_columns)
+    counted.__set_name__(warped.WarpedReport, columns.attrname)
+    monkeypatch.setattr(warped, "to_chart", counted_to_chart)
+    monkeypatch.setattr(warped.WarpedReport, columns.attrname, counted)
+    return seen
+
+
+def test_cli_warp_converts_each_vector_once(chart_calls, tmp_path):
+    # the table, the CSV, the finiteness check and the JSON all read the
+    # report's one table: tau and tau_2 are each converted to chart
+    # components once (twice each while the CLI converted them itself)
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps({
+        "ambient": {"model": "sphere", "dim": 3},
+        "immersion": {"variables": ["u", "v"], "components": ["u", "v", "1"]},
+        "warp": {"expr": "exp(t)", "interval": [-0.5, 1.0]},
+    }))
+    argv = ["warp", str(scene), "--t", "0:0.2:5", "--point", "0.3,-0.2",
+            "--json", str(tmp_path / "w.json"), "--csv", str(tmp_path / "w.csv")]
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(argv)
+    assert exit_.value.code == 0
+    assert chart_calls == {"to_chart": 2, "columns": 1}
+
+
+def test_pairing_request_forms_no_table(chart_calls):
+    # the bench's warp request: five one-t reports read for their pairing,
+    # closed form, gate and residual alone
+    scene = _scene()
+    for t in (0.1, 0.15, 0.2, 0.25, 0.3):
+        rep = warped.warped_report(scene, t, POINT)
+        assert rep.pairing == pytest.approx(rep.pairing_closed_form)
+        assert rep.pairing_closed_form_applicable and abs(rep.power_residual) > 0
+    assert chart_calls == {"to_chart": 0, "columns": 0}

@@ -319,6 +319,31 @@ class TestCli:
         assert code == 3
         assert "error" in out  # failed row is still printed
 
+    @pytest.mark.parametrize(
+        "scene, point, n",
+        [
+            ({**CODIM2_SCENE, "warp": SLICE_SCENE["warp"]}, "0.1,0.2", 4),
+            ({"ambient": {"model": "euclidean", "dim": 3},
+              "immersion": {"variables": ["u"], "components": ["cos(u)", "sin(u)", "0.5*u"]},
+              "warp": {"expr": "2+cos(t)", "interval": [0.0, 1.0]}}, "0.4", 3),
+        ],
+        ids=["codimension 2", "curve"],
+    )
+    def test_warp_off_hypersurfaces(self, tmp_path, capsys, scene, point, n):
+        # the warped closed forms hold at any codimension
+        out_json, out_csv = tmp_path / "warp.json", tmp_path / "warp.csv"
+        argv = ["warp", write_scene(tmp_path, scene), "--t", "0:1:3", "--point", point,
+                "--json", str(out_json), "--csv", str(out_csv)]
+        assert run_cli(argv) == 0
+        assert capsys.readouterr().err == ""
+        reports = json.loads(out_json.read_text())["reports"]
+        assert len(reports) == 3
+        for rep in reports:  # vectors on I x N: a dt component and n of N
+            assert len(rep["tension"]["n"]) == len(rep["bitension"]["n"]) == n
+            assert rep["pairing_closed_form_applicable"] is False
+        header = out_csv.read_text().splitlines()[0]
+        assert header == "t,f,pairing,pairing_closed_form,power_residual,tangential_norm,normal_norm"
+
     def test_warp_requires_warp_block(self, tmp_path, capsys):
         path = write_scene(tmp_path, CONE_SCENE)
         code = run_cli(["warp", path, "--t", "0:1:2", "--point", "1,1"])

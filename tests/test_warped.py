@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from warpgeo import jet as J
-from warpgeo import oracle, warped
+from warpgeo import oracle, verify, warped
 from warpgeo.ambient import AmbientChart, WarpEval
 from warpgeo.errors import ConfigError, EvalDomainError, UsageError
 from warpgeo.expr import eval_jet, free_symbols
@@ -540,3 +540,65 @@ class TestBasePoint:
         # |eH|^2 is |H|^2_h; its rounding differs, so h2 keeps e2 H . H,
         # whose bits verify's "pairing via Ricci" expected values pin
         assert np.vecdot(base.eH, base.eH) == pytest.approx(base.h2, rel=1e-15, abs=0.0)
+
+
+# bases off hypersurfaces, each (variables, components, ambient, point):
+# codimension 2 in S4 and in H4, and a helix, a curve in R3
+CODIM_BASES = {
+    "S4 codim 2": (("u", "v"), ("u", "v", "0.3+0.1*u*v", "0.2*u-0.1*v*v"),
+                   AmbientChart("sphere", 4), (0.2, -0.1)),
+    "H4 codim 2": (("u", "v"), ("u", "v", "0.1+0.1*u*v", "0.2*u*u-0.1*v"),
+                   AmbientChart("hyperbolic", 4), (0.1, 0.2)),
+    "helix in R3": (("u",), ("cos(u)", "sin(u)", "0.5*u"), AmbientChart("euclidean", 3), (0.4,)),
+}
+# about 100 times the largest gap measured over CODIM_BASES and the warps
+# below (3.6e-16 for tau, 1.2e-15 for tau_2, 6.2e-16 for the pairing),
+# rounded up to a power of ten
+CODIM_TOL = 1e-13
+
+
+class TestAnyCodimension:
+    """The warped closed forms hold for any submanifold of N, as the paper
+    states them: at codimension 2 and for a curve they match the oracle."""
+
+    @pytest.mark.parametrize("warp", ["exp(t)", "2+cos(t)", "sqrt(t+2)"])
+    @pytest.mark.parametrize("name", CODIM_BASES)
+    def test_closed_forms_match_the_oracle(self, name, warp):
+        variables, components, chart, point = CODIM_BASES[name]
+        spec = immersion(variables, components, {}, chart)
+        assert not spec.is_hypersurface
+        scene = warped.warped_scene(spec, warp, {}, INTERVAL)
+        ts = np.array([0.0, 0.3])
+        rep = warped.warped_report(scene, ts, point)
+        fp = oracle.first_principles(oracle.warped_inclusion_map(scene), (ts,) + point)
+        base, w = rep.base, rep.warp
+        assert np.all(verify._oracle_gap(base, w, fp.tension, rep.tension) <= CODIM_TOL)
+        assert np.all(verify._oracle_gap(base, w, fp.bitension, rep.bitension.vec) <= CODIM_TOL)
+        # h-bar of the oracle's tau_2 and tau: a dot product in the frame
+        ref = np.vecdot(warped.to_frame(base, w, fp.bitension), warped.to_frame(base, w, fp.tension))
+        assert np.all(abs(rep.pairing - ref) <= CODIM_TOL * (1.0 + abs(ref)))
+        assert not rep.pairing_closed_form_applicable
+
+    def test_characterization_at_codimension_2(self):
+        # S^2(1/sqrt 2) in a totally geodesic S^3 of S^4, proper biharmonic
+        # with |H| = 1, under f^2 affine (P = 0): tau_2(phi) is its dt slot
+        # -m^2 f'|H|^2/f^3 alone, tangent to I x M, so the pairing vanishes
+        spec = immersion(("u", "v"), ("u", "v", "1", "0"), {}, AmbientChart("sphere", 4))
+        params = {"a": 1.0, "b": 2.0, "m": 2}
+        scene = warped.warped_scene(spec, "(a*t+b)^(1/m)", params, (0.0, 1.5))
+        ts = np.linspace(0.05, 1.45, 5)
+        rep = warped.warped_report(scene, ts, POINT)
+        parts, w = rep.bitension, rep.warp
+        # measured at most 1.4e-17, 2.7e-17 and 1.9e-17
+        assert np.all(abs(rep.power_residual) <= 1e-15)
+        assert np.all(abs(rep.pairing) <= 1e-15)
+        assert np.all(parts.normal_norm <= 1e-15)
+        fp = oracle.first_principles(oracle.warped_inclusion_map(scene), (ts,) + POINT)
+        assert np.all(verify._oracle_gap(rep.base, w, fp.bitension, parts.vec) <= CODIM_TOL)
+        assert np.all(abs(parts.vec[:, 1:]) <= CODIM_TOL)
+        dt_slot = -4.0 * w.f1 / w.f**3 * rep.base.h2
+        assert parts.tangential[:, 0] == pytest.approx(dt_slot, rel=1e-13)
+        assert np.all(parts.tangential_norm >= 0.16)
+        # the classify gate decides hypersurfaces only, so the closed form
+        # is not marked applicable on this biharmonic base
+        assert not rep.pairing_closed_form_applicable
