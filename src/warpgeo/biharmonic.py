@@ -36,7 +36,7 @@ def normal_residual(pg):
     points of the hypersurface PointGeometry `pg`; a point at which lambda,
     |A|^2, Delta(lambda) or the residual is not finite is an
     EvalDomainError (`_require_finite`)."""
-    pg.require_hypersurface()
+    pg.spec.require_hypersurface()
     m = pg.spec.m
     with range_policy():
         residual = m * (-pg.lap_lam + pg.lam * pg.normA2 - pg.lam * pg.ric_eta_eta)
@@ -62,7 +62,7 @@ def tangential_residual(pg):
     is not computed: in a space form Ric(eta) = (n-1)c eta is normal, so
     its projection onto span{d_i X} vanishes.
     """
-    pg.require_hypersurface()
+    pg.spec.require_hypersurface()
     m = pg.spec.m
 
     with range_policy():

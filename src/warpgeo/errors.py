@@ -47,6 +47,12 @@ def first_failing(ok, *values):
     return [float(np.broadcast_to(v, ok.shape).flat[i]) for v in values]
 
 
+def as_value(x):
+    """A value as callers get it: an array with a batch axis as it is, and
+    one point's value (a float, a numpy scalar or a 0-d array) as a float."""
+    return x if type(x) is np.ndarray and x.ndim else float(x)
+
+
 class WarpgeoError(Exception):
     exit_code = 1
 
@@ -92,8 +98,5 @@ class SingularJetError(EvalDomainError):
 
 
 class DegenerateImmersionError(EvalDomainError):
-    """Induced metric not invertible at the queried point."""
-
-    def __init__(self, message, det=None):
-        super().__init__(message, value=det)
-        self.det = det
+    """Induced metric not invertible at the queried point; `value` is its
+    det g."""

@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import jet as J
-from .errors import EvalDomainError, ExprSyntaxError, UsageError, WarpgeoError, range_policy
+from .errors import EvalDomainError, ExprSyntaxError, UsageError, WarpgeoError
+from .errors import as_value, range_policy
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt")
 MAX_DEPTH = 100
@@ -256,20 +257,12 @@ def pretty(node):
 
 
 def free_symbols(node):
-    out = set()
-
-    def walk(n):
+    out, todo = set(), [node]
+    while todo:
+        n = todo.pop()
         if isinstance(n, Name):
             out.add(n.ident)
-        elif isinstance(n, Neg):
-            walk(n.operand)
-        elif isinstance(n, BinOp):
-            walk(n.left)
-            walk(n.right)
-        elif isinstance(n, Call):
-            walk(n.arg)
-
-    walk(node)
+        todo.extend(_operands(n))
     return frozenset(out)
 
 
@@ -367,8 +360,7 @@ def eval_jet(ast, variables, params=None):
                 if node.ident in variables:
                     return variables[node.ident]
                 if node.ident in params:
-                    value = np.asarray(params[node.ident], dtype=float)
-                    return value if value.ndim else float(value)
+                    return as_value(np.asarray(params[node.ident], dtype=float))
                 raise UsageError(f"unbound identifier {node.ident!r}")
             if isinstance(node, Neg):
                 return -ev(node.operand)

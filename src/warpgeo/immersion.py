@@ -18,7 +18,7 @@ import numpy as np
 from . import jet as J
 from .ambient import AmbientChart
 from .errors import ConfigError, DegenerateImmersionError, EvalDomainError, UsageError
-from .errors import first_failing, range_policy
+from .errors import as_value, first_failing, range_policy
 from .expr import eval_jet, free_symbols, is_name, parse, pretty
 
 JET_ORDER = 4
@@ -211,7 +211,7 @@ def _check_nondegenerate(g_val):
     # the geometric mean of the diagonal
     scale = np.exp(np.add.reduce(np.log(np.maximum(diag, 1e-300)), axis=-1) / diag.shape[-1])
     if bad := first_failing(det > 1e-12 * scale, det):
-        raise DegenerateImmersionError(f"degenerate induced metric, det g = {bad[0]:g}", det=bad[0])
+        raise DegenerateImmersionError(f"degenerate induced metric, det g = {bad[0]:g}", bad[0])
 
 
 @lru_cache(maxsize=None)
@@ -270,7 +270,7 @@ class PointGeometry:
         with range_policy():
             self.spec = spec
             coords = [np.asarray(p, dtype=float) for p in point]
-            self.point = tuple(c if c.ndim else float(c) for c in coords)
+            self.point = tuple(as_value(c) for c in coords)
             m = spec.m
             var_jets = [
                 J.jet_variable(i, self.point[i], m, JET_ORDER) for i in range(m)
@@ -362,9 +362,6 @@ class PointGeometry:
         return out
 
     # -- conveniences -----------------------------------------------------
-
-    def require_hypersurface(self):
-        self.spec.require_hypersurface()
 
     @property
     def A_frame(self):

@@ -63,7 +63,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, EvalDomainError, SingularJetError, UsageError, first_failing
-from .errors import range_policy
+from .errors import as_value, range_policy
 
 MAX_VARS = 6
 MAX_ORDER = 4
@@ -155,12 +155,6 @@ def _space(n_vars, order):
     )
 
 
-def _scalar(x):
-    """A coefficient row as returned to callers: a float for an unbatched
-    jet, an array of the batch shape otherwise."""
-    return float(x) if x.ndim == 0 else x
-
-
 def _aligned(a, b):
     """Two coefficient arrays with their batch axes lined up, so that a
     jet of batch shape () broadcasts against a batched one."""
@@ -199,7 +193,7 @@ class Jet:
 
     @property
     def value(self):
-        return _scalar(self.coeffs[0])
+        return as_value(self.coeffs[0])
 
     def partial(self, alpha):
         """Return the raw derivative d^alpha f at the point."""
@@ -210,7 +204,7 @@ class Jet:
                 raise UsageError(f"multi-index length {len(alpha)} != {self.n_vars}")
             raise UsageError(f"{alpha} is not a multi-index of order <= {self.order}")
         i = space.index[alpha]
-        return _scalar(self.coeffs[i] * space.factorials[i])
+        return as_value(self.coeffs[i] * space.factorials[i])
 
     def trunc(self, order):
         if order == self.order:

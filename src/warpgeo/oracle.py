@@ -31,7 +31,7 @@ import numpy as np
 
 from . import jet as J
 from .ambient import spaceform_curvature
-from .errors import UsageError, range_policy
+from .errors import UsageError, as_value, range_policy
 from .immersion import (
     PointGeometry,
     christoffels_from_metric,
@@ -331,4 +331,4 @@ def ricci(riem, x_vec):
     ric = np.einsum("...iijk->...jk", riem)
     x = np.asarray(x_vec, dtype=float)
     r = np.vecdot(np.vecmat(x, ric), x)
-    return r if r.ndim else float(r)
+    return as_value(r)

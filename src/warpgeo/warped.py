@@ -15,7 +15,7 @@ from . import jet as J
 from . import oracle
 from .ambient import WarpEval
 from .biharmonic import classify
-from .errors import ConfigError, EvalDomainError, UsageError, first_failing, range_policy
+from .errors import ConfigError, EvalDomainError, UsageError, as_value, first_failing, range_policy
 from .expr import eval_jet, fold_constants, free_symbols, parse
 from .immersion import PointGeometry, per_point
 
@@ -90,8 +90,7 @@ class WarpedScene:
         first t that fails it.  A float t is used as it is, with no array
         made of it."""
         if type(t) is not float:
-            t = np.asarray(t, dtype=float)
-            t = t if t.ndim else float(t)
+            t = as_value(np.asarray(t, dtype=float))
         with range_policy():
             f = self.warp_jet(J.jet_variable(0, t, 1, 2))
             return WarpEval(t, f.value, f.partial((1,)), f.partial((2,)))
@@ -198,11 +197,6 @@ def base_point_of(pg):
 # for bit.
 
 
-def _per_t(x):
-    """A per-t result: a float at one t, an array over a sweep."""
-    return x if type(x) is np.ndarray and x.ndim else float(x)
-
-
 def _vector(t_part, n_part):
     """The vector on I x N with dt component `t_part` (a per-t value) and
     N components `n_part` (..., n)."""
@@ -232,7 +226,7 @@ def hbar_norm(a):
     (tau_2(phi)'s dt slot is about 4e220 at f = 1e-70, past the float range
     squared)."""
     with range_policy():
-        return _per_t(np.hypot.reduce(a, axis=-1))
+        return as_value(np.hypot.reduce(a, axis=-1))
 
 
 def inclusion_tension(base, w):
@@ -242,17 +236,18 @@ def inclusion_tension(base, w):
 
 
 class BitensionParts:
-    """tau_2(phi) at a BasePoint and a WarpEval, as the vector `vec`, and
-    its split relative to T(I x M), dt plus span{dX_i}: the parts
-    `tangential` and `normal` and their norms `tangential_norm` and
-    `normal_norm` (per t).  H is normal to M, so the N side of the split is
-    the BasePoint's split of e tau_2(i) over f^3, with 2m P eH / f^3 in the
-    normal part.  Each part is formed when it is first read and then kept,
-    so a caller that reads only the pairing forms neither them nor the
-    BasePoint's split."""
+    """tau_2(phi) at a BasePoint and a WarpEval, as the vector `vec`, the
+    P = f f'' + (m-1) f'^2 it reads as `residual` (per t), and its split
+    relative to T(I x M), dt plus span{dX_i}: the parts `tangential` and
+    `normal` and their norms `tangential_norm` and `normal_norm` (per t).
+    H is normal to M, so the N side of the split is the BasePoint's split
+    of e tau_2(i) over f^3, with 2m P eH / f^3 in the normal part.  Each
+    part is formed when it is first read and then kept, so a caller that
+    reads only the pairing forms neither them nor the BasePoint's split."""
 
-    def __init__(self, base, t_part, h_part, f3):
-        self.base, self.t_part, self.h_part, self.f3 = base, t_part, h_part, f3
+    def __init__(self, base, residual, t_part, h_part, f3):
+        self.base, self.residual, self.f3 = base, residual, f3
+        self.t_part, self.h_part = t_part, h_part
         self.vec = _vector(t_part, (h_part + base.e_tau2_i) / f3)
 
     @cached_property
@@ -274,10 +269,10 @@ class BitensionParts:
         return hbar_norm(self.normal)
 
 
-def inclusion_bitension(base, w, residual=None):
+def inclusion_bitension(base, w):
     """tau_2(phi) = (2m P / f^4) H + (1 / f^4) tau_2(i) - (m^2 f' / f^3) |H|^2 dt,
-    with P = f f'' + (m-1) f'^2, `w.power_residual(m)` unless the caller
-    has formed it as `residual`: in the frame, [2m P eH + e tau_2(i)] / f^3
+    with P = f f'' + (m-1) f'^2, `w.power_residual(m)`, formed here and kept
+    as the result's `residual`: in the frame, [2m P eH + e tau_2(i)] / f^3
     and the same dt slot.
 
     tau_2(i) is the bitension of the unwarped inclusion i: M -> N, whose
@@ -285,11 +280,10 @@ def inclusion_bitension(base, w, residual=None):
     the same geometry, so non-biharmonic bases are handled without
     assumption."""
     m = base.geometry.spec.m
-    if residual is None:
-        residual = w.power_residual(m)
+    residual = w.power_residual(m)
     t_part = -(m**2) * w.f1 / w.f_pow3 * base.h2
     h_part = per_point(2.0 * m * residual, 1) * base.eH
-    return BitensionParts(base, t_part, h_part, per_point(w.f_pow3, 1))
+    return BitensionParts(base, residual, t_part, h_part, per_point(w.f_pow3, 1))
 
 
 @dataclass(frozen=True)
@@ -353,20 +347,19 @@ def pairing(base, w):
     form, at any codimension.  The closed form holds over a biharmonic
     base; `pairing_closed_form_applicable` is the classify gate of the same
     geometry, which decides biharmonicity of hypersurfaces only and is
-    False for any other base.  P = f f'' + (m-1) f'^2 is formed once and
-    read by both.  The first t at which either pairing is not finite is an
-    EvalDomainError naming it."""
+    False for any other base.  Both read the P = f f'' + (m-1) f'^2 that
+    `inclusion_bitension` forms.  The first t at which either pairing is
+    not finite is an EvalDomainError naming it."""
     with range_policy():
-        residual = w.power_residual(base.geometry.spec.m)
         tau = inclusion_tension(base, w)
-        tau2 = inclusion_bitension(base, w, residual)
-        direct = _per_t(np.vecdot(tau2.vec, tau))
-        closed = _closed_form_pairing(base, w, residual)
+        tau2 = inclusion_bitension(base, w)
+        direct = as_value(np.vecdot(tau2.vec, tau))
+        closed = _closed_form_pairing(base, w, tau2.residual)
     if bad := first_failing((abs(direct) < math.inf) & (abs(closed) < math.inf), w.t, direct):
         t, p = bad
         name = "pairing" if not math.isfinite(p) else "pairing_closed_form"
         raise EvalDomainError(f"{name} is not finite at t = {t:.9g}", value=t)
-    return WarpedReport(base, w, tau, tau2, direct, closed, base.biharmonic, residual)
+    return WarpedReport(base, w, tau, tau2, direct, closed, base.biharmonic, tau2.residual)
 
 
 @dataclass(frozen=True)

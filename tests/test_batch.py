@@ -14,6 +14,7 @@ from warpgeo import AmbientChart, biharmonic, classify, cli, immersion, verify, 
 from warpgeo import jet as J
 from warpgeo.ambient import WarpEval
 from warpgeo.errors import DegenerateImmersionError, EvalDomainError, UsageError, WarpgeoError
+from warpgeo.errors import as_value
 from warpgeo.immersion import PointGeometry
 
 # (name, arity, function, value shift): the shift moves each operand's value
@@ -103,6 +104,19 @@ def test_linear_algebra_acts_column_by_column(shape, dim):
     for k in range(batch):
         single = J.jet_mat_inverse(c[..., k], n_vars, inv0[..., k])
         assert np.array_equal(inverse[..., k], single)
+
+
+@pytest.mark.parametrize(
+    "x", [2.5, np.float64(2.5), np.array(2.5)], ids=["float", "numpy scalar", "0-d array"]
+)
+def test_one_point_value_is_a_float(x):
+    assert type(as_value(x)) is float
+    assert as_value(x) == 2.5
+
+
+def test_batch_value_is_its_array():
+    x = np.array([1.0, 2.0])
+    assert as_value(x) is x
 
 
 def test_batched_domain_error_names_the_first_failing_point():

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from scipy.optimize import bisect
 
 from warpgeo import biharmonic as bh
-from warpgeo import verify
+from warpgeo import oracle, verify, warped
 from warpgeo.ambient import AmbientChart
 from warpgeo.errors import EvalDomainError, UsageError
 from warpgeo.immersion import PointGeometry, immersion
@@ -133,6 +133,51 @@ class TestClassify:
         d = bh.classify(cone(1.0), [(1.0, 0.7)], 1e-7).to_dict()
         assert d["points"] == [[1.0, 0.7]]
         assert set(d) >= {"tol", "scale", "maxNormalResidual", "biharmonic"}
+
+
+def _clifford_torus(a):
+    """S^1(a) x S^2(sqrt(1-a^2)) in S^4, in the stereographic chart, with
+    chart variables (p, q, s): an m = 3 hypersurface, proper biharmonic at
+    a = 1/sqrt 2 and minimal at a = 1/sqrt 3."""
+    c, d = "sqrt(1-a^2)", "(1+sqrt(1-a^2)*sin(q))"
+    components = (f"a*cos(p)/{d}", f"a*sin(p)/{d}",
+                  f"{c}*cos(q)*cos(s)/{d}", f"{c}*cos(q)*sin(s)/{d}")
+    return immersion(("p", "q", "s"), components, {"a": a}, AmbientChart("sphere", 4))
+
+
+TORUS_POINTS = [(0.3, 0.2, 0.1), (1.0, -0.4, 0.7)]
+TORUS_RADII = [1.0 / math.sqrt(2.0), 1.0 / math.sqrt(3.0), 0.6]
+
+
+class TestCliffordTorus:
+    def test_classify(self):
+        proper = bh.classify(_clifford_torus(1.0 / math.sqrt(2.0)), TORUS_POINTS, 1e-7)
+        assert proper.biharmonic and not proper.harmonic
+        assert proper.max_mean_curvature == pytest.approx(1.0 / 3.0, rel=1e-12)
+        assert bh.classify(_clifford_torus(1.0 / math.sqrt(3.0)), TORUS_POINTS, 1e-7).harmonic
+        # at a = 0.6 the principal curvatures are 4/3 and -3/4 (twice):
+        # lambda = -1/18 and |A|^2 - 3 = -7/72, so m lambda (|A|^2 - m) = 7/432
+        off = bh.classify(_clifford_torus(0.6), TORUS_POINTS, 1e-7)
+        assert not off.normally_biharmonic
+        assert off.max_normal == pytest.approx(7.0 / 432.0, rel=1e-9)
+
+    @pytest.mark.parametrize("a", TORUS_RADII)
+    def test_submanifold_bitension_matches_the_oracle(self, a):
+        # measured at most 1.5e-15 of 1 + |oracle|
+        spec = _clifford_torus(a)
+        for point in TORUS_POINTS:
+            closed = oracle.submanifold_bitension(PointGeometry(spec, point))
+            ref = oracle.first_principles(oracle.inclusion_map(spec), point).bitension
+            assert np.linalg.norm(closed - ref) <= 1e-12 * (1.0 + np.linalg.norm(ref))
+
+    @pytest.mark.parametrize("a", TORUS_RADII)
+    def test_warped_bitension_matches_the_oracle(self, a):
+        # measured at most 2.4e-16
+        scene = warped.warped_scene(_clifford_torus(a), "2+cos(t)", {}, (-0.5, 1.0))
+        for point in TORUS_POINTS:
+            rep = warped.warped_report(scene, 0.3, point)
+            fp = oracle.first_principles(oracle.warped_inclusion_map(scene), (0.3,) + point)
+            assert verify._oracle_gap(rep.base, rep.warp, fp.bitension, rep.bitension.vec) <= 1e-13
 
 
 class TestScan:

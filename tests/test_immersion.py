@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from warpgeo.ambient import AmbientChart
+from warpgeo.biharmonic import normal_residual, tangential_residual
 from warpgeo.errors import ConfigError, DegenerateImmersionError, UsageError
 from warpgeo.immersion import PointGeometry, immersion
 
@@ -37,8 +38,11 @@ class TestSpecValidation:
         assert cone(1.0).is_hypersurface
         curve = immersion(("s",), ("s", "s", "0"), {}, AmbientChart("euclidean", 3))
         assert not curve.is_hypersurface
-        with pytest.raises(UsageError):
-            PointGeometry(curve, (1.0,)).require_hypersurface()
+        pg = PointGeometry(curve, (1.0,))
+        # the residuals refuse a base that is not a hypersurface
+        for residual in (normal_residual, tangential_residual):
+            with pytest.raises(UsageError, match="hypersurface-only"):
+                residual(pg)
 
 
 class TestReportInvariants:
