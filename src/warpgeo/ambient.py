@@ -11,8 +11,7 @@ immersion instead.
 from __future__ import annotations
 
 import math
-import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,60 +110,37 @@ def spaceform_curvature(chart, x_vec, y_vec, z_vec, e2):
 class WarpEval:
     """Warping function and its first two derivatives at t, as
     `WarpedScene.warp_at` evaluates them: floats at one t, and arrays of
-    one shape over a sweep of t.  It forms the powers of f and f' that the
-    closed forms read once, by `power`: f^3, f^4 and f'^2.  A refusal
-    names the first t that fails it (`errors.first_failing`)."""
+    one shape over a sweep of t.  A refusal names the first t that fails
+    it (`errors.first_failing`)."""
 
     t: object
     f: object
     f1: object
     f2: object
-    f_pow3: object = field(init=False)
-    f_pow4: object = field(init=False)
-    f1_pow2: object = field(init=False)
 
     def __post_init__(self):
-        f, f1 = self.f, self.f1
-        with range_policy():
-            factors = {
-                "f_pow3": power(f, 3), "f_pow4": power(f, 4), "f1_pow2": power(f1, 2),
-            }
-        self.__dict__.update(factors)  # set once, here: the dataclass is frozen
-        # the first t at which f is not positive, a value is not finite,
-        # f^4, which the closed forms divide by, is not a finite normal
-        # float, or f'^2 is not finite, with the message of its first
-        # failing check
-        inf, f4 = math.inf, self.f_pow4
-        ok = (0.0 < f) & (abs(f1) < inf) & (abs(self.f2) < inf)
-        ok &= (sys.float_info.min <= f4) & (f4 < inf) & (self.f1_pow2 < inf)
-        if not (bad := first_failing(ok, self.t, f, f1, self.f2, f4)):
+        # the first t at which f is not positive or a value is not finite,
+        # with the message of its first failing check
+        f, f1, f2, inf = self.f, self.f1, self.f2, math.inf
+        ok = (0.0 < f) & (f < inf) & (abs(f1) < inf) & (abs(f2) < inf)
+        if not (bad := first_failing(ok, f, f1, f2)):
             return
-        t, f, f1, f2, f4 = bad
+        f, f1, f2 = bad
         if not f > 0.0:
             raise EvalDomainError(f"warping function must be positive, got {f:g}", value=f)
-        if not all(map(math.isfinite, (f, f1, f2))):
-            raise EvalDomainError(
-                f"warping function and its derivatives must be finite, got "
-                f"f={f:g}, f'={f1:g}, f''={f2:g}",
-                value=f,
-            )
-        if not sys.float_info.min <= f4 < inf:
-            raise EvalDomainError(
-                f"f^4 of the warping function must be a finite normal float, got f={f:g}",
-                value=f,
-            )
         raise EvalDomainError(
-            f"f'^2 of the warping function must be finite, got f'={f1:g} at t={t:g}",
-            value=f1,
+            f"warping function and its derivatives must be finite, got "
+            f"f={f:g}, f'={f1:g}, f''={f2:g}",
+            value=f,
         )
 
     def power_residual(self, m):
         """P = f f'' + (m-1) f'^2, the power-family residual, refused at the
         first t where it is not finite."""
-        f, f2, f1_pow2 = self.f, self.f2, self.f1_pow2
+        f, f1, f2 = self.f, self.f1, self.f2
         with range_policy():
-            residual = f * f2 + (m - 1) * f1_pow2
-        if not (bad := first_failing(abs(residual) < math.inf, self.t, f, self.f1, f2)):
+            residual = f * f2 + (m - 1) * (f1 * f1)
+        if not (bad := first_failing(abs(residual) < math.inf, self.t, f, f1, f2)):
             return residual
         t, f, f1, f2 = bad
         raise EvalDomainError(
@@ -172,17 +148,3 @@ class WarpEval:
             f"f={f:g}, f'={f1:g}, f''={f2:g} at t={t:g}",
             value=f1,
         )
-
-
-def power(x, p):
-    """x ** p for a float or an array x, by C's pow at every entry, as
-    Python takes a float's power: numpy's own array power rounds some
-    entries differently, so a sweep would not equal its one-t values.  An
-    overflow gives an infinity either way, where a float's power raises and
-    numpy's warns: -inf for an odd power of a negative x."""
-    if isinstance(x, float):
-        try:
-            return x**p
-        except OverflowError:
-            return math.copysign(math.inf, x) if p % 2 == 1 else math.inf
-    return np.float_power(x, p)

@@ -192,9 +192,9 @@ def base_point_of(pg):
 # vector's N components times f e (`to_frame`, `to_chart`).  Over a sweep
 # of t the vectors, and every per-t value, carry a leading sweep axis.
 # Products of vectors and matrices act vector by vector (np.vecdot and
-# np.matvec take np.dot's path for each), and the powers of f and f' are
-# WarpEval's, by C's pow, so each t of a sweep equals its one-t value bit
-# for bit.
+# np.matvec take np.dot's path for each), and the rest is +, -, * and /,
+# correctly rounded on a float and an array alike, so each t of a sweep
+# equals its one-t value bit for bit.
 
 
 def _vector(t_part, n_part):
@@ -241,24 +241,29 @@ class BitensionParts:
     relative to T(I x M), dt plus span{dX_i}: the parts `tangential` and
     `normal` and their norms `tangential_norm` and `normal_norm` (per t).
     H is normal to M, so the N side of the split is the BasePoint's split
-    of e tau_2(i) over f^3, with 2m P eH / f^3 in the normal part.  Each
-    part is formed when it is first read and then kept, so a caller that
-    reads only the pairing forms neither them nor the BasePoint's split."""
+    of e tau_2(i) over f^3, with the P term `h_part`, 2m (P / f^2) eH / f,
+    in the normal part.  Each part is formed when it is first read and
+    then kept, so a caller that reads only the pairing forms neither them
+    nor the BasePoint's split."""
 
-    def __init__(self, base, residual, t_part, h_part, f3):
-        self.base, self.residual, self.f3 = base, residual, f3
+    def __init__(self, base, residual, t_part, h_part, f):
+        self.base, self.residual, self.f = base, residual, f
         self.t_part, self.h_part = t_part, h_part
-        self.vec = _vector(t_part, (h_part + base.e_tau2_i) / f3)
+        self.vec = _vector(t_part, h_part + self._over_f3(base.e_tau2_i))
+
+    def _over_f3(self, v):
+        """v / f^3, one factor of f at a time."""
+        return v / self.f / self.f / self.f
 
     @cached_property
     def tangential(self):
         with range_policy():
-            return _vector(self.t_part, self.base.e_tau2_i_split[0] / self.f3)
+            return _vector(self.t_part, self._over_f3(self.base.e_tau2_i_split[0]))
 
     @cached_property
     def normal(self):
         with range_policy():
-            return _vector(0.0, (self.h_part + self.base.e_tau2_i_split[1]) / self.f3)
+            return _vector(0.0, self.h_part + self._over_f3(self.base.e_tau2_i_split[1]))
 
     @cached_property
     def tangential_norm(self):
@@ -273,7 +278,10 @@ def inclusion_bitension(base, w):
     """tau_2(phi) = (2m P / f^4) H + (1 / f^4) tau_2(i) - (m^2 f' / f^3) |H|^2 dt,
     with P = f f'' + (m-1) f'^2, `w.power_residual(m)`, formed here and kept
     as the result's `residual`: in the frame, [2m P eH + e tau_2(i)] / f^3
-    and the same dt slot.
+    and the same dt slot.  Each is divided by f one factor at a time, from
+    P / f^2 and f' / f, so no step leaves the float range unless the
+    value it forms does; |H|^2 and eH multiply before the last factors of
+    f divide, so over a minimal base no 0 * inf makes a NaN.
 
     tau_2(i) is the bitension of the unwarped inclusion i: M -> N, whose
     tension is m H; it comes from the submanifold closed form evaluated on
@@ -281,9 +289,10 @@ def inclusion_bitension(base, w):
     assumption."""
     m = base.geometry.spec.m
     residual = w.power_residual(m)
-    t_part = -(m**2) * w.f1 / w.f_pow3 * base.h2
-    h_part = per_point(2.0 * m * residual, 1) * base.eH
-    return BitensionParts(base, residual, t_part, h_part, per_point(w.f_pow3, 1))
+    t_part = -(m**2) * base.h2 * (w.f1 / w.f) / w.f / w.f
+    f = per_point(w.f, 1)
+    h_part = per_point(2.0 * m * (residual / w.f / w.f), 1) * base.eH / f
+    return BitensionParts(base, residual, t_part, h_part, f)
 
 
 @dataclass(frozen=True)
@@ -337,9 +346,11 @@ class WarpedReport:
 
 def _closed_form_pairing(base, w, residual):
     """2 m^2 P / f^4 |H|^2, the pairing over a biharmonic base, from the
-    residual P = f f'' + (m-1) f'^2 the caller has formed."""
+    residual P = f f'' + (m-1) f'^2 as the caller has formed it (the
+    Ricci check passes Ric - Ric~, which equals it), divided by f one
+    factor at a time."""
     m = base.geometry.spec.m
-    return 2.0 * m**2 * residual / w.f_pow4 * base.h2
+    return 2.0 * m**2 * base.h2 * (residual / w.f / w.f) / w.f / w.f
 
 
 def pairing(base, w):
@@ -396,7 +407,7 @@ def ricci_warped_check(base, w, x_intrinsic, riemann):
         ric_base=ric_base,
         ric_warped=ric_warped,
         identity_residual=ric_warped - ric_base + resid,
-        pairing_via_ricci=2.0 * m**2 / w.f_pow4 * (ric_base - ric_warped) * base.h2,
+        pairing_via_ricci=_closed_form_pairing(base, w, ric_base - ric_warped),
         pairing_closed_form=_closed_form_pairing(base, w, resid),
     )
 

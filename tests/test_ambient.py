@@ -5,7 +5,7 @@ import pytest
 
 from warpgeo import jet as J
 from warpgeo import oracle, warped
-from warpgeo.ambient import AmbientChart, WarpEval, power, spaceform_curvature
+from warpgeo.ambient import AmbientChart, WarpEval, spaceform_curvature
 from warpgeo.errors import ConfigError, EvalDomainError
 from warpgeo.expr import eval_jet, parse
 from warpgeo.immersion import immersion
@@ -122,17 +122,6 @@ class TestCharts:
 
 
 class TestWarped:
-    @pytest.mark.parametrize("x", [1e200, -1e200, 1e-200, -1e-200, 0.3, -0.0])
-    @pytest.mark.parametrize("p", [2, 3, 4])
-    def test_power_of_a_float_equals_the_array_power(self, x, p):
-        # bit for bit and sign bit, an overflow included: a float's power
-        # raises OverflowError where numpy's gives an infinity
-        with np.errstate(over="ignore"):
-            want = float(np.float_power(np.array([x]), p)[0])
-        got = power(x, p)
-        assert type(got) is float
-        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
-
     def test_warp_eval_positive(self):
         with pytest.raises(EvalDomainError):
             WarpEval(0.0, -1.0, 0.0, 0.0)

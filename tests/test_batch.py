@@ -223,6 +223,10 @@ def _slice_warp(source, interval):
     return warped.warped_scene(verify.sphere_slice(0.5), source, {}, interval)
 
 
+def _slice_base():
+    return warped.base_point(verify.sphere_slice(0.5), (0.3, -0.2))
+
+
 def _emit_rows(rows, columns):
     labels = [f"row {i}" for i in rows]
     cli._emit(argparse.Namespace(csv=None, json=None), labels.__getitem__, columns, [])
@@ -272,13 +276,18 @@ REFUSALS = {
         lambda: _warp([0, 1, 2], [1, 1, 1], [0, inf, nan], [0, 0, 0]),
         lambda: WarpEval(1.0, 1.0, inf, 0.0),
     ),
+    # f^4 leaves the float range, and so does the pairing, about 1/f^4
+    # over the r = 0.5 slice, which is not biharmonic
     "warp f^4": (
-        lambda: _warp([0, 1, 2], [1, 1e-100, 1e-90], [0, 0, 0], [0, 0, 0]),
-        lambda: WarpEval(1.0, 1e-100, 0.0, 0.0),
+        lambda: warped.pairing(
+            _slice_base(), _warp([0, 1, 2], [1, 1e-100, 1e-90], [0, 0, 0], [0, 0, 0])
+        ),
+        lambda: warped.pairing(_slice_base(), WarpEval(1.0, 1e-100, 0.0, 0.0)),
     ),
+    # f'^2 leaves the float range, and so does P
     "warp f'^2": (
-        lambda: _warp([0, 1, 2], [1, 1, 1], [0, 1e200, 1e300], [0, 0, 0]),
-        lambda: WarpEval(1.0, 1.0, 1e200, 0.0),
+        lambda: _warp([0, 1, 2], [1, 1, 1], [0, 1e200, 1e300], [0, 0, 0]).power_residual(2),
+        lambda: WarpEval(1.0, 1.0, 1e200, 0.0).power_residual(2),
     ),
     "power residual": (
         lambda: _warp([0, 1, 2], [1, 2, 2], [0, 1e150, 1e150], [0, 1e308, 1e308]).power_residual(2),

@@ -472,34 +472,28 @@ def test_oracle_conformal_factor_count(conformal_factors, name, calls):
 
 @pytest.fixture
 def warp_factor_calls(monkeypatch):
-    """Calls of ambient.power and of WarpEval.power_residual, the
-    evaluation of P = f f'' + (m-1) f'^2."""
-    seen = {"power": 0, "power_residual": 0}
-    power, residual = ambient.power, ambient.WarpEval.power_residual
-
-    def counted_power(x, p):
-        seen["power"] += 1
-        return power(x, p)
+    """Calls of WarpEval.power_residual, the evaluation of
+    P = f f'' + (m-1) f'^2."""
+    seen = {"power_residual": 0}
+    residual = ambient.WarpEval.power_residual
 
     def counted_residual(self, m):
         seen["power_residual"] += 1
         return residual(self, m)
 
-    monkeypatch.setattr(ambient, "power", counted_power)
     monkeypatch.setattr(ambient.WarpEval, "power_residual", counted_residual)
     return seen
 
 
 @pytest.mark.parametrize("warp", ["exp(t)", "(a*t+b)^(1/m)"])
 def test_one_t_report_forms_the_warp_factors_once(warp_factor_calls, warp):
-    # WarpEval forms f^3, f^4 and f'^2, and pairing forms P once for the
-    # bitension, the closed-form pairing and the report (11 powers and 3
-    # evaluations of P before; 4 powers while the closed forms' vectors
-    # were in chart components, whose inner product scaled by f^2)
+    # pairing forms P once for the bitension, the closed-form pairing and
+    # the report (3 evaluations of P before, and 11 powers of f and f',
+    # then 3, until the closed forms divided by f one factor at a time)
     params = {"a": 1.0, "b": 2.0, "m": 2} if "a" in warp else {}
     scene = warped.warped_scene(verify.sphere_slice(1.0), warp, params, (0.0, 1.0))
     warped.warped_report(scene, 0.3, POINT)
-    assert warp_factor_calls == {"power": 3, "power_residual": 1}
+    assert warp_factor_calls == {"power_residual": 1}
 
 
 @pytest.fixture

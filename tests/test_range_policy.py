@@ -85,6 +85,43 @@ def test_overflowing_pairing_is_refused_in_process():
             warped.warped_report(scene, t, (0.3, -0.2))
 
 
+@pytest.mark.parametrize(
+    "interval, ts", [((-200.0, 0.0), [-190.0, -200.0]), ((0.0, 200.0), [190.0, 200.0])],
+    ids=["t<0", "t>0"],
+)
+def test_exp_warp_past_the_f4_range_is_reported_in_process(interval, ts):
+    # f^4 = e^{4t} is past the float range at |t| = 190 and 200, the
+    # pairing 16 e^{-2t} over the r = 1 slice is not: both pairings are
+    # within 1e-13 of it (measured 4.4e-16), at one t and as a sweep, whose
+    # rows equal the one-t rows; each t was refused while WarpEval formed f^4
+    scene = warped.warped_scene(verify.sphere_slice(1.0), "exp(t)", {}, interval)
+    sweep = warped.warped_report(scene, np.array(ts), (0.3, -0.2))
+    for i, t in enumerate(ts):
+        one = warped.warped_report(scene, t, (0.3, -0.2))
+        want = 16.0 * np.exp(-2.0 * t)
+        assert abs(one.pairing - want) <= 1e-13 * want
+        assert abs(one.pairing_closed_form - want) <= 1e-13 * want
+        assert one.to_dicts() == [sweep.to_dicts()[i]]
+
+
+def test_pairing_of_a_vanishing_f_is_refused_in_process():
+    # f = t = 1e-150: the pairing, 8 / t^4, leaves the float range
+    scene = warped.warped_scene(verify.sphere_slice(1.0), "t", {}, (1e-300, 1.0))
+    for t in (1e-150, np.array([1e-150, 1.0])):
+        with pytest.raises(EvalDomainError, match="^pairing is not finite at t = 1e-150$"):
+            warped.warped_report(scene, t, (0.3, -0.2))
+
+
+def test_minimal_base_under_a_vanishing_f_is_reported_in_process():
+    # over a plane, H = 0 and tau_2(i) = 0, so the pairing is 0 at every t:
+    # |H|^2 multiplies f'/f and P/f^2 before the last factors of f divide
+    # them, so no 0 * inf makes a NaN while P/f^2 is finite
+    plane = immersion(("u", "v"), ("u", "v", "0"), {}, AmbientChart("euclidean", 3))
+    scene = warped.warped_scene(plane, "t", {}, (1e-300, 1.0))
+    rep = warped.warped_report(scene, np.array([1e-150, 1e-100, 1.0]), (0.3, -0.2))
+    assert np.all(rep.pairing == 0.0) and np.all(rep.pairing_closed_form == 0.0)
+
+
 def test_scan_across_the_pole_reports_it():
     res = biharmonic.parameter_scan(POLE_GRAPH, "r", 0.45, 1.6, 20, (0.3, 0.2))
     assert res.roots == ()
@@ -120,9 +157,12 @@ STEEP = {
     (SLICE | {"warp": {"expr": OVERFLOWING_WARP, "interval": [0.0, 1e-250]}},
      ["warp", "{scene}", "--t=0:1e-250:5", "--point", "0.3,-0.2"], 3,
      f"error: {OVERFLOWING_MESSAGE}\n"),
+    (SLICE | {"warp": {"expr": "t", "interval": [1e-300, 1.0]}},
+     ["warp", "{scene}", "--t=1e-150:1:2", "--point", "0.3,-0.2"], 3,
+     "error: pairing is not finite at t = 1e-150\n"),
     (None, ["verify", "--filter", "f=exp(t)"], 0, ""),
 ], ids=["analyze", "classify", "scan", "warp at load", "warp pairing", "warp finite pairing",
-        "warp sweep", "verify"])
+        "warp sweep", "warp vanishing f", "verify"])
 def test_cli_subcommand_out_of_range(tmp_path, capsys, scene, argv, code, err):
     path = tmp_path / "scene.json"
     if scene is not None:
@@ -134,6 +174,32 @@ def test_cli_subcommand_out_of_range(tmp_path, capsys, scene, argv, code, err):
     assert exit_.value.code == code
     assert captured.err == err.format(scene=path)
     assert "Traceback" not in captured.out + captured.err
+
+
+def _numbers(x):
+    if isinstance(x, dict):
+        return [v for value in x.values() for v in _numbers(value)]
+    if isinstance(x, list):
+        return [v for value in x for v in _numbers(value)]
+    return [x] if isinstance(x, float | int) and not isinstance(x, bool) else []
+
+
+@pytest.mark.parametrize("tgrid", ["190:200:2", "0:200:3"])
+def test_cli_exp_warp_past_the_f4_range_exits_0(tmp_path, capsys, tgrid):
+    # it exited 3 while WarpEval refused f^4 past the float range
+    path, out = tmp_path / "scene.json", tmp_path / "warp.json"
+    path.write_text(json.dumps(SLICE | {"warp": {"expr": "exp(t)", "interval": [0.0, 200.0]}}))
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["warp", str(path), f"--t={tgrid}", "--point", "0.3,-0.2", "--json", str(out)])
+    assert exit_.value.code == 0
+    assert capsys.readouterr().err == ""
+    reports = json.loads(out.read_text())["reports"]
+    assert len(reports) == int(tgrid.rsplit(":", 1)[1])
+    assert all(np.isfinite(_numbers(reports)))
+    for rep in reports:
+        want = 16.0 * np.exp(-2.0 * rep["t"])
+        assert abs(rep["pairing"] - want) <= 1e-13 * want
+        assert abs(rep["pairing_closed_form"] - want) <= 1e-13 * want
 
 
 def test_verify_check_that_is_not_finite_is_a_fail_row(tmp_path, monkeypatch, capsys):

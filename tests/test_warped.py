@@ -465,34 +465,12 @@ class TestSweep:
             WarpEval(t, np.ones(3), np.ones(3), np.array([0.0, math.nan, 0.0]))
 
     @pytest.mark.parametrize(
-        "warp, interval, ts",
-        [
-            ("t", (1e-300, 1.0), [0.5, 1e-150, 1e-300]),
-            ("exp(t)", (-200.0, 0.0), [-1.0, -190.0, -200.0]),
-            ("exp(t)", (0.0, 200.0), [1.0, 190.0, 200.0]),
-        ],
-    )
-    def test_f4_out_of_the_normal_range_is_refused(self, slice_scene, warp, interval, ts):
-        # the closed forms divide by f^4: at one t it underflowed to 0.0 (a
-        # ZeroDivisionError) or overflowed (an OverflowError), and a sweep
-        # gave NaN, inf or 0; a sweep names its first failing t
-        scene = slice_scene(warp, interval=interval)
-        with pytest.raises(EvalDomainError) as one:
-            warped.warped_report(scene, ts[1], POINT)
-        with pytest.raises(EvalDomainError) as sweep:
-            warped.warped_report(scene, np.array(ts), POINT)
-        f = scene.warp_jet(J.jet_variable(0, ts[1], 1, 0)).value
-        assert str(one.value) == str(sweep.value) == (
-            f"f^4 of the warping function must be a finite normal float, got f={f:g}"
-        )
-
-
-    @pytest.mark.parametrize(
         "warp, interval, ts, message",
         [
-            # f'^2 overflows while f, f', f'' and f^4 are finite
+            # f'^2 overflows, so P does
             ("1+1e200*t", (0.0, 1e-190), [0.0, 5e-191, 1e-190],
-             "f'^2 of the warping function must be finite, got f'=1e+200 at t=0"),
+             "f f'' + (m-1) f'^2 of the warping function must be finite, got "
+             "f=1, f'=1e+200, f''=0 at t=0"),
             # f f'' overflows, so P does
             ("1e10+1e300*t^2", (0.0, 1e-160), [0.0, 5e-161, 1e-160],
              "f f'' + (m-1) f'^2 of the warping function must be finite, got "
@@ -516,17 +494,16 @@ class TestSweep:
         "warp, params, interval, m", SWEEP_WARPS, ids=[f"{w[0]} m={w[3]}" for w in SWEEP_WARPS]
     )
     def test_sweep_factors_equal_their_one_t_factors(self, slice_scene, warp, params, interval, m):
-        # the powers of f and f' a WarpEval forms once for the closed forms
+        # P = f f'' + (m-1) f'^2, the one factor of the warp the closed
+        # forms read besides f and f'
         scene = slice_scene(warp, params, interval, m=m)
         ts = np.linspace(interval[0] + 0.05, interval[1] - 0.05, 7)
-        sweep = scene.warp_at(ts)
+        sweep = scene.warp_at(ts).power_residual(m)
         for i, t in enumerate(ts):
-            one = scene.warp_at(float(t))
-            for name in ("f_pow3", "f_pow4", "f1_pow2"):
-                a, b = getattr(sweep, name)[i], getattr(one, name)
-                assert type(b) is float
-                assert np.array_equal(a, b)
-                assert np.signbit(a) == np.signbit(b)
+            one = scene.warp_at(float(t)).power_residual(m)
+            assert type(one) is float
+            assert np.array_equal(sweep[i], one)
+            assert np.signbit(sweep[i]) == np.signbit(one)
 
 
 class TestBasePoint:
@@ -642,3 +619,29 @@ class TestAnyCodimension:
         # the classify gate decides hypersurfaces only, so the closed form
         # is not marked applicable on this biharmonic base
         assert not rep.pairing_closed_form_applicable
+
+    def test_characterization_of_a_circle(self):
+        # the proper-biharmonic circle S^1(1/sqrt 2) in S^2, chart radius
+        # sqrt 2 - 1, with |H| = 1, under f affine: at m = 1, P = f f'' = 0,
+        # so tau_2(phi) is its dt slot -m^2 f'|H|^2/f^3 alone (0.0625 at
+        # t = 0), tangent to I x M
+        r = math.sqrt(2.0) - 1.0
+        spec = immersion(("s",), ("r*cos(s)", "r*sin(s)"), {"r": r}, AmbientChart("sphere", 2))
+        scene = warped.warped_scene(spec, "0.5*t+2", {}, INTERVAL)
+        ts = np.array([0.0, 0.3])
+        rep = warped.warped_report(scene, ts, (0.4,))
+        parts, w = rep.bitension, rep.warp
+        assert np.all(rep.power_residual == 0.0)
+        # a biharmonic hypersurface: the gate holds and the closed form is 0
+        assert rep.pairing_closed_form_applicable
+        assert np.all(rep.pairing_closed_form == 0.0)
+        # measured at most 1.3e-16 and 6.7e-17
+        assert np.all(parts.normal_norm <= 1e-15)
+        assert np.all(abs(rep.pairing) <= 1e-15)
+        dt_slot = w.f1 / w.f**3 * rep.base.h2
+        assert dt_slot[0] == pytest.approx(0.0625, rel=1e-13)
+        assert parts.tangential_norm == pytest.approx(dt_slot, rel=1e-13)
+        assert parts.vec[:, 0] == pytest.approx(-dt_slot, rel=1e-13)
+        # measured at most 3.1e-17
+        fp = oracle.first_principles(oracle.warped_inclusion_map(scene), (ts, 0.4))
+        assert np.all(verify._oracle_gap(rep.base, w, fp.bitension, parts.vec) <= CODIM_TOL)
