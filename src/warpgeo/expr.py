@@ -27,7 +27,7 @@ import numpy as np
 
 from . import jet as J
 from .errors import EvalDomainError, ExprSyntaxError, UsageError, WarpgeoError
-from .errors import as_value, range_policy
+from .errors import as_value, first_failing, range_policy
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt")
 MAX_DEPTH = 100
@@ -321,6 +321,11 @@ def eval_jet(ast, variables, params=None):
     sum, or as the base of a power, as its jet.  A constant result is
     returned as its jet.
 
+    This walk alone decides a constant's float range: a number, a param's
+    value or an operation on constants that is not finite (at a batch's
+    first such point) is refused where it is formed, at its span, innermost
+    first: exp(-(1e308*1e308)) at 1e308*1e308.  Functions check their series.
+
     The exponent's syntax decides `^`, at every order alike: an exponent
     that holds a variable is a jet and takes exp(rhs * log(lhs)), so its
     base must be positive; a constant exponent takes `jpow`, and a batch
@@ -352,15 +357,23 @@ def eval_jet(ast, variables, params=None):
             return _power_per_point(lhs, rhs) if np.ndim(rhs) else J.jpow(lhs, rhs)
         return jet(lhs) + jet(rhs) if op == "+" else jet(lhs) - jet(rhs)
 
+    def constant(v, node):
+        """The constant `v` that `node` forms, refused unless finite."""
+        ok = np.isfinite(v) if type(v) is np.ndarray else math.isfinite(v)
+        if bad := first_failing(ok, v):
+            raise EvalDomainError(f"constant {pretty(node)} leaves the float range ({bad[0]:g})",
+                                  value=bad[0], span=node.span)
+        return v
+
     def ev(node):
         try:
             if isinstance(node, Num):
-                return node.value
+                return constant(node.value, node)
             if isinstance(node, Name):
                 if node.ident in variables:
                     return variables[node.ident]
                 if node.ident in params:
-                    return as_value(np.asarray(params[node.ident], dtype=float))
+                    return constant(as_value(np.asarray(params[node.ident], dtype=float)), node)
                 raise UsageError(f"unbound identifier {node.ident!r}")
             if isinstance(node, Neg):
                 return -ev(node.operand)
@@ -375,7 +388,7 @@ def eval_jet(ast, variables, params=None):
                     return binop(node.op, lhs, rhs)
                 if node.op != "^":  # a jet exponent would take the log rule
                     rhs = jet(rhs, 0)
-                return binop(node.op, jet(lhs, 0), rhs).value
+                return constant(binop(node.op, jet(lhs, 0), rhs).value, node)
         except EvalDomainError as exc:
             if exc.span is None:
                 exc.span = node.span
@@ -397,39 +410,18 @@ def fold_constants(ast, params):
     inside any evaluation of `ast`: eval_jet evaluates such a subtree on
     jets of order 0 wherever it lies, and reads a number node as its value.
 
-    A subtree whose evaluation raises, or gives a batch array, stays as it
-    is, to raise as `ast` does, at the same span.  One that evaluates, but
-    where it or a sub-expression has a value that is not finite, is an
-    EvalDomainError at the first such, innermost first: exp(-(1e308*1e308))
-    at 1e308*1e308."""
+    Each such subtree is one eval_jet call, and folding decides nothing
+    itself: a subtree whose evaluation raises, a constant that leaves the
+    float range on the way included, or that gives a batch array, stays as
+    it is, to raise as `ast` does, at the same span."""
 
     def value(node):
-        """A number node of `node`'s value, or `node` when its evaluation
-        raises or gives a batch array."""
-        formed = []  # (sub-expression, its value), each after the ones below it
-
-        def ev(sub):
-            # one evaluation per sub-expression: its operands enter as the
-            # number nodes of their values
-            if isinstance(sub, Num):
-                v = sub.value
-            else:
-                parts = [ev(p) for p in _operands(sub)]
-                v = eval_jet(_rebuild(sub, parts), _NO_VARIABLE, params).value
-            formed.append((sub, v))
-            return Num(v, sub.span)
-
+        """A number node of `node`'s value, or `node` if that raises or is a batch."""
         try:
-            folded = ev(node)
+            v = eval_jet(node, _NO_VARIABLE, params).value
         except (WarpgeoError, ArithmeticError):
             return node
-        if type(folded.value) is not float:
-            return node
-        for sub, v in formed:
-            if not math.isfinite(v):
-                raise EvalDomainError(f"constant {pretty(sub)} leaves the float range ({v:g})",
-                                      value=v, span=sub.span)
-        return folded
+        return Num(v, node.span) if type(v) is float else node
 
     def fold(node):
         """(`node` with the largest constant subtrees below it folded, or

@@ -241,10 +241,10 @@ def hypersurface_normal(dX, n_vars):
 # tensor (suffix _c) holds its batch axes after its size and tensor axes, a
 # value array before its tensor axes.
 _TENSOR_AXES = {
-    "dX_c": 2, "ginv_c": 2, "gamma_c": 3, "gamma_n_c": 3, "H_c": 1, "eta_c": 1,
+    "dX_c": 2, "gamma_c": 3, "gamma_n_c": 3, "H_c": 1,
     "g_val": 2, "ginv_val": 2, "dX_val": 2, "e2_val": 0, "H_val": 1, "B_val": 3,
     "normH": 0, "eta_val": 1, "lam": 0, "b_val": 2, "S_val": 2, "normA2": 0,
-    "dlam_val": 1, "grad_lam": 1, "grad_lam_amb": 1, "lap_lam": 0,
+    "grad_lam": 1, "grad_lam_amb": 1, "lap_lam": 0,
 }
 
 
@@ -257,8 +257,8 @@ class PointGeometry:
     params alone, at a point of floats, as in biharmonic.parameter_scan;
     then a quantity that reads no batched param is one value.  Jet tensors
     (coefficient arrays, suffix _c) are retained where downstream consumers
-    need further derivatives (the tangents, H, eta, and the Christoffels of
-    the chart and of g).
+    need further derivatives (the tangents, H, and the Christoffels of the
+    chart and of g); a build keeps only the fields something reads after it.
     Plain floats/arrays hold everything else, with the batch axes first
     (g_val has shape (*batch, m, m)).  A batch gives the same values as its
     points one by one; an error names the first point that fails a check.
@@ -275,15 +275,15 @@ class PointGeometry:
             var_jets = [
                 J.jet_variable(i, self.point[i], m, JET_ORDER) for i in range(m)
             ]
-            X, self.dX_c, q, self.e2, g = induced_metric_jets(spec, var_jets, range(m))
+            X, self.dX_c, q, e2, g = induced_metric_jets(spec, var_jets, range(m))
 
             self.g_val = values(g, 2)
-            self.ginv_c = metric_inverse(g, m)  # order 2
-            self.ginv_val = values(self.ginv_c, 2)
+            ginv_c = metric_inverse(g, m)  # order 2
+            self.ginv_val = values(ginv_c, 2)
             self.dX_val = values(self.dX_c, 2)
-            self.e2_val = self.e2.value
+            self.e2_val = e2.value
 
-            self.gamma_c = christoffels_from_metric(g, self.ginv_c, m)  # order 2
+            self.gamma_c = christoffels_from_metric(g, ginv_c, m)  # order 2
             self.gamma_n_c = spec.ambient.christoffel(J.trunc(X, m, 2), m, q)
 
             # Second fundamental form and mean curvature: order 2
@@ -294,23 +294,22 @@ class PointGeometry:
             if self.gamma_n_c is not None:
                 gamma_dX = J.contract("abc,ib->aci", self.gamma_n_c, dX2, m)
                 B = B + J.contract("aci,jc->ija", gamma_dX, dX2, m)
-            self.H_c = J.contract("ij,ija->a", self.ginv_c, B, m) * (1.0 / m)
+            self.H_c = J.contract("ij,ija->a", ginv_c, B, m) * (1.0 / m)
             self.H_val = values(self.H_c, 1)
             self.B_val = values(B, 3)
             self.normH = np.sqrt(self.e2_val * vdot(self.H_val, self.H_val))
 
             if spec.is_hypersurface:
-                self._hypersurface_fields(dX2)
+                self._hypersurface_fields(dX2, e2.trunc(2))
 
-    def _hypersurface_fields(self, dX2):
+    def _hypersurface_fields(self, dX2, e2):
         m = self.spec.m
         w = hypersurface_normal(dX2, m)
-        e2 = self.e2.trunc(2)
         wnorm = J.sqrt(e2 * J.Jet(m, 2, J.contract("a,a->", w, w, m)))
-        self.eta_c = J.contract("a,->a", w, J.reciprocal(wnorm).coeffs, m)
-        self.eta_val = values(self.eta_c, 1)
+        eta_c = J.contract("a,->a", w, J.reciprocal(wnorm).coeffs, m)
+        self.eta_val = values(eta_c, 1)
 
-        lam = e2 * J.Jet(m, 2, J.contract("a,a->", self.H_c, self.eta_c, m))
+        lam = e2 * J.Jet(m, 2, J.contract("a,a->", self.H_c, eta_c, m))
         self.lam = lam.value
 
         # scalar second fundamental form and shape operator
@@ -322,8 +321,8 @@ class PointGeometry:
 
         # gradient and Laplacian of the mean curvature function
         dlam = J.gradient(lam.coeffs, m, range(m))
-        self.dlam_val = values(dlam, 1)
-        self.grad_lam = np.matvec(self.ginv_val, self.dlam_val)  # intrinsic components
+        dlam_val = values(dlam, 1)
+        self.grad_lam = np.matvec(self.ginv_val, dlam_val)  # intrinsic components
         self.grad_lam_amb = np.matvec(self.dX_val.mT, self.grad_lam)
 
         # Delta lambda = g^ij (d_i d_j lambda - Gamma^k_ij d_k lambda)
@@ -331,7 +330,7 @@ class PointGeometry:
         gamma = values(self.gamma_c, 3)  # (*batch, k, i, j) to (*batch, i, j, k)
         batch = gamma.ndim - 3
         gamma_ijk = gamma.transpose(*range(batch), batch + 1, batch + 2, batch)
-        hess = hess - vdot(gamma_ijk, self.dlam_val[..., None, None, :])
+        hess = hess - vdot(gamma_ijk, dlam_val[..., None, None, :])
         self.lap_lam = _trace(self.ginv_val @ hess)
 
         self.ric_eta_eta = (self.spec.n - 1) * self.spec.ambient.c
@@ -342,7 +341,7 @@ class PointGeometry:
         spec with each batched param taken at i.  Jet tensors are taken on
         their trailing batch axis, value arrays on their leading one, and a
         one-point value is a float; a field that reads nothing batched (the
-        Euclidean chart's e2, say) is kept as it is."""
+        Euclidean chart's e2_val, say) is kept as it is."""
         out = object.__new__(PointGeometry)
         batched = {k: float(v[i]) for k, v in self.spec.params.items() if np.ndim(v)}
         for name, v in vars(self).items():
@@ -356,9 +355,6 @@ class PointGeometry:
             setattr(out, name, v)
         out.spec = self.spec.with_params(**batched) if batched else self.spec
         out.point = tuple(c if type(c) is float else float(c[i]) for c in self.point)
-        e2 = self.e2
-        if e2.coeffs.ndim > 1:
-            out.e2 = J.Jet(e2.n_vars, e2.order, np.ascontiguousarray(e2.coeffs[..., i]))
         return out
 
     # -- conveniences -----------------------------------------------------

@@ -34,8 +34,8 @@ class WarpedScene:
     replaced by its value (`expr.fold_constants`), so a constant such as
     the 1/m of (a*t+b)^(1/m) is evaluated once per scene, not at every t.
     Folding keeps every value bit for bit.  A constant subtree that raises
-    is not folded, so it fails as the parsed warp does; one that passes
-    through a value out of the float range fails the load at its span."""
+    (eval_jet refuses one that leaves the float range on the way) is not
+    folded, so the positivity samples raise it as the parsed warp does."""
 
     immersion: object  # ImmersionSpec
     warp: object  # ExprAst in t
@@ -179,7 +179,7 @@ def base_point_of(pg):
     """The BasePoint of the one-point geometry `pg`, a build or a row of a
     batched one, whose arrays are made read-only."""
     with range_policy():
-        for a in [*vars(pg).values(), pg.e2.coeffs]:
+        for a in vars(pg).values():
             if isinstance(a, np.ndarray):
                 _read_only(a)
         e = math.sqrt(pg.e2_val)
@@ -279,9 +279,10 @@ def inclusion_bitension(base, w):
     with P = f f'' + (m-1) f'^2, `w.power_residual(m)`, formed here and kept
     as the result's `residual`: in the frame, [2m P eH + e tau_2(i)] / f^3
     and the same dt slot.  Each is divided by f one factor at a time, from
-    P / f^2 and f' / f, so no step leaves the float range unless the
-    value it forms does; |H|^2 and eH multiply before the last factors of
-    f divide, so over a minimal base no 0 * inf makes a NaN.
+    P / f and f' / f, so no step leaves the float range unless the value
+    it forms does; |H|^2 and eH multiply before the last factors of f
+    divide, so over a minimal base no 0 * inf makes a NaN while P / f is
+    finite.
 
     tau_2(i) is the bitension of the unwarped inclusion i: M -> N, whose
     tension is m H; it comes from the submanifold closed form evaluated on
@@ -291,7 +292,7 @@ def inclusion_bitension(base, w):
     residual = w.power_residual(m)
     t_part = -(m**2) * base.h2 * (w.f1 / w.f) / w.f / w.f
     f = per_point(w.f, 1)
-    h_part = per_point(2.0 * m * (residual / w.f / w.f), 1) * base.eH / f
+    h_part = per_point(2.0 * m * (residual / w.f), 1) * base.eH / f / f
     return BitensionParts(base, residual, t_part, h_part, f)
 
 
@@ -348,9 +349,9 @@ def _closed_form_pairing(base, w, residual):
     """2 m^2 P / f^4 |H|^2, the pairing over a biharmonic base, from the
     residual P = f f'' + (m-1) f'^2 as the caller has formed it (the
     Ricci check passes Ric - Ric~, which equals it), divided by f one
-    factor at a time."""
+    factor at a time, all but the first after |H|^2 multiplies."""
     m = base.geometry.spec.m
-    return 2.0 * m**2 * base.h2 * (residual / w.f / w.f) / w.f / w.f
+    return 2.0 * m**2 * base.h2 * (residual / w.f) / w.f / w.f / w.f
 
 
 def pairing(base, w):

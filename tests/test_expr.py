@@ -244,6 +244,27 @@ class TestEvalJetConstants:
         lo, hi = exc.value.span
         assert src[lo:hi] == bad
 
+    def test_batched_param_out_of_range_is_refused(self):
+        u = J.jet_variable(0, 0.5, 1, 2)
+        with pytest.raises(EvalDomainError) as exc:
+            E.eval_jet(E.parse("u*r"), {"u": u}, {"r": np.array([1.0, math.inf, math.nan])})
+        assert str(exc.value) == "constant r leaves the float range (inf)"
+        assert (exc.value.value, exc.value.span) == (math.inf, (2, 3))
+
+
+class TestFoldConstants:
+    def test_each_largest_constant_subtree_is_one_evaluation(self, monkeypatch):
+        calls, eval_jet = [], E.eval_jet
+
+        def counted(ast, variables, params=None):
+            calls.append(E.pretty(ast))
+            return eval_jet(ast, variables, params)
+
+        monkeypatch.setattr(E, "eval_jet", counted)
+        folded = E.fold_constants(E.parse("(a*t+b)^(1/m)"), {"a": 3.0, "b": 1.0, "m": 2})
+        assert calls == ["a", "b", "(1.0/m)"]
+        assert folded == E.parse("(3*t+1)^0.5")
+
 
 class TestEvalValue:
     @pytest.mark.parametrize("src", ["2+cos(1e308*1e308)", "sin(u*0-1e308*1e308)", "cos(u)"])

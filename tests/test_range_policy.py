@@ -20,8 +20,13 @@ from warpgeo.ambient import AmbientChart
 from warpgeo.errors import EvalDomainError
 from warpgeo.immersion import PointGeometry, immersion
 
-# a constant that reaches 0.0 only through an infinity
+# constants that reach 0.0 only through an infinity
 FOUND_WARP = "exp(t)+exp(-(1e308*1e308))"
+FOUND_COMPONENT = "u*u+exp(-(1e308*1e308))"
+FOUND_GRAPH = immersion(
+    ("u", "v"), ("u", "v", FOUND_COMPONENT), {}, AmbientChart("euclidean", 3)
+)
+FOUND_MESSAGE = "constant (1e+308*1e+308) leaves the float range (inf)"
 STEEP_GRAPH = immersion(
     ("u", "v"), ("u", "v", "1e110*u*u+v*v"), {}, AmbientChart("euclidean", 3)
 )
@@ -114,12 +119,24 @@ def test_pairing_of_a_vanishing_f_is_refused_in_process():
 
 def test_minimal_base_under_a_vanishing_f_is_reported_in_process():
     # over a plane, H = 0 and tau_2(i) = 0, so the pairing is 0 at every t:
-    # |H|^2 multiplies f'/f and P/f^2 before the last factors of f divide
-    # them, so no 0 * inf makes a NaN while P/f^2 is finite
+    # |H|^2 and eH multiply f'/f and P/f before the last factors of f divide
+    # them, so no 0 * inf makes a NaN while P/f is finite, down to the
+    # interval's end (it was refused from 1e-155 on while P/f^2 formed first)
     plane = immersion(("u", "v"), ("u", "v", "0"), {}, AmbientChart("euclidean", 3))
     scene = warped.warped_scene(plane, "t", {}, (1e-300, 1.0))
-    rep = warped.warped_report(scene, np.array([1e-150, 1e-100, 1.0]), (0.3, -0.2))
-    assert np.all(rep.pairing == 0.0) and np.all(rep.pairing_closed_form == 0.0)
+    ts = [1e-300, 1e-200, 1e-155, 1e-150, 1e-100, 1.0]
+    for t in (np.array(ts), *ts[:3]):
+        rep = warped.warped_report(scene, t, (0.3, -0.2))
+        assert np.all(rep.pairing == 0.0) and np.all(rep.pairing_closed_form == 0.0)
+
+
+def test_immersion_constant_that_overflows_on_the_way_is_refused():
+    # the component's constant is 0.0 only through an infinity: the
+    # evaluator refuses it where it forms it, as it does in a warp
+    with pytest.raises(EvalDomainError) as err:
+        PointGeometry(FOUND_GRAPH, (0.3, 0.2))
+    assert str(err.value) == FOUND_MESSAGE
+    assert FOUND_COMPONENT[slice(*err.value.span)] == "1e308*1e308"
 
 
 def test_scan_across_the_pole_reports_it():
@@ -138,6 +155,10 @@ STEEP = {
     "immersion": {"variables": ["u", "v"], "components": ["u", "v", "k*u*u+v*v"],
                   "params": {"k": 1e110}},
 }
+FOUND = {
+    "ambient": {"model": "euclidean", "dim": 3},
+    "immersion": {"variables": ["u", "v"], "components": ["u", "v", FOUND_COMPONENT]},
+}
 
 
 @pytest.mark.parametrize("scene, argv, code, err", [
@@ -146,6 +167,7 @@ STEEP = {
     (STEEP, ["scan", "{scene}", "--param", "k", "--range", "1e100:1e120", "--samples", "3",
              "--probe", "0,0.3"], 0,
      f"failed sample k=5e+119: {STEEP_MESSAGE}\nfailed sample k=1e+120: {STEEP_MESSAGE}\n"),
+    (FOUND, ["classify", "{scene}", "--points", "0.3,0.2"], 3, f"error: {FOUND_MESSAGE}\n"),
     (SLICE | {"warp": {"expr": FOUND_WARP, "interval": [-0.5, 1.0]}},
      ["warp", "{scene}", "--t=0:1:3", "--point", "0.3,-0.2"], 2,
      "error: {scene}.warp: constant (1e+308*1e+308) leaves the float range (inf)\n"),
@@ -161,8 +183,8 @@ STEEP = {
      ["warp", "{scene}", "--t=1e-150:1:2", "--point", "0.3,-0.2"], 3,
      "error: pairing is not finite at t = 1e-150\n"),
     (None, ["verify", "--filter", "f=exp(t)"], 0, ""),
-], ids=["analyze", "classify", "scan", "warp at load", "warp pairing", "warp finite pairing",
-        "warp sweep", "warp vanishing f", "verify"])
+], ids=["analyze", "classify", "scan", "classify constant", "warp at load", "warp pairing",
+        "warp finite pairing", "warp sweep", "warp vanishing f", "verify"])
 def test_cli_subcommand_out_of_range(tmp_path, capsys, scene, argv, code, err):
     path = tmp_path / "scene.json"
     if scene is not None:

@@ -22,8 +22,9 @@ their median and quartiles, the rounds the change was faster in, and the
 median ratio base/change (above 1: the change is faster) next to the A/A
 ratio, whose distance from 1 is the noise of the protocol.  The summary
 line of each workload also says whether the change was faster in at least
-9 of 10 rounds, and whether the change's median round lies below the
-base's by more than the base's own quartile spread (q3 - q1).  `--quick`
+9 of 10 rounds, whether the change's median round lies below the
+base's by more than the base's own quartile spread (q3 - q1), and whether
+the median ratio lies inside the A/A ratio's q1 to q3.  `--quick`
 runs 2 rounds of each workload's shortest request list: a check that the
 harness runs, not a measurement.
 """
@@ -207,12 +208,15 @@ def main(argv=None):
         won = 10 * r["change_faster_rounds"] >= 9 * r["rounds"]
         base_s, change_s = r["base_s"], r["change_s"]
         apart = base_s["median"] - change_s["median"] > base_s["q3"] - base_s["q1"]
+        ratio, aa = r["ratio_base_over_change"]["median"], r["aa_ratio"]
+        inside = aa["q1"] <= ratio <= aa["q3"]
         print(
-            f"{name}: base/change {r['ratio_base_over_change']['median']:.3f} "
+            f"{name}: base/change {ratio:.3f} "
             f"(change faster in {r['change_faster_rounds']}/{r['rounds']} rounds, "
             f"{'at least' if won else 'under'} 9/10; change median "
             f"{'below' if apart else 'not below'} base median by more than base q3 - q1), "
-            f"A/A {r['aa_ratio']['median']:.3f}"
+            f"A/A {aa['median']:.3f} (q1 {aa['q1']:.3f}, q3 {aa['q3']:.3f}; base/change "
+            f"{'inside' if inside else 'outside'} it)"
         )
 
 
