@@ -29,11 +29,11 @@ from . import jet as J
 from .errors import EvalDomainError, ExprSyntaxError, UsageError, WarpgeoError
 from .errors import as_value, first_failing, range_policy
 
-FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt")
 MAX_DEPTH = 100
 _TOO_DEEP = f"expression nested more than {MAX_DEPTH} levels deep"
 
 _JET_FN = {"sin": J.sin, "cos": J.cos, "exp": J.exp, "log": J.log, "sqrt": J.sqrt}
+FUNCTIONS = tuple(_JET_FN)
 _VAL_FN = {
     "sin": math.sin,
     "cos": math.cos,

@@ -237,17 +237,6 @@ def hypersurface_normal(dX, n_vars):
     return w
 
 
-# The tensor axes of each array field of a PointGeometry, for `row`: a jet
-# tensor (suffix _c) holds its batch axes after its size and tensor axes, a
-# value array before its tensor axes.
-_TENSOR_AXES = {
-    "dX_c": 2, "gamma_c": 3, "gamma_n_c": 3, "H_c": 1,
-    "g_val": 2, "ginv_val": 2, "dX_val": 2, "e2_val": 0, "H_val": 1, "B_val": 3,
-    "normH": 0, "eta_val": 1, "lam": 0, "b_val": 2, "S_val": 2, "normA2": 0,
-    "grad_lam": 1, "grad_lam_amb": 1, "lap_lam": 0,
-}
-
-
 class PointGeometry:
     """All pointwise quantities of an immersion at one chart point, or at
     a batch of points in one pass.
@@ -338,22 +327,21 @@ class PointGeometry:
     def row(self, i):
         """The one-point geometry of row i of a build over one batch axis,
         equal bit for bit to PointGeometry(spec_i, point_i), spec_i the
-        spec with each batched param taken at i.  Jet tensors are taken on
-        their trailing batch axis, value arrays on their leading one, and a
-        one-point value is a float; a field that reads nothing batched (the
+        spec with each batched param taken at i.  If g_val is batched, so
+        is every array field: a jet tensor on its trailing axis, a value
+        array on its leading one (a float at one point).  A float (the
         Euclidean chart's e2_val, say) is kept as it is."""
         out = object.__new__(PointGeometry)
-        batched = {k: float(v[i]) for k, v in self.spec.params.items() if np.ndim(v)}
+        batched = self.g_val.ndim > 2
         for name, v in vars(self).items():
-            depth = _TENSOR_AXES.get(name)
-            if depth is not None and v is not None:
+            if batched and isinstance(v, np.ndarray):
                 if name.endswith("_c"):
-                    if v.ndim > depth + 1:
-                        v = np.ascontiguousarray(v[..., i])
-                elif np.ndim(v) > depth:
-                    v = float(v[i]) if depth == 0 else v[i]
+                    v = np.ascontiguousarray(v[..., i])
+                else:
+                    v = v[i] if v.ndim > 1 else float(v[i])
             setattr(out, name, v)
-        out.spec = self.spec.with_params(**batched) if batched else self.spec
+        params = {k: float(v[i]) for k, v in self.spec.params.items() if np.ndim(v)}
+        out.spec = self.spec.with_params(**params) if params else self.spec
         out.point = tuple(c if type(c) is float else float(c[i]) for c in self.point)
         return out
 

@@ -188,10 +188,6 @@ class Jet:
     # -- basics -----------------------------------------------------------
 
     @property
-    def space(self):
-        return _space(self.n_vars, self.order)
-
-    @property
     def value(self):
         return as_value(self.coeffs[0])
 

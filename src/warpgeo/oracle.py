@@ -33,6 +33,7 @@ from . import jet as J
 from .ambient import spaceform_curvature
 from .errors import UsageError, as_value, range_policy
 from .immersion import (
+    JET_ORDER,
     PointGeometry,
     christoffels_from_metric,
     induced_metric_jets,
@@ -41,7 +42,6 @@ from .immersion import (
     values,
 )
 
-JET_ORDER = 4
 # curvature_components and codomain_riemann seed here: `riemann` reads
 # Christoffel symbols, two orders below the seeds, at order 1
 RIEMANN_ORDER = 3

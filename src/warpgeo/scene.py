@@ -57,7 +57,7 @@ def _expect(mapping, key, kind, where):
         if not _is_number(value):
             raise SceneError(f"{where}: {key!r} must be a finite number")
         return float(value)
-    if not isinstance(value, kind):
+    if isinstance(value, bool) or not isinstance(value, kind):  # a bool is an int
         raise SceneError(f"{where}: {key!r} must be {kind.__name__}")
     return value
 

@@ -5,7 +5,7 @@ the warped Ricci identity."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
 
@@ -41,7 +41,6 @@ class WarpedScene:
     warp: object  # ExprAst in t
     warp_params: MappingProxyType
     interval: tuple
-    folded: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lo, hi = self.interval
@@ -53,8 +52,6 @@ class WarpedScene:
         if extra:
             raise ConfigError(f"unbound identifiers in warp: {sorted(extra)}")
         with range_policy():
-            # set once, here: the dataclass is frozen
-            object.__setattr__(self, "folded", fold_constants(self.warp, self.warp_params))
             # positivity is checked by sampling; the DSL has no symbolic
             # positivity decision procedure
             ts = np.linspace(lo, hi, _POSITIVITY_SAMPLES + 2)
@@ -65,6 +62,10 @@ class WarpedScene:
                 f"warping function not positive and finite at t={t:g} (f={v:g})",
                 value=v,
             )
+
+    @cached_property
+    def folded(self):
+        return fold_constants(self.warp, self.warp_params)
 
     def warp_jet(self, t):
         """The warp as a jet of the jet `t`, whose values must lie in the

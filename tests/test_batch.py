@@ -441,6 +441,19 @@ ROW_FAMILIES = {
         ((0.3, -0.2, 0.1), (0.0, 0.0, 0.0), (-0.5, 0.1, 0.2)),
         (1.0, 0.7),
     ),
+    # codimension 2: no hypersurface fields
+    "S4 codim-2": (
+        lambda r: immersion(("u", "v"), ("u", "v", "r*u*v", "r/2"), {"r": r},
+                            AmbientChart("sphere", 4)),
+        ((0.3, -0.2), (0.0, 0.0), (-0.4, 0.1)),
+        (1.0, 0.6),
+    ),
+    "S2 curve": (
+        lambda r: immersion(("u",), ("r*cos(u)/2", "sin(u)/2"), {"r": r},
+                            AmbientChart("sphere", 2)),
+        ((0.3,), (0.0,), (-1.1,)),
+        (1.0, 1.5),
+    ),
 }
 
 
@@ -453,13 +466,19 @@ def test_row_equals_a_one_point_build(name):
             _assert_same_geometry(family.row(j * len(points) + i), PointGeometry(make(r), p))
 
 
-@pytest.mark.parametrize("name", ["S3 slice", "cone"])
-def test_row_of_a_param_batch_equals_a_one_point_build(name):
-    # the point is floats and only r is batched, as in a scan; the cone's
-    # e2 is still one unbatched jet
+@pytest.mark.parametrize(
+    "name, param",
+    [("S3 slice", "r"), ("cone", "r"), ("S3 slice", "s")],
+    ids=["S3 slice", "cone", "S3 slice, unread param"],
+)
+def test_row_of_a_param_batch_equals_a_one_point_build(name, param):
+    # the point is floats and only `param` is batched, as in a scan; the
+    # cone's e2 is still one unbatched jet, and no component reads s, so
+    # that build is one unbatched geometry whose rows differ in spec alone
     make, _, _ = ROW_FAMILIES[name]
     radii = np.array([0.5, 1.0, 1.7])
     point = (0.3, -0.2) if name == "S3 slice" else (1.0, 0.7)
-    family = PointGeometry(make(1.0).with_params(r=radii), point)
+    family = PointGeometry(make(1.0).with_params(**{param: radii}), point)
     for i, r in enumerate(radii):
-        _assert_same_geometry(family.row(i), PointGeometry(make(float(r)), point))
+        one = PointGeometry(make(1.0).with_params(**{param: float(r)}), point)
+        _assert_same_geometry(family.row(i), one)

@@ -39,18 +39,19 @@ class TestConstructors:
 
     def test_constant_negative(self):
         j = J.jet_constant(-1.5, 3, 1)
-        assert j.coeffs[j.space.index[(0, 0, 0)]] == -1.5
+        assert j.coeffs[J._space(3, 1).index[(0, 0, 0)]] == -1.5
         assert all(j.partial(a) == 0 for a in [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
 
     def test_variable(self):
         j = J.jet_variable(0, 2.0, 2, 2)
-        assert j.coeffs[j.space.index[(0, 0)]] == 2.0
-        assert j.coeffs[j.space.index[(1, 0)]] == 1.0
-        assert j.coeffs[j.space.index[(0, 1)]] == 0.0
+        index = J._space(2, 2).index
+        assert j.coeffs[index[(0, 0)]] == 2.0
+        assert j.coeffs[index[(1, 0)]] == 1.0
+        assert j.coeffs[index[(0, 1)]] == 0.0
 
     def test_variable_other_slot(self):
         j = J.jet_variable(1, 0.0, 2, 4)
-        assert j.coeffs[j.space.index[(0, 1)]] == 1.0
+        assert j.coeffs[J._space(2, 4).index[(0, 1)]] == 1.0
         assert j.value == 0.0
 
     def test_variable_three(self):
@@ -78,7 +79,7 @@ class TestArithmetic:
         sq = u * u
         assert sq.value == 4.0
         assert sq.partial((1, 0)) == 4.0
-        assert sq.coeffs[sq.space.index[(2, 0)]] == 1.0
+        assert sq.coeffs[J._space(2, 2).index[(2, 0)]] == 1.0
 
     def test_reciprocal_vs_finite_difference(self):
         u = J.jet_variable(0, 2.0, 2, 2)
@@ -150,7 +151,7 @@ class TestElementary:
         r = J.jpow(t, 0.5)
         assert r.value == pytest.approx(2.0)
         assert r.partial((1,)) == pytest.approx(0.25)
-        assert r.coeffs[r.space.index[(2,)]] == pytest.approx(-1 / 64)
+        assert r.coeffs[J._space(1, 2).index[(2,)]] == pytest.approx(-1 / 64)
         assert r.partial((2,)) == pytest.approx(-1 / 32)
 
     def test_sin_maclaurin(self):
@@ -158,7 +159,7 @@ class TestElementary:
         s = J.sin(u)
         assert s.value == 0.0
         assert s.partial((1,)) == pytest.approx(1.0)
-        assert s.coeffs[s.space.index[(3,)]] == pytest.approx(-1 / 6)
+        assert s.coeffs[J._space(1, 4).index[(3,)]] == pytest.approx(-1 / 6)
 
     def test_integer_pow_negative_base(self):
         u = J.jet_variable(0, -2.0, 1, 3)

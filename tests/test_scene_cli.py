@@ -108,6 +108,11 @@ class TestSceneLoading:
         with pytest.raises(SceneError, match="component 2 must be a string"):
             scene_from_dict(bad)
 
+    def test_dimension_must_be_an_integer_not_a_boolean(self):
+        bad = _with(CONE_SCENE, "ambient", model="sphere", dim=True)
+        with pytest.raises(SceneError, match="'dim' must be int"):
+            scene_from_dict(bad)
+
     def test_bad_point_arity(self):
         bad = json.loads(json.dumps(CONE_SCENE))
         bad["analysis"]["points"] = [[1.0]]
@@ -416,6 +421,10 @@ BAD_INPUT = {
     ),
     "component a list": (
         _with(CONE_SCENE, "immersion", components=["u", "v", ["r"]]),
+        ["analyze", "{scene}"],
+    ),
+    "ambient dimension a boolean": (
+        _with(CONE_SCENE, "ambient", model="sphere", dim=True),
         ["analyze", "{scene}"],
     ),
     "param not numeric": (
