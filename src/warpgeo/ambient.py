@@ -18,7 +18,6 @@ import numpy as np
 from . import jet as J
 from .errors import ConfigError, EvalDomainError, first_failing, range_policy
 
-MODELS = ("euclidean", "sphere", "hyperbolic")
 _CURVATURE = {"euclidean": 0.0, "sphere": 1.0, "hyperbolic": -1.0}
 
 
@@ -28,7 +27,7 @@ class AmbientChart:
     n: int
 
     def __post_init__(self):
-        if self.model not in MODELS:
+        if self.model not in _CURVATURE:
             raise ConfigError(f"unknown ambient model {self.model!r}")
         if self.n < 2:
             raise ConfigError(f"ambient dimension must be >= 2, got {self.n}")

@@ -159,7 +159,7 @@ def _measures(pg):
     _, tangential = tangential_residual(pg)
     scale = pg.spec.m * (1.0 + np.abs(pg.lam)) * (1.0 + pg.normA2)
     _require_finite(pg, ("residual scale", scale))
-    return scale, normal, tangential, pg.normH
+    return scale, normal, tangential, np.sqrt(pg.h2)
 
 
 def _require_finite(pg, *named):

@@ -75,10 +75,9 @@ class SceneError(ConfigError):
 
 
 class ExprSyntaxError(SceneError):
-    def __init__(self, message, offset, expected=()):
+    def __init__(self, message, offset):
         super().__init__(f"{message} at offset {offset}")
         self.offset = offset
-        self.expected = frozenset(expected)
 
 
 class EvalDomainError(WarpgeoError):

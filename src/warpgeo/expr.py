@@ -143,11 +143,7 @@ class _Parser:
     def fail(self, expected):
         tok = self.cur
         what = "end of input" if tok.kind == "end" else repr(tok.text)
-        raise ExprSyntaxError(
-            f"unexpected {what}, expected one of {sorted(expected)}",
-            tok.pos,
-            expected,
-        )
+        raise ExprSyntaxError(f"unexpected {what}, expected one of {sorted(expected)}", tok.pos)
 
     def made(self, node, offset):
         height = 1 + max([self.heights.get(id(o), 1) for o in _operands(node)])
@@ -213,9 +209,7 @@ class _Parser:
             self.advance()
             if self.cur.kind == "(":
                 if tok.text not in FUNCTIONS:
-                    raise ExprSyntaxError(
-                        f"unknown function {tok.text!r}", tok.pos, set(FUNCTIONS)
-                    )
+                    raise ExprSyntaxError(f"unknown function {tok.text!r}", tok.pos)
                 self.advance()
                 arg = self.expr()
                 close = self.expect(")")

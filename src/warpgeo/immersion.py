@@ -140,6 +140,22 @@ def christoffels_from_metric(g, ginv, n_vars):
     return 0.5 * J.contract("kl,ijl->kij", ginv, first, n_vars)
 
 
+def second_fundamental_form(dphi, gamma, gbar, ginv, n_vars):
+    """nabla dphi_ij^a = d_i d_j phi^a - Gamma^k_ij d_k phi^a + Gbar^a_bc
+    d_i phi^b d_j phi^c of a map phi over d = n_vars chart variables, and
+    its trace over ginv, the tension field: jet tensors (size', d, d, D,
+    *batch) and (size', D, *batch) one order below dphi (size, d, D,
+    *batch), the order of the domain Christoffels gamma and of ginv.  gbar
+    holds the codomain Christoffels along phi, or None where they vanish."""
+    dphi_t = J.trunc(dphi, n_vars, J.order_of(dphi, n_vars) - 1)
+    B = J.gradient(dphi, n_vars, range(n_vars), axis=2)
+    B = B - J.contract("kij,ka->ija", gamma, dphi_t, n_vars)
+    if gbar is not None:
+        gbar_dphi = J.contract("abc,ib->aci", gbar, dphi_t, n_vars)
+        B = B + J.contract("aci,jc->ija", gbar_dphi, dphi_t, n_vars)
+    return B, J.contract("ij,ija->a", ginv, B, n_vars)
+
+
 def metric_inverse(g, n_vars):
     """The inverse of a metric tensor g (size, d, d, *batch), one order
     below g: the order of its Christoffel symbols.
@@ -275,21 +291,15 @@ class PointGeometry:
             self.gamma_c = christoffels_from_metric(g, ginv_c, m)  # order 2
             self.gamma_n_c = spec.ambient.christoffel(J.trunc(X, m, 2), m, q)
 
-            # Second fundamental form and mean curvature: order 2
-            # B_ij^a = d_j d_i X^a + Gamma^a_bc dX_i^b dX_j^c - Gamma^k_ij dX_k^a
-            dX2 = J.trunc(self.dX_c, m, 2)
-            B = J.gradient(self.dX_c, m, range(m), axis=2)
-            B = B - J.contract("kij,ka->ija", self.gamma_c, dX2, m)
-            if self.gamma_n_c is not None:
-                gamma_dX = J.contract("abc,ib->aci", self.gamma_n_c, dX2, m)
-                B = B + J.contract("aci,jc->ija", gamma_dX, dX2, m)
-            self.H_c = J.contract("ij,ija->a", ginv_c, B, m) * (1.0 / m)
+            # second fundamental form B and mean curvature H: order 2
+            B, mH = second_fundamental_form(self.dX_c, self.gamma_c, self.gamma_n_c, ginv_c, m)
+            self.H_c = mH * (1.0 / m)
             self.H_val = values(self.H_c, 1)
             self.B_val = values(B, 3)
-            self.normH = np.sqrt(self.e2_val * vdot(self.H_val, self.H_val))
+            self.h2 = as_value(self.e2_val * np.vecdot(self.H_val, self.H_val))  # |H|^2_h
 
             if spec.is_hypersurface:
-                self._hypersurface_fields(dX2, e2.trunc(2))
+                self._hypersurface_fields(J.trunc(self.dX_c, m, 2), e2.trunc(2))
 
     def _hypersurface_fields(self, dX2, e2):
         m = self.spec.m

@@ -11,6 +11,12 @@ Christoffels of that one pipeline (`first_principles`,
 codomain Christoffels, seeded at phi(p) and assembled as dGamma + Gamma
 Gamma by the same `riemann`, so the oracle borrows no closed form.
 
+The base it shares with the closed forms is `induced_metric_jets`,
+`metric_inverse`, `christoffels_from_metric`, `second_fundamental_form`,
+`orthonormal_frame` and `values` of `immersion`, and `_pullback_hessian`
+here; tests/test_independence.py fences it and checks it against the
+Gauss equation.
+
 Batches: a point's coordinates are floats, or arrays over a batch of
 points broadcast to one shape (t samples of a warped map, say), as for
 `PointGeometry`.  Jet tensors keep the batch axes last, and every value
@@ -39,6 +45,7 @@ from .immersion import (
     induced_metric_jets,
     metric_inverse,
     orthonormal_frame,
+    second_fundamental_form,
     values,
 )
 
@@ -129,17 +136,8 @@ def _tension_pipeline(mapspec, point, order):
     Ginv = metric_inverse(G, d)
     gamma_dom = christoffels_from_metric(G, Ginv, d)
     dphi = J.gradient(phi, d, range(d))  # dphi[k, a] = d_k phi^a
-
-    # tau^a = G^kl (d_l d_k phi^a + Gbar^a_bc dphi_k^b dphi_l^c
-    #               - Gamma^j_kl dphi_j^a)
-    dphi_t = J.trunc(dphi, d, order - 2)
-    hess = J.gradient(dphi, d, range(d), axis=2)
-    hess = hess - J.contract("jkl,ja->kla", gamma_dom, dphi_t, d)
     gbar = mapspec.codomain_christoffel(phi, d)
-    if gbar is not None:
-        gbar_dphi = J.contract("abc,kb->ack", gbar, dphi_t, d)
-        hess = hess + J.contract("ack,lc->kla", gbar_dphi, dphi_t, d)
-    tau = J.contract("kl,kla->a", Ginv, hess, d)
+    _, tau = second_fundamental_form(dphi, gamma_dom, gbar, Ginv, d)
     return phi, dphi, G, gamma_dom, gbar, tau
 
 
@@ -238,15 +236,10 @@ def warped_inclusion_map(scene):
         t = var_jets[0]
         f = scene.warp_jet(t).trunc(t.order - 1)
         fg = J.contract("ij,->ij", g, (f * f).coeffs, d)
-        batch = fg.shape[3:]
-        G = np.zeros(fg.shape[:1] + (d, d) + batch)
+        G = np.zeros(fg.shape[:1] + (d, d) + fg.shape[3:])
         G[0, 0, 0] = 1.0
         G[:, 1:, 1:] = fg
-        phi = np.empty((len(X), n + 1) + batch)
-        # through reversed axes, which line an unbatched jet up with a batch
-        phi[:, 0].T[...] = t.coeffs.T
-        phi[:, 1:].T[...] = X.T
-        return phi, G
+        return J.stack([t, *(J.unstack(X[:, a], d) for a in range(n))]), G
 
     def codomain_christoffel(tx, n_vars):
         order = J.order_of(tx, n_vars) - 2

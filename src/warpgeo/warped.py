@@ -184,8 +184,7 @@ def base_point_of(pg):
             if isinstance(a, np.ndarray):
                 _read_only(a)
         e = math.sqrt(pg.e2_val)
-        h2 = pg.e2_val * float(np.dot(pg.H_val, pg.H_val))
-        return BasePoint(pg, e, _read_only(e * pg.H_val), h2)
+        return BasePoint(pg, e, _read_only(e * pg.H_val), pg.h2)
 
 
 # A vector at a point of I x N is an (n+1,) array of components in the

@@ -558,6 +558,13 @@ class TestBasePoint:
         # whose bits verify's "pairing via Ricci" expected values pin
         assert np.vecdot(base.eH, base.eH) == pytest.approx(base.h2, rel=1e-15, abs=0.0)
 
+    def test_classify_reads_the_one_h2(self):
+        # |H| of classify is the root of the geometry's one |H|^2_h; at this
+        # cone point a sum in another order reads 0.49999999999999994
+        spec, point = verify.cone(1.0), (0.5, 1.9)
+        record = warped.classify(spec, [point], 1e-8)
+        assert record.max_mean_curvature == math.sqrt(warped.base_point(spec, point).h2)
+
 
 # bases off hypersurfaces, each (variables, components, ambient, point):
 # codimension 2 in S4 and in H4, and a helix, a curve in R3
