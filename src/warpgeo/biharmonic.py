@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EvalDomainError, UsageError, WarpgeoError, first_failing, range_policy
-from .immersion import PointGeometry, per_point, vdot
+from .errors import EvalDomainError, UsageError, WarpgeoError, as_value, first_failing, range_policy
+from .immersion import PointGeometry, per_point
 
 # parameter_scan's root test: simple roots of the fixture scans measure
 # 0.5-2.0 against it, the pole of the graph u^2/(r-1) + v^2 measures 6e-7.
@@ -57,20 +57,20 @@ def tangential_residual(pg):
     """m [ 2 A(grad lambda) + m lambda grad lambda - 2 lambda (Ricci eta)^T ]
     at the points of the hypersurface PointGeometry `pg`.
 
-    Returns (ambient components, induced-metric norm); a point at which the
-    norm is not finite is an EvalDomainError.  The Ricci term is zero and
-    is not computed: in a space form Ric(eta) = (n-1)c eta is normal, so
-    its projection onto span{d_i X} vanishes.
+    Returns (ambient components, h-length, h = e2 delta, summed by np.hypot
+    as in warped.hbar_norm); a point at which the length is not finite is
+    an EvalDomainError.  The Ricci term is zero and is not computed: in a
+    space form Ric(eta) = (n-1)c eta is normal, so its projection onto
+    span{d_i X} vanishes.
     """
     pg.spec.require_hypersurface()
     m = pg.spec.m
-
     with range_policy():
         a_grad = np.matvec(pg.S_val, pg.grad_lam)  # intrinsic components of A(grad lambda)
         lam = per_point(pg.lam, 1)
         t_intr = m * (2.0 * a_grad + m * lam * pg.grad_lam)
         t_amb = np.matvec(pg.dX_val.mT, t_intr)
-        norm = np.sqrt(np.maximum(vdot(t_intr, np.matvec(pg.g_val, t_intr)), 0.0))
+        norm = as_value(np.sqrt(pg.e2_val) * np.hypot.reduce(t_amb, axis=-1))
     _require_finite(pg, ("tangential residual", norm))
     return t_amb, norm
 
@@ -105,7 +105,8 @@ class ClassificationRecord:
 
 def classify(spec, points, tol, geometries=None):
     """Classify over a point batch with relative residual scale
-    m (1 + |lambda|)(1 + |A|^2).
+    m (1 + |lambda|)(1 + |A|^2); harmonic where |H| <= tol (1 + |A|) at
+    every point, relative to |A| >= sqrt(m) |H| and absolute below 1.
 
     `geometries`, if given, holds PointGeometry objects covering the
     points (one per point, or batched); otherwise `each` evaluates the
@@ -124,10 +125,10 @@ def classify(spec, points, tol, geometries=None):
             rows = [read(i) for i in range(len(points))]
         else:
             rows = np.vstack([np.column_stack(_measures(pg)) for pg in geometries])
-    scale, max_n, max_t, max_h = map(float, np.max(rows, axis=0, initial=0.0))
+    scale, max_n, max_t, max_h, max_rel_h = map(float, np.max(rows, axis=0, initial=0.0))
     normally = max_n <= tol * scale
     tangentially = max_t <= tol * scale
-    harmonic = max_h <= tol * (1.0 + scale)
+    harmonic = max_rel_h <= tol
     return ClassificationRecord(
         tol=tol,
         scale=scale,
@@ -151,15 +152,15 @@ def _geometry(spec, points):
 
 
 def _measures(pg):
-    """(scale, |normal residual|, tangential residual, |H|) at the points of
-    the PointGeometry `pg`: floats, or arrays over its batch.  A point at
-    which one of them is not finite is an EvalDomainError: an infinite
-    scale would pass any residual."""
+    """(scale, |normal residual|, tangential residual, |H|, |H| / (1 + |A|))
+    at the points of the PointGeometry `pg`: floats, or arrays over its
+    batch.  A point at which one of them is not finite is an
+    EvalDomainError: an infinite scale would pass any residual."""
     normal = np.abs(normal_residual(pg))
     _, tangential = tangential_residual(pg)
     scale = pg.spec.m * (1.0 + np.abs(pg.lam)) * (1.0 + pg.normA2)
     _require_finite(pg, ("residual scale", scale))
-    return scale, normal, tangential, np.sqrt(pg.h2)
+    return scale, normal, tangential, (h := np.sqrt(pg.h2)), h / (1.0 + np.sqrt(pg.normA2))
 
 
 def _require_finite(pg, *named):

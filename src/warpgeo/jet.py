@@ -581,27 +581,30 @@ def _compose(a, series):
     return Jet(a.n_vars, a.order, out)
 
 
-def _require_finite(operation, at, rows):
-    """Raise EvalDomainError unless every entry of `rows` (a list of floats
-    or batch arrays) is finite; the error names the value `at` of the first
-    point where one is not.  A series at one point (`at` a scalar, so every
-    row one) is tested by math.isfinite, a tenth of np.isfinite's cost on
-    a short list of scalars."""
-    ok = True
-    for row in rows:
-        ok = ok & (np.isfinite(row) if isinstance(row, np.ndarray) else math.isfinite(row))
+def _require(operation, ok, at):
+    """Raise EvalDomainError at the value `at` of the first point where the
+    mask `ok` fails: the series there leaves the float range."""
     if bad := first_failing(ok, at):
         raise EvalDomainError(
             f"{operation} series at {bad[0]:g} leaves the float range", value=bad[0]
         )
 
 
-def _powers(x, count):
-    """x, x^2, ..., x^count by repeated multiplication."""
-    out = [x]
-    for _ in range(count - 1):
-        out.append(out[-1] * x)
-    return out
+def _require_in_range(operation, a, series):
+    """Refuse a point where the value of `a` or a term of its power or log
+    `series` is not finite, or where a term past the value is below 2^-1022
+    while a's nilpotent part is not zero: that nonzero term underflowed and
+    drops its product with a power of that part, which can be a float (1/x
+    at x = 1e70 u).  One point takes Python's math, a fifth of numpy's cost."""
+    a0, terms = a.coeffs[0], series[1:]
+    if isinstance(a0, np.ndarray):  # a reduction each over one array of sizes
+        size = np.abs([a0] + series)
+        ok, smallest = size.max(axis=0) < math.inf, np.fmin.reduce(size[2:], axis=None, initial=1.0)
+    else:
+        ok, smallest = all(map(math.isfinite, [a0] + series)), min(map(abs, terms), default=1)
+    if smallest < 2.0**-1022:
+        ok = ok & ~((np.abs(terms).min(axis=0) < 2.0**-1022) & np.any(a.coeffs[1:], axis=0))
+    _require(operation, ok, a0)
 
 
 def reciprocal(b):
@@ -609,17 +612,14 @@ def reciprocal(b):
         b0 = b.coeffs[0]
         if bad := first_failing((abs(b0) >= SINGULAR_EPS) | (b0 != b0), b0):
             raise SingularJetError(f"division by jet with value {bad[0]:g}", value=bad[0])
-        powers = _powers(b0, b.order + 1)
-        _require_finite("reciprocal", b0, powers)
-        series = [(-1.0) ** k / p for k, p in enumerate(powers)]
-        return _compose(b, series)
+        return _power_series(b, -1.0)
 
 
 def exp(a):
     with range_policy():
         a0 = a.coeffs[0]
         v = np.exp(a0)
-        _require_finite("exp", a0, [v])
+        _require("exp", abs(v) < math.inf, a0)
         series = [v / math.factorial(k) for k in range(a.order + 1)]
         return _compose(a, series)
 
@@ -629,34 +629,30 @@ def log(a):
         a0 = a.coeffs[0]
         if bad := first_failing((a0 > 0.0) | (a0 != a0), a0):
             raise EvalDomainError(f"log of non-positive value {bad[0]:g}", value=bad[0])
-        powers = _powers(a0, a.order)
         series = [np.log(a0)] + [
-            (-1.0) ** (k + 1) / (k * p) for k, p in enumerate(powers, start=1)
+            (-1.0) ** (k + 1) / k * np.power(a0, -k) for k in range(1, a.order + 1)
         ]
-        _require_finite("log", a0, powers + series)
+        _require_in_range("log", a, series)
         return _compose(a, series)
 
 
-def _sin_cos(operation, a):
-    a0 = a.coeffs[0]
-    _require_finite(operation, a0, [a0])
-    return np.sin(a0), np.cos(a0)
+def _sin_cos(operation, a, shift):
+    """sin (shift 0) or cos (shift 1) of `a`: the derivatives of sin cycle
+    through sin, cos, -sin, -cos, and cos starts one step on."""
+    with range_policy():
+        a0 = a.coeffs[0]
+        _require(operation, abs(a0) < math.inf, a0)
+        s, c = np.sin(a0), np.cos(a0)
+        cycle = [s, c, -s, -c]
+        return _compose(a, [cycle[(k + shift) % 4] / math.factorial(k) for k in range(a.order + 1)])
 
 
 def sin(a):
-    with range_policy():
-        s, c = _sin_cos("sin", a)
-        cycle = [s, c, -s, -c]
-        series = [cycle[k % 4] / math.factorial(k) for k in range(a.order + 1)]
-        return _compose(a, series)
+    return _sin_cos("sin", a, 0)
 
 
 def cos(a):
-    with range_policy():
-        s, c = _sin_cos("cos", a)
-        cycle = [c, -s, -c, s]
-        series = [cycle[k % 4] / math.factorial(k) for k in range(a.order + 1)]
-        return _compose(a, series)
+    return _sin_cos("cos", a, 1)
 
 
 def sqrt(a):
@@ -700,14 +696,15 @@ def jpow(a, exponent):
 
 def _power_series(a, p):
     """a**p by its binomial series about a.value, which the caller has
-    checked is positive (or NaN) at every point."""
+    checked is positive (or NaN) at every point, or nonzero for an integer
+    p; an infinite value is refused, not taken for the 0 of a power < 0."""
     a0 = a.coeffs[0]
     series = []
     binom = 1.0
     for k in range(a.order + 1):
         series.append(binom * np.power(a0, p - k))
         binom *= (p - k) / (k + 1)
-    _require_finite(f"power {p:g}", a0, series)
+    _require_in_range(f"power {p:g}", a, series)
     return _compose(a, series)
 
 

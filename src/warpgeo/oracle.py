@@ -13,9 +13,9 @@ Gamma by the same `riemann`, so the oracle borrows no closed form.
 
 The base it shares with the closed forms is `induced_metric_jets`,
 `metric_inverse`, `christoffels_from_metric`, `second_fundamental_form`,
-`orthonormal_frame` and `values` of `immersion`, and `_pullback_hessian`
-here; tests/test_independence.py fences it and checks it against the
-Gauss equation.
+`orthonormal_frame` and `values` of `immersion`, `_pullback_hessian` here
+and `AmbientChart.christoffel`; tests/test_independence.py fences it and
+checks it against the Gauss equation, the chart against its curvature.
 
 Batches: a point's coordinates are floats, or arrays over a batch of
 points broadcast to one shape (t samples of a warped map, say), as for

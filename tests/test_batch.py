@@ -249,7 +249,11 @@ REFUSALS = {
         lambda: J.reciprocal(_jet([2.0, 0.0, 1e-20])), lambda: J.reciprocal(_jet(0.0))
     ),
     "reciprocal series": (
-        lambda: J.reciprocal(_jet([2.0, 1e200, 1e250])), lambda: J.reciprocal(_jet(1e200))
+        lambda: J.reciprocal(_jet([2.0, inf, nan])), lambda: J.reciprocal(_jet(inf))
+    ),
+    # an underflowed term at a varying jet, before a point that is not finite
+    "series term underflows": (
+        lambda: J.reciprocal(_jet([2.0, 1e200, inf])), lambda: J.reciprocal(_jet(1e200))
     ),
     "jpow of non-finite": (
         lambda: J.jpow(_jet([1.0, inf, nan]), 3), lambda: J.jpow(_jet(inf), 3)

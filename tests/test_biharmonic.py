@@ -129,6 +129,21 @@ class TestClassify:
         with pytest.raises(UsageError, match="^point has 3 coords, expected 2$"):
             bh.classify(cone(1.0), [(1.0, 0.7), (1.0, 0.7, 0.3)], 1e-7)
 
+    @pytest.mark.parametrize("spec, point, mean_curvature", [
+        (immersion(("u", "v"), ("u", "v", "sqrt(R^2-u*u-v*v)"), {"R": 3e-4},
+                   AmbientChart("euclidean", 3)), (0.0, 0.0), 1.0 / 3e-4),
+        # |H| = |lambda| = 1 / (2 r sqrt(1 + r^2) u)
+        (verify.cone(2.0), (1e-4, 0.7), 1.0 / (4.0 * math.sqrt(5.0) * 1e-4)),
+    ], ids=["sphere of radius 3e-4", "cone r = 2 near its apex"])
+    def test_high_curvature_is_not_harmonic(self, spec, point, mean_curvature):
+        # |H| <= tol (1 + |A|) is relative to |A| >= sqrt(m) |H|: compared
+        # with the residual scale m (1 + |lambda|)(1 + |A|^2) ~ |H|^3 any
+        # |H| past about 1e3 passed at tol = 1e-7, and with it biharmonic
+        rec = bh.classify(spec, [point], 1e-7)
+        assert rec.max_mean_curvature == pytest.approx(mean_curvature, rel=1e-12)
+        assert rec.max_normal > 1e-7 * rec.scale
+        assert not rec.harmonic and not rec.normally_biharmonic and not rec.biharmonic
+
     def test_to_dict(self, cone):
         d = bh.classify(cone(1.0), [(1.0, 0.7)], 1e-7).to_dict()
         assert d["points"] == [[1.0, 0.7]]
@@ -327,6 +342,14 @@ class TestScan:
         residual = bh.normal_residual(PointGeometry(spec, (0.3, 0.2)))
         assert residual != 0.0
         assert [r for _, r in res.samples] == [residual] * 5
+
+    def test_exact_zero_at_the_last_sample_is_a_root(self):
+        # a = 0 is the plane: its residual is exactly 0, and no bracket
+        # ends there from the right
+        spec = immersion(("u", "v"), ("u", "v", "a*u*u"), {"a": 1.0}, AmbientChart("euclidean", 3))
+        res = bh.parameter_scan(spec, "a", -1.0, 0.0, 5, (0.3, 0.2))
+        assert res.samples[-1] == (0.0, 0.0) and res.failures == ()
+        assert res.roots[-1] == 0.0
 
 
 # monotone functions with one simple root c, as (name, f(x, c, a)); x is a

@@ -197,6 +197,7 @@ class TestEvalJet:
             ("r*u*cos(v)", {"r": 1.5, "u": 0.7, "v": 2.2}),
             ("exp(-u)*sqrt(v)+u/v", {"u": 0.3, "v": 1.8}),
             ("(u+2)^(1/2) - log(v)", {"u": 0.5, "v": 3.0}),
+            ("u^0*v", {"u": -0.5, "v": 3.0}),
         ],
     )
     def test_order_zero_matches_plain_eval(self, src, env):

@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from warpgeo import jet as J
 from warpgeo import oracle, verify
 from warpgeo.ambient import AmbientChart
 from warpgeo.immersion import PointGeometry, immersion
@@ -115,5 +116,28 @@ def test_gauss_equation(name):
     gg = np.einsum("jk,iw->ijkw", g, g)
     bb = pg.e2_val * np.einsum("jka,iwa->ijkw", B, B)
     rhs = spec.ambient.c * (gg - gg.transpose(1, 0, 2, 3)) + bb - bb.transpose(1, 0, 2, 3)
+    gap = np.abs(lhs - rhs).max()
+    assert gap <= 1e-12 * (1.0 + np.abs(rhs).max()), (gap, np.abs(rhs).max())
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("model", ["euclidean", "sphere", "hyperbolic"])
+def test_chart_has_constant_curvature(model, n):
+    # h_lw R^l_ijk = c (h_jk h_iw - h_ik h_jw) with h = q^2 delta, R from
+    # the chart's Christoffels (AmbientChart.christoffel) by the oracle's
+    # own assembly: the chart is the base's last piece, and neither path
+    # checks it against the space form it stands for.  The symbols are
+    # symmetric too: a term d_a rho delta_bk alone changes no curvature
+    chart = AmbientChart(model, n)
+    spec = immersion(("u", "v"), ("u", "v") + ("0.1",) * (n - 2), {}, chart)
+    x = (0.3, -0.2, 0.1, 0.05)[:n]
+    seeded = J.stack([J.jet_variable(i, x[i], n, 2) for i in range(n)])
+    gamma = oracle.inclusion_map(spec).codomain_christoffel(seeded, n)
+    assert gamma is None or np.array_equal(gamma, gamma.swapaxes(2, 3))
+    riem = oracle.codomain_riemann(oracle.inclusion_map(spec), x)
+    h = np.eye(n) * (2.0 / (1.0 + chart.c * np.dot(x, x))) ** 2
+    lhs = 0.0 if riem is None else np.einsum("lijk,lw->ijkw", riem, h)
+    hh = np.einsum("jk,iw->ijkw", h, h)
+    rhs = chart.c * (hh - hh.transpose(1, 0, 2, 3))
     gap = np.abs(lhs - rhs).max()
     assert gap <= 1e-12 * (1.0 + np.abs(rhs).max()), (gap, np.abs(rhs).max())

@@ -183,6 +183,23 @@ class TestElementary:
         ):
             J.jpow(u, 200)
 
+    @pytest.mark.parametrize("f, x", [(J.reciprocal, 1e200), (J.log, 1e300)],
+                             ids=["1/x", "log x"])
+    def test_far_series_is_kept_only_where_nothing_is_dropped(self, f, x):
+        # its terms past the value underflow: a constant jet is its value,
+        # and a varying one is refused, since x + h may give them weight
+        c = J.jet_constant(x, 1, 4)
+        assert f(c).coeffs.tolist() == [f(J.jet_constant(x, 1, 0)).value, 0, 0, 0, 0]
+        message = f"series at {x:g} leaves the float range"
+        with pytest.raises(EvalDomainError, match=re.escape(message)):
+            f(J.jet_variable(0, x, 1, 4))
+
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    def test_reciprocal_of_a_value_that_is_not_finite_is_refused(self, x):
+        # 1/inf would be 0: the value itself is checked
+        with pytest.raises(EvalDomainError, match=rf"^power -1 series at {x:g} leaves"):
+            J.reciprocal(J.jet_variable(0, x, 1, 4))
+
     def test_log_domain(self):
         with pytest.raises(EvalDomainError):
             J.log(J.jet_constant(0.0, 1, 2))

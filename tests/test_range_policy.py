@@ -10,7 +10,9 @@ the range is decided by the value checks.
 """
 
 import json
+import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -52,6 +54,38 @@ def test_overflowing_graph_through_point_geometry_and_classify():
         biharmonic.normal_residual(pg)
     with pytest.raises(EvalDomainError, match="leaves the float range"):
         biharmonic.classify(STEEP_GRAPH, [(0.0, 0.3)], 1e-7)
+
+
+def _graph(*components):
+    return immersion(("u", "v"), components, {}, AmbientChart("euclidean", 3))
+
+
+def test_far_plane_is_reported():
+    # 1/|w| at |w| = 1e140: 1/|w|^5 underflows, but |w| is constant, so
+    # the series' value is all it gives (1/x was refused once x^5 overflowed)
+    got = biharmonic.classify(_graph("1e70*u", "1e70*v", "0"), [(0.3, 0.2)], 1e-7)
+    assert got == biharmonic.classify(_graph("u", "v", "0"), [(0.3, 0.2)], 1e-7)
+
+
+# the order-4 term of each series underflows, and its product with
+# (1e100 du)^4, (1e70 du)^4 or (1e200 du)^4 is a float: dropping it gave
+# wrong residuals (exit 0 for the sqrt graph: 5.64 for 13.16)
+@pytest.mark.parametrize("component, message", [
+    ("log(1e100*u)+v*v", "log series at 3e+99 leaves the float range"),
+    ("1/(1e70*u)+v*v", "power -1 series at 3e+69 leaves the float range"),
+    ("sqrt(1e200*u)*1e-100+v*v", "power 0.5 series at 3e+199 leaves the float range"),
+], ids=["log", "reciprocal", "sqrt"])
+def test_series_that_would_drop_a_term_is_refused(component, message):
+    with pytest.raises(EvalDomainError, match=f"^{re.escape(message)}$"):
+        biharmonic.classify(_graph("u", "v", component), [(0.3, 0.2)], 1e-7)
+
+
+def test_tangential_residual_whose_square_overflows_is_reported():
+    # about 1.6e154: its square leaves the float range, its h-length does not
+    rec = biharmonic.classify(_graph("u", "v", "1e77*u*u+v*v*v"), [(0.0, 0.3)], 1e-7)
+    assert math.sqrt(sys.float_info.max) < rec.max_tangential < math.inf
+    assert rec.max_tangential <= 1e-7 * rec.scale < rec.max_normal
+    assert not rec.harmonic and not rec.biharmonic and rec.tangentially_biharmonic
 
 
 # f = 2 + 1e400 t^2 loads, as its order-0 samples are about 2, but its
@@ -160,6 +194,12 @@ FOUND = {
     "immersion": {"variables": ["u", "v"], "components": ["u", "v", FOUND_COMPONENT]},
 }
 
+# u*1e308*1e308 is not a constant: its value is infinite at every point
+INFINITE_DIVISOR = {
+    "ambient": {"model": "euclidean", "dim": 3},
+    "immersion": {"variables": ["u", "v"], "components": ["u", "v", "1/(u*1e308*1e308)"]},
+}
+
 
 @pytest.mark.parametrize("scene, argv, code, err", [
     (STEEP, ["analyze", "{scene}", "--points", "0,0.3"], 3, "error: 1 point(s) failed\n"),
@@ -182,9 +222,11 @@ FOUND = {
     (SLICE | {"warp": {"expr": "t", "interval": [1e-300, 1.0]}},
      ["warp", "{scene}", "--t=1e-150:1:2", "--point", "0.3,-0.2"], 3,
      "error: pairing is not finite at t = 1e-150\n"),
+    (INFINITE_DIVISOR, ["classify", "{scene}", "--points", "0.3,0.2"], 3,
+     "error: power -1 series at inf leaves the float range\n"),
     (None, ["verify", "--filter", "f=exp(t)"], 0, ""),
 ], ids=["analyze", "classify", "scan", "classify constant", "warp at load", "warp pairing",
-        "warp finite pairing", "warp sweep", "warp vanishing f", "verify"])
+        "warp finite pairing", "warp sweep", "warp vanishing f", "infinite divisor", "verify"])
 def test_cli_subcommand_out_of_range(tmp_path, capsys, scene, argv, code, err):
     path = tmp_path / "scene.json"
     if scene is not None:

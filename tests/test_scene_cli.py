@@ -382,6 +382,13 @@ class TestCli:
         capsys.readouterr()
         assert code == 2
 
+    def test_points_ignore_an_empty_chunk(self, tmp_path, capsys):
+        path = write_scene(tmp_path, CONE_SCENE)
+        assert run_cli(["classify", path, "--points", "1,0.7;"]) == 0
+        trailing = capsys.readouterr().out
+        assert run_cli(["classify", path, "--points", "1,0.7"]) == 0
+        assert capsys.readouterr().out == trailing
+
     def test_grid_points(self, tmp_path, capsys):
         path = write_scene(tmp_path, CONE_SCENE)
         code = run_cli(["classify", path, "--grid", "0.5:2:3,0:1:2"])
@@ -403,6 +410,8 @@ def _with(scene, block, **changes):
     out[block].update(changes)
     return out
 
+
+NO_ANALYSIS = {k: v for k, v in CONE_SCENE.items() if k != "analysis"}
 
 # (scene, argv); {scene} is the scene file and {tmp} a scratch directory.
 BAD_INPUT = {
@@ -558,6 +567,13 @@ BAD_INPUT = {
               components=["u", "v", "1+0*(" + "+".join(["u"] + ["0*u"] * 500) + ")"]),
         ["analyze", "{scene}"],
     ),
+    "points only separators": (CONE_SCENE, ["classify", "{scene}", "--points", ";"]),
+    "grid of too few axes": (CONE_SCENE, ["classify", "{scene}", "--grid", "0.5:1:2"]),
+    "classify with no points": (NO_ANALYSIS, ["classify", "{scene}"]),
+    "scan with no probe": (NO_ANALYSIS, ["scan", "{scene}", "--param", "r", "--range", "0.5:2"]),
+    "scene a list": ([CONE_SCENE], ["analyze", "{scene}"]),
+    "params a list": (_with(CONE_SCENE, "immersion", params=[1]), ["analyze", "{scene}"]),
+    "ambient model unknown": (_with(CONE_SCENE, "ambient", model="torus"), ["analyze", "{scene}"]),
     "verify filter matches nothing": (CONE_SCENE, ["verify", "--filter", "zzz"]),
     "unwritable json": (CONE_SCENE, ["analyze", "{scene}", "--json", "{tmp}/no/r.json"]),
     "unwritable csv": (
@@ -575,6 +591,23 @@ def test_bad_input_exits_2_with_message(tmp_path, capsys, data, argv):
     assert code == 2
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("case, message", [
+    ("points only separators", "no points given"),
+    ("grid of too few axes", "grid needs 2 axes"),
+    ("classify with no points", "no points: pass --points/--grid or an analysis block"),
+    ("scan with no probe", "scan needs --probe or an analysis point"),
+    ("scene a list", "top level must be an object"),
+    ("params a list", "'params' must be an object"),
+    ("ambient model unknown", ".ambient: unknown ambient model 'torus'"),
+])
+def test_bad_input_names_its_cause(tmp_path, capsys, case, message):
+    data, argv = BAD_INPUT[case]
+    scene = write_scene(tmp_path, data)
+    assert run_cli([arg.format(scene=scene) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith(f"{message}\n")
 
 
 @pytest.mark.parametrize("case", ["scene file not UTF-8", "scene JSON nested too deeply"])
