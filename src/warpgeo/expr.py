@@ -270,8 +270,6 @@ def _operands(node):
 
 def _rebuild(node, operands):
     """`node` with its operands replaced by `operands`."""
-    if not operands:
-        return node
     return dataclasses.replace(node, **dict(zip(_OPERAND_FIELDS[type(node)], operands)))
 
 

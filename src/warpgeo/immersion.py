@@ -140,20 +140,26 @@ def christoffels_from_metric(g, ginv, n_vars):
     return 0.5 * J.contract("kl,ijl->kij", ginv, first, n_vars)
 
 
-def second_fundamental_form(dphi, gamma, gbar, ginv, n_vars):
-    """nabla dphi_ij^a = d_i d_j phi^a - Gamma^k_ij d_k phi^a + Gbar^a_bc
-    d_i phi^b d_j phi^c of a map phi over d = n_vars chart variables, and
-    its trace over ginv, the tension field: jet tensors (size', d, d, D,
-    *batch) and (size', D, *batch) one order below dphi (size, d, D,
-    *batch), the order of the domain Christoffels gamma and of ginv.  gbar
-    holds the codomain Christoffels along phi, or None where they vanish."""
-    dphi_t = J.trunc(dphi, n_vars, J.order_of(dphi, n_vars) - 1)
-    B = J.gradient(dphi, n_vars, range(n_vars), axis=2)
-    B = B - J.contract("kij,ka->ija", gamma, dphi_t, n_vars)
+def covariant_derivative(w, dphi, gamma, gbar, n_vars):
+    """nabla_i w_j^a = d_i w_j^a - Gamma^k_ij w_k^a + Gbar^a_bc d_i phi^b
+    w_j^c of a 1-form w (size, d, D, *batch) with values along a map phi,
+    over d = n_vars chart variables: a jet tensor (size', d, d, D, *batch)
+    one order below w, the derivative index first.  With w = dphi it is
+    the second fundamental form nabla dphi, whose trace over g^-1 is the
+    tension field; with w = d lambda of a function (D = 1, phi and gbar
+    None) it is the Hessian, whose trace is the Laplacian.  gamma holds the
+    domain Christoffels, gbar the codomain Christoffels along phi or None
+    where they vanish; dphi, gamma and gbar are read at the result's order,
+    so each may come at that order or above."""
+    order = J.order_of(w, n_vars) - 1
+    nw = J.gradient(w, n_vars, range(n_vars))
+    w = J.trunc(w, n_vars, order)
+    nw = nw - J.contract("kij,ka->ija", J.trunc(gamma, n_vars, order), w, n_vars)
     if gbar is not None:
-        gbar_dphi = J.contract("abc,ib->aci", gbar, dphi_t, n_vars)
-        B = B + J.contract("aci,jc->ija", gbar_dphi, dphi_t, n_vars)
-    return B, J.contract("ij,ija->a", ginv, B, n_vars)
+        dphi = J.trunc(dphi, n_vars, order)
+        gbar_dphi = J.contract("abc,ib->aci", J.trunc(gbar, n_vars, order), dphi, n_vars)
+        nw = nw + J.contract("aci,jc->ija", gbar_dphi, w, n_vars)
+    return nw
 
 
 def metric_inverse(g, n_vars):
@@ -292,16 +298,16 @@ class PointGeometry:
             self.gamma_n_c = spec.ambient.christoffel(J.trunc(X, m, 2), m, q)
 
             # second fundamental form B and mean curvature H: order 2
-            B, mH = second_fundamental_form(self.dX_c, self.gamma_c, self.gamma_n_c, ginv_c, m)
-            self.H_c = mH * (1.0 / m)
+            B = covariant_derivative(self.dX_c, self.dX_c, self.gamma_c, self.gamma_n_c, m)
+            self.H_c = J.contract("ij,ija->a", ginv_c, B, m) * (1.0 / m)
             self.H_val = values(self.H_c, 1)
             self.B_val = values(B, 3)
             self.h2 = as_value(self.e2_val * np.vecdot(self.H_val, self.H_val))  # |H|^2_h
 
             if spec.is_hypersurface:
-                self._hypersurface_fields(J.trunc(self.dX_c, m, 2), e2.trunc(2))
+                self._hypersurface_fields(J.trunc(self.dX_c, m, 2), e2.trunc(2), ginv_c)
 
-    def _hypersurface_fields(self, dX2, e2):
+    def _hypersurface_fields(self, dX2, e2, ginv_c):
         m = self.spec.m
         w = hypersurface_normal(dX2, m)
         wnorm = J.sqrt(e2 * J.Jet(m, 2, J.contract("a,a->", w, w, m)))
@@ -324,13 +330,9 @@ class PointGeometry:
         self.grad_lam = np.matvec(self.ginv_val, dlam_val)  # intrinsic components
         self.grad_lam_amb = np.matvec(self.dX_val.mT, self.grad_lam)
 
-        # Delta lambda = g^ij (d_i d_j lambda - Gamma^k_ij d_k lambda)
-        hess = values(J.gradient(dlam, m, range(m)), 2)
-        gamma = values(self.gamma_c, 3)  # (*batch, k, i, j) to (*batch, i, j, k)
-        batch = gamma.ndim - 3
-        gamma_ijk = gamma.transpose(*range(batch), batch + 1, batch + 2, batch)
-        hess = hess - vdot(gamma_ijk, dlam_val[..., None, None, :])
-        self.lap_lam = _trace(self.ginv_val @ hess)
+        # Delta lambda, the tension of lambda: M -> R, at order 0
+        hess = covariant_derivative(dlam[:, :, None], None, self.gamma_c, None, m)
+        self.lap_lam = J.contract("ij,ija->a", J.trunc(ginv_c, m, 0), hess, m)[0, 0]
 
         self.ric_eta_eta = (self.spec.n - 1) * self.spec.ambient.c
 

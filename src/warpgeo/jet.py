@@ -591,8 +591,8 @@ def _require(operation, ok, at):
 
 
 def _require_in_range(operation, a, series):
-    """Refuse a point where the value of `a` or a term of its power or log
-    `series` is not finite, or where a term past the value is below 2^-1022
+    """Refuse a point where the value of `a` or a term of its power, log or
+    exp `series` is not finite, or where a term past the value is below 2^-1022
     while a's nilpotent part is not zero: that nonzero term underflowed and
     drops its product with a power of that part, which can be a float (1/x
     at x = 1e70 u).  One point takes Python's math, a fifth of numpy's cost."""
@@ -617,10 +617,9 @@ def reciprocal(b):
 
 def exp(a):
     with range_policy():
-        a0 = a.coeffs[0]
-        v = np.exp(a0)
-        _require("exp", abs(v) < math.inf, a0)
+        v = np.exp(a.coeffs[0])
         series = [v / math.factorial(k) for k in range(a.order + 1)]
+        _require_in_range("exp", a, series)
         return _compose(a, series)
 
 

@@ -12,7 +12,7 @@ codomain Christoffels, seeded at phi(p) and assembled as dGamma + Gamma
 Gamma by the same `riemann`, so the oracle borrows no closed form.
 
 The base it shares with the closed forms is `induced_metric_jets`,
-`metric_inverse`, `christoffels_from_metric`, `second_fundamental_form`,
+`metric_inverse`, `christoffels_from_metric`, `covariant_derivative`,
 `orthonormal_frame` and `values` of `immersion`, `_pullback_hessian` here
 and `AmbientChart.christoffel`; tests/test_independence.py fences it and
 checks it against the Gauss equation, the chart against its curvature.
@@ -42,10 +42,10 @@ from .immersion import (
     JET_ORDER,
     PointGeometry,
     christoffels_from_metric,
+    covariant_derivative,
     induced_metric_jets,
     metric_inverse,
     orthonormal_frame,
-    second_fundamental_form,
     values,
 )
 
@@ -109,16 +109,7 @@ def _pullback_hessian(V, gbar, dphi, gamma_dom, n_vars):
     if gbar is not None:
         gV = J.contract("abc,c->ab", J.trunc(gbar, d, 1), J.trunc(V, d, 1), d)
         nV = nV + J.contract("ab,lb->la", gV, J.trunc(dphi, d, 1), d)
-
-    # tensorial second covariant derivative, on values
-    nV_val = values(nV, 2)
-    sec = values(J.gradient(nV, d, range(d)), 3)  # sec[k, l, a] = d_k nV[l, a]
-    sec = sec - np.einsum("...jkl,...ja->...kla", values(gamma_dom, 3), nV_val)
-    if gbar is not None:
-        sec = sec + np.einsum(
-            "...abc,...kb,...lc->...kla", values(gbar, 3), values(dphi, 2), nV_val
-        )
-    return sec
+    return values(covariant_derivative(nV, dphi, gamma_dom, gbar, d), 3)
 
 
 def _tension_pipeline(mapspec, point, order):
@@ -137,7 +128,7 @@ def _tension_pipeline(mapspec, point, order):
     gamma_dom = christoffels_from_metric(G, Ginv, d)
     dphi = J.gradient(phi, d, range(d))  # dphi[k, a] = d_k phi^a
     gbar = mapspec.codomain_christoffel(phi, d)
-    _, tau = second_fundamental_form(dphi, gamma_dom, gbar, Ginv, d)
+    tau = J.contract("ij,ija->a", Ginv, covariant_derivative(dphi, dphi, gamma_dom, gbar, d), d)
     return phi, dphi, G, gamma_dom, gbar, tau
 
 

@@ -2,8 +2,9 @@
 
 The closed forms and the oracle are independent except for one base of
 shared code, which `oracle`'s module docstring names: the metric, its
-inverse and Christoffels, the second fundamental form and its trace, the
-frame, the value layout and the pull-back Hessian.  A defect there shows
+inverse and Christoffels, the covariant derivative along a map (of dphi,
+the second fundamental form), the frame, the value layout and the
+pull-back Hessian.  A defect there shows
 in both paths alike, so their comparison cannot see it.  This file keeps
 the base from growing unseen (the oracle imports nothing else of the
 closed forms) and checks it against the Gauss equation, which neither
@@ -26,15 +27,15 @@ import numpy as np
 import pytest
 
 from warpgeo import jet as J
-from warpgeo import oracle, verify
+from warpgeo import oracle, verify, warped
 from warpgeo.ambient import AmbientChart
-from warpgeo.immersion import PointGeometry, immersion
+from warpgeo.immersion import JET_ORDER, PointGeometry, immersion, values
 
 BASE = {
     "induced_metric_jets",
     "metric_inverse",
     "christoffels_from_metric",
-    "second_fundamental_form",
+    "covariant_derivative",
     "orthonormal_frame",
     "values",
     "_pullback_hessian",
@@ -141,3 +142,56 @@ def test_chart_has_constant_curvature(model, n):
     rhs = chart.c * (hh - hh.transpose(1, 0, 2, 3))
     gap = np.abs(lhs - rhs).max()
     assert gap <= 1e-12 * (1.0 + np.abs(rhs).max()), (gap, np.abs(rhs).max())
+
+
+def _float_stage_hessian(V, gbar, dphi, gamma_dom, d):
+    """(nabla^2 V)_{kl}^a as the oracle formed it on values before the base
+    had one covariant derivative: d_k nabla V_l - Gamma^j_kl nabla V_j +
+    Gbar(d_k phi, nabla V_l), by np.einsum, after the same first step."""
+    nV = J.gradient(V, d, range(d))
+    if gbar is not None:
+        gV = J.contract("abc,c->ab", J.trunc(gbar, d, 1), J.trunc(V, d, 1), d)
+        nV = nV + J.contract("ab,lb->la", gV, J.trunc(dphi, d, 1), d)
+    nV_val = values(nV, 2)
+    sec = values(J.gradient(nV, d, range(d)), 3)  # sec[k, l, a] = d_k nV[l, a]
+    sec = sec - np.einsum("...jkl,...ja->...kla", values(gamma_dom, 3), nV_val)
+    if gbar is not None:
+        sec = sec + np.einsum(
+            "...abc,...kb,...lc->...kla", values(gbar, 3), values(dphi, 2), nV_val
+        )
+    return sec
+
+
+# (a map, a point): curved charts, whose Gbar term is present, a flat one,
+# where it is None, and a warped inclusion over a batch of t
+HESSIAN_SCENES = {
+    "S3 slice r=2": (lambda: oracle.inclusion_map(verify.sphere_slice(2.0)), (0.3, -0.2)),
+    "S3 graph": (
+        lambda: oracle.inclusion_map(GAUSS_SCENES["S3 graph"][0]), GAUSS_SCENES["S3 graph"][1]
+    ),
+    "cone r=1": (lambda: oracle.inclusion_map(verify.cone(1.0)), (1.0, 0.7)),
+    "warped S3 slice, t batch": (
+        lambda: oracle.warped_inclusion_map(
+            warped.warped_scene(verify.sphere_slice(2.0), "exp(t)", {}, (-0.5, 1.0))
+        ),
+        (np.array([0.1, 0.3, 0.5]), 0.3, -0.2),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(HESSIAN_SCENES))
+def test_pullback_hessian_matches_the_float_stage_formula(name):
+    # every (k, l, a) entry of nabla^2 tau, not only its trace.  A
+    # derivative index out of place adds Gbar(d_k phi, nabla tau_l) -
+    # Gbar(d_l phi, nabla tau_k) where nabla^2 tau is symmetric (tau of an
+    # inclusion in a space form is normal, so R(dphi_k, dphi_l) tau is 0),
+    # and more in the warped product: the graph and the warped inclusion
+    # show it, the umbilic slice and the flat cone do not, and no trace can
+    make, point = HESSIAN_SCENES[name]
+    mapspec = make()
+    _, dphi, _, gamma_dom, gbar, tau = oracle._tension_pipeline(mapspec, point, JET_ORDER)
+    got = oracle._pullback_hessian(tau, gbar, dphi, gamma_dom, mapspec.dim)
+    ref = _float_stage_hessian(tau, gbar, dphi, gamma_dom, mapspec.dim)
+    assert got.shape == ref.shape == np.shape(point[0]) + (mapspec.dim,) * 2 + (mapspec.codim,)
+    gap = np.abs(got - ref).max()
+    assert gap <= 1e-15 * (1.0 + np.abs(ref).max()), (gap, np.abs(ref).max())

@@ -183,6 +183,14 @@ class TestElementary:
         ):
             J.jpow(u, 200)
 
+    @pytest.mark.parametrize("p", [math.inf, -math.inf, math.nan])
+    def test_non_finite_exponent_is_refused(self, p):
+        # eval_jet refuses a non-finite constant before it gets here; a
+        # direct call is refused by value, where round(p) would raise
+        u = J.jet_variable(0, 2.0, 1, 2)
+        with pytest.raises(EvalDomainError, match=rf"^power with non-finite exponent {p:g}$"):
+            J.jpow(u, p)
+
     @pytest.mark.parametrize("f, x", [(J.reciprocal, 1e200), (J.log, 1e300)],
                              ids=["1/x", "log x"])
     def test_far_series_is_kept_only_where_nothing_is_dropped(self, f, x):

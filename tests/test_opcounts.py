@@ -307,11 +307,14 @@ def test_verify_pass_mul_count(counts):
     # The scan's samples are rows of the cone family build, and the cone's
     # tension checks form neither its tau_2(i) nor its classify gate: its
     # own sample build's 4 products, 24 contractions and 3 constant plans
-    # are gone (57, 210 and 47)
+    # are gone (57, 210 and 47).  The pull-back Hessians' three (with Gbar)
+    # and each hypersurface build's two Laplacian contractions are on
+    # order-0 jets, constant plans all, the arithmetic einsum did on values
+    # (186 contractions and 44 constant plans before)
     verify.run_checks()
     assert counts["mul"] == 53
-    assert counts["contract"] == 186
-    assert counts["constant_plans"] == 44
+    assert counts["contract"] == 203
+    assert counts["constant_plans"] == 61
 
 
 def test_verify_pass_base_point_count(counts):
@@ -362,11 +365,13 @@ def test_verify_pass_evaluates_no_plain_float_warp(counts):
 
 @pytest.mark.parametrize(
     "spec, mul, contract, constant",
-    [(verify.cone(1.0), 4, 24, 3), (verify.sphere_slice(1.0), 6, 23, 10)],
+    [(verify.cone(1.0), 4, 26, 5), (verify.sphere_slice(1.0), 6, 25, 12)],
     ids=["cone", "slice"],
 )
 def test_grid_classify_is_one_batched_pass(counts, spec, mul, contract, constant):
-    # a 16-point grid costs the jet products of one point: one batched build
+    # a 16-point grid costs the jet products of one point: one batched build;
+    # the Laplacian of lambda is two contractions on order-0 jets, constant
+    # plans both (24, 3 and 23, 10 when it was formed on values)
     biharmonic.classify(spec, [POINT], 1e-7)
     one = dict(counts)
     assert (one["mul"], one["contract"], one["constant_plans"]) == (mul, contract, constant)
@@ -380,9 +385,10 @@ def test_grid_classify_is_one_batched_pass(counts, spec, mul, contract, constant
 def test_three_dimensional_classify_count(counts):
     # an S4 slice: the metric inverse and the normal are contractions, so a
     # 3x3 metric costs no more scalar products than a 2x2 one; its chart is
-    # linear, so its tangents are constant jets
+    # linear, so its tangents are constant jets; the Laplacian of lambda
+    # adds two order-0 contractions (24, 11 before)
     biharmonic.classify(verify.sphere_slice(0.7, 3), [POINT + (0.1,)], 1e-7)
-    assert (counts["mul"], counts["contract"], counts["constant_plans"]) == (6, 24, 11)
+    assert (counts["mul"], counts["contract"], counts["constant_plans"]) == (6, 26, 13)
 
 
 # numpy's Python-level helpers a build does without

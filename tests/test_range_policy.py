@@ -69,15 +69,25 @@ def test_far_plane_is_reported():
 
 # the order-4 term of each series underflows, and its product with
 # (1e100 du)^4, (1e70 du)^4 or (1e200 du)^4 is a float: dropping it gave
-# wrong residuals (exit 0 for the sqrt graph: 5.64 for 13.16)
+# wrong residuals (exit 0 for the sqrt graph: 5.64 for 13.16).  exp(-750)
+# underflows whole: the exp graph read the v*v part alone (normal residual
+# 6.56, where 1e-26*exp(1e10*(u-0.3))+v*v, the same surface, reads 9.28e13)
 @pytest.mark.parametrize("component, message", [
     ("log(1e100*u)+v*v", "log series at 3e+99 leaves the float range"),
     ("1/(1e70*u)+v*v", "power -1 series at 3e+69 leaves the float range"),
     ("sqrt(1e200*u)*1e-100+v*v", "power 0.5 series at 3e+199 leaves the float range"),
-], ids=["log", "reciprocal", "sqrt"])
+    ("1e300*exp(1e10*u-3000000750)+v*v", "exp series at -750 leaves the float range"),
+], ids=["log", "reciprocal", "sqrt", "exp"])
 def test_series_that_would_drop_a_term_is_refused(component, message):
     with pytest.raises(EvalDomainError, match=f"^{re.escape(message)}$"):
         biharmonic.classify(_graph("u", "v", component), [(0.3, 0.2)], 1e-7)
+
+
+def test_constant_that_underflows_to_zero_is_reported():
+    # exp(-800) is 0 with no nilpotent part, so no term of its series is
+    # dropped: the graph is v*v's
+    got = biharmonic.classify(_graph("u", "v", "exp(-800)*u+v*v"), [(0.3, 0.2)], 1e-7)
+    assert got == biharmonic.classify(_graph("u", "v", "v*v"), [(0.3, 0.2)], 1e-7)
 
 
 def test_tangential_residual_whose_square_overflows_is_reported():
@@ -200,6 +210,14 @@ INFINITE_DIVISOR = {
     "immersion": {"variables": ["u", "v"], "components": ["u", "v", "1/(u*1e308*1e308)"]},
 }
 
+# exp(1e10 u - 3000000750) underflows to 0 at u = 0.3, and its nilpotent
+# part 1e10 du does not vanish: the series drops every term
+UNDERFLOWING_EXP = {
+    "ambient": {"model": "euclidean", "dim": 3},
+    "immersion": {"variables": ["u", "v"],
+                  "components": ["u", "v", "1e300*exp(1e10*u-3000000750)+v*v"]},
+}
+
 
 @pytest.mark.parametrize("scene, argv, code, err", [
     (STEEP, ["analyze", "{scene}", "--points", "0,0.3"], 3, "error: 1 point(s) failed\n"),
@@ -224,9 +242,12 @@ INFINITE_DIVISOR = {
      "error: pairing is not finite at t = 1e-150\n"),
     (INFINITE_DIVISOR, ["classify", "{scene}", "--points", "0.3,0.2"], 3,
      "error: power -1 series at inf leaves the float range\n"),
+    (UNDERFLOWING_EXP, ["classify", "{scene}", "--points", "0.3,0.2"], 3,
+     "error: exp series at -750 leaves the float range\n"),
     (None, ["verify", "--filter", "f=exp(t)"], 0, ""),
 ], ids=["analyze", "classify", "scan", "classify constant", "warp at load", "warp pairing",
-        "warp finite pairing", "warp sweep", "warp vanishing f", "infinite divisor", "verify"])
+        "warp finite pairing", "warp sweep", "warp vanishing f", "infinite divisor",
+        "underflowing exp", "verify"])
 def test_cli_subcommand_out_of_range(tmp_path, capsys, scene, argv, code, err):
     path = tmp_path / "scene.json"
     if scene is not None:

@@ -567,6 +567,10 @@ BAD_INPUT = {
               components=["u", "v", "1+0*(" + "+".join(["u"] + ["0*u"] * 500) + ")"]),
         ["analyze", "{scene}"],
     ),
+    "component with a trailing token": (
+        _with(CONE_SCENE, "immersion", components=["u", "v", "u v"]),
+        ["analyze", "{scene}"],
+    ),
     "points only separators": (CONE_SCENE, ["classify", "{scene}", "--points", ";"]),
     "grid of too few axes": (CONE_SCENE, ["classify", "{scene}", "--grid", "0.5:1:2"]),
     "classify with no points": (NO_ANALYSIS, ["classify", "{scene}"]),
@@ -601,6 +605,7 @@ def test_bad_input_exits_2_with_message(tmp_path, capsys, data, argv):
     ("scene a list", "top level must be an object"),
     ("params a list", "'params' must be an object"),
     ("ambient model unknown", ".ambient: unknown ambient model 'torus'"),
+    ("component with a trailing token", "unexpected 'v', expected one of ['end'] at offset 2"),
 ])
 def test_bad_input_names_its_cause(tmp_path, capsys, case, message):
     data, argv = BAD_INPUT[case]
